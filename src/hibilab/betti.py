@@ -22,54 +22,24 @@ so beta_{0,2} counts minimal quadric generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import BudgetExceeded, CapExceeded, PreconditionFailed, VerificationFailed
 from .binomials import (
     DEFAULT_FIELD,
-    SECOND_FIELD,
     GroebnerReport,
-    ORDER_KINDS,
     WindowRing,
+    _degree_monomials,
     _rank_mod_p,
-    buchberger,
     default_budget,
-    make_binomial,
     mono_div,
     mono_squarefree,
-    monomial_order,
+    order_search,
+    require_field,
 )
 
 # ---------------------------------------------------------------------------
 # simplicial homology over GF(p)
-
-
-def _require_prime(p: int) -> int:
-    """Rank computations invert mod p, so p must be prime."""
-    if p < 2:
-        raise ValueError(f"field characteristic must be a prime, got {p}")
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if p == q:
-            return p
-        if p % q == 0:
-            raise ValueError(f"field characteristic must be a prime, got {p}")
-    # deterministic Miller-Rabin, sufficient below 3.3e24 with these bases
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            raise ValueError(f"field characteristic must be a prime, got {p}")
-    return p
 
 
 def _boundary_rank(faces, prev_index, p):
@@ -129,15 +99,10 @@ def standard_monomial_basis(gb, nvars: int, d_max: int, budget: int | None = Non
             raise BudgetExceeded(
                 f"degree {d} enumeration exceeds budget", budget=budget
             )
-        level = []
-        for combo in combinations_with_replacement(range(nvars), d):
-            exps = [0] * nvars
-            for k in combo:
-                exps[k] += 1
-            mono = tuple(exps)
-            if not any(mono_div(mono, lead) is not None for lead in leads):
-                level.append(mono)
-        levels.append(tuple(level))
+        levels.append(tuple(
+            mono for mono in _degree_monomials(nvars, d, budget)
+            if not any(mono_div(mono, lead) is not None for lead in leads)
+        ))
     return StandardMonomialBasis(degrees=tuple(levels))
 
 
@@ -326,10 +291,10 @@ def betti_numbers(
     """Exact graded Betti numbers of the window ideal over GF(field).
 
     Works blockwise per multidegree (see module docstring); with default
-    bounds every block's Euler characteristic is asserted against its
+    bounds every block's Euler characteristic is checked against its
     homology, which pins the contraction differential's consistency.
     """
-    _require_prime(field)
+    require_field(field)
     _require_toric(ring, gens)
     nvars = ring.nvars
     if var_cap is not None and nvars > var_cap:
@@ -361,7 +326,11 @@ def betti_numbers(
                     (-1) ** s * len(fs) for s, fs in faces.items()
                 )
                 euler_hom = sum((-1) ** s * h for s, h in hom.items())
-                assert euler_faces == euler_hom, "block Euler characteristic mismatch"
+                if euler_faces != euler_hom:
+                    raise VerificationFailed(
+                        "block Euler characteristic mismatch", degree=j,
+                        faces=euler_faces, homology=euler_hom,
+                    )
             for i in wanted_i:
                 h = hom.get(i + 1, 0)
                 if h:
@@ -437,31 +406,6 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
 # boolean oracles
 
 
-def _gb_candidates(ring: WindowRing, gens):
-    for kind in ORDER_KINDS:
-        order = monomial_order(kind, ring)
-        renorm = []
-        for g in gens:
-            h = make_binomial(g.lead, g.trail, order)
-            if h is not None:
-                renorm.append(h)
-        report = buchberger(renorm, order)
-        yield report
-        if report.quadratic and report.squarefree:
-            return
-
-
-def _squarefree_gb(ring: WindowRing, gens, gb: GroebnerReport | None):
-    if gb is not None and gb.squarefree:
-        return gb
-    last = None
-    for report in _gb_candidates(ring, gens):
-        last = report
-        if report.squarefree:
-            return report
-    return last
-
-
 def has_linear_resolution_oracle(
     ring: WindowRing,
     gens,
@@ -474,20 +418,22 @@ def has_linear_resolution_oracle(
 
     The initial ideal bounds the toric table entrywise (Groebner
     semicontinuity), so only positions where the monomial table is nonzero
-    off the linear strand need an exact Koszul rank check.
+    off the linear strand need an exact Koszul rank check.  The order
+    search runs only when gb is missing or not squarefree.
     """
     gens = list(gens)
     if not gens:
         return True
     if ring.nvars > var_cap:
         raise CapExceeded(f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap)
-    report = _squarefree_gb(ring, gens, gb)
-    if report is None or not report.squarefree:
+    if gb is None or not gb.squarefree:
+        _, _, gb, _ = order_search(ring, [(g.lead, g.trail) for g in gens])
+    if not gb.squarefree:
         table = betti_numbers(
             ring, gens, field=field, var_cap=var_cap, block_cap=block_cap
         )
         return table.is_linear()
-    mono_table = monomial_betti_table(report.leads, ring.nvars, field=field)
+    mono_table = monomial_betti_table(gb.leads, ring.nvars, field=field)
     candidates = sorted(
         ((i, j) for (i, j), v in mono_table.items() if v and j != i + 2),
         key=lambda t: (t[1], t[0]),
@@ -545,9 +491,3 @@ def is_linearly_related_oracle(
                 entries={str(k): v for k, v in bad.items()},
             )
     return table.get(1, 4) == 0
-
-
-def rerun_at_second_prime(fn, *args, **kwargs):
-    """Repeat an oracle call at the fallback prime before treating it as a finding."""
-    kwargs["field"] = SECOND_FIELD
-    return fn(*args, **kwargs)

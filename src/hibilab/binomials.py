@@ -14,15 +14,15 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
-from .errors import DegreeInfeasible
+from .errors import DegreeInfeasible, InvalidParameter
 from .lattice import PlanarLattice
-from .windows import GeneratorSet, RankWindow, generators
+from .windows import RankWindow, as_context
 
 Monomial = tuple
 
@@ -31,6 +31,15 @@ _ORDER_ALIASES = {"plain-lex": "lex", "plain-revlex": "revlex"}
 
 DEFAULT_FIELD = 32003
 SECOND_FIELD = 65537
+
+
+@cache  # the trial division costs a tenth of a small window's certification
+def require_field(p: int) -> int:
+    """Ranks are taken mod p: p must be a prime, and below 2**31 so that the
+    product of two residues fits the int64 elimination in _rank_mod_p."""
+    if not 2 <= p < 2**31 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise InvalidParameter(f"field must be a prime below 2**31, got {p}", field=p)
+    return p
 
 
 def default_budget() -> int:
@@ -52,12 +61,7 @@ class WindowRing:
 
     @classmethod
     def for_window(cls, lattice: PlanarLattice, window) -> "WindowRing":
-        gens = generators(lattice, window)
-        return cls(m=lattice.m, n=lattice.n, window=gens.window, points=gens.points)
-
-    @classmethod
-    def for_generators(cls, lattice: PlanarLattice, gens: GeneratorSet) -> "WindowRing":
-        return cls(m=lattice.m, n=lattice.n, window=gens.window, points=gens.points)
+        return as_context(lattice, window).ring
 
     @property
     def nvars(self) -> int:
@@ -170,7 +174,7 @@ class MonomialOrder:
 def monomial_order(kind: str, ring: WindowRing) -> MonomialOrder:
     kind = _ORDER_ALIASES.get(kind, kind)
     if kind not in ORDER_KINDS:
-        raise ValueError(f"unknown order kind {kind!r}")
+        raise InvalidParameter(f"unknown order kind {kind!r}", kind=kind)
     if kind.startswith("rank-"):
         ranked = sorted(
             range(ring.nvars),
@@ -206,20 +210,19 @@ def make_binomial(a: Monomial, b: Monomial, order: MonomialOrder):
     return Binomial(a, b) if order.greater(a, b) else Binomial(b, a)
 
 
-def defining_ideal_generators(ring, window_or_order=None, order="rank-lex"):
+def defining_ideal_generators(ring: WindowRing, order: MonomialOrder):
     """One binomial per incomparable band pair whose meet and join ranks stay in band.
 
     For points (i, j) and (k, l) with i < k, j > l the binomial is
     y_ij y_kl - y_il y_kj; both inner points lie in the lattice by closure.
-    Accepts either (ring, order) or (lattice, window, order=kind).
     """
-    if isinstance(ring, PlanarLattice):
-        ring = WindowRing.for_window(ring, window_or_order)
-        order = monomial_order(order, ring) if isinstance(order, str) else order
-    else:
-        order = window_or_order
+    return _oriented(_straightening_pairs(ring), order)
+
+
+def _straightening_pairs(ring: WindowRing):
+    """The terms (y_ij y_kl, y_il y_kj) of each defining binomial, unoriented."""
     p, q = ring.window.p, ring.window.q
-    out = set()
+    out = []
     pts = ring.points
     for a_idx in range(len(pts)):
         i, j = pts[a_idx]
@@ -234,12 +237,17 @@ def defining_ideal_generators(ring, window_or_order=None, order="rank-lex"):
             # now i2 < k2 and j2 > l2; meet (i2, l2), join (k2, j2)
             if not (p <= i2 + l2 and k2 + j2 <= q):
                 continue
-            pair = ring.monomial((i2, j2), (k2, l2))
-            meet_join = ring.monomial((i2, l2), (k2, j2))
-            binom = make_binomial(pair, meet_join, order)
-            if binom is not None:
-                out.add(binom)
-    return sorted(out, key=lambda g: (order.key(g.lead), order.key(g.trail)))
+            out.append((ring.monomial((i2, j2), (k2, l2)), ring.monomial((i2, l2), (k2, j2))))
+    return out
+
+
+def _oriented(pairs, order: MonomialOrder):
+    """The binomials a - b of the monomial pairs (a, b), led under order and sorted by it."""
+    return _sorted_binomials({make_binomial(a, b, order) for a, b in pairs} - {None}, order)
+
+
+def _sorted_binomials(binomials, order: MonomialOrder):
+    return sorted(binomials, key=lambda g: (order.key(g.lead), order.key(g.trail)))
 
 
 def _support_mask(mono: Monomial) -> int:
@@ -275,12 +283,6 @@ class Reducer:
         return mono
 
 
-def reduce_monomial(mono: Monomial, basis, order: MonomialOrder = None) -> Monomial:
-    """Replace u*lead -> u*trail until no basis lead divides; stays a monomial."""
-    reducer = basis if isinstance(basis, Reducer) else Reducer(basis)
-    return reducer.reduce(mono)
-
-
 def normal_form(x, basis, order: MonomialOrder):
     """Normal form of a monomial (-> monomial) or binomial (-> binomial or None)."""
     reducer = basis if isinstance(basis, Reducer) else Reducer(basis)
@@ -312,7 +314,7 @@ class GroebnerReport:
 
 
 def _interreduce(basis, order: MonomialOrder):
-    basis = sorted(set(basis), key=lambda g: (order.key(g.lead), order.key(g.trail)))
+    basis = _sorted_binomials(set(basis), order)
     # minimalize: ascending graded order guarantees divisor leads come first
     kept = []
     for g in basis:
@@ -334,7 +336,7 @@ def _interreduce(basis, order: MonomialOrder):
                 changed = True
                 g = make_binomial(g.lead, trail, order)
             out.append(g)
-        kept = sorted(set(out), key=lambda x: (order.key(x.lead), order.key(x.trail)))
+        kept = _sorted_binomials(set(out), order)
     return tuple(kept)
 
 
@@ -408,37 +410,48 @@ class WindowIdeal:
         return len(self.generators) == 1
 
 
-def window_ideal(lattice: PlanarLattice, window, kinds="auto") -> WindowIdeal:
-    """Build the defining ideal and search candidate orders for a quadratic basis.
+def order_search(ring: WindowRing, pairs, kinds="auto"):
+    """Buchberger under each candidate order until a basis is quadratic and squarefree.
 
-    kinds may be "auto" (try rank-lex, rank-revlex, lex, revlex in that
-    order), a single kind, or an iterable of kinds.  The first order whose
-    reduced basis is quadratic and squarefree wins; if none qualifies the
-    last report is returned with its flags down, for the caller to treat as
-    a finding.
+    pairs holds the terms (a, b) of the generators a - b.  kinds may be
+    "auto" (try rank-lex, rank-revlex, lex, revlex in that order), a single
+    kind, or an iterable of kinds.  Returns (order, generators, report,
+    kinds tried) for the winning order or, if none qualifies, for the last
+    one, with the report's flags down.
     """
     if kinds == "auto":
         kinds = ORDER_KINDS
     elif isinstance(kinds, str):
         kinds = (kinds,)
-    ring = WindowRing.for_window(lattice, window)
+    kinds = tuple(kinds)
+    if not kinds:
+        raise InvalidParameter("no candidate order kinds given")
     tried = []
-    last = None
     for kind in kinds:
         order = monomial_order(kind, ring)
-        gens = defining_ideal_generators(ring, order)
+        gens = _oriented(pairs, order)
         report = buchberger(gens, order)
         tried.append(kind)
-        last = (ring, order, gens, report)
         if report.quadratic and report.squarefree:
             break
-    ring, order, gens, report = last
+    return order, gens, report, tuple(tried)
+
+
+def window_ideal(lattice: PlanarLattice, window, kinds="auto") -> WindowIdeal:
+    """Build the defining ideal and search candidate orders for a quadratic basis.
+
+    The search is order_search's; if no order qualifies the last report is
+    returned with its flags down, for the caller to treat as a finding.
+    window may be a WindowContext, whose ring is then used.
+    """
+    ring = as_context(lattice, window).ring
+    order, gens, report, tried = order_search(ring, _straightening_pairs(ring), kinds)
     return WindowIdeal(
         ring=ring,
         order=order,
         generators=tuple(gens),
         gb=report,
-        orders_tried=tuple(tried),
+        orders_tried=tried,
     )
 
 
@@ -538,9 +551,6 @@ class FiberCertificate:
     def gb_certified(self) -> bool:
         return all(d.gb_consistent for d in self.per_degree)
 
-    def hilbert_by_fibers(self):
-        return tuple(d.fibers for d in self.per_degree)
-
 
 def toric_fiber_oracle(
     ring,
@@ -559,6 +569,7 @@ def toric_fiber_oracle(
     candidate basis is consistent when every fiber has a single normal form.
     The first argument may be a WindowRing or its MonomialMap.
     """
+    require_field(field)
     if degree < 2:
         raise DegreeInfeasible("degree bound must be at least 2", degree=degree)
     budget = budget or default_budget()
@@ -568,6 +579,7 @@ def toric_fiber_oracle(
     records = []
     fields = [field]
     gens = list(gens)
+    reducer = Reducer(gb.basis) if gb is not None else None
     for e in range(2, degree + 1):
         monos = list(_degree_monomials(nvars, e, budget))
         index = {m: k for k, m in enumerate(monos)}
@@ -593,14 +605,9 @@ def toric_fiber_oracle(
             span = max(span, span2)
         consistent = True
         if gb is not None:
-            nf_cache = {}
             seen = {}
             for img, members in fibers.items():
-                forms = set()
-                for m in members:
-                    if m not in nf_cache:
-                        nf_cache[m] = reduce_monomial(m, gb.basis, gb.order)
-                    forms.add(nf_cache[m])
+                forms = {normal_form(m, reducer, gb.order) for m in members}
                 if len(forms) != 1:
                     consistent = False
                     break

@@ -27,11 +27,10 @@ from .windows import (
     Polyomino,
     RankWindow,
     all_windows,
-    as_window,
+    as_context,
     check_convexity,
-    polyomino,
 )
-from .binomials import DEFAULT_FIELD, SECOND_FIELD, window_ideal
+from .binomials import DEFAULT_FIELD, SECOND_FIELD
 from .betti import has_linear_resolution_oracle, is_linearly_related_oracle
 
 
@@ -53,13 +52,6 @@ class ShapeProfile:
     right: tuple
     corners_present: tuple  # ((0,0), (m,0), (0,n), (m,n)) membership flags
     staircase: bool
-
-    @property
-    def missing_corners(self):
-        names = ((0, 0), (1, 0), (0, 1), (1, 1))
-        return tuple(
-            names[k] for k, present in enumerate(self.corners_present) if not present
-        )
 
 
 def _normalized_vertices(vertices):
@@ -256,11 +248,14 @@ def classify_window(
     mode: str = "shape-first",
     field: int = DEFAULT_FIELD,
     var_cap: int = 12,
-    _ideal=None,
 ) -> WindowVerdict:
-    """Decide both predicates, by shape theorems where they apply, else oracle."""
-    w = as_window(window).validate(lattice.rank)
-    ideal = _ideal if _ideal is not None else window_ideal(lattice, w)
+    """Decide both predicates, by shape theorems where they apply, else oracle.
+
+    window may be a WindowContext, whose ideal and polyomino are then used.
+    """
+    ctx = as_context(lattice, window)
+    w = ctx.window
+    ideal = ctx.ideal
     if ideal.is_zero or ideal.is_principal:
         return WindowVerdict(w, True, True, "degenerate", "degenerate")
     if mode == "oracle-only":
@@ -271,7 +266,7 @@ def classify_window(
             ideal.ring, ideal.generators, field=field, var_cap=max(var_cap, 16)
         )
         return WindowVerdict(w, lr, ll, "oracle", "oracle")
-    poly = polyomino(lattice, w)
+    poly = ctx.polyomino
     lr = has_linear_resolution_shape(poly)
     lr_basis = "shape:row-or-column"
     if lr is None:
@@ -301,20 +296,20 @@ def verify_window(
     A first disagreement is retried with the oracle at the fallback prime, so
     a characteristic artifact never surfaces as a finding by itself.
     """
-    w = as_window(window).validate(lattice.rank)
-    ideal = window_ideal(lattice, w)
+    ctx = as_context(lattice, window)
+    w = ctx.window
     shape_verdict = classify_window(
-        lattice, w, mode="shape-first", field=field, var_cap=var_cap, _ideal=ideal
+        lattice, ctx, mode="shape-first", field=field, var_cap=var_cap
     )
     oracle_verdict = classify_window(
-        lattice, w, mode="oracle-only", field=field, var_cap=var_cap, _ideal=ideal
+        lattice, ctx, mode="oracle-only", field=field, var_cap=var_cap
     )
     if (
         shape_verdict.linear_resolution != oracle_verdict.linear_resolution
         or shape_verdict.linearly_related != oracle_verdict.linearly_related
     ):
         retry = classify_window(
-            lattice, w, mode="oracle-only", field=SECOND_FIELD, var_cap=var_cap, _ideal=ideal
+            lattice, ctx, mode="oracle-only", field=SECOND_FIELD, var_cap=var_cap
         )
         if (
             shape_verdict.linear_resolution != retry.linear_resolution

@@ -7,26 +7,23 @@ import json
 import sys
 
 from .errors import HibiLabError, ParseError, VerificationFailed
-from .lattice import is_simple, join_irreducibles
 from .windows import (
-    all_windows,
-    as_window,
+    WindowContext,
     bipartite_graph,
     check_convexity,
-    dimension,
-    generators,
     is_chordal_bipartite,
-    polyomino,
+    select_windows,
 )
-from .binomials import ORDER_KINDS, toric_fiber_oracle, window_ideal
+from .binomials import DEFAULT_FIELD, ORDER_KINDS, require_field, toric_fiber_oracle
 from .betti import betti_numbers, hilbert_function, krull_dimension_via_initial
-from .classify import classify_window, enumerate_linrel_windows
+from .classify import classify_window, enumerate_linrel_windows, verify_window
 from .render import render_figure
-from .reports import CorpusSpec, generate_corpus, parse_input, run_suite
+from .reports import CorpusSpec, generate_corpus, lattice_record, parse_input, run_suite
 
 _INPUT_ERRORS = ("parse-error", "lattice-invalid", "missing-origin", "not-meet-closed",
                  "not-join-closed", "chain-condition-fails", "width-exceeds-two",
-                 "invalid-window", "rank-too-small", "precondition-failed")
+                 "invalid-window", "rank-too-small", "precondition-failed",
+                 "invalid-parameter")
 
 
 def _read_lattice(args):
@@ -45,20 +42,26 @@ def _emit(doc):
     print(json.dumps(doc, sort_keys=True))
 
 
-def _windows_for(args, lattice):
-    if getattr(args, "all_windows", False):
-        return all_windows(lattice, proper_only=getattr(args, "proper_only", False))
-    if getattr(args, "window", None):
-        return [as_window(args.window).validate(lattice.rank)]
-    return [as_window((0, lattice.rank))]
-
-
 def _parse_window(text):
     try:
         p, q = (int(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected --window p,q") from exc
     return (p, q)
+
+
+def _parse_field(text):
+    try:
+        return require_field(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _parse_degree(text):
+    degree = int(text)
+    if degree < 2:
+        raise argparse.ArgumentTypeError(f"degree bound must be at least 2, got {degree}")
+    return degree
 
 
 def _add_common(sub, window=True):
@@ -85,11 +88,11 @@ def build_parser():
 
     fib = sp.add_parser("fiber", help="toric fiber certificate")
     _add_common(fib)
-    fib.add_argument("--degree", type=int, default=4)
+    fib.add_argument("--degree", type=_parse_degree, default=4)
 
     bt = sp.add_parser("betti", help="graded Betti numbers of the window ideal")
     _add_common(bt)
-    bt.add_argument("--field", type=int, default=32003)
+    bt.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
     bt.add_argument("--jmax", type=int, default=None)
     bt.add_argument("--cap-vars", type=int, default=12)
     bt.add_argument("--hilbert", type=int, default=None, metavar="DMAX")
@@ -97,7 +100,7 @@ def build_parser():
     cl = sp.add_parser("classify", help="linear resolution / linearly related verdicts")
     _add_common(cl)
     cl.add_argument("--mode", choices=("shape-first", "oracle-only"), default="shape-first")
-    cl.add_argument("--field", type=int, default=32003)
+    cl.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
     cl.add_argument("--cap-vars", type=int, default=12)
     cl.add_argument("--expect-theorem", action="store_true",
                     help="verify shape verdicts against the oracle; exit 1 on disagreement")
@@ -120,7 +123,7 @@ def build_parser():
     st = sp.add_parser("suite", help="full cross-checked report")
     _add_common(st)
     st.add_argument("--order", choices=ORDER_KINDS + ("auto",), default="auto")
-    st.add_argument("--field", type=int, default=32003)
+    st.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
     st.add_argument("--cap-vars", type=int, default=12)
     st.add_argument("--fiber", action="store_true")
     st.add_argument("--betti", action="store_true")
@@ -162,18 +165,7 @@ def _dispatch(args) -> int:
     lattice = _read_lattice(args)
 
     if cmd == "validate":
-        simp = is_simple(lattice)
-        _emit(
-            {
-                "points": sorted(map(list, lattice.points)),
-                "m": lattice.m,
-                "n": lattice.n,
-                "rank": lattice.rank,
-                "simple": simp.simple,
-                "violating_ranks": list(simp.violating_ranks),
-                "join_irreducibles": len(join_irreducibles(lattice)),
-            }
-        )
+        _emit(lattice_record(lattice))
         return 0
 
     if cmd == "enumerate-windows":
@@ -188,123 +180,6 @@ def _dispatch(args) -> int:
                 fh.write(doc)
         else:
             sys.stdout.write(doc)
-        return 0
-
-    wins = _windows_for(args, lattice)
-
-    if cmd == "generators":
-        _emit(
-            [
-                {"window": [w.p, w.q], "count": len(generators(lattice, w)),
-                 "points": [list(p) for p in generators(lattice, w).points]}
-                for w in wins
-            ]
-        )
-        return 0
-
-    if cmd == "graph":
-        out = []
-        for w in wins:
-            cert = is_chordal_bipartite(bipartite_graph(lattice, w))
-            out.append(
-                {"window": [w.p, w.q],
-                 "edges": [list(e) for e in bipartite_graph(lattice, w).edges],
-                 "chordal": cert.chordal,
-                 "witness": [list(v) for v in cert.chordless_cycle]}
-            )
-        _emit(out)
-        return 0
-
-    if cmd == "polyomino":
-        out = []
-        for w in wins:
-            poly = polyomino(lattice, w)
-            out.append(
-                {"window": [w.p, w.q],
-                 "cells": sorted(map(list, poly.cells)),
-                 "vertices": sorted(map(list, poly.vertices)),
-                 "connected": poly.connected,
-                 "convex": check_convexity(poly)}
-            )
-        _emit(out)
-        return 0
-
-    if cmd == "dim":
-        _emit([{"window": [w.p, w.q], "dimension": dimension(lattice, w)} for w in wins])
-        return 0
-
-    if cmd == "gb":
-        out = []
-        for w in wins:
-            ideal = window_ideal(lattice, w, kinds=args.order)
-            basis = []
-            for g in ideal.gb.basis:
-                basis.append(
-                    {
-                        "lead": sorted([list(pt), e] for pt, e in ideal.ring.exponents_dict(g.lead).items()),
-                        "trail": sorted([list(pt), e] for pt, e in ideal.ring.exponents_dict(g.trail).items()),
-                        "text": f"{ideal.ring.format_monomial(g.lead)} - {ideal.ring.format_monomial(g.trail)}",
-                    }
-                )
-            out.append(
-                {"window": [w.p, w.q], "order": ideal.order.name,
-                 "quadratic": ideal.gb.quadratic, "squarefree": ideal.gb.squarefree,
-                 "spairs": ideal.gb.spairs_processed, "basis": basis}
-            )
-        _emit(out)
-        return 0
-
-    if cmd == "fiber":
-        out = []
-        for w in wins:
-            ideal = window_ideal(lattice, w)
-            cert = toric_fiber_oracle(
-                ideal.ring, ideal.generators, gb=ideal.gb, degree=args.degree
-            )
-            out.append(
-                {"window": [w.p, w.q], "membership": cert.membership_ok,
-                 "generated": cert.generated, "gb_certified": cert.gb_certified,
-                 "per_degree": [
-                     {"degree": d.degree, "monomials": d.monomials, "fibers": d.fibers,
-                      "target": d.target_dim, "rank": d.span_rank}
-                     for d in cert.per_degree
-                 ]}
-            )
-        _emit(out)
-        return 0
-
-    if cmd == "betti":
-        out = []
-        for w in wins:
-            ideal = window_ideal(lattice, w)
-            table = betti_numbers(
-                ideal.ring, ideal.generators, field=args.field,
-                j_max=args.jmax, var_cap=args.cap_vars,
-            )
-            entry = {"window": [w.p, w.q], "betti": table.to_json(),
-                     "krull": krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)}
-            if args.hilbert is not None:
-                entry["hilbert"] = hilbert_function(
-                    ideal.gb, args.hilbert, nvars=ideal.ring.nvars
-                )
-            out.append(entry)
-            print(table.format_text(), file=sys.stderr)
-        _emit(out)
-        return 0
-
-    if cmd == "classify":
-        from .classify import verify_window
-
-        out = []
-        for w in wins:
-            if args.expect_theorem:
-                verdict = verify_window(lattice, w, field=args.field, var_cap=args.cap_vars)
-            else:
-                verdict = classify_window(
-                    lattice, w, mode=args.mode, field=args.field, var_cap=args.cap_vars
-                )
-            out.append(verdict.to_json())
-        _emit(out)
         return 0
 
     if cmd == "suite":
@@ -323,6 +198,127 @@ def _dispatch(args) -> int:
         )
         print(report.to_json())
         return 1 if report.findings else 0
+
+    ctxs = [
+        WindowContext(lattice, w, getattr(args, "order", "auto"))
+        for w in select_windows(lattice, [args.window] if args.window else None,
+                                args.all_windows, args.proper_only)
+    ]
+
+    if cmd == "generators":
+        _emit(
+            [
+                {"window": [ctx.window.p, ctx.window.q], "count": len(ctx.generators),
+                 "points": [list(p) for p in ctx.generators.points]}
+                for ctx in ctxs
+            ]
+        )
+        return 0
+
+    if cmd == "graph":
+        out = []
+        for ctx in ctxs:
+            graph = bipartite_graph(lattice, ctx)
+            cert = is_chordal_bipartite(graph)
+            out.append(
+                {"window": [ctx.window.p, ctx.window.q],
+                 "edges": [list(e) for e in graph.edges],
+                 "chordal": cert.chordal,
+                 "witness": [list(v) for v in cert.chordless_cycle]}
+            )
+        _emit(out)
+        return 0
+
+    if cmd == "polyomino":
+        out = []
+        for ctx in ctxs:
+            poly = ctx.polyomino
+            out.append(
+                {"window": [ctx.window.p, ctx.window.q],
+                 "cells": sorted(map(list, poly.cells)),
+                 "vertices": sorted(map(list, poly.vertices)),
+                 "connected": poly.connected,
+                 "convex": check_convexity(poly)}
+            )
+        _emit(out)
+        return 0
+
+    if cmd == "dim":
+        _emit([{"window": [ctx.window.p, ctx.window.q], "dimension": ctx.dimension}
+               for ctx in ctxs])
+        return 0
+
+    if cmd == "gb":
+        out = []
+        for ctx in ctxs:
+            ideal = ctx.ideal
+            basis = []
+            for g in ideal.gb.basis:
+                basis.append(
+                    {
+                        "lead": sorted([list(pt), e] for pt, e in ideal.ring.exponents_dict(g.lead).items()),
+                        "trail": sorted([list(pt), e] for pt, e in ideal.ring.exponents_dict(g.trail).items()),
+                        "text": f"{ideal.ring.format_monomial(g.lead)} - {ideal.ring.format_monomial(g.trail)}",
+                    }
+                )
+            out.append(
+                {"window": [ctx.window.p, ctx.window.q], "order": ideal.order.name,
+                 "quadratic": ideal.gb.quadratic, "squarefree": ideal.gb.squarefree,
+                 "spairs": ideal.gb.spairs_processed, "basis": basis}
+            )
+        _emit(out)
+        return 0
+
+    if cmd == "fiber":
+        out = []
+        for ctx in ctxs:
+            ideal = ctx.ideal
+            cert = toric_fiber_oracle(
+                ideal.ring, ideal.generators, gb=ideal.gb, degree=args.degree
+            )
+            out.append(
+                {"window": [ctx.window.p, ctx.window.q], "membership": cert.membership_ok,
+                 "generated": cert.generated, "gb_certified": cert.gb_certified,
+                 "per_degree": [
+                     {"degree": d.degree, "monomials": d.monomials, "fibers": d.fibers,
+                      "target": d.target_dim, "rank": d.span_rank}
+                     for d in cert.per_degree
+                 ]}
+            )
+        _emit(out)
+        return 0
+
+    if cmd == "betti":
+        out = []
+        for ctx in ctxs:
+            ideal = ctx.ideal
+            table = betti_numbers(
+                ideal.ring, ideal.generators, field=args.field,
+                j_max=args.jmax, var_cap=args.cap_vars,
+            )
+            entry = {"window": [ctx.window.p, ctx.window.q], "betti": table.to_json(),
+                     "krull": krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)}
+            if args.hilbert is not None:
+                entry["hilbert"] = hilbert_function(
+                    ideal.gb, args.hilbert, nvars=ideal.ring.nvars
+                )
+            out.append(entry)
+            print(table.format_text(), file=sys.stderr)
+        _emit(out)
+        return 0
+
+    if cmd == "classify":
+        out = []
+        for ctx in ctxs:
+            if args.expect_theorem:
+                verdict = verify_window(lattice, ctx, field=args.field, var_cap=args.cap_vars)
+            else:
+                verdict = classify_window(
+                    lattice, ctx, mode=args.mode, field=args.field, var_cap=args.cap_vars
+                )
+            out.append(verdict.to_json())
+        _emit(out)
+        return 0
 
     raise AssertionError(f"unhandled command {cmd}")
 

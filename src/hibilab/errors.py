@@ -45,6 +45,12 @@ class InvalidWindow(HibiLabError):
     code = "invalid-window"
 
 
+class InvalidParameter(HibiLabError, ValueError):
+    """A parameter outside the supported range: a field, an order kind."""
+
+    code = "invalid-parameter"
+
+
 class DegreeInfeasible(HibiLabError):
     code = "degree-infeasible"
 
@@ -74,7 +80,7 @@ class PreconditionFailed(HibiLabError):
 
 
 class VerificationFailed(HibiLabError):
-    """Cross-route disagreement that survived a second-prime rerun."""
+    """A broken invariant, or a cross-route disagreement that survived a second-prime rerun."""
 
     code = "verification-failed"
 

@@ -91,20 +91,6 @@ class Poset:
             if self.less(a, b)
         ]
 
-    def down_set(self, a):
-        return [b for b in self.elements if self.leq(b, a)]
-
-    def covers(self):
-        """Pairs (a, b) where b covers a."""
-        out = []
-        for a in self.elements:
-            for b in self.elements:
-                if self.less(a, b) and not any(
-                    self.less(a, c) and self.less(c, b) for c in self.elements
-                ):
-                    out.append((a, b))
-        return out
-
     def is_chain(self, labels=None):
         labels = self.elements if labels is None else list(labels)
         return all(
@@ -194,10 +180,6 @@ class PlanarLattice:
     def __repr__(self):
         return f"PlanarLattice({len(self.points)} points, box {self.m}x{self.n})"
 
-    @staticmethod
-    def rank_of(point) -> int:
-        return point[0] + point[1]
-
     @cached_property
     def sorted_points(self):
         return tuple(sorted(self.points, key=lambda p: (p[0] + p[1], p[0])))
@@ -212,10 +194,6 @@ class PlanarLattice:
     def lower_covers(self, point):
         i, j = point
         return [c for c in ((i - 1, j), (i, j - 1)) if c in self.points]
-
-    def upper_covers(self, point):
-        i, j = point
-        return [c for c in ((i + 1, j), (i, j + 1)) if c in self.points]
 
     def transpose(self) -> "PlanarLattice":
         return PlanarLattice(frozenset((j, i) for i, j in self.points), self.n, self.m)

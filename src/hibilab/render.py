@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .lattice import PlanarLattice
-from .windows import as_window, generators, polyomino
+from .windows import as_context
 
 
 def render_ascii(lattice: PlanarLattice, window=None) -> str:
@@ -12,9 +12,10 @@ def render_ascii(lattice: PlanarLattice, window=None) -> str:
     cells = set()
     caption = ""
     if window is not None:
-        w = as_window(window).validate(lattice.rank)
-        gens = set(generators(lattice, w).points)
-        cells = polyomino(lattice, w).cells
+        ctx = as_context(lattice, window)
+        w = ctx.window
+        gens = set(ctx.generators.points)
+        cells = ctx.polyomino.cells
         caption = f"window ranks {w.p}..{w.q}"
     lines = []
     for j in range(lattice.n, -1, -1):
@@ -49,10 +50,10 @@ def render_svg(lattice: PlanarLattice, window=None, unit: int = 40) -> str:
     cells = set()
     band = None
     if window is not None:
-        w = as_window(window).validate(lattice.rank)
-        gens = set(generators(lattice, w).points)
-        cells = polyomino(lattice, w).cells
-        band = w
+        ctx = as_context(lattice, window)
+        gens = set(ctx.generators.points)
+        cells = ctx.polyomino.cells
+        band = ctx.window
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

@@ -18,16 +18,13 @@ from .lattice import (
     validate_planar_lattice,
 )
 from .windows import (
-    all_windows,
-    as_window,
+    WindowContext,
     bipartite_graph,
     check_convexity,
-    dimension,
-    generators,
     is_chordal_bipartite,
-    polyomino,
+    select_windows,
 )
-from .binomials import DEFAULT_FIELD, toric_fiber_oracle, window_ideal
+from .binomials import DEFAULT_FIELD, require_field, toric_fiber_oracle
 from .betti import betti_numbers, krull_dimension_via_initial
 from .classify import classify_window, verify_window
 
@@ -207,6 +204,20 @@ class RunReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def lattice_record(lattice: PlanarLattice) -> dict:
+    """The lattice section of a suite report, also printed by `hibilab validate`."""
+    simp = is_simple(lattice)
+    return {
+        "points": sorted(map(list, lattice.points)),
+        "m": lattice.m,
+        "n": lattice.n,
+        "rank": lattice.rank,
+        "simple": simp.simple,
+        "violating_ranks": list(simp.violating_ranks),
+        "join_irreducibles": len(join_irreducibles(lattice)),
+    }
+
+
 def run_suite(
     lattice: PlanarLattice,
     windows=None,
@@ -234,33 +245,28 @@ def run_suite(
     t0 = time.perf_counter()
     timings = {}
     findings = []
-    simp = is_simple(lattice)
-    ji = join_irreducibles(lattice)
-    if len(ji) != lattice.rank:
+    require_field(field)
+    lattice_doc = lattice_record(lattice)
+    if lattice_doc["join_irreducibles"] != lattice.rank:
         findings.append(
-            {"check": "join-irreducible-count", "got": len(ji), "want": lattice.rank}
+            {"check": "join-irreducible-count", "got": lattice_doc["join_irreducibles"],
+             "want": lattice.rank}
         )
-    if all_windows_flag:
-        wins = all_windows(lattice, proper_only=proper_only)
-    elif windows:
-        wins = [as_window(w).validate(lattice.rank) for w in windows]
-        if proper_only:
-            wins = [w for w in wins if w.is_proper(lattice.rank)]
-    else:
-        wins = [as_window((0, lattice.rank))]
+    wins = select_windows(lattice, windows, all_windows_flag, proper_only)
     window_records = []
     for w in wins:
+        ctx = WindowContext(lattice, w, order_kinds)
         rec = {"window": [w.p, w.q], "skipped": []}
-        gens = generators(lattice, w)
+        gens = ctx.generators
         rec["generators"] = len(gens)
-        cert = is_chordal_bipartite(bipartite_graph(lattice, w))
+        cert = is_chordal_bipartite(bipartite_graph(lattice, ctx))
         rec["chordal"] = cert.chordal
         if not cert.chordal:
             findings.append(
                 {"check": "chordal-bipartite", "window": [w.p, w.q],
                  "witness": list(map(list, cert.chordless_cycle))}
             )
-        poly = polyomino(lattice, w)
+        poly = ctx.polyomino
         rec["cells"] = len(poly)
         rec["connected"] = poly.connected
         convex = check_convexity(poly)
@@ -269,10 +275,10 @@ def run_suite(
             findings.append({"check": "convexity", "window": [w.p, w.q]})
         if not poly.vertices <= set(gens.points):
             findings.append({"check": "vertices-in-generators", "window": [w.p, w.q]})
-        dim = dimension(lattice, w)
+        dim = ctx.dimension
         rec["dimension"] = dim
         if with_gb:
-            ideal = window_ideal(lattice, w, kinds=order_kinds)
+            ideal = ctx.ideal
             rec["gb"] = {
                 "order": ideal.order.name,
                 "generators": len(ideal.generators),
@@ -321,9 +327,9 @@ def run_suite(
             if with_classify:
                 try:
                     verdict = (
-                        verify_window(lattice, w, field=field, var_cap=var_cap)
+                        verify_window(lattice, ctx, field=field, var_cap=var_cap)
                         if verify
-                        else classify_window(lattice, w, field=field, var_cap=var_cap)
+                        else classify_window(lattice, ctx, field=field, var_cap=var_cap)
                     )
                     rec["verdict"] = verdict.to_json()
                 except CapExceeded as exc:
@@ -348,15 +354,7 @@ def run_suite(
             "order_kinds": order_kinds if isinstance(order_kinds, str) else list(order_kinds),
             "verify": verify,
         },
-        "lattice": {
-            "points": sorted(map(list, lattice.points)),
-            "m": lattice.m,
-            "n": lattice.n,
-            "rank": lattice.rank,
-            "simple": simp.simple,
-            "violating_ranks": list(simp.violating_ranks),
-            "join_irreducibles": len(ji),
-        },
+        "lattice": lattice_doc,
         "windows": window_records,
         "findings": findings,
     }

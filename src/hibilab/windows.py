@@ -3,7 +3,9 @@
 A window (p, q) with 0 <= p < q <= rank L selects the lattice points whose
 rank lies in [p, q].  Those points are the algebra generators; they are also
 the edges s_i t_j of a bipartite graph and, through the unit cells fully
-contained in the band, a row- and column-convex polyomino.
+contained in the band, a row- and column-convex polyomino.  A WindowContext
+validates a window once and builds each of these objects, and the window's
+ring and ideal, at most once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidWindow
+from .errors import InvalidWindow, VerificationFailed
 from .lattice import PlanarLattice
 
 
@@ -45,6 +47,21 @@ def all_windows(lattice: PlanarLattice, proper_only: bool = False):
     if proper_only:
         out = [w for w in out if w.is_proper(r)]
     return out
+
+
+def select_windows(lattice: PlanarLattice, windows=None, all_windows_flag: bool = False,
+                   proper_only: bool = False):
+    """Every window, else the given ones, else the full window.
+
+    proper_only drops the full window from the first two choices; the
+    default full window is kept.
+    """
+    if all_windows_flag:
+        return all_windows(lattice, proper_only=proper_only)
+    if not windows:
+        return [RankWindow(0, lattice.rank)]
+    wins = [as_window(w).validate(lattice.rank) for w in windows]
+    return [w for w in wins if w.is_proper(lattice.rank)] if proper_only else wins
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,7 @@ class BipartiteGraph:
 
 
 def bipartite_graph(lattice: PlanarLattice, window) -> BipartiteGraph:
-    gens = generators(lattice, window)
+    gens = as_context(lattice, window).generators
     return BipartiteGraph(m=lattice.m, n=lattice.n, edges=tuple(gens.points))
 
 
@@ -183,8 +200,9 @@ def is_chordal_bipartite(graph: BipartiteGraph) -> ChordalityCertificate:
         if pick is None:
             cycle = _chordless_cycle_bruteforce(graph.edges)
             if cycle is None:
-                raise AssertionError(
-                    "elimination stuck but no chordless cycle found"
+                raise VerificationFailed(
+                    "elimination stuck but no chordless cycle found",
+                    edges=sorted(edges),
                 )
             return ChordalityCertificate(False, chordless_cycle=cycle)
         edges.discard(pick)
@@ -274,4 +292,51 @@ def check_convexity(poly: Polyomino) -> bool:
 
 def dimension(lattice: PlanarLattice, window) -> int:
     """Number of band points minus the number of band cells."""
-    return len(generators(lattice, window)) - len(polyomino(lattice, window))
+    return as_context(lattice, window).dimension
+
+
+@dataclass(frozen=True)
+class WindowContext:
+    """One validated window of a lattice; each per-window object is built once.
+
+    order_kinds is the order search of the window's ideal (see window_ideal).
+    """
+
+    lattice: PlanarLattice
+    window: RankWindow
+    order_kinds: str | tuple = "auto"
+
+    @cached_property
+    def generators(self) -> GeneratorSet:
+        return generators(self.lattice, self.window)
+
+    @cached_property
+    def polyomino(self) -> Polyomino:
+        return polyomino(self.lattice, self.window)
+
+    @cached_property
+    def dimension(self) -> int:
+        return len(self.generators) - len(self.polyomino)
+
+    @cached_property
+    def ring(self):
+        # imported here: binomials builds on this module
+        from .binomials import WindowRing
+
+        return WindowRing(m=self.lattice.m, n=self.lattice.n, window=self.window,
+                          points=self.generators.points)
+
+    @cached_property
+    def ideal(self):
+        from .binomials import window_ideal
+
+        return window_ideal(self.lattice, self, kinds=self.order_kinds)
+
+
+def as_context(lattice: PlanarLattice, window) -> WindowContext:
+    """The window as a WindowContext of lattice; a context is passed through."""
+    if isinstance(window, WindowContext):
+        if window.lattice != lattice:
+            raise InvalidWindow("window context belongs to another lattice")
+        return window
+    return WindowContext(lattice, as_window(window).validate(lattice.rank))

@@ -14,7 +14,7 @@ from hibilab.betti import (
     _semigroup_levels,
 )
 from hibilab.binomials import WindowRing, monomial_order, window_ideal
-from hibilab.errors import CapExceeded
+from hibilab.errors import CapExceeded, VerificationFailed
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
 from hibilab.windows import all_windows, dimension
 
@@ -202,3 +202,19 @@ class TestOracles:
                     continue
                 if has_linear_resolution_oracle(ideal.ring, ideal.generators, gb=ideal.gb):
                     assert is_linearly_related_oracle(ideal.ring, ideal.generators), (name, w)
+
+
+def test_block_euler_mismatch_is_a_verification_failure(monkeypatch):
+    import hibilab.betti as betti_mod
+
+    exact = betti_mod.reduced_homology
+
+    def off_by_one(faces_by_size, p):
+        hom = exact(faces_by_size, p)
+        hom[0] += 1
+        return hom
+
+    monkeypatch.setattr(betti_mod, "reduced_homology", off_by_one)
+    ideal = window_ideal(full_grid(1, 1), (0, 2))
+    with pytest.raises(VerificationFailed):
+        betti_numbers(ideal.ring, ideal.generators)

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from hibilab.binomials import (
     Binomial,
     ORDER_KINDS,
     WindowRing,
+    _rank_mod_p,
     buchberger,
     defining_ideal_generators,
     make_binomial,
@@ -11,10 +14,11 @@ from hibilab.binomials import (
     mono_mul,
     monomial_order,
     normal_form,
+    require_field,
     toric_fiber_oracle,
     window_ideal,
 )
-from hibilab.errors import DegreeInfeasible
+from hibilab.errors import DegreeInfeasible, InvalidParameter
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
 
 
@@ -225,11 +229,38 @@ def test_gb_report_names_order():
 
 
 def test_lattice_window_call_forms():
-    # (lattice, window) dispatch matches the explicit ring form
+    # the (lattice, window) entry point builds the explicit ring form
     lat = full_grid(2, 2)
     ring, order = ring_and_order(lat, (1, 3), "rank-lex")
-    direct = defining_ideal_generators(lat, (1, 3))
+    direct = window_ideal(lat, (1, 3), kinds="rank-lex").generators
     explicit = defining_ideal_generators(ring, order)
-    assert direct == explicit
+    assert direct == tuple(explicit)
     cert = toric_fiber_oracle(ring.monomial_map, explicit, degree=3)
     assert cert.membership_ok and cert.generated
+
+
+class TestParameters:
+    @pytest.mark.parametrize("field", [4, 1, 2**31, 4294967311])
+    def test_field_rejected_up_front(self, field):
+        ideal = window_ideal(full_grid(1, 1), (0, 2))
+        with pytest.raises(InvalidParameter):
+            require_field(field)
+        with pytest.raises(InvalidParameter):
+            toric_fiber_oracle(ideal.ring, ideal.generators, degree=2, field=field)
+
+    def test_largest_field_keeps_dense_rank_exact(self):
+        # rank-40 80x80 product; at p = 4294967311 the int64 path overflowed
+        p = 2**31 - 1
+        assert require_field(p) == p
+        rng = random.Random(5)
+        left = [[rng.randrange(p) for _ in range(40)] for _ in range(80)]
+        right = [[rng.randrange(p) for _ in range(80)] for _ in range(40)]
+        rows = [
+            {c: sum(a * b for a, b in zip(row, col)) % p for c, col in enumerate(zip(*right))}
+            for row in left
+        ]
+        assert _rank_mod_p(rows, 80, p) == 40
+
+    def test_empty_order_kinds_is_a_typed_error(self):
+        with pytest.raises(InvalidParameter):
+            window_ideal(full_grid(2, 2), (0, 4), kinds=())

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import hibilab.cli as cli
-from hibilab.errors import ParseError
+from hibilab.errors import InvalidParameter, ParseError
 from hibilab.lattice import validate_planar_lattice
 from hibilab.render import render_ascii, render_figure, render_svg
 from hibilab.reports import (
@@ -266,3 +266,62 @@ class TestCli:
         assert any(
             f["check"] == "classifier-oracle-agreement" for f in doc["stable"]["findings"]
         )
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--field", "4", "--fiber"],
+            ["betti", "--window", "0,2", "--field", "4"],
+            ["classify", "--field", "4294967311"],
+            ["fiber", "--window", "0,2", "--degree", "1"],
+        ],
+    )
+    def test_bad_parameter_exits_2(self, capsys, monkeypatch, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, argv, SQUARE, monkeypatch)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_suite_rejects_field_up_front(self):
+        with pytest.raises(InvalidParameter):
+            run_suite(full_grid(1, 1), with_fiber=True, field=4)
+
+
+def test_proper_only_same_rule_for_every_subcommand(capsys, monkeypatch):
+    argv = ["--window", "0,2", "--proper-only"]
+    code, out, _ = run_cli(capsys, ["classify", *argv], SQUARE, monkeypatch)
+    assert code == 0 and json.loads(out) == []
+    code, out, _ = run_cli(capsys, ["suite", *argv], SQUARE, monkeypatch)
+    assert code == 0 and json.loads(out)["stable"]["windows"] == []
+    code, out, _ = run_cli(capsys, ["dim", "--window", "0,1", "--proper-only"], SQUARE,
+                           monkeypatch)
+    assert code == 0 and json.loads(out) == [{"window": [0, 1], "dimension": 3}]
+
+
+def test_one_build_per_window(monkeypatch):
+    import sys
+
+    calls = {}
+    for module_name, fn_name in (("binomials", "buchberger"), ("binomials", "window_ideal"),
+                                 ("windows", "generators"), ("windows", "polyomino")):
+        original = getattr(sys.modules[f"hibilab.{module_name}"], fn_name)
+
+        def counting(*args, _name=fn_name, _fn=original, **kwargs):
+            result = _fn(*args, **kwargs)
+            calls[_name] = calls.get(_name, 0) + 1
+            if _name == "window_ideal":
+                calls["orders_tried"] = calls.get("orders_tried", 0) + len(result.orders_tried)
+            return result
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hibilab.") and getattr(module, fn_name, None) is original:
+                monkeypatch.setattr(module, fn_name, counting)
+    rep = run_suite(demo_staircase(), all_windows_flag=True, verify=True)
+    windows = len(rep.stable["windows"])
+    assert windows == 45 and rep.findings == []
+    assert calls["window_ideal"] == windows
+    assert calls["polyomino"] == windows
+    assert calls["generators"] == windows
+    assert calls["buchberger"] <= calls["orders_tried"]

@@ -1,12 +1,14 @@
 import pytest
 
-from hibilab.errors import InvalidWindow
+from hibilab.errors import InvalidWindow, VerificationFailed
 from hibilab.lattice import validate_planar_lattice
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
 from hibilab.windows import (
     BipartiteGraph,
     Polyomino,
+    RankWindow,
     all_windows,
+    as_context,
     bipartite_graph,
     check_convexity,
     dimension,
@@ -173,3 +175,37 @@ class TestDimension:
     )
     def test_full_window_is_rank_plus_one(self, lat):
         assert dimension(lat, (0, lat.rank)) == lat.rank + 1
+
+
+class TestWindowContext:
+    def test_objects_built_once_and_shared(self):
+        ctx = as_context(demo_staircase(), (3, 7))
+        assert ctx.window == RankWindow(3, 7)
+        assert ctx.generators is ctx.generators
+        assert ctx.ring.points == ctx.generators.points
+        assert ctx.dimension == dimension(demo_staircase(), ctx) == 9
+        assert ctx.ideal is ctx.ideal and ctx.ideal.ring is ctx.ring
+
+    def test_context_passes_through_and_checks_its_lattice(self):
+        lat = full_grid(2, 2)
+        ctx = as_context(lat, (1, 3))
+        assert as_context(lat, ctx) is ctx
+        with pytest.raises(InvalidWindow):
+            as_context(full_grid(2, 3), ctx)
+
+    def test_window_validated_once_up_front(self):
+        with pytest.raises(InvalidWindow):
+            as_context(full_grid(1, 1), (2, 1))
+
+
+def test_stuck_elimination_without_cycle_is_a_verification_failure(monkeypatch):
+    import hibilab.windows as windows_mod
+
+    # a 6-cycle s0 t0 s2 t2 s1 t1: no edge is bisimplicial
+    six_cycle = BipartiteGraph(
+        m=2, n=2, edges=((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0))
+    )
+    assert not is_chordal_bipartite(six_cycle)
+    monkeypatch.setattr(windows_mod, "_chordless_cycle_bruteforce", lambda edges: None)
+    with pytest.raises(VerificationFailed):
+        is_chordal_bipartite(six_cycle)
