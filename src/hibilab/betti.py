@@ -95,9 +95,10 @@ def standard_monomial_basis(gb, nvars: int, d_max: int, budget: int | None = Non
     budget = budget or default_budget()
     levels = []
     for d in range(d_max + 1):
-        if comb(nvars + d - 1, d) > budget:
+        count = comb(nvars + d - 1, d)
+        if count > budget:
             raise BudgetExceeded(
-                f"degree {d} enumeration exceeds budget", budget=budget
+                f"degree {d} enumeration exceeds budget", budget=budget, monomials=count
             )
         levels.append(tuple(
             mono for mono in _degree_monomials(nvars, d, budget)
@@ -226,7 +227,8 @@ def _block_faces(ring, b, j, levels, max_size, block_cap):
         total += len(nxt)
         if total > block_cap:
             raise CapExceeded(
-                f"multidegree block exceeds {block_cap} faces", degree=j
+                f"multidegree block exceeds {block_cap} faces",
+                degree=j, faces=total, cap=block_cap,
             )
         cur = nxt
     return faces
@@ -298,7 +300,7 @@ def betti_numbers(
     _require_toric(ring, gens)
     nvars = ring.nvars
     if var_cap is not None and nvars > var_cap:
-        raise CapExceeded(f"{nvars} variables exceed cap {var_cap}", cap=var_cap)
+        raise CapExceeded(f"{nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=nvars)
     full = i_max is None and j_max is None and _targets is None
     if i_max is None:
         i_max = nvars
@@ -425,7 +427,9 @@ def has_linear_resolution_oracle(
     if not gens:
         return True
     if ring.nvars > var_cap:
-        raise CapExceeded(f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap)
+        raise CapExceeded(
+            f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=ring.nvars
+        )
     if gb is None or not gb.squarefree:
         _, _, gb, _ = order_search(ring, [(g.lead, g.trail) for g in gens])
     if not gb.squarefree:
@@ -471,7 +475,9 @@ def is_linearly_related_oracle(
     if not gens:
         return True
     if ring.nvars > var_cap:
-        raise CapExceeded(f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap)
+        raise CapExceeded(
+            f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=ring.nvars
+        )
     targets = [(1, 4)]
     if deep:
         targets += [(1, 5), (1, 6)]

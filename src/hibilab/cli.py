@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .errors import HibiLabError, ParseError, VerificationFailed
+from .errors import CapExceeded, HibiLabError, ParseError, VerificationFailed
 from .windows import (
     WindowContext,
     bipartite_graph,
@@ -109,7 +109,8 @@ def build_parser():
                 window=False)
 
     rd = sp.add_parser("render", help="ASCII or SVG picture")
-    _add_common(rd)
+    _add_common(rd, window=False)
+    rd.add_argument("--window", type=_parse_window, default=None)
     rd.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     rd.add_argument("--out", default=None)
 
@@ -310,12 +311,17 @@ def _dispatch(args) -> int:
     if cmd == "classify":
         out = []
         for ctx in ctxs:
-            if args.expect_theorem:
-                verdict = verify_window(lattice, ctx, field=args.field, var_cap=args.cap_vars)
-            else:
-                verdict = classify_window(
-                    lattice, ctx, mode=args.mode, field=args.field, var_cap=args.cap_vars
-                )
+            try:
+                if args.expect_theorem:
+                    verdict = verify_window(lattice, ctx, field=args.field, var_cap=args.cap_vars)
+                else:
+                    verdict = classify_window(
+                        lattice, ctx, mode=args.mode, field=args.field, var_cap=args.cap_vars
+                    )
+            except CapExceeded as exc:
+                out.append({"window": [ctx.window.p, ctx.window.q],
+                            "skipped": {"classify": exc.payload()}})
+                continue
             out.append(verdict.to_json())
         _emit(out)
         return 0

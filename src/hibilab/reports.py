@@ -303,7 +303,7 @@ def run_suite(
                 try:
                     cert = toric_fiber_oracle(
                         ideal.ring, ideal.generators, gb=ideal.gb,
-                        degree=fiber_degree, field=field,
+                        degree=fiber_degree,
                     )
                     rec["fiber"] = {
                         "generated": cert.generated,

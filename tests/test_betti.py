@@ -14,7 +14,7 @@ from hibilab.betti import (
     _semigroup_levels,
 )
 from hibilab.binomials import WindowRing, monomial_order, window_ideal
-from hibilab.errors import CapExceeded, VerificationFailed
+from hibilab.errors import BudgetExceeded, CapExceeded, DegreeInfeasible, VerificationFailed
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
 from hibilab.windows import all_windows, dimension
 
@@ -131,6 +131,30 @@ class TestBettiInternals:
         ideal = window_ideal(demo_staircase(), (3, 7))
         with pytest.raises(CapExceeded):
             betti_numbers(ideal.ring, ideal.generators, var_cap=12)
+
+    def test_caps_and_budgets_name_the_value_that_tripped(self):
+        from hibilab.binomials import toric_fiber_oracle
+
+        ideal = window_ideal(demo_staircase(), (3, 7))
+        ring, gens = ideal.ring, ideal.generators
+        for call in (
+            lambda: betti_numbers(ring, gens, var_cap=12),
+            lambda: has_linear_resolution_oracle(ring, gens, gb=ideal.gb, var_cap=12),
+            lambda: is_linearly_related_oracle(ring, gens, var_cap=12),
+        ):
+            with pytest.raises(CapExceeded) as err:
+                call()
+            assert err.value.details == {"cap": 12, "nvars": 14}
+        small = window_ideal(full_grid(1, 1), (0, 2))
+        with pytest.raises(CapExceeded) as err:
+            betti_numbers(small.ring, small.generators, block_cap=1)
+        assert err.value.details["cap"] == 1 and err.value.details["faces"] > 1
+        with pytest.raises(DegreeInfeasible) as err:
+            toric_fiber_oracle(ring, gens, degree=4, budget=100)
+        assert err.value.details == {"budget": 100, "monomials": comb(14 + 2 - 1, 2)}
+        with pytest.raises(BudgetExceeded) as err:
+            standard_monomial_basis(ideal.gb, ring.nvars, 2, budget=1)
+        assert err.value.details == {"budget": 1, "monomials": 14}
 
     def test_non_toric_input_rejected(self):
         from hibilab.binomials import make_binomial

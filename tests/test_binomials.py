@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -20,6 +21,7 @@ from hibilab.binomials import (
 )
 from hibilab.errors import DegreeInfeasible, InvalidParameter
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
+from hibilab.windows import all_windows, generators
 
 
 def ring_and_order(lattice, window, kind="rank-revlex"):
@@ -214,6 +216,53 @@ class TestFiberOracle:
         cert = toric_fiber_oracle(ring, [bogus], degree=2)
         assert not cert.membership_ok
 
+    @staticmethod
+    def move_graph_rank(nvars, gens, degree):
+        """#monomials - #components of the degree-e move graph, by union-find."""
+
+        def monomials(d):
+            return [tuple(combo.count(k) for k in range(nvars))
+                    for combo in combinations_with_replacement(range(nvars), d)]
+
+        monos = monomials(degree)
+        parent = {m: m for m in monos}
+
+        def root(m):
+            while parent[m] != m:
+                m = parent[m]
+            return m
+
+        components = len(monos)
+        for u in monomials(degree - 2):
+            for g in gens:
+                a, b = root(mono_mul(u, g.lead)), root(mono_mul(u, g.trail))
+                if a != b:
+                    parent[a] = b
+                    components -= 1
+        return len(monos) - components
+
+    def test_span_rank_is_move_graph_rank(self, corpus):
+        checked = 0
+        for name, lat in corpus:
+            for w in all_windows(lat):
+                if len(generators(lat, w)) > 8:
+                    continue
+                ideal = window_ideal(lat, w)
+                cert = toric_fiber_oracle(ideal.ring, ideal.generators, degree=3)
+                for d in cert.per_degree:
+                    assert d.span_rank == self.move_graph_rank(
+                        ideal.ring.nvars, ideal.generators, d.degree
+                    ), (name, w, d.degree)
+                checked += 1
+        assert checked >= 400
+        ring, order = ring_and_order(full_grid(1, 1), (0, 2))
+        bogus = make_binomial(
+            ring.monomial((1, 0), (1, 0)), ring.monomial((0, 0), (1, 1)), order
+        )
+        cert = toric_fiber_oracle(ring, [bogus], degree=3)
+        for d in cert.per_degree:
+            assert d.span_rank == self.move_graph_rank(ring.nvars, [bogus], d.degree)
+
 
 def test_zero_and_principal_flags():
     ideal = window_ideal(full_grid(2, 2), (1, 2))
@@ -242,14 +291,11 @@ def test_lattice_window_call_forms():
 class TestParameters:
     @pytest.mark.parametrize("field", [4, 1, 2**31, 4294967311])
     def test_field_rejected_up_front(self, field):
-        ideal = window_ideal(full_grid(1, 1), (0, 2))
         with pytest.raises(InvalidParameter):
             require_field(field)
-        with pytest.raises(InvalidParameter):
-            toric_fiber_oracle(ideal.ring, ideal.generators, degree=2, field=field)
 
     def test_largest_field_keeps_dense_rank_exact(self):
-        # rank-40 80x80 product; at p = 4294967311 the int64 path overflowed
+        # rank-40 80x80 product at the largest accepted field
         p = 2**31 - 1
         assert require_field(p) == p
         rng = random.Random(5)

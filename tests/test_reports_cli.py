@@ -202,6 +202,21 @@ class TestCli:
         assert listed <= related
         assert related - listed <= degenerate
 
+    def test_classify_skips_over_cap_windows_like_suite(self, capsys, monkeypatch):
+        grid = json.dumps({"points": sorted(map(list, full_grid(2, 2).points))})
+        code, out, _ = run_cli(
+            capsys, ["classify", "--all-windows", "--expect-theorem", "--cap-vars", "7"],
+            grid, monkeypatch,
+        )
+        assert code == 0
+        records = json.loads(out)
+        skipped = {tuple(r["window"]): r["skipped"] for r in records if "skipped" in r}
+        rep = run_suite(full_grid(2, 2), all_windows_flag=True, verify=True, var_cap=7)
+        want = {tuple(r["window"]): r["skipped"][0] for r in rep.stable["windows"]
+                if r["skipped"]}
+        assert skipped == want and set(want) == {(0, 3), (0, 4), (1, 4)}
+        assert len(records) == len(rep.stable["windows"])
+
     def test_enumerate_windows(self, capsys, monkeypatch):
         grid = json.dumps(
             {"points": sorted(map(list, full_grid(2, 2).points))}
@@ -225,6 +240,12 @@ class TestCli:
         )
         assert code == 0
         assert target.read_text().startswith("<svg")
+
+    def test_render_takes_no_window_selection_flags(self, capsys, monkeypatch):
+        for flag in ("--all-windows", "--proper-only"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(capsys, ["render", flag], SQUARE, monkeypatch)
+            assert exc.value.code == 2
 
     def test_parse_error_exit_code(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, ["validate"], "oops", monkeypatch)
@@ -325,3 +346,15 @@ def test_one_build_per_window(monkeypatch):
     assert calls["polyomino"] == windows
     assert calls["generators"] == windows
     assert calls["buchberger"] <= calls["orders_tried"]
+
+
+def test_cli_import_leaves_numpy_out():
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = "import sys, hibilab.cli; sys.exit('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
