@@ -131,7 +131,18 @@ def krull_dimension_via_initial(gb, nvars: int | None = None) -> int:
 
     Equals the Krull dimension of the quotient when the initial ideal is
     squarefree (Stanley-Reisner); computed as nvars minus a minimum hitting
-    set, by branch and bound.
+    set of the minimal lead supports, by exact branch and bound.
+
+    Each node branches on the vertices v1 < v2 < ... of its smallest
+    remaining support: branch k takes vk and excludes v1..v(k-1), deleting
+    them from every remaining support, so each hitting set is reached along
+    exactly one path (by its smallest vertex in that support).  No support
+    empties: each has at least as many vertices as the branching support,
+    more than the k-1 excluded.  A greedy packing of pairwise disjoint
+    remaining supports is a lower bound (each needs its own vertex); a node
+    is pruned once taken + packing reaches the best cover found.
+    Nodes are counted against default_budget(); past it BudgetExceeded
+    carries the budget and the node count.
     """
     leads = _leads_of(gb)
     if nvars is None:
@@ -143,22 +154,39 @@ def krull_dimension_via_initial(gb, nvars: int | None = None) -> int:
     if not all(mono_squarefree(lead) for lead in leads):
         raise PreconditionFailed("initial ideal is not squarefree")
     supports = _minimal_supports(leads)
+    masks = [sum(1 << v for v in s) for s in supports]
+    budget = default_budget()
+    best = len(set().union(*supports))
+    nodes = 0
 
-    best = [len(set().union(*supports))]
-
-    def hit(remaining, count):
-        if count >= best[0]:
-            return
+    def hit(remaining, taken):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                "Krull dimension search exceeds budget", budget=budget, nodes=nodes
+            )
         if not remaining:
-            best[0] = count
+            best = taken
             return
-        support = min(remaining, key=len)
-        for v in sorted(support):
-            rest = [s for s in remaining if v not in s]
-            hit(rest, count + 1)
+        remaining.sort(key=int.bit_count)
+        used = packing = 0
+        for m in remaining:
+            if not m & used:
+                used |= m
+                packing += 1
+        if taken + packing >= best:
+            return
+        support, others = remaining[0], remaining[1:]
+        excluded = 0
+        while support:
+            v = support & -support
+            support ^= v
+            hit([m & ~excluded for m in others if not m & v], taken + 1)
+            excluded |= v
 
-    hit(supports, 0)
-    return nvars - best[0]
+    hit(masks, 0)
+    return nvars - best
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +378,8 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     beta_{i,j}(I) = sum over j-subsets W of dim H~_{j-i-2} of the restricted
     Stanley-Reisner complex.  A W with a vertex outside every contained
     support restricts to a cone, so only W covered by their supports are
-    enumerated; the loop runs over subsets of the support union only.
+    enumerated; the loop runs over subsets of the support union only, and
+    raises BudgetExceeded up front when their number exceeds default_budget().
     """
     if not leads:
         return {}
@@ -360,6 +389,12 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     if j_max is None:
         j_max = nvars
     union = sorted(set().union(*supports))
+    budget, subsets = default_budget(), 1 << len(union)
+    if subsets > budget:
+        raise BudgetExceeded(
+            f"{len(union)} support variables exceed the subset budget",
+            budget=budget, masks=subsets,
+        )
     back = {v: k for k, v in enumerate(union)}
     masks = [sum(1 << back[v] for v in s) for s in supports]
     entries = {}

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .errors import CapExceeded, HibiLabError, ParseError, VerificationFailed
+from .errors import BudgetExceeded, CapExceeded, HibiLabError, ParseError, VerificationFailed
 from .windows import (
     WindowContext,
     bipartite_graph,
@@ -23,7 +23,7 @@ from .reports import CorpusSpec, generate_corpus, lattice_record, parse_input, r
 _INPUT_ERRORS = ("parse-error", "lattice-invalid", "missing-origin", "not-meet-closed",
                  "not-join-closed", "chain-condition-fails", "width-exceeds-two",
                  "invalid-window", "rank-too-small", "precondition-failed",
-                 "invalid-parameter")
+                 "invalid-parameter", "not-convex", "disconnected")
 
 
 def _read_lattice(args):
@@ -318,7 +318,7 @@ def _dispatch(args) -> int:
                     verdict = classify_window(
                         lattice, ctx, mode=args.mode, field=args.field, var_cap=args.cap_vars
                     )
-            except CapExceeded as exc:
+            except (CapExceeded, BudgetExceeded) as exc:
                 out.append({"window": [ctx.window.p, ctx.window.q],
                             "skipped": {"classify": exc.payload()}})
                 continue

@@ -57,6 +57,29 @@ class TestKrull:
     def test_zero_ideal(self):
         assert krull_dimension_via_initial([], nvars=7) == 7
 
+    def test_grid_5x5_full_window(self):
+        ideal = window_ideal(full_grid(5, 5), (0, 10))
+        krull = krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)
+        assert krull == dimension(full_grid(5, 5), (0, 10)) == 11
+
+    def test_search_budget(self, monkeypatch):
+        # disjoint triangles of edges: the packing bound (one edge each) stays
+        # below the optimum (two vertices each), so the search has to branch
+        triangles = 8
+        nvars = 3 * triangles
+        leads = []
+        for k in range(triangles):
+            for a, b in ((0, 1), (1, 2), (0, 2)):
+                lead = [0] * nvars
+                lead[3 * k + a] = lead[3 * k + b] = 1
+                leads.append(tuple(lead))
+        monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
+        assert krull_dimension_via_initial(leads, nvars=nvars) == triangles
+        monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
+        with pytest.raises(BudgetExceeded) as err:
+            krull_dimension_via_initial(leads, nvars=nvars)
+        assert err.value.details == {"budget": 1000, "nodes": 1001}
+
     def test_matches_dimension_formula_everywhere(self, corpus):
         for name, lat in corpus[:20]:
             for w in all_windows(lat):
@@ -179,6 +202,14 @@ class TestMonomialBetti:
         leads = [(1, 1, 0, 0), (0, 0, 1, 1)]
         table = monomial_betti_table(leads, 4)
         assert table == {(0, 2): 2, (1, 4): 1}
+
+    def test_subset_loop_budget(self, monkeypatch):
+        monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
+        # 30 variables, 28 of them in some lead support: 2^28 subsets
+        ideal = window_ideal(full_grid(5, 4), (0, 9))
+        with pytest.raises(BudgetExceeded) as err:
+            monomial_betti_table(ideal.gb.leads, ideal.ring.nvars)
+        assert err.value.details == {"budget": 200_000, "masks": 1 << 28}
 
     def test_bounds_toric_table_entrywise(self):
         for lat, w in ((full_grid(2, 2), (0, 4)), (ell_lattice(), (0, 4))):

@@ -201,6 +201,33 @@ def test_krull_dimension_matches_exhaustive_search():
     CASES["krull-exhaustive"] = checked
 
 
+def test_krull_search_matches_exhaustive_on_random_hypergraphs():
+    from itertools import combinations
+
+    from hibilab.betti import krull_dimension_via_initial
+
+    rng = random.Random(909)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(3, 12)
+        supports = {
+            frozenset(rng.sample(range(n), rng.choice((2, 3))))
+            for _ in range(rng.randint(1, 2 * n))
+        }
+        leads = [tuple(int(v in s) for v in range(n)) for s in supports]
+        best = next(
+            size
+            for size in range(n, -1, -1)
+            if any(
+                not any(s <= set(sub) for s in supports)
+                for sub in combinations(range(n), size)
+            )
+        )
+        assert krull_dimension_via_initial(leads, nvars=n) == best, sorted(map(sorted, supports))
+        checked += 1
+    CASES["krull-hypergraph-exhaustive"] = checked
+
+
 def test_linear_resolution_oracle_matches_full_table():
     from hibilab.betti import betti_numbers, has_linear_resolution_oracle
 

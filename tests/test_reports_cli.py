@@ -3,7 +3,7 @@ import json
 import pytest
 
 import hibilab.cli as cli
-from hibilab.errors import InvalidParameter, ParseError
+from hibilab.errors import Disconnected, InvalidParameter, NotConvex, ParseError
 from hibilab.lattice import validate_planar_lattice
 from hibilab.render import render_ascii, render_figure, render_svg
 from hibilab.reports import (
@@ -217,6 +217,25 @@ class TestCli:
         assert skipped == want and set(want) == {(0, 3), (0, 4), (1, 4)}
         assert len(records) == len(rep.stable["windows"])
 
+    def test_classify_skips_budget_tripped_windows_like_suite(self, capsys, monkeypatch):
+        # ten support variables: 2^10 subsets exceed the smallest budget
+        monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
+        grid = json.dumps({"points": sorted(map(list, full_grid(3, 2).points))})
+        code, out, _ = run_cli(
+            capsys, ["classify", "--window", "0,5", "--expect-theorem"], grid, monkeypatch
+        )
+        assert code == 0
+        skip = {"classify": {
+            "code": "budget-exceeded",
+            "message": "10 support variables exceed the subset budget",
+            "details": {"budget": 1000, "masks": 1024},
+        }}
+        assert json.loads(out) == [{"window": [0, 5], "skipped": skip}]
+        rep = run_suite(full_grid(3, 2), windows=[(0, 5)], verify=True)
+        rec = rep.stable["windows"][0]
+        assert rep.findings == [] and rec["krull"] == rec["dimension"]
+        assert rec["skipped"] == [skip]
+
     def test_enumerate_windows(self, capsys, monkeypatch):
         grid = json.dumps(
             {"points": sorted(map(list, full_grid(2, 2).points))}
@@ -304,6 +323,15 @@ class TestInputErrors:
             run_cli(capsys, argv, SQUARE, monkeypatch)
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [NotConvex, Disconnected])
+    def test_shape_precondition_exits_2(self, capsys, monkeypatch, error):
+        def raising(args):
+            raise error("corner criteria need a convex connected polyomino")
+
+        monkeypatch.setattr(cli, "_dispatch", raising)
+        assert cli.main(["validate"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == error.code
 
     def test_suite_rejects_field_up_front(self):
         with pytest.raises(InvalidParameter):
