@@ -17,11 +17,22 @@ monomial basis by multidegree.
 
 Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
+
+The two boolean oracles first read the Betti table of the squarefree initial
+ideal in(I) off Hochster's formula (induced subcomplexes of its
+Stanley-Reisner complex), which costs milliseconds.  By Peeva ("Consecutive
+cancellations in Betti numbers", Proc. AMS 132, 2004) the toric table arises
+from it by cancelling pairs (i, j), (i+1, j) of equal internal degree, so
+entries only shrink.  An entry is therefore settled without a Koszul block
+when no cancellation can reach it: a zero entry stays zero, and a nonzero
+entry whose neighbours (i-1, j) and (i+1, j) are both zero is already the
+toric value.  Only the remaining entries are computed as Koszul ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import comb
 
 from .errors import BudgetExceeded, CapExceeded, PreconditionFailed, VerificationFailed
@@ -378,18 +389,19 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     beta_{i,j}(I) = sum over j-subsets W of dim H~_{j-i-2} of the restricted
     Stanley-Reisner complex.  A W with a vertex outside every contained
     support restricts to a cone, so only W covered by their supports are
-    enumerated; the loop runs over subsets of the support union only, and
-    raises BudgetExceeded up front when their number exceeds default_budget().
+    enumerated; the loop runs over the subsets of the support union with at
+    most j_max elements (all of them when j_max is None), and raises
+    BudgetExceeded up front when their number exceeds default_budget().
     """
     if not leads:
         return {}
     if not all(mono_squarefree(lead) for lead in leads):
         raise PreconditionFailed("monomial Betti table requires squarefree leads")
     supports = _minimal_supports(leads)
-    if j_max is None:
-        j_max = nvars
     union = sorted(set().union(*supports))
-    budget, subsets = default_budget(), 1 << len(union)
+    top = len(union) if j_max is None else min(j_max, len(union))
+    budget = default_budget()
+    subsets = sum(comb(len(union), k) for k in range(top + 1))
     if subsets > budget:
         raise BudgetExceeded(
             f"{len(union)} support variables exceed the subset budget",
@@ -398,17 +410,17 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     back = {v: k for k, v in enumerate(union)}
     masks = [sum(1 << back[v] for v in s) for s in supports]
     entries = {}
-    for u_mask in range(1, 1 << len(union)):
+    sized = (combinations(range(len(union)), k) for k in range(1, top + 1))
+    for subset in chain.from_iterable(sized):
+        u_mask = sum(1 << k for k in subset)
         cover = 0
         for m in masks:
             if m & u_mask == m:
                 cover |= m
         if cover != u_mask:
             continue
-        w = [union[k] for k in range(len(union)) if u_mask >> k & 1]
+        w = [union[k] for k in subset]
         j = len(w)
-        if j > j_max:
-            continue
         # supports restricted to W, reindexed over w
         pos = {v: k for k, v in enumerate(w)}
         local_supports = [
@@ -439,8 +451,35 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     return entries
 
 
+def _settled(mono_table, i, j):
+    """The toric beta_{i,j} where no Peeva cancellation can reach it, else None.
+
+    mono_table is the Hochster table of a squarefree initial ideal at the
+    same field (see the module docstring): 0 if its entry is 0, the entry
+    itself if (i-1, j) and (i+1, j) are both 0.
+    """
+    value = mono_table.get((i, j), 0)
+    if not value or not (mono_table.get((i - 1, j)) or mono_table.get((i + 1, j))):
+        return value
+    return None
+
+
 # ---------------------------------------------------------------------------
 # boolean oracles
+
+
+def _initial_basis(ring, gens, gb, var_cap):
+    """gb, or the order search's basis when gb is missing or not squarefree.
+
+    Windows over var_cap variables raise CapExceeded first.
+    """
+    if ring.nvars > var_cap:
+        raise CapExceeded(
+            f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=ring.nvars
+        )
+    if gb is None or not gb.squarefree:
+        _, _, gb, _ = order_search(ring, [(g.lead, g.trail) for g in gens])
+    return gb
 
 
 def has_linear_resolution_oracle(
@@ -453,20 +492,18 @@ def has_linear_resolution_oracle(
 ) -> bool:
     """True iff beta_{i,j}(I) = 0 for all j != i+2 up to the squarefree bound j <= nvars.
 
-    The initial ideal bounds the toric table entrywise (Groebner
-    semicontinuity), so only positions where the monomial table is nonzero
-    off the linear strand need an exact Koszul rank check.  The order
-    search runs only when gb is missing or not squarefree.
+    Only the nonzero off-linear entries of the initial ideal's Hochster table
+    can be nonzero in the toric table (Peeva's cancellations only shrink
+    entries).  If one of them is settled (see the module docstring), it is
+    the toric value and the answer is False with no Koszul block; otherwise
+    each is an exact Koszul rank.  The order search runs only when gb is
+    missing or not squarefree; without a squarefree basis the full Koszul
+    table decides.
     """
     gens = list(gens)
     if not gens:
         return True
-    if ring.nvars > var_cap:
-        raise CapExceeded(
-            f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=ring.nvars
-        )
-    if gb is None or not gb.squarefree:
-        _, _, gb, _ = order_search(ring, [(g.lead, g.trail) for g in gens])
+    gb = _initial_basis(ring, gens, gb, var_cap)
     if not gb.squarefree:
         table = betti_numbers(
             ring, gens, field=field, var_cap=var_cap, block_cap=block_cap
@@ -477,6 +514,9 @@ def has_linear_resolution_oracle(
         ((i, j) for (i, j), v in mono_table.items() if v and j != i + 2),
         key=lambda t: (t[1], t[0]),
     )
+    # a candidate is nonzero, so it is either settled nonzero or unsettled
+    if any(_settled(mono_table, i, j) for i, j in candidates):
+        return False
     for target in candidates:
         toric = betti_numbers(
             ring,
@@ -495,40 +535,51 @@ def is_linearly_related_oracle(
     ring: WindowRing,
     gens,
     field: int = DEFAULT_FIELD,
+    gb: GroebnerReport | None = None,
     var_cap: int = 16,
     block_cap: int = 20000,
     deep: bool = False,
 ) -> bool:
     """True iff beta_{1,4}(I) = 0; a zero or principal ideal has no syzygies at all.
 
+    beta_{1,4} is settled from the initial ideal's Hochster table in degrees
+    j <= 4 when (0, 4) and (2, 4) are zero there (no Peeva cancellation
+    reaches it, see the module docstring); otherwise, or without a squarefree
+    basis, it is an exact Koszul rank.  The order search runs only when gb is
+    missing or not squarefree.
+
     With deep=True the degrees 5 and 6 of the first syzygy strand are also
-    computed; a nonzero value there contradicts the quadratic-basis S-pair
-    bound and is raised as a hard inconsistency rather than folded into the
-    verdict.
+    computed as Koszul ranks; a nonzero value there contradicts the
+    quadratic-basis S-pair bound and is raised as a hard inconsistency
+    rather than folded into the verdict.
     """
     gens = list(gens)
     if not gens:
         return True
-    if ring.nvars > var_cap:
-        raise CapExceeded(
-            f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=ring.nvars
-        )
-    targets = [(1, 4)]
+    gb = _initial_basis(ring, gens, gb, var_cap)
+    beta_14 = None
+    if gb.squarefree:
+        mono_table = monomial_betti_table(gb.leads, ring.nvars, field=field, j_max=4)
+        beta_14 = _settled(mono_table, 1, 4)
+    targets = [(1, 4)] if beta_14 is None else []
     if deep:
         targets += [(1, 5), (1, 6)]
-    table = betti_numbers(
-        ring,
-        gens,
-        field=field,
-        var_cap=var_cap,
-        block_cap=block_cap,
-        _targets=targets,
-    )
-    if deep:
-        bad = {t: table.get(*t) for t in ((1, 5), (1, 6)) if table.get(*t)}
-        if bad:
-            raise VerificationFailed(
-                "first syzygies above degree 4 contradict the quadratic basis bound",
-                entries={str(k): v for k, v in bad.items()},
-            )
-    return table.get(1, 4) == 0
+    if targets:
+        table = betti_numbers(
+            ring,
+            gens,
+            field=field,
+            var_cap=var_cap,
+            block_cap=block_cap,
+            _targets=targets,
+        )
+        if deep:
+            bad = {t: table.get(*t) for t in ((1, 5), (1, 6)) if table.get(*t)}
+            if bad:
+                raise VerificationFailed(
+                    "first syzygies above degree 4 contradict the quadratic basis bound",
+                    entries={str(k): v for k, v in bad.items()},
+                )
+        if beta_14 is None:
+            beta_14 = table.get(1, 4)
+    return beta_14 == 0

@@ -251,40 +251,47 @@ def classify_window(
     mode: str = "shape-first",
     field: int = DEFAULT_FIELD,
     var_cap: int = 12,
+    _oracle: WindowVerdict | None = None,
 ) -> WindowVerdict:
     """Decide both predicates, by shape theorems where they apply, else oracle.
 
     window may be a WindowContext, whose ideal and polyomino are then used.
+    _oracle, an oracle-only verdict of the same window, answers the oracle
+    fallbacks of shape-first in place of new oracle calls.
     """
     ctx = as_context(lattice, window)
     w = ctx.window
     ideal = ctx.ideal
     if ideal.is_zero or ideal.is_principal:
         return WindowVerdict(w, True, True, "degenerate", "degenerate")
-    if mode == "oracle-only":
-        lr = has_linear_resolution_oracle(
+
+    def linear():
+        if _oracle is not None:
+            return _oracle.linear_resolution
+        return has_linear_resolution_oracle(
             ideal.ring, ideal.generators, field=field, gb=ideal.gb, var_cap=var_cap
         )
-        ll = is_linearly_related_oracle(
-            ideal.ring, ideal.generators, field=field, var_cap=max(var_cap, 16)
+
+    def linrel():
+        if _oracle is not None:
+            return _oracle.linearly_related
+        return is_linearly_related_oracle(
+            ideal.ring, ideal.generators, field=field, gb=ideal.gb,
+            var_cap=max(var_cap, 16),
         )
-        return WindowVerdict(w, lr, ll, "oracle", "oracle")
+
+    if mode == "oracle-only":
+        return WindowVerdict(w, linear(), linrel(), "oracle", "oracle")
     poly = ctx.polyomino
     lr = has_linear_resolution_shape(poly)
     lr_basis = "shape:row-or-column"
     if lr is None:
-        lr = has_linear_resolution_oracle(
-            ideal.ring, ideal.generators, field=field, gb=ideal.gb, var_cap=var_cap
-        )
-        lr_basis = "oracle"
+        lr, lr_basis = linear(), "oracle"
     if poly.connected and check_convexity(poly):
         ll = is_linearly_related_polyomino(poly)
         ll_basis = "shape:corners"
     else:
-        ll = is_linearly_related_oracle(
-            ideal.ring, ideal.generators, field=field, var_cap=max(var_cap, 16)
-        )
-        ll_basis = "oracle"
+        ll, ll_basis = linrel(), "oracle"
     return WindowVerdict(w, lr, ll, lr_basis, ll_basis)
 
 
@@ -296,16 +303,19 @@ def verify_window(
 ) -> WindowVerdict:
     """Run shape and oracle routes side by side; raise if they disagree twice.
 
-    A first disagreement is retried with the oracle at the fallback prime, so
-    a characteristic artifact never surfaces as a finding by itself.
+    The oracle-only verdict comes first and answers shape-first wherever no
+    shape theorem applies, so each predicate costs one oracle call.  A first
+    disagreement is retried with the oracle at the fallback prime, so a
+    characteristic artifact never surfaces as a finding by itself.
     """
     ctx = as_context(lattice, window)
     w = ctx.window
-    shape_verdict = classify_window(
-        lattice, ctx, mode="shape-first", field=field, var_cap=var_cap
-    )
     oracle_verdict = classify_window(
         lattice, ctx, mode="oracle-only", field=field, var_cap=var_cap
+    )
+    shape_verdict = classify_window(
+        lattice, ctx, mode="shape-first", field=field, var_cap=var_cap,
+        _oracle=oracle_verdict,
     )
     if (
         shape_verdict.linear_resolution != oracle_verdict.linear_resolution

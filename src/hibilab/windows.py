@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidWindow, VerificationFailed
+from .errors import BudgetExceeded, InvalidWindow, VerificationFailed
 from .lattice import PlanarLattice
 
 
@@ -140,15 +140,28 @@ def _chordless_cycle_bruteforce(edges):
     """Search the original graph for an induced cycle of length >= 6.
 
     Vertices are ('s', i) / ('t', j); the graph is bipartite so induced
-    cycles alternate sides.  Only called on small stuck instances.
+    cycles alternate sides.  Only called on small stuck instances.  extend
+    calls are counted against default_budget(); past it BudgetExceeded
+    carries the budget and the node count.
     """
+    # imported here: binomials builds on this module
+    from .binomials import default_budget
+
     adj = {}
     for i, j in edges:
         adj.setdefault(("s", i), set()).add(("t", j))
         adj.setdefault(("t", j), set()).add(("s", i))
     verts = sorted(adj)
+    budget = default_budget()
+    nodes = 0
 
     def extend(path, members):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                "chordless cycle search exceeds budget", budget=budget, nodes=nodes
+            )
         start = path[0]
         last = path[-1]
         for nxt in sorted(adj[last]):

@@ -12,11 +12,12 @@ from hibilab.betti import (
     standard_monomial_basis,
     _block_faces,
     _semigroup_levels,
+    _settled,
 )
 from hibilab.binomials import WindowRing, monomial_order, window_ideal
 from hibilab.errors import BudgetExceeded, CapExceeded, DegreeInfeasible, VerificationFailed
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
-from hibilab.windows import all_windows, dimension
+from hibilab.windows import all_windows, dimension, generators
 
 
 class TestHilbert:
@@ -211,6 +212,35 @@ class TestMonomialBetti:
             monomial_betti_table(ideal.gb.leads, ideal.ring.nvars)
         assert err.value.details == {"budget": 200_000, "masks": 1 << 28}
 
+    def test_degree_bound_restricts_full_table(self, corpus):
+        checked = 0
+        for name, lat in corpus:
+            for w in all_windows(lat):
+                if len(generators(lat, w)) > 10:
+                    continue
+                ideal = window_ideal(lat, w)
+                full = monomial_betti_table(ideal.gb.leads, ideal.ring.nvars)
+                low = monomial_betti_table(ideal.gb.leads, ideal.ring.nvars, j_max=4)
+                assert low == {k: v for k, v in full.items() if k[1] <= 4}, (name, w)
+                checked += low != full
+        assert checked > 0
+
+    def test_degree_bound_budget_counts_enumerated_subsets(self, monkeypatch):
+        monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
+        # 20 variables, 18 of them in some lead support: 2^18 subsets of the
+        # support union, 4048 of them with at most 4 elements
+        ideal = window_ideal(full_grid(4, 3), (0, 7))
+        leads, nvars = ideal.gb.leads, ideal.ring.nvars
+        assert nvars == 20
+        with pytest.raises(BudgetExceeded):
+            monomial_betti_table(leads, nvars)
+        table = monomial_betti_table(leads, nvars, j_max=4)
+        assert table[(0, 2)] == len(leads)
+        monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
+        with pytest.raises(BudgetExceeded) as err:
+            monomial_betti_table(leads, nvars, j_max=4)
+        assert err.value.details == {"budget": 1000, "masks": sum(comb(18, k) for k in range(5))}
+
     def test_bounds_toric_table_entrywise(self):
         for lat, w in ((full_grid(2, 2), (0, 4)), (ell_lattice(), (0, 4))):
             ideal = window_ideal(lat, w)
@@ -221,6 +251,17 @@ class TestMonomialBetti:
 
 
 class TestOracles:
+    def test_settling_rule(self):
+        # a cancellation pairs (i, j) with (i - 1, j) or (i + 1, j)
+        table = {(0, 2): 3, (1, 3): 2, (1, 4): 1, (2, 4): 1, (2, 5): 4, (3, 5): 2, (0, 4): 5}
+        assert _settled(table, 0, 2) == 3  # (-1, 2) and (1, 2) are zero
+        assert _settled(table, 1, 3) == 2
+        assert _settled(table, 2, 3) == 0  # zero entries stay zero
+        assert _settled(table, 1, 4) is None  # both neighbours nonzero
+        assert _settled(table, 2, 4) is None  # left neighbour (1, 4)
+        assert _settled(table, 0, 4) is None  # right neighbour (1, 4)
+        assert _settled(table, 2, 5) is None and _settled(table, 3, 5) is None
+
     def test_minors_linear(self):
         ideal = window_ideal(full_grid(2, 1), (0, 3))
         assert has_linear_resolution_oracle(ideal.ring, ideal.generators, gb=ideal.gb)

@@ -247,6 +247,56 @@ def test_linear_resolution_oracle_matches_full_table():
     CASES["linear-oracle-vs-full-table"] = checked
 
 
+def test_settled_oracles_match_direct_koszul(corpus):
+    """Gate for settling Betti entries from the Hochster table.
+
+    The reference is the direct route: a targeted Koszul block on every
+    off-linear candidate of the initial ideal's table and on (1, 4).
+    """
+    from hibilab.betti import (
+        _settled,
+        betti_numbers,
+        has_linear_resolution_oracle,
+        is_linearly_related_oracle,
+        monomial_betti_table,
+    )
+
+    checked = settled = 0
+    for name, lat in corpus:
+        for w in all_windows(lat):
+            if len(generators(lat, w)) > 9:
+                continue
+            ideal = window_ideal(lat, w)
+            ring, gens, gb = ideal.ring, ideal.generators, ideal.gb
+            if not gens:
+                continue
+            assert gb.squarefree, (name, w)
+            for field in (32003, 65537):
+                mono = monomial_betti_table(gb.leads, ring.nvars, field=field)
+                candidates = [(i, j) for (i, j), v in mono.items() if v and j != i + 2]
+                koszul = {
+                    t: betti_numbers(ring, gens, field=field, _targets=[t]).get(*t)
+                    for t in candidates + [(1, 4)]
+                }
+                linear = not any(koszul[t] for t in candidates)
+                linrel = koszul[(1, 4)] == 0
+                for with_gb in (gb, None):
+                    assert has_linear_resolution_oracle(
+                        ring, gens, field=field, gb=with_gb
+                    ) == linear, (name, w, field)
+                    assert is_linearly_related_oracle(
+                        ring, gens, field=field, gb=with_gb
+                    ) == linrel, (name, w, field)
+                for t, value in koszul.items():
+                    entry = _settled(mono, *t)
+                    if entry is not None:
+                        assert entry == value, (name, w, field, t)
+                        settled += 1
+                checked += 1
+    assert settled > 0
+    CASES["settled-oracles-vs-koszul"] = checked
+
+
 def test_case_total_meets_budget():
     assert sum(CASES.values()) >= 1000, CASES
 

@@ -1,6 +1,6 @@
 import pytest
 
-from hibilab.errors import InvalidWindow, VerificationFailed
+from hibilab.errors import BudgetExceeded, InvalidWindow, VerificationFailed
 from hibilab.lattice import validate_planar_lattice
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
 from hibilab.windows import (
@@ -94,6 +94,24 @@ class TestChordality:
         cert = is_chordal_bipartite(BipartiteGraph(m=3, n=3, edges=edges))
         assert not cert.chordal
         assert len(cert.chordless_cycle) >= 6
+
+    def test_cycle_search_budget(self, monkeypatch):
+        # an induced 40-cycle on s_100.., t_100.. with a 20-edge path hanging
+        # off t_100; the path's vertices sort first, so each search started
+        # on it walks the cycle both ways before failing
+        k, tail = 20, 20
+        edges = {(100 + i, 100 + i) for i in range(k)}
+        edges |= {(100 + (i + 1) % k, 100 + i) for i in range(k)}
+        edges |= {(i, i) for i in range(tail)} | {(i + 1, i) for i in range(tail)}
+        edges.add((tail, 100))
+        graph = BipartiteGraph(m=100 + k, n=100 + k, edges=tuple(sorted(edges)))
+        monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
+        cert = is_chordal_bipartite(graph)
+        assert not cert.chordal and len(cert.chordless_cycle) == 2 * k
+        monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
+        with pytest.raises(BudgetExceeded) as err:
+            is_chordal_bipartite(graph)
+        assert err.value.details == {"budget": 1000, "nodes": 1001}
 
     def test_every_window_of_named_lattices(self):
         for lat in (demo_staircase(), ell_lattice(), full_grid(3, 3)):
