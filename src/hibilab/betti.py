@@ -39,11 +39,11 @@ from .errors import BudgetExceeded, CapExceeded, PreconditionFailed, Verificatio
 from .binomials import (
     DEFAULT_FIELD,
     GroebnerReport,
+    Reducer,
     WindowRing,
     _degree_monomials,
     _rank_mod_p,
     default_budget,
-    mono_div,
     mono_squarefree,
     order_search,
     require_field,
@@ -102,7 +102,9 @@ def _leads_of(gb) -> tuple:
 
 
 def standard_monomial_basis(gb, nvars: int, d_max: int, budget: int | None = None) -> StandardMonomialBasis:
-    leads = _leads_of(gb)
+    reducer = Reducer()
+    for lead in _leads_of(gb):
+        reducer.append(lead)
     budget = budget or default_budget()
     levels = []
     for d in range(d_max + 1):
@@ -113,7 +115,7 @@ def standard_monomial_basis(gb, nvars: int, d_max: int, budget: int | None = Non
             )
         levels.append(tuple(
             mono for mono in _degree_monomials(nvars, d, budget)
-            if not any(mono_div(mono, lead) is not None for lead in leads)
+            if reducer.divisor(mono) is None
         ))
     return StandardMonomialBasis(degrees=tuple(levels))
 

@@ -15,8 +15,9 @@ import heapq
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress, count
 from math import comb, isqrt
+from operator import add, ge, itemgetter, neg, sub
 
 from .errors import DegreeInfeasible, InvalidParameter
 from .lattice import PlanarLattice
@@ -121,26 +122,8 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_div(a: Monomial, b: Monomial):
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(a: Monomial) -> int:
     return sum(a)
-
-
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def mono_squarefree(a: Monomial) -> bool:
@@ -159,10 +142,17 @@ class MonomialOrder:
     style: str
     sig: tuple
 
+    @cached_property
+    def _exponents(self):
+        """Exponents in key order: sig for lex, reversed sig for revlex, as a tuple."""
+        sig = self.sig if self.style == "lex" else self.sig[::-1]
+        # itemgetter of one index returns a bare item, not a tuple
+        return itemgetter(*sig) if len(sig) > 1 else lambda mono: tuple(mono[i] for i in sig)
+
     def key(self, mono: Monomial):
         if self.style == "lex":
-            return (sum(mono), tuple(mono[i] for i in self.sig))
-        return (sum(mono), tuple(-mono[i] for i in reversed(self.sig)))
+            return (sum(mono), self._exponents(mono))
+        return (sum(mono), tuple(map(neg, self._exponents(mono))))
 
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
@@ -249,34 +239,75 @@ def _sorted_binomials(binomials, order: MonomialOrder):
 
 def _support_mask(mono: Monomial) -> int:
     mask = 0
-    for k, e in enumerate(mono):
-        if e:
-            mask |= 1 << k
+    for k in compress(count(), mono):
+        mask |= 1 << k
     return mask
 
 
 class Reducer:
-    """Division against a fixed binomial list, with support-mask prefiltering."""
+    """Division against a binomial list, always by the first dividing lead in list order.
+
+    Quadratic leads y_a y_b (a <= b, a square when a == b) sit in a dict
+    keyed by (a, b), each with its list position; partners[b] is the mask of
+    the a <= b that pair with b.  One pass over a monomial's support then
+    looks up only the pairs in it that some lead uses, and none at all for
+    most normal monomials.  Leads of any other degree are scanned in list
+    order with a support-mask prefilter.
+    """
 
     def __init__(self, basis=()):
-        self.items = [(_support_mask(g.lead), g.lead, g.trail) for g in basis]
+        self.items = []  # (lead, trail) in list order
+        self.masks = []  # support mask of each lead, in list order
+        self._pairs = {}  # (a, b) -> position of the first lead y_a y_b
+        self._partners = {}  # b -> mask of the a <= b with a lead y_a y_b
+        self._scan = []  # (position, support mask, lead) of the other leads
+        for g in basis:
+            self.append(g.lead, g.trail)
 
-    def append(self, g: Binomial):
-        self.items.append((_support_mask(g.lead), g.lead, g.trail))
+    def append(self, lead: Monomial, trail: Monomial | None = None):
+        """Append lead - trail; a lead alone serves divisor() only."""
+        pos = len(self.items)
+        mask = _support_mask(lead)
+        self.items.append((lead, trail))
+        self.masks.append(mask)
+        if sum(lead) == 2:
+            # lowest and highest support variable; the same one for a square
+            a, b = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+            if (a, b) not in self._pairs:
+                self._pairs[a, b] = pos
+                self._partners[b] = self._partners.get(b, 0) | 1 << a
+        else:
+            self._scan.append((pos, mask, lead))
+
+    def divisor(self, mono: Monomial):
+        """List position of the first lead dividing mono, or None."""
+        partners, pairs = self._partners, self._pairs
+        best = None
+        mm = 0
+        for b in compress(count(), mono):
+            mm |= 1 << b
+            hits = partners.get(b, 0) & mm
+            if not hits:
+                continue
+            if hits >> b & 1 and mono[b] < 2:
+                hits ^= 1 << b
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                pos = pairs[low.bit_length() - 1, b]
+                if best is None or pos < best:
+                    best = pos
+        for pos, mask, lead in self._scan:
+            if best is not None and pos > best:
+                break
+            if not mask & ~mm and all(map(ge, mono, lead)):
+                return pos
+        return best
 
     def reduce(self, mono: Monomial) -> Monomial:
-        changed = True
-        while changed:
-            changed = False
-            mm = _support_mask(mono)
-            for lead_mask, lead, trail in self.items:
-                if lead_mask & ~mm:
-                    continue
-                u = mono_div(mono, lead)
-                if u is not None:
-                    mono = mono_mul(u, trail)
-                    changed = True
-                    break
+        while (pos := self.divisor(mono)) is not None:
+            lead, trail = self.items[pos]
+            mono = tuple(map(add, map(sub, mono, lead), trail))
         return mono
 
 
@@ -290,10 +321,10 @@ def normal_form(x, basis, order: MonomialOrder):
     return reducer.reduce(tuple(x))
 
 
-def s_binomial(f: Binomial, g: Binomial, order: MonomialOrder):
-    lcm = mono_lcm(f.lead, g.lead)
-    a = mono_mul(mono_div(lcm, f.lead), f.trail)
-    b = mono_mul(mono_div(lcm, g.lead), g.trail)
+def s_binomial(f: Binomial, g: Binomial, lcm: Monomial, order: MonomialOrder):
+    """lcm/in(f) * f - lcm/in(g) * g for lcm = lcm(in(f), in(g)), each term in one pass."""
+    a = tuple(map(add, map(sub, lcm, f.lead), f.trail))
+    b = tuple(map(add, map(sub, lcm, g.lead), g.trail))
     return make_binomial(a, b, order)
 
 
@@ -311,30 +342,19 @@ class GroebnerReport:
 
 
 def _interreduce(basis, order: MonomialOrder):
-    basis = _sorted_binomials(set(basis), order)
-    # minimalize: ascending graded order guarantees divisor leads come first
-    kept = []
-    for g in basis:
-        if not any(mono_div(g.lead, h.lead) is not None for h in kept):
-            kept.append(g)
-    # leads of a minimal set are irreducible against each other, so sweeps
-    # only rewrite trails; iterate to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for g in kept:
-            others = Reducer(h for h in kept if h.lead != g.lead)
-            trail = others.reduce(g.trail)
-            if trail == g.lead:
-                changed = True
-                continue
-            if trail != g.trail:
-                changed = True
-                g = make_binomial(g.lead, trail, order)
-            out.append(g)
-        kept = _sorted_binomials(set(out), order)
-    return tuple(kept)
+    """The reduced basis: minimal leads, every trail in normal form.
+
+    In ascending order a divisor's lead comes first, so one reducer grown
+    along the sorted list minimalizes.  Reducing g.trail against all kept
+    elements, g included, is reducing it against the others: every monomial
+    on the way is at most g.trail < g.lead, so g.lead divides none of them.
+    The leads stay put, so one sweep leaves every trail reduced.
+    """
+    reducer = Reducer()
+    for g in _sorted_binomials(set(basis), order):
+        if reducer.divisor(g.lead) is None:
+            reducer.append(g.lead, g.trail)
+    return tuple([Binomial(lead, reducer.reduce(trail)) for lead, trail in reducer.items])
 
 
 def buchberger(gens, order: MonomialOrder, spair_budget: int | None = None) -> GroebnerReport:
@@ -343,40 +363,42 @@ def buchberger(gens, order: MonomialOrder, spair_budget: int | None = None) -> G
     Pairs are popped smallest-lcm-first from a heap (key computed once per
     pair).  Returns the interreduced basis, which is unique for the given
     order; the quadratic and squarefree flags describe that reduced basis.
+    Past spair_budget (default 500,000) S-pairs, DegreeInfeasible names the
+    budget and the count.
     """
-    basis = []
-    for g in gens:
-        h = make_binomial(g.lead, g.trail, order)
-        if h is not None and h not in basis:
-            basis.append(h)
+    basis = [make_binomial(g.lead, g.trail, order) for g in gens]
+    basis = [h for h in dict.fromkeys(basis) if h is not None]
     reducer = Reducer(basis)
+    masks = reducer.masks
     heap = []
 
     def push_pairs(j):
+        lead, mask = basis[j].lead, masks[j]
         for i in range(j):
             # Buchberger's first criterion: coprime leads reduce to zero
-            if mono_coprime(basis[i].lead, basis[j].lead):
-                continue
-            lcm = mono_lcm(basis[i].lead, basis[j].lead)
-            heapq.heappush(heap, (mono_deg(lcm), order.key(lcm), i, j))
+            if masks[i] & mask:
+                lcm = tuple(map(max, basis[i].lead, lead))
+                heapq.heappush(heap, (order.key(lcm), i, j, lcm))
 
     for j in range(len(basis)):
         push_pairs(j)
     processed = 0
     budget = spair_budget or 500_000
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, i, j, lcm = heapq.heappop(heap)
         processed += 1
         if processed > budget:
-            raise DegreeInfeasible("S-pair budget exhausted", budget=budget)
-        s = s_binomial(basis[i], basis[j], order)
+            raise DegreeInfeasible(
+                "S-pair budget exhausted", budget=budget, spairs=processed
+            )
+        s = s_binomial(basis[i], basis[j], lcm, order)
         if s is None:
             continue
         r = normal_form(s, reducer, order)
         if r is None:
             continue
         basis.append(r)
-        reducer.append(r)
+        reducer.append(r.lead, r.trail)
         push_pairs(len(basis) - 1)
     reduced = _interreduce(basis, order)
     return GroebnerReport(
@@ -573,7 +595,7 @@ def toric_fiber_oracle(
         if gb is not None:
             seen = {}
             for img, members in fibers.items():
-                forms = {normal_form(m, reducer, gb.order) for m in members}
+                forms = {reducer.reduce(m) for m in members}
                 if len(forms) != 1:
                     consistent = False
                     break

@@ -293,10 +293,15 @@ def _dispatch(args) -> int:
         out = []
         for ctx in ctxs:
             ideal = ctx.ideal
-            table = betti_numbers(
-                ideal.ring, ideal.generators, field=args.field,
-                j_max=args.jmax, var_cap=args.cap_vars,
-            )
+            try:
+                table = betti_numbers(
+                    ideal.ring, ideal.generators, field=args.field,
+                    j_max=args.jmax, var_cap=args.cap_vars,
+                )
+            except CapExceeded as exc:
+                out.append({"window": [ctx.window.p, ctx.window.q],
+                            "skipped": {"betti": exc.payload()}})
+                continue
             entry = {"window": [ctx.window.p, ctx.window.q], "betti": table.to_json(),
                      "krull": krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)}
             if args.hilbert is not None:

@@ -1,0 +1,245 @@
+"""The lead-indexed reducer against a test-side copy of the linear-scan reducer.
+
+`_ScanReducer`, `_scan_interreduce` and `_scan_buchberger` below are the
+reduction, interreduction and Buchberger loop as they stood before leads were
+indexed by variable pair: every lead tried in list order, the first divisor
+used, a fresh reducer per element and sweep.  They are kept here, not in the
+package, as the reference the indexed route must match answer for answer.
+"""
+
+import heapq
+import random
+from itertools import combinations_with_replacement
+
+import pytest
+
+from hibilab.betti import standard_monomial_basis
+from hibilab.binomials import (
+    ORDER_KINDS,
+    Reducer,
+    WindowRing,
+    _oriented,
+    _sorted_binomials,
+    _straightening_pairs,
+    buchberger,
+    make_binomial,
+    monomial_order,
+    normal_form,
+)
+from hibilab.errors import DegreeInfeasible
+from hibilab.reports import demo_staircase
+from hibilab.windows import all_windows
+
+
+def _div(a, b):
+    if any(x < y for x, y in zip(a, b)):
+        return None
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+class _ScanReducer:
+    def __init__(self, basis=()):
+        self.items = [(g.lead, g.trail) for g in basis]
+
+    def append(self, g):
+        self.items.append((g.lead, g.trail))
+
+    def reduce(self, mono):
+        changed = True
+        while changed:
+            changed = False
+            for lead, trail in self.items:
+                u = _div(mono, lead)
+                if u is not None:
+                    mono = _mul(u, trail)
+                    changed = True
+                    break
+        return mono
+
+
+def _scan_interreduce(basis, order):
+    basis = _sorted_binomials(set(basis), order)
+    kept = []
+    for g in basis:
+        if not any(_div(g.lead, h.lead) is not None for h in kept):
+            kept.append(g)
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for g in kept:
+            others = _ScanReducer(h for h in kept if h.lead != g.lead)
+            trail = others.reduce(g.trail)
+            if trail == g.lead:
+                changed = True
+                continue
+            if trail != g.trail:
+                changed = True
+                g = make_binomial(g.lead, trail, order)
+            out.append(g)
+        kept = _sorted_binomials(set(out), order)
+    return tuple(kept)
+
+
+def _scan_buchberger(gens, order):
+    """(reduced basis, S-pairs processed)."""
+    basis = []
+    for g in gens:
+        h = make_binomial(g.lead, g.trail, order)
+        if h is not None and h not in basis:
+            basis.append(h)
+    reducer = _ScanReducer(basis)
+    heap = []
+
+    def push_pairs(j):
+        for i in range(j):
+            a, b = basis[i].lead, basis[j].lead
+            if all(x == 0 or y == 0 for x, y in zip(a, b)):
+                continue
+            lcm = tuple(max(x, y) for x, y in zip(a, b))
+            heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    processed = 0
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        processed += 1
+        f, g = basis[i], basis[j]
+        lcm = tuple(max(x, y) for x, y in zip(f.lead, g.lead))
+        s = make_binomial(
+            _mul(_div(lcm, f.lead), f.trail), _mul(_div(lcm, g.lead), g.trail), order
+        )
+        if s is None:
+            continue
+        r = make_binomial(reducer.reduce(s.lead), reducer.reduce(s.trail), order)
+        if r is None:
+            continue
+        basis.append(r)
+        reducer.append(r)
+        push_pairs(len(basis) - 1)
+    return _scan_interreduce(basis, order), processed
+
+
+def _random_monomial(rng, nvars, degree):
+    exps = [0] * nvars
+    for _ in range(degree):
+        exps[rng.randrange(nvars)] += 1
+    return tuple(exps)
+
+
+def _random_binomials(rng, order, nvars):
+    """Binomials with quadratic and cubic leads, squares and repeated leads;
+    in general not a Groebner basis, and not sorted."""
+    out = []
+    for _ in range(rng.randint(1, 7)):
+        degree = rng.choice((2, 2, 3))
+        a, b = _random_monomial(rng, nvars, degree), _random_monomial(rng, nvars, degree)
+        if rng.random() < 0.2:
+            a = tuple(2 * x for x in _random_monomial(rng, nvars, 1))  # a square
+        g = make_binomial(a, b, order)
+        if g is not None:
+            out.append(g)
+    if out and rng.random() < 0.3:
+        g = out[rng.randrange(len(out))]
+        other = make_binomial(g.lead, _random_monomial(rng, nvars, sum(g.lead)), order)
+        if other is not None:
+            out.append(other)  # a repeated lead with another trail
+    rng.shuffle(out)
+    return out
+
+
+def _ring(nvars):
+    points = tuple((k, 0) for k in range(nvars))
+    return WindowRing(m=nvars, n=0, window=None, points=points)
+
+
+def test_normal_form_matches_linear_scan_on_random_sets():
+    rng = random.Random(606)
+    checked = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 6)
+        order = monomial_order(rng.choice(ORDER_KINDS), _ring(nvars))
+        basis = _random_binomials(rng, order, nvars)
+        indexed, scan = Reducer(basis), _ScanReducer(basis)
+        for _ in range(12):
+            mono = _random_monomial(rng, nvars, rng.randint(0, 5))
+            assert normal_form(mono, indexed, order) == scan.reduce(mono)
+            assert normal_form(mono, basis, order) == scan.reduce(mono)
+            checked += 1
+        leads = [g.lead for g in basis]
+        index = Reducer()
+        for lead in leads:
+            index.append(lead)
+        for combo in combinations_with_replacement(range(nvars), 3):
+            mono = tuple(combo.count(k) for k in range(nvars))
+            first = next(
+                (k for k, lead in enumerate(leads) if _div(mono, lead) is not None), None
+            )
+            assert index.divisor(mono) == first
+    assert checked == 3600
+
+
+def test_buchberger_matches_linear_scan_on_random_sets():
+    rng = random.Random(1789)
+    grew = 0
+    for _ in range(120):
+        nvars = rng.randint(2, 4)
+        order = monomial_order(rng.choice(ORDER_KINDS), _ring(nvars))
+        gens = _random_binomials(rng, order, nvars)
+        report = buchberger(gens, order)
+        basis, spairs = _scan_buchberger(gens, order)
+        assert report.basis == basis
+        assert report.spairs_processed == spairs
+        grew += len(basis) > len(set(gens))
+    assert grew  # some sets are not Groebner bases, so Buchberger adds elements
+
+
+def test_buchberger_matches_linear_scan_on_seed7_windows(corpus):
+    checked = 0
+    for _, lat in corpus:
+        for w in all_windows(lat):
+            ring = WindowRing.for_window(lat, w)
+            if ring.nvars > 12:
+                continue
+            pairs = _straightening_pairs(ring)
+            for kind in ORDER_KINDS:
+                order = monomial_order(kind, ring)
+                gens = _oriented(pairs, order)
+                report = buchberger(gens, order)
+                assert (report.basis, report.spairs_processed) == _scan_buchberger(gens, order)
+                checked += 1
+    assert checked == 4 * 625
+
+
+def test_standard_monomials_match_lead_scan():
+    rng = random.Random(31)
+    for _ in range(60):
+        nvars = rng.randint(1, 5)
+        leads = [_random_monomial(rng, nvars, rng.randint(1, 3)) for _ in range(rng.randint(0, 5))]
+        levels = standard_monomial_basis(leads, nvars, 4).degrees
+        for d, level in enumerate(levels):
+            monos = (
+                tuple(combo.count(k) for k in range(nvars))
+                for combo in combinations_with_replacement(range(nvars), d)
+            )
+            assert level == tuple(
+                m for m in monos if all(_div(m, lead) is None for lead in leads)
+            )
+
+
+def test_spair_budget_error_names_the_count():
+    ring = WindowRing.for_window(demo_staircase(), (3, 7))
+    order = monomial_order("rank-lex", ring)
+    gens = [make_binomial(a, b, order) for a, b in _straightening_pairs(ring)]
+    with pytest.raises(DegreeInfeasible) as info:
+        buchberger(gens, order, spair_budget=5)
+    assert info.value.payload() == {
+        "code": "degree-infeasible",
+        "message": "S-pair budget exhausted",
+        "details": {"budget": 5, "spairs": 6},
+    }

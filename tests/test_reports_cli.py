@@ -217,6 +217,23 @@ class TestCli:
         assert skipped == want and set(want) == {(0, 3), (0, 4), (1, 4)}
         assert len(records) == len(rep.stable["windows"])
 
+    def test_betti_skips_over_cap_windows_like_suite(self, capsys, monkeypatch):
+        grid = json.dumps({"points": sorted(map(list, full_grid(2, 2).points))})
+        code, out, _ = run_cli(
+            capsys, ["betti", "--all-windows", "--cap-vars", "7"], grid, monkeypatch
+        )
+        assert code == 0
+        records = json.loads(out)
+        rep = run_suite(full_grid(2, 2), all_windows_flag=True, with_betti=True, var_cap=7)
+        assert [r["window"] for r in records] == [r["window"] for r in rep.stable["windows"]]
+        for got, want in zip(records, rep.stable["windows"]):
+            if want["skipped"]:
+                assert got == {"window": want["window"], "skipped": want["skipped"][0]}
+            else:
+                assert got["betti"] == want["betti"]
+        skipped = {tuple(r["window"]) for r in records if "skipped" in r}
+        assert skipped == {(0, 3), (0, 4), (1, 4)}
+
     def test_classify_skips_budget_tripped_windows_like_suite(self, capsys, monkeypatch):
         # ten support variables: 2^10 subsets exceed the smallest budget
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
