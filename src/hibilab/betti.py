@@ -18,15 +18,34 @@ monomial basis by multidegree.
 Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
 
-The two boolean oracles first read the Betti table of the squarefree initial
-ideal in(I) off Hochster's formula (induced subcomplexes of its
-Stanley-Reisner complex), which costs milliseconds.  By Peeva ("Consecutive
-cancellations in Betti numbers", Proc. AMS 132, 2004) the toric table arises
-from it by cancelling pairs (i, j), (i+1, j) of equal internal degree, so
-entries only shrink.  An entry is therefore settled without a Koszul block
-when no cancellation can reach it: a zero entry stays zero, and a nonzero
-entry whose neighbours (i-1, j) and (i+1, j) are both zero is already the
-toric value.  Only the remaining entries are computed as Koszul ranks.
+The two boolean oracles work on the initial ideal in(I) of a squarefree
+Groebner basis.  Every window basis is quadratic (criterion 2), so in(I) is
+the edge ideal of the lead graph G: one edge a-b per lead y_a y_b.
+
+- Linear resolution.  By Conca-Varbaro ("Square-free Groebner
+  degenerations", Invent. Math. 221, 2020) a squarefree in(I) has the same
+  regularity as I, and by Froeberg (1990) an edge ideal has a linear
+  resolution iff the complement of G is chordal.  So I has a linear
+  resolution iff the complement of G is chordal, a bitmask graph test with
+  no Koszul block.  A squarefree cubic minimal lead gives reg in(I) >= 3, so
+  such a basis never has one.
+- Linear relatedness.  The Groebner degeneration is flat in the toric
+  multigrading, in which both I and in(I) are homogeneous, so by upper
+  semicontinuity beta_{1,b}(I) <= beta_{1,b}(in I) for every multidegree b.
+  By Hochster's formula on the flag complex of in(I), beta_{1,b}(in I)
+  counts the 4-sets W of variables on which G is two disjoint edges (an
+  induced 2K2) with sigma(W) = b.  So beta_{1,4}(I) is the sum of the Koszul
+  blocks at just those b, and 0 when G has no induced 2K2.
+
+A basis that is not squarefree, or not quadratic for linear relatedness,
+takes the Koszul strands of betti_numbers instead.
+
+monomial_betti_table reads the full Betti table of a squarefree in(I) off
+Hochster's formula (induced subcomplexes of its Stanley-Reisner complex).
+By Peeva ("Consecutive cancellations in Betti numbers", Proc. AMS 132, 2004)
+the toric table arises from it by cancelling pairs (i, j), (i+1, j) of equal
+internal degree, so entries only shrink; _settled names the entries no
+cancellation can reach, which are already the toric values.
 """
 
 from __future__ import annotations
@@ -226,6 +245,36 @@ def _semigroup_levels(ring: WindowRing, j_max: int):
         for q in prev:
             for img in imgs:
                 cur.add(tuple(x + y for x, y in zip(q, img)))
+    return levels
+
+
+class _SemigroupLevel:
+    """Membership in one degree of the window semigroup, memoised by descent.
+
+    A vector lies in degree d iff subtracting some variable's image leaves a
+    vector of degree d - 1; lower is the level below (a set at degree 0).
+    Only the vectors asked about are visited, where _semigroup_levels lists
+    the whole level.
+    """
+
+    def __init__(self, images, lower):
+        self.images, self.lower, self.memo = images, lower, {}
+
+    def __contains__(self, vec):
+        hit = self.memo.get(vec)
+        if hit is None:
+            hit = self.memo[vec] = any(
+                rem is not None and rem in self.lower
+                for rem in (_vec_sub(vec, img) for img in self.images)
+            )
+        return hit
+
+
+def _semigroup_membership(ring: WindowRing, j_max: int):
+    """Levels 0..j_max of the window semigroup for _block_faces, by membership."""
+    levels = [{tuple([0] * (ring.m + 1 + ring.n + 1))}]
+    for _ in range(j_max):
+        levels.append(_SemigroupLevel(ring.monomial_map.images, levels[-1]))
     return levels
 
 
@@ -467,6 +516,88 @@ def _settled(mono_table, i, j):
 
 
 # ---------------------------------------------------------------------------
+# the lead graph of a squarefree quadratic initial ideal
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lead_graph(leads, nvars):
+    """Adjacency bitmasks of the lead graph: one edge a-b per lead y_a y_b.
+
+    leads must be squarefree; None when some minimal lead is not a quadric.
+    """
+    adj = [0] * nvars
+    for support in _minimal_supports(leads):
+        if len(support) != 2:
+            return None
+        a, b = support
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _complement_chordal(adj):
+    """Whether the complement of the graph with adjacency bitmasks adj is chordal.
+
+    A maximum-cardinality search numbers the vertices of the complement.  It
+    is chordal iff for every vertex v, the earlier-numbered neighbours of v
+    other than the last-numbered one, u, are all neighbours of u (Tarjan and
+    Yannakakis, SIAM J. Comput. 13, 1984).
+    """
+    n = len(adj)
+    comp = [((1 << n) - 1) & ~(adj[v] | 1 << v) for v in range(n)]
+    weight = [0] * n
+    step = [0] * n
+    numbered = 0
+    for k in range(n):
+        v = max((u for u in range(n) if not numbered >> u & 1), key=weight.__getitem__)
+        earlier = comp[v] & numbered
+        if earlier:
+            u = max(_bits(earlier), key=step.__getitem__)
+            if (earlier ^ 1 << u) & ~comp[u]:
+                return False
+        step[v] = k
+        numbered |= 1 << v
+        for u in _bits(comp[v] & ~numbered):
+            weight[u] += 1
+    return True
+
+
+def _linear_by_froberg(leads, nvars) -> bool:
+    """Whether the squarefree monomial ideal of leads has a 2-linear resolution.
+
+    True iff every minimal lead is a quadric and the complement of the lead
+    graph is chordal (Froeberg, 1990); a cubic or higher minimal lead is a
+    generator outside degree 2.
+    """
+    if not all(mono_squarefree(lead) for lead in leads):
+        raise PreconditionFailed("the lead graph needs squarefree leads")
+    adj = _lead_graph(leads, nvars)
+    return adj is not None and _complement_chordal(adj)
+
+
+def _induced_2k2(adj):
+    """The 4-sets on which the graph is two disjoint edges, as sorted tuples.
+
+    These are the multidegrees of beta_{1,4} of the edge ideal by Hochster's
+    formula, one each (the two edges are the graph induced on the set).
+    """
+    edges = [(a, b) for a in range(len(adj)) for b in _bits(adj[a]) if a < b]
+    masks = [1 << a | 1 << b for a, b in edges]
+    out = []
+    for k, (a, b) in enumerate(edges):
+        near = adj[a] | adj[b] | masks[k]
+        for c, d in (e for e, m in zip(edges[k + 1 :], masks[k + 1 :]) if not m & near):
+            out.append(tuple(sorted((a, b, c, d))))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # boolean oracles
 
 
@@ -494,11 +625,10 @@ def has_linear_resolution_oracle(
 ) -> bool:
     """True iff beta_{i,j}(I) = 0 for all j != i+2 up to the squarefree bound j <= nvars.
 
-    Only the nonzero off-linear entries of the initial ideal's Hochster table
-    can be nonzero in the toric table (Peeva's cancellations only shrink
-    entries).  If one of them is settled (see the module docstring), it is
-    the toric value and the answer is False with no Koszul block; otherwise
-    each is an exact Koszul rank.  The order search runs only when gb is
+    With a squarefree basis this is the lead-graph test of the module
+    docstring: reg I = reg in(I) (Conca-Varbaro), and the edge ideal in(I) is
+    2-linear iff the complement of the lead graph is chordal (Froeberg); a
+    cubic minimal lead answers False.  The order search runs only when gb is
     missing or not squarefree; without a squarefree basis the full Koszul
     table decides.
     """
@@ -511,26 +641,7 @@ def has_linear_resolution_oracle(
             ring, gens, field=field, var_cap=var_cap, block_cap=block_cap
         )
         return table.is_linear()
-    mono_table = monomial_betti_table(gb.leads, ring.nvars, field=field)
-    candidates = sorted(
-        ((i, j) for (i, j), v in mono_table.items() if v and j != i + 2),
-        key=lambda t: (t[1], t[0]),
-    )
-    # a candidate is nonzero, so it is either settled nonzero or unsettled
-    if any(_settled(mono_table, i, j) for i, j in candidates):
-        return False
-    for target in candidates:
-        toric = betti_numbers(
-            ring,
-            gens,
-            field=field,
-            var_cap=var_cap,
-            block_cap=block_cap,
-            _targets=[target],
-        )
-        if toric.get(*target):
-            return False
-    return True
+    return _linear_by_froberg(gb.leads, ring.nvars)
 
 
 def is_linearly_related_oracle(
@@ -544,11 +655,12 @@ def is_linearly_related_oracle(
 ) -> bool:
     """True iff beta_{1,4}(I) = 0; a zero or principal ideal has no syzygies at all.
 
-    beta_{1,4} is settled from the initial ideal's Hochster table in degrees
-    j <= 4 when (0, 4) and (2, 4) are zero there (no Peeva cancellation
-    reaches it, see the module docstring); otherwise, or without a squarefree
-    basis, it is an exact Koszul rank.  The order search runs only when gb is
-    missing or not squarefree.
+    With a squarefree quadratic basis, beta_{1,4}(I) is the sum of the Koszul
+    blocks at the multidegrees sigma(W) of the induced 2K2s W of the lead
+    graph (upper semicontinuity and Hochster, see the module docstring), and
+    0 with no block when there is none.  Otherwise it is the exact Koszul
+    rank of the whole strand.  The order search runs only when gb is missing
+    or not squarefree.
 
     With deep=True the degrees 5 and 6 of the first syzygy strand are also
     computed as Koszul ranks; a nonzero value there contradicts the
@@ -560,9 +672,17 @@ def is_linearly_related_oracle(
         return True
     gb = _initial_basis(ring, gens, gb, var_cap)
     beta_14 = None
-    if gb.squarefree:
-        mono_table = monomial_betti_table(gb.leads, ring.nvars, field=field, j_max=4)
-        beta_14 = _settled(mono_table, 1, 4)
+    adj = _lead_graph(gb.leads, ring.nvars) if gb.squarefree else None
+    if adj is not None:
+        imgs = ring.monomial_map.images
+        degrees = sorted({
+            tuple(map(sum, zip(*(imgs[v] for v in w)))) for w in _induced_2k2(adj)
+        })
+        levels = _semigroup_membership(ring, 4)
+        beta_14 = sum(
+            reduced_homology(_block_faces(ring, b, 4, levels, 3, block_cap), field).get(2, 0)
+            for b in degrees
+        )
     targets = [(1, 4)] if beta_14 is None else []
     if deep:
         targets += [(1, 5), (1, 6)]

@@ -105,13 +105,18 @@ class MonomialMap:
     n: int
     images: tuple
 
+    @cached_property
+    def _nonzero(self):
+        """Per variable, the (coordinate, entry) pairs where its image is nonzero."""
+        return tuple(tuple((c, x) for c, x in enumerate(img) if x) for img in self.images)
+
     def image_of_monomial(self, mono: Monomial):
         total = [0] * (self.m + 1 + self.n + 1)
+        nonzero = self._nonzero
         for k, e in enumerate(mono):
             if e:
-                img = self.images[k]
-                for c in range(len(total)):
-                    total[c] += e * img[c]
+                for c, x in nonzero[k]:
+                    total[c] += e * x
         return tuple(total)
 
     def balanced(self, binom: "Binomial") -> bool:

@@ -11,11 +11,21 @@ from hibilab.betti import (
     monomial_betti_table,
     standard_monomial_basis,
     _block_faces,
+    _induced_2k2,
+    _lead_graph,
+    _linear_by_froberg,
     _semigroup_levels,
+    _semigroup_membership,
     _settled,
 )
 from hibilab.binomials import WindowRing, monomial_order, window_ideal
-from hibilab.errors import BudgetExceeded, CapExceeded, DegreeInfeasible, VerificationFailed
+from hibilab.errors import (
+    BudgetExceeded,
+    CapExceeded,
+    DegreeInfeasible,
+    PreconditionFailed,
+    VerificationFailed,
+)
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
 from hibilab.windows import all_windows, dimension, generators
 
@@ -124,6 +134,24 @@ class TestBettiAnchors:
 
 
 class TestBettiInternals:
+    def test_semigroup_membership_matches_levels(self):
+        # the L-shaped window misses box points, so some candidates fall outside
+        ring = window_ideal(ell_lattice(), (0, 4)).ring
+        levels = _semigroup_levels(ring, 4)
+        member = _semigroup_membership(ring, 4)
+        units = [
+            tuple(int(c in (i, ring.m + 1 + j)) for c in range(ring.m + ring.n + 2))
+            for i in range(ring.m + 1) for j in range(ring.n + 1)
+        ]
+        outside = 0
+        for k in range(1, 5):
+            for q in levels[k - 1]:
+                for unit in units:
+                    vec = tuple(x + y for x, y in zip(q, unit))
+                    assert (vec in member[k]) == (vec in levels[k]), (k, vec)
+                    outside += vec not in levels[k]
+        assert outside > 0
+
     def test_koszul_piece_dimensions_tie_to_hilbert(self):
         # sum of block face counts at size s equals C(nvars, s) * HF(j - s)
         ideal = window_ideal(full_grid(2, 2), (1, 3))
@@ -261,6 +289,37 @@ class TestOracles:
         assert _settled(table, 2, 4) is None  # left neighbour (1, 4)
         assert _settled(table, 0, 4) is None  # right neighbour (1, 4)
         assert _settled(table, 2, 5) is None and _settled(table, 3, 5) is None
+
+    @pytest.mark.parametrize("nvars, edges, linear, two_k2", [
+        # a path: its complement is again a path, so chordal
+        (4, [(0, 1), (1, 2), (2, 3)], True, []),
+        # a triangle with a pendant edge and an isolated vertex
+        (5, [(0, 1), (1, 2), (0, 2), (2, 3)], True, []),
+        # two disjoint edges: the complement is a 4-cycle
+        (4, [(0, 1), (2, 3)], False, [(0, 1, 2, 3)]),
+        # the 5-cycle is its own complement: not chordal, yet no induced 2K2
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], False, []),
+        # a path on five vertices: one induced 2K2, {0,1} and {3,4}
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)], False, [(0, 1, 3, 4)]),
+    ])
+    def test_froberg_on_hand_made_lead_graphs(self, nvars, edges, linear, two_k2):
+        leads = [tuple(int(v in e) for v in range(nvars)) for e in edges]
+        assert _linear_by_froberg(leads, nvars) == linear
+        assert _induced_2k2(_lead_graph(leads, nvars)) == two_k2
+        # the reference: Hochster's formula on the edge ideal
+        table = monomial_betti_table(leads, nvars)
+        assert (not any(j != i + 2 for i, j in table)) == linear
+        assert table.get((1, 4), 0) == len(two_k2)
+
+    def test_froberg_cubic_lead_not_linear(self):
+        leads = [(1, 1, 0, 0, 0), (0, 0, 1, 1, 0), (1, 0, 1, 0, 1)]
+        assert _lead_graph(leads, 5) is None
+        assert not _linear_by_froberg(leads, 5)
+        assert (0, 3) in monomial_betti_table(leads, 5)
+        # a cubic lead that contains an edge is not minimal and changes nothing
+        assert _linear_by_froberg([(1, 1, 0), (1, 1, 1)], 3)
+        with pytest.raises(PreconditionFailed):
+            _linear_by_froberg([(2, 0, 0)], 3)
 
     def test_minors_linear(self):
         ideal = window_ideal(full_grid(2, 1), (0, 3))

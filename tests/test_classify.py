@@ -13,7 +13,7 @@ from hibilab.classify import (
 from hibilab.errors import Disconnected, PreconditionFailed, RankTooSmall
 from hibilab.lattice import validate_planar_lattice
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
-from hibilab.windows import Polyomino, all_windows, polyomino
+from hibilab.windows import Polyomino, all_windows, generators, polyomino
 
 
 def rect_cells(m, n):
@@ -190,6 +190,17 @@ class TestClassifyWindow:
     def test_verify_window_agreement(self):
         for w in ((0, 3), (1, 3), (1, 4), (0, 4)):
             verify_window(full_grid(2, 2), w)
+
+    def test_verify_window_beyond_default_cap(self, corpus):
+        # the oracles run on the lead graph, so windows of 13-30 variables
+        # check both shape theorems too
+        checked = 0
+        for name, lat in corpus:
+            for w in all_windows(lat):
+                if 13 <= len(generators(lat, w)) <= 30:
+                    verify_window(lat, w, var_cap=30)
+                    checked += 1
+        assert checked == 139
 
 
 class TestAllProperWindows:

@@ -297,6 +297,109 @@ def test_settled_oracles_match_direct_koszul(corpus):
     CASES["settled-oracles-vs-koszul"] = checked
 
 
+def test_lead_graph_matches_hochster_on_random_graphs():
+    from hibilab.betti import _complement_chordal, _induced_2k2, monomial_betti_table
+
+    rng = random.Random(4711)
+    checked = nonlinear = with_2k2 = 0
+    while checked < 150:
+        nvars = rng.randint(2, 8)
+        pairs = [(a, b) for a in range(nvars) for b in range(a + 1, nvars)]
+        edges = rng.sample(pairs, rng.randint(1, len(pairs)))
+        adj = [0] * nvars
+        for a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        leads = [tuple(int(v in e) for v in range(nvars)) for e in edges]
+        table = monomial_betti_table(leads, nvars)
+        linear = not any(j != i + 2 for i, j in table)
+        assert _complement_chordal(adj) == linear, edges
+        assert len(_induced_2k2(adj)) == table.get((1, 4), 0), edges
+        nonlinear += not linear
+        with_2k2 += (1, 4) in table
+        checked += 1
+    assert nonlinear > 0 and with_2k2 > 0
+    CASES["lead-graph-random"] = checked
+
+
+def test_lead_graph_matches_hochster_table(corpus):
+    """Froeberg's test and the induced-2K2 count against Hochster's formula."""
+    from hibilab.betti import (
+        _complement_chordal,
+        _induced_2k2,
+        _lead_graph,
+        monomial_betti_table,
+    )
+
+    checked = nonlinear = with_2k2 = 0
+    for name, lat in corpus:
+        for w in all_windows(lat):
+            if len(generators(lat, w)) > 12:
+                continue
+            ideal = window_ideal(lat, w)
+            if not ideal.generators:
+                continue
+            leads, nvars = ideal.gb.leads, ideal.ring.nvars
+            adj = _lead_graph(leads, nvars)
+            assert adj is not None, (name, w)
+            full = monomial_betti_table(leads, nvars)
+            linear = not any(j != i + 2 for i, j in full)
+            assert _complement_chordal(adj) == linear, (name, w)
+            low = monomial_betti_table(leads, nvars, j_max=4)
+            assert len(_induced_2k2(adj)) == low.get((1, 4), 0), (name, w)
+            nonlinear += not linear
+            with_2k2 += (1, 4) in low
+            checked += 1
+    assert nonlinear > 0 and with_2k2 > 0
+    CASES["lead-graph-vs-hochster"] = checked
+
+
+def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
+    """Gate for beta_{1,4} from the Koszul blocks at the induced-2K2 multidegrees.
+
+    The reference is the whole (1, 4) Koszul strand, at both primes.
+    """
+    from hibilab.betti import (
+        _block_faces,
+        _induced_2k2,
+        _lead_graph,
+        _semigroup_levels,
+        betti_numbers,
+        is_linearly_related_oracle,
+        reduced_homology,
+    )
+
+    checked = nonzero = 0
+    for name, lat in corpus:
+        for w in all_windows(lat):
+            if len(generators(lat, w)) > 10:
+                continue
+            ideal = window_ideal(lat, w)
+            ring, gens, gb = ideal.ring, ideal.generators, ideal.gb
+            if not gens:
+                continue
+            image = ring.monomial_map.image_of_monomial
+            degrees = {
+                image(tuple(int(v in quad) for v in range(ring.nvars)))
+                for quad in _induced_2k2(_lead_graph(gb.leads, ring.nvars))
+            }
+            levels = _semigroup_levels(ring, 4)
+            for field in (32003, 65537):
+                blocks = sum(
+                    reduced_homology(_block_faces(ring, b, 4, levels, 3, 20000), field).get(2, 0)
+                    for b in degrees
+                )
+                strand = betti_numbers(ring, gens, field=field, _targets=[(1, 4)]).get(1, 4)
+                assert blocks == strand, (name, w, field)
+                assert is_linearly_related_oracle(
+                    ring, gens, field=field, gb=gb
+                ) == (strand == 0), (name, w, field)
+                nonzero += strand > 0
+            checked += 1
+    assert nonzero > 0
+    CASES["2k2-blocks-vs-koszul"] = checked
+
+
 def test_case_total_meets_budget():
     assert sum(CASES.values()) >= 1000, CASES
 

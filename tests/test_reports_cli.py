@@ -3,7 +3,7 @@ import json
 import pytest
 
 import hibilab.cli as cli
-from hibilab.errors import Disconnected, InvalidParameter, NotConvex, ParseError
+from hibilab.errors import BudgetExceeded, Disconnected, InvalidParameter, NotConvex, ParseError
 from hibilab.lattice import validate_planar_lattice
 from hibilab.render import render_ascii, render_figure, render_svg
 from hibilab.reports import (
@@ -235,7 +235,15 @@ class TestCli:
         assert skipped == {(0, 3), (0, 4), (1, 4)}
 
     def test_classify_skips_budget_tripped_windows_like_suite(self, capsys, monkeypatch):
-        # ten support variables: 2^10 subsets exceed the smallest budget
+        # an oracle that trips its budget, under the smallest budget for the rest
+        import hibilab.classify as classify_mod
+
+        def tripped(*args, **kwargs):
+            raise BudgetExceeded(
+                "10 support variables exceed the subset budget", budget=1000, masks=1024
+            )
+
+        monkeypatch.setattr(classify_mod, "has_linear_resolution_oracle", tripped)
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         grid = json.dumps({"points": sorted(map(list, full_grid(3, 2).points))})
         code, out, _ = run_cli(
@@ -394,12 +402,17 @@ def test_one_build_per_window(monkeypatch):
 
 
 def test_cli_import_leaves_numpy_out():
+    import os
     import pathlib
     import subprocess
     import sys
 
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     code = "import sys, hibilab.cli; sys.exit('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+    env = {"PYTHONPATH": str(src)}
+    # a bytecode cache written here would change later import timings
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
