@@ -15,6 +15,14 @@ exact Gaussian elimination mod p, blockwise; the block sum equals the rank of
 the full strand matrix because the blocks are its diagonal after sorting the
 monomial basis by multidegree.
 
+Multidegrees are packed into one int each (_Packing), with a guard bit per
+coordinate, so b - img(v) is one subtraction plus a borrow test, and faces
+are bitmasks over the variables.  Almost every block is a whole simplex or
+a cone (a vertex v with T | v a face for every face T); its reduced
+homology is zero, so it takes no rank.  A full table checks the faces
+instead: summed over the blocks of degree j, the faces of size s number
+C(nvars, s) * dim (S/I)_{j-s}, the dimension of that Koszul piece.
+
 Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
 
@@ -51,7 +59,7 @@ cancellation can reach, which are already the toric values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
 
 from .errors import BudgetExceeded, CapExceeded, PreconditionFailed, VerificationFailed
@@ -76,16 +84,20 @@ def _boundary_rank(faces, prev_index, p):
     rows = []
     for face in faces:
         row = {}
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1 :]
-            col = prev_index[sub]
-            row[col] = row.get(col, 0) + (1 if k % 2 == 0 else -1)
+        sign, rest = 1, face
+        while rest:
+            low = rest & -rest
+            row[prev_index[face ^ low]] = sign
+            sign, rest = -sign, rest ^ low
         rows.append(row)
     return _rank_mod_p(rows, len(prev_index), p)
 
 
 def reduced_homology(faces_by_size, p):
-    """dim H~_{s-1} for each face size s present; faces include the empty face."""
+    """dim H~_{s-1} for each face size s present.
+
+    Faces are bitmasks over the vertices and include the empty face 0.
+    """
     sizes = sorted(faces_by_size)
     ranks = {}
     index = {s: {f: k for k, f in enumerate(faces_by_size[s])} for s in sizes}
@@ -225,56 +237,67 @@ def krull_dimension_via_initial(gb, nvars: int | None = None) -> int:
 # Betti numbers of the toric quotient via multidegree blocks
 
 
-def _vec_sub(a, b):
-    out = []
-    for x, y in zip(a, b):
-        d = x - y
-        if d < 0:
-            return None
-        out.append(d)
-    return tuple(out)
+class _Packing:
+    """Multidegrees with entries at most top, packed into one int each.
+
+    Each of the m + n + 2 coordinates takes w = top.bit_length() + 1 bits,
+    the highest of them a guard bit that is set in every packed multidegree.
+    Entries stay below the guard, so adding images never carries into the
+    next field, and subtracting an image clears a field's guard exactly when
+    that coordinate goes negative, with no borrow from the next field.  So
+    b - img(v) is one int subtraction and rem & guard == guard its borrow
+    test.  A remainder that fails it lies in no level; the test rejects it
+    before any lookup, and keeps the descent of _SemigroupLevel off it.
+    Images are packed without the guard, so adding or subtracting one keeps
+    it.
+    """
+
+    def __init__(self, ring: WindowRing, top: int):
+        width = top.bit_length() + 1
+        self.shifts = tuple(range(0, width * (ring.m + ring.n + 2), width))
+        self.guard = sum(1 << (shift + width - 1) for shift in self.shifts)
+        self.images = tuple(self.pack(img) - self.guard for img in ring.monomial_map.images)
+
+    def pack(self, vec) -> int:
+        return self.guard + sum(x << shift for x, shift in zip(vec, self.shifts))
 
 
-def _semigroup_levels(ring: WindowRing, j_max: int):
-    imgs = ring.monomial_map.images
-    levels = [set() for _ in range(j_max + 1)]
-    levels[0].add(tuple([0] * (ring.m + 1 + ring.n + 1)))
-    for e in range(1, j_max + 1):
-        prev = levels[e - 1]
-        cur = levels[e]
-        for q in prev:
-            for img in imgs:
-                cur.add(tuple(x + y for x, y in zip(q, img)))
+def _semigroup_levels(packing: _Packing, j_max: int):
+    """Degrees 0..j_max of the window semigroup, as sets of packed multidegrees."""
+    levels = [{packing.guard}]
+    for _ in range(j_max):
+        levels.append({q + img for q in levels[-1] for img in packing.images})
     return levels
 
 
 class _SemigroupLevel:
     """Membership in one degree of the window semigroup, memoised by descent.
 
-    A vector lies in degree d iff subtracting some variable's image leaves a
-    vector of degree d - 1; lower is the level below (a set at degree 0).
-    Only the vectors asked about are visited, where _semigroup_levels lists
-    the whole level.
+    A multidegree lies in degree d iff subtracting some variable's image
+    leaves one of degree d - 1; lower is the level below (a set at degree 0).
+    Only the multidegrees asked about and their remainders that pass the
+    borrow test are visited, where _semigroup_levels lists the whole level.
     """
 
-    def __init__(self, images, lower):
-        self.images, self.lower, self.memo = images, lower, {}
+    def __init__(self, packing: _Packing, lower):
+        self.images, self.guard, self.lower, self.memo = packing.images, packing.guard, lower, {}
 
     def __contains__(self, vec):
         hit = self.memo.get(vec)
         if hit is None:
+            guard, lower = self.guard, self.lower
             hit = self.memo[vec] = any(
-                rem is not None and rem in self.lower
-                for rem in (_vec_sub(vec, img) for img in self.images)
+                rem & guard == guard and rem in lower
+                for rem in (vec - img for img in self.images)
             )
         return hit
 
 
-def _semigroup_membership(ring: WindowRing, j_max: int):
+def _semigroup_membership(packing: _Packing, j_max: int):
     """Levels 0..j_max of the window semigroup for _block_faces, by membership."""
-    levels = [{tuple([0] * (ring.m + 1 + ring.n + 1))}]
+    levels = [{packing.guard}]
     for _ in range(j_max):
-        levels.append(_SemigroupLevel(ring.monomial_map.images, levels[-1]))
+        levels.append(_SemigroupLevel(packing, levels[-1]))
     return levels
 
 
@@ -288,40 +311,85 @@ def _require_toric(ring: WindowRing, gens):
             )
 
 
-def _block_faces(ring, b, j, levels, max_size, block_cap):
-    imgs = ring.monomial_map.images
+def _cap_block(total, j, block_cap):
+    if total > block_cap:
+        raise CapExceeded(
+            f"multidegree block exceeds {block_cap} faces",
+            degree=j, faces=total, cap=block_cap,
+        )
+
+
+def _block_faces(packing: _Packing, b, j, levels, max_size, block_cap):
+    """Face counts by size of the block complex at b, and its faces, or None for a cone.
+
+    The faces are the variable sets T, as bitmasks over the variables, with
+    b - sigma(T) in degree j - |T| of the semigroup, up to max_size
+    variables; the set is closed under subsets.  When it is a whole simplex
+    (one subtraction tells) or has a cone vertex (_has_apex), its homology
+    in every size below max_size, the only sizes a caller reads, is zero, and
+    the faces are not returned.
+    """
+    guard = packing.guard
+    lower = levels[j - 1]
     verts = []
-    for v in range(ring.nvars):
-        rem = _vec_sub(b, imgs[v])
-        if rem is not None and rem in levels[j - 1]:
-            verts.append(v)
-    faces = {0: [()]}
-    rems = {(): b}
-    total = 1
-    cur = [()]
-    for s in range(1, max_size + 1):
+    for v, img in enumerate(packing.images):
+        rem = b - img
+        if rem & guard == guard and rem in lower:
+            verts.append((1 << v, img, rem))
+    k = len(verts)
+    rem = b - sum(img for _, img, _ in verts)
+    if 0 < k <= j and rem in levels[j - k]:
+        counts = [comb(k, s) for s in range(min(k, max_size) + 1)]
+        for total in accumulate(counts):
+            _cap_block(total, j, block_cap)
+        return counts, None
+    # each face carries its remainder and the later vertices that may extend
+    # it: the siblings that extended its parent (faces are closed under subsets)
+    layers = [[(0, b, verts, 0)], [(bit, r, verts, n) for n, (bit, _, r) in enumerate(verts, 1)]]
+    total = 1 + k
+    _cap_block(total, j, block_cap)
+    for s in range(2, max_size + 1):
+        level = levels[j - s]
         nxt = []
-        for face in cur:
-            start = verts.index(face[-1]) + 1 if face else 0
-            base = rems[face]
-            for vi in range(start, len(verts)):
-                v = verts[vi]
-                rem = _vec_sub(base, imgs[v])
-                if rem is not None and rem in levels[j - s]:
-                    new = face + (v,)
-                    nxt.append(new)
-                    rems[new] = rem
+        for mask, rem, sibs, start in layers[-1]:
+            if start < len(sibs):
+                kids = [
+                    (bit, img, r) for bit, img, _ in sibs[start:]
+                    if (r := rem - img) & guard == guard and r in level
+                ]
+                nxt += [(mask | bit, r, kids, n) for n, (bit, _, r) in enumerate(kids, 1)]
         if not nxt:
             break
-        faces[s] = nxt
+        layers.append(nxt)
         total += len(nxt)
-        if total > block_cap:
-            raise CapExceeded(
-                f"multidegree block exceeds {block_cap} faces",
-                degree=j, faces=total, cap=block_cap,
-            )
-        cur = nxt
-    return faces
+        _cap_block(total, j, block_cap)
+    faces = [[face[0] for face in layer] for layer in layers]
+    counts = [len(layer) for layer in faces]
+    if _has_apex(faces, max_size):
+        return counts, None
+    return counts, dict(enumerate(faces))
+
+
+def _has_apex(faces, max_size):
+    """Whether some vertex v has T | v a face for every face T below max_size.
+
+    Then coning with v (T -> T | v) is a contracting homotopy of the chain
+    complex in every size below max_size, so its reduced homology there is
+    zero.  Removing v maps the faces of size s + 1 with v one-to-one into the
+    faces of size s without v, onto them exactly when each of those extends
+    by v; so the test only counts faces.  faces[s] lists the faces of size s.
+    """
+    inside = dict.fromkeys(faces[1], 1)
+    for s in range(1, min(max_size, len(faces))):
+        upper = faces[s + 1] if s + 1 < len(faces) else ()
+        outside = len(faces[s])
+        inside = {
+            bit: count for bit, before in inside.items()
+            if (count := sum(1 for face in upper if face & bit)) == outside - before
+        }
+        if not inside:
+            return False
+    return bool(inside)
 
 
 @dataclass(frozen=True)
@@ -382,9 +450,11 @@ def betti_numbers(
 ) -> BettiTable:
     """Exact graded Betti numbers of the window ideal over GF(field).
 
-    Works blockwise per multidegree (see module docstring); with default
-    bounds every block's Euler characteristic is checked against its
-    homology, which pins the contraction differential's consistency.
+    Works blockwise per multidegree (see module docstring); a block that is
+    a simplex or a cone has no homology and takes no rank.  With default
+    bounds the faces of size s summed over the blocks of degree j must equal
+    dim K_s (x) (S/I)_{j-s} = C(nvars, s) * |L_{j-s}|, where L_d is degree d
+    of the semigroup (one standard monomial each), else VerificationFailed.
     """
     require_field(field)
     _require_toric(ring, gens)
@@ -402,7 +472,8 @@ def betti_numbers(
     degrees = sorted({j for _, j in _targets} if _targets else range(2, j_max + 1))
     if not degrees:
         return BettiTable({}, i_max=i_max, j_max=j_max, field=field, nvars=nvars)
-    levels = _semigroup_levels(ring, max(degrees))
+    packing = _Packing(ring, max(degrees))
+    levels = _semigroup_levels(packing, max(degrees))
     for j in degrees:
         if _targets:
             wanted_i = sorted(i for i, jj in _targets if jj == j)
@@ -410,23 +481,25 @@ def betti_numbers(
         else:
             wanted_i = list(range(0, min(i_max, j - 2) + 1))
             max_size = min(i_max + 2, j)
-        for b in sorted(levels[j]):
-            faces = _block_faces(ring, b, j, levels, max_size, block_cap)
+        face_counts = [0] * (max_size + 1)
+        for b in levels[j]:
+            counts, faces = _block_faces(packing, b, j, levels, max_size, block_cap)
+            for s, count in enumerate(counts):
+                face_counts[s] += count
+            if faces is None:
+                continue
             hom = reduced_homology(faces, field)
-            if full:
-                euler_faces = sum(
-                    (-1) ** s * len(fs) for s, fs in faces.items()
-                )
-                euler_hom = sum((-1) ** s * h for s, h in hom.items())
-                if euler_faces != euler_hom:
-                    raise VerificationFailed(
-                        "block Euler characteristic mismatch", degree=j,
-                        faces=euler_faces, homology=euler_hom,
-                    )
             for i in wanted_i:
                 h = hom.get(i + 1, 0)
                 if h:
                     entries[(i, j)] = entries.get((i, j), 0) + h
+        if full:
+            expected = [comb(nvars, s) * len(levels[j - s]) for s in range(j + 1)]
+            if face_counts != expected:
+                raise VerificationFailed(
+                    "Koszul face counts miss the Hilbert function", degree=j,
+                    faces=face_counts, expected=expected,
+                )
     return BettiTable(entries, i_max=i_max, j_max=j_max, field=field, nvars=nvars)
 
 
@@ -470,26 +543,22 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
                 cover |= m
         if cover != u_mask:
             continue
-        w = [union[k] for k in subset]
-        j = len(w)
-        # supports restricted to W, reindexed over w
-        pos = {v: k for k, v in enumerate(w)}
-        local_supports = [
-            frozenset(pos[v] for v in s) for s in supports if all(v in pos for v in s)
-        ]
-        faces = {0: [()]}
-        cur = [()]
+        j = len(subset)
+        inside = [m for m in masks if m & u_mask == m]
+        # faces of the restricted complex: subsets of W containing no support
+        faces = {0: [0]}
+        cur = [0]
         size = 0
         while cur:
             size += 1
             nxt = []
             for face in cur:
-                start = face[-1] + 1 if face else 0
-                fset = set(face)
-                for v in range(start, j):
-                    if any(s <= fset | {v} for s in local_supports):
+                for k in subset:
+                    if k < face.bit_length():
                         continue
-                    nxt.append(face + (v,))
+                    new = face | 1 << k
+                    if not any(m & new == m for m in inside):
+                        nxt.append(new)
             if not nxt:
                 break
             faces[size] = nxt
@@ -674,15 +743,15 @@ def is_linearly_related_oracle(
     beta_14 = None
     adj = _lead_graph(gb.leads, ring.nvars) if gb.squarefree else None
     if adj is not None:
-        imgs = ring.monomial_map.images
-        degrees = sorted({
-            tuple(map(sum, zip(*(imgs[v] for v in w)))) for w in _induced_2k2(adj)
-        })
-        levels = _semigroup_membership(ring, 4)
-        beta_14 = sum(
-            reduced_homology(_block_faces(ring, b, 4, levels, 3, block_cap), field).get(2, 0)
-            for b in degrees
-        )
+        packing = _Packing(ring, 4)
+        imgs = packing.images
+        degrees = {packing.guard + sum(imgs[v] for v in w) for w in _induced_2k2(adj)}
+        levels = _semigroup_membership(packing, 4)
+        beta_14 = 0
+        for b in degrees:
+            _, faces = _block_faces(packing, b, 4, levels, 3, block_cap)
+            if faces is not None:
+                beta_14 += reduced_homology(faces, field).get(2, 0)
     targets = [(1, 4)] if beta_14 is None else []
     if deep:
         targets += [(1, 5), (1, 6)]

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+import koszul_reference as ref
 from hibilab.betti import (
     betti_numbers,
     has_linear_resolution_oracle,
@@ -9,11 +10,14 @@ from hibilab.betti import (
     is_linearly_related_oracle,
     krull_dimension_via_initial,
     monomial_betti_table,
+    reduced_homology,
     standard_monomial_basis,
     _block_faces,
+    _has_apex,
     _induced_2k2,
     _lead_graph,
     _linear_by_froberg,
+    _Packing,
     _semigroup_levels,
     _semigroup_membership,
     _settled,
@@ -115,6 +119,12 @@ class TestBettiAnchors:
         table = betti_numbers(ideal.ring, ideal.generators)
         assert table.entries == {(0, 2): 2, (1, 4): 1}
 
+    @pytest.mark.parametrize("field", [32003, 65537])
+    def test_grid_2x2_full_window(self, field):
+        ideal = window_ideal(full_grid(2, 2), (0, 4))
+        table = betti_numbers(ideal.ring, ideal.generators, field=field)
+        assert table.entries == {(0, 2): 9, (1, 3): 16, (2, 4): 9, (3, 6): 1}
+
     def test_zero_ideal_empty_table(self):
         ideal = window_ideal(full_grid(2, 2), (1, 2))
         table = betti_numbers(ideal.ring, ideal.generators)
@@ -137,8 +147,10 @@ class TestBettiInternals:
     def test_semigroup_membership_matches_levels(self):
         # the L-shaped window misses box points, so some candidates fall outside
         ring = window_ideal(ell_lattice(), (0, 4)).ring
-        levels = _semigroup_levels(ring, 4)
-        member = _semigroup_membership(ring, 4)
+        levels = ref.semigroup_levels(ring, 4)
+        packing = _Packing(ring, 4)
+        pack = packing.pack
+        member = _semigroup_membership(packing, 4)
         units = [
             tuple(int(c in (i, ring.m + 1 + j)) for c in range(ring.m + ring.n + 2))
             for i in range(ring.m + 1) for j in range(ring.n + 1)
@@ -148,7 +160,7 @@ class TestBettiInternals:
             for q in levels[k - 1]:
                 for unit in units:
                     vec = tuple(x + y for x, y in zip(q, unit))
-                    assert (vec in member[k]) == (vec in levels[k]), (k, vec)
+                    assert (pack(vec) in member[k]) == (vec in levels[k]), (k, vec)
                     outside += vec not in levels[k]
         assert outside > 0
 
@@ -157,15 +169,81 @@ class TestBettiInternals:
         ideal = window_ideal(full_grid(2, 2), (1, 3))
         ring = ideal.ring
         j = 4
-        levels = _semigroup_levels(ring, j)
+        packing = _Packing(ring, j)
+        levels = _semigroup_levels(packing, j)
         hf = hilbert_function(ideal.gb, j, nvars=ring.nvars)
         totals = {}
         for b in levels[j]:
-            faces = _block_faces(ring, b, j, levels, j, 10**9)
-            for s, fs in faces.items():
-                totals[s] = totals.get(s, 0) + len(fs)
+            counts, _ = _block_faces(packing, b, j, levels, j, 10**9)
+            for s, count in enumerate(counts):
+                totals[s] = totals.get(s, 0) + count
         for s, total in totals.items():
             assert total == comb(ring.nvars, s) * hf[j - s]
+
+    def test_packed_levels_match_tuple_levels(self):
+        for lat, w in ((ell_lattice(), (0, 4)), (full_grid(2, 2), (0, 4))):
+            ring = window_ideal(lat, w).ring
+            packing = _Packing(ring, 6)
+            packed = _semigroup_levels(packing, 6)
+            for k, level in enumerate(ref.semigroup_levels(ring, 6)):
+                assert {packing.pack(vec) for vec in level} == packed[k], (w, k)
+
+    def test_descent_memoises_no_remainder_with_a_borrow(self):
+        # the borrow test keeps every remainder with a negative entry out of
+        # the descent, which would otherwise answer the same after more work
+        ideal = window_ideal(full_grid(2, 2), (0, 4))
+        packing = _Packing(ideal.ring, 4)
+        listed = _semigroup_levels(packing, 4)
+        member = _semigroup_membership(packing, 4)
+        for b in listed[4]:
+            assert _block_faces(packing, b, 4, member, 3, 10**9) == _block_faces(
+                packing, b, 4, listed, 3, 10**9
+            )
+        memo = [vec for level in member[1:] for vec in level.memo]
+        assert memo
+        assert all(vec & packing.guard == packing.guard for vec in memo)
+
+    @pytest.mark.parametrize("faces, max_size, apex", [
+        # a path a-b-c: a cone from b
+        ([[0], [1, 2, 4], [3, 6]], 3, True),
+        # two disjoint edges a-b, c-d
+        ([[0], [1, 2, 4, 8], [3, 12]], 3, False),
+        # a hollow triangle: no apex ...
+        ([[0], [1, 2, 4], [3, 5, 6]], 3, False),
+        # ... but below size 2 every vertex is one (it is connected)
+        ([[0], [1, 2, 4], [3, 5, 6]], 2, True),
+        # a filled triangle with a pendant edge c-d: a cone from c
+        ([[0], [1, 2, 4, 8], [3, 5, 6, 12], [7]], 4, True),
+        # the complex of the empty face alone, and a point
+        ([[0], []], 3, False),
+        ([[0], [1]], 3, True),
+    ])
+    def test_apex_on_hand_made_complexes(self, faces, max_size, apex):
+        assert _has_apex(faces, max_size) == apex
+
+    def test_cone_block_skipped_and_koszul_block_kept(self):
+        # grid-2x2, window (1, 3): two quadrics in 7 variables forming a
+        # regular sequence; the (1, 4) Koszul block sits at the multidegree
+        # of the product of their leads and has homology 1
+        ideal = window_ideal(full_grid(2, 2), (1, 3))
+        ring, leads = ideal.ring, ideal.gb.leads
+        packing = _Packing(ring, 4)
+        levels = _semigroup_levels(packing, 4)
+        product = tuple(x + y for x, y in zip(*leads))
+        b = packing.pack(ring.monomial_map.image_of_monomial(product))
+        counts, faces = _block_faces(packing, b, 4, levels, 3, 10**9)
+        assert faces is not None and counts == [1, 7, 17, 13]
+        assert reduced_homology(faces, 32003)[2] == 1
+        # a block that is no simplex but a cone from one vertex
+        cones = 0
+        ref_levels = ref.semigroup_levels(ring, 4)
+        for vec in ref_levels[4]:
+            ref_faces = ref.block_faces(ring, vec, 4, ref_levels, 4)
+            counts, faces = _block_faces(packing, packing.pack(vec), 4, levels, 4, 10**9)
+            if faces is None and sum(counts) != 2 ** len(ref_faces[1]):
+                assert not any(ref.reduced_homology(ref_faces, 32003).values())
+                cones += 1
+        assert cones > 0
 
     def test_determinism_under_generator_permutation(self):
         ideal = window_ideal(ell_lattice(), (0, 4))
@@ -359,17 +437,36 @@ class TestOracles:
                     assert is_linearly_related_oracle(ideal.ring, ideal.generators), (name, w)
 
 
-def test_block_euler_mismatch_is_a_verification_failure(monkeypatch):
+def test_face_count_mismatch_is_a_verification_failure(monkeypatch):
     import hibilab.betti as betti_mod
 
-    exact = betti_mod.reduced_homology
+    exact = betti_mod._block_faces
 
-    def off_by_one(faces_by_size, p):
-        hom = exact(faces_by_size, p)
-        hom[0] += 1
-        return hom
+    def one_face_short(*args):
+        counts, faces = exact(*args)
+        return counts[:-1] + [counts[-1] - 1], faces
 
-    monkeypatch.setattr(betti_mod, "reduced_homology", off_by_one)
+    monkeypatch.setattr(betti_mod, "_block_faces", one_face_short)
     ideal = window_ideal(full_grid(1, 1), (0, 2))
+    with pytest.raises(VerificationFailed) as err:
+        betti_numbers(ideal.ring, ideal.generators)
+    assert err.value.details["degree"] == 2
+
+
+def test_face_count_check_catches_fields_without_a_spare_bit(monkeypatch):
+    # with w = top.bit_length() bits an entry equal to top reaches the guard
+    # bit and carries into the next field, so remainders alias and faces go
+    # missing; the old per-block Euler check could not see this
+    import hibilab.betti as betti_mod
+
+    def narrow(self, ring, top):
+        width = top.bit_length()
+        self.shifts = tuple(range(0, width * (ring.m + ring.n + 2), width))
+        self.guard = sum(1 << (shift + width - 1) for shift in self.shifts)
+        self.images = tuple(self.pack(img) - self.guard for img in ring.monomial_map.images)
+
+    ideal = window_ideal(full_grid(2, 2), (1, 3))
+    assert betti_numbers(ideal.ring, ideal.generators).entries == {(0, 2): 2, (1, 4): 1}
+    monkeypatch.setattr(betti_mod._Packing, "__init__", narrow)
     with pytest.raises(VerificationFailed):
         betti_numbers(ideal.ring, ideal.generators)

@@ -363,6 +363,7 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
         _block_faces,
         _induced_2k2,
         _lead_graph,
+        _Packing,
         _semigroup_levels,
         betti_numbers,
         is_linearly_related_oracle,
@@ -379,15 +380,17 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
             if not gens:
                 continue
             image = ring.monomial_map.image_of_monomial
+            packing = _Packing(ring, 4)
             degrees = {
-                image(tuple(int(v in quad) for v in range(ring.nvars)))
+                packing.pack(image(tuple(int(v in quad) for v in range(ring.nvars))))
                 for quad in _induced_2k2(_lead_graph(gb.leads, ring.nvars))
             }
-            levels = _semigroup_levels(ring, 4)
+            levels = _semigroup_levels(packing, 4)
+            block_faces = [_block_faces(packing, b, 4, levels, 3, 20000)[1] for b in degrees]
             for field in (32003, 65537):
                 blocks = sum(
-                    reduced_homology(_block_faces(ring, b, 4, levels, 3, 20000), field).get(2, 0)
-                    for b in degrees
+                    reduced_homology(faces, field).get(2, 0)
+                    for faces in block_faces if faces is not None
                 )
                 strand = betti_numbers(ring, gens, field=field, _targets=[(1, 4)]).get(1, 4)
                 assert blocks == strand, (name, w, field)
@@ -398,6 +401,69 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
             checked += 1
     assert nonzero > 0
     CASES["2k2-blocks-vs-koszul"] = checked
+
+
+def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
+    """Gate for the packed Koszul block kernel against the tuple kernel it replaced.
+
+    On every seed-7 window with at most 7 variables and on the grid-2x2 full
+    window (9 variables): every block betti_numbers visits has the
+    reference's face counts, every block it skips as a simplex or a cone has
+    zero reference homology below its top size, and the tables equal the
+    reference's, at 32003 and 65537.  Reference homology is cached by face
+    set, since blocks repeat.
+    """
+    import koszul_reference as ref
+
+    import hibilab.betti as betti_mod
+    from hibilab.reports import full_grid
+
+    exact = betti_mod._block_faces
+    visited = {}
+
+    def record(packing, b, *args):
+        visited[b] = exact(packing, b, *args)
+        return visited[b]
+
+    monkeypatch.setattr(betti_mod, "_block_faces", record)
+    fields = (32003, 65537)
+    ideals = [window_ideal(lat, w) for _, lat in corpus for w in all_windows(lat)]
+    ideals = [ideal for ideal in ideals if ideal.ring.nvars <= 7 and ideal.generators]
+    ideals.append(window_ideal(full_grid(2, 2), (0, 4)))
+    homology = {}
+    skipped = kept = 0
+    for ideal in ideals:
+        ring = ideal.ring
+        visited.clear()
+        tables = {
+            field: betti_mod.betti_numbers(ring, ideal.generators, field=field, var_cap=None)
+            for field in fields
+        }
+        pack = betti_mod._Packing(ring, ring.nvars).pack
+        levels = ref.semigroup_levels(ring, ring.nvars)
+        assert len(visited) == sum(map(len, levels[2:])), ring.window
+        expected = {field: {} for field in fields}
+        for j in range(2, ring.nvars + 1):
+            for b in levels[j]:
+                faces = ref.block_faces(ring, b, j, levels, j)
+                counts, kept_faces = visited[pack(b)]
+                assert counts == [len(faces[s]) for s in sorted(faces)], (ring.window, b)
+                key = tuple(map(tuple, faces.values()))
+                for field in fields:
+                    if (key, field) not in homology:
+                        homology[key, field] = ref.reduced_homology(faces, field)
+                    hom = homology[key, field]
+                    if kept_faces is None:
+                        assert not any(hom.get(s) for s in range(j)), (ring.window, b, field)
+                    for i in range(j - 1):
+                        if hom.get(i + 1):
+                            expected[field][i, j] = expected[field].get((i, j), 0) + hom[i + 1]
+                skipped += kept_faces is None
+                kept += kept_faces is not None
+        for field in fields:
+            assert tables[field].entries == expected[field], (ring.window, field)
+    assert skipped > 0 and kept > 0
+    CASES["packed-kernel-vs-tuple"] = len(ideals)
 
 
 def test_case_total_meets_budget():
