@@ -26,17 +26,18 @@ C(nvars, s) * dim (S/I)_{j-s}, the dimension of that Koszul piece.
 Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
 
-The two boolean oracles work on the initial ideal in(I) of a squarefree
-Groebner basis.  Every window basis is quadratic (criterion 2), so in(I) is
-the edge ideal of the lead graph G: one edge a-b per lead y_a y_b.
+The two boolean oracles work on the initial ideal in(I) of a quadratic
+squarefree Groebner basis: the given one when it is both, else the order
+search's, and PreconditionFailed naming the orders tried when no candidate
+order gives one (criterion 2 says some order does).  So in(I) is the edge
+ideal of the lead graph G: one edge a-b per lead y_a y_b.
 
 - Linear resolution.  By Conca-Varbaro ("Square-free Groebner
   degenerations", Invent. Math. 221, 2020) a squarefree in(I) has the same
   regularity as I, and by Froeberg (1990) an edge ideal has a linear
   resolution iff the complement of G is chordal.  So I has a linear
   resolution iff the complement of G is chordal, a bitmask graph test with
-  no Koszul block.  A squarefree cubic minimal lead gives reg in(I) >= 3, so
-  such a basis never has one.
+  no Koszul block.
 - Linear relatedness.  The Groebner degeneration is flat in the toric
   multigrading, in which both I and in(I) are homogeneous, so by upper
   semicontinuity beta_{1,b}(I) <= beta_{1,b}(in I) for every multidegree b.
@@ -44,9 +45,6 @@ the edge ideal of the lead graph G: one edge a-b per lead y_a y_b.
   counts the 4-sets W of variables on which G is two disjoint edges (an
   induced 2K2) with sigma(W) = b.  So beta_{1,4}(I) is the sum of the Koszul
   blocks at just those b, and 0 when G has no induced 2K2.
-
-A basis that is not squarefree, or not quadratic for linear relatedness,
-takes the Koszul strands of betti_numbers instead.
 
 monomial_betti_table reads the full Betti table of a squarefree in(I) off
 Hochster's formula (induced subcomplexes of its Stanley-Reisner complex).
@@ -311,6 +309,9 @@ def _require_toric(ring: WindowRing, gens):
             )
 
 
+_BLOCK_CAP = 20000  # faces per multidegree block
+
+
 def _cap_block(total, j, block_cap):
     if total > block_cap:
         raise CapExceeded(
@@ -442,17 +443,18 @@ def betti_numbers(
     ring: WindowRing,
     gens,
     field: int = DEFAULT_FIELD,
-    i_max: int | None = None,
     j_max: int | None = None,
-    block_cap: int = 20000,
+    block_cap: int = _BLOCK_CAP,
     var_cap: int | None = 12,
     _targets=None,
 ) -> BettiTable:
     """Exact graded Betti numbers of the window ideal over GF(field).
 
     Works blockwise per multidegree (see module docstring); a block that is
-    a simplex or a cone has no homology and takes no rank.  With default
-    bounds the faces of size s summed over the blocks of degree j must equal
+    a simplex or a cone has no homology and takes no rank.  Degrees run up to
+    min(j_max, nvars): past nvars the squarefree initial ideal, and so the
+    window ideal, has no Betti numbers.  With default bounds the faces of
+    size s summed over the blocks of degree j must equal
     dim K_s (x) (S/I)_{j-s} = C(nvars, s) * |L_{j-s}|, where L_d is degree d
     of the semigroup (one standard monomial each), else VerificationFailed.
     """
@@ -461,17 +463,15 @@ def betti_numbers(
     nvars = ring.nvars
     if var_cap is not None and nvars > var_cap:
         raise CapExceeded(f"{nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=nvars)
-    full = i_max is None and j_max is None and _targets is None
-    if i_max is None:
-        i_max = nvars
+    full = j_max is None and _targets is None
     if j_max is None:
         j_max = nvars
     if not gens:
-        return BettiTable({}, i_max=i_max, j_max=j_max, field=field, nvars=nvars)
+        return BettiTable({}, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
     entries = {}
-    degrees = sorted({j for _, j in _targets} if _targets else range(2, j_max + 1))
+    degrees = sorted({j for _, j in _targets} if _targets else range(2, min(j_max, nvars) + 1))
     if not degrees:
-        return BettiTable({}, i_max=i_max, j_max=j_max, field=field, nvars=nvars)
+        return BettiTable({}, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
     packing = _Packing(ring, max(degrees))
     levels = _semigroup_levels(packing, max(degrees))
     for j in degrees:
@@ -479,8 +479,8 @@ def betti_numbers(
             wanted_i = sorted(i for i, jj in _targets if jj == j)
             max_size = min(max(wanted_i) + 2, j)
         else:
-            wanted_i = list(range(0, min(i_max, j - 2) + 1))
-            max_size = min(i_max + 2, j)
+            wanted_i = range(j - 1)
+            max_size = j
         face_counts = [0] * (max_size + 1)
         for b in levels[j]:
             counts, faces = _block_faces(packing, b, j, levels, max_size, block_cap)
@@ -500,7 +500,7 @@ def betti_numbers(
                     "Koszul face counts miss the Hilbert function", degree=j,
                     faces=face_counts, expected=expected,
                 )
-    return BettiTable(entries, i_max=i_max, j_max=j_max, field=field, nvars=nvars)
+    return BettiTable(entries, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -671,45 +671,43 @@ def _induced_2k2(adj):
 
 
 def _initial_basis(ring, gens, gb, var_cap):
-    """gb, or the order search's basis when gb is missing or not squarefree.
+    """gb when it is quadratic and squarefree, else the order search's basis.
 
-    Windows over var_cap variables raise CapExceeded first.
+    Windows over var_cap variables raise CapExceeded first, and
+    PreconditionFailed names the orders tried when no candidate order gives
+    a quadratic squarefree basis.
     """
     if ring.nvars > var_cap:
         raise CapExceeded(
             f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=ring.nvars
         )
-    if gb is None or not gb.squarefree:
-        _, _, gb, _ = order_search(ring, [(g.lead, g.trail) for g in gens])
+    if gb is None or not (gb.quadratic and gb.squarefree):
+        _, _, gb, tried = order_search(ring, [(g.lead, g.trail) for g in gens])
+        if not (gb.quadratic and gb.squarefree):
+            raise PreconditionFailed(
+                "no candidate order gives a quadratic squarefree basis",
+                orders_tried=list(tried),
+            )
     return gb
 
 
 def has_linear_resolution_oracle(
     ring: WindowRing,
     gens,
-    field: int = DEFAULT_FIELD,
     gb: GroebnerReport | None = None,
     var_cap: int = 12,
-    block_cap: int = 20000,
 ) -> bool:
-    """True iff beta_{i,j}(I) = 0 for all j != i+2 up to the squarefree bound j <= nvars.
+    """True iff beta_{i,j}(I) = 0 for all j != i+2.
 
-    With a squarefree basis this is the lead-graph test of the module
-    docstring: reg I = reg in(I) (Conca-Varbaro), and the edge ideal in(I) is
-    2-linear iff the complement of the lead graph is chordal (Froeberg); a
-    cubic minimal lead answers False.  The order search runs only when gb is
-    missing or not squarefree; without a squarefree basis the full Koszul
-    table decides.
+    The lead-graph test of the module docstring, on _initial_basis: reg I =
+    reg in(I) (Conca-Varbaro), and the edge ideal in(I) is 2-linear iff the
+    complement of the lead graph is chordal (Froeberg).  The answer is the
+    same over every field.
     """
     gens = list(gens)
     if not gens:
         return True
     gb = _initial_basis(ring, gens, gb, var_cap)
-    if not gb.squarefree:
-        table = betti_numbers(
-            ring, gens, field=field, var_cap=var_cap, block_cap=block_cap
-        )
-        return table.is_linear()
     return _linear_by_froberg(gb.leads, ring.nvars)
 
 
@@ -719,58 +717,26 @@ def is_linearly_related_oracle(
     field: int = DEFAULT_FIELD,
     gb: GroebnerReport | None = None,
     var_cap: int = 16,
-    block_cap: int = 20000,
-    deep: bool = False,
 ) -> bool:
     """True iff beta_{1,4}(I) = 0; a zero or principal ideal has no syzygies at all.
 
-    With a squarefree quadratic basis, beta_{1,4}(I) is the sum of the Koszul
-    blocks at the multidegrees sigma(W) of the induced 2K2s W of the lead
-    graph (upper semicontinuity and Hochster, see the module docstring), and
-    0 with no block when there is none.  Otherwise it is the exact Koszul
-    rank of the whole strand.  The order search runs only when gb is missing
-    or not squarefree.
-
-    With deep=True the degrees 5 and 6 of the first syzygy strand are also
-    computed as Koszul ranks; a nonzero value there contradicts the
-    quadratic-basis S-pair bound and is raised as a hard inconsistency
-    rather than folded into the verdict.
+    On _initial_basis, beta_{1,4}(I) is the sum of the Koszul blocks at the
+    multidegrees sigma(W) of the induced 2K2s W of the lead graph (upper
+    semicontinuity and Hochster, see the module docstring), and 0 with no
+    block when there is none.
     """
+    require_field(field)
     gens = list(gens)
     if not gens:
         return True
     gb = _initial_basis(ring, gens, gb, var_cap)
-    beta_14 = None
-    adj = _lead_graph(gb.leads, ring.nvars) if gb.squarefree else None
-    if adj is not None:
-        packing = _Packing(ring, 4)
-        imgs = packing.images
-        degrees = {packing.guard + sum(imgs[v] for v in w) for w in _induced_2k2(adj)}
-        levels = _semigroup_membership(packing, 4)
-        beta_14 = 0
-        for b in degrees:
-            _, faces = _block_faces(packing, b, 4, levels, 3, block_cap)
-            if faces is not None:
-                beta_14 += reduced_homology(faces, field).get(2, 0)
-    targets = [(1, 4)] if beta_14 is None else []
-    if deep:
-        targets += [(1, 5), (1, 6)]
-    if targets:
-        table = betti_numbers(
-            ring,
-            gens,
-            field=field,
-            var_cap=var_cap,
-            block_cap=block_cap,
-            _targets=targets,
-        )
-        if deep:
-            bad = {t: table.get(*t) for t in ((1, 5), (1, 6)) if table.get(*t)}
-            if bad:
-                raise VerificationFailed(
-                    "first syzygies above degree 4 contradict the quadratic basis bound",
-                    entries={str(k): v for k, v in bad.items()},
-                )
-        if beta_14 is None:
-            beta_14 = table.get(1, 4)
-    return beta_14 == 0
+    packing = _Packing(ring, 4)
+    imgs = packing.images
+    adj = _lead_graph(gb.leads, ring.nvars)
+    degrees = {packing.guard + sum(imgs[v] for v in w) for w in _induced_2k2(adj)}
+    levels = _semigroup_membership(packing, 4)
+    for b in degrees:
+        _, faces = _block_faces(packing, b, 4, levels, 3, _BLOCK_CAP)
+        if faces is not None and reduced_homology(faces, field).get(2, 0):
+            return False
+    return True

@@ -26,7 +26,6 @@ from .windows import RankWindow, as_context
 Monomial = tuple
 
 ORDER_KINDS = ("rank-lex", "rank-revlex", "lex", "revlex")
-_ORDER_ALIASES = {"plain-lex": "lex", "plain-revlex": "revlex"}
 
 DEFAULT_FIELD = 32003
 
@@ -164,7 +163,6 @@ class MonomialOrder:
 
 
 def monomial_order(kind: str, ring: WindowRing) -> MonomialOrder:
-    kind = _ORDER_ALIASES.get(kind, kind)
     if kind not in ORDER_KINDS:
         raise InvalidParameter(f"unknown order kind {kind!r}", kind=kind)
     if kind.startswith("rank-"):

@@ -269,7 +269,7 @@ def classify_window(
         if _oracle is not None:
             return _oracle.linear_resolution
         return has_linear_resolution_oracle(
-            ideal.ring, ideal.generators, field=field, gb=ideal.gb, var_cap=var_cap
+            ideal.ring, ideal.generators, gb=ideal.gb, var_cap=var_cap
         )
 
     def linrel():

@@ -6,7 +6,14 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceeded, CapExceeded, HibiLabError, ParseError, VerificationFailed
+from .errors import (
+    BudgetExceeded,
+    CapExceeded,
+    HibiLabError,
+    ParseError,
+    PreconditionFailed,
+    VerificationFailed,
+)
 from .windows import (
     WindowContext,
     bipartite_graph,
@@ -323,7 +330,7 @@ def _dispatch(args) -> int:
                     verdict = classify_window(
                         lattice, ctx, mode=args.mode, field=args.field, var_cap=args.cap_vars
                     )
-            except (CapExceeded, BudgetExceeded) as exc:
+            except (CapExceeded, BudgetExceeded, PreconditionFailed) as exc:
                 out.append({"window": [ctx.window.p, ctx.window.q],
                             "skipped": {"classify": exc.payload()}})
                 continue

@@ -8,7 +8,14 @@ import time
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .errors import BudgetExceeded, CapExceeded, DegreeInfeasible, ParseError, VerificationFailed
+from .errors import (
+    BudgetExceeded,
+    CapExceeded,
+    DegreeInfeasible,
+    ParseError,
+    PreconditionFailed,
+    VerificationFailed,
+)
 from .lattice import (
     PlanarLattice,
     Poset,
@@ -332,7 +339,7 @@ def run_suite(
                         else classify_window(lattice, ctx, field=field, var_cap=var_cap)
                     )
                     rec["verdict"] = verdict.to_json()
-                except (CapExceeded, BudgetExceeded) as exc:
+                except (CapExceeded, BudgetExceeded, PreconditionFailed) as exc:
                     rec["skipped"].append({"classify": exc.payload()})
                 except VerificationFailed as exc:
                     findings.append(

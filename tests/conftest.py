@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from hibilab.binomials import ORDER_KINDS
 from hibilab.reports import CorpusSpec, generate_corpus
 
 
@@ -12,3 +15,17 @@ def corpus():
 @pytest.fixture(scope="session")
 def small_corpus():
     return generate_corpus(CorpusSpec(seed=3, count=18, max_m=4, max_n=4))
+
+
+@pytest.fixture
+def no_qualifying_order(monkeypatch):
+    """The Betti oracles' order search, as if no candidate order gave a quadratic basis."""
+    import hibilab.betti as betti_mod
+
+    real = betti_mod.order_search
+
+    def search(ring, pairs, kinds="auto"):
+        order, gens, report, _ = real(ring, pairs, kinds)
+        return order, gens, replace(report, quadratic=False), ORDER_KINDS
+
+    monkeypatch.setattr(betti_mod, "order_search", search)

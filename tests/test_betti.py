@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import pytest
@@ -27,6 +28,7 @@ from hibilab.errors import (
     BudgetExceeded,
     CapExceeded,
     DegreeInfeasible,
+    InvalidParameter,
     PreconditionFailed,
     VerificationFailed,
 )
@@ -257,6 +259,16 @@ class TestBettiInternals:
         t2 = betti_numbers(ideal.ring, ideal.generators, field=65537)
         assert t1.entries == t2.entries
 
+    def test_degrees_stop_at_nvars(self):
+        # a squarefree initial ideal has no Betti numbers past nvars
+        ideal = window_ideal(full_grid(2, 2), (1, 3))
+        t0 = time.perf_counter()
+        table = betti_numbers(ideal.ring, ideal.generators, j_max=32)
+        assert time.perf_counter() - t0 < 1.0
+        full = betti_numbers(ideal.ring, ideal.generators)
+        assert table.entries == full.entries == {(0, 2): 2, (1, 4): 1}
+        assert (table.i_max, table.j_max, table.nvars) == (7, 32, 7)
+
     def test_var_cap(self):
         ideal = window_ideal(demo_staircase(), (3, 7))
         with pytest.raises(CapExceeded):
@@ -423,9 +435,45 @@ class TestOracles:
         ideal = window_ideal(full_grid(1, 1), (0, 2))
         assert is_linearly_related_oracle(ideal.ring, ideal.generators)
 
-    def test_deep_check_accepts_quadratic_windows(self):
-        ideal = window_ideal(full_grid(2, 2), (0, 4))
-        assert is_linearly_related_oracle(ideal.ring, ideal.generators, deep=True)
+    def test_deep_check_accepts_quadratic_windows(self, corpus):
+        # a quadratic basis bounds the first syzygies to degrees 3 and 4
+        lattices = dict(corpus)
+        cases = [(full_grid(2, 2), (0, 4))] + [
+            (lattices[name], w)
+            for name, w in (("staircase-5x4", (0, 3)), ("grid-4x3", (0, 3)), ("poset-024", (0, 4)))
+        ]
+        for lat, w in cases:
+            ideal = window_ideal(lat, w)
+            assert ideal.ring.nvars >= 9 and len(ideal.generators) >= 5
+            table = betti_numbers(ideal.ring, ideal.generators, _targets=[(1, 5), (1, 6)])
+            assert table.get(1, 5) == table.get(1, 6) == 0
+
+    @pytest.mark.parametrize("field", [0, 1, 4])
+    def test_linear_relatedness_rejects_bad_fields(self, field):
+        from hibilab.classify import classify_window
+
+        ideal = window_ideal(full_grid(2, 2), (1, 3))
+        with pytest.raises(InvalidParameter):
+            is_linearly_related_oracle(ideal.ring, ideal.generators, field=field)
+        with pytest.raises(InvalidParameter):
+            classify_window(full_grid(2, 2), (1, 3), mode="oracle-only", field=field)
+
+    def test_no_qualifying_order_is_a_precondition_failure(self, no_qualifying_order):
+        from hibilab.binomials import ORDER_KINDS
+
+        ideal = window_ideal(full_grid(2, 2), (1, 3))
+        cubic = window_ideal(demo_staircase(), (1, 3), "rank-revlex")
+        assert not cubic.gb.quadratic
+        for oracle in (has_linear_resolution_oracle, is_linearly_related_oracle):
+            for ring, gens, gb in (
+                (ideal.ring, ideal.generators, None),
+                (cubic.ring, cubic.generators, cubic.gb),
+            ):
+                with pytest.raises(PreconditionFailed) as err:
+                    oracle(ring, gens, gb=gb)
+                assert err.value.details == {"orders_tried": list(ORDER_KINDS)}
+            # a quadratic squarefree basis is used as given, with no search
+            assert oracle(ideal.ring, ideal.generators, gb=ideal.gb) is False
 
     def test_linear_implies_linearly_related(self, small_corpus):
         for name, lat in small_corpus[:8]:

@@ -282,7 +282,7 @@ def test_settled_oracles_match_direct_koszul(corpus):
                 linrel = koszul[(1, 4)] == 0
                 for with_gb in (gb, None):
                     assert has_linear_resolution_oracle(
-                        ring, gens, field=field, gb=with_gb
+                        ring, gens, gb=with_gb
                     ) == linear, (name, w, field)
                     assert is_linearly_related_oracle(
                         ring, gens, field=field, gb=with_gb
@@ -295,6 +295,48 @@ def test_settled_oracles_match_direct_koszul(corpus):
                 checked += 1
     assert settled > 0
     CASES["settled-oracles-vs-koszul"] = checked
+
+
+def test_oracles_on_non_quadratic_bases_match_koszul(corpus):
+    """Gate for the oracles given a basis with a cubic lead.
+
+    On every seed-7 window with at most 12 variables whose rank-revlex basis
+    is not quadratic, both oracles answer as with the order search's basis
+    and as the Koszul strands: (1, 4), and the off-linear candidates of the
+    Hochster table of the quadratic basis, cheapest degree first until one
+    is nonzero.
+    """
+    from hibilab.betti import (
+        betti_numbers,
+        has_linear_resolution_oracle,
+        is_linearly_related_oracle,
+        monomial_betti_table,
+    )
+
+    checked = 0
+    for name, lat in corpus:
+        for w in all_windows(lat):
+            if len(generators(lat, w)) > 12:
+                continue
+            cubic = window_ideal(lat, w, "rank-revlex")
+            if cubic.gb.quadratic:
+                continue
+            auto = window_ideal(lat, w)
+            ring, gens = cubic.ring, cubic.generators
+            mono = monomial_betti_table(auto.gb.leads, ring.nvars)
+            candidates = sorted((j, i) for (i, j), v in mono.items() if v and j != i + 2)
+            linear = not any(
+                betti_numbers(ring, gens, _targets=[(i, j)]).get(i, j) for j, i in candidates
+            )
+            linrel = betti_numbers(ring, gens, _targets=[(1, 4)]).get(1, 4) == 0
+            for oracle, want in (
+                (has_linear_resolution_oracle, linear),
+                (is_linearly_related_oracle, linrel),
+            ):
+                assert oracle(ring, gens, gb=cubic.gb) == want, (name, w)
+                assert oracle(auto.ring, auto.generators, gb=auto.gb) == want, (name, w)
+            checked += 1
+    assert checked == 59
 
 
 def test_lead_graph_matches_hochster_on_random_graphs():

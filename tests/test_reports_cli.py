@@ -132,6 +132,30 @@ class TestRunSuite:
         assert rep.findings == []
         assert any("classify" in s for s in rec["skipped"])
 
+    def test_no_qualifying_order_skips_classify_and_keeps_the_finding(
+        self, no_qualifying_order
+    ):
+        from hibilab.binomials import ORDER_KINDS
+
+        rep = run_suite(
+            demo_staircase(), all_windows_flag=True, verify=True, order_kinds="rank-revlex"
+        )
+        cubic = {tuple(f["window"]) for f in rep.findings}
+        assert {f["check"] for f in rep.findings} == {"quadratic-squarefree-gb"}
+        assert len(cubic) == 8
+        for rec in rep.stable["windows"]:
+            failed = [s["classify"] for s in rec["skipped"]
+                      if s["classify"]["code"] == "precondition-failed"]
+            if tuple(rec["window"]) in cubic:
+                assert failed == [{
+                    "code": "precondition-failed",
+                    "message": "no candidate order gives a quadratic squarefree basis",
+                    "details": {"orders_tried": list(ORDER_KINDS)},
+                }]
+                assert "verdict" not in rec
+            else:
+                assert failed == []
+
 
 def run_cli(capsys, argv, stdin_doc=None, monkeypatch=None):
     import io
@@ -233,6 +257,42 @@ class TestCli:
                 assert got["betti"] == want["betti"]
         skipped = {tuple(r["window"]) for r in records if "skipped" in r}
         assert skipped == {(0, 3), (0, 4), (1, 4)}
+
+    def test_betti_degree_bound_past_nvars_finishes(self, capsys, monkeypatch):
+        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
+        argv = ["betti", "--all-windows", "--cap-vars", "7"]
+        code, out, _ = run_cli(capsys, argv + ["--jmax", "40"], staircase, monkeypatch)
+        assert code == 0
+        bounded = json.loads(out)
+        code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
+        default = json.loads(out)
+        assert [r["window"] for r in bounded] == [r["window"] for r in default]
+        for got, want in zip(bounded, default):
+            if "betti" in want:
+                assert got["betti"]["j_max"] == 40
+                assert got["betti"]["entries"] == want["betti"]["entries"]
+        assert any("betti" in r for r in default)
+
+    def test_classify_skips_windows_with_no_qualifying_order(
+        self, capsys, monkeypatch, no_qualifying_order
+    ):
+        import hibilab.betti as betti_mod
+        import hibilab.binomials as binomials_mod
+        from hibilab.binomials import ORDER_KINDS
+
+        # the window's own search fails too, so the oracles search again
+        monkeypatch.setattr(binomials_mod, "order_search", betti_mod.order_search)
+        grid = json.dumps({"points": sorted(map(list, full_grid(2, 2).points))})
+        code, out, _ = run_cli(
+            capsys, ["classify", "--window", "1,3", "--expect-theorem"], grid, monkeypatch
+        )
+        assert code == 0
+        skip = {"classify": {
+            "code": "precondition-failed",
+            "message": "no candidate order gives a quadratic squarefree basis",
+            "details": {"orders_tried": list(ORDER_KINDS)},
+        }}
+        assert json.loads(out) == [{"window": [1, 3], "skipped": skip}]
 
     def test_classify_skips_budget_tripped_windows_like_suite(self, capsys, monkeypatch):
         # an oracle that trips its budget, under the smallest budget for the rest
