@@ -130,11 +130,11 @@ def _leads_of(gb) -> tuple:
     return tuple(gb)
 
 
-def standard_monomial_basis(gb, nvars: int, d_max: int, budget: int | None = None) -> StandardMonomialBasis:
+def standard_monomial_basis(gb, nvars: int, d_max: int) -> StandardMonomialBasis:
     reducer = Reducer()
     for lead in _leads_of(gb):
         reducer.append(lead)
-    budget = budget or default_budget()
+    budget = default_budget()
     levels = []
     for d in range(d_max + 1):
         count = comb(nvars + d - 1, d)
@@ -149,14 +149,9 @@ def standard_monomial_basis(gb, nvars: int, d_max: int, budget: int | None = Non
     return StandardMonomialBasis(degrees=tuple(levels))
 
 
-def hilbert_function(gb, d_max: int, nvars: int | None = None, budget: int | None = None):
+def hilbert_function(gb, d_max: int, nvars: int):
     """Quotient dimensions in degrees 0..d_max via standard monomials."""
-    leads = _leads_of(gb)
-    if nvars is None:
-        if not leads:
-            raise ValueError("nvars is required for a zero ideal")
-        nvars = len(leads[0])
-    return list(standard_monomial_basis(leads, nvars, d_max, budget).hilbert())
+    return list(standard_monomial_basis(gb, nvars, d_max).hilbert())
 
 
 def _minimal_supports(leads):
@@ -168,7 +163,7 @@ def _minimal_supports(leads):
     return kept
 
 
-def krull_dimension_via_initial(gb, nvars: int | None = None) -> int:
+def krull_dimension_via_initial(gb, nvars: int) -> int:
     """Largest variable subset containing no initial-ideal support.
 
     Equals the Krull dimension of the quotient when the initial ideal is
@@ -187,12 +182,6 @@ def krull_dimension_via_initial(gb, nvars: int | None = None) -> int:
     carries the budget and the node count.
     """
     leads = _leads_of(gb)
-    if nvars is None:
-        if not leads:
-            raise ValueError("nvars is required for a zero ideal")
-        nvars = len(leads[0])
-    if not leads:
-        return nvars
     if not all(mono_squarefree(lead) for lead in leads):
         raise PreconditionFailed("initial ideal is not squarefree")
     supports = _minimal_supports(leads)
@@ -245,7 +234,7 @@ class _Packing:
     that coordinate goes negative, with no borrow from the next field.  So
     b - img(v) is one int subtraction and rem & guard == guard its borrow
     test.  A remainder that fails it lies in no level; the test rejects it
-    before any lookup, and keeps the descent of _SemigroupLevel off it.
+    before any lookup.
     Images are packed without the guard, so adding or subtracting one keeps
     it.
     """
@@ -268,37 +257,6 @@ def _semigroup_levels(packing: _Packing, j_max: int):
     return levels
 
 
-class _SemigroupLevel:
-    """Membership in one degree of the window semigroup, memoised by descent.
-
-    A multidegree lies in degree d iff subtracting some variable's image
-    leaves one of degree d - 1; lower is the level below (a set at degree 0).
-    Only the multidegrees asked about and their remainders that pass the
-    borrow test are visited, where _semigroup_levels lists the whole level.
-    """
-
-    def __init__(self, packing: _Packing, lower):
-        self.images, self.guard, self.lower, self.memo = packing.images, packing.guard, lower, {}
-
-    def __contains__(self, vec):
-        hit = self.memo.get(vec)
-        if hit is None:
-            guard, lower = self.guard, self.lower
-            hit = self.memo[vec] = any(
-                rem & guard == guard and rem in lower
-                for rem in (vec - img for img in self.images)
-            )
-        return hit
-
-
-def _semigroup_membership(packing: _Packing, j_max: int):
-    """Levels 0..j_max of the window semigroup for _block_faces, by membership."""
-    levels = [{packing.guard}]
-    for _ in range(j_max):
-        levels.append(_SemigroupLevel(packing, levels[-1]))
-    return levels
-
-
 def _require_toric(ring: WindowRing, gens):
     mm = ring.monomial_map
     for g in gens:
@@ -312,15 +270,15 @@ def _require_toric(ring: WindowRing, gens):
 _BLOCK_CAP = 20000  # faces per multidegree block
 
 
-def _cap_block(total, j, block_cap):
-    if total > block_cap:
+def _cap_block(total, j):
+    if total > _BLOCK_CAP:
         raise CapExceeded(
-            f"multidegree block exceeds {block_cap} faces",
-            degree=j, faces=total, cap=block_cap,
+            f"multidegree block exceeds {_BLOCK_CAP} faces",
+            degree=j, faces=total, cap=_BLOCK_CAP,
         )
 
 
-def _block_faces(packing: _Packing, b, j, levels, max_size, block_cap):
+def _block_faces(packing: _Packing, b, j, levels, max_size):
     """Face counts by size of the block complex at b, and its faces, or None for a cone.
 
     The faces are the variable sets T, as bitmasks over the variables, with
@@ -342,13 +300,13 @@ def _block_faces(packing: _Packing, b, j, levels, max_size, block_cap):
     if 0 < k <= j and rem in levels[j - k]:
         counts = [comb(k, s) for s in range(min(k, max_size) + 1)]
         for total in accumulate(counts):
-            _cap_block(total, j, block_cap)
+            _cap_block(total, j)
         return counts, None
     # each face carries its remainder and the later vertices that may extend
     # it: the siblings that extended its parent (faces are closed under subsets)
     layers = [[(0, b, verts, 0)], [(bit, r, verts, n) for n, (bit, _, r) in enumerate(verts, 1)]]
     total = 1 + k
-    _cap_block(total, j, block_cap)
+    _cap_block(total, j)
     for s in range(2, max_size + 1):
         level = levels[j - s]
         nxt = []
@@ -363,7 +321,7 @@ def _block_faces(packing: _Packing, b, j, levels, max_size, block_cap):
             break
         layers.append(nxt)
         total += len(nxt)
-        _cap_block(total, j, block_cap)
+        _cap_block(total, j)
     faces = [[face[0] for face in layer] for layer in layers]
     counts = [len(layer) for layer in faces]
     if _has_apex(faces, max_size):
@@ -406,15 +364,9 @@ class BettiTable:
     def get(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
-    def off_linear(self):
-        return {k: v for k, v in self.entries.items() if k[1] != k[0] + 2}
-
-    def is_linear(self) -> bool:
-        return not self.off_linear()
-
     def format_text(self) -> str:
         if not self.entries:
-            return "zero ideal: empty Betti table"
+            return "empty Betti table"
         imax = max(i for i, _ in self.entries)
         shifts = sorted({j - i for i, j in self.entries})
         lines = ["      " + "".join(f"{i:>6}" for i in range(imax + 1))]
@@ -444,7 +396,6 @@ def betti_numbers(
     gens,
     field: int = DEFAULT_FIELD,
     j_max: int | None = None,
-    block_cap: int = _BLOCK_CAP,
     var_cap: int | None = 12,
     _targets=None,
 ) -> BettiTable:
@@ -466,11 +417,9 @@ def betti_numbers(
     full = j_max is None and _targets is None
     if j_max is None:
         j_max = nvars
-    if not gens:
-        return BettiTable({}, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
     entries = {}
     degrees = sorted({j for _, j in _targets} if _targets else range(2, min(j_max, nvars) + 1))
-    if not degrees:
+    if not (gens and degrees):
         return BettiTable({}, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
     packing = _Packing(ring, max(degrees))
     levels = _semigroup_levels(packing, max(degrees))
@@ -483,7 +432,7 @@ def betti_numbers(
             max_size = j
         face_counts = [0] * (max_size + 1)
         for b in levels[j]:
-            counts, faces = _block_faces(packing, b, j, levels, max_size, block_cap)
+            counts, faces = _block_faces(packing, b, j, levels, max_size)
             for s, count in enumerate(counts):
                 face_counts[s] += count
             if faces is None:
@@ -517,8 +466,6 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     most j_max elements (all of them when j_max is None), and raises
     BudgetExceeded up front when their number exceeds default_budget().
     """
-    if not leads:
-        return {}
     if not all(mono_squarefree(lead) for lead in leads):
         raise PreconditionFailed("monomial Betti table requires squarefree leads")
     supports = _minimal_supports(leads)
@@ -598,13 +545,11 @@ def _bits(mask):
 def _lead_graph(leads, nvars):
     """Adjacency bitmasks of the lead graph: one edge a-b per lead y_a y_b.
 
-    leads must be squarefree; None when some minimal lead is not a quadric.
+    leads are squarefree quadrics, as _initial_basis gives them.
     """
     adj = [0] * nvars
-    for support in _minimal_supports(leads):
-        if len(support) != 2:
-            return None
-        a, b = support
+    for lead in leads:
+        a, b = (k for k, e in enumerate(lead) if e)
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     return adj
@@ -635,19 +580,6 @@ def _complement_chordal(adj):
         for u in _bits(comp[v] & ~numbered):
             weight[u] += 1
     return True
-
-
-def _linear_by_froberg(leads, nvars) -> bool:
-    """Whether the squarefree monomial ideal of leads has a 2-linear resolution.
-
-    True iff every minimal lead is a quadric and the complement of the lead
-    graph is chordal (Froeberg, 1990); a cubic or higher minimal lead is a
-    generator outside degree 2.
-    """
-    if not all(mono_squarefree(lead) for lead in leads):
-        raise PreconditionFailed("the lead graph needs squarefree leads")
-    adj = _lead_graph(leads, nvars)
-    return adj is not None and _complement_chordal(adj)
 
 
 def _induced_2k2(adj):
@@ -708,7 +640,7 @@ def has_linear_resolution_oracle(
     if not gens:
         return True
     gb = _initial_basis(ring, gens, gb, var_cap)
-    return _linear_by_froberg(gb.leads, ring.nvars)
+    return _complement_chordal(_lead_graph(gb.leads, ring.nvars))
 
 
 def is_linearly_related_oracle(
@@ -730,13 +662,16 @@ def is_linearly_related_oracle(
     if not gens:
         return True
     gb = _initial_basis(ring, gens, gb, var_cap)
+    quads = _induced_2k2(_lead_graph(gb.leads, ring.nvars))
+    if not quads:
+        return True
     packing = _Packing(ring, 4)
     imgs = packing.images
-    adj = _lead_graph(gb.leads, ring.nvars)
-    degrees = {packing.guard + sum(imgs[v] for v in w) for w in _induced_2k2(adj)}
-    levels = _semigroup_membership(packing, 4)
+    degrees = {packing.guard + sum(imgs[v] for v in w) for w in quads}
+    # blocks at degree 4 with faces of at most 3 variables read levels 0..3
+    levels = _semigroup_levels(packing, 3)
     for b in degrees:
-        _, faces = _block_faces(packing, b, 4, levels, 3, _BLOCK_CAP)
+        _, faces = _block_faces(packing, b, 4, levels, 3)
         if faces is not None and reduced_homology(faces, field).get(2, 0):
             return False
     return True

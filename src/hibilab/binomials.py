@@ -29,6 +29,8 @@ ORDER_KINDS = ("rank-lex", "rank-revlex", "lex", "revlex")
 
 DEFAULT_FIELD = 32003
 
+_SPAIR_BUDGET = 500_000  # S-pairs per Buchberger run
+
 
 @cache  # the trial division costs a tenth of a small window's certification
 def require_field(p: int) -> int:
@@ -360,14 +362,14 @@ def _interreduce(basis, order: MonomialOrder):
     return tuple([Binomial(lead, reducer.reduce(trail)) for lead, trail in reducer.items])
 
 
-def buchberger(gens, order: MonomialOrder, spair_budget: int | None = None) -> GroebnerReport:
+def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
     """Binomial Buchberger: normal pair selection, coprime-lead criterion.
 
     Pairs are popped smallest-lcm-first from a heap (key computed once per
     pair).  Returns the interreduced basis, which is unique for the given
     order; the quadratic and squarefree flags describe that reduced basis.
-    Past spair_budget (default 500,000) S-pairs, DegreeInfeasible names the
-    budget and the count.
+    Past _SPAIR_BUDGET S-pairs, DegreeInfeasible names the budget and the
+    count.
     """
     basis = [make_binomial(g.lead, g.trail, order) for g in gens]
     basis = [h for h in dict.fromkeys(basis) if h is not None]
@@ -386,7 +388,7 @@ def buchberger(gens, order: MonomialOrder, spair_budget: int | None = None) -> G
     for j in range(len(basis)):
         push_pairs(j)
     processed = 0
-    budget = spair_budget or 500_000
+    budget = _SPAIR_BUDGET
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
         processed += 1
@@ -435,21 +437,14 @@ class WindowIdeal:
 def order_search(ring: WindowRing, pairs, kinds="auto"):
     """Buchberger under each candidate order until a basis is quadratic and squarefree.
 
-    pairs holds the terms (a, b) of the generators a - b.  kinds may be
-    "auto" (try rank-lex, rank-revlex, lex, revlex in that order), a single
-    kind, or an iterable of kinds.  Returns (order, generators, report,
-    kinds tried) for the winning order or, if none qualifies, for the last
-    one, with the report's flags down.
+    pairs holds the terms (a, b) of the generators a - b.  kinds is "auto"
+    (try rank-lex, rank-revlex, lex, revlex in that order) or a single kind;
+    monomial_order rejects any other value.  Returns (order, generators,
+    report, kinds tried) for the winning order or, if none qualifies, for the
+    last one, with the report's flags down.
     """
-    if kinds == "auto":
-        kinds = ORDER_KINDS
-    elif isinstance(kinds, str):
-        kinds = (kinds,)
-    kinds = tuple(kinds)
-    if not kinds:
-        raise InvalidParameter("no candidate order kinds given")
     tried = []
-    for kind in kinds:
+    for kind in ORDER_KINDS if kinds == "auto" else (kinds,):
         order = monomial_order(kind, ring)
         gens = _oriented(pairs, order)
         report = buchberger(gens, order)
@@ -549,11 +544,10 @@ class FiberCertificate:
 
 
 def toric_fiber_oracle(
-    ring,
+    ring: WindowRing,
     gens,
     gb: GroebnerReport | None = None,
     degree: int = 4,
-    budget: int | None = None,
 ) -> FiberCertificate:
     """Certify membership, generation and the Groebner property degree by degree.
 
@@ -565,14 +559,13 @@ def toric_fiber_oracle(
     rows form the incidence matrix of the move graph on the monomials, whose
     rank is #monomials - #components in every characteristic: the rank at
     DEFAULT_FIELD is the rank over Q.  A candidate basis is consistent when
-    every fiber has a single normal form.  The first argument may be a
-    WindowRing or its MonomialMap.
+    every fiber has a single normal form; each degree is held to default_budget().
     """
     if degree < 2:
         raise DegreeInfeasible("degree bound must be at least 2", degree=degree)
-    budget = budget or default_budget()
-    mm = ring if isinstance(ring, MonomialMap) else ring.monomial_map
-    nvars = len(mm.images)
+    budget = default_budget()
+    mm = ring.monomial_map
+    nvars = ring.nvars
     membership_ok = all(mm.balanced(g) for g in gens)
     records = []
     gens = list(gens)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import (
     Disconnected,
+    InvalidParameter,
     NotConvex,
     PreconditionFailed,
     RankTooSmall,
@@ -30,11 +31,13 @@ from .windows import (
     as_context,
     check_convexity,
 )
-from .binomials import DEFAULT_FIELD
+from .binomials import DEFAULT_FIELD, require_field
 from .betti import has_linear_resolution_oracle, is_linearly_related_oracle
 
 # verify_window's fallback prime: Betti numbers can depend on the characteristic.
 SECOND_FIELD = 65537
+
+CLASSIFY_MODES = ("shape-first", "oracle-only")
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,8 @@ def _normalized_vertices(vertices):
     return frozenset((x - dx, y - dy) for x, y in vertices)
 
 
-def shape_profile(poly_or_vertices) -> ShapeProfile:
-    verts = (
-        poly_or_vertices.vertices
-        if isinstance(poly_or_vertices, Polyomino)
-        else frozenset(tuple(v) for v in poly_or_vertices)
-    )
+def shape_profile(poly: Polyomino) -> ShapeProfile:
+    verts = poly.vertices
     if not verts:
         raise ValueError("shape profile needs a nonempty polyomino")
     v = _normalized_vertices(verts)
@@ -144,7 +143,7 @@ def _flip_profile(prof: ShapeProfile, flip_x: bool, flip_y: bool) -> ShapeProfil
     )
 
 
-def is_linearly_related_polyomino(poly) -> bool:
+def is_linearly_related_polyomino(poly: Polyomino) -> bool:
     """Corner criteria on the vertex-set staircase shape.
 
     True when the shape is a box with one L-shaped cut per absent corner and
@@ -152,18 +151,15 @@ def is_linearly_related_polyomino(poly) -> bool:
     exactly three absent and, after flipping the present corner onto the
     origin, either the bottom row ends at m-1 with the right column's top not
     above the left column's, or symmetrically with the roles of the two axes
-    swapped.  Accepts a Polyomino or a precomputed ShapeProfile.
+    swapped.
     """
-    if isinstance(poly, ShapeProfile):
-        prof = poly
-    else:
-        if not poly.cells:
-            return True
-        if not check_convexity(poly):
-            raise NotConvex("corner criteria need a convex polyomino")
-        if not poly.connected:
-            raise Disconnected("corner criteria need a connected polyomino")
-        prof = shape_profile(poly)
+    if not poly.cells:
+        return True
+    if not check_convexity(poly):
+        raise NotConvex("corner criteria need a convex polyomino")
+    if not poly.connected:
+        raise Disconnected("corner criteria need a connected polyomino")
+    prof = shape_profile(poly)
     if not prof.staircase:
         return False
     missing = 4 - sum(prof.corners_present)
@@ -257,8 +253,12 @@ def classify_window(
 
     window may be a WindowContext, whose ideal and polyomino are then used.
     _oracle, an oracle-only verdict of the same window, answers the oracle
-    fallbacks of shape-first in place of new oracle calls.
+    fallbacks of shape-first in place of new oracle calls.  field and mode
+    are checked first, whatever route the window then takes.
     """
+    require_field(field)
+    if mode not in CLASSIFY_MODES:
+        raise InvalidParameter(f"unknown classify mode {mode!r}", mode=mode)
     ctx = as_context(lattice, window)
     w = ctx.window
     ideal = ctx.ideal
@@ -356,7 +356,7 @@ def _is_cross_linked_pair(poset: Poset) -> bool:
     return len(poset) == 4 and posets_isomorphic(poset, _CROSS_LINKED)
 
 
-def all_proper_windows_linear(lattice: PlanarLattice, field: int = DEFAULT_FIELD, var_cap: int = 12):
+def all_proper_windows_linear(lattice: PlanarLattice):
     """Decide whether every proper window ideal has a linear resolution.
 
     Structural route: the join-irreducible poset is a chain plus an isolated
@@ -371,7 +371,7 @@ def all_proper_windows_linear(lattice: PlanarLattice, field: int = DEFAULT_FIELD
     structural = _is_chain_plus_point(ji) or _is_cross_linked_pair(ji)
     witness = None
     for w in all_windows(lattice, proper_only=True):
-        verdict = classify_window(lattice, w, field=field, var_cap=var_cap)
+        verdict = classify_window(lattice, w)
         if not verdict.linear_resolution:
             witness = w
             break

@@ -23,7 +23,7 @@ from .windows import (
 )
 from .binomials import DEFAULT_FIELD, ORDER_KINDS, require_field, toric_fiber_oracle
 from .betti import betti_numbers, hilbert_function, krull_dimension_via_initial
-from .classify import classify_window, enumerate_linrel_windows, verify_window
+from .classify import CLASSIFY_MODES, classify_window, enumerate_linrel_windows, verify_window
 from .render import render_figure
 from .reports import CorpusSpec, generate_corpus, lattice_record, parse_input, run_suite
 
@@ -64,11 +64,13 @@ def _parse_field(text):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_degree(text):
-    degree = int(text)
-    if degree < 2:
-        raise argparse.ArgumentTypeError(f"degree bound must be at least 2, got {degree}")
-    return degree
+def _at_least(least, what):
+    def parse(text):
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its error for a non-integer
+    return parse
 
 
 def _add_common(sub, window=True):
@@ -95,18 +97,18 @@ def build_parser():
 
     fib = sp.add_parser("fiber", help="toric fiber certificate")
     _add_common(fib)
-    fib.add_argument("--degree", type=_parse_degree, default=4)
+    fib.add_argument("--degree", type=_at_least(2, "degree bound"), default=4)
 
     bt = sp.add_parser("betti", help="graded Betti numbers of the window ideal")
     _add_common(bt)
     bt.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
-    bt.add_argument("--jmax", type=int, default=None)
+    bt.add_argument("--jmax", type=_at_least(2, "degree bound"), default=None)
     bt.add_argument("--cap-vars", type=int, default=12)
-    bt.add_argument("--hilbert", type=int, default=None, metavar="DMAX")
+    bt.add_argument("--hilbert", type=_at_least(0, "degree"), default=None, metavar="DMAX")
 
     cl = sp.add_parser("classify", help="linear resolution / linearly related verdicts")
     _add_common(cl)
-    cl.add_argument("--mode", choices=("shape-first", "oracle-only"), default="shape-first")
+    cl.add_argument("--mode", choices=CLASSIFY_MODES, default="shape-first")
     cl.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
     cl.add_argument("--cap-vars", type=int, default=12)
     cl.add_argument("--expect-theorem", action="store_true",

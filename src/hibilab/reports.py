@@ -12,6 +12,7 @@ from .errors import (
     BudgetExceeded,
     CapExceeded,
     DegreeInfeasible,
+    InvalidParameter,
     ParseError,
     PreconditionFailed,
     VerificationFailed,
@@ -116,13 +117,16 @@ def parse_input(source) -> PlanarLattice:
     raise ParseError('expected a "points" or "poset" key')
 
 
+CORPUS_FAMILIES = ("named", "full-grid", "band", "poset", "staircase")
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     seed: int = 0
     count: int = 20
     max_m: int = 4
     max_n: int = 4
-    families: tuple = ("named", "full-grid", "band", "poset", "staircase")
+    families: tuple = CORPUS_FAMILIES
 
 
 def _random_width2_poset(rng: random.Random, max_m: int, max_n: int) -> Poset:
@@ -160,7 +164,16 @@ def _random_staircase(rng: random.Random, max_m: int, max_n: int) -> PlanarLatti
 
 
 def generate_corpus(spec: CorpusSpec):
-    """Deterministic list of (name, lattice); every entry passes validation."""
+    """Deterministic list of (name, lattice); every entry passes validation.
+
+    A count below 0, max_m or max_n below 1 or a family outside
+    CORPUS_FAMILIES raises InvalidParameter naming the field and its value.
+    """
+    for name, least in (("count", 0), ("max_m", 1), ("max_n", 1)):
+        if (value := getattr(spec, name)) < least:
+            raise InvalidParameter(f"{name} must be at least {least}, got {value}", **{name: value})
+    if unknown := [f for f in spec.families if f not in CORPUS_FAMILIES]:
+        raise InvalidParameter(f"unknown corpus family {unknown[0]!r}", family=unknown[0])
     rng = random.Random(spec.seed)
     out = []
     seen = set()
@@ -358,7 +371,7 @@ def run_suite(
             "field": field,
             "var_cap": var_cap,
             "fiber_degree": fiber_degree if with_fiber else None,
-            "order_kinds": order_kinds if isinstance(order_kinds, str) else list(order_kinds),
+            "order_kinds": order_kinds,
             "verify": verify,
         },
         "lattice": lattice_doc,

@@ -317,7 +317,7 @@ class WindowContext:
 
     lattice: PlanarLattice
     window: RankWindow
-    order_kinds: str | tuple = "auto"
+    order_kinds: str = "auto"
 
     @cached_property
     def generators(self) -> GeneratorSet:

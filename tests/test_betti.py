@@ -14,13 +14,12 @@ from hibilab.betti import (
     reduced_homology,
     standard_monomial_basis,
     _block_faces,
+    _complement_chordal,
     _has_apex,
     _induced_2k2,
     _lead_graph,
-    _linear_by_froberg,
     _Packing,
     _semigroup_levels,
-    _semigroup_membership,
     _settled,
 )
 from hibilab.binomials import WindowRing, monomial_order, window_ideal
@@ -132,6 +131,13 @@ class TestBettiAnchors:
         table = betti_numbers(ideal.ring, ideal.generators)
         assert table.entries == {}
 
+    def test_truncated_table_claims_no_zero_ideal(self):
+        # grid-1x1's ideal is one quadric; below degree 2 its table is empty
+        ideal = window_ideal(full_grid(1, 1), (0, 2))
+        table = betti_numbers(ideal.ring, ideal.generators, j_max=1)
+        assert table.entries == {}
+        assert table.format_text() == "empty Betti table"
+
     def test_generator_count_matches_beta_0_2(self, small_corpus):
         for name, lat in small_corpus[:10]:
             for w in all_windows(lat)[::3]:
@@ -152,7 +158,7 @@ class TestBettiInternals:
         levels = ref.semigroup_levels(ring, 4)
         packing = _Packing(ring, 4)
         pack = packing.pack
-        member = _semigroup_membership(packing, 4)
+        member = _semigroup_levels(packing, 4)
         units = [
             tuple(int(c in (i, ring.m + 1 + j)) for c in range(ring.m + ring.n + 2))
             for i in range(ring.m + 1) for j in range(ring.n + 1)
@@ -176,7 +182,7 @@ class TestBettiInternals:
         hf = hilbert_function(ideal.gb, j, nvars=ring.nvars)
         totals = {}
         for b in levels[j]:
-            counts, _ = _block_faces(packing, b, j, levels, j, 10**9)
+            counts, _ = _block_faces(packing, b, j, levels, j)
             for s, count in enumerate(counts):
                 totals[s] = totals.get(s, 0) + count
         for s, total in totals.items():
@@ -189,21 +195,6 @@ class TestBettiInternals:
             packed = _semigroup_levels(packing, 6)
             for k, level in enumerate(ref.semigroup_levels(ring, 6)):
                 assert {packing.pack(vec) for vec in level} == packed[k], (w, k)
-
-    def test_descent_memoises_no_remainder_with_a_borrow(self):
-        # the borrow test keeps every remainder with a negative entry out of
-        # the descent, which would otherwise answer the same after more work
-        ideal = window_ideal(full_grid(2, 2), (0, 4))
-        packing = _Packing(ideal.ring, 4)
-        listed = _semigroup_levels(packing, 4)
-        member = _semigroup_membership(packing, 4)
-        for b in listed[4]:
-            assert _block_faces(packing, b, 4, member, 3, 10**9) == _block_faces(
-                packing, b, 4, listed, 3, 10**9
-            )
-        memo = [vec for level in member[1:] for vec in level.memo]
-        assert memo
-        assert all(vec & packing.guard == packing.guard for vec in memo)
 
     @pytest.mark.parametrize("faces, max_size, apex", [
         # a path a-b-c: a cone from b
@@ -233,7 +224,7 @@ class TestBettiInternals:
         levels = _semigroup_levels(packing, 4)
         product = tuple(x + y for x, y in zip(*leads))
         b = packing.pack(ring.monomial_map.image_of_monomial(product))
-        counts, faces = _block_faces(packing, b, 4, levels, 3, 10**9)
+        counts, faces = _block_faces(packing, b, 4, levels, 3)
         assert faces is not None and counts == [1, 7, 17, 13]
         assert reduced_homology(faces, 32003)[2] == 1
         # a block that is no simplex but a cone from one vertex
@@ -241,7 +232,7 @@ class TestBettiInternals:
         ref_levels = ref.semigroup_levels(ring, 4)
         for vec in ref_levels[4]:
             ref_faces = ref.block_faces(ring, vec, 4, ref_levels, 4)
-            counts, faces = _block_faces(packing, packing.pack(vec), 4, levels, 4, 10**9)
+            counts, faces = _block_faces(packing, packing.pack(vec), 4, levels, 4)
             if faces is None and sum(counts) != 2 ** len(ref_faces[1]):
                 assert not any(ref.reduced_homology(ref_faces, 32003).values())
                 cones += 1
@@ -274,7 +265,8 @@ class TestBettiInternals:
         with pytest.raises(CapExceeded):
             betti_numbers(ideal.ring, ideal.generators, var_cap=12)
 
-    def test_caps_and_budgets_name_the_value_that_tripped(self):
+    def test_caps_and_budgets_name_the_value_that_tripped(self, monkeypatch):
+        import hibilab.betti as betti_mod
         from hibilab.binomials import toric_fiber_oracle
 
         ideal = window_ideal(demo_staircase(), (3, 7))
@@ -288,15 +280,18 @@ class TestBettiInternals:
                 call()
             assert err.value.details == {"cap": 12, "nvars": 14}
         small = window_ideal(full_grid(1, 1), (0, 2))
+        monkeypatch.setattr(betti_mod, "_BLOCK_CAP", 1)
         with pytest.raises(CapExceeded) as err:
-            betti_numbers(small.ring, small.generators, block_cap=1)
+            betti_numbers(small.ring, small.generators)
         assert err.value.details["cap"] == 1 and err.value.details["faces"] > 1
+        # degree 4 of 14 variables has C(17, 4) = 2380 monomials
+        monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         with pytest.raises(DegreeInfeasible) as err:
-            toric_fiber_oracle(ring, gens, degree=4, budget=100)
-        assert err.value.details == {"budget": 100, "monomials": comb(14 + 2 - 1, 2)}
+            toric_fiber_oracle(ring, gens, degree=4)
+        assert err.value.details == {"budget": 1000, "monomials": comb(14 + 4 - 1, 4)}
         with pytest.raises(BudgetExceeded) as err:
-            standard_monomial_basis(ideal.gb, ring.nvars, 2, budget=1)
-        assert err.value.details == {"budget": 1, "monomials": 14}
+            standard_monomial_basis(ideal.gb, ring.nvars, 4)
+        assert err.value.details == {"budget": 1000, "monomials": 2380}
 
     def test_non_toric_input_rejected(self):
         from hibilab.binomials import make_binomial
@@ -394,22 +389,12 @@ class TestOracles:
     ])
     def test_froberg_on_hand_made_lead_graphs(self, nvars, edges, linear, two_k2):
         leads = [tuple(int(v in e) for v in range(nvars)) for e in edges]
-        assert _linear_by_froberg(leads, nvars) == linear
+        assert _complement_chordal(_lead_graph(leads, nvars)) == linear
         assert _induced_2k2(_lead_graph(leads, nvars)) == two_k2
         # the reference: Hochster's formula on the edge ideal
         table = monomial_betti_table(leads, nvars)
         assert (not any(j != i + 2 for i, j in table)) == linear
         assert table.get((1, 4), 0) == len(two_k2)
-
-    def test_froberg_cubic_lead_not_linear(self):
-        leads = [(1, 1, 0, 0, 0), (0, 0, 1, 1, 0), (1, 0, 1, 0, 1)]
-        assert _lead_graph(leads, 5) is None
-        assert not _linear_by_froberg(leads, 5)
-        assert (0, 3) in monomial_betti_table(leads, 5)
-        # a cubic lead that contains an edge is not minimal and changes nothing
-        assert _linear_by_froberg([(1, 1, 0), (1, 1, 1)], 3)
-        with pytest.raises(PreconditionFailed):
-            _linear_by_froberg([(2, 0, 0)], 3)
 
     def test_minors_linear(self):
         ideal = window_ideal(full_grid(2, 1), (0, 3))

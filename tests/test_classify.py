@@ -10,7 +10,7 @@ from hibilab.classify import (
     shape_profile,
     verify_window,
 )
-from hibilab.errors import Disconnected, PreconditionFailed, RankTooSmall
+from hibilab.errors import Disconnected, InvalidParameter, PreconditionFailed, RankTooSmall
 from hibilab.lattice import validate_planar_lattice
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
 from hibilab.windows import Polyomino, all_windows, generators, polyomino
@@ -105,7 +105,7 @@ class TestLinrelPolyomino:
 
     def test_accepts_precomputed_profile(self):
         poly = polyomino(full_grid(2, 2), (0, 3))
-        assert is_linearly_related_polyomino(shape_profile(poly)) is True
+        assert is_linearly_related_polyomino(poly) is True
 
 
 class TestLinrelLattice:
@@ -186,6 +186,17 @@ class TestClassifyWindow:
         assert not v.linear_resolution
         assert v.linearly_related
         assert v.linear_basis == "oracle"
+
+    @pytest.mark.parametrize("call", [
+        # a window the shape theorems decide, and the principal window
+        lambda: classify_window(full_grid(2, 2), (0, 4), field=4),
+        lambda: classify_window(full_grid(2, 2), (0, 4), mode="bogus"),
+        lambda: classify_window(full_grid(2, 2), (2, 4), mode="oracle-only", field=4),
+        lambda: verify_window(full_grid(2, 2), (2, 4), field=4),
+    ], ids=["shape-field", "mode", "principal-field", "verify-principal-field"])
+    def test_field_and_mode_checked_on_every_route(self, call):
+        with pytest.raises(InvalidParameter):
+            call()
 
     def test_verify_window_agreement(self):
         for w in ((0, 3), (1, 3), (1, 4), (0, 4)):

@@ -125,9 +125,10 @@ def test_family_dichotomy_on_small_corpus(small_corpus):
     assert checked >= 5
 
 
-def test_hilbert_budget_guard():
+def test_hilbert_budget_guard(monkeypatch):
     from hibilab.errors import BudgetExceeded
 
+    monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
     ideal = window_ideal(demo_staircase(), (0, 9))
     with pytest.raises(BudgetExceeded):
-        hilbert_function(ideal.gb, 4, nvars=ideal.ring.nvars, budget=50)
+        hilbert_function(ideal.gb, 4, nvars=ideal.ring.nvars)

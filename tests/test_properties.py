@@ -241,7 +241,8 @@ def test_linear_resolution_oracle_matches_full_table():
         if not ideal.generators or ideal.ring.nvars > 8:
             continue
         fast = has_linear_resolution_oracle(ideal.ring, ideal.generators, gb=ideal.gb)
-        full = betti_numbers(ideal.ring, ideal.generators).is_linear()
+        table = betti_numbers(ideal.ring, ideal.generators)
+        full = not any(j != i + 2 for i, j in table.entries)
         assert fast == full, w
         checked += 1
     CASES["linear-oracle-vs-full-table"] = checked
@@ -382,8 +383,8 @@ def test_lead_graph_matches_hochster_table(corpus):
             if not ideal.generators:
                 continue
             leads, nvars = ideal.gb.leads, ideal.ring.nvars
+            assert ideal.gb.quadratic and ideal.gb.squarefree, (name, w)
             adj = _lead_graph(leads, nvars)
-            assert adj is not None, (name, w)
             full = monomial_betti_table(leads, nvars)
             linear = not any(j != i + 2 for i, j in full)
             assert _complement_chordal(adj) == linear, (name, w)
@@ -428,7 +429,7 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
                 for quad in _induced_2k2(_lead_graph(gb.leads, ring.nvars))
             }
             levels = _semigroup_levels(packing, 4)
-            block_faces = [_block_faces(packing, b, 4, levels, 3, 20000)[1] for b in degrees]
+            block_faces = [_block_faces(packing, b, 4, levels, 3)[1] for b in degrees]
             for field in (32003, 65537):
                 blocks = sum(
                     reduced_homology(faces, field).get(2, 0)

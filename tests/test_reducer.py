@@ -232,12 +232,15 @@ def test_standard_monomials_match_lead_scan():
             )
 
 
-def test_spair_budget_error_names_the_count():
+def test_spair_budget_error_names_the_count(monkeypatch):
+    import hibilab.binomials as binomials_mod
+
+    monkeypatch.setattr(binomials_mod, "_SPAIR_BUDGET", 5)
     ring = WindowRing.for_window(demo_staircase(), (3, 7))
     order = monomial_order("rank-lex", ring)
     gens = [make_binomial(a, b, order) for a, b in _straightening_pairs(ring)]
     with pytest.raises(DegreeInfeasible) as info:
-        buchberger(gens, order, spair_budget=5)
+        buchberger(gens, order)
     assert info.value.payload() == {
         "code": "degree-infeasible",
         "message": "S-pair budget exhausted",

@@ -71,6 +71,18 @@ class TestCorpus:
         )
         assert got[0][1].points == full_grid(2, 2).points
 
+    @pytest.mark.parametrize("spec, details", [
+        (CorpusSpec(max_m=0), {"max_m": 0}),
+        (CorpusSpec(max_n=0), {"max_n": 0}),
+        (CorpusSpec(max_n=-1), {"max_n": -1}),
+        (CorpusSpec(count=-5, families=("staircase",)), {"count": -5}),
+        (CorpusSpec(families=("named", "bogus")), {"family": "bogus"}),
+    ])
+    def test_out_of_range_spec_rejected(self, spec, details):
+        with pytest.raises(InvalidParameter) as err:
+            generate_corpus(spec)
+        assert err.value.details == details
+
 
 class TestRender:
     def test_ascii_marks_generators_and_cells(self):
@@ -401,6 +413,8 @@ class TestInputErrors:
             ["betti", "--window", "0,2", "--field", "4"],
             ["classify", "--field", "4294967311"],
             ["fiber", "--window", "0,2", "--degree", "1"],
+            ["betti", "--window", "0,2", "--jmax", "1"],
+            ["betti", "--window", "0,2", "--hilbert", "-2"],
         ],
     )
     def test_bad_parameter_exits_2(self, capsys, monkeypatch, argv):
@@ -408,6 +422,18 @@ class TestInputErrors:
             run_cli(capsys, argv, SQUARE, monkeypatch)
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-m", "0"],
+        ["--max-n", "0"],
+        ["--max-n", "-1"],
+        ["--families", "bogus"],
+        ["--count", "-5", "--families", "staircase"],
+    ])
+    def test_bad_corpus_spec_exits_2(self, capsys, monkeypatch, argv):
+        code, out, err = run_cli(capsys, ["corpus", *argv], None, monkeypatch)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "invalid-parameter"
 
     @pytest.mark.parametrize("error", [NotConvex, Disconnected])
     def test_shape_precondition_exits_2(self, capsys, monkeypatch, error):
