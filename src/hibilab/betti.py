@@ -60,14 +60,19 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from math import comb
 
-from .errors import BudgetExceeded, CapExceeded, PreconditionFailed, VerificationFailed
+from .errors import (
+    BudgetExceeded,
+    CapExceeded,
+    InvalidParameter,
+    PreconditionFailed,
+    VerificationFailed,
+)
 from .binomials import (
     DEFAULT_FIELD,
     GroebnerReport,
     Reducer,
     WindowRing,
     _degree_monomials,
-    _rank_mod_p,
     default_budget,
     mono_squarefree,
     order_search,
@@ -76,6 +81,33 @@ from .binomials import (
 
 # ---------------------------------------------------------------------------
 # simplicial homology over GF(p)
+
+
+def _rank_mod_p(rows, ncols: int, p: int) -> int:
+    """Exact rank over GF(p) by sparse Gaussian elimination; rows are
+    {column: coefficient} dicts over ncols columns."""
+    if not rows or not ncols:
+        return 0
+    pivots = {}
+    rank = 0
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], p - 2, p)
+                pivots[c] = {cc: vv * inv % p for cc, vv in row.items()}
+                rank += 1
+                break
+            factor = row[c]
+            for cc, vv in piv.items():
+                nv = (row.get(cc, 0) - factor * vv) % p
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+    return rank
 
 
 def _boundary_rank(faces, prev_index, p):
@@ -261,7 +293,7 @@ def _require_toric(ring: WindowRing, gens):
     mm = ring.monomial_map
     for g in gens:
         if not mm.balanced(g):
-            raise ValueError(
+            raise InvalidParameter(
                 "generator is not in the toric ideal of the window map; "
                 "Betti oracle only covers window ideals"
             )

@@ -42,11 +42,15 @@ def require_field(p: int) -> int:
 
 
 def default_budget() -> int:
-    """Per-degree monomial enumeration budget; HIBI_LAB_BUDGET overrides."""
-    try:
-        return max(1000, int(os.environ.get("HIBI_LAB_BUDGET", "")))
-    except ValueError:
+    """Per-degree monomial enumeration budget: 200000, or HIBI_LAB_BUDGET when
+    set, which must be an integer of at least 1000."""
+    raw = os.environ.get("HIBI_LAB_BUDGET")
+    if not raw:
         return 200_000
+    if not raw.isdecimal() or int(raw) < 1000:
+        raise InvalidParameter(f"HIBI_LAB_BUDGET must be an integer of at least 1000, got {raw!r}",
+                               HIBI_LAB_BUDGET=raw)
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -485,33 +489,6 @@ def _degree_monomials(nvars: int, degree: int, budget: int):
         yield tuple(exps)
 
 
-def _rank_mod_p(rows, ncols: int, p: int) -> int:
-    """Exact rank over GF(p) by sparse Gaussian elimination; rows are
-    {column: coefficient} dicts over ncols columns."""
-    if not rows or not ncols:
-        return 0
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = pow(row[c], p - 2, p)
-                pivots[c] = {cc: vv * inv % p for cc, vv in row.items()}
-                rank += 1
-                break
-            factor = row[c]
-            for cc, vv in piv.items():
-                nv = (row.get(cc, 0) - factor * vv) % p
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-    return rank
-
-
 @dataclass(frozen=True)
 class FiberDegreeRecord:
     degree: int
@@ -529,9 +506,10 @@ class FiberCertificate:
     membership_ok: bool
     per_degree: tuple
 
-    # Not a field: every span is taken at DEFAULT_FIELD.  Kept only because
-    # bench/tracing.py::_observe_fiber reads it for its second-field counter;
-    # drop both together.  No program code reads it.
+    # Not a field: the span rank is a component count, the same in every
+    # characteristic.  Kept only because bench/tracing.py::_observe_fiber
+    # reads it for its second-field counter; drop both together.  No program
+    # code reads it.
     fields_used = (DEFAULT_FIELD,)
 
     @property
@@ -543,6 +521,26 @@ class FiberCertificate:
         return all(d.gb_consistent for d in self.per_degree)
 
 
+def _extend(level, units, hi, divisors):
+    """The packed monomials one degree above level that no lead in divisors divides.
+
+    level lists (monomial, last variable) pairs, and x + y_v comes once, for
+    each v from x's last variable on.  A lead divides m when ((m | hi) - lead)
+    & hi == hi.  A lead that divides x + y_v but not x holds y_v, so
+    divisors[v] need list only the leads holding y_v.
+    """
+    out = []
+    for x, last in level:
+        for v in range(last, len(units)):
+            m = x + units[v]
+            for lead in divisors[v]:
+                if ((m | hi) - lead) & hi == hi:
+                    break
+            else:
+                out.append((m, v))
+    return out
+
+
 def toric_fiber_oracle(
     ring: WindowRing,
     gens,
@@ -551,68 +549,68 @@ def toric_fiber_oracle(
 ) -> FiberCertificate:
     """Certify membership, generation and the Groebner property degree by degree.
 
-    For each degree e <= degree, all degree-e monomials are grouped by image
-    under the monomial map.  Fiber differences span the degree-e piece of the
-    toric ideal; generation holds when monomial multiples of the generators
-    reach that dimension, that is when every fiber is connected under the
-    degree-e moves.  Each row u*lead - u*trail has one +1 and one -1, so the
-    rows form the incidence matrix of the move graph on the monomials, whose
-    rank is #monomials - #components in every characteristic: the rank at
-    DEFAULT_FIELD is the rank over Q.  A candidate basis is consistent when
-    every fiber has a single normal form; each degree is held to default_budget().
+    The oracle counts and neither maps nor reduces a monomial.  The degree-e
+    monomials fall into |L_e| fibers, one per point of the semigroup level
+    L_e, whose differences span target_dim = #monomials - |L_e| dimensions.
+    The moves u*lead - u*trail, deg u = e - deg g, are the edges of a graph
+    on the monomials whose incidence matrix has rank #monomials - #components
+    in every characteristic; span_rank counts it by union-find, and
+    generation holds when it reaches target_dim, when every fiber is
+    connected (a Markov basis, Diaconis-Sturmfels, Ann. Statist. 26, 1998).
+    With the basis elements of degree <= e balanced, reduction stays in a
+    fiber, so the basis is consistent in degree e (one normal form per fiber)
+    iff the degree-e monomials that no lead divides number |L_e| (Sturmfels,
+    Groebner Bases and Convex Polytopes, ch. 4).  Monomials and semigroup
+    points are packed into ints, degree.bit_length() + 1 bits per entry, the
+    top one a guard for the borrow test.  Generators must be homogeneous;
+    each degree is held to default_budget().
     """
     if degree < 2:
         raise DegreeInfeasible("degree bound must be at least 2", degree=degree)
+    if any(sum(g.lead) != sum(g.trail) for g in gens):
+        raise InvalidParameter("the fiber oracle needs homogeneous generators")
     budget = default_budget()
     mm = ring.monomial_map
     nvars = ring.nvars
-    membership_ok = all(mm.balanced(g) for g in gens)
-    records = []
-    gens = list(gens)
-    reducer = Reducer(gb.basis) if gb is not None else None
+    width = degree.bit_length() + 1
+    units = [1 << width * k for k in range(nvars)]
+    hi = sum(units) << width - 1
+
+    def pack(mono):
+        return sum(e << width * k for k, e in enumerate(mono))
+
+    moves = [(g.degree(), pack(g.lead), pack(g.trail)) for g in gens if g.degree() <= degree]
+    start = width * (ring.m + 1)  # s_i at coordinate i, t_j at m + 1 + j
+    images = {(1 << width * i) + (1 << start + width * j) for i, j in ring.points}
+    basis = gb.basis if gb is not None else ()
+    # from the degree of the first unbalanced basis element on, no degree is consistent
+    unbalanced = min((g.degree() for g in basis if not mm.balanced(g)), default=degree + 1)
+    leads = [pack(g.lead) for g in basis if g.degree() <= degree]
+    divisors = [[lead for lead in leads if lead & unit * ((1 << width) - 1)] for unit in units]
+    levels = [[(0, 0)]]  # all monomials of each degree below e, (packed, last variable)
+    standard, points, records = _extend(levels[0], units, hi, divisors), images, []
     for e in range(2, degree + 1):
-        monos = list(_degree_monomials(nvars, e, budget))
-        index = {m: k for k, m in enumerate(monos)}
-        fibers = {}
-        for m in monos:
-            fibers.setdefault(mm.image_of_monomial(m), []).append(m)
-        target = len(monos) - len(fibers)
-        rows = []
-        for g in gens:
-            for u in _degree_monomials(nvars, e - 2, budget):
-                row = {}
-                row[index[mono_mul(u, g.lead)]] = 1
-                col = index[mono_mul(u, g.trail)]
-                row[col] = row.get(col, 0) - 1
-                if any(row.values()):
-                    rows.append(row)
-        span = _rank_mod_p(rows, len(monos), DEFAULT_FIELD)
-        consistent = True
-        if gb is not None:
-            seen = {}
-            for img, members in fibers.items():
-                forms = {reducer.reduce(m) for m in members}
-                if len(forms) != 1:
-                    consistent = False
-                    break
-                form = next(iter(forms))
-                if form in seen and seen[form] != img:
-                    consistent = False
-                    break
-                seen[form] = img
-        records.append(
-            FiberDegreeRecord(
-                degree=e,
-                monomials=len(monos),
-                fibers=len(fibers),
-                target_dim=target,
-                span_rank=span,
-                generated=span == target,
-                gb_consistent=consistent,
-            )
-        )
-    return FiberCertificate(
-        degree_bound=degree,
-        membership_ok=membership_ok,
-        per_degree=tuple(records),
-    )
+        if (count := comb(nvars + e - 1, e)) > budget:
+            raise DegreeInfeasible(f"degree {e} needs {count} monomials", budget=budget, monomials=count)
+        levels.append(_extend(levels[-1], units, hi, [()] * nvars))
+        standard = _extend(standard, units, hi, divisors)
+        points = {q + img for q in points for img in images}
+        parent = {}  # non-root monomial -> its parent
+        span = 0
+        for d, lead, trail in moves:
+            for u, _ in levels[e - d] if d <= e else ():
+                a, b = u + lead, u + trail
+                while a in parent:
+                    a = parent[a]
+                while b in parent:
+                    b = parent[b]
+                if a != b:
+                    parent[a] = b
+                    span += 1
+        target = count - len(points)
+        records.append(FiberDegreeRecord(
+            degree=e, monomials=count, fibers=len(points), target_dim=target, span_rank=span,
+            generated=span == target,
+            gb_consistent=gb is None or (e < unbalanced and len(standard) == len(points)),
+        ))
+    return FiberCertificate(degree, all(mm.balanced(g) for g in gens), tuple(records))

@@ -70,7 +70,7 @@ def _normalized_vertices(vertices):
 def shape_profile(poly: Polyomino) -> ShapeProfile:
     verts = poly.vertices
     if not verts:
-        raise ValueError("shape profile needs a nonempty polyomino")
+        raise InvalidParameter("shape profile needs a nonempty polyomino")
     v = _normalized_vertices(verts)
     m = max(x for x, _ in v)
     n = max(y for _, y in v)

@@ -9,7 +9,7 @@ shortcut.  They are kept here, not in the package, as the reference the
 packed kernel must match block for block.
 """
 
-from hibilab.binomials import _rank_mod_p
+from hibilab.betti import _rank_mod_p
 
 
 def vec_sub(a, b):

@@ -301,7 +301,7 @@ class TestBettiInternals:
         bogus = make_binomial(
             ring.monomial((1, 0), (1, 0)), ring.monomial((0, 0), (1, 1)), order
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             betti_numbers(ring, [bogus])
 
 

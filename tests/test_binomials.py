@@ -1,14 +1,17 @@
 import random
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
 
+import fiber_reference
+from hibilab.betti import _rank_mod_p
 from hibilab.binomials import (
     Binomial,
     ORDER_KINDS,
     WindowRing,
-    _rank_mod_p,
     buchberger,
+    default_budget,
     defining_ideal_generators,
     make_binomial,
     mono_deg,
@@ -217,6 +220,12 @@ class TestFiberOracle:
         cert = toric_fiber_oracle(ring, [bogus], degree=2)
         assert not cert.membership_ok
 
+    def test_inhomogeneous_generator_is_a_typed_error(self):
+        ring, _ = ring_and_order(full_grid(1, 1), (0, 2))
+        bogus = Binomial(ring.monomial((1, 0), (0, 1)), ring.monomial((0, 0)))
+        with pytest.raises(InvalidParameter):
+            toric_fiber_oracle(ring, [bogus], degree=2)
+
     @staticmethod
     def move_graph_rank(nvars, gens, degree):
         """#monomials - #components of the degree-e move graph, by union-find."""
@@ -264,6 +273,66 @@ class TestFiberOracle:
         for d in cert.per_degree:
             assert d.span_rank == self.move_graph_rank(ring.nvars, [bogus], d.degree)
 
+    @staticmethod
+    def unbalance(g):
+        """g with its trail moved off its fiber: one variable of the trail swapped for another."""
+        k = g.trail.index(max(g.trail))
+        for other in range(len(g.trail)):
+            trail = list(g.trail)
+            trail[k] -= 1
+            trail[other] += 1
+            if other != k and tuple(trail) != g.lead:
+                return Binomial(g.lead, tuple(trail))
+        raise AssertionError(g)
+
+    def test_counting_equals_reference(self, corpus):
+        windows = 0
+        for name, lat in corpus:
+            for w in all_windows(lat):
+                if len(generators(lat, w)) > 8:
+                    continue
+                ideal = window_ideal(lat, w)
+                for degree in (3, 4):
+                    args = (ideal.ring, ideal.generators)
+                    assert toric_fiber_oracle(*args, gb=ideal.gb, degree=degree) == (
+                        fiber_reference.toric_fiber_oracle(*args, gb=ideal.gb, degree=degree)
+                    ), (name, w, degree)
+                windows += 1
+        assert windows >= 400
+
+    def test_counting_equals_reference_on_negative_cases(self, corpus):
+        """Broken generator sets and bases: each must flip a flag, on both routes alike."""
+        flipped = {"generator dropped": 0, "basis element dropped": 0,
+                   "basis element unbalanced": 0, "generator unbalanced": 0}
+        for name, lat in corpus:
+            for w in all_windows(lat):
+                if not 4 <= len(generators(lat, w)) <= 8:
+                    continue
+                ideal = window_ideal(lat, w)
+                gens, gb = ideal.generators, ideal.gb
+                if len(gens) < 2:
+                    continue
+                cases = {
+                    "generator dropped": (gens[1:], gb),
+                    "basis element dropped": (gens, replace(gb, basis=gb.basis[:-1])),
+                    "basis element unbalanced": (
+                        gens, replace(gb, basis=gb.basis[:-1] + (self.unbalance(gb.basis[-1]),))
+                    ),
+                    "generator unbalanced": ((self.unbalance(gens[0]),) + gens[1:], gb),
+                }
+                for case, (g, b) in cases.items():
+                    cert = toric_fiber_oracle(ideal.ring, g, gb=b, degree=3)
+                    ref = fiber_reference.toric_fiber_oracle(ideal.ring, g, gb=b, degree=3)
+                    assert cert == ref, (name, w, case)
+                    if case == "generator unbalanced":
+                        assert not cert.membership_ok and not cert.generated, (name, w)
+                    elif case == "generator dropped":
+                        assert not cert.generated, (name, w)
+                    else:
+                        assert cert.membership_ok and cert.generated and not cert.gb_certified
+                    flipped[case] += 1
+        assert min(flipped.values()) >= 50, flipped
+
 
 def test_zero_and_principal_flags():
     ideal = window_ideal(full_grid(2, 2), (1, 2))
@@ -307,6 +376,19 @@ class TestParameters:
             for row in left
         ]
         assert _rank_mod_p(rows, 80, p) == 40
+
+    @pytest.mark.parametrize("raw", ["abc", "5", "999", "1e6", "-2000"])
+    def test_budget_rejected_naming_the_value(self, monkeypatch, raw):
+        monkeypatch.setenv("HIBI_LAB_BUDGET", raw)
+        with pytest.raises(InvalidParameter, match=repr(raw)) as err:
+            default_budget()
+        assert err.value.details == {"HIBI_LAB_BUDGET": raw}
+
+    def test_budget_default_and_override(self, monkeypatch):
+        monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
+        assert default_budget() == 200_000
+        monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
+        assert default_budget() == 1000
 
     def test_empty_order_kinds_is_a_typed_error(self):
         with pytest.raises(InvalidParameter):

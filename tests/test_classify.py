@@ -33,6 +33,10 @@ class TestShapeProfile:
         assert prof.corners_present == (True, True, True, False)
         assert prof.staircase
 
+    def test_empty_polyomino_is_a_typed_error(self):
+        with pytest.raises(InvalidParameter):
+            shape_profile(Polyomino.from_cells(()))
+
     def test_translated_vertices_normalized(self):
         poly = polyomino(demo_staircase(), (3, 7))
         prof = shape_profile(poly)

@@ -423,6 +423,15 @@ class TestInputErrors:
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["abc", "5"])
+    def test_bad_budget_exits_2(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("HIBI_LAB_BUDGET", budget)
+        code, out, err = run_cli(capsys, ["fiber", "--window", "0,2"], SQUARE, monkeypatch)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-parameter"
+        assert error["details"] == {"HIBI_LAB_BUDGET": budget}
+
     @pytest.mark.parametrize("argv", [
         ["--max-m", "0"],
         ["--max-n", "0"],
