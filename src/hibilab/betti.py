@@ -70,9 +70,12 @@ from .errors import (
 from .binomials import (
     DEFAULT_FIELD,
     GroebnerReport,
+    MonomialOrder,
     Reducer,
     WindowRing,
+    _Layout,
     _degree_monomials,
+    _width,
     default_budget,
     mono_squarefree,
     order_search,
@@ -163,9 +166,13 @@ def _leads_of(gb) -> tuple:
 
 
 def standard_monomial_basis(gb, nvars: int, d_max: int) -> StandardMonomialBasis:
-    reducer = Reducer()
-    for lead in _leads_of(gb):
-        reducer.append(lead)
+    leads = _leads_of(gb)
+    # divisibility does not depend on the order, so any field layout serves
+    layout = _Layout(MonomialOrder("lex", "lex", tuple(range(nvars))),
+                     _width(max([d_max, *map(sum, leads)])))
+    reducer = Reducer(layout)
+    for lead in leads:
+        reducer.append(layout.pack(lead))
     budget = default_budget()
     levels = []
     for d in range(d_max + 1):
@@ -176,7 +183,7 @@ def standard_monomial_basis(gb, nvars: int, d_max: int) -> StandardMonomialBasis
             )
         levels.append(tuple(
             mono for mono in _degree_monomials(nvars, d, budget)
-            if reducer.divisor(mono) is None
+            if reducer.divisor(layout.pack(mono)) is None
         ))
     return StandardMonomialBasis(degrees=tuple(levels))
 

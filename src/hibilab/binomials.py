@@ -1,10 +1,11 @@
 """Exact binomial-ideal machinery for window subrings.
 
 Monomials are dense exponent tuples over the window's variables (one variable
-per band point, canonically sorted by (rank, i)).  Every polynomial handled
-here is a pure difference of two monomials, so S-polynomials and reductions
-stay binomial and all coefficients stay +1/-1; Buchberger below is specialized
-accordingly.  The toric side is the monomial map sending the variable at
+per band point, canonically sorted by (rank, i)); Buchberger, its reducer and
+the interreduction pack them into ints (_Layout) and convert at the edges.
+Every polynomial handled here is a pure difference of two monomials, so
+S-polynomials and reductions stay binomial and all coefficients stay +1/-1;
+Buchberger below is specialized accordingly.  The toric side is the monomial map sending the variable at
 (i, j) to s_i t_j; fibers of that map give an independent membership,
 generation and Groebner certificate.
 """
@@ -15,9 +16,9 @@ import heapq
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations_with_replacement, compress, count
+from itertools import chain, combinations_with_replacement, compress, count
 from math import comb, isqrt
-from operator import add, ge, itemgetter, neg, sub
+from operator import itemgetter, neg
 
 from .errors import DegreeInfeasible, InvalidParameter
 from .lattice import PlanarLattice
@@ -128,10 +129,6 @@ class MonomialMap:
         return self.image_of_monomial(binom.lead) == self.image_of_monomial(binom.trail)
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_deg(a: Monomial) -> int:
     return sum(a)
 
@@ -195,9 +192,6 @@ class Binomial:
     def degree(self) -> int:
         return mono_deg(self.lead)
 
-    def is_squarefree(self) -> bool:
-        return mono_squarefree(self.lead) and mono_squarefree(self.trail)
-
 
 def make_binomial(a: Monomial, b: Monomial, order: MonomialOrder):
     """Normalized binomial a - b, or None when the terms cancel."""
@@ -246,95 +240,172 @@ def _sorted_binomials(binomials, order: MonomialOrder):
     return sorted(binomials, key=lambda g: (order.key(g.lead), order.key(g.trail)))
 
 
-def _support_mask(mono: Monomial) -> int:
-    mask = 0
-    for k in compress(count(), mono):
-        mask |= 1 << k
-    return mask
+def _width(degree: int) -> int:
+    """Bits per packed field when no basis element has a degree above degree:
+    values up to 2 * degree, the largest lcm degree, stay below the guard."""
+    return (2 * degree).bit_length() + 1
 
 
-class Reducer:
-    """Division against a binomial list, always by the first dividing lead in list order.
+class _Layout:
+    """Monomials packed into ints in the field layout of a monomial order.
 
-    Quadratic leads y_a y_b (a <= b, a square when a == b) sit in a dict
-    keyed by (a, b), each with its list position; partners[b] is the mask of
-    the a <= b that pair with b.  One pass over a monomial's support then
-    looks up only the pairs in it that some lead uses, and none at all for
-    most normal monomials.  Leads of any other degree are scanned in list
-    order with a support-mask prefilter.
+    Each variable owns a field of width bits whose top bit is a guard, 0 in
+    every packed monomial; the degree sits in one more field on top.  Fields
+    follow the order's significance, the most significant variable highest
+    for lex and the least significant one highest for revlex, so the order's
+    key of m is the int m ^ flip: flip is 0 for lex and every value bit of
+    the variable fields for revlex.  With hi the guard bits, a lead l divides
+    m iff ((m | hi) - l) & hi == hi, and (m + low) & hi marks the support.
     """
 
-    def __init__(self, basis=()):
-        self.items = []  # (lead, trail) in list order
-        self.masks = []  # support mask of each lead, in list order
-        self._pairs = {}  # (a, b) -> position of the first lead y_a y_b
-        self._partners = {}  # b -> mask of the a <= b with a lead y_a y_b
-        self._scan = []  # (position, support mask, lead) of the other leads
-        for g in basis:
-            self.append(g.lead, g.trail)
+    def __init__(self, order: MonomialOrder, width: int):
+        lowest_first = order.sig[::-1] if order.style == "lex" else order.sig
+        self.field_of = tuple(sorted(range(len(lowest_first)), key=lowest_first.__getitem__))
+        self.width = width
+        self.top = top = width * len(order.sig)
+        self.ones = ones = (1 << width) - 1
+        self.varmask = (1 << top) - 1  # every variable field, no degree
+        rep = self.varmask // ones  # a 1 in every variable field
+        self.hi = rep << width - 1
+        self.low = self.hi - rep  # every value bit of the variable fields
+        self.twice = self.low - rep  # m + twice reaches a guard where a value is >= 2
+        self.flip = self.low if order.style == "revlex" else 0
+        self.known = {}  # packed -> tuple, for unpack to return without work
 
-    def append(self, lead: Monomial, trail: Monomial | None = None):
-        """Append lead - trail; a lead alone serves divisor() only."""
-        pos = len(self.items)
-        mask = _support_mask(lead)
-        self.items.append((lead, trail))
-        self.masks.append(mask)
-        if sum(lead) == 2:
-            # lowest and highest support variable; the same one for a square
-            a, b = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
-            if (a, b) not in self._pairs:
-                self._pairs[a, b] = pos
-                self._partners[b] = self._partners.get(b, 0) | 1 << a
-        else:
-            self._scan.append((pos, mask, lead))
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of packed a and b: one borrow test marks the fields where b
+        is the larger, and the degree is the field sum mod 2**width - 1."""
+        hi, ones = self.hi, self.ones
+        a &= self.varmask
+        b &= self.varmask
+        larger = (((b | hi) - a) & hi) >> self.width - 1  # a 1 in each field where b >= a
+        lcm = a ^ (a ^ b) & larger * ones
+        return lcm + (lcm % ones << self.top)
 
-    def divisor(self, mono: Monomial):
-        """List position of the first lead dividing mono, or None."""
-        partners, pairs = self._partners, self._pairs
-        best = None
-        mm = 0
-        for b in compress(count(), mono):
-            mm |= 1 << b
-            hits = partners.get(b, 0) & mm
-            if not hits:
-                continue
-            if hits >> b & 1 and mono[b] < 2:
-                hits ^= 1 << b
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                pos = pairs[low.bit_length() - 1, b]
-                if best is None or pos < best:
-                    best = pos
-        for pos, mask, lead in self._scan:
-            if best is not None and pos > best:
-                break
-            if not mask & ~mm and all(map(ge, mono, lead)):
-                return pos
-        return best
+    def pack(self, mono: Monomial) -> int:
+        width, field_of = self.width, self.field_of
+        packed = sum(mono[k] << width * field_of[k] for k in compress(count(), mono))
+        return packed + (sum(mono) << self.top)
 
-    def reduce(self, mono: Monomial) -> Monomial:
-        while (pos := self.divisor(mono)) is not None:
-            lead, trail = self.items[pos]
-            mono = tuple(map(add, map(sub, mono, lead), trail))
+    def unpack(self, packed: int) -> Monomial:
+        mono = self.known.get(packed)
+        if mono is None:
+            width, ones = self.width, self.ones
+            mono = tuple([packed >> width * field & ones for field in self.field_of])
+            self.known[packed] = mono
         return mono
 
 
+class Reducer:
+    """Division of packed monomials against a binomial list, always by the
+    first dividing lead in list order.
+
+    A quadratic lead y_a y_b (a square when a == b) sits in a dict keyed by
+    its support's guard bits, with its list position; partners[b] holds the
+    guard bits of the a at or below b that pair with b.  One pass over a
+    monomial's support then looks up only the pairs in it that some lead
+    uses, and none at all for most normal monomials.  Leads of any other
+    degree are scanned in list order with the borrow test, up to the best
+    position found.  Normal forms are memoised, with every monomial met on
+    the way; append clears the memo.
+    """
+
+    def __init__(self, layout: _Layout):
+        self.layout = layout
+        self.items = []  # (lead, trail) in list order
+        self._pairs = {}  # support of a quadratic lead -> position of the first such lead
+        self._partners = {}  # guard bit b -> guard bits of the a <= b with a lead y_a y_b
+        self._scan = []  # (position, lead) of the other leads
+        self._memo = {}  # monomial -> normal form
+
+    def append(self, lead: int, trail: int | None = None):
+        """Append lead - trail; a lead alone serves divisor() only."""
+        pos = len(self.items)
+        self.items.append((lead, trail))
+        self._memo.clear()
+        p = self.layout
+        if lead >> p.top == 2:
+            support = (lead + p.low) & p.hi
+            if support not in self._pairs:
+                self._pairs[support] = pos
+                b = 1 << support.bit_length() - 1
+                self._partners[b] = self._partners.get(b, 0) | support & -support
+        else:
+            self._scan.append((pos, lead))
+
+    def divisor(self, mono: int):
+        """List position of the first lead dividing mono, or None."""
+        p = self.layout
+        hi = p.hi
+        best = None
+        if partners := self._partners:
+            pairs = self._pairs
+            support = (mono + p.low) & hi
+            seen = 0
+            while support:
+                b = support & -support
+                support ^= b
+                seen |= b
+                hits = partners.get(b, 0) & seen
+                if not hits:
+                    continue
+                if hits & b and not (mono + p.twice) & b:
+                    hits ^= b  # y_b^2 leads but y_b occurs once
+                while hits:
+                    a = hits & -hits
+                    hits ^= a
+                    pos = pairs[a | b]
+                    if best is None or pos < best:
+                        best = pos
+        for pos, lead in self._scan:
+            if best is not None and pos > best:
+                break
+            if ((mono | hi) - lead) & hi == hi:
+                return pos
+        return best
+
+    def reduce(self, mono: int) -> int:
+        memo = self._memo
+        form = memo.get(mono)
+        if form is not None:
+            return form
+        path = [mono]
+        while (pos := self.divisor(mono)) is not None:
+            lead, trail = self.items[pos]
+            mono = mono - lead + trail
+            if (form := memo.get(mono)) is not None:
+                break
+            path.append(mono)
+        else:
+            form = mono
+        for m in path:
+            memo[m] = form
+        return form
+
+
+def _led(a: int, b: int, flip: int):
+    """(lead, trail) of the packed binomial a - b, or None when the terms cancel."""
+    if a == b:
+        return None
+    return (a, b) if a ^ flip > b ^ flip else (b, a)
+
+
 def normal_form(x, basis, order: MonomialOrder):
-    """Normal form of a monomial (-> monomial) or binomial (-> binomial or None)."""
-    reducer = basis if isinstance(basis, Reducer) else Reducer(basis)
-    if isinstance(x, Binomial):
-        a = reducer.reduce(x.lead)
-        b = reducer.reduce(x.trail)
-        return make_binomial(a, b, order)
-    return reducer.reduce(tuple(x))
-
-
-def s_binomial(f: Binomial, g: Binomial, lcm: Monomial, order: MonomialOrder):
-    """lcm/in(f) * f - lcm/in(g) * g for lcm = lcm(in(f), in(g)), each term in one pass."""
-    a = tuple(map(add, map(sub, lcm, f.lead), f.trail))
-    b = tuple(map(add, map(sub, lcm, g.lead), g.trail))
-    return make_binomial(a, b, order)
+    """Normal form of a monomial (-> monomial) or binomial (-> binomial or None)
+    against basis, binomials led under order."""
+    terms = (x.lead, x.trail) if isinstance(x, Binomial) else (tuple(x),)
+    if any(sum(g.trail) > sum(g.lead) for g in basis):
+        raise InvalidParameter("normal_form needs basis elements led by their higher-degree term")
+    degree = max(map(sum, chain(terms, (g.lead for g in basis))))
+    layout = _Layout(order, _width(degree))
+    reducer = Reducer(layout)
+    for g in basis:
+        reducer.append(layout.pack(g.lead), layout.pack(g.trail))
+    forms = [reducer.reduce(layout.pack(t)) for t in terms]
+    if len(forms) == 1:
+        return layout.unpack(forms[0])
+    led = _led(*forms, layout.flip)
+    return led and Binomial(*map(layout.unpack, led))
 
 
 @dataclass(frozen=True)
@@ -350,70 +421,106 @@ class GroebnerReport:
         return tuple(g.lead for g in self.basis)
 
 
-def _interreduce(basis, order: MonomialOrder):
-    """The reduced basis: minimal leads, every trail in normal form.
+def _interreduce(items, layout: _Layout):
+    """The reduced basis of the packed (lead, trail) items: minimal leads,
+    every trail in normal form.
 
     In ascending order a divisor's lead comes first, so one reducer grown
-    along the sorted list minimalizes.  Reducing g.trail against all kept
-    elements, g included, is reducing it against the others: every monomial
-    on the way is at most g.trail < g.lead, so g.lead divides none of them.
-    The leads stay put, so one sweep leaves every trail reduced.
+    along the sorted list minimalizes.  Reducing a trail against all kept
+    elements, its own included, is reducing it against the others: every
+    monomial on the way is at most the trail < its lead, so that lead
+    divides none of them.  The leads stay put, so one sweep leaves every
+    trail reduced.
     """
-    reducer = Reducer()
-    for g in _sorted_binomials(set(basis), order):
-        if reducer.divisor(g.lead) is None:
-            reducer.append(g.lead, g.trail)
-    return tuple([Binomial(lead, reducer.reduce(trail)) for lead, trail in reducer.items])
+    flip = layout.flip
+    reducer = Reducer(layout)
+    # sorted by the order's keys, (lead ^ flip, trail ^ flip)
+    for lead, trail in sorted({(lead ^ flip, trail ^ flip) for lead, trail in items}):
+        if reducer.divisor(lead ^ flip) is None:
+            reducer.append(lead ^ flip, trail ^ flip)
+    return [(lead, reducer.reduce(trail)) for lead, trail in reducer.items]
 
 
 def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
-    """Binomial Buchberger: normal pair selection, coprime-lead criterion.
+    """Binomial Buchberger on packed monomials: normal pair selection,
+    coprime-lead criterion.
 
-    Pairs are popped smallest-lcm-first from a heap (key computed once per
-    pair).  Returns the interreduced basis, which is unique for the given
-    order; the quadratic and squarefree flags describe that reduced basis.
-    Past _SPAIR_BUDGET S-pairs, DegreeInfeasible names the budget and the
-    count.
+    Pairs are popped smallest-lcm-first from a heap of int keys, ties by
+    position.  An S-pair term and a reduction step are each lcm - lead +
+    trail on packed ints, and the lcm is a fieldwise max from one borrow
+    test.  The fields are wide enough for twice the largest basis degree;
+    a new element past that reruns the whole (deterministic) run wider.
+    Returns the interreduced basis, which is unique for the given order; the
+    quadratic and squarefree flags describe that reduced basis.  Past
+    _SPAIR_BUDGET S-pairs, DegreeInfeasible names the budget and the count.
     """
-    basis = [make_binomial(g.lead, g.trail, order) for g in gens]
+    gens = tuple(gens)  # a rerun reads them again
+    if not gens:
+        return GroebnerReport((), True, True, 0, order)
+    width = _width(max(max(sum(g.lead), sum(g.trail)) for g in gens))
+    while not isinstance(report := _buchberger(gens, order, width), GroebnerReport):
+        width = _width(report)
+    return report
+
+
+def _buchberger(gens, order: MonomialOrder, width: int):
+    """buchberger at one field width: the report, or the basis degree that
+    needs wider fields."""
+    p = _Layout(order, width)
+    hi, low, flip, top = p.hi, p.low, p.flip, p.top
+    limit = 1 << width - 1  # twice every basis degree stays below the guard
+    basis = []
+    for g in gens:
+        lead, trail = p.pack(g.lead), p.pack(g.trail)
+        p.known[lead], p.known[trail] = g.lead, g.trail  # most of the basis unpacks to these
+        basis.append(_led(lead, trail, flip))
     basis = [h for h in dict.fromkeys(basis) if h is not None]
-    reducer = Reducer(basis)
-    masks = reducer.masks
+    if basis and 2 * (degree := max(basis)[0] >> top) >= limit:
+        return degree
+    reducer = Reducer(p)
+    for lead, trail in basis:
+        reducer.append(lead, trail)
+    items, reduce, lcm_of = reducer.items, reducer.reduce, p.lcm
+    leads = [lead for lead, _ in basis]
+    supports = [(lead + low) & hi for lead in leads]
     heap = []
 
     def push_pairs(j):
-        lead, mask = basis[j].lead, masks[j]
+        lead, support = leads[j], supports[j]
         for i in range(j):
             # Buchberger's first criterion: coprime leads reduce to zero
-            if masks[i] & mask:
-                lcm = tuple(map(max, basis[i].lead, lead))
-                heapq.heappush(heap, (order.key(lcm), i, j, lcm))
+            if supports[i] & support:
+                heapq.heappush(heap, (lcm_of(leads[i], lead) ^ flip, i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(leads)):
         push_pairs(j)
     processed = 0
     budget = _SPAIR_BUDGET
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        key, i, j = heapq.heappop(heap)
         processed += 1
         if processed > budget:
             raise DegreeInfeasible(
                 "S-pair budget exhausted", budget=budget, spairs=processed
             )
-        s = s_binomial(basis[i], basis[j], lcm, order)
-        if s is None:
-            continue
-        r = normal_form(s, reducer, order)
+        lcm = key ^ flip
+        (lead_i, trail_i), (lead_j, trail_j) = items[i], items[j]
+        r = _led(reduce(lcm - lead_i + trail_i), reduce(lcm - lead_j + trail_j), flip)
         if r is None:
             continue
-        basis.append(r)
-        reducer.append(r.lead, r.trail)
-        push_pairs(len(basis) - 1)
-    reduced = _interreduce(basis, order)
+        lead, trail = r
+        if 2 * (lead >> top) >= limit:
+            return lead >> top
+        reducer.append(lead, trail)
+        leads.append(lead)
+        supports.append((lead + low) & hi)
+        push_pairs(len(leads) - 1)
+    reduced = _interreduce(items, p)
     return GroebnerReport(
-        basis=reduced,
-        quadratic=all(g.degree() == 2 for g in reduced),
-        squarefree=all(g.is_squarefree() for g in reduced),
+        basis=tuple([Binomial(p.unpack(lead), p.unpack(trail)) for lead, trail in reduced]),
+        quadratic=all(lead >> top == 2 for lead, _ in reduced),
+        squarefree=not any((lead + p.twice) & hi or (trail + p.twice) & hi
+                           for lead, trail in reduced),
         spairs_processed=processed,
         order=order,
     )

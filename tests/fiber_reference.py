@@ -10,15 +10,14 @@ is kept here, not in the package, as the reference the counting oracle must
 match record for record.
 """
 
+from buchberger_reference import Reducer, mono_mul
 from hibilab.betti import _rank_mod_p
 from hibilab.binomials import (
     DEFAULT_FIELD,
     FiberCertificate,
     FiberDegreeRecord,
-    Reducer,
     _degree_monomials,
     default_budget,
-    mono_mul,
 )
 from hibilab.errors import DegreeInfeasible
 

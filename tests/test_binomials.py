@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import fiber_reference
+from buchberger_reference import mono_mul
 from hibilab.betti import _rank_mod_p
 from hibilab.binomials import (
     Binomial,
@@ -15,7 +16,6 @@ from hibilab.binomials import (
     defining_ideal_generators,
     make_binomial,
     mono_deg,
-    mono_mul,
     monomial_order,
     normal_form,
     require_field,
@@ -141,6 +141,13 @@ class TestNormalForm:
         r = normal_form(b, gb.basis, order)
         if r is not None:
             assert normal_form(r, gb.basis, order) == r
+
+    def test_basis_led_by_its_lower_degree_term_is_rejected(self):
+        # reducing by y_00 -> y_11^2 could raise a monomial's degree without end
+        ring, order = ring_and_order(full_grid(1, 1), (0, 2))
+        up = Binomial(ring.monomial((0, 0)), ring.monomial((1, 1), (1, 1)))
+        with pytest.raises(InvalidParameter):
+            normal_form(ring.monomial((0, 0)), [up], order)
 
 
 class TestBuchberger:

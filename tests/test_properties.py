@@ -10,12 +10,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from buchberger_reference import mono_mul
 from hibilab.binomials import (
     WindowRing,
     buchberger,
     defining_ideal_generators,
     make_binomial,
-    mono_mul,
     monomial_order,
     normal_form,
     window_ideal,

@@ -1,26 +1,32 @@
-"""The lead-indexed reducer against a test-side copy of the linear-scan reducer.
+"""The packed reducer and Buchberger against two test-side references.
 
 `_ScanReducer`, `_scan_interreduce` and `_scan_buchberger` below are the
 reduction, interreduction and Buchberger loop as they stood before leads were
 indexed by variable pair: every lead tried in list order, the first divisor
-used, a fresh reducer per element and sweep.  They are kept here, not in the
-package, as the reference the indexed route must match answer for answer.
+used, a fresh reducer per element and sweep.  `buchberger_reference` holds
+the tuple route that stood before monomials were packed into ints.  Both are
+kept here, not in the package, as references the packed route must match
+answer for answer.
 """
 
 import heapq
 import random
 from itertools import combinations_with_replacement
+from operator import ge
 
 import pytest
 
+import buchberger_reference as ref
 from hibilab.betti import standard_monomial_basis
 from hibilab.binomials import (
     ORDER_KINDS,
     Reducer,
     WindowRing,
+    _Layout,
     _oriented,
     _sorted_binomials,
     _straightening_pairs,
+    _width,
     buchberger,
     make_binomial,
     monomial_order,
@@ -165,22 +171,26 @@ def test_normal_form_matches_linear_scan_on_random_sets():
         nvars = rng.randint(1, 6)
         order = monomial_order(rng.choice(ORDER_KINDS), _ring(nvars))
         basis = _random_binomials(rng, order, nvars)
-        indexed, scan = Reducer(basis), _ScanReducer(basis)
+        layout = _Layout(order, _width(5))
+        indexed, scan = Reducer(layout), _ScanReducer(basis)
+        for g in basis:
+            indexed.append(layout.pack(g.lead), layout.pack(g.trail))
         for _ in range(12):
             mono = _random_monomial(rng, nvars, rng.randint(0, 5))
-            assert normal_form(mono, indexed, order) == scan.reduce(mono)
+            # one reducer for all twelve, so its memo serves the later ones
+            assert layout.unpack(indexed.reduce(layout.pack(mono))) == scan.reduce(mono)
             assert normal_form(mono, basis, order) == scan.reduce(mono)
             checked += 1
         leads = [g.lead for g in basis]
-        index = Reducer()
+        index = Reducer(layout)
         for lead in leads:
-            index.append(lead)
+            index.append(layout.pack(lead))
         for combo in combinations_with_replacement(range(nvars), 3):
             mono = tuple(combo.count(k) for k in range(nvars))
             first = next(
                 (k for k, lead in enumerate(leads) if _div(mono, lead) is not None), None
             )
-            assert index.divisor(mono) == first
+            assert index.divisor(layout.pack(mono)) == first
     assert checked == 3600
 
 
@@ -246,3 +256,100 @@ def test_spair_budget_error_names_the_count(monkeypatch):
         "message": "S-pair budget exhausted",
         "details": {"budget": 5, "spairs": 6},
     }
+
+
+def _answer(report):
+    return report.basis, report.spairs_processed, report.quadratic, report.squarefree
+
+
+def test_buchberger_matches_tuple_reference_on_every_seed7_window(corpus):
+    checked = wide = 0
+    for _, lat in corpus:
+        for w in all_windows(lat):
+            ring = WindowRing.for_window(lat, w)
+            wide += ring.nvars > 12
+            pairs = _straightening_pairs(ring)
+            for kind in ORDER_KINDS:
+                order = monomial_order(kind, ring)
+                gens = _oriented(pairs, order)
+                assert _answer(buchberger(gens, order)) == _answer(ref.buchberger(gens, order))
+                checked += 1
+    assert (checked, wide) == (4 * 764, 139)
+
+
+def test_buchberger_matches_tuple_reference_on_random_sets():
+    rng = random.Random(4711)
+    grew = 0
+    for _ in range(1200):
+        nvars = rng.randint(2, 6)
+        order = monomial_order(rng.choice(ORDER_KINDS), _ring(nvars))
+        gens = _random_binomials(rng, order, nvars)
+        report = buchberger(gens, order)
+        assert _answer(report) == _answer(ref.buchberger(gens, order))
+        grew += len(report.basis) > len(set(gens))
+    assert grew > 100
+
+
+def test_packed_key_lcm_and_borrow_test_match_tuples():
+    rng = random.Random(12)
+    width = _width(12)
+    for kind in ORDER_KINDS:
+        for _ in range(500):
+            nvars = rng.randint(1, 30)
+            order = monomial_order(kind, _ring(nvars))
+            layout = _Layout(order, width)
+            a = _random_monomial(rng, nvars, rng.randint(0, 12))
+            if rng.random() < 0.5:
+                b = _random_monomial(rng, nvars, rng.randint(0, 12))
+            else:  # a divisor of a, quadratic a third of the time
+                picks = [k for k, e in enumerate(a) for _ in range(e)]
+                size = 2 if rng.random() < 0.3 else rng.randint(0, len(picks))
+                b = tuple(map(rng.sample(picks, min(size, len(picks))).count, range(nvars)))
+            pa, pb = layout.pack(a), layout.pack(b)
+            ka, kb = pa ^ layout.flip, pb ^ layout.flip
+            assert (ka < kb, ka == kb) == (order.key(a) < order.key(b), a == b)
+            lcm = layout.lcm(pa, pb)
+            assert lcm == layout.pack(tuple(map(max, a, b)))
+            assert _Layout(order, width).unpack(lcm) == tuple(map(max, a, b))
+            reducer = Reducer(layout)
+            reducer.append(pb)
+            assert (reducer.divisor(pa) == 0) == all(map(ge, a, b))
+
+
+def test_buchberger_reruns_wider_when_a_basis_degree_outgrows_the_fields(monkeypatch):
+    import hibilab.binomials as binomials_mod
+
+    real = binomials_mod._width
+    degrees = []
+
+    def spy(degree):
+        degrees.append(degree)
+        return real(degree)
+
+    monkeypatch.setattr(binomials_mod, "_width", spy)
+    rng = random.Random(99)
+    widened = 0
+    for _ in range(200):
+        nvars = rng.randint(2, 5)
+        order = monomial_order(rng.choice(ORDER_KINDS), _ring(nvars))
+        gens = _random_binomials(rng, order, nvars)
+        degrees.clear()
+        assert _answer(buchberger(gens, order)) == _answer(ref.buchberger(gens, order))
+        if len(degrees) > 1:
+            # the rerun was asked for by an element the run itself produced
+            assert degrees[1] > max(sum(g.lead) for g in gens)
+            widened += 1
+    assert widened > 20
+
+    def narrowest_first(degree):
+        degrees.append(degree)
+        return 2 if len(degrees) == 1 else real(degree)
+
+    monkeypatch.setattr(binomials_mod, "_width", narrowest_first)
+    ring = WindowRing.for_window(demo_staircase(), (3, 7))
+    for kind in ORDER_KINDS:
+        order = monomial_order(kind, ring)
+        gens = _oriented(_straightening_pairs(ring), order)
+        degrees.clear()
+        assert _answer(buchberger(gens, order)) == _answer(ref.buchberger(gens, order))
+        assert degrees == [2, 2]
