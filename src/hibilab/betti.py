@@ -11,17 +11,29 @@ of its multidegree, so the contraction differential
 
 restricted to a multidegree b is the simplicial boundary of the complex of
 subsets T with b - sigma(T) still in the semigroup.  Ranks are computed by
-exact Gaussian elimination mod p, blockwise; the block sum equals the rank of
-the full strand matrix because the blocks are its diagonal after sorting the
-monomial basis by multidegree.
+exact Gaussian elimination mod p, blockwise, except the edge boundary's,
+which is #vertices - #components by union-find; the block sum equals the
+rank of the full strand matrix because the blocks are its diagonal after
+sorting the monomial basis by multidegree.
 
 Multidegrees are packed into one int each (_Packing), with a guard bit per
 coordinate, so b - img(v) is one subtraction plus a borrow test, and faces
-are bitmasks over the variables.  Almost every block is a whole simplex or
-a cone (a vertex v with T | v a face for every face T); its reduced
-homology is zero, so it takes no rank.  A full table checks the faces
-instead: summed over the blocks of degree j, the faces of size s number
-C(nvars, s) * dim (S/I)_{j-s}, the dimension of that Koszul piece.
+are bitmasks over the variables.  Each semigroup level maps its
+multidegrees b to predecessor masks, the variables v with b - img(v) in the
+level below, recorded as the images are added.  A block is walked face by
+face with one dict lookup each: the faces over T are T | v for the v in the
+mask of b - sigma(T) above T's largest vertex.  Almost every block is a
+whole simplex or a cone (a vertex v with T | v a face for every face T);
+its reduced homology is zero, so it takes no rank.  The cone test is folded
+into the walk: v is a cone vertex when it lies in mask | T for every face T.
+
+Two checks guard this.  The level build raises VerificationFailed when an
+addition clears a guard bit: a field that overflows aliases multidegrees,
+and because the masks come from the same additions, the face counts would
+still add up.  A full table checks the faces: summed over the blocks of
+degree j, the faces of size s number C(nvars, s) * dim (S/I)_{j-s}, the
+dimension of that Koszul piece, which a walk that drops or repeats a face
+breaks.
 
 Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
@@ -57,8 +69,10 @@ cancellation can reach, which are already the toric values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain, combinations
 from math import comb
+from operator import and_
 
 from .errors import (
     BudgetExceeded,
@@ -126,18 +140,43 @@ def _boundary_rank(faces, prev_index, p):
     return _rank_mod_p(rows, len(prev_index), p)
 
 
+def _edge_rank(edges):
+    """Rank of the boundary from edges to vertices, over any field.
+
+    It is #vertices - #components of the graph, so it counts the edges that
+    join two components of a union-find over the vertex bits.
+    """
+    parent = {}
+
+    def root(x):
+        while (up := parent.get(x, x)) != x:
+            x = up
+        return x
+
+    rank = 0
+    for edge in edges:
+        low = edge & -edge
+        a, b = root(low), root(edge ^ low)
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
+
+
 def reduced_homology(faces_by_size, p):
     """dim H~_{s-1} for each face size s present.
 
-    Faces are bitmasks over the vertices and include the empty face 0.
+    Faces are bitmasks over the vertices and include the empty face 0.  The
+    edge boundary's rank comes from _edge_rank, the others by elimination.
     """
     sizes = sorted(faces_by_size)
     ranks = {}
-    index = {s: {f: k for k, f in enumerate(faces_by_size[s])} for s in sizes}
     for s in sizes:
-        if s == 0:
-            continue
-        ranks[s] = _boundary_rank(faces_by_size[s], index[s - 1], p)
+        if s == 2:
+            ranks[s] = _edge_rank(faces_by_size[s])
+        elif s:
+            index = {f: k for k, f in enumerate(faces_by_size[s - 1])}
+            ranks[s] = _boundary_rank(faces_by_size[s], index, p)
     out = {}
     for s in sizes:
         h = len(faces_by_size[s]) - ranks.get(s, 0) - ranks.get(s + 1, 0)
@@ -269,8 +308,9 @@ class _Packing:
     Each of the m + n + 2 coordinates takes w = top.bit_length() + 1 bits,
     the highest of them a guard bit that is set in every packed multidegree.
     Entries stay below the guard, so adding images never carries into the
-    next field, and subtracting an image clears a field's guard exactly when
-    that coordinate goes negative, with no borrow from the next field.  So
+    next field (_semigroup_levels checks this), and subtracting an image
+    clears a field's guard exactly when that coordinate goes negative, with
+    no borrow from the next field.  So
     b - img(v) is one int subtraction and rem & guard == guard its borrow
     test.  A remainder that fails it lies in no level; the test rejects it
     before any lookup.
@@ -289,10 +329,29 @@ class _Packing:
 
 
 def _semigroup_levels(packing: _Packing, j_max: int):
-    """Degrees 0..j_max of the window semigroup, as sets of packed multidegrees."""
-    levels = [{packing.guard}]
-    for _ in range(j_max):
-        levels.append({q + img for q in levels[-1] for img in packing.images})
+    """Degrees 0..j_max of the window semigroup with their predecessor masks.
+
+    levels[d] maps each packed multidegree b of degree d to the bitmask of
+    the variables v with b - img(v) in degree d - 1, recorded as the images
+    are added.  An addition that clears a guard bit has overflowed its field
+    and raises VerificationFailed naming the degree: such a sum never equals
+    a packed multidegree, so one test over the level's keys sees it.
+    """
+    guard = packing.guard
+    steps = [(1 << v, img) for v, img in enumerate(packing.images)]
+    levels = [{guard: 0}]
+    for d in range(1, j_max + 1):
+        level = {}
+        get = level.get
+        for q in levels[-1]:
+            for bit, img in steps:
+                b = q + img
+                level[b] = get(b, 0) | bit
+        if reduce(and_, level, guard) != guard:
+            raise VerificationFailed(
+                "a multidegree entry overflows its packed field", degree=d
+            )
+        levels.append(level)
     return levels
 
 
@@ -317,77 +376,72 @@ def _cap_block(total, j):
         )
 
 
-def _block_faces(packing: _Packing, b, j, levels, max_size):
+def _block_faces(packing: _Packing, b, mask, j, levels, max_size):
     """Face counts by size of the block complex at b, and its faces, or None for a cone.
 
     The faces are the variable sets T, as bitmasks over the variables, with
     b - sigma(T) in degree j - |T| of the semigroup, up to max_size
-    variables; the set is closed under subsets.  When it is a whole simplex
-    (one subtraction tells) or has a cone vertex (_has_apex), its homology
-    in every size below max_size, the only sizes a caller reads, is zero, and
-    the faces are not returned.
+    variables; mask is the vertex set, the predecessor mask of b in degree
+    j.  When the block is a whole simplex (one subtraction tells) or a cone,
+    its homology in every size below max_size, the only sizes a caller
+    reads, is zero, and the faces are not returned.
+
+    The walk lists each face once, from its largest vertex: the faces over
+    T are T | v for v in down(T) above that vertex, where down(T) is the
+    predecessor mask of b - sigma(T), one dict lookup per face.  v is a cone
+    vertex when T | v is a face for every face T below max_size (coning with
+    v is then a contracting homotopy in those sizes), that is, when v lies
+    in down(T) | T for each of them; the walk folds that into apex.
     """
-    guard = packing.guard
-    lower = levels[j - 1]
-    verts = []
-    for v, img in enumerate(packing.images):
-        rem = b - img
-        if rem & guard == guard and rem in lower:
-            verts.append((1 << v, img, rem))
-    k = len(verts)
-    rem = b - sum(img for _, img, _ in verts)
+    images = packing.images
+    k = mask.bit_count()
+    rem, rest = b, mask
+    while rest:
+        low = rest & -rest
+        rem -= images[low.bit_length() - 1]
+        rest ^= low
     if 0 < k <= j and rem in levels[j - k]:
         counts = [comb(k, s) for s in range(min(k, max_size) + 1)]
         for total in accumulate(counts):
             _cap_block(total, j)
         return counts, None
-    # each face carries its remainder and the later vertices that may extend
-    # it: the siblings that extended its parent (faces are closed under subsets)
-    layers = [[(0, b, verts, 0)], [(bit, r, verts, n) for n, (bit, _, r) in enumerate(verts, 1)]]
-    total = 1 + k
-    _cap_block(total, j)
-    for s in range(2, max_size + 1):
+    # each face below max_size carries its remainder and that remainder's mask
+    layers = [[(0, b, mask)]]
+    apex = mask
+    total = 1
+    for s in range(1, max_size):
         level = levels[j - s]
         nxt = []
-        for mask, rem, sibs, start in layers[-1]:
-            if start < len(sibs):
-                kids = [
-                    (bit, img, r) for bit, img, _ in sibs[start:]
-                    if (r := rem - img) & guard == guard and r in level
-                ]
-                nxt += [(mask | bit, r, kids, n) for n, (bit, _, r) in enumerate(kids, 1)]
+        for face, rem, down in layers[-1]:
+            top = face.bit_length()
+            ext = down >> top << top
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                r = rem - images[low.bit_length() - 1]
+                below = level[r]
+                child = face | low
+                apex &= below | child
+                nxt.append((child, r, below))
         if not nxt:
             break
         layers.append(nxt)
         total += len(nxt)
         _cap_block(total, j)
-    faces = [[face[0] for face in layer] for layer in layers]
-    counts = [len(layer) for layer in faces]
-    if _has_apex(faces, max_size):
+    counts = [len(layer) for layer in layers]
+    if len(layers) == max_size:
+        # the faces of size max_size need no lookup: their parents' masks list them
+        last = [(face, down >> (top := face.bit_length()) << top) for face, _, down in layers[-1]]
+        size = sum(ext.bit_count() for _, ext in last)
+        if size:
+            counts.append(size)
+            _cap_block(total + size, j)
+    if apex:
         return counts, None
-    return counts, dict(enumerate(faces))
-
-
-def _has_apex(faces, max_size):
-    """Whether some vertex v has T | v a face for every face T below max_size.
-
-    Then coning with v (T -> T | v) is a contracting homotopy of the chain
-    complex in every size below max_size, so its reduced homology there is
-    zero.  Removing v maps the faces of size s + 1 with v one-to-one into the
-    faces of size s without v, onto them exactly when each of those extends
-    by v; so the test only counts faces.  faces[s] lists the faces of size s.
-    """
-    inside = dict.fromkeys(faces[1], 1)
-    for s in range(1, min(max_size, len(faces))):
-        upper = faces[s + 1] if s + 1 < len(faces) else ()
-        outside = len(faces[s])
-        inside = {
-            bit: count for bit, before in inside.items()
-            if (count := sum(1 for face in upper if face & bit)) == outside - before
-        }
-        if not inside:
-            return False
-    return bool(inside)
+    faces = {s: [face for face, _, _ in layer] for s, layer in enumerate(layers)}
+    if len(counts) > len(layers):
+        faces[max_size] = [face | 1 << v for face, ext in last for v in _bits(ext)]
+    return counts, faces
 
 
 @dataclass(frozen=True)
@@ -440,13 +494,17 @@ def betti_numbers(
 ) -> BettiTable:
     """Exact graded Betti numbers of the window ideal over GF(field).
 
-    Works blockwise per multidegree (see module docstring); a block that is
-    a simplex or a cone has no homology and takes no rank.  Degrees run up to
+    Works blockwise per multidegree (see module docstring): the semigroup
+    levels carry predecessor masks, each block is walked with one lookup per
+    face and the cone test folded in, and a block that is a simplex or a
+    cone has no homology and takes no rank.  Degrees run up to
     min(j_max, nvars): past nvars the squarefree initial ideal, and so the
-    window ideal, has no Betti numbers.  With default bounds the faces of
-    size s summed over the blocks of degree j must equal
+    window ideal, has no Betti numbers.  Two checks raise VerificationFailed.
+    The level build catches a packed field that overflows.  With default
+    bounds, the faces of size s summed over the blocks of degree j must equal
     dim K_s (x) (S/I)_{j-s} = C(nvars, s) * |L_{j-s}|, where L_d is degree d
-    of the semigroup (one standard monomial each), else VerificationFailed.
+    of the semigroup (one standard monomial each); that catches a walk that
+    drops or repeats faces.
     """
     require_field(field)
     _require_toric(ring, gens)
@@ -470,8 +528,8 @@ def betti_numbers(
             wanted_i = range(j - 1)
             max_size = j
         face_counts = [0] * (max_size + 1)
-        for b in levels[j]:
-            counts, faces = _block_faces(packing, b, j, levels, max_size)
+        for b, mask in levels[j].items():
+            counts, faces = _block_faces(packing, b, mask, j, levels, max_size)
             for s, count in enumerate(counts):
                 face_counts[s] += count
             if faces is None:
@@ -705,12 +763,16 @@ def is_linearly_related_oracle(
     if not quads:
         return True
     packing = _Packing(ring, 4)
-    imgs = packing.images
-    degrees = {packing.guard + sum(imgs[v] for v in w) for w in quads}
-    # blocks at degree 4 with faces of at most 3 variables read levels 0..3
+    imgs, guard = packing.images, packing.guard
+    degrees = {guard + sum(imgs[v] for v in w) for w in quads}
+    # blocks at degree 4 with faces of at most 3 variables read levels 0..3;
+    # the vertex masks come from one borrow test per variable against level 3
     levels = _semigroup_levels(packing, 3)
+    below = levels[3]
     for b in degrees:
-        _, faces = _block_faces(packing, b, 4, levels, 3)
+        mask = sum(1 << v for v, img in enumerate(imgs)
+                   if (r := b - img) & guard == guard and r in below)
+        _, faces = _block_faces(packing, b, mask, 4, levels, 3)
         if faces is not None and reduced_homology(faces, field).get(2, 0):
             return False
     return True

@@ -7,9 +7,19 @@ negative entry, and faces are sorted tuples of variables.  Every block is
 listed in full and its homology taken by rank, with no cone or simplex
 shortcut.  They are kept here, not in the package, as the reference the
 packed kernel must match block for block.
+
+packed_block_faces and has_apex are the packed kernel as it stood before
+levels carried predecessor masks: each face tries every later vertex that
+extended its parent, with one subtraction and one level lookup per
+candidate, and the cone test counts the listed faces again.  They take
+levels as _semigroup_levels gives them (only membership is read) and are
+the reference the mask walk must match block for block.
 """
 
-from hibilab.betti import _rank_mod_p
+from itertools import accumulate
+from math import comb
+
+from hibilab.betti import _cap_block, _rank_mod_p
 
 
 def vec_sub(a, b):
@@ -81,3 +91,76 @@ def reduced_homology(faces_by_size, p):
         s: len(fs) - ranks.get(s, 0) - ranks.get(s + 1, 0)
         for s, fs in faces_by_size.items()
     }
+
+
+def packed_block_faces(packing, b, j, levels, max_size):
+    """Face counts by size of the block complex at b, and its faces, or None for a cone.
+
+    The faces are the variable sets T, as bitmasks over the variables, with
+    b - sigma(T) in degree j - |T| of the semigroup, up to max_size
+    variables; the set is closed under subsets.  When it is a whole simplex
+    (one subtraction tells) or has a cone vertex (has_apex), its homology
+    in every size below max_size, the only sizes a caller reads, is zero, and
+    the faces are not returned.
+    """
+    guard = packing.guard
+    lower = levels[j - 1]
+    verts = []
+    for v, img in enumerate(packing.images):
+        rem = b - img
+        if rem & guard == guard and rem in lower:
+            verts.append((1 << v, img, rem))
+    k = len(verts)
+    rem = b - sum(img for _, img, _ in verts)
+    if 0 < k <= j and rem in levels[j - k]:
+        counts = [comb(k, s) for s in range(min(k, max_size) + 1)]
+        for total in accumulate(counts):
+            _cap_block(total, j)
+        return counts, None
+    # each face carries its remainder and the later vertices that may extend
+    # it: the siblings that extended its parent (faces are closed under subsets)
+    layers = [[(0, b, verts, 0)], [(bit, r, verts, n) for n, (bit, _, r) in enumerate(verts, 1)]]
+    total = 1 + k
+    _cap_block(total, j)
+    for s in range(2, max_size + 1):
+        level = levels[j - s]
+        nxt = []
+        for mask, rem, sibs, start in layers[-1]:
+            if start < len(sibs):
+                kids = [
+                    (bit, img, r) for bit, img, _ in sibs[start:]
+                    if (r := rem - img) & guard == guard and r in level
+                ]
+                nxt += [(mask | bit, r, kids, n) for n, (bit, _, r) in enumerate(kids, 1)]
+        if not nxt:
+            break
+        layers.append(nxt)
+        total += len(nxt)
+        _cap_block(total, j)
+    faces = [[face[0] for face in layer] for layer in layers]
+    counts = [len(layer) for layer in faces]
+    if has_apex(faces, max_size):
+        return counts, None
+    return counts, dict(enumerate(faces))
+
+
+def has_apex(faces, max_size):
+    """Whether some vertex v has T | v a face for every face T below max_size.
+
+    Then coning with v (T -> T | v) is a contracting homotopy of the chain
+    complex in every size below max_size, so its reduced homology there is
+    zero.  Removing v maps the faces of size s + 1 with v one-to-one into the
+    faces of size s without v, onto them exactly when each of those extends
+    by v; so the test only counts faces.  faces[s] lists the faces of size s.
+    """
+    inside = dict.fromkeys(faces[1], 1)
+    for s in range(1, min(max_size, len(faces))):
+        upper = faces[s + 1] if s + 1 < len(faces) else ()
+        outside = len(faces[s])
+        inside = {
+            bit: count for bit, before in inside.items()
+            if (count := sum(1 for face in upper if face & bit)) == outside - before
+        }
+        if not inside:
+            return False
+    return bool(inside)

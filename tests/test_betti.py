@@ -15,7 +15,6 @@ from hibilab.betti import (
     standard_monomial_basis,
     _block_faces,
     _complement_chordal,
-    _has_apex,
     _induced_2k2,
     _lead_graph,
     _Packing,
@@ -181,8 +180,8 @@ class TestBettiInternals:
         levels = _semigroup_levels(packing, j)
         hf = hilbert_function(ideal.gb, j, nvars=ring.nvars)
         totals = {}
-        for b in levels[j]:
-            counts, _ = _block_faces(packing, b, j, levels, j)
+        for b, mask in levels[j].items():
+            counts, _ = _block_faces(packing, b, mask, j, levels, j)
             for s, count in enumerate(counts):
                 totals[s] = totals.get(s, 0) + count
         for s, total in totals.items():
@@ -193,8 +192,16 @@ class TestBettiInternals:
             ring = window_ideal(lat, w).ring
             packing = _Packing(ring, 6)
             packed = _semigroup_levels(packing, 6)
-            for k, level in enumerate(ref.semigroup_levels(ring, 6)):
-                assert {packing.pack(vec) for vec in level} == packed[k], (w, k)
+            ref_levels = ref.semigroup_levels(ring, 6)
+            for k, level in enumerate(ref_levels):
+                assert {packing.pack(vec) for vec in level} == packed[k].keys(), (w, k)
+                # each mask names the variables whose image leads down a level
+                for vec in level:
+                    down = {
+                        v for v, img in enumerate(ring.monomial_map.images)
+                        if k and ref.vec_sub(vec, img) in ref_levels[k - 1]
+                    }
+                    assert packed[k][packing.pack(vec)] == sum(1 << v for v in down), (w, k, vec)
 
     @pytest.mark.parametrize("faces, max_size, apex", [
         # a path a-b-c: a cone from b
@@ -212,7 +219,7 @@ class TestBettiInternals:
         ([[0], [1]], 3, True),
     ])
     def test_apex_on_hand_made_complexes(self, faces, max_size, apex):
-        assert _has_apex(faces, max_size) == apex
+        assert ref.has_apex(faces, max_size) == apex
 
     def test_cone_block_skipped_and_koszul_block_kept(self):
         # grid-2x2, window (1, 3): two quadrics in 7 variables forming a
@@ -224,7 +231,7 @@ class TestBettiInternals:
         levels = _semigroup_levels(packing, 4)
         product = tuple(x + y for x, y in zip(*leads))
         b = packing.pack(ring.monomial_map.image_of_monomial(product))
-        counts, faces = _block_faces(packing, b, 4, levels, 3)
+        counts, faces = _block_faces(packing, b, levels[4][b], 4, levels, 3)
         assert faces is not None and counts == [1, 7, 17, 13]
         assert reduced_homology(faces, 32003)[2] == 1
         # a block that is no simplex but a cone from one vertex
@@ -232,7 +239,8 @@ class TestBettiInternals:
         ref_levels = ref.semigroup_levels(ring, 4)
         for vec in ref_levels[4]:
             ref_faces = ref.block_faces(ring, vec, 4, ref_levels, 4)
-            counts, faces = _block_faces(packing, packing.pack(vec), 4, levels, 4)
+            b = packing.pack(vec)
+            counts, faces = _block_faces(packing, b, levels[4][b], 4, levels, 4)
             if faces is None and sum(counts) != 2 ** len(ref_faces[1]):
                 assert not any(ref.reduced_homology(ref_faces, 32003).values())
                 cones += 1
@@ -503,3 +511,20 @@ def test_face_count_check_catches_fields_without_a_spare_bit(monkeypatch):
     monkeypatch.setattr(betti_mod._Packing, "__init__", narrow)
     with pytest.raises(VerificationFailed):
         betti_numbers(ideal.ring, ideal.generators)
+
+
+def test_level_build_catches_fields_without_a_spare_bit():
+    # with w = top.bit_length() bits per field an entry of 4 reaches the
+    # guard bit; the masks come from the same additions, so only the level
+    # build's guard test can see it
+    ring = window_ideal(full_grid(2, 2), (1, 3)).ring
+    packing = _Packing(ring, 7)
+    width = (7).bit_length()
+    packing.shifts = tuple(range(0, width * (ring.m + ring.n + 2), width))
+    packing.guard = sum(1 << (shift + width - 1) for shift in packing.shifts)
+    packing.images = tuple(packing.pack(img) - packing.guard for img in ring.monomial_map.images)
+    # entries up to 3 still fit
+    assert len(_semigroup_levels(packing, 3)) == 4
+    with pytest.raises(VerificationFailed) as err:
+        _semigroup_levels(packing, 4)
+    assert err.value.details == {"degree": 4}

@@ -429,7 +429,7 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
                 for quad in _induced_2k2(_lead_graph(gb.leads, ring.nvars))
             }
             levels = _semigroup_levels(packing, 4)
-            block_faces = [_block_faces(packing, b, 4, levels, 3)[1] for b in degrees]
+            block_faces = [_block_faces(packing, b, levels[4][b], 4, levels, 3)[1] for b in degrees]
             for field in (32003, 65537):
                 blocks = sum(
                     reduced_homology(faces, field).get(2, 0)
@@ -507,6 +507,105 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
             assert tables[field].entries == expected[field], (ring.window, field)
     assert skipped > 0 and kept > 0
     CASES["packed-kernel-vs-tuple"] = len(ideals)
+
+
+def test_mask_walk_matches_candidate_scan(corpus):
+    """Gate for the predecessor-mask block walk against the kernel it replaced.
+
+    koszul_reference.packed_block_faces tries every candidate vertex with a
+    subtraction and a level lookup and counts the faces again for the cone
+    test.  On every seed-7 window with at most 8 variables and a generator,
+    at every degree 2 <= j <= nvars, with faces up to j and up to 3
+    variables, and at every b in L_j, both kernels give the same face
+    counts, the same verdict (simplex or cone, else the faces) and the same
+    faces per size.
+    """
+    import koszul_reference as ref
+    from hibilab.betti import _block_faces, _Packing, _semigroup_levels
+
+    windows = blocks = ranked = 0
+    for name, lat in corpus:
+        for w in all_windows(lat):
+            ideal = window_ideal(lat, w)
+            ring = ideal.ring
+            if ring.nvars > 8 or not ideal.generators:
+                continue
+            packing = _Packing(ring, ring.nvars)
+            levels = _semigroup_levels(packing, ring.nvars)
+            for j in range(2, ring.nvars + 1):
+                for max_size in {j, 3}:
+                    for b, mask in levels[j].items():
+                        got = _block_faces(packing, b, mask, j, levels, max_size)
+                        expected = ref.packed_block_faces(packing, b, j, levels, max_size)
+                        assert got == expected, (name, w, j, max_size, b)
+                        ranked += got[1] is not None
+                    blocks += len(levels[j])
+            windows += 1
+    assert 0 < ranked < blocks, (ranked, blocks)
+    CASES["mask-walk-vs-candidate-scan"] = windows
+
+
+def test_edge_rank_matches_elimination(corpus):
+    """Gate for the union-find rank of the edge boundary in reduced_homology.
+
+    _edge_rank (#vertices - #components) must equal the rank by elimination
+    mod p, at 32003 and 65537, on every ranked block of the full tables of
+    the seed-7 windows with at most 7 variables, and on every induced-2K2
+    block that is_linearly_related_oracle would rank on the seed-7 windows
+    with at most 30 variables.
+    """
+    from hibilab.betti import (
+        _block_faces,
+        _boundary_rank,
+        _edge_rank,
+        _induced_2k2,
+        _initial_basis,
+        _lead_graph,
+        _Packing,
+        _semigroup_levels,
+    )
+    from hibilab.errors import PreconditionFailed
+
+    checked = {"full": 0, "2k2": 0}
+
+    def check(faces, kind):
+        edges = faces.get(2, [])
+        index = {face: k for k, face in enumerate(faces[1])}
+        rank = _edge_rank(edges)
+        for field in (32003, 65537):
+            assert rank == _boundary_rank(edges, index, field), (kind, faces)
+        checked[kind] += 1
+
+    for _, lat in corpus:
+        for w in all_windows(lat):
+            ideal = window_ideal(lat, w)
+            ring, gens = ideal.ring, ideal.generators
+            if ring.nvars > 30 or not gens:
+                continue
+            if ring.nvars <= 7:
+                packing = _Packing(ring, ring.nvars)
+                levels = _semigroup_levels(packing, ring.nvars)
+                for j in range(2, ring.nvars + 1):
+                    for b, mask in levels[j].items():
+                        faces = _block_faces(packing, b, mask, j, levels, j)[1]
+                        if faces is not None:
+                            check(faces, "full")
+            try:
+                gb = _initial_basis(ring, gens, ideal.gb, 30)
+            except PreconditionFailed:
+                continue
+            packing = _Packing(ring, 4)
+            imgs, guard = packing.images, packing.guard
+            levels = _semigroup_levels(packing, 3)
+            quads = _induced_2k2(_lead_graph(gb.leads, ring.nvars))
+            for b in {guard + sum(imgs[v] for v in quad) for quad in quads}:
+                mask = sum(1 << v for v, img in enumerate(imgs)
+                           if (r := b - img) & guard == guard and r in levels[3])
+                faces = _block_faces(packing, b, mask, 4, levels, 3)[1]
+                if faces is not None:
+                    check(faces, "2k2")
+    assert all(checked.values()), checked
+    CASES["edge-rank-vs-elimination"] = sum(checked.values())
 
 
 def test_case_total_meets_budget():
