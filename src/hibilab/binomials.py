@@ -16,9 +16,9 @@ import heapq
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, combinations_with_replacement, compress, count
+from itertools import chain, combinations_with_replacement, compress, count, islice
 from math import comb, isqrt
-from operator import itemgetter, neg
+from operator import itemgetter, mul, neg
 
 from .errors import DegreeInfeasible, InvalidParameter
 from .lattice import PlanarLattice
@@ -233,11 +233,28 @@ def _straightening_pairs(ring: WindowRing):
 
 def _oriented(pairs, order: MonomialOrder):
     """The binomials a - b of the monomial pairs (a, b), led under order and sorted by it."""
-    return _sorted_binomials({make_binomial(a, b, order) for a, b in pairs} - {None}, order)
+    pairs = list(pairs)
+    layout = _Layout(order, _width(max(map(sum, chain.from_iterable(pairs)), default=0)))
+    return [Binomial(*terms) for terms in _led_pairs(pairs, layout).values()]
 
 
-def _sorted_binomials(binomials, order: MonomialOrder):
-    return sorted(binomials, key=lambda g: (order.key(g.lead), order.key(g.trail)))
+def _led_pairs(pairs, layout: "_Layout"):
+    """{packed (lead, trail): (lead, trail)} for the binomials a - b of the
+    monomial pairs (a, b), in the order's sort by the int keys lead ^ flip,
+    then trail ^ flip; terms that cancel drop out.  The layout's fields must
+    hold every term, and it learns each term's tuple for unpack."""
+    pack, flip, known = layout.pack, layout.flip, layout.known
+    led = {}
+    for a, b in pairs:
+        pa, pb = pack(a), pack(b)
+        known[pa], known[pb] = a, b
+        if pa ^ flip > pb ^ flip:
+            led[pa, pb] = a, b
+        elif pa != pb:
+            led[pb, pa] = b, a
+    if flip:
+        return dict(sorted(led.items(), key=lambda item: (item[0][0] ^ flip, item[0][1] ^ flip)))
+    return dict(sorted(led.items()))
 
 
 def _width(degree: int) -> int:
@@ -453,9 +470,14 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
     Returns the interreduced basis, which is unique for the given order; the
     quadratic and squarefree flags describe that reduced basis.  Past
     _SPAIR_BUDGET S-pairs, DegreeInfeasible names the budget and the count.
+    A single generator is its own reduced basis, led under order, with no
+    S-pair, and is returned with no layout or reducer built.
     """
     gens = tuple(gens)  # a rerun reads them again
-    if not gens:
+    if len(gens) == 1 and (g := make_binomial(gens[0].lead, gens[0].trail, order)):
+        squarefree = mono_squarefree(g.lead) and mono_squarefree(g.trail)
+        return GroebnerReport((g,), sum(g.lead) == 2, squarefree, 0, order)
+    if len(gens) <= 1:  # none, or one whose terms cancel
         return GroebnerReport((), True, True, 0, order)
     width = _width(max(max(sum(g.lead), sum(g.trail)) for g in gens))
     while not isinstance(report := _buchberger(gens, order, width), GroebnerReport):
@@ -515,13 +537,17 @@ def _buchberger(gens, order: MonomialOrder, width: int):
         leads.append(lead)
         supports.append((lead + low) & hi)
         push_pairs(len(leads) - 1)
-    reduced = _interreduce(items, p)
+    return _report(_interreduce(items, p), p, processed, order)
+
+
+def _report(reduced, layout: _Layout, spairs: int, order: MonomialOrder) -> GroebnerReport:
+    """The report on the packed reduced basis, its flags read off the ints."""
+    hi, twice, unpack = layout.hi, layout.twice, layout.unpack
     return GroebnerReport(
-        basis=tuple([Binomial(p.unpack(lead), p.unpack(trail)) for lead, trail in reduced]),
-        quadratic=all(lead >> top == 2 for lead, _ in reduced),
-        squarefree=not any((lead + p.twice) & hi or (trail + p.twice) & hi
-                           for lead, trail in reduced),
-        spairs_processed=processed,
+        basis=tuple([Binomial(unpack(lead), unpack(trail)) for lead, trail in reduced]),
+        quadratic=all(lead >> layout.top == 2 for lead, _ in reduced),
+        squarefree=not any((lead + twice) & hi or (trail + twice) & hi for lead, trail in reduced),
+        spairs_processed=spairs,
         order=order,
     )
 
@@ -546,23 +572,152 @@ class WindowIdeal:
 
 
 def order_search(ring: WindowRing, pairs, kinds="auto"):
-    """Buchberger under each candidate order until a basis is quadratic and squarefree.
+    """The first candidate order whose reduced basis is quadratic and squarefree.
 
     pairs holds the terms (a, b) of the generators a - b.  kinds is "auto"
     (try rank-lex, rank-revlex, lex, revlex in that order) or a single kind;
     monomial_order rejects any other value.  Returns (order, generators,
     report, kinds tried) for the winning order or, if none qualifies, for the
-    last one, with the report's flags down.
+    last one, with the report's flags down.  The answer is buchberger's under
+    each order tried in turn; most orders are decided by counting instead.
+
+    Let G be the generators led under an order, I the toric ideal of the
+    window (the kernel of its monomial map) and L_d the semigroup level of
+    degree d, so dim (S/I)_d = |L_d|.  When every generator is a balanced
+    quadric (so G lies in I), its lead is a squarefree quadric, and the
+    distinct leads are the edges of a lead graph on the n variables.  The
+    degree-d monomials that no lead divides number std_2 = n + #non-edges
+    and std_3 = n + 2 #non-edges + #independent triples, and std_d >= |L_d|
+    since in(G) lies in in(I), which has the Hilbert function of I
+    (Macaulay; Sturmfels, Groebner Bases and Convex Polytopes, ch. 4).
+
+    (a) If std_2 = |L_2| and std_3 = |L_3|, G is a Groebner basis: an S-pair
+        of leads sharing a variable has degree 3 (2 for equal leads, which
+        distinct edges exclude) and lies in I, so its remainder lies in I with
+        only standard terms of in(I), hence is 0; coprime leads reduce to 0 by
+        Buchberger's first criterion.  The report is then G interreduced,
+        with the lead pairs sharing a variable as the S-pairs processed,
+        which is what buchberger processes when it adds nothing.
+    (b) An order passing (a) proves (G)_d = I_d for d = 2, 3, which holds for
+        every order.  Under an order with std_2 = |L_2| but std_3 != |L_3|,
+        in(G)_3 is then smaller than in((G))_3 while in(G)_2 is all of
+        in((G))_2, so the reduced basis has a cubic element.  Such an order
+        is skipped, with no Buchberger, when a later candidate passes (a);
+        later candidates are led and counted only as far as that look-ahead
+        needs, and each at most once.
+    (c) A single generator goes to buchberger, which returns it at once.
+    (d) Everything else runs buchberger: a generator that is unbalanced or
+        not a quadric, repeated leads, std_2 != |L_2|, and an order of (b)
+        with no later candidate passing (a), such as a single kind.
     """
+    kinds = ORDER_KINDS if kinds == "auto" else (kinds,)
+    pairs = list(pairs)
+    if not pairs:  # the zero ideal passes under the first order
+        order = monomial_order(kinds[0], ring)
+        return order, [], buchberger([], order), kinds[:1]
+    width = _width(max(map(sum, chain.from_iterable(pairs))))
+    sizes = None  # (|L_2|, |L_3|) when every generator is a balanced quadric
+    if len(pairs) > 1:
+        images = _point_images(ring, 3)  # entries up to 3
+        if _balanced_quadrics(images, pairs):
+            _, level_2, level_3 = islice(_semigroup_points(images), 3)
+            sizes = len(level_2), len(level_3)
+    candidates = {}
+
+    def candidate(k):
+        """(order, layout, led pairs, S-pairs when (a) certifies, whether (b) applies)"""
+        if k not in candidates:
+            order = monomial_order(kinds[k], ring)
+            layout = _Layout(order, width)
+            led = _led_pairs(pairs, layout)
+            counts = sizes and len(led) > 1 and _lead_graph_counts(led, layout)
+            spairs, cubic = None, False
+            if counts:
+                std_2, std_3, overlaps = counts
+                if std_2 == sizes[0]:
+                    if std_3 == sizes[1]:
+                        spairs = overlaps
+                    else:
+                        cubic = True
+            candidates[k] = order, layout, led, spairs, cubic
+        return candidates[k]
+
     tried = []
-    for kind in ORDER_KINDS if kinds == "auto" else (kinds,):
-        order = monomial_order(kind, ring)
-        gens = _oriented(pairs, order)
-        report = buchberger(gens, order)
+    for k, kind in enumerate(kinds):
+        order, layout, led, spairs, cubic = candidate(k)
         tried.append(kind)
+        if cubic and any(candidate(later)[3] is not None for later in range(k + 1, len(kinds))):
+            continue
+        gens = [Binomial(*terms) for terms in led.values()]
+        if spairs is None:
+            report = buchberger(gens, order)
+        elif spairs > _SPAIR_BUDGET:
+            raise DegreeInfeasible(
+                "S-pair budget exhausted", budget=_SPAIR_BUDGET, spairs=_SPAIR_BUDGET + 1
+            )
+        else:
+            report = _report(_interreduce(led, layout), layout, spairs, order)
         if report.quadratic and report.squarefree:
             break
     return order, gens, report, tuple(tried)
+
+
+def _point_images(ring: WindowRing, width: int):
+    """The images s_i t_j of the window variables packed into ints, width
+    bits per entry: s_i at entry i, t_j at entry m + 1 + j."""
+    start = width * (ring.m + 1)
+    return [(1 << width * i) + (1 << start + width * j) for i, j in ring.points]
+
+
+def _semigroup_points(images):
+    """The semigroup levels L_1, L_2, ... spanned by the packed images, lazily,
+    each the set of sums of that many images.  An entry of a point in L_e is
+    at most e, so the fields must hold e."""
+    level = set(images)
+    while True:
+        yield level
+        level = {q + img for q in level for img in images}
+
+
+def _balanced_quadrics(images, pairs) -> bool:
+    """Whether both terms of every pair are quadrics with the same packed image."""
+    return all(sum(a) == 2 == sum(b) and sum(map(mul, images, a)) == sum(map(mul, images, b))
+               for a, b in pairs)
+
+
+def _lead_graph_counts(led, layout: _Layout):
+    """(std_2, std_3, lead pairs sharing a variable) for the packed (lead,
+    trail) keys of led, or None unless the leads are distinct squarefree
+    quadrics.
+
+    Variables are the guard bits of their fields, and near[v] is the mask
+    of v's neighbours in the lead graph.  Of the triples of variables, t_k
+    span k edges: the edges meet n - 2 triples each, so t_1 + 2 t_2 + 3 t_3
+    = #edges (n - 2), and the lead pairs sharing a variable number t_2 +
+    3 t_3.  So the independent triples number t_0 = C(n, 3) - #edges (n - 2)
+    + #pairs sharing a variable - #triangles, and an edge uv closes one
+    triangle per bit of near[u] & near[v].
+    """
+    hi, low, twice, top = layout.hi, layout.low, layout.twice, layout.top
+    near = {}
+    edges = []
+    for lead, _ in led:
+        if lead >> top != 2 or (lead + twice) & hi:
+            return None
+        support = (lead + low) & hi
+        u = support & -support
+        v = support ^ u
+        if near.get(u, 0) & v:
+            return None  # a repeated lead
+        near[u] = near.get(u, 0) | v
+        near[v] = near.get(v, 0) | u
+        edges.append((u, v))
+    nvars = top // layout.width
+    overlaps = sum(comb(mask.bit_count(), 2) for mask in near.values())
+    triangles = sum((near[u] & near[v]).bit_count() for u, v in edges) // 3
+    non_edges = comb(nvars, 2) - len(edges)
+    triples = comb(nvars, 3) - len(edges) * (nvars - 2) + overlaps - triangles
+    return nvars + non_edges, nvars + 2 * non_edges + triples, overlaps
 
 
 def window_ideal(lattice: PlanarLattice, window, kinds="auto") -> WindowIdeal:
@@ -687,21 +842,21 @@ def toric_fiber_oracle(
         return sum(e << width * k for k, e in enumerate(mono))
 
     moves = [(g.degree(), pack(g.lead), pack(g.trail)) for g in gens if g.degree() <= degree]
-    start = width * (ring.m + 1)  # s_i at coordinate i, t_j at m + 1 + j
-    images = {(1 << width * i) + (1 << start + width * j) for i, j in ring.points}
     basis = gb.basis if gb is not None else ()
     # from the degree of the first unbalanced basis element on, no degree is consistent
     unbalanced = min((g.degree() for g in basis if not mm.balanced(g)), default=degree + 1)
     leads = [pack(g.lead) for g in basis if g.degree() <= degree]
     divisors = [[lead for lead in leads if lead & unit * ((1 << width) - 1)] for unit in units]
     levels = [[(0, 0)]]  # all monomials of each degree below e, (packed, last variable)
-    standard, points, records = _extend(levels[0], units, hi, divisors), images, []
+    standard, records = _extend(levels[0], units, hi, divisors), []
+    semigroup = _semigroup_points(_point_images(ring, width))
+    next(semigroup)  # L_1
     for e in range(2, degree + 1):
         if (count := comb(nvars + e - 1, e)) > budget:
             raise DegreeInfeasible(f"degree {e} needs {count} monomials", budget=budget, monomials=count)
         levels.append(_extend(levels[-1], units, hi, [()] * nvars))
         standard = _extend(standard, units, hi, divisors)
-        points = {q + img for q in points for img in images}
+        points = next(semigroup)
         parent = {}  # non-root monomial -> its parent
         span = 0
         for d, lead, trail in moves:

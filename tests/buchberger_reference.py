@@ -9,6 +9,11 @@ It is kept here, not in the package, as the reference the packed route must
 match answer for answer; tests/fiber_reference.py reduces with its Reducer.
 The code is as it stood, except that the squarefree flag calls
 mono_squarefree directly, since Binomial.is_squarefree left the package.
+
+order_search below is the order search as it stood before orders were
+decided by counting: generators led and sorted by tuple keys, then the
+package's buchberger under each candidate order in turn, bound at import so
+that a spy on hibilab.binomials.buchberger sees only the package's calls.
 """
 
 import heapq
@@ -17,15 +22,21 @@ from operator import add, ge, sub
 
 from hibilab.binomials import (
     _SPAIR_BUDGET,
+    ORDER_KINDS,
     Binomial,
     GroebnerReport,
     Monomial,
     MonomialOrder,
-    _sorted_binomials,
+    buchberger as packed_buchberger,
     make_binomial,
     mono_squarefree,
+    monomial_order,
 )
 from hibilab.errors import DegreeInfeasible
+
+
+def _sorted_binomials(binomials, order: MonomialOrder):
+    return sorted(binomials, key=lambda g: (order.key(g.lead), order.key(g.trail)))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -191,3 +202,16 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
         spairs_processed=processed,
         order=order,
     )
+
+
+def order_search(ring, pairs, kinds="auto"):
+    """(order, generators, report, kinds tried), Buchberger under every order tried."""
+    tried = []
+    for kind in ORDER_KINDS if kinds == "auto" else (kinds,):
+        order = monomial_order(kind, ring)
+        gens = _sorted_binomials({make_binomial(a, b, order) for a, b in pairs} - {None}, order)
+        report = packed_buchberger(gens, order)
+        tried.append(kind)
+        if report.quadratic and report.squarefree:
+            break
+    return order, gens, report, tuple(tried)

@@ -494,10 +494,12 @@ def test_face_count_mismatch_is_a_verification_failure(monkeypatch):
     assert err.value.details["degree"] == 2
 
 
-def test_face_count_check_catches_fields_without_a_spare_bit(monkeypatch):
+def test_betti_numbers_on_fields_without_a_spare_bit_fail_in_the_level_build(monkeypatch):
     # with w = top.bit_length() bits an entry equal to top reaches the guard
-    # bit and carries into the next field, so remainders alias and faces go
-    # missing; the old per-block Euler check could not see this
+    # bit and carries into the next field; betti_numbers stops at the level
+    # build's guard test, at the first degree with an entry of 4, before any
+    # block is walked (the face counts add up over the aliased ints, so the
+    # face-count check would not see it)
     import hibilab.betti as betti_mod
 
     def narrow(self, ring, top):
@@ -509,8 +511,9 @@ def test_face_count_check_catches_fields_without_a_spare_bit(monkeypatch):
     ideal = window_ideal(full_grid(2, 2), (1, 3))
     assert betti_numbers(ideal.ring, ideal.generators).entries == {(0, 2): 2, (1, 4): 1}
     monkeypatch.setattr(betti_mod._Packing, "__init__", narrow)
-    with pytest.raises(VerificationFailed):
+    with pytest.raises(VerificationFailed) as err:
         betti_numbers(ideal.ring, ideal.generators)
+    assert err.value.details == {"degree": 4}
 
 
 def test_level_build_catches_fields_without_a_spare_bit():

@@ -1,0 +1,206 @@
+"""The counting order search against Buchberger under every order.
+
+`buchberger_reference.order_search` runs Buchberger under each candidate
+order in turn, as the search did before orders were decided by counting
+standard monomials against the semigroup levels.  The package's search must
+give the same order, generators, basis, flags, S-pair count and orders
+tried, on every seed-7 window under `auto` and under each single kind, and
+on built cases where counting cannot decide.
+"""
+
+import random
+from itertools import combinations, combinations_with_replacement
+
+import pytest
+
+import buchberger_reference as ref
+import hibilab.binomials as binomials_mod
+from hibilab.binomials import (
+    ORDER_KINDS,
+    Binomial,
+    WindowRing,
+    _degree_monomials,
+    _Layout,
+    _lead_graph_counts,
+    _oriented,
+    _point_images,
+    _semigroup_points,
+    _straightening_pairs,
+    _width,
+    buchberger,
+    monomial_order,
+    order_search,
+    window_ideal,
+)
+from hibilab.reports import demo_staircase, full_grid
+from hibilab.windows import all_windows
+
+SEARCHES = ("auto",) + ORDER_KINDS
+
+
+def _answer(found):
+    order, gens, report, tried = found
+    return (order.name, order.sig, tuple(gens), report.basis, report.quadratic,
+            report.squarefree, report.spairs_processed, tried)
+
+
+def _passes(report):
+    return report.quadratic and report.squarefree
+
+
+@pytest.fixture
+def buchberger_calls(monkeypatch):
+    """(order kind, generator count) of each buchberger call the package makes."""
+    calls = []
+    real = binomials_mod.buchberger
+
+    def spy(gens, order):
+        gens = tuple(gens)
+        calls.append((order.name, len(gens)))
+        return real(gens, order)
+
+    monkeypatch.setattr(binomials_mod, "buchberger", spy)
+    return calls
+
+
+def _windows(lattices, max_vars=None):
+    for lat in lattices:
+        for w in all_windows(lat):
+            ring = WindowRing.for_window(lat, w)
+            if max_vars is None or ring.nvars <= max_vars:
+                yield ring, _straightening_pairs(ring)
+
+
+def test_counting_search_matches_buchberger_on_every_seed7_window(corpus, buchberger_calls):
+    checked = skipped = fallbacks = 0
+    for ring, pairs in _windows(lat for _, lat in corpus):
+        for kinds in SEARCHES:
+            buchberger_calls.clear()
+            found = order_search(ring, pairs, kinds)
+            assert _answer(found) == _answer(ref.order_search(ring, pairs, kinds))
+            _, gens, report, tried = found
+            multi = [kind for kind, size in buchberger_calls if size > 1]
+            if kinds == "auto":
+                # no window with two generators or more reaches the S-pair loop
+                assert multi == []
+                skipped += len(tried) > 1
+            else:
+                # a single order does only when it fails
+                assert len(multi) == (len(gens) > 1 and not _passes(report))
+                fallbacks += len(multi)
+            checked += 1
+    # 17 windows skip a cubic order under auto; 264 single-order runs fail
+    assert (checked, skipped, fallbacks) == (5 * 764, 17, 264)
+
+
+def _square_trail(ring, pairs, kind):
+    """pairs with the trail of the first generator under kind replaced by the
+    square of the least variable: the lead and so the lead graph stay, and
+    the generator is no longer balanced."""
+    order = monomial_order(kind, ring)
+    first = _oriented(pairs, order)[0]
+    least = order.sig[-1]
+    square = tuple(2 * (k == least) for k in range(ring.nvars))
+    return [(first.lead, square)] + [p for p in pairs if set(p) != {first.lead, first.trail}]
+
+
+def test_search_falls_back_where_counting_cannot_decide(corpus, buchberger_calls):
+    dropped = unbalanced = grew = 0
+    for ring, pairs in _windows((lat for _, lat in corpus), max_vars=10):
+        if len(pairs) < 3:
+            continue
+        cases = [("dropped", pairs[1:], kinds) for kinds in SEARCHES]
+        cases += [("unbalanced", _square_trail(ring, pairs, kind), kinds)
+                  for kind in ORDER_KINDS for kinds in ("auto", kind)]
+        for name, tampered, kinds in cases:
+            buchberger_calls.clear()
+            found = order_search(ring, tampered, kinds)
+            want = ref.order_search(ring, tampered, kinds)
+            assert _answer(found) == _answer(want)
+            # no order is decided by counting: Buchberger runs under each one tried
+            assert [kind for kind, _ in buchberger_calls] == list(found[3])
+            dropped += name == "dropped"
+            if name == "unbalanced":
+                unbalanced += 1
+                # the lead graph is the original one, but Buchberger adds an
+                # element: counts that skipped the balance check would be wrong
+                grew += {g.lead for g in want[2].basis} != {g.lead for g in want[1]}
+    assert (dropped, unbalanced) == (490, 784) and grew > 700
+
+
+@pytest.mark.parametrize("lattice, kind, failing", [
+    (demo_staircase(), "rank-lex", 8),
+    (full_grid(5, 4), "rank-revlex", 21),
+])
+def test_orders_with_a_cubic_basis_run_buchberger(lattice, kind, failing, buchberger_calls):
+    # no candidate certifies, so no order may be skipped: each failing
+    # window runs Buchberger, and every passing one is decided by counting
+    fails = 0
+    for ring, pairs in _windows([lattice]):
+        buchberger_calls.clear()
+        found = order_search(ring, pairs, kind)
+        assert _answer(found) == _answer(ref.order_search(ring, pairs, kind))
+        multi = [size for _, size in buchberger_calls if size > 1]
+        assert len(multi) == (not _passes(found[2]))
+        fails += not _passes(found[2])
+    assert fails == failing
+
+
+def _ring(nvars):
+    return WindowRing(m=nvars, n=0, window=None, points=tuple((k, 0) for k in range(nvars)))
+
+
+def test_lead_graph_counts_match_enumeration():
+    rng = random.Random(2718)
+    for _ in range(400):
+        nvars = rng.randint(1, 12)
+        order = monomial_order(rng.choice(ORDER_KINDS), _ring(nvars))
+        layout = _Layout(order, _width(2))
+        density = rng.random()
+        edges = [e for e in combinations(range(nvars), 2) if rng.random() < density]
+        leads = [tuple(int(k in e) for k in range(nvars)) for e in edges]
+        led = [(layout.pack(lead), 0) for lead in leads]
+
+        def standard(degree):
+            return sum(
+                not any(set(e) <= set(combo) for e in edges)
+                for combo in combinations_with_replacement(range(nvars), degree)
+            )
+
+        overlaps = sum(bool(set(e) & set(f)) for e, f in combinations(edges, 2))
+        assert _lead_graph_counts(led, layout) == (standard(2), standard(3), overlaps)
+        if leads:
+            assert _lead_graph_counts(led + led[:1], layout) is None  # a repeated lead
+        square = layout.pack(tuple(2 * (k == 0) for k in range(nvars)))
+        assert _lead_graph_counts(led + [(square, 0)], layout) is None
+        cube = layout.pack(tuple(3 * (k == 0) for k in range(nvars)))
+        assert _lead_graph_counts(led + [(cube, 0)], layout) is None
+
+
+def test_semigroup_levels_match_tuple_images(small_corpus):
+    checked = 0
+    for ring, _ in _windows((lat for _, lat in small_corpus), max_vars=10):
+        mm = ring.monomial_map
+        levels = _semigroup_points(_point_images(ring, 3))
+        for degree in (1, 2, 3):
+            images = {mm.image_of_monomial(m) for m in _degree_monomials(ring.nvars, degree, 10**6)}
+            assert len(next(levels)) == len(images)
+        checked += 1
+    assert checked == 220
+
+
+def test_single_generator_builds_no_layout(monkeypatch):
+    ideal = window_ideal(full_grid(2, 2), (2, 4))
+    (g,) = ideal.generators
+
+    def no_layout(*args):
+        raise AssertionError("a layout was built")
+
+    monkeypatch.setattr(binomials_mod, "_Layout", no_layout)
+    for kind in ORDER_KINDS:
+        order = monomial_order(kind, ideal.ring)
+        for gens in ([g], [Binomial(g.trail, g.lead)], [Binomial(g.lead, g.lead)]):
+            report = buchberger(gens, order)
+            want = ref.buchberger(gens, order)
+            assert (report.basis, report.quadratic, report.squarefree, report.spairs_processed) == (
+                want.basis, want.quadratic, want.squarefree, 0)

@@ -24,7 +24,6 @@ from hibilab.binomials import (
     WindowRing,
     _Layout,
     _oriented,
-    _sorted_binomials,
     _straightening_pairs,
     _width,
     buchberger,
@@ -68,7 +67,7 @@ class _ScanReducer:
 
 
 def _scan_interreduce(basis, order):
-    basis = _sorted_binomials(set(basis), order)
+    basis = ref._sorted_binomials(set(basis), order)
     kept = []
     for g in basis:
         if not any(_div(g.lead, h.lead) is not None for h in kept):
@@ -87,7 +86,7 @@ def _scan_interreduce(basis, order):
                 changed = True
                 g = make_binomial(g.lead, trail, order)
             out.append(g)
-        kept = _sorted_binomials(set(out), order)
+        kept = ref._sorted_binomials(set(out), order)
     return tuple(kept)
 
 
