@@ -70,9 +70,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, groupby
 from math import comb
-from operator import and_
+from operator import and_, or_
 
 from .errors import (
     BudgetExceeded,
@@ -87,11 +87,13 @@ from .binomials import (
     MonomialOrder,
     Reducer,
     WindowRing,
+    _balanced,
     _Layout,
     _degree_monomials,
+    _lead_supports,
+    _sparse_term,
     _width,
     default_budget,
-    mono_squarefree,
     order_search,
     require_field,
 )
@@ -232,12 +234,18 @@ def hilbert_function(gb, d_max: int, nvars: int):
     return list(standard_monomial_basis(gb, nvars, d_max).hilbert())
 
 
-def _minimal_supports(leads):
-    supports = sorted({frozenset(k for k, e in enumerate(lead) if e) for lead in leads}, key=sorted)
+def _minimal_masks(masks):
+    """The inclusion-minimal bitmasks among masks, once each, by size, then value.
+
+    Distinct masks of one size never contain each other, so a mask is
+    tested only against the kept masks of smaller sizes.
+    """
+    ordered = sorted(set(masks))
+    ordered.sort(key=int.bit_count)
     kept = []
-    for s in sorted(supports, key=len):
-        if not any(t <= s for t in kept):
-            kept.append(s)
+    for _, group in groupby(ordered, int.bit_count):
+        below = tuple(kept)
+        kept.extend([m for m in group if not any(k & m == k for k in below)] if below else group)
     return kept
 
 
@@ -246,7 +254,9 @@ def krull_dimension_via_initial(gb, nvars: int) -> int:
 
     Equals the Krull dimension of the quotient when the initial ideal is
     squarefree (Stanley-Reisner); computed as nvars minus a minimum hitting
-    set of the minimal lead supports, by exact branch and bound.
+    set of the minimal lead supports, by exact branch and bound.  The
+    supports are bitmasks over the variable indices, read off the packed
+    leads of a GroebnerReport (lead_supports), or off dense leads.
 
     Each node branches on the vertices v1 < v2 < ... of its smallest
     remaining support: branch k takes vk and excludes v1..v(k-1), deleting
@@ -259,13 +269,12 @@ def krull_dimension_via_initial(gb, nvars: int) -> int:
     Nodes are counted against default_budget(); past it BudgetExceeded
     carries the budget and the node count.
     """
-    leads = _leads_of(gb)
-    if not all(mono_squarefree(lead) for lead in leads):
+    supports = gb.lead_supports if isinstance(gb, GroebnerReport) else _lead_supports(tuple(gb))
+    if supports is None:
         raise PreconditionFailed("initial ideal is not squarefree")
-    supports = _minimal_supports(leads)
-    masks = [sum(1 << v for v in s) for s in supports]
+    masks = _minimal_masks(supports)
     budget = default_budget()
-    best = len(set().union(*supports))
+    best = reduce(or_, masks, 0).bit_count()
     nodes = 0
 
     def hit(remaining, taken):
@@ -295,6 +304,9 @@ def krull_dimension_via_initial(gb, nvars: int) -> int:
             excluded |= v
 
     hit(masks, 0)
+    # hit refers to itself through its closure; dropping that cycle here
+    # frees it at once instead of at a later full garbage collection
+    del hit
     return nvars - best
 
 
@@ -356,13 +368,11 @@ def _semigroup_levels(packing: _Packing, j_max: int):
 
 
 def _require_toric(ring: WindowRing, gens):
-    mm = ring.monomial_map
-    for g in gens:
-        if not mm.balanced(g):
-            raise InvalidParameter(
-                "generator is not in the toric ideal of the window map; "
-                "Betti oracle only covers window ideals"
-            )
+    if not all(_balanced(ring, gens)):
+        raise InvalidParameter(
+            "generator is not in the toric ideal of the window map; "
+            "Betti oracle only covers window ideals"
+        )
 
 
 _BLOCK_CAP = 20000  # faces per multidegree block
@@ -563,10 +573,11 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     most j_max elements (all of them when j_max is None), and raises
     BudgetExceeded up front when their number exceeds default_budget().
     """
-    if not all(mono_squarefree(lead) for lead in leads):
+    supports = _lead_supports(tuple(leads))
+    if supports is None:
         raise PreconditionFailed("monomial Betti table requires squarefree leads")
-    supports = _minimal_supports(leads)
-    union = sorted(set().union(*supports))
+    masks = _minimal_masks(supports)
+    union = list(_bits(reduce(or_, masks, 0)))
     top = len(union) if j_max is None else min(j_max, len(union))
     budget = default_budget()
     subsets = sum(comb(len(union), k) for k in range(top + 1))
@@ -576,7 +587,7 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
             budget=budget, masks=subsets,
         )
     back = {v: k for k, v in enumerate(union)}
-    masks = [sum(1 << back[v] for v in s) for s in supports]
+    masks = [sum(1 << back[v] for v in _bits(m)) for m in masks]
     entries = {}
     sized = (combinations(range(len(union)), k) for k in range(1, top + 1))
     for subset in chain.from_iterable(sized):
@@ -639,16 +650,19 @@ def _bits(mask):
         mask ^= low
 
 
-def _lead_graph(leads, nvars):
+def _lead_graph(supports, nvars):
     """Adjacency bitmasks of the lead graph: one edge a-b per lead y_a y_b.
 
-    leads are squarefree quadrics, as _initial_basis gives them.
+    supports are the leads' support bitmasks over the variable indices, two
+    bits each, as GroebnerReport.lead_supports gives them for the squarefree
+    quadrics of _initial_basis.
     """
     adj = [0] * nvars
-    for lead in leads:
-        a, b = (k for k, e in enumerate(lead) if e)
+    for support in supports:
+        low = support & -support
+        a, b = low.bit_length() - 1, (support ^ low).bit_length() - 1
         adj[a] |= 1 << b
-        adj[b] |= 1 << a
+        adj[b] |= low
     return adj
 
 
@@ -711,11 +725,12 @@ def _initial_basis(ring, gens, gb, var_cap):
             f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=ring.nvars
         )
     if gb is None or not (gb.quadratic and gb.squarefree):
-        _, _, gb, tried = order_search(ring, [(g.lead, g.trail) for g in gens])
+        ideal = order_search(ring, [(_sparse_term(g.lead), _sparse_term(g.trail)) for g in gens])
+        gb = ideal.gb
         if not (gb.quadratic and gb.squarefree):
             raise PreconditionFailed(
                 "no candidate order gives a quadratic squarefree basis",
-                orders_tried=list(tried),
+                orders_tried=list(ideal.orders_tried),
             )
     return gb
 
@@ -737,7 +752,7 @@ def has_linear_resolution_oracle(
     if not gens:
         return True
     gb = _initial_basis(ring, gens, gb, var_cap)
-    return _complement_chordal(_lead_graph(gb.leads, ring.nvars))
+    return _complement_chordal(_lead_graph(gb.lead_supports, ring.nvars))
 
 
 def is_linearly_related_oracle(
@@ -759,7 +774,7 @@ def is_linearly_related_oracle(
     if not gens:
         return True
     gb = _initial_basis(ring, gens, gb, var_cap)
-    quads = _induced_2k2(_lead_graph(gb.leads, ring.nvars))
+    quads = _induced_2k2(_lead_graph(gb.lead_supports, ring.nvars))
     if not quads:
         return True
     packing = _Packing(ring, 4)

@@ -1,20 +1,24 @@
 """Exact binomial-ideal machinery for window subrings.
 
-Monomials are dense exponent tuples over the window's variables (one variable
-per band point, canonically sorted by (rank, i)); Buchberger, its reducer and
-the interreduction pack them into ints (_Layout) and convert at the edges.
-Every polynomial handled here is a pure difference of two monomials, so
-S-polynomials and reductions stay binomial and all coefficients stay +1/-1;
-Buchberger below is specialized accordingly.  The toric side is the monomial map sending the variable at
-(i, j) to s_i t_j; fibers of that map give an independent membership,
-generation and Groebner certificate.
+Monomials at the API edge are dense exponent tuples over the window's
+variables (one variable per band point, canonically sorted by (rank, i)).
+Inside, the straightening law gives each term as a sparse tuple of variable
+indices, and the order search, Buchberger, its reducer and the
+interreduction pack terms into ints (_Layout); a WindowIdeal and a
+GroebnerReport keep them packed and unpack only when their generators or
+basis are read.  Every polynomial handled here is a pure difference of two
+monomials, so S-polynomials and reductions stay binomial and all
+coefficients stay +1/-1; Buchberger below is specialized accordingly.  The
+toric side is the monomial map sending the variable at (i, j) to s_i t_j;
+fibers of that map give an independent membership, generation and Groebner
+certificate.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain, combinations_with_replacement, compress, count, islice
 from math import comb, isqrt
@@ -111,22 +115,17 @@ class MonomialMap:
     n: int
     images: tuple
 
-    @cached_property
-    def _nonzero(self):
-        """Per variable, the (coordinate, entry) pairs where its image is nonzero."""
-        return tuple(tuple((c, x) for c, x in enumerate(img) if x) for img in self.images)
 
-    def image_of_monomial(self, mono: Monomial):
-        total = [0] * (self.m + 1 + self.n + 1)
-        nonzero = self._nonzero
-        for k, e in enumerate(mono):
-            if e:
-                for c, x in nonzero[k]:
-                    total[c] += e * x
-        return tuple(total)
-
-    def balanced(self, binom: "Binomial") -> bool:
-        return self.image_of_monomial(binom.lead) == self.image_of_monomial(binom.trail)
+def _balanced(ring: WindowRing, binomials) -> list:
+    """Per binomial, whether its two terms have the same image under the
+    monomial map.  An entry of a term's image is at most its degree, so with
+    the images packed into fields wide enough for the largest degree
+    (_point_images), a term's image is the sum of its variables' packed
+    images by exponent."""
+    binomials = list(binomials)
+    degree = max((max(sum(g.lead), sum(g.trail)) for g in binomials), default=0)
+    images = _point_images(ring, degree.bit_length() + 1)
+    return [sum(map(mul, images, g.lead)) == sum(map(mul, images, g.trail)) for g in binomials]
 
 
 def mono_deg(a: Monomial) -> int:
@@ -169,15 +168,10 @@ def monomial_order(kind: str, ring: WindowRing) -> MonomialOrder:
     if kind not in ORDER_KINDS:
         raise InvalidParameter(f"unknown order kind {kind!r}", kind=kind)
     if kind.startswith("rank-"):
-        ranked = sorted(
-            range(ring.nvars),
-            key=lambda k: (
-                -(ring.points[k][0] + ring.points[k][1]),
-                -ring.points[k][0],
-            ),
-        )
+        keys = [(-(i + j), -i) for i, j in ring.points]
     else:
-        ranked = sorted(range(ring.nvars), key=lambda k: (-ring.points[k][0], -ring.points[k][1]))
+        keys = [(-i, -j) for i, j in ring.points]
+    ranked = sorted(range(ring.nvars), key=keys.__getitem__)
     style = "revlex" if kind.endswith("revlex") else "lex"
     return MonomialOrder(name=kind, style=style, sig=tuple(ranked))
 
@@ -209,9 +203,21 @@ def defining_ideal_generators(ring: WindowRing, order: MonomialOrder):
     return _oriented(_straightening_pairs(ring), order)
 
 
+def _sparse_term(mono: Monomial) -> tuple:
+    """The dense monomial as a sorted tuple of variable indices, one per unit
+    of exponent: y_0 y_2^2 is (0, 2, 2)."""
+    return tuple([k for k, e in enumerate(mono) for _ in range(e)])
+
+
 def _straightening_pairs(ring: WindowRing):
-    """The terms (y_ij y_kl, y_il y_kj) of each defining binomial, unoriented."""
+    """The terms (y_ij y_kl, y_il y_kj) of each defining binomial, unoriented,
+    each a sparse term (_sparse_term).
+
+    The points are sorted by (rank, i), so the pair's own indices come in
+    order, and the meet, of lower rank than the join, comes first.
+    """
     p, q = ring.window.p, ring.window.q
+    index = ring.index
     out = []
     pts = ring.points
     for a_idx in range(len(pts)):
@@ -227,34 +233,41 @@ def _straightening_pairs(ring: WindowRing):
             # now i2 < k2 and j2 > l2; meet (i2, l2), join (k2, j2)
             if not (p <= i2 + l2 and k2 + j2 <= q):
                 continue
-            out.append((ring.monomial((i2, j2), (k2, l2)), ring.monomial((i2, l2), (k2, j2))))
+            out.append(((a_idx, b_idx), (index[i2, l2], index[k2, j2])))
     return out
 
 
 def _oriented(pairs, order: MonomialOrder):
-    """The binomials a - b of the monomial pairs (a, b), led under order and sorted by it."""
+    """The binomials a - b of the sparse term pairs (a, b), led under order and sorted by it."""
     pairs = list(pairs)
-    layout = _Layout(order, _width(max(map(sum, chain.from_iterable(pairs)), default=0)))
-    return [Binomial(*terms) for terms in _led_pairs(pairs, layout).values()]
+    layout = _Layout(order, _width(max(map(len, chain.from_iterable(pairs)), default=0)))
+    return list(_binomials(_led_pairs(pairs, layout), layout))
 
 
 def _led_pairs(pairs, layout: "_Layout"):
-    """{packed (lead, trail): (lead, trail)} for the binomials a - b of the
-    monomial pairs (a, b), in the order's sort by the int keys lead ^ flip,
-    then trail ^ flip; terms that cancel drop out.  The layout's fields must
-    hold every term, and it learns each term's tuple for unpack."""
-    pack, flip, known = layout.pack, layout.flip, layout.known
-    led = {}
+    """The binomials a - b of the sparse term pairs (a, b) as packed (lead,
+    trail) ints, one shift per variable, sorted by the order's int keys
+    lead ^ flip, then trail ^ flip; terms that cancel drop out and a repeated
+    binomial comes once.  The layout's fields must hold every term."""
+    unit, top, flip = layout.units.__getitem__, layout.top, layout.flip
+    keys = set()
     for a, b in pairs:
-        pa, pb = pack(a), pack(b)
-        known[pa], known[pb] = a, b
-        if pa ^ flip > pb ^ flip:
-            led[pa, pb] = a, b
-        elif pa != pb:
-            led[pb, pa] = b, a
-    if flip:
-        return dict(sorted(led.items(), key=lambda item: (item[0][0] ^ flip, item[0][1] ^ flip)))
-    return dict(sorted(led.items()))
+        ka = (sum(map(unit, a)) + (len(a) << top)) ^ flip
+        kb = (sum(map(unit, b)) + (len(b) << top)) ^ flip
+        if ka > kb:
+            keys.add((ka, kb))
+        elif ka != kb:
+            keys.add((kb, ka))
+    return tuple([(lead ^ flip, trail ^ flip) for lead, trail in sorted(keys)])
+
+
+def _binomials(elements, layout: "_Layout | None") -> tuple:
+    """The Binomials of elements: as given when layout is None, else
+    unpacked from their (lead, trail) ints."""
+    if layout is None:
+        return tuple(elements)
+    unpack = layout.unpack
+    return tuple([Binomial(unpack(lead), unpack(trail)) for lead, trail in elements])
 
 
 def _width(degree: int) -> int:
@@ -273,11 +286,15 @@ class _Layout:
     key of m is the int m ^ flip: flip is 0 for lex and every value bit of
     the variable fields for revlex.  With hi the guard bits, a lead l divides
     m iff ((m | hi) - l) & hi == hi, and (m + low) & hi marks the support.
+    units[k] is y_k packed without its degree, and variable_at[f] the
+    variable of field f.
     """
 
     def __init__(self, order: MonomialOrder, width: int):
-        lowest_first = order.sig[::-1] if order.style == "lex" else order.sig
-        self.field_of = tuple(sorted(range(len(lowest_first)), key=lowest_first.__getitem__))
+        self.variable_at = lowest_first = order.sig[::-1] if order.style == "lex" else order.sig
+        self.units = units = [0] * len(lowest_first)
+        for field, k in enumerate(lowest_first):
+            units[k] = 1 << width * field
         self.width = width
         self.top = top = width * len(order.sig)
         self.ones = ones = (1 << width) - 1
@@ -300,17 +317,33 @@ class _Layout:
         return lcm + (lcm % ones << self.top)
 
     def pack(self, mono: Monomial) -> int:
-        width, field_of = self.width, self.field_of
-        packed = sum(mono[k] << width * field_of[k] for k in compress(count(), mono))
-        return packed + (sum(mono) << self.top)
+        return sum(map(mul, mono, self.units)) + (sum(mono) << self.top)
 
     def unpack(self, packed: int) -> Monomial:
+        """The dense tuple of packed, read off the fields of its support."""
         mono = self.known.get(packed)
         if mono is None:
-            width, ones = self.width, self.ones
-            mono = tuple([packed >> width * field & ones for field in self.field_of])
-            self.known[packed] = mono
+            width, ones, variable_at = self.width, self.ones, self.variable_at
+            exps = [0] * len(variable_at)
+            support = (packed + self.low) & self.hi
+            while support:
+                guard = support & -support
+                support ^= guard
+                field = guard.bit_length() // width - 1
+                exps[variable_at[field]] = packed >> width * field & ones
+            mono = self.known[packed] = tuple(exps)
         return mono
+
+    def variables(self, packed: int) -> int:
+        """The support of packed as a bitmask over the variable indices."""
+        width, variable_at = self.width, self.variable_at
+        mask = 0
+        support = (packed + self.low) & self.hi
+        while support:
+            guard = support & -support
+            support ^= guard
+            mask |= 1 << variable_at[guard.bit_length() // width - 1]
+        return mask
 
 
 class Reducer:
@@ -425,17 +458,48 @@ def normal_form(x, basis, order: MonomialOrder):
     return led and Binomial(*map(layout.unpack, led))
 
 
+def _lead_supports(leads):
+    """Each dense lead's support as a bitmask over the variable indices, or
+    None when a lead is not squarefree."""
+    if not all(mono_squarefree(lead) for lead in leads):
+        return None
+    return tuple([sum(1 << k for k in compress(count(), lead)) for lead in leads])
+
+
 @dataclass(frozen=True)
 class GroebnerReport:
-    basis: tuple
+    """A reduced basis under order, with flags describing it.
+
+    elements holds the basis elements: Binomials when layout is None, else
+    their (lead, trail) packed into ints of layout, which basis and leads
+    unpack on first read.  len(elements) is the basis size.
+    """
+
+    elements: tuple
     quadratic: bool
     squarefree: bool
     spairs_processed: int
     order: MonomialOrder
+    layout: _Layout | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def basis(self) -> tuple:
+        return _binomials(self.elements, self.layout)
 
     @property
     def leads(self):
         return tuple(g.lead for g in self.basis)
+
+    @cached_property
+    def lead_supports(self):
+        """Each lead's support as a bitmask over the variable indices, read
+        off the packed leads, or None when a lead is not squarefree."""
+        p = self.layout
+        if p is None:
+            return _lead_supports(self.leads)
+        if any((lead + p.twice) & p.hi for lead, _ in self.elements):
+            return None
+        return tuple([p.variables(lead) for lead, _ in self.elements])
 
 
 def _interreduce(items, layout: _Layout):
@@ -541,45 +605,73 @@ def _buchberger(gens, order: MonomialOrder, width: int):
 
 
 def _report(reduced, layout: _Layout, spairs: int, order: MonomialOrder) -> GroebnerReport:
-    """The report on the packed reduced basis, its flags read off the ints."""
-    hi, twice, unpack = layout.hi, layout.twice, layout.unpack
+    """The report on the packed reduced basis, its flags read off the ints;
+    the basis stays packed."""
+    hi, twice = layout.hi, layout.twice
     return GroebnerReport(
-        basis=tuple([Binomial(unpack(lead), unpack(trail)) for lead, trail in reduced]),
+        elements=tuple(reduced),
         quadratic=all(lead >> layout.top == 2 for lead, _ in reduced),
         squarefree=not any((lead + twice) & hi or (trail + twice) & hi for lead, trail in reduced),
         spairs_processed=spairs,
         order=order,
+        layout=layout,
     )
+
+
+def _reduced(led, layout: _Layout):
+    """The reduced basis of a Groebner basis led whose leads are distinct,
+    all of one degree d, with no trail above d: led itself, sorted by key,
+    unless a trail equals a lead, and _interreduce's basis then.
+
+    No lead divides another (distinct, of one degree), and a lead divides a
+    trail of degree at most d only when the two are equal, so with no trail
+    among the leads every element is already reduced.
+    """
+    leads = {lead for lead, _ in led}
+    if any(trail in leads for _, trail in led):
+        return _interreduce(led, layout)
+    return led
 
 
 @dataclass(frozen=True)
 class WindowIdeal:
-    """Generators plus the first candidate order giving a quadratic squarefree basis."""
+    """Generators plus the first candidate order giving a quadratic squarefree basis.
+
+    elements holds the generators led under order: Binomials when layout is
+    None, else their (lead, trail) packed into ints of layout, which
+    generators unpacks on first read.  len(elements) is the generator count.
+    """
 
     ring: WindowRing
     order: MonomialOrder
-    generators: tuple
     gb: GroebnerReport
     orders_tried: tuple
+    elements: tuple = ()
+    layout: _Layout | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def generators(self) -> tuple:
+        return _binomials(self.elements, self.layout)
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self.elements
 
     @property
     def is_principal(self) -> bool:
-        return len(self.generators) == 1
+        return len(self.elements) == 1
 
 
-def order_search(ring: WindowRing, pairs, kinds="auto"):
+def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
     """The first candidate order whose reduced basis is quadratic and squarefree.
 
-    pairs holds the terms (a, b) of the generators a - b.  kinds is "auto"
-    (try rank-lex, rank-revlex, lex, revlex in that order) or a single kind;
-    monomial_order rejects any other value.  Returns (order, generators,
-    report, kinds tried) for the winning order or, if none qualifies, for the
-    last one, with the report's flags down.  The answer is buchberger's under
-    each order tried in turn; most orders are decided by counting instead.
+    pairs holds the terms (a, b) of the generators a - b, each a sparse term
+    (_straightening_pairs, _sparse_term).  kinds is "auto" (try rank-lex,
+    rank-revlex, lex, revlex in that order) or a single kind; monomial_order
+    rejects any other value.  Returns the WindowIdeal of the winning order
+    or, if none qualifies, of the last one, with the report's flags down;
+    generators and basis stay packed.  The answer is buchberger's under each
+    order tried in turn; most orders are decided by counting instead.
 
     Let G be the generators led under an order, I the toric ideal of the
     window (the kernel of its monomial map) and L_d the semigroup level of
@@ -605,61 +697,79 @@ def order_search(ring: WindowRing, pairs, kinds="auto"):
         is skipped, with no Buchberger, when a later candidate passes (a);
         later candidates are led and counted only as far as that look-ahead
         needs, and each at most once.
-    (c) A single generator goes to buchberger, which returns it at once.
+    (c) When no two leads share a variable (a single generator included),
+        Buchberger's first criterion alone makes G a Groebner basis, and
+        buchberger processes no S-pair: the report is G interreduced with 0
+        S-pairs, and |L_2| and |L_3| are not built for it.  The answer is
+        the one counting would give, because (b) cannot fire for such an
+        order: a later order passing (a) proves (G)_3 = I_3, and G is a
+        basis of (G), so std_3 = dim (S/(G))_3 = |L_3| here.
     (d) Everything else runs buchberger: a generator that is unbalanced or
         not a quadric, repeated leads, std_2 != |L_2|, and an order of (b)
         with no later candidate passing (a), such as a single kind.
+
+    In (a) and (c) the leads are distinct and no trail outranks them, so G
+    interreduced is G itself unless a trail equals a lead (_reduced).
     """
     kinds = ORDER_KINDS if kinds == "auto" else (kinds,)
     pairs = list(pairs)
     if not pairs:  # the zero ideal passes under the first order
         order = monomial_order(kinds[0], ring)
-        return order, [], buchberger([], order), kinds[:1]
-    width = _width(max(map(sum, chain.from_iterable(pairs))))
-    sizes = None  # (|L_2|, |L_3|) when every generator is a balanced quadric
+        return WindowIdeal(ring, order, buchberger([], order), kinds[:1])
+    width = _width(max(map(len, chain.from_iterable(pairs))))
+    quadrics = False  # whether there are two generators or more, all balanced quadrics
     if len(pairs) > 1:
         images = _point_images(ring, 3)  # entries up to 3
-        if _balanced_quadrics(images, pairs):
+        quadrics = _balanced_quadrics(images, pairs)
+    sizes = None
+
+    def level_sizes():
+        """(|L_2|, |L_3|), built when a count is first compared with them."""
+        nonlocal sizes
+        if sizes is None:
             _, level_2, level_3 = islice(_semigroup_points(images), 3)
             sizes = len(level_2), len(level_3)
+        return sizes
+
     candidates = {}
 
     def candidate(k):
-        """(order, layout, led pairs, S-pairs when (a) certifies, whether (b) applies)"""
+        """(order, layout, led pairs, lead-graph counts when every generator
+        is a balanced quadric)"""
         if k not in candidates:
             order = monomial_order(kinds[k], ring)
             layout = _Layout(order, width)
             led = _led_pairs(pairs, layout)
-            counts = sizes and len(led) > 1 and _lead_graph_counts(led, layout)
-            spairs, cubic = None, False
-            if counts:
-                std_2, std_3, overlaps = counts
-                if std_2 == sizes[0]:
-                    if std_3 == sizes[1]:
-                        spairs = overlaps
-                    else:
-                        cubic = True
-            candidates[k] = order, layout, led, spairs, cubic
+            candidates[k] = order, layout, led, quadrics and _lead_graph_counts(led, layout)
         return candidates[k]
+
+    def passes_a(counts):
+        return counts and counts[:2] == level_sizes()
 
     tried = []
     for k, kind in enumerate(kinds):
-        order, layout, led, spairs, cubic = candidate(k)
+        order, layout, led, counts = candidate(k)
         tried.append(kind)
-        if cubic and any(candidate(later)[3] is not None for later in range(k + 1, len(kinds))):
-            continue
-        gens = [Binomial(*terms) for terms in led.values()]
+        spairs = None  # the S-pairs processed, when the order is decided without buchberger
+        if len(led) <= 1 or counts and not counts[2]:
+            spairs = 0  # (c)
+        elif passes_a(counts):
+            spairs = counts[2]  # (a)
+        elif counts and counts[0] == level_sizes()[0] and any(
+            passes_a(candidate(later)[3]) for later in range(k + 1, len(kinds))
+        ):
+            continue  # (b)
         if spairs is None:
-            report = buchberger(gens, order)
+            report = buchberger(_binomials(led, layout), order)
         elif spairs > _SPAIR_BUDGET:
             raise DegreeInfeasible(
                 "S-pair budget exhausted", budget=_SPAIR_BUDGET, spairs=_SPAIR_BUDGET + 1
             )
         else:
-            report = _report(_interreduce(led, layout), layout, spairs, order)
+            report = _report(_reduced(led, layout), layout, spairs, order)
         if report.quadratic and report.squarefree:
             break
-    return order, gens, report, tuple(tried)
+    return WindowIdeal(ring, order, report, tuple(tried), led, layout)
 
 
 def _point_images(ring: WindowRing, width: int):
@@ -680,8 +790,9 @@ def _semigroup_points(images):
 
 
 def _balanced_quadrics(images, pairs) -> bool:
-    """Whether both terms of every pair are quadrics with the same packed image."""
-    return all(sum(a) == 2 == sum(b) and sum(map(mul, images, a)) == sum(map(mul, images, b))
+    """Whether both terms of every sparse pair are quadrics with the same
+    image, the sum of their variables' packed images."""
+    return all(len(a) == 2 == len(b) and images[a[0]] + images[a[1]] == images[b[0]] + images[b[1]]
                for a, b in pairs)
 
 
@@ -728,14 +839,7 @@ def window_ideal(lattice: PlanarLattice, window, kinds="auto") -> WindowIdeal:
     window may be a WindowContext, whose ring is then used.
     """
     ring = as_context(lattice, window).ring
-    order, gens, report, tried = order_search(ring, _straightening_pairs(ring), kinds)
-    return WindowIdeal(
-        ring=ring,
-        order=order,
-        generators=tuple(gens),
-        gb=report,
-        orders_tried=tried,
-    )
+    return order_search(ring, _straightening_pairs(ring), kinds)
 
 
 def _degree_monomials(nvars: int, degree: int, budget: int):
@@ -832,7 +936,6 @@ def toric_fiber_oracle(
     if any(sum(g.lead) != sum(g.trail) for g in gens):
         raise InvalidParameter("the fiber oracle needs homogeneous generators")
     budget = default_budget()
-    mm = ring.monomial_map
     nvars = ring.nvars
     width = degree.bit_length() + 1
     units = [1 << width * k for k in range(nvars)]
@@ -844,7 +947,8 @@ def toric_fiber_oracle(
     moves = [(g.degree(), pack(g.lead), pack(g.trail)) for g in gens if g.degree() <= degree]
     basis = gb.basis if gb is not None else ()
     # from the degree of the first unbalanced basis element on, no degree is consistent
-    unbalanced = min((g.degree() for g in basis if not mm.balanced(g)), default=degree + 1)
+    unbalanced = min((g.degree() for g, ok in zip(basis, _balanced(ring, basis)) if not ok),
+                     default=degree + 1)
     leads = [pack(g.lead) for g in basis if g.degree() <= degree]
     divisors = [[lead for lead in leads if lead & unit * ((1 << width) - 1)] for unit in units]
     levels = [[(0, 0)]]  # all monomials of each degree below e, (packed, last variable)
@@ -875,4 +979,4 @@ def toric_fiber_oracle(
             generated=span == target,
             gb_consistent=gb is None or (e < unbalanced and len(standard) == len(points)),
         ))
-    return FiberCertificate(degree, all(mm.balanced(g) for g in gens), tuple(records))
+    return FiberCertificate(degree, all(_balanced(ring, gens)), tuple(records))

@@ -21,7 +21,6 @@ from .lattice import (
     PlanarLattice,
     Poset,
     is_simple,
-    join_irreducibles,
     poset_ideals_to_planar,
     validate_planar_lattice,
 )
@@ -227,6 +226,9 @@ class RunReport:
 def lattice_record(lattice: PlanarLattice) -> dict:
     """The lattice section of a suite report, also printed by `hibilab validate`."""
     simp = is_simple(lattice)
+    # the join-irreducibles: the points with exactly one lower cover (the origin has none)
+    pts = lattice.points
+    irreducible = sum(((i - 1, j) in pts) + ((i, j - 1) in pts) == 1 for i, j in pts)
     return {
         "points": sorted(map(list, lattice.points)),
         "m": lattice.m,
@@ -234,7 +236,7 @@ def lattice_record(lattice: PlanarLattice) -> dict:
         "rank": lattice.rank,
         "simple": simp.simple,
         "violating_ranks": list(simp.violating_ranks),
-        "join_irreducibles": len(join_irreducibles(lattice)),
+        "join_irreducibles": irreducible,
     }
 
 
@@ -301,8 +303,8 @@ def run_suite(
             ideal = ctx.ideal
             rec["gb"] = {
                 "order": ideal.order.name,
-                "generators": len(ideal.generators),
-                "size": len(ideal.gb.basis),
+                "generators": len(ideal.elements),
+                "size": len(ideal.gb.elements),
                 "quadratic": ideal.gb.quadratic,
                 "squarefree": ideal.gb.squarefree,
                 "spairs": ideal.gb.spairs_processed,

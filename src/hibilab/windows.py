@@ -198,19 +198,21 @@ def is_chordal_bipartite(graph: BipartiteGraph) -> ChordalityCertificate:
     """Bisimplicial edge elimination with a certificate either way.
 
     True comes with the edge elimination order; False comes with a chordless
-    cycle of length >= 6 found in the input graph.
+    cycle of length >= 6 found in the input graph.  Each step eliminates the
+    least bisimplicial edge; the edges are sorted once, and an eliminated
+    edge is deleted from the sorted list.
     """
     edges = set(graph.edges)
+    remaining = sorted(edges)
     left_adj = {i: set(v) for i, v in graph.left_adj.items()}
     right_adj = {j: set(v) for j, v in graph.right_adj.items()}
     order = []
-    while edges:
-        pick = None
-        for e in sorted(edges):
-            if _bisimplicial(edges, left_adj, right_adj, e):
-                pick = e
+    while remaining:
+        for k, pick in enumerate(remaining):
+            if _bisimplicial(edges, left_adj, right_adj, pick):
+                del remaining[k]
                 break
-        if pick is None:
+        else:
             cycle = _chordless_cycle_bruteforce(graph.edges)
             if cycle is None:
                 raise VerificationFailed(

@@ -14,9 +14,12 @@ order_search below is the order search as it stood before orders were
 decided by counting: generators led and sorted by tuple keys, then the
 package's buchberger under each candidate order in turn, bound at import so
 that a spy on hibilab.binomials.buchberger sees only the package's calls.
+It takes the generators' terms in the package's sparse form, converts them
+to dense tuples, and answers with the attributes of a WindowIdeal.
 """
 
 import heapq
+from collections import namedtuple
 from itertools import compress, count
 from operator import add, ge, sub
 
@@ -196,7 +199,7 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
         push_pairs(len(basis) - 1)
     reduced = _interreduce(basis, order)
     return GroebnerReport(
-        basis=reduced,
+        elements=reduced,
         quadratic=all(g.degree() == 2 for g in reduced),
         squarefree=all(mono_squarefree(g.lead) and mono_squarefree(g.trail) for g in reduced),
         spairs_processed=processed,
@@ -204,8 +207,18 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
     )
 
 
+def dense(term, nvars):
+    """The dense exponent tuple of a sparse term, a sorted tuple of variable indices."""
+    return tuple(map(term.count, range(nvars)))
+
+
+Search = namedtuple("Search", "order generators gb orders_tried")
+
+
 def order_search(ring, pairs, kinds="auto"):
-    """(order, generators, report, kinds tried), Buchberger under every order tried."""
+    """The answer as a Search, Buchberger under every order tried; pairs are
+    sparse terms, as the package's order_search takes them."""
+    pairs = [(dense(a, ring.nvars), dense(b, ring.nvars)) for a, b in pairs]
     tried = []
     for kind in ORDER_KINDS if kinds == "auto" else (kinds,):
         order = monomial_order(kind, ring)
@@ -214,4 +227,4 @@ def order_search(ring, pairs, kinds="auto"):
         tried.append(kind)
         if report.quadratic and report.squarefree:
             break
-    return order, gens, report, tuple(tried)
+    return Search(order, tuple(gens), report, tuple(tried))

@@ -25,7 +25,7 @@ def no_qualifying_order(monkeypatch):
     real = betti_mod.order_search
 
     def search(ring, pairs, kinds="auto"):
-        order, gens, report, _ = real(ring, pairs, kinds)
-        return order, gens, replace(report, quadratic=False), ORDER_KINDS
+        ideal = real(ring, pairs, kinds)
+        return replace(ideal, gb=replace(ideal.gb, quadratic=False), orders_tried=ORDER_KINDS)
 
     monkeypatch.setattr(betti_mod, "order_search", search)

@@ -1,0 +1,57 @@
+"""Test-side reference for the lead supports behind hibilab.betti's Krull search.
+
+minimal_supports is the filter as it stood before supports were bitmasks
+read off the packed basis: each dense lead's support as a frozenset of
+variable indices, the inclusion-minimal ones kept.  krull_dimension is the
+branch and bound of krull_dimension_via_initial on those supports, as it
+stood.  Both are kept here, not in the package, as the reference the mask
+route must match.
+"""
+
+from hibilab.binomials import mono_squarefree
+
+
+def minimal_supports(leads):
+    supports = sorted({frozenset(k for k, e in enumerate(lead) if e) for lead in leads}, key=sorted)
+    kept = []
+    for s in sorted(supports, key=len):
+        if not any(t <= s for t in kept):
+            kept.append(s)
+    return kept
+
+
+def masks(supports):
+    """The supports as bitmasks over the variable indices."""
+    return [sum(1 << v for v in s) for s in supports]
+
+
+def krull_dimension(leads, nvars):
+    """nvars minus a minimum hitting set of the minimal supports of the
+    squarefree dense leads, by exact branch and bound."""
+    assert all(mono_squarefree(lead) for lead in leads)
+    supports = minimal_supports(leads)
+    best = len(set().union(*supports))
+
+    def hit(remaining, taken):
+        nonlocal best
+        if not remaining:
+            best = taken
+            return
+        remaining.sort(key=int.bit_count)
+        used = packing = 0
+        for m in remaining:
+            if not m & used:
+                used |= m
+                packing += 1
+        if taken + packing >= best:
+            return
+        support, others = remaining[0], remaining[1:]
+        excluded = 0
+        while support:
+            v = support & -support
+            support ^= v
+            hit([m & ~excluded for m in others if not m & v], taken + 1)
+            excluded |= v
+
+    hit(masks(supports), 0)
+    return nvars - best

@@ -118,6 +118,12 @@ class TestJoinIrreducibles:
         lat = demo_staircase()
         assert len(join_irreducibles(lat)) == lat.rank
 
+    def test_suite_record_counts_them_directly(self, corpus):
+        from hibilab.reports import lattice_record
+
+        for name, lat in corpus:
+            assert lattice_record(lat)["join_irreducibles"] == len(join_irreducibles(lat)), name
+
 
 class TestBirkhoff:
     def test_chain_plus_point(self):

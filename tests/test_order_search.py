@@ -4,8 +4,11 @@
 order in turn, as the search did before orders were decided by counting
 standard monomials against the semigroup levels.  The package's search must
 give the same order, generators, basis, flags, S-pair count and orders
-tried, on every seed-7 window under `auto` and under each single kind, and
-on built cases where counting cannot decide.
+tried, on every seed-7 window under `auto` and under each single kind, on
+built cases where counting cannot decide, on built rings where a trail is a
+lead and the led generators must be interreduced, and on the windows whose
+leads share no variable, which need no semigroup level.  Both searches take
+the generators' terms as sparse tuples of variable indices.
 """
 
 import random
@@ -14,6 +17,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 import buchberger_reference as ref
+from fiber_reference import image_of_monomial
 import hibilab.binomials as binomials_mod
 from hibilab.binomials import (
     ORDER_KINDS,
@@ -25,6 +29,7 @@ from hibilab.binomials import (
     _oriented,
     _point_images,
     _semigroup_points,
+    _sparse_term,
     _straightening_pairs,
     _width,
     buchberger,
@@ -39,9 +44,10 @@ SEARCHES = ("auto",) + ORDER_KINDS
 
 
 def _answer(found):
-    order, gens, report, tried = found
-    return (order.name, order.sig, tuple(gens), report.basis, report.quadratic,
-            report.squarefree, report.spairs_processed, tried)
+    """What a search answers, with the generators and basis unpacked."""
+    order, report = found.order, found.gb
+    return (order.name, order.sig, tuple(found.generators), report.basis, report.quadratic,
+            report.squarefree, report.spairs_processed, found.orders_tried)
 
 
 def _passes(report):
@@ -78,7 +84,7 @@ def test_counting_search_matches_buchberger_on_every_seed7_window(corpus, buchbe
             buchberger_calls.clear()
             found = order_search(ring, pairs, kinds)
             assert _answer(found) == _answer(ref.order_search(ring, pairs, kinds))
-            _, gens, report, tried = found
+            gens, report, tried = found.generators, found.gb, found.orders_tried
             multi = [kind for kind, size in buchberger_calls if size > 1]
             if kinds == "auto":
                 # no window with two generators or more reaches the S-pair loop
@@ -99,13 +105,20 @@ def _square_trail(ring, pairs, kind):
     the generator is no longer balanced."""
     order = monomial_order(kind, ring)
     first = _oriented(pairs, order)[0]
+    lead, trail = _sparse_term(first.lead), _sparse_term(first.trail)
     least = order.sig[-1]
-    square = tuple(2 * (k == least) for k in range(ring.nvars))
-    return [(first.lead, square)] + [p for p in pairs if set(p) != {first.lead, first.trail}]
+    return [(lead, (least, least))] + [p for p in pairs if set(p) != {lead, trail}]
+
+
+def _coprime_leads(ring, pairs, kind):
+    """Whether no two leads of the generators led under kind share a variable."""
+    supports = [{k for k, e in enumerate(g.lead) if e}
+                for g in _oriented(pairs, monomial_order(kind, ring))]
+    return sum(map(len, supports)) == len(set().union(*supports))
 
 
 def test_search_falls_back_where_counting_cannot_decide(corpus, buchberger_calls):
-    dropped = unbalanced = grew = 0
+    dropped = unbalanced = grew = coprime = 0
     for ring, pairs in _windows((lat for _, lat in corpus), max_vars=10):
         if len(pairs) < 3:
             continue
@@ -117,15 +130,111 @@ def test_search_falls_back_where_counting_cannot_decide(corpus, buchberger_calls
             found = order_search(ring, tampered, kinds)
             want = ref.order_search(ring, tampered, kinds)
             assert _answer(found) == _answer(want)
-            # no order is decided by counting: Buchberger runs under each one tried
-            assert [kind for kind, _ in buchberger_calls] == list(found[3])
+            # no order is decided by counting: Buchberger runs under each one
+            # tried, except where the generators are balanced quadrics and no
+            # two leads share a variable
+            ran = [kind for kind in found.orders_tried
+                   if name == "unbalanced" or not _coprime_leads(ring, tampered, kind)]
+            assert [kind for kind, _ in buchberger_calls] == ran
+            coprime += len(ran) < len(found.orders_tried)
             dropped += name == "dropped"
             if name == "unbalanced":
                 unbalanced += 1
                 # the lead graph is the original one, but Buchberger adds an
                 # element: counts that skipped the balance check would be wrong
-                grew += {g.lead for g in want[2].basis} != {g.lead for g in want[1]}
-    assert (dropped, unbalanced) == (490, 784) and grew > 700
+                grew += {g.lead for g in want.gb.basis} != {g.lead for g in want.generators}
+    assert (dropped, unbalanced) == (490, 784) and grew > 700 and coprime
+
+
+def _shared_fiber_pairs(rng):
+    """A ring whose points may repeat, and pairs of squarefree quadrics with
+    one image: a path x - y, y - z through a fiber of three or more, and
+    maybe one pair from another fiber.  With distinct points a quadric's
+    fiber has at most two monomials, so no trail of a window's generators
+    is another generator's lead; a repeated point makes larger fibers, where
+    a trail can be a lead."""
+    grid = [(i, j) for i in range(3) for j in range(3)]
+    while True:
+        points = tuple(sorted(rng.choice(grid) for _ in range(rng.randint(4, 8))))
+        ring = WindowRing(m=2, n=2, window=None, points=points)
+        images = _point_images(ring, 3)
+        fibers = {}
+        for a, b in combinations(range(ring.nvars), 2):
+            fibers.setdefault(images[a] + images[b], []).append((a, b))
+        large = [fiber for fiber in fibers.values() if len(fiber) >= 3]
+        if large:
+            break
+    x, y, z = rng.sample(rng.choice(large), 3)
+    pairs = [(x, y), (y, z)]
+    for fiber in rng.sample(list(fibers.values()), rng.randint(0, 1)):
+        if len(fiber) >= 2:
+            pairs.append(tuple(rng.sample(fiber, 2)))
+    return ring, pairs
+
+
+def test_interreduction_runs_where_a_trail_is_a_lead(buchberger_calls, monkeypatch):
+    """Built cases decided without Buchberger whose led generators are not
+    yet reduced, because a trail is a lead: the search must interreduce
+    them.  Where no trail is a lead, it must not."""
+    real = binomials_mod._interreduce
+    interreduced = []
+
+    def spy(items, layout):
+        interreduced.append(items)
+        return real(items, layout)
+
+    monkeypatch.setattr(binomials_mod, "_interreduce", spy)
+    rng = random.Random(1618)
+    counted = trail_is_lead = 0
+    for _ in range(1500):
+        ring, pairs = _shared_fiber_pairs(rng)
+        for kinds in SEARCHES:
+            want = ref.order_search(ring, pairs, kinds)  # its Buchberger interreduces too
+            interreduced.clear()
+            buchberger_calls.clear()
+            found = order_search(ring, pairs, kinds)
+            assert _answer(found) == _answer(want)
+            if buchberger_calls:
+                continue
+            led = found.elements
+            leads = {lead for lead, _ in led}
+            if any(trail in leads for _, trail in led):
+                assert interreduced and found.gb.elements != led
+                trail_is_lead += 1
+            else:
+                assert interreduced == [] and found.gb.elements == led
+            counted += 1
+    assert (counted, trail_is_lead) == (964, 491)
+
+
+def test_coprime_leads_build_no_semigroup_level(corpus, buchberger_calls, monkeypatch):
+    """Under rank-lex, 45 of the 186 seed-7 windows with at most 12 variables
+    and two generators or more have pairwise coprime leads: they are decided
+    with 0 S-pairs and no |L_2|, |L_3| build, and the others build them."""
+    real = binomials_mod._semigroup_points
+    built = []
+
+    def spy(images):
+        built.append(len(images))
+        return real(images)
+
+    monkeypatch.setattr(binomials_mod, "_semigroup_points", spy)
+    windows = coprime = 0
+    for ring, pairs in _windows((lat for _, lat in corpus), max_vars=12):
+        if len(pairs) < 2:
+            continue
+        built.clear()
+        buchberger_calls.clear()
+        found = order_search(ring, pairs, "rank-lex")
+        assert _answer(found) == _answer(ref.order_search(ring, pairs, "rank-lex"))
+        windows += 1
+        if _coprime_leads(ring, pairs, "rank-lex"):
+            assert built == [] and found.gb.spairs_processed == 0
+            assert _passes(found.gb) and buchberger_calls == []
+            coprime += 1
+        else:
+            assert len(built) == 1
+    assert (windows, coprime) == (186, 45)
 
 
 @pytest.mark.parametrize("lattice, kind, failing", [
@@ -141,8 +250,8 @@ def test_orders_with_a_cubic_basis_run_buchberger(lattice, kind, failing, buchbe
         found = order_search(ring, pairs, kind)
         assert _answer(found) == _answer(ref.order_search(ring, pairs, kind))
         multi = [size for _, size in buchberger_calls if size > 1]
-        assert len(multi) == (not _passes(found[2]))
-        fails += not _passes(found[2])
+        assert len(multi) == (not _passes(found.gb))
+        fails += not _passes(found.gb)
     assert fails == failing
 
 
@@ -180,10 +289,9 @@ def test_lead_graph_counts_match_enumeration():
 def test_semigroup_levels_match_tuple_images(small_corpus):
     checked = 0
     for ring, _ in _windows((lat for _, lat in small_corpus), max_vars=10):
-        mm = ring.monomial_map
         levels = _semigroup_points(_point_images(ring, 3))
         for degree in (1, 2, 3):
-            images = {mm.image_of_monomial(m) for m in _degree_monomials(ring.nvars, degree, 10**6)}
+            images = {image_of_monomial(ring, m) for m in _degree_monomials(ring.nvars, degree, 10**6)}
             assert len(next(levels)) == len(images)
         checked += 1
     assert checked == 220

@@ -10,9 +10,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import krull_reference
 from buchberger_reference import mono_mul
+from fiber_reference import image_of_monomial
 from hibilab.binomials import (
     WindowRing,
+    _lead_supports,
     buchberger,
     defining_ideal_generators,
     make_binomial,
@@ -97,8 +100,7 @@ def test_normal_form_idempotent_random():
             )
         nf = normal_form(monomial, ideal.gb.basis, ideal.order)
         assert normal_form(nf, ideal.gb.basis, ideal.order) == nf
-        mm = ring.monomial_map
-        assert mm.image_of_monomial(nf) == mm.image_of_monomial(monomial)
+        assert image_of_monomial(ring, nf) == image_of_monomial(ring, monomial)
         checked += 1
     CASES["nf-idempotence"] = checked
 
@@ -206,8 +208,10 @@ def test_krull_search_matches_exhaustive_on_random_hypergraphs():
 
     from hibilab.betti import krull_dimension_via_initial
 
+    from hibilab.betti import _minimal_masks
+
     rng = random.Random(909)
-    checked = 0
+    checked = nested = 0
     while checked < 300:
         n = rng.randint(3, 12)
         supports = {
@@ -224,8 +228,36 @@ def test_krull_search_matches_exhaustive_on_random_hypergraphs():
             )
         )
         assert krull_dimension_via_initial(leads, nvars=n) == best, sorted(map(sorted, supports))
+        # the mask filter against the frozenset reference, with nested supports
+        want = sorted(krull_reference.masks(krull_reference.minimal_supports(leads)))
+        assert sorted(_minimal_masks(_lead_supports(leads))) == want
+        nested += len(want) < len(supports)
         checked += 1
+    assert nested > 100
     CASES["krull-hypergraph-exhaustive"] = checked
+
+
+def test_krull_on_masks_matches_minimal_supports_reference(corpus):
+    """The lead supports read off the packed basis, their minimal filter and
+    the Krull search on them, against the frozenset route on dense leads, on
+    every seed-7 window."""
+    from hibilab.betti import _minimal_masks, krull_dimension_via_initial
+
+    checked = 0
+    for name, lat in corpus:
+        for w in all_windows(lat):
+            ideal = window_ideal(lat, w)
+            gb, nvars = ideal.gb, ideal.ring.nvars
+            leads = gb.leads
+            supports = krull_reference.masks({k for k, e in enumerate(lead) if e} for lead in leads)
+            assert gb.lead_supports == tuple(supports), (name, w)
+            want = krull_reference.masks(krull_reference.minimal_supports(leads))
+            assert sorted(_minimal_masks(gb.lead_supports)) == sorted(want), (name, w)
+            krull = krull_dimension_via_initial(gb, nvars=nvars)
+            assert krull == krull_reference.krull_dimension(leads, nvars), (name, w)
+            assert krull == krull_dimension_via_initial(leads, nvars=nvars), (name, w)
+            checked += 1
+    assert checked == 764
 
 
 def test_linear_resolution_oracle_matches_full_table():
@@ -384,7 +416,7 @@ def test_lead_graph_matches_hochster_table(corpus):
                 continue
             leads, nvars = ideal.gb.leads, ideal.ring.nvars
             assert ideal.gb.quadratic and ideal.gb.squarefree, (name, w)
-            adj = _lead_graph(leads, nvars)
+            adj = _lead_graph(ideal.gb.lead_supports, nvars)
             full = monomial_betti_table(leads, nvars)
             linear = not any(j != i + 2 for i, j in full)
             assert _complement_chordal(adj) == linear, (name, w)
@@ -422,11 +454,10 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
             ring, gens, gb = ideal.ring, ideal.generators, ideal.gb
             if not gens:
                 continue
-            image = ring.monomial_map.image_of_monomial
             packing = _Packing(ring, 4)
             degrees = {
-                packing.pack(image(tuple(int(v in quad) for v in range(ring.nvars))))
-                for quad in _induced_2k2(_lead_graph(gb.leads, ring.nvars))
+                packing.pack(image_of_monomial(ring, tuple(int(v in quad) for v in range(ring.nvars))))
+                for quad in _induced_2k2(_lead_graph(gb.lead_supports, ring.nvars))
             }
             levels = _semigroup_levels(packing, 4)
             block_faces = [_block_faces(packing, b, levels[4][b], 4, levels, 3)[1] for b in degrees]
@@ -597,7 +628,7 @@ def test_edge_rank_matches_elimination(corpus):
             packing = _Packing(ring, 4)
             imgs, guard = packing.images, packing.guard
             levels = _semigroup_levels(packing, 3)
-            quads = _induced_2k2(_lead_graph(gb.leads, ring.nvars))
+            quads = _induced_2k2(_lead_graph(gb.lead_supports, ring.nvars))
             for b in {guard + sum(imgs[v] for v in quad) for quad in quads}:
                 mask = sum(1 << v for v, img in enumerate(imgs)
                            if (r := b - img) & guard == guard and r in levels[3])

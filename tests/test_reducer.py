@@ -247,7 +247,7 @@ def test_spair_budget_error_names_the_count(monkeypatch):
     monkeypatch.setattr(binomials_mod, "_SPAIR_BUDGET", 5)
     ring = WindowRing.for_window(demo_staircase(), (3, 7))
     order = monomial_order("rank-lex", ring)
-    gens = [make_binomial(a, b, order) for a, b in _straightening_pairs(ring)]
+    gens = _oriented(_straightening_pairs(ring), order)
     with pytest.raises(DegreeInfeasible) as info:
         buchberger(gens, order)
     assert info.value.payload() == {

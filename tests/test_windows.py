@@ -136,6 +136,37 @@ def test_elimination_agrees_with_bruteforce_on_windows():
             )
 
 
+def _resorting_elimination(graph):
+    """The elimination as it stood before the edges were sorted once: the
+    remaining edges sorted again at every step, the least bisimplicial one
+    eliminated; None when it sticks."""
+    from hibilab.windows import _bisimplicial
+
+    edges = set(graph.edges)
+    left_adj = {i: set(v) for i, v in graph.left_adj.items()}
+    right_adj = {j: set(v) for j, v in graph.right_adj.items()}
+    order = []
+    while edges:
+        pick = next((e for e in sorted(edges) if _bisimplicial(edges, left_adj, right_adj, e)), None)
+        if pick is None:
+            return None
+        edges.discard(pick)
+        left_adj[pick[0]].discard(pick[1])
+        right_adj[pick[1]].discard(pick[0])
+        order.append(pick)
+    return tuple(order)
+
+
+def test_elimination_order_matches_resorting_on_every_seed7_window(corpus):
+    checked = 0
+    for _, lat in corpus:
+        for w in all_windows(lat):
+            graph = bipartite_graph(lat, w)
+            assert is_chordal_bipartite(graph).elimination_order == _resorting_elimination(graph)
+            checked += 1
+    assert checked == 764
+
+
 class TestPolyomino:
     def test_ell_single_cell(self):
         poly = polyomino(ell_lattice(), (1, 3))
