@@ -719,16 +719,14 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
     width = _width(max(map(len, chain.from_iterable(pairs))))
     quadrics = False  # whether there are two generators or more, all balanced quadrics
     if len(pairs) > 1:
-        images = _point_images(ring, 3)  # entries up to 3
-        quadrics = _balanced_quadrics(images, pairs)
+        quadrics = _balanced_quadrics(_point_images(ring, 3), pairs)  # entries up to 3
     sizes = None
 
     def level_sizes():
         """(|L_2|, |L_3|), built when a count is first compared with them."""
         nonlocal sizes
         if sizes is None:
-            _, level_2, level_3 = islice(_semigroup_points(images), 3)
-            sizes = len(level_2), len(level_3)
+            sizes = tuple(islice(_semigroup_sizes(ring, 3), 1, 3))
         return sizes
 
     candidates = {}
@@ -779,14 +777,33 @@ def _point_images(ring: WindowRing, width: int):
     return [(1 << width * i) + (1 << start + width * j) for i, j in ring.points]
 
 
-def _semigroup_points(images):
-    """The semigroup levels L_1, L_2, ... spanned by the packed images, lazily,
-    each the set of sums of that many images.  An entry of a point in L_e is
-    at most e, so the fields must hold e."""
-    level = set(images)
+def _semigroup_sizes(ring: WindowRing, width: int):
+    """The sizes |L_1|, |L_2|, ... of the window's semigroup levels, lazily:
+    L_e is built, from L_(e-1), when its size is asked for.  The points are
+    packed images (_point_images, width bits per entry); an entry of a point
+    in L_e is at most e, so the fields must hold e.
+
+    Each level is split by the largest row r of its points, the largest i
+    with s_i in the point.  Every way of writing a point b of L_e as a sum
+    of e images uses a cell (r, j) of b's largest row, and taking that cell
+    off leaves a point of L_(e-1) whose rows are all <= r.  So the part of
+    L_e with largest row r is {q + img(r, j) : q in L_(e-1) with largest
+    row <= r}: one set per row, no union, since the parts are disjoint, and
+    each point q is added only to the cells of rows at or above its own.
+    """
+    rows = {}
+    for (i, _), img in zip(ring.points, _point_images(ring, width)):
+        rows.setdefault(i, set()).add(img)
+    cells = [rows[i] for i in sorted(rows)]  # the images of each row, lowest row first
+    parts = cells  # of L_1, by largest row
     while True:
-        yield level
-        level = {q + img for q in level for img in images}
+        yield sum(map(len, parts))
+        below = []  # the points of L_(e-1) with largest row <= r
+        grown = []
+        for part, images in zip(parts, cells):
+            below.extend(part)
+            grown.append({q + img for q in below for img in images})
+        parts = grown
 
 
 def _balanced_quadrics(images, pairs) -> bool:
@@ -907,6 +924,52 @@ def _extend(level, units, hi, divisors):
     return out
 
 
+def _divided_counts(leads, units, hi, ones: int):
+    """The number of packed monomials of degree 1, 2, ... that no packed lead
+    divides, lazily, each degree enumerated by _extend when asked for; ones
+    fills one field."""
+    divisors = [[lead for lead in leads if lead & unit * ones] for unit in units]
+    level = [(0, 0)]
+    while True:
+        level = _extend(level, units, hi, divisors)
+        yield len(level)
+
+
+def _grow_faces(faces, holding):
+    """The faces one size above faces, as (mask, last variable) pairs: a face
+    of the lead complex is a set of variables, as a bitmask, holding no lead
+    support.  Each face F grows by each variable v above its last, and F | v
+    holds a support only if one of holding[v], the supports holding v, lies
+    in it, since F holds none."""
+    out = []
+    for face, last in faces:
+        for v in range(last + 1, len(holding)):
+            grown = face | 1 << v
+            for support in holding[v]:
+                if support | grown == grown:
+                    break
+            else:
+                out.append((grown, v))
+    return out
+
+
+def _face_counts(supports, nvars: int):
+    """The number of degree-e monomials in nvars variables that no squarefree
+    lead divides, for e = 1, 2, ..., lazily, from the lead supports (bitmasks).
+
+    Such a monomial is standard iff its support is a face of the lead
+    complex, and C(e - 1, k - 1) degree-e monomials have a given support of
+    size k, so the count is sum_k f_k C(e - 1, k - 1), f_k the k-faces.  The
+    faces of size e are walked (_grow_faces) when degree e is asked for.
+    """
+    holding = [[s for s in supports if s >> v & 1] for v in range(nvars)]
+    faces, fvector = [(0, -1)], [1]
+    for e in count(1):
+        faces = _grow_faces(faces, holding)
+        fvector.append(len(faces))
+        yield sum(f * comb(e - 1, k - 1) for k, f in enumerate(fvector) if k)
+
+
 def toric_fiber_oracle(
     ring: WindowRing,
     gens,
@@ -926,10 +989,17 @@ def toric_fiber_oracle(
     With the basis elements of degree <= e balanced, reduction stays in a
     fiber, so the basis is consistent in degree e (one normal form per fiber)
     iff the degree-e monomials that no lead divides number |L_e| (Sturmfels,
-    Groebner Bases and Convex Polytopes, ch. 4).  Monomials and semigroup
-    points are packed into ints, degree.bit_length() + 1 bits per entry, the
-    top one a guard for the borrow test.  Generators must be homogeneous;
-    each degree is held to default_budget().
+    Groebner Bases and Convex Polytopes, ch. 4).  With squarefree leads that
+    number comes from the faces of the lead complex (_face_counts, one face
+    size per degree), a route apart from the order search's lead-graph
+    counts; other leads fall back to enumerating the standard monomials
+    (_divided_counts).  |L_e| comes from the semigroup levels split by
+    largest row (_semigroup_sizes), and the all-monomial levels that the
+    moves read are built only up to degree - (least move degree).
+    Monomials and semigroup points are packed into ints, degree.bit_length()
+    + 1 bits per entry, the top one a guard for the borrow test.  Generators
+    must be homogeneous; each degree is held to default_budget(), checked
+    before any work on that degree.
     """
     if degree < 2:
         raise DegreeInfeasible("degree bound must be at least 2", degree=degree)
@@ -949,18 +1019,24 @@ def toric_fiber_oracle(
     # from the degree of the first unbalanced basis element on, no degree is consistent
     unbalanced = min((g.degree() for g, ok in zip(basis, _balanced(ring, basis)) if not ok),
                      default=degree + 1)
-    leads = [pack(g.lead) for g in basis if g.degree() <= degree]
-    divisors = [[lead for lead in leads if lead & unit * ((1 << width) - 1)] for unit in units]
-    levels = [[(0, 0)]]  # all monomials of each degree below e, (packed, last variable)
-    standard, records = _extend(levels[0], units, hi, divisors), []
-    semigroup = _semigroup_points(_point_images(ring, width))
-    next(semigroup)  # L_1
+    standard = None  # the standard monomial counts of degree 1, 2, ..., with a basis
+    if gb is not None:
+        if (supports := gb.lead_supports) is not None:
+            standard = _face_counts(supports, nvars)
+        else:
+            leads = [pack(g.lead) for g in basis if g.degree() <= degree]
+            standard = _divided_counts(leads, units, hi, (1 << width) - 1)
+        next(standard)  # degree 1
+    least = min((d for d, _, _ in moves), default=degree + 1)
+    levels = [[(0, 0)]]  # all monomials of degree 0, 1, ..., e - least, (packed, last variable)
+    sizes, records = _semigroup_sizes(ring, width), []
+    next(sizes)  # |L_1|
     for e in range(2, degree + 1):
         if (count := comb(nvars + e - 1, e)) > budget:
             raise DegreeInfeasible(f"degree {e} needs {count} monomials", budget=budget, monomials=count)
-        levels.append(_extend(levels[-1], units, hi, [()] * nvars))
-        standard = _extend(standard, units, hi, divisors)
-        points = next(semigroup)
+        while len(levels) <= e - least:  # a move of degree d reads the monomials of degree e - d
+            levels.append(_extend(levels[-1], units, hi, [()] * nvars))
+        fibers = next(sizes)
         parent = {}  # non-root monomial -> its parent
         span = 0
         for d, lead, trail in moves:
@@ -973,10 +1049,11 @@ def toric_fiber_oracle(
                 if a != b:
                     parent[a] = b
                     span += 1
-        target = count - len(points)
+        target = count - fibers
         records.append(FiberDegreeRecord(
-            degree=e, monomials=count, fibers=len(points), target_dim=target, span_rank=span,
+            degree=e, monomials=count, fibers=fibers, target_dim=target, span_rank=span,
             generated=span == target,
-            gb_consistent=gb is None or (e < unbalanced and len(standard) == len(points)),
+            # from unbalanced on no degree reads the counts, so they may stop there
+            gb_consistent=gb is None or (e < unbalanced and next(standard) == fibers),
         ))
     return FiberCertificate(degree, all(_balanced(ring, gens)), tuple(records))

@@ -12,6 +12,9 @@ match record for record.
 image_of_monomial and balanced are the tuple route to a monomial's image
 under the monomial map, as MonomialMap held it before balance was checked
 on packed images; tests use them as the reference for images.
+semigroup_points is the plain build of the semigroup levels, every point of
+L_(e-1) plus every image, as the package built them before it split each
+level by largest row (binomials._semigroup_sizes).
 """
 
 from buchberger_reference import Reducer, mono_mul
@@ -38,6 +41,16 @@ def image_of_monomial(ring, mono):
 
 def balanced(ring, g):
     return image_of_monomial(ring, g.lead) == image_of_monomial(ring, g.trail)
+
+
+def semigroup_points(images):
+    """The semigroup levels L_1, L_2, ... spanned by the packed images, lazily,
+    each the set of sums of that many images.  An entry of a point in L_e is
+    at most e, so the fields must hold e."""
+    level = set(images)
+    while True:
+        yield level
+        level = {q + img for q in level for img in images}
 
 
 def toric_fiber_oracle(ring, gens, gb=None, degree=4):

@@ -1,10 +1,13 @@
 import random
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fiber_reference
+import hibilab.binomials as binomials_mod
 from buchberger_reference import mono_mul
 from fiber_reference import balanced, image_of_monomial
 from hibilab.betti import _rank_mod_p
@@ -12,6 +15,8 @@ from hibilab.binomials import (
     Binomial,
     ORDER_KINDS,
     WindowRing,
+    _divided_counts,
+    _face_counts,
     buchberger,
     default_budget,
     defining_ideal_generators,
@@ -223,6 +228,54 @@ class TestFiberOracle:
         with pytest.raises(DegreeInfeasible):
             toric_fiber_oracle(ideal.ring, ideal.generators, degree=4)
 
+    @pytest.mark.parametrize("budget, degree, tripped", [("1000", 4, 3), ("20000", 5, 5)])
+    def test_budget_trips_before_the_faces_of_its_degree(self, monkeypatch, budget, degree, tripped):
+        """The budget check of degree e raises, with the payload it always had,
+        before any face of size e is walked."""
+        monkeypatch.setenv("HIBI_LAB_BUDGET", budget)
+        ideal = window_ideal(demo_staircase(), (0, 9))  # 23 variables
+        assert ideal.gb.lead_supports is not None  # the face count, not the fallback
+        walked = []
+        real = binomials_mod._grow_faces
+
+        def spy(faces, holding):
+            walked.append(faces)  # one call per face size, from size 1 up
+            return real(faces, holding)
+
+        monkeypatch.setattr(binomials_mod, "_grow_faces", spy)
+        with pytest.raises(DegreeInfeasible) as err:
+            toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=degree)
+        monomials = comb(23 + tripped - 1, tripped)
+        assert err.value.payload() == {
+            "code": "degree-infeasible",
+            "message": f"degree {tripped} needs {monomials} monomials",
+            "details": {"budget": int(budget), "monomials": monomials},
+        }
+        assert len(walked) == tripped - 1
+
+    def test_non_squarefree_leads_fall_back_to_enumeration(self):
+        """A basis with a squared lead has no lead complex: its standard
+        monomials are enumerated, and the certificate matches the reference.
+        g^2 = lead^2 - trail^2 lies in the ideal, so the basis with it added
+        is still a Groebner basis, and the basis with g replaced by it is not."""
+        ideal = window_ideal(full_grid(2, 2), (0, 4))
+        g = ideal.gb.basis[-1]
+        square = Binomial(tuple(2 * e for e in g.lead), tuple(2 * e for e in g.trail))
+        assert balanced(ideal.ring, square)
+        cases = {
+            "squared element added": (ideal.gb.basis + (square,), True),
+            "element squared": (ideal.gb.basis[:-1] + (square,), False),
+        }
+        for case, (basis, certified) in cases.items():
+            gb = _with_basis(ideal.gb, basis)
+            assert gb.lead_supports is None, case
+            for degree in (3, 4):
+                args = (ideal.ring, ideal.generators)
+                cert = toric_fiber_oracle(*args, gb=gb, degree=degree)
+                assert cert == fiber_reference.toric_fiber_oracle(*args, gb=gb, degree=degree), (
+                    case, degree)
+                assert cert.generated and cert.gb_certified == certified, (case, degree)
+
     def test_membership_detects_unbalanced(self):
         ring, order = ring_and_order(full_grid(1, 1), (0, 2))
         bogus = make_binomial(
@@ -343,6 +396,54 @@ class TestFiberOracle:
                         assert cert.membership_ok and cert.generated and not cert.gb_certified
                     flipped[case] += 1
         assert min(flipped.values()) >= 50, flipped
+
+
+_SUPPORTS = st.integers(2, 10).flatmap(lambda nvars: st.tuples(
+    st.just(nvars),
+    st.lists(st.sets(st.integers(0, nvars - 1), min_size=2, max_size=3), max_size=12),
+))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(case=_SUPPORTS)
+def test_face_count_matches_enumeration(case):
+    """The standard monomials of squarefree leads, counted from the faces
+    of the lead complex, number as many as _extend enumerates, degrees 1-5."""
+    nvars, supports = case
+    width = 4  # entries up to 5, and a guard
+    units = [1 << width * k for k in range(nvars)]
+    hi = sum(units) << width - 1
+    leads = [sum(units[k] for k in support) for support in supports]
+    masks = [sum(1 << k for k in support) for support in supports]
+    assert list(islice(_face_counts(masks, nvars), 5)) == list(
+        islice(_divided_counts(leads, units, hi, (1 << width) - 1), 5))
+
+
+_LEADS = st.integers(1, 6).flatmap(lambda nvars: st.tuples(
+    st.just(nvars),
+    st.lists(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).filter(any), max_size=6),
+))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(case=_LEADS)
+def test_divided_counts_match_brute_force(case):
+    """The fallback's counts, for leads that need not be squarefree, equal a
+    check of every monomial of degree 1-4 against every lead.  The fiber
+    certificate shows only whether a count equals |L_e|, and on these toric
+    ideals a non-squarefree lead is always redundant, so no certificate
+    tells a wrong fallback count from a right one."""
+    nvars, leads = case
+    width = 4  # entries up to 4, and a guard
+    units = [1 << width * k for k in range(nvars)]
+    hi = sum(units) << width - 1
+    packed = [sum(e * unit for e, unit in zip(lead, units)) for lead in leads]
+    brute = [
+        sum(not any(all(combo.count(k) >= e for k, e in enumerate(lead)) for lead in leads)
+            for combo in combinations_with_replacement(range(nvars), degree))
+        for degree in range(1, 5)
+    ]
+    assert list(islice(_divided_counts(packed, units, hi, (1 << width) - 1), 4)) == brute
 
 
 def test_zero_and_principal_flags():

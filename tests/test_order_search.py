@@ -12,12 +12,12 @@ the generators' terms as sparse tuples of variable indices.
 """
 
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 
 import pytest
 
 import buchberger_reference as ref
-from fiber_reference import image_of_monomial
+from fiber_reference import image_of_monomial, semigroup_points
 import hibilab.binomials as binomials_mod
 from hibilab.binomials import (
     ORDER_KINDS,
@@ -28,7 +28,7 @@ from hibilab.binomials import (
     _lead_graph_counts,
     _oriented,
     _point_images,
-    _semigroup_points,
+    _semigroup_sizes,
     _sparse_term,
     _straightening_pairs,
     _width,
@@ -37,7 +37,7 @@ from hibilab.binomials import (
     order_search,
     window_ideal,
 )
-from hibilab.reports import demo_staircase, full_grid
+from hibilab.reports import CorpusSpec, demo_staircase, full_grid, generate_corpus
 from hibilab.windows import all_windows
 
 SEARCHES = ("auto",) + ORDER_KINDS
@@ -211,14 +211,14 @@ def test_coprime_leads_build_no_semigroup_level(corpus, buchberger_calls, monkey
     """Under rank-lex, 45 of the 186 seed-7 windows with at most 12 variables
     and two generators or more have pairwise coprime leads: they are decided
     with 0 S-pairs and no |L_2|, |L_3| build, and the others build them."""
-    real = binomials_mod._semigroup_points
+    real = binomials_mod._semigroup_sizes
     built = []
 
-    def spy(images):
-        built.append(len(images))
-        return real(images)
+    def spy(ring, width):
+        built.append(width)
+        return real(ring, width)
 
-    monkeypatch.setattr(binomials_mod, "_semigroup_points", spy)
+    monkeypatch.setattr(binomials_mod, "_semigroup_sizes", spy)
     windows = coprime = 0
     for ring, pairs in _windows((lat for _, lat in corpus), max_vars=12):
         if len(pairs) < 2:
@@ -289,12 +289,27 @@ def test_lead_graph_counts_match_enumeration():
 def test_semigroup_levels_match_tuple_images(small_corpus):
     checked = 0
     for ring, _ in _windows((lat for _, lat in small_corpus), max_vars=10):
-        levels = _semigroup_points(_point_images(ring, 3))
-        for degree in (1, 2, 3):
+        levels = semigroup_points(_point_images(ring, 3))
+        sizes = _semigroup_sizes(ring, 3)
+        for degree in (1, 2, 3, 4):
             images = {image_of_monomial(ring, m) for m in _degree_monomials(ring.nvars, degree, 10**6)}
-            assert len(next(levels)) == len(images)
+            assert len(next(levels)) == next(sizes) == len(images)
         checked += 1
     assert checked == 220
+
+
+@pytest.mark.parametrize("seed, windows", [(7, 764), (11, 825)])
+def test_level_split_by_largest_row_matches_plain_build(seed, windows):
+    """The level sizes split by largest row equal the plain build's, every
+    point of L_(e-1) plus every image, at L_1..L_4 on every window of the
+    seed-7 and seed-11 corpora (up to 30 variables)."""
+    corpus = generate_corpus(CorpusSpec(seed=seed, count=40, max_m=5, max_n=4))
+    checked = 0
+    for ring, _ in _windows(lat for _, lat in corpus):
+        plain = [len(level) for level in islice(semigroup_points(_point_images(ring, 3)), 4)]
+        assert list(islice(_semigroup_sizes(ring, 3), 4)) == plain, ring.points
+        checked += 1
+    assert checked == windows
 
 
 def test_single_generator_builds_no_layout(monkeypatch):
