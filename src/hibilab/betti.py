@@ -10,11 +10,15 @@ of its multidegree, so the contraction differential
     e_{a_1} ^ ... ^ e_{a_s} (x) m  |->  sum_k (-1)^(k-1) e_{..no a_k..} (x) nf(y_{a_k} m)
 
 restricted to a multidegree b is the simplicial boundary of the complex of
-subsets T with b - sigma(T) still in the semigroup.  Ranks are computed by
-exact Gaussian elimination mod p, blockwise, except the edge boundary's,
-which is #vertices - #components by union-find; the block sum equals the
-rank of the full strand matrix because the blocks are its diagonal after
-sorting the monomial basis by multidegree.
+subsets T with b - sigma(T) still in the semigroup.  Ranks are taken
+blockwise; the block sum equals the rank of the full strand matrix because
+the blocks are its diagonal after sorting the monomial basis by
+multidegree.  The vertex boundary has rank 1, and the edge boundary's rank
+is the size of a spanning forest, found by union-find.  The triangle
+boundary is ranked by exact Gaussian elimination mod p over the edges off
+that forest only: its rows are cycles, and a cycle is fixed by those
+entries.  Larger faces are ranked by elimination over all faces one size
+smaller.
 
 Multidegrees are packed into one int each (_Packing), with a guard bit per
 coordinate, so b - img(v) is one subtraction plus a borrow test, and faces
@@ -56,7 +60,15 @@ ideal of the lead graph G: one edge a-b per lead y_a y_b.
   By Hochster's formula on the flag complex of in(I), beta_{1,b}(in I)
   counts the 4-sets W of variables on which G is two disjoint edges (an
   induced 2K2) with sigma(W) = b.  So beta_{1,4}(I) is the sum of the Koszul
-  blocks at just those b, and 0 when G has no induced 2K2.
+  blocks at just those b, and 0 when G has no induced 2K2.  Such a b is a
+  multiset of 4 rows with one of 4 columns, and a window monomial of
+  multidegree b pairs the rows with an ordering of the columns, so the
+  block's faces come from at most 24 pairings, with no semigroup level.  I
+  and in(I) share the multigraded Hilbert function, so at |b| = 4, where
+  only beta_1 and beta_2 of these quadric-generated ideals can be nonzero,
+  beta_{1,b}(I) - beta_{2,b}(I) = beta_{1,b}(in I) - beta_{2,b}(in I), both
+  read off G by Hochster; a positive right side settles the block with no
+  rank.
 
 monomial_betti_table reads the full Betti table of a squarefree in(I) off
 Hochster's formula (induced subcomplexes of its Stanley-Reisner complex).
@@ -70,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, groupby
+from itertools import accumulate, chain, combinations, groupby, permutations
 from math import comb
 from operator import and_, or_
 
@@ -130,23 +142,30 @@ def _rank_mod_p(rows, ncols: int, p: int) -> int:
 
 
 def _boundary_rank(faces, prev_index, p):
+    """Rank mod p of the boundary from faces to the faces one size smaller.
+
+    prev_index numbers the smaller faces; one that maps to None is dropped
+    from every row.
+    """
     rows = []
     for face in faces:
         row = {}
         sign, rest = 1, face
         while rest:
             low = rest & -rest
-            row[prev_index[face ^ low]] = sign
+            k = prev_index[face ^ low]
+            if k is not None:
+                row[k] = sign
             sign, rest = -sign, rest ^ low
         rows.append(row)
     return _rank_mod_p(rows, len(prev_index), p)
 
 
-def _edge_rank(edges):
-    """Rank of the boundary from edges to vertices, over any field.
+def _spanning_forest(edges):
+    """The edges of a spanning forest of the graph, by union-find over the vertex bits.
 
-    It is #vertices - #components of the graph, so it counts the edges that
-    join two components of a union-find over the vertex bits.
+    Their number, #vertices - #components, is the rank of the boundary from
+    edges to vertices over any field.
     """
     parent = {}
 
@@ -155,30 +174,43 @@ def _edge_rank(edges):
             x = up
         return x
 
-    rank = 0
+    forest = set()
     for edge in edges:
         low = edge & -edge
         a, b = root(low), root(edge ^ low)
         if a != b:
             parent[a] = b
-            rank += 1
-    return rank
+            forest.add(edge)
+    return forest
 
 
 def reduced_homology(faces_by_size, p):
     """dim H~_{s-1} for each face size s present.
 
     Faces are bitmasks over the vertices and include the empty face 0.  The
-    edge boundary's rank comes from _edge_rank, the others by elimination.
+    vertex boundary has rank 1 when there is a vertex, and the edge
+    boundary's rank is the size of a spanning forest (_spanning_forest).
+    Every triangle boundary is a cycle, and a cycle is fixed by its entries
+    on the edges off a spanning forest (a nonzero cycle is not supported on
+    a forest), so over any field the triangle boundary has the same rank
+    over those edges only, where it is ranked by elimination.  Larger faces
+    are ranked by elimination over all faces one size smaller.
     """
     sizes = sorted(faces_by_size)
     ranks = {}
+    forest = ()
     for s in sizes:
-        if s == 2:
-            ranks[s] = _edge_rank(faces_by_size[s])
+        faces = faces_by_size[s]
+        if s == 1:
+            ranks[s] = min(len(faces), 1)
+        elif s == 2:
+            forest = _spanning_forest(faces)
+            ranks[s] = len(forest)
         elif s:
             index = {f: k for k, f in enumerate(faces_by_size[s - 1])}
-            ranks[s] = _boundary_rank(faces_by_size[s], index, p)
+            if s == 3:
+                index.update(dict.fromkeys(forest))
+            ranks[s] = _boundary_rank(faces, index, p)
     out = {}
     for s in sizes:
         h = len(faces_by_size[s]) - ranks.get(s, 0) - ranks.get(s + 1, 0)
@@ -709,6 +741,98 @@ def _induced_2k2(adj):
     return out
 
 
+def _2k2_multidegrees(points, quads):
+    """The induced 2K2s counted by multidegree, a (rows, columns) pair of sorted tuples.
+
+    points[v] is the cell (row, column) of variable v, whose image is
+    e(s_row) + e(t_column), so sigma(W) is the multiset of W's rows with
+    that of its columns.  The count at b is h1(b) = beta_{1,b}(in I).
+    """
+    counts = {}
+    for quad in quads:
+        rows, cols = zip(*sorted(points[v] for v in quad))
+        key = (rows, tuple(sorted(cols)))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _pairing_supports(index, rows, cols):
+    """The supports, as bitmasks, of the window monomials of multidegree (rows, cols).
+
+    Such a monomial is a multiset of len(rows) cells with these rows and
+    columns, so it pairs the rows, in order, with one ordering of the
+    columns, and every pair must be a window cell (index maps the cells to
+    the variables).
+    """
+    out = set()
+    for order in set(permutations(cols)):
+        mask = 0
+        for cell in zip(rows, order):
+            v = index.get(cell)
+            if v is None:
+                break
+            mask |= 1 << v
+        else:
+            out.add(mask)
+    return out
+
+
+def _pairing_faces(supports):
+    """The faces of at most 3 variables of the Koszul block whose monomials have supports.
+
+    A variable set T is a face of the block at b exactly when b - sigma(T)
+    is in the semigroup, that is, when T lies in the support of a monomial
+    of multidegree b; so the faces are the subsets of the supports.
+    """
+    verts = 0
+    edges, triangles = set(), set()
+    for support in supports:
+        verts |= support
+        size = support.bit_count()
+        if size == 4:
+            rest = support
+            while rest:
+                low = rest & -rest
+                triangles.add(support ^ low)
+                rest ^= low
+        elif size == 3:
+            triangles.add(support)
+        elif size == 2:
+            edges.add(support)
+    for triangle in triangles:
+        rest = triangle
+        while rest:
+            low = rest & -rest
+            edges.add(triangle ^ low)
+            rest ^= low
+    return {0: [0], 1: [1 << v for v in _bits(verts)], 2: list(edges), 3: list(triangles)}
+
+
+def _complement_components(adj, vertices):
+    """The number of components of the complement of the graph on the vertex mask."""
+    comps = 0
+    while vertices:
+        comps += 1
+        comp = grow = vertices & -vertices
+        while grow:
+            low = grow & -grow
+            new = vertices & ~adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            grow = (grow ^ low) | new
+        vertices &= ~comp
+    return comps
+
+
+def _hochster_h2(adj, supports):
+    """h2(b) = beta_{2,b}(in I) for the edge ideal of the graph adj, from b's supports.
+
+    By Hochster, a 4-set W' adds dim H~_0 of the flag complex of the
+    complement on W', its components less one; the 4-sets W' with
+    sigma(W') = b are the supports with 4 variables.
+    """
+    return sum(_complement_components(adj, s) - 1 for s in supports if s.bit_count() == 4)
+
+
 # ---------------------------------------------------------------------------
 # boolean oracles
 
@@ -765,29 +889,34 @@ def is_linearly_related_oracle(
     """True iff beta_{1,4}(I) = 0; a zero or principal ideal has no syzygies at all.
 
     On _initial_basis, beta_{1,4}(I) is the sum of the Koszul blocks at the
-    multidegrees sigma(W) of the induced 2K2s W of the lead graph (upper
-    semicontinuity and Hochster, see the module docstring), and 0 with no
-    block when there is none.
+    multidegrees b = sigma(W) of the induced 2K2s W of the lead graph G
+    (upper semicontinuity and Hochster, see the module docstring), and 0
+    with no block when there is none.  Each block is read off the
+    pairings of b's rows with its columns (_pairing_supports): its faces
+    of at most 3 variables, all that H~_1 needs, are the subsets of the
+    supports of the window monomials of multidegree b (_pairing_faces).
+
+    An Euler count can settle a block with no rank.  Let h1(b) be the
+    number of induced 2K2s with sigma = b, and h2(b) the sum of
+    (components of the complement of G on W') - 1 over the 4-sets W' with
+    sigma(W') = b; by Hochster they are beta_{1,b}(in I) and
+    beta_{2,b}(in I).  I and in(I) are generated by quadrics, so at |b| = 4
+    only beta_1 and beta_2 can be nonzero, and the two ideals share the
+    multigraded Hilbert function, so beta_{1,b}(I) = beta_{2,b}(I) + h1 - h2.
+    A block with h1 > h2 answers False; the others are ranked once every
+    block has been counted.
     """
     require_field(field)
     gens = list(gens)
     if not gens:
         return True
     gb = _initial_basis(ring, gens, gb, var_cap)
-    quads = _induced_2k2(_lead_graph(gb.lead_supports, ring.nvars))
-    if not quads:
-        return True
-    packing = _Packing(ring, 4)
-    imgs, guard = packing.images, packing.guard
-    degrees = {guard + sum(imgs[v] for v in w) for w in quads}
-    # blocks at degree 4 with faces of at most 3 variables read levels 0..3;
-    # the vertex masks come from one borrow test per variable against level 3
-    levels = _semigroup_levels(packing, 3)
-    below = levels[3]
-    for b in degrees:
-        mask = sum(1 << v for v, img in enumerate(imgs)
-                   if (r := b - img) & guard == guard and r in below)
-        _, faces = _block_faces(packing, b, mask, 4, levels, 3)
-        if faces is not None and reduced_homology(faces, field).get(2, 0):
+    adj = _lead_graph(gb.lead_supports, ring.nvars)
+    index = ring.index
+    blocks = []
+    for (rows, cols), h1 in _2k2_multidegrees(ring.points, _induced_2k2(adj)).items():
+        supports = _pairing_supports(index, rows, cols)
+        if h1 > _hochster_h2(adj, supports):
             return False
-    return True
+        blocks.append(supports)
+    return not any(reduced_homology(_pairing_faces(s), field).get(2) for s in blocks)

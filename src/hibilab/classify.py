@@ -7,8 +7,8 @@ are decided by shape: a linear resolution happens exactly for a single row
 or column of cells, and linear relatedness is governed by which bounding-box
 corners the vertex set misses and, with three corners gone, by staircase
 notch inequalities.  Anything outside those hypotheses routes to the Betti
-oracle, and in verification mode both routes must agree (a disagreement is
-retried at a second prime before being raised).
+oracle, and in verification mode both routes must agree (a linearly-related
+disagreement is retried at a second prime before being raised).
 """
 
 from __future__ import annotations
@@ -301,10 +301,12 @@ def verify_window(
     field: int = DEFAULT_FIELD,
     var_cap: int = 12,
 ) -> WindowVerdict:
-    """Run shape and oracle routes side by side; raise if they disagree twice.
+    """Run shape and oracle routes side by side; raise if they disagree.
 
     The oracle-only verdict comes first and answers shape-first wherever no
-    shape theorem applies, so each predicate costs one oracle call.  A first
+    shape theorem applies, so each predicate costs one oracle call.  The
+    linear-resolution oracle is a chordality test, the same over every
+    field, so a disagreement there raises at once.  A linearly-related
     disagreement is retried with the oracle at the fallback prime, so a
     characteristic artifact never surfaces as a finding by itself.
     """
@@ -317,23 +319,19 @@ def verify_window(
         lattice, ctx, mode="shape-first", field=field, var_cap=var_cap,
         _oracle=oracle_verdict,
     )
-    if (
-        shape_verdict.linear_resolution != oracle_verdict.linear_resolution
-        or shape_verdict.linearly_related != oracle_verdict.linearly_related
-    ):
-        retry = classify_window(
+    if shape_verdict.linear_resolution == oracle_verdict.linear_resolution:
+        if shape_verdict.linearly_related == oracle_verdict.linearly_related:
+            return shape_verdict
+        oracle_verdict = classify_window(
             lattice, ctx, mode="oracle-only", field=SECOND_FIELD, var_cap=var_cap
         )
-        if (
-            shape_verdict.linear_resolution != retry.linear_resolution
-            or shape_verdict.linearly_related != retry.linearly_related
-        ):
-            raise VerificationFailed(
-                f"shape and oracle verdicts disagree on window ({w.p}, {w.q})",
-                shape=shape_verdict.to_json(),
-                oracle=retry.to_json(),
-            )
-    return shape_verdict
+        if shape_verdict.linearly_related == oracle_verdict.linearly_related:
+            return shape_verdict
+    raise VerificationFailed(
+        f"shape and oracle verdicts disagree on window ({w.p}, {w.q})",
+        shape=shape_verdict.to_json(),
+        oracle=oracle_verdict.to_json(),
+    )
 
 
 _CROSS_LINKED = Poset(

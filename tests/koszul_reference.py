@@ -14,12 +14,27 @@ extended its parent, with one subtraction and one level lookup per
 candidate, and the cone test counts the listed faces again.  They take
 levels as _semigroup_levels gives them (only membership is read) and are
 the reference the mask walk must match block for block.
+
+level_2k2_blocks is the linear-relatedness oracle's block route as it stood
+before blocks were read off row-column pairings: semigroup levels 0..3 with
+predecessor masks, and a mask walk at each induced-2K2 multidegree.
+eliminated_homology ranks every boundary by elimination over all faces one
+size smaller, with no union-find and no spanning forest.  Together they
+are the reference for the pairing faces, the Euler settle and the triangle
+ranks off a spanning forest.
 """
 
 from itertools import accumulate
 from math import comb
 
-from hibilab.betti import _cap_block, _rank_mod_p
+from hibilab.betti import (
+    _block_faces,
+    _boundary_rank,
+    _cap_block,
+    _Packing,
+    _rank_mod_p,
+    _semigroup_levels,
+)
 
 
 def vec_sub(a, b):
@@ -164,3 +179,44 @@ def has_apex(faces, max_size):
         if not inside:
             return False
     return bool(inside)
+
+
+def level_2k2_blocks(ring, multidegrees, max_size=3):
+    """The degree-4 Koszul blocks at multidegrees, faces up to max_size variables, by the level walk.
+
+    multidegrees are (rows, columns) pairs of sorted tuples, as
+    _2k2_multidegrees keys them.  The vertex mask of each b comes from one
+    borrow test per variable against level 3.  Returns {(rows, columns):
+    faces by size, or None for a simplex or a cone}.
+    """
+    packing = _Packing(ring, 4)
+    imgs, guard = packing.images, packing.guard
+    levels = _semigroup_levels(packing, 3)
+    out = {}
+    for rows, cols in multidegrees:
+        vec = [0] * (ring.m + ring.n + 2)
+        for r in rows:
+            vec[r] += 1
+        for c in cols:
+            vec[ring.m + 1 + c] += 1
+        b = packing.pack(vec)
+        mask = sum(1 << v for v, img in enumerate(imgs)
+                   if (r := b - img) & guard == guard and r in levels[3])
+        out[rows, cols] = _block_faces(packing, b, mask, 4, levels, max_size)[1]
+    return out
+
+
+def eliminated_homology(faces_by_size, p):
+    """dim H~_{s-1} for each face size s present, every boundary ranked by elimination.
+
+    Faces are bitmasks and include the empty face 0, as for
+    hibilab.betti.reduced_homology.
+    """
+    ranks = {
+        s: _boundary_rank(faces, {f: k for k, f in enumerate(faces_by_size[s - 1])}, p)
+        for s, faces in faces_by_size.items() if s
+    }
+    return {
+        s: len(faces) - ranks.get(s, 0) - ranks.get(s + 1, 0)
+        for s, faces in faces_by_size.items()
+    }

@@ -1,6 +1,7 @@
 import pytest
 
 from hibilab.classify import (
+    SECOND_FIELD,
     all_proper_windows_linear,
     classify_window,
     enumerate_linrel_windows,
@@ -10,7 +11,13 @@ from hibilab.classify import (
     shape_profile,
     verify_window,
 )
-from hibilab.errors import Disconnected, InvalidParameter, PreconditionFailed, RankTooSmall
+from hibilab.errors import (
+    Disconnected,
+    InvalidParameter,
+    PreconditionFailed,
+    RankTooSmall,
+    VerificationFailed,
+)
 from hibilab.lattice import validate_planar_lattice
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
 from hibilab.windows import Polyomino, all_windows, generators, polyomino
@@ -205,6 +212,67 @@ class TestClassifyWindow:
     def test_verify_window_agreement(self):
         for w in ((0, 3), (1, 3), (1, 4), (0, 4)):
             verify_window(full_grid(2, 2), w)
+
+    @pytest.fixture
+    def oracle_fields(self, monkeypatch):
+        """The fields of the linear-relatedness oracle calls classify makes, in order."""
+        import hibilab.classify as classify_mod
+
+        real = classify_mod.is_linearly_related_oracle
+        fields = []
+
+        def record(ring, gens, field, **kw):
+            fields.append(field)
+            return real(ring, gens, field, **kw)
+
+        monkeypatch.setattr(classify_mod, "is_linearly_related_oracle", record)
+        return fields
+
+    @staticmethod
+    def flip(monkeypatch, name):
+        import hibilab.classify as classify_mod
+
+        real = getattr(classify_mod, name)
+        monkeypatch.setattr(classify_mod, name, lambda poly: not real(poly))
+
+    def test_verify_window_raises_a_linear_resolution_disagreement_at_once(
+        self, monkeypatch, oracle_fields
+    ):
+        # the linear-resolution oracle is chordality, the same over every
+        # field, so no second prime is tried
+        self.flip(monkeypatch, "has_linear_resolution_shape")
+        with pytest.raises(VerificationFailed) as err:
+            verify_window(full_grid(2, 2), (0, 4))
+        assert oracle_fields == [32003]
+        details = err.value.details
+        assert details["shape"]["linear_resolution"] is True
+        assert details["oracle"]["linear_resolution"] is False
+
+    def test_verify_window_retries_a_linearly_related_disagreement(
+        self, monkeypatch, oracle_fields
+    ):
+        self.flip(monkeypatch, "is_linearly_related_polyomino")
+        with pytest.raises(VerificationFailed) as err:
+            verify_window(full_grid(2, 2), (0, 4))
+        assert oracle_fields == [32003, SECOND_FIELD]
+        details = err.value.details
+        assert details["shape"]["linearly_related"] is False
+        assert details["oracle"]["linearly_related"] is True
+
+    def test_verify_window_accepts_a_disagreement_the_second_prime_clears(self, monkeypatch):
+        import hibilab.classify as classify_mod
+
+        real = classify_mod.is_linearly_related_oracle
+        fields = []
+
+        def first_prime_artifact(ring, gens, field, **kw):
+            fields.append(field)
+            return real(ring, gens, field, **kw) == (field == SECOND_FIELD)
+
+        monkeypatch.setattr(classify_mod, "is_linearly_related_oracle", first_prime_artifact)
+        verdict = verify_window(full_grid(2, 2), (0, 4))
+        assert fields == [32003, SECOND_FIELD]
+        assert verdict.linearly_related and verdict.linrel_basis == "shape:corners"
 
     def test_verify_window_beyond_default_cap(self, corpus):
         # the oracles run on the lead graph, so windows of 13-30 variables

@@ -8,6 +8,7 @@ are exported so the acceptance suite can assert the total.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import krull_reference
@@ -576,67 +577,205 @@ def test_mask_walk_matches_candidate_scan(corpus):
     CASES["mask-walk-vs-candidate-scan"] = windows
 
 
-def test_edge_rank_matches_elimination(corpus):
-    """Gate for the union-find rank of the edge boundary in reduced_homology.
+@pytest.fixture(scope="module")
+def linrel_blocks(corpus):
+    """The induced-2K2 blocks of every seed-7 window the linear-relatedness oracle answers on.
 
-    _edge_rank (#vertices - #components) must equal the rank by elimination
-    mod p, at 32003 and 65537, on every ranked block of the full tables of
-    the seed-7 windows with at most 7 variables, and on every induced-2K2
-    block that is_linearly_related_oracle would rank on the seed-7 windows
-    with at most 30 variables.
+    Those are the windows with at most 30 variables, a generator and a
+    quadratic squarefree basis from _initial_basis; a lead graph with no
+    induced 2K2 gives no block.  Each record holds the window, its ring, generators,
+    basis and lead graph, and per 2K2 multidegree (rows, columns): h1, the
+    pairing supports, the level walk's faces of at most 3 and of at most 4
+    variables (koszul_reference.level_2k2_blocks), and, per field, the
+    whole block's reduced homology by elimination.
     """
+    import koszul_reference as ref
     from hibilab.betti import (
-        _block_faces,
-        _boundary_rank,
-        _edge_rank,
+        _2k2_multidegrees,
         _induced_2k2,
         _initial_basis,
         _lead_graph,
-        _Packing,
-        _semigroup_levels,
+        _pairing_supports,
     )
     from hibilab.errors import PreconditionFailed
 
-    checked = {"full": 0, "2k2": 0}
-
-    def check(faces, kind):
-        edges = faces.get(2, [])
-        index = {face: k for k, face in enumerate(faces[1])}
-        rank = _edge_rank(edges)
-        for field in (32003, 65537):
-            assert rank == _boundary_rank(edges, index, field), (kind, faces)
-        checked[kind] += 1
-
-    for _, lat in corpus:
+    records = []
+    for name, lat in corpus:
         for w in all_windows(lat):
             ideal = window_ideal(lat, w)
             ring, gens = ideal.ring, ideal.generators
             if ring.nvars > 30 or not gens:
                 continue
-            if ring.nvars <= 7:
-                packing = _Packing(ring, ring.nvars)
-                levels = _semigroup_levels(packing, ring.nvars)
-                for j in range(2, ring.nvars + 1):
-                    for b, mask in levels[j].items():
-                        faces = _block_faces(packing, b, mask, j, levels, j)[1]
-                        if faces is not None:
-                            check(faces, "full")
             try:
                 gb = _initial_basis(ring, gens, ideal.gb, 30)
             except PreconditionFailed:
                 continue
-            packing = _Packing(ring, 4)
-            imgs, guard = packing.images, packing.guard
-            levels = _semigroup_levels(packing, 3)
-            quads = _induced_2k2(_lead_graph(gb.lead_supports, ring.nvars))
-            for b in {guard + sum(imgs[v] for v in quad) for quad in quads}:
-                mask = sum(1 << v for v, img in enumerate(imgs)
-                           if (r := b - img) & guard == guard and r in levels[3])
-                faces = _block_faces(packing, b, mask, 4, levels, 3)[1]
-                if faces is not None:
-                    check(faces, "2k2")
+            adj = _lead_graph(gb.lead_supports, ring.nvars)
+            counts = _2k2_multidegrees(ring.points, _induced_2k2(adj))
+            walks = {size: ref.level_2k2_blocks(ring, counts, size) for size in (3, 4) if counts}
+            blocks = {}
+            for key, h1 in counts.items():
+                whole = walks[4][key]
+                homology = {
+                    field: ref.eliminated_homology(whole, field) if whole else {}
+                    for field in (32003, 65537)
+                }
+                blocks[key] = (h1, _pairing_supports(ring.index, *key), walks[3][key], homology)
+            records.append(((name, w), ring, gens, gb, adj, blocks))
+    return records
+
+
+def test_pairing_faces_match_level_walk(linrel_blocks):
+    """Gate for the 2K2 blocks read off row-column pairings.
+
+    At every induced-2K2 multidegree of the windows of linrel_blocks, the
+    faces of at most 3 variables that _pairing_faces gives are the faces of
+    the level walk of koszul_reference, size by size.  No such block is a
+    simplex or a cone.
+    """
+    from hibilab.betti import _pairing_faces
+
+    blocks = 0
+    for where, _, _, _, _, window_blocks in linrel_blocks:
+        for key, (_, supports, walked, _) in window_blocks.items():
+            assert walked is not None, (where, key)
+            faces = _pairing_faces(supports)
+            for s in range(4):
+                assert sorted(faces[s]) == sorted(walked.get(s, ())), (where, key, s)
+            blocks += 1
+    assert blocks > 0
+    CASES["pairing-faces-vs-level-walk"] = blocks
+
+
+def test_euler_settle_matches_block_homology(linrel_blocks):
+    """Gate for the Euler settle of is_linearly_related_oracle.
+
+    At every induced-2K2 multidegree b of the windows of linrel_blocks, at
+    32003 and 65537, the whole block's H~_1 - H~_2 by elimination, that is
+    beta_{1,b}(I) - beta_{2,b}(I), equals h1 - h2; and wherever h1 > h2,
+    the block's H~_1 is at least h1 - h2.
+    """
+    from hibilab.betti import _hochster_h2
+
+    blocks = settled = 0
+    for where, _, _, _, adj, window_blocks in linrel_blocks:
+        for key, (h1, supports, _, homology) in window_blocks.items():
+            h2 = _hochster_h2(adj, supports)
+            for field, hom in homology.items():
+                assert hom.get(2, 0) - hom.get(3, 0) == h1 - h2, (where, key, field)
+                if h1 > h2:
+                    assert hom.get(2, 0) >= h1 - h2, (where, key, field)
+            blocks += 1
+            settled += h1 > h2
+    assert 0 < settled < blocks, (settled, blocks)
+    CASES["euler-settle-vs-elimination"] = blocks
+
+
+@pytest.fixture(scope="module")
+def ranked_blocks(corpus, linrel_blocks):
+    """The faces of every block reduced_homology ranks on the seed-7 windows.
+
+    "full": the blocks the full tables of the windows with at most 7
+    variables rank (the mask walk's non-cone blocks); "2k2": the pairing
+    faces of every block of linrel_blocks, with the whole block's homology
+    by elimination per field.
+    """
+    from hibilab.betti import _block_faces, _pairing_faces, _Packing, _semigroup_levels
+
+    blocks = {"full": [], "2k2": []}
+    for _, lat in corpus:
+        for w in all_windows(lat):
+            ideal = window_ideal(lat, w)
+            ring = ideal.ring
+            if ring.nvars > 7 or not ideal.generators:
+                continue
+            packing = _Packing(ring, ring.nvars)
+            levels = _semigroup_levels(packing, ring.nvars)
+            for j in range(2, ring.nvars + 1):
+                for b, mask in levels[j].items():
+                    faces = _block_faces(packing, b, mask, j, levels, j)[1]
+                    if faces is not None:
+                        blocks["full"].append((faces, None))
+    for *_, window_blocks in linrel_blocks:
+        blocks["2k2"] += [
+            (_pairing_faces(supports), homology)
+            for _, supports, _, homology in window_blocks.values()
+        ]
+    return blocks
+
+
+def test_edge_rank_matches_elimination(ranked_blocks):
+    """Gate for the union-find rank of the edge boundary in reduced_homology.
+
+    The spanning forest's size (#vertices - #components) must equal the
+    rank by elimination mod p, at 32003 and 65537, on every ranked block of
+    the full tables of the seed-7 windows with at most 7 variables, and on
+    every induced-2K2 block that is_linearly_related_oracle would rank on
+    the seed-7 windows with at most 30 variables.
+    """
+    from hibilab.betti import _boundary_rank, _spanning_forest
+
+    checked = {"full": 0, "2k2": 0}
+    for kind, blocks in ranked_blocks.items():
+        for faces, _ in blocks:
+            edges = faces.get(2, [])
+            index = {face: k for k, face in enumerate(faces[1])}
+            rank = len(_spanning_forest(edges))
+            for field in (32003, 65537):
+                assert rank == _boundary_rank(edges, index, field), (kind, faces)
+            checked[kind] += 1
     assert all(checked.values()), checked
     CASES["edge-rank-vs-elimination"] = sum(checked.values())
+
+
+def test_triangle_rank_off_forest_matches_elimination(ranked_blocks):
+    """Gate for ranking the triangle boundary over the edges off a spanning forest.
+
+    On the blocks of test_edge_rank_matches_elimination, at 32003 and
+    65537, reduced_homology equals koszul_reference.eliminated_homology,
+    which ranks every boundary by elimination over all faces one size
+    smaller.  A 2K2 block's faces stop at 3 variables, so there its H~_1
+    and below are compared with the whole block's, by elimination.
+    """
+    import koszul_reference as ref
+    from hibilab.betti import reduced_homology
+
+    checked = with_triangles = 0
+    for kind, blocks in ranked_blocks.items():
+        for faces, whole in blocks:
+            for field in (32003, 65537):
+                got = reduced_homology(faces, field)
+                if whole is None:
+                    assert got == ref.eliminated_homology(faces, field), (kind, faces, field)
+                else:
+                    for s in range(3):
+                        assert got[s] == whole[field].get(s, 0), (kind, faces, field, s)
+            checked += 1
+            with_triangles += bool(faces.get(3))
+    assert with_triangles > 0
+    CASES["forest-triangle-rank-vs-elimination"] = checked
+
+
+def test_linear_relatedness_oracle_matches_level_reference(linrel_blocks):
+    """Gate for is_linearly_related_oracle against the level route with full elimination.
+
+    On every window of linrel_blocks, at 32003 and 65537, with the
+    window's own basis and with none, the oracle answers True exactly when
+    every induced-2K2 block of the level walk has no H~_1 by elimination.
+    """
+    from hibilab.betti import is_linearly_related_oracle
+
+    related = unrelated = 0
+    for where, ring, gens, gb, _, window_blocks in linrel_blocks:
+        for field in (32003, 65537):
+            want = not any(homology[field].get(2) for *_, homology in window_blocks.values())
+            for with_gb in (gb, None):
+                got = is_linearly_related_oracle(ring, gens, field=field, gb=with_gb, var_cap=30)
+                assert got == want, (where, field)
+            related += want
+            unrelated += not want
+    assert related > 0 and unrelated > 0
+    CASES["linrel-oracle-vs-level-reference"] = len(linrel_blocks)
 
 
 def test_case_total_meets_budget():
