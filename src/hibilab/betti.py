@@ -99,9 +99,10 @@ from .binomials import (
     MonomialOrder,
     Reducer,
     WindowRing,
-    _balanced,
     _Layout,
     _degree_monomials,
+    _fiber_terms,
+    _lead_graph,
     _lead_supports,
     _sparse_term,
     _width,
@@ -400,7 +401,7 @@ def _semigroup_levels(packing: _Packing, j_max: int):
 
 
 def _require_toric(ring: WindowRing, gens):
-    if not all(_balanced(ring, gens)):
+    if not all(ok for *_, ok in _fiber_terms(gens, ring, [0] * ring.nvars)):
         raise InvalidParameter(
             "generator is not in the toric ideal of the window map; "
             "Betti oracle only covers window ideals"
@@ -680,22 +681,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _lead_graph(supports, nvars):
-    """Adjacency bitmasks of the lead graph: one edge a-b per lead y_a y_b.
-
-    supports are the leads' support bitmasks over the variable indices, two
-    bits each, as GroebnerReport.lead_supports gives them for the squarefree
-    quadrics of _initial_basis.
-    """
-    adj = [0] * nvars
-    for support in supports:
-        low = support & -support
-        a, b = low.bit_length() - 1, (support ^ low).bit_length() - 1
-        adj[a] |= 1 << b
-        adj[b] |= low
-    return adj
 
 
 def _complement_chordal(adj):

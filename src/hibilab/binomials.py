@@ -19,13 +19,13 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import chain, combinations_with_replacement, compress, count, islice
+from functools import cache, reduce
+from itertools import chain, combinations_with_replacement, compress, count
 from math import comb, isqrt
-from operator import itemgetter, mul, neg
+from operator import itemgetter, mul, neg, or_
 
-from .errors import DegreeInfeasible, InvalidParameter
-from .lattice import PlanarLattice
+from .errors import DegreeInfeasible, InvalidParameter, VerificationFailed
+from .lattice import PlanarLattice, lazy
 from .windows import RankWindow, as_context
 
 Monomial = tuple
@@ -75,7 +75,7 @@ class WindowRing:
     def nvars(self) -> int:
         return len(self.points)
 
-    @cached_property
+    @lazy
     def index(self):
         return {p: k for k, p in enumerate(self.points)}
 
@@ -96,7 +96,7 @@ class WindowRing:
                 parts.append(f"y_{{{i}{j}}}" + (f"^{e}" if e > 1 else ""))
         return "*".join(parts) if parts else "1"
 
-    @cached_property
+    @lazy
     def monomial_map(self) -> "MonomialMap":
         images = []
         for i, j in self.points:
@@ -105,6 +105,10 @@ class WindowRing:
             vec[self.m + 1 + j] += 1
             images.append(tuple(vec))
         return MonomialMap(m=self.m, n=self.n, images=tuple(images))
+
+    @lazy
+    def semigroup(self) -> "Semigroup":
+        return Semigroup(self.points)
 
 
 @dataclass(frozen=True)
@@ -116,20 +120,61 @@ class MonomialMap:
     images: tuple
 
 
-def _balanced(ring: WindowRing, binomials) -> list:
-    """Per binomial, whether its two terms have the same image under the
-    monomial map.  An entry of a term's image is at most its degree, so with
-    the images packed into fields wide enough for the largest degree
-    (_point_images), a term's image is the sum of its variables' packed
-    images by exponent."""
-    binomials = list(binomials)
-    degree = max((max(sum(g.lead), sum(g.trail)) for g in binomials), default=0)
-    images = _point_images(ring, degree.bit_length() + 1)
-    return [sum(map(mul, images, g.lead)) == sum(map(mul, images, g.trail)) for g in binomials]
+class Semigroup:
+    """The semigroup of a window's monomial map, held once per WindowRing
+    and read by the order search, the fiber oracle and the balance checks.
 
+    images[k] packs the image s_i t_j of variable k into an int, a field per
+    entry with a guard bit on top: t_j, then s_i, counted from the window's
+    least column and row, which get no field, since the t entries and the s
+    entries of a level's points (or of an equal-degree binomial's terms)
+    each sum to the degree; smaller ints with varied low fields hash faster.
+    Entries of L_e and of a degree-e image are at most e; wide(e) repacks,
+    dropping the levels built, when e exceeds capacity, 7 at first, so that
+    the order search (L_3) and the oracle share one packing.  size(e) is
+    |L_e|, grown from the top level built.  A level is split by the largest
+    row r of its points: taking a cell (r, j) off a point of L_e leaves one
+    of L_(e-1) with rows <= r, so the parts {q + img(r, j) : q in L_(e-1)
+    with largest row <= r} are disjoint, and q is added only to the cells of
+    rows at or above its own.  L_e overflows iff e times the union of the
+    images reaches a guard, and raises VerificationFailed naming e.  The
+    object holds the ring's points but not the ring, which holds it.
+    """
 
-def mono_deg(a: Monomial) -> int:
-    return sum(a)
+    def __init__(self, points: tuple):
+        self.points, self.capacity = points, 0
+        self.wide(7)
+
+    def wide(self, degree: int) -> list:
+        """The packed images, in fields that hold entries up to degree."""
+        if degree > self.capacity:
+            bits = degree.bit_length()
+            self.capacity, width = (1 << bits) - 1, bits + 1
+            i0, j0 = map(min, zip(*self.points))
+            span = max(j for _, j in self.points) - j0  # the t fields
+            self.images = [(i > i0 and 1 << width * (span + i - i0 - 1))
+                           + (j > j0 and 1 << width * (j - j0 - 1)) for i, j in self.points]
+            self._used = reduce(or_, self.images, 0)  # a 1 in each field that an image uses
+            self.guard = self._used << bits
+            cells = {}
+            for (i, _), img in zip(self.points, self.images):
+                cells.setdefault(i, set()).add(img)
+            self._cells = self._parts = [cells[i] for i in sorted(cells)]  # L_1 by largest row
+            self.sizes = [sum(map(len, self._cells))]  # |L_1|, |L_2|, ...
+        return self.images
+
+    def size(self, e: int) -> int:
+        self.wide(e)
+        while len(self.sizes) < e:
+            if (len(self.sizes) + 1) * self._used & self.guard:
+                raise VerificationFailed("a semigroup entry overflows", degree=len(self.sizes) + 1)
+            below, grown = [], []  # below: the points of the top level with largest row <= r
+            for part, images in zip(self._parts, self._cells):
+                below.extend(part)
+                grown.append({q + img for q in below for img in images})
+            self._parts = grown
+            self.sizes.append(sum(map(len, grown)))
+        return self.sizes[e - 1]
 
 
 def mono_squarefree(a: Monomial) -> bool:
@@ -148,7 +193,7 @@ class MonomialOrder:
     style: str
     sig: tuple
 
-    @cached_property
+    @lazy
     def _exponents(self):
         """Exponents in key order: sig for lex, reversed sig for revlex, as a tuple."""
         sig = self.sig if self.style == "lex" else self.sig[::-1]
@@ -182,9 +227,6 @@ class Binomial:
 
     lead: Monomial
     trail: Monomial
-
-    def degree(self) -> int:
-        return mono_deg(self.lead)
 
 
 def make_binomial(a: Monomial, b: Monomial, order: MonomialOrder):
@@ -482,7 +524,7 @@ class GroebnerReport:
     order: MonomialOrder
     layout: _Layout | None = field(default=None, compare=False, repr=False)
 
-    @cached_property
+    @lazy
     def basis(self) -> tuple:
         return _binomials(self.elements, self.layout)
 
@@ -490,7 +532,7 @@ class GroebnerReport:
     def leads(self):
         return tuple(g.lead for g in self.basis)
 
-    @cached_property
+    @lazy
     def lead_supports(self):
         """Each lead's support as a bitmask over the variable indices, read
         off the packed leads, or None when a lead is not squarefree."""
@@ -649,7 +691,7 @@ class WindowIdeal:
     elements: tuple = ()
     layout: _Layout | None = field(default=None, compare=False, repr=False)
 
-    @cached_property
+    @lazy
     def generators(self) -> tuple:
         return _binomials(self.elements, self.layout)
 
@@ -717,17 +759,9 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
         order = monomial_order(kinds[0], ring)
         return WindowIdeal(ring, order, buchberger([], order), kinds[:1])
     width = _width(max(map(len, chain.from_iterable(pairs))))
-    quadrics = False  # whether there are two generators or more, all balanced quadrics
-    if len(pairs) > 1:
-        quadrics = _balanced_quadrics(_point_images(ring, 3), pairs)  # entries up to 3
-    sizes = None
-
-    def level_sizes():
-        """(|L_2|, |L_3|), built when a count is first compared with them."""
-        nonlocal sizes
-        if sizes is None:
-            sizes = tuple(islice(_semigroup_sizes(ring, 3), 1, 3))
-        return sizes
+    img = ring.semigroup.wide(2) if len(pairs) > 1 else ()
+    quadrics = len(pairs) > 1 and all(  # two generators or more, quadrics of one image each
+        len(a) == 2 == len(b) and img[a[0]] + img[a[1]] == img[b[0]] + img[b[1]] for a, b in pairs)
 
     candidates = {}
 
@@ -742,7 +776,7 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
         return candidates[k]
 
     def passes_a(counts):
-        return counts and counts[:2] == level_sizes()
+        return counts and counts[:2] == (ring.semigroup.size(2), ring.semigroup.size(3))
 
     tried = []
     for k, kind in enumerate(kinds):
@@ -753,7 +787,7 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
             spairs = 0  # (c)
         elif passes_a(counts):
             spairs = counts[2]  # (a)
-        elif counts and counts[0] == level_sizes()[0] and any(
+        elif counts and counts[0] == ring.semigroup.size(2) and any(
             passes_a(candidate(later)[3]) for later in range(k + 1, len(kinds))
         ):
             continue  # (b)
@@ -768,49 +802,6 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
         if report.quadratic and report.squarefree:
             break
     return WindowIdeal(ring, order, report, tuple(tried), led, layout)
-
-
-def _point_images(ring: WindowRing, width: int):
-    """The images s_i t_j of the window variables packed into ints, width
-    bits per entry: s_i at entry i, t_j at entry m + 1 + j."""
-    start = width * (ring.m + 1)
-    return [(1 << width * i) + (1 << start + width * j) for i, j in ring.points]
-
-
-def _semigroup_sizes(ring: WindowRing, width: int):
-    """The sizes |L_1|, |L_2|, ... of the window's semigroup levels, lazily:
-    L_e is built, from L_(e-1), when its size is asked for.  The points are
-    packed images (_point_images, width bits per entry); an entry of a point
-    in L_e is at most e, so the fields must hold e.
-
-    Each level is split by the largest row r of its points, the largest i
-    with s_i in the point.  Every way of writing a point b of L_e as a sum
-    of e images uses a cell (r, j) of b's largest row, and taking that cell
-    off leaves a point of L_(e-1) whose rows are all <= r.  So the part of
-    L_e with largest row r is {q + img(r, j) : q in L_(e-1) with largest
-    row <= r}: one set per row, no union, since the parts are disjoint, and
-    each point q is added only to the cells of rows at or above its own.
-    """
-    rows = {}
-    for (i, _), img in zip(ring.points, _point_images(ring, width)):
-        rows.setdefault(i, set()).add(img)
-    cells = [rows[i] for i in sorted(rows)]  # the images of each row, lowest row first
-    parts = cells  # of L_1, by largest row
-    while True:
-        yield sum(map(len, parts))
-        below = []  # the points of L_(e-1) with largest row <= r
-        grown = []
-        for part, images in zip(parts, cells):
-            below.extend(part)
-            grown.append({q + img for q in below for img in images})
-        parts = grown
-
-
-def _balanced_quadrics(images, pairs) -> bool:
-    """Whether both terms of every sparse pair are quadrics with the same
-    image, the sum of their variables' packed images."""
-    return all(len(a) == 2 == len(b) and images[a[0]] + images[a[1]] == images[b[0]] + images[b[1]]
-               for a, b in pairs)
 
 
 def _lead_graph_counts(led, layout: _Layout):
@@ -935,22 +926,34 @@ def _divided_counts(leads, units, hi, ones: int):
         yield len(level)
 
 
-def _grow_faces(faces, holding):
-    """The faces one size above faces, as (mask, last variable) pairs: a face
-    of the lead complex is a set of variables, as a bitmask, holding no lead
-    support.  Each face F grows by each variable v above its last, and F | v
-    holds a support only if one of holding[v], the supports holding v, lies
-    in it, since F holds none."""
+def _grow_faces(faces, near, holding):
+    """The faces one size above faces, as (face, free) pairs of variable
+    masks: a face of the lead complex holds no lead support, and free holds
+    the variables above its highest that no 2-support joins to it.  F grows
+    by each v in free unless F | v holds one of holding[v], the supports of
+    other sizes topped by v; F | v keeps the rest of free less near[v]."""
     out = []
-    for face, last in faces:
-        for v in range(last + 1, len(holding)):
-            grown = face | 1 << v
-            for support in holding[v]:
-                if support | grown == grown:
-                    break
-            else:
-                out.append((grown, v))
+    for face, free in faces:
+        while free:
+            v = free & -free
+            free ^= v
+            grown = face | v
+            if v not in holding or all(s | grown != grown for s in holding[v]):
+                out.append((grown, free & ~near[v]))
     return out
+
+
+def _lead_graph(supports, nvars: int) -> list:
+    """Adjacency bitmasks of the lead graph, one edge a-b per support {a, b}:
+    the leads' supports as bitmasks over the variable indices, two bits each,
+    as GroebnerReport.lead_supports gives them for squarefree quadric leads."""
+    adj = [0] * nvars
+    for support in supports:
+        low = support & -support
+        a, b = low.bit_length() - 1, (support ^ low).bit_length() - 1
+        adj[a] |= 1 << b
+        adj[b] |= low
+    return adj
 
 
 def _face_counts(supports, nvars: int):
@@ -959,15 +962,62 @@ def _face_counts(supports, nvars: int):
 
     Such a monomial is standard iff its support is a face of the lead
     complex, and C(e - 1, k - 1) degree-e monomials have a given support of
-    size k, so the count is sum_k f_k C(e - 1, k - 1), f_k the k-faces.  The
-    faces of size e are walked (_grow_faces) when degree e is asked for.
+    size k, so the count is sum_k f_k C(e - 1, k - 1), f_k the k-faces.  For
+    degree e the faces of size e - 1 are listed (_grow_faces), and f_e, the
+    popcount of their free masks less the grown faces that hold another
+    support, is counted without listing a face of size e.
     """
-    holding = [[s for s in supports if s >> v & 1] for v in range(nvars)]
-    faces, fvector = [(0, -1)], [1]
+    graph = _lead_graph([s for s in supports if s.bit_count() == 2], nvars)
+    near = {1 << v: mates for v, mates in enumerate(graph)}  # v's 2-support mates, by bit
+    holding = {}  # the supports of other sizes, by their highest variable
+    for s in filter(lambda s: s.bit_count() != 2, supports):
+        holding.setdefault(1 << s.bit_length() - 1, []).append(s)
+    faces, fvector = [(0, (1 << nvars) - 1)], [1]
     for e in count(1):
-        faces = _grow_faces(faces, holding)
-        fvector.append(len(faces))
+        if e > 1:
+            faces = _grow_faces(faces, near, holding)
+        size = sum(map(int.bit_count, map(itemgetter(1), faces)))
+        for v, held in holding.items():
+            size -= sum(free & v and any(s | face | v == face | v for s in held) for face, free in faces)
+        fvector.append(size)
         yield sum(f * comb(e - 1, k - 1) for k, f in enumerate(fvector) if k)
+
+
+def _fiber_terms(source, ring: WindowRing, units) -> list:
+    """Each (lead, trail) of source as (degree, lead, trail, balanced): one
+    walk over each term's support repacks it on units (the oracle's fields;
+    zeros for balance alone) and sums its image from ring.semigroup, and
+    balanced is whether the two images agree.  A WindowIdeal's or
+    GroebnerReport's packed elements are read as held, and Binomials packed
+    once; an inhomogeneous binomial raises InvalidParameter."""
+    layout = getattr(source, "layout", None)
+    elements = source.elements if layout else tuple(getattr(source, "elements", source))
+    if elements and layout is None:
+        degree = max(sum(t) for g in elements for t in (g.lead, g.trail))
+        layout = _Layout(monomial_order("lex", ring), _width(degree))
+        elements = [(layout.pack(g.lead), layout.pack(g.trail)) for g in elements]
+    if not elements:
+        return []
+    width, ones, low, hi, top = layout.width, layout.ones, layout.low, layout.hi, layout.top
+    if any(lead >> top != trail >> top for lead, trail in elements):
+        raise InvalidParameter("binomials must be homogeneous")
+    images = ring.semigroup.wide(max(lead >> top for lead, _ in elements))
+    out = []
+    for pair in elements:
+        walked = []
+        for term in pair:
+            mono = image = 0
+            support = (term + low) & hi
+            while support:
+                guard = support & -support
+                support ^= guard
+                field = guard.bit_length() // width - 1
+                e, k = term >> width * field & ones, layout.variable_at[field]
+                mono += e * units[k]
+                image += e * images[k]
+            walked += mono, image
+        out.append((pair[0] >> top, walked[0], walked[2], walked[1] == walked[3]))
+    return out
 
 
 def toric_fiber_oracle(
@@ -978,65 +1028,59 @@ def toric_fiber_oracle(
 ) -> FiberCertificate:
     """Certify membership, generation and the Groebner property degree by degree.
 
-    The oracle counts and neither maps nor reduces a monomial.  The degree-e
-    monomials fall into |L_e| fibers, one per point of the semigroup level
-    L_e, whose differences span target_dim = #monomials - |L_e| dimensions.
-    The moves u*lead - u*trail, deg u = e - deg g, are the edges of a graph
-    on the monomials whose incidence matrix has rank #monomials - #components
-    in every characteristic; span_rank counts it by union-find, and
-    generation holds when it reaches target_dim, when every fiber is
-    connected (a Markov basis, Diaconis-Sturmfels, Ann. Statist. 26, 1998).
-    With the basis elements of degree <= e balanced, reduction stays in a
-    fiber, so the basis is consistent in degree e (one normal form per fiber)
-    iff the degree-e monomials that no lead divides number |L_e| (Sturmfels,
+    gens is a WindowIdeal, read packed, or Binomials.  The oracle counts and
+    neither maps nor reduces a monomial.  The degree-e monomials fall into
+    |L_e| fibers, one per point of the semigroup level L_e (ring.semigroup,
+    which the order search has mostly grown to L_3), whose differences span
+    target_dim = #monomials - |L_e| dimensions.  The moves u*lead - u*trail,
+    deg u = e - deg g, are the edges of a graph on the monomials whose
+    incidence matrix has rank #monomials - #components in every
+    characteristic; span_rank counts it by union-find, and generation holds
+    when it reaches target_dim, when every fiber is connected (a Markov
+    basis, Diaconis-Sturmfels, Ann. Statist. 26, 1998).  With the basis
+    elements of degree <= e balanced, reduction stays in a fiber, so the
+    basis is consistent in degree e (one normal form per fiber) iff the
+    degree-e monomials that no lead divides number |L_e| (Sturmfels,
     Groebner Bases and Convex Polytopes, ch. 4).  With squarefree leads that
-    number comes from the faces of the lead complex (_face_counts, one face
-    size per degree), a route apart from the order search's lead-graph
-    counts; other leads fall back to enumerating the standard monomials
-    (_divided_counts).  |L_e| comes from the semigroup levels split by
-    largest row (_semigroup_sizes), and the all-monomial levels that the
-    moves read are built only up to degree - (least move degree).
-    Monomials and semigroup points are packed into ints, degree.bit_length()
-    + 1 bits per entry, the top one a guard for the borrow test.  Generators
-    must be homogeneous; each degree is held to default_budget(), checked
-    before any work on that degree.
+    number comes from the faces of the lead complex (_face_counts), a route
+    apart from the order search's lead-graph counts; other leads fall back
+    to enumerating the standard monomials (_divided_counts).  Each generator
+    and basis element is walked once (_fiber_terms; a basis that is the
+    generators, once in all) for its terms on the oracle's fields, with
+    degree.bit_length() + 1 bits per variable, and its balance.  The moves
+    read the monomials up to degree - (least move degree).  Each degree is
+    held to default_budget(), checked before any work on it.
     """
     if degree < 2:
         raise DegreeInfeasible("degree bound must be at least 2", degree=degree)
-    if any(sum(g.lead) != sum(g.trail) for g in gens):
-        raise InvalidParameter("the fiber oracle needs homogeneous generators")
-    budget = default_budget()
     nvars = ring.nvars
     width = degree.bit_length() + 1
     units = [1 << width * k for k in range(nvars)]
     hi = sum(units) << width - 1
-
-    def pack(mono):
-        return sum(e << width * k for k, e in enumerate(mono))
-
-    moves = [(g.degree(), pack(g.lead), pack(g.trail)) for g in gens if g.degree() <= degree]
-    basis = gb.basis if gb is not None else ()
-    # from the degree of the first unbalanced basis element on, no degree is consistent
-    unbalanced = min((g.degree() for g, ok in zip(basis, _balanced(ring, basis)) if not ok),
-                     default=degree + 1)
-    standard = None  # the standard monomial counts of degree 1, 2, ..., with a basis
+    terms = _fiber_terms(gens, ring, units)
+    budget = default_budget()
+    moves = [(d, lead, trail) for d, lead, trail, _ in terms if d <= degree]
+    unbalanced, standard = degree + 1, None  # standard: counts of degree 1, 2, ..., with a basis
     if gb is not None:
+        same = (gb.elements, gb.layout) == (getattr(gens, "elements", None), getattr(gens, "layout", None))
+        basis = terms if same else _fiber_terms(gb, ring, units)
+        # from the degree of the first unbalanced basis element on, no degree is consistent
+        unbalanced = min((d for d, _, _, ok in basis if not ok), default=degree + 1)
         if (supports := gb.lead_supports) is not None:
             standard = _face_counts(supports, nvars)
         else:
-            leads = [pack(g.lead) for g in basis if g.degree() <= degree]
+            leads = [lead for d, lead, _, _ in basis if d <= degree]
             standard = _divided_counts(leads, units, hi, (1 << width) - 1)
         next(standard)  # degree 1
     least = min((d for d, _, _ in moves), default=degree + 1)
     levels = [[(0, 0)]]  # all monomials of degree 0, 1, ..., e - least, (packed, last variable)
-    sizes, records = _semigroup_sizes(ring, width), []
-    next(sizes)  # |L_1|
+    records = []
     for e in range(2, degree + 1):
         if (count := comb(nvars + e - 1, e)) > budget:
             raise DegreeInfeasible(f"degree {e} needs {count} monomials", budget=budget, monomials=count)
         while len(levels) <= e - least:  # a move of degree d reads the monomials of degree e - d
             levels.append(_extend(levels[-1], units, hi, [()] * nvars))
-        fibers = next(sizes)
+        fibers = ring.semigroup.size(e)
         parent = {}  # non-root monomial -> its parent
         span = 0
         for d, lead, trail in moves:
@@ -1056,4 +1100,4 @@ def toric_fiber_oracle(
             # from unbalanced on no degree reads the counts, so they may stop there
             gb_consistent=gb is None or (e < unbalanced and next(standard) == fibers),
         ))
-    return FiberCertificate(degree, all(_balanced(ring, gens)), tuple(records))
+    return FiberCertificate(degree, all(ok for *_, ok in terms), tuple(records))

@@ -284,7 +284,7 @@ def _dispatch(args) -> int:
         for ctx in ctxs:
             ideal = ctx.ideal
             cert = toric_fiber_oracle(
-                ideal.ring, ideal.generators, gb=ideal.gb, degree=args.degree
+                ideal.ring, ideal, gb=ideal.gb, degree=args.degree
             )
             out.append(
                 {"window": [ctx.window.p, ctx.window.q], "membership": cert.membership_ok,

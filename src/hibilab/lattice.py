@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     ChainConditionFails,
@@ -24,6 +23,20 @@ from .errors import (
 )
 
 Point = tuple
+
+
+class lazy:
+    """An attribute computed on first read and stored in the instance's
+    __dict__, where later reads find it without calling the descriptor: the
+    cached property of Python 3.12, with no lock taken on a first read."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.func(obj))
 
 
 def _label_key(x):
@@ -180,11 +193,11 @@ class PlanarLattice:
     def __repr__(self):
         return f"PlanarLattice({len(self.points)} points, box {self.m}x{self.n})"
 
-    @cached_property
+    @lazy
     def sorted_points(self):
         return tuple(sorted(self.points, key=lambda p: (p[0] + p[1], p[0])))
 
-    @cached_property
+    @lazy
     def points_by_rank(self):
         by_rank = {}
         for p in self.sorted_points:

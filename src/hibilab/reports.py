@@ -324,8 +324,7 @@ def run_suite(
             if with_fiber:
                 try:
                     cert = toric_fiber_oracle(
-                        ideal.ring, ideal.generators, gb=ideal.gb,
-                        degree=fiber_degree,
+                        ideal.ring, ideal, gb=ideal.gb, degree=fiber_degree,
                     )
                     rec["fiber"] = {
                         "generated": cert.generated,

@@ -11,10 +11,9 @@ ring and ideal, at most once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import BudgetExceeded, InvalidWindow, VerificationFailed
-from .lattice import PlanarLattice
+from .lattice import PlanarLattice, lazy
 
 
 @dataclass(frozen=True, order=True)
@@ -93,14 +92,14 @@ class BipartiteGraph:
     n: int
     edges: tuple
 
-    @cached_property
+    @lazy
     def left_adj(self):
         adj = {i: set() for i in range(self.m + 1)}
         for i, j in self.edges:
             adj[i].add(j)
         return adj
 
-    @cached_property
+    @lazy
     def right_adj(self):
         adj = {j: set() for j in range(self.n + 1)}
         for i, j in self.edges:
@@ -240,32 +239,32 @@ class Polyomino:
     def __len__(self):
         return len(self.cells)
 
-    @cached_property
+    @lazy
     def sorted_cells(self):
         return tuple(sorted(self.cells, key=lambda c: (c[0] + c[1], c[0])))
 
-    @cached_property
+    @lazy
     def vertices(self):
         vs = set()
         for i, j in self.cells:
             vs.update(((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)))
         return frozenset(vs)
 
-    @cached_property
+    @lazy
     def rows(self):
         out = {}
         for i, j in self.cells:
             out.setdefault(j, []).append(i)
         return {j: tuple(sorted(v)) for j, v in out.items()}
 
-    @cached_property
+    @lazy
     def columns(self):
         out = {}
         for i, j in self.cells:
             out.setdefault(i, []).append(j)
         return {i: tuple(sorted(v)) for i, v in out.items()}
 
-    @cached_property
+    @lazy
     def connected(self) -> bool:
         """Edge adjacency of cells; corner contact does not connect."""
         if not self.cells:
@@ -321,19 +320,19 @@ class WindowContext:
     window: RankWindow
     order_kinds: str = "auto"
 
-    @cached_property
+    @lazy
     def generators(self) -> GeneratorSet:
         return generators(self.lattice, self.window)
 
-    @cached_property
+    @lazy
     def polyomino(self) -> Polyomino:
         return polyomino(self.lattice, self.window)
 
-    @cached_property
+    @lazy
     def dimension(self) -> int:
         return len(self.generators) - len(self.polyomino)
 
-    @cached_property
+    @lazy
     def ring(self):
         # imported here: binomials builds on this module
         from .binomials import WindowRing
@@ -341,7 +340,7 @@ class WindowContext:
         return WindowRing(m=self.lattice.m, n=self.lattice.n, window=self.window,
                           points=self.generators.points)
 
-    @cached_property
+    @lazy
     def ideal(self):
         from .binomials import window_ideal
 

@@ -200,7 +200,7 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
     reduced = _interreduce(basis, order)
     return GroebnerReport(
         elements=reduced,
-        quadratic=all(g.degree() == 2 for g in reduced),
+        quadratic=all(sum(g.lead) == 2 for g in reduced),
         squarefree=all(mono_squarefree(g.lead) and mono_squarefree(g.trail) for g in reduced),
         spairs_processed=processed,
         order=order,

@@ -14,8 +14,14 @@ under the monomial map, as MonomialMap held it before balance was checked
 on packed images; tests use them as the reference for images.
 semigroup_points is the plain build of the semigroup levels, every point of
 L_(e-1) plus every image, as the package built them before it split each
-level by largest row (binomials._semigroup_sizes).
+level by largest row (binomials.Semigroup).  face_counts is the face walk
+the oracle used before it walked faces on blocked-neighbour masks
+(binomials._face_counts): it lists every face of every size, each grown
+variable by variable and tested against every support holding that variable.
 """
+
+from itertools import count
+from math import comb
 
 from buchberger_reference import Reducer, mono_mul
 from hibilab.betti import _rank_mod_p
@@ -51,6 +57,37 @@ def semigroup_points(images):
     while True:
         yield level
         level = {q + img for q in level for img in images}
+
+
+def _grow_faces(faces, holding):
+    """The faces one size above faces, as (mask, last variable) pairs: a face
+    of the lead complex is a set of variables, as a bitmask, holding no lead
+    support.  Each face F grows by each variable v above its last, and F | v
+    holds a support only if one of holding[v], the supports holding v, lies
+    in it, since F holds none."""
+    out = []
+    for face, last in faces:
+        for v in range(last + 1, len(holding)):
+            grown = face | 1 << v
+            for support in holding[v]:
+                if support | grown == grown:
+                    break
+            else:
+                out.append((grown, v))
+    return out
+
+
+def face_counts(supports, nvars):
+    """The number of degree-e monomials in nvars variables that no squarefree
+    lead divides, for e = 1, 2, ..., lazily, from the lead supports
+    (bitmasks): sum_k f_k C(e - 1, k - 1), with the faces of size e listed
+    when degree e is asked for."""
+    holding = [[s for s in supports if s >> v & 1] for v in range(nvars)]
+    faces, fvector = [(0, -1)], [1]
+    for e in count(1):
+        faces = _grow_faces(faces, holding)
+        fvector.append(len(faces))
+        yield sum(f * comb(e - 1, k - 1) for k, f in enumerate(fvector) if k)
 
 
 def toric_fiber_oracle(ring, gens, gb=None, degree=4):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from dataclasses import replace
 from itertools import combinations_with_replacement, islice
 from math import comb
@@ -10,7 +12,7 @@ import fiber_reference
 import hibilab.binomials as binomials_mod
 from buchberger_reference import mono_mul
 from fiber_reference import balanced, image_of_monomial
-from hibilab.betti import _rank_mod_p
+from hibilab.betti import _rank_mod_p, krull_dimension_via_initial
 from hibilab.binomials import (
     Binomial,
     ORDER_KINDS,
@@ -21,7 +23,6 @@ from hibilab.binomials import (
     default_budget,
     defining_ideal_generators,
     make_binomial,
-    mono_deg,
     monomial_order,
     normal_form,
     require_field,
@@ -30,7 +31,7 @@ from hibilab.binomials import (
 )
 from hibilab.errors import DegreeInfeasible, InvalidParameter
 from hibilab.reports import demo_staircase, ell_lattice, full_grid
-from hibilab.windows import all_windows, generators
+from hibilab.windows import RankWindow, WindowContext, all_windows, generators
 
 
 def _with_basis(gb, basis):
@@ -231,16 +232,16 @@ class TestFiberOracle:
     @pytest.mark.parametrize("budget, degree, tripped", [("1000", 4, 3), ("20000", 5, 5)])
     def test_budget_trips_before_the_faces_of_its_degree(self, monkeypatch, budget, degree, tripped):
         """The budget check of degree e raises, with the payload it always had,
-        before any face of size e is walked."""
+        before the faces of size e - 1, which count those of size e, are listed."""
         monkeypatch.setenv("HIBI_LAB_BUDGET", budget)
         ideal = window_ideal(demo_staircase(), (0, 9))  # 23 variables
         assert ideal.gb.lead_supports is not None  # the face count, not the fallback
         walked = []
         real = binomials_mod._grow_faces
 
-        def spy(faces, holding):
-            walked.append(faces)  # one call per face size, from size 1 up
-            return real(faces, holding)
+        def spy(faces, *masks):
+            walked.append(faces)  # one call per face size listed, from size 1 up
+            return real(faces, *masks)
 
         monkeypatch.setattr(binomials_mod, "_grow_faces", spy)
         with pytest.raises(DegreeInfeasible) as err:
@@ -251,7 +252,7 @@ class TestFiberOracle:
             "message": f"degree {tripped} needs {monomials} monomials",
             "details": {"budget": int(budget), "monomials": monomials},
         }
-        assert len(walked) == tripped - 1
+        assert len(walked) == tripped - 2
 
     def test_non_squarefree_leads_fall_back_to_enumeration(self):
         """A basis with a squared lead has no lead complex: its standard
@@ -417,6 +418,43 @@ def test_face_count_matches_enumeration(case):
     masks = [sum(1 << k for k in support) for support in supports]
     assert list(islice(_face_counts(masks, nvars), 5)) == list(
         islice(_divided_counts(leads, units, hi, (1 << width) - 1), 5))
+
+
+_MIXED_SUPPORTS = st.integers(2, 10).flatmap(lambda nvars: st.tuples(
+    st.just(nvars),
+    st.lists(st.sets(st.integers(0, nvars - 1), min_size=2, max_size=min(4, nvars)), max_size=12),
+))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(case=_MIXED_SUPPORTS)
+def test_mask_face_walk_matches_reference_walk(case):
+    """The face counts of the mask walk, which lists faces with their free
+    masks and counts the top size by popcount, equal the reference walk's,
+    which lists every face, for supports of sizes 2-4 mixed, degrees 1-5."""
+    nvars, supports = case
+    masks = [sum(1 << k for k in support) for support in supports]
+    assert list(islice(_face_counts(masks, nvars), 5)) == list(
+        islice(fiber_reference.face_counts(masks, nvars), 5))
+
+
+def test_window_state_dies_by_refcount():
+    """A WindowContext's ring and its Semigroup, once the order search, the
+    Krull check and the fiber oracle have read them, are freed by reference
+    counting alone: nothing they hold refers back to the ring, so no cycle
+    is left for the garbage collector."""
+    gc.disable()
+    try:
+        ctx = WindowContext(demo_staircase(), RankWindow(3, 7))
+        ideal = ctx.ideal
+        assert krull_dimension_via_initial(ideal.gb, nvars=ctx.ring.nvars) == ctx.dimension
+        cert = toric_fiber_oracle(ideal.ring, ideal, gb=ideal.gb, degree=4)
+        assert cert.generated and cert.gb_certified and len(ctx.ring.semigroup.sizes) == 4
+        ring, store = weakref.ref(ctx.ring), weakref.ref(ctx.ring.semigroup)
+        del ctx, ideal
+        assert ring() is None and store() is None
+    finally:
+        gc.enable()
 
 
 _LEADS = st.integers(1, 6).flatmap(lambda nvars: st.tuples(

@@ -22,13 +22,12 @@ import hibilab.binomials as binomials_mod
 from hibilab.binomials import (
     ORDER_KINDS,
     Binomial,
+    Semigroup,
     WindowRing,
     _degree_monomials,
     _Layout,
     _lead_graph_counts,
     _oriented,
-    _point_images,
-    _semigroup_sizes,
     _sparse_term,
     _straightening_pairs,
     _width,
@@ -37,6 +36,7 @@ from hibilab.binomials import (
     order_search,
     window_ideal,
 )
+from hibilab.errors import VerificationFailed
 from hibilab.reports import CorpusSpec, demo_staircase, full_grid, generate_corpus
 from hibilab.windows import all_windows
 
@@ -157,7 +157,7 @@ def _shared_fiber_pairs(rng):
     while True:
         points = tuple(sorted(rng.choice(grid) for _ in range(rng.randint(4, 8))))
         ring = WindowRing(m=2, n=2, window=None, points=points)
-        images = _point_images(ring, 3)
+        images = ring.semigroup.images
         fibers = {}
         for a, b in combinations(range(ring.nvars), 2):
             fibers.setdefault(images[a] + images[b], []).append((a, b))
@@ -207,33 +207,24 @@ def test_interreduction_runs_where_a_trail_is_a_lead(buchberger_calls, monkeypat
     assert (counted, trail_is_lead) == (964, 491)
 
 
-def test_coprime_leads_build_no_semigroup_level(corpus, buchberger_calls, monkeypatch):
+def test_coprime_leads_build_no_semigroup_level(corpus, buchberger_calls):
     """Under rank-lex, 45 of the 186 seed-7 windows with at most 12 variables
     and two generators or more have pairwise coprime leads: they are decided
     with 0 S-pairs and no |L_2|, |L_3| build, and the others build them."""
-    real = binomials_mod._semigroup_sizes
-    built = []
-
-    def spy(ring, width):
-        built.append(width)
-        return real(ring, width)
-
-    monkeypatch.setattr(binomials_mod, "_semigroup_sizes", spy)
     windows = coprime = 0
     for ring, pairs in _windows((lat for _, lat in corpus), max_vars=12):
         if len(pairs) < 2:
             continue
-        built.clear()
         buchberger_calls.clear()
         found = order_search(ring, pairs, "rank-lex")
         assert _answer(found) == _answer(ref.order_search(ring, pairs, "rank-lex"))
         windows += 1
         if _coprime_leads(ring, pairs, "rank-lex"):
-            assert built == [] and found.gb.spairs_processed == 0
+            assert ring.semigroup.sizes == [ring.nvars] and found.gb.spairs_processed == 0
             assert _passes(found.gb) and buchberger_calls == []
             coprime += 1
         else:
-            assert len(built) == 1
+            assert len(ring.semigroup.sizes) == 3
     assert (windows, coprime) == (186, 45)
 
 
@@ -289,27 +280,75 @@ def test_lead_graph_counts_match_enumeration():
 def test_semigroup_levels_match_tuple_images(small_corpus):
     checked = 0
     for ring, _ in _windows((lat for _, lat in small_corpus), max_vars=10):
-        levels = semigroup_points(_point_images(ring, 3))
-        sizes = _semigroup_sizes(ring, 3)
+        levels = semigroup_points(ring.semigroup.images)
         for degree in (1, 2, 3, 4):
             images = {image_of_monomial(ring, m) for m in _degree_monomials(ring.nvars, degree, 10**6)}
-            assert len(next(levels)) == next(sizes) == len(images)
+            assert len(next(levels)) == ring.semigroup.size(degree) == len(images)
         checked += 1
     assert checked == 220
+
+
+def _plain_sizes(ring, top):
+    """|L_1|, ..., |L_top| from the plain build over the whole images, every
+    entry of s_i t_j in 4 bits (entries up to 7, no row or column left out)."""
+    images = [sum(x << 4 * c for c, x in enumerate(img)) for img in ring.monomial_map.images]
+    return [len(level) for level in islice(semigroup_points(images), top)]
 
 
 @pytest.mark.parametrize("seed, windows", [(7, 764), (11, 825)])
 def test_level_split_by_largest_row_matches_plain_build(seed, windows):
     """The level sizes split by largest row equal the plain build's, every
-    point of L_(e-1) plus every image, at L_1..L_4 on every window of the
-    seed-7 and seed-11 corpora (up to 30 variables)."""
+    point of L_(e-1) plus every whole image, at L_1..L_4 on every window of
+    the seed-7 and seed-11 corpora (up to 30 variables)."""
     corpus = generate_corpus(CorpusSpec(seed=seed, count=40, max_m=5, max_n=4))
     checked = 0
     for ring, _ in _windows(lat for _, lat in corpus):
-        plain = [len(level) for level in islice(semigroup_points(_point_images(ring, 3)), 4)]
-        assert list(islice(_semigroup_sizes(ring, 3), 4)) == plain, ring.points
+        assert [ring.semigroup.size(e) for e in range(1, 5)] == _plain_sizes(ring, 4), ring.points
         checked += 1
     assert checked == windows
+
+
+def _narrow(ring):
+    """The ring's Semigroup repacked for entries up to 3, as if the first
+    caller had asked for no more: its capacity, 7 at first, is dropped so
+    that wide(3) repacks."""
+    store = Semigroup(ring.points)
+    store.capacity = 0
+    store.wide(3)
+    assert store.capacity == 3
+    return store
+
+
+@pytest.mark.parametrize("seed, windows", [(7, 625), (11, 678)])
+def test_store_sizes_in_either_order_match_plain_build(seed, windows):
+    """On every window with at most 12 variables, the store's |L_1..L_5|
+    equal the plain build's when asked in the suite's order, L_1..L_3 (the
+    order search) and then L_4, L_5 (the fiber oracle), from a packing of
+    entries up to 3 that L_4 must widen, and when asked from L_5 down."""
+    corpus = generate_corpus(CorpusSpec(seed=seed, count=40, max_m=5, max_n=4))
+    checked = 0
+    for ring, _ in _windows((lat for _, lat in corpus), max_vars=12):
+        plain = _plain_sizes(ring, 5)
+        narrow = _narrow(ring)
+        suite_order = [narrow.size(e) for e in (1, 2, 3)]
+        suite_order += [narrow.size(e) for e in (4, 5)]
+        assert narrow.capacity == 7
+        reverse = [ring.semigroup.size(e) for e in (5, 4, 3, 2, 1)][::-1]
+        assert suite_order == reverse == plain, ring.points
+        checked += 1
+    assert checked == windows
+
+
+def test_too_narrow_packing_is_a_verification_failure():
+    """A packing whose fields hold entries up to 3 but claims 7: L_4 carries
+    into a guard bit, and the level build raises naming degree 4."""
+    ring = WindowRing.for_window(full_grid(2, 2), (1, 3))
+    store = _narrow(ring)
+    store.capacity = 7
+    assert store.size(3) == _plain_sizes(ring, 3)[-1]
+    with pytest.raises(VerificationFailed) as err:
+        store.size(4)
+    assert err.value.details == {"degree": 4}
 
 
 def test_single_generator_builds_no_layout(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -269,6 +270,16 @@ class TestCli:
                 assert got["betti"] == want["betti"]
         skipped = {tuple(r["window"]) for r in records if "skipped" in r}
         assert skipped == {(0, 3), (0, 4), (1, 4)}
+
+    @pytest.mark.parametrize("degree", [4, 5])
+    def test_fiber_all_windows_matches_golden(self, capsys, monkeypatch, degree):
+        """`hibilab fiber --all-windows` on the demo staircase prints, byte
+        for byte, what it printed before the oracle read packed terms."""
+        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
+        argv = ["fiber", "--all-windows", "--degree", str(degree)]
+        code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
+        golden = pathlib.Path(__file__).parent / "golden" / f"staircase_fiber_all_d{degree}.json"
+        assert code == 0 and out == golden.read_text()
 
     def test_betti_degree_bound_past_nvars_finishes(self, capsys, monkeypatch):
         staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
