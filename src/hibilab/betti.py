@@ -28,16 +28,32 @@ level below, recorded as the images are added.  A block is walked face by
 face with one dict lookup each: the faces over T are T | v for the v in the
 mask of b - sigma(T) above T's largest vertex.  Almost every block is a
 whole simplex or a cone (a vertex v with T | v a face for every face T);
-its reduced homology is zero, so it takes no rank.  The cone test is folded
-into the walk: v is a cone vertex when it lies in mask | T for every face T.
+its reduced homology is zero, so it takes no rank.  A simplex takes one
+lookup, of b - sigma(mask), with sigma memoised per call.  The cone test is
+folded into the walk: v is a cone vertex when it lies in mask | T for every
+face T.
 
-Two checks guard this.  The level build raises VerificationFailed when an
+The walk stops at the projective dimension.  The window ring is the edge
+ring of the bipartite graph whose vertices are the rows and columns of the
+window's points and whose edges are the points.  A bipartite edge ring is
+normal, so Cohen-Macaulay by Hochster, and Auslander-Buchsbaum gives
+pd(S/I) = nvars - d, where d = rows + columns - components is its
+dimension, read off the points (_edge_ring_dimension) independently of the
+dimension formula and of the Krull search.  So beta_{i,j}(I) = 0 for i >
+nvars - d - 1, and a block of degree j is walked up to faces of min(j,
+nvars - d + 1) variables, one size past the largest that carries a Betti
+number.
+
+Three checks guard this.  The level build raises VerificationFailed when an
 addition clears a guard bit: a field that overflows aliases multidegrees,
 and because the masks come from the same additions, the face counts would
-still add up.  A full table checks the faces: summed over the blocks of
-degree j, the faces of size s number C(nvars, s) * dim (S/I)_{j-s}, the
-dimension of that Koszul piece, which a walk that drops or repeats a face
-breaks.
+still add up.  Every walked degree checks the faces: summed over the blocks
+of degree j, the faces of size s number C(nvars, s) * dim (S/I)_{j-s}, the
+dimension of that Koszul piece, for each size s walked, which a walk that
+drops or repeats a face breaks.  A degree whose every Betti number is read
+checks them against the Euler characteristic of its Koszul strand,
+-sum_i (-1)^i beta_{i,j}(I) = sum_s (-1)^s C(nvars, s) |L_{j-s}|, which a
+d too large (a Betti number cut off) or a wrong homology dimension breaks.
 
 Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
@@ -368,6 +384,11 @@ class _Packing:
         self.shifts = tuple(range(0, width * (ring.m + ring.n + 2), width))
         self.guard = sum(1 << (shift + width - 1) for shift in self.shifts)
         self.images = tuple(self.pack(img) - self.guard for img in ring.monomial_map.images)
+        # memos of _block_faces for one call of betti_numbers: a vertex mask's
+        # sum of images, and a simplex's face counts and their sum by (k, max_size),
+        # a list its callers only read
+        self.sigmas = {}
+        self.simplices = {}
 
     def pack(self, vec) -> int:
         return self.guard + sum(x << shift for x, shift in zip(vec, self.shifts))
@@ -400,12 +421,31 @@ def _semigroup_levels(packing: _Packing, j_max: int):
     return levels
 
 
-def _require_toric(ring: WindowRing, gens):
-    if not all(ok for *_, ok in _fiber_terms(gens, ring, [0] * ring.nvars)):
+def _require_toric(ring: WindowRing, gens) -> int:
+    """The number of generators, after checking that each lies in the toric ideal.
+
+    gens is a WindowIdeal, whose packed terms are read as held, or Binomials.
+    """
+    terms = _fiber_terms(gens, ring, [0] * ring.nvars)
+    if not all(ok for *_, ok in terms):
         raise InvalidParameter(
             "generator is not in the toric ideal of the window map; "
             "Betti oracle only covers window ideals"
         )
+    return len(terms)
+
+
+def _edge_ring_dimension(ring: WindowRing) -> int:
+    """Krull dimension of the window's toric ring, rows + columns - components.
+
+    The ring is the edge ring of the bipartite graph whose vertices are the
+    rows and columns of the window's points and whose edges are the points.
+    Its dimension is the rank of the images e(s_row) + e(t_column), the
+    number of vertices less the number of connected components: the size of
+    a spanning forest (_spanning_forest), read off the points alone.
+    """
+    shift = ring.m + 1
+    return len(_spanning_forest(1 << i | 1 << shift + j for i, j in ring.points))
 
 
 _BLOCK_CAP = 20000  # faces per multidegree block
@@ -425,9 +465,10 @@ def _block_faces(packing: _Packing, b, mask, j, levels, max_size):
     The faces are the variable sets T, as bitmasks over the variables, with
     b - sigma(T) in degree j - |T| of the semigroup, up to max_size
     variables; mask is the vertex set, the predecessor mask of b in degree
-    j.  When the block is a whole simplex (one subtraction tells) or a cone,
-    its homology in every size below max_size, the only sizes a caller
-    reads, is zero, and the faces are not returned.
+    j.  When the block is a whole simplex (one lookup of b - sigma(mask),
+    with sigma and the simplex's face counts memoised on the packing) or a
+    cone, its homology in every size below max_size, the only sizes a
+    caller reads, is zero, and the faces are not returned.
 
     The walk lists each face once, from its largest vertex: the faces over
     T are T | v for v in down(T) above that vertex, where down(T) is the
@@ -438,16 +479,20 @@ def _block_faces(packing: _Packing, b, mask, j, levels, max_size):
     """
     images = packing.images
     k = mask.bit_count()
-    rem, rest = b, mask
-    while rest:
-        low = rest & -rest
-        rem -= images[low.bit_length() - 1]
-        rest ^= low
-    if 0 < k <= j and rem in levels[j - k]:
-        counts = [comb(k, s) for s in range(min(k, max_size) + 1)]
-        for total in accumulate(counts):
-            _cap_block(total, j)
-        return counts, None
+    if 0 < k <= j:
+        sigma = packing.sigmas.get(mask)
+        if sigma is None:
+            sigma = packing.sigmas[mask] = sum(images[v] for v in _bits(mask))
+        if b - sigma in levels[j - k]:
+            row = packing.simplices.get((k, max_size))
+            if row is None:
+                counts = [comb(k, s) for s in range(min(k, max_size) + 1)]
+                row = packing.simplices[k, max_size] = counts, sum(counts)
+            counts, total = row
+            if total > _BLOCK_CAP:
+                for total in accumulate(counts):
+                    _cap_block(total, j)
+            return counts, None
     # each face below max_size carries its remainder and that remainder's mask
     layers = [[(0, b, mask)]]
     apex = mask
@@ -474,8 +519,8 @@ def _block_faces(packing: _Packing, b, mask, j, levels, max_size):
     counts = [len(layer) for layer in layers]
     if len(layers) == max_size:
         # the faces of size max_size need no lookup: their parents' masks list them
-        last = [(face, down >> (top := face.bit_length()) << top) for face, _, down in layers[-1]]
-        size = sum(ext.bit_count() for _, ext in last)
+        exts = [down >> (top := face.bit_length()) << top for face, _, down in layers[-1]]
+        size = sum(map(int.bit_count, exts))
         if size:
             counts.append(size)
             _cap_block(total + size, j)
@@ -483,7 +528,9 @@ def _block_faces(packing: _Packing, b, mask, j, levels, max_size):
         return counts, None
     faces = {s: [face for face, _, _ in layer] for s, layer in enumerate(layers)}
     if len(counts) > len(layers):
-        faces[max_size] = [face | 1 << v for face, ext in last for v in _bits(ext)]
+        faces[max_size] = [
+            face | 1 << v for (face, _, _), ext in zip(layers[-1], exts) for v in _bits(ext)
+        ]
     return counts, faces
 
 
@@ -537,39 +584,57 @@ def betti_numbers(
 ) -> BettiTable:
     """Exact graded Betti numbers of the window ideal over GF(field).
 
-    Works blockwise per multidegree (see module docstring): the semigroup
-    levels carry predecessor masks, each block is walked with one lookup per
-    face and the cone test folded in, and a block that is a simplex or a
-    cone has no homology and takes no rank.  Degrees run up to
-    min(j_max, nvars): past nvars the squarefree initial ideal, and so the
-    window ideal, has no Betti numbers.  Two checks raise VerificationFailed.
-    The level build catches a packed field that overflows.  With default
-    bounds, the faces of size s summed over the blocks of degree j must equal
-    dim K_s (x) (S/I)_{j-s} = C(nvars, s) * |L_{j-s}|, where L_d is degree d
-    of the semigroup (one standard monomial each); that catches a walk that
-    drops or repeats faces.
+    gens is the WindowIdeal, whose packed terms are read as held, or a list
+    of its Binomials.  Works blockwise per multidegree (see module
+    docstring): the semigroup levels carry predecessor masks, each block is
+    walked with one lookup per face and the cone test folded in, and a block
+    that is a simplex or a cone has no homology and takes no rank.  Degrees
+    run up to min(j_max, nvars): past nvars the squarefree initial ideal,
+    and so the window ideal, has no Betti numbers.
+
+    Faces are walked up to min(j, nvars - d + 1) variables, where d = rows +
+    columns - components of the window's points (_edge_ring_dimension).  The
+    window ring is the edge ring of a bipartite graph, which is normal, so
+    Cohen-Macaulay by Hochster, and by Auslander-Buchsbaum pd(S/I) = nvars -
+    d: beta_{i,j}(I) = 0 for i > nvars - d - 1, and H~ of a block in face
+    size nvars - d needs faces one size larger only.
+
+    Three checks raise VerificationFailed.  The level build catches a packed
+    field that overflows.  In every walked degree j the faces of size s <=
+    the walked size, summed over the blocks, must equal dim K_s (x)
+    (S/I)_{j-s} = C(nvars, s) * |L_{j-s}|, where L_d is degree d of the
+    semigroup (one standard monomial each); that catches a walk that drops
+    or repeats faces.  When every i is read (no _targets), the Euler
+    characteristic of the Koszul strand in degree j must match its
+    homology: -sum_i (-1)^i beta_{i,j}(I) = sum_s (-1)^s C(nvars, s) *
+    |L_{j-s}|, which a d too large (a Betti number cut off) or a wrong
+    homology dimension breaks.
     """
     require_field(field)
-    _require_toric(ring, gens)
+    ngens = _require_toric(ring, gens)
     nvars = ring.nvars
     if var_cap is not None and nvars > var_cap:
         raise CapExceeded(f"{nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=nvars)
-    full = j_max is None and _targets is None
     if j_max is None:
         j_max = nvars
     entries = {}
     degrees = sorted({j for _, j in _targets} if _targets else range(2, min(j_max, nvars) + 1))
-    if not (gens and degrees):
+    if not (ngens and degrees):
         return BettiTable({}, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
     packing = _Packing(ring, max(degrees))
     levels = _semigroup_levels(packing, max(degrees))
+    # faces of up to pd(S/I) = nvars - d variables carry Betti numbers, and
+    # ranking the largest of them needs faces one size larger
+    top = nvars - _edge_ring_dimension(ring) + 1
     for j in degrees:
         if _targets:
             wanted_i = sorted(i for i, jj in _targets if jj == j)
-            max_size = min(max(wanted_i) + 2, j)
+            max_size = min(wanted_i[-1] + 2, j, top)
         else:
-            wanted_i = range(j - 1)
-            max_size = j
+            max_size = min(j, top)
+            wanted_i = range(max_size - 1)
+        # beta_{i,j} with i + 2 > max_size is zero: past the pd bound or below j - 1
+        wanted_i = [i for i in wanted_i if i + 2 <= max_size]
         face_counts = [0] * (max_size + 1)
         for b, mask in levels[j].items():
             counts, faces = _block_faces(packing, b, mask, j, levels, max_size)
@@ -582,12 +647,19 @@ def betti_numbers(
                 h = hom.get(i + 1, 0)
                 if h:
                     entries[(i, j)] = entries.get((i, j), 0) + h
-        if full:
-            expected = [comb(nvars, s) * len(levels[j - s]) for s in range(j + 1)]
-            if face_counts != expected:
+        pieces = [comb(nvars, s) * len(levels[j - s]) for s in range(j + 1)]
+        if face_counts != pieces[: max_size + 1]:
+            raise VerificationFailed(
+                "Koszul face counts miss the Hilbert function", degree=j,
+                faces=face_counts, expected=pieces[: max_size + 1],
+            )
+        if not _targets:
+            euler = sum((-1) ** s * piece for s, piece in enumerate(pieces))
+            betti = sum((-1) ** i * entries.get((i, j), 0) for i in wanted_i)
+            if euler != -betti:
                 raise VerificationFailed(
-                    "Koszul face counts miss the Hilbert function", degree=j,
-                    faces=face_counts, expected=expected,
+                    "Koszul Euler characteristic misses the Betti numbers", degree=j,
+                    euler=euler, betti=betti,
                 )
     return BettiTable(entries, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
 

@@ -304,7 +304,7 @@ def _dispatch(args) -> int:
             ideal = ctx.ideal
             try:
                 table = betti_numbers(
-                    ideal.ring, ideal.generators, field=args.field,
+                    ideal.ring, ideal, field=args.field,
                     j_max=args.jmax, var_cap=args.cap_vars,
                 )
             except CapExceeded as exc:

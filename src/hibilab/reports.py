@@ -339,9 +339,7 @@ def run_suite(
                     rec["skipped"].append({"fiber": exc.payload()})
             if with_betti:
                 try:
-                    table = betti_numbers(
-                        ideal.ring, ideal.generators, field=field, var_cap=var_cap
-                    )
+                    table = betti_numbers(ideal.ring, ideal, field=field, var_cap=var_cap)
                     rec["betti"] = table.to_json()
                 except CapExceeded as exc:
                     rec["skipped"].append({"betti": exc.payload()})

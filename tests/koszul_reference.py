@@ -22,19 +22,28 @@ eliminated_homology ranks every boundary by elimination over all faces one
 size smaller, with no union-find and no spanning forest.  Together they
 are the reference for the pairing faces, the Euler settle and the triangle
 ranks off a spanning forest.
+
+mask_block_faces and betti_table are the full-table walk as it stood
+before faces were bounded by the projective dimension: every block of
+degree j is walked up to faces of j variables, a simplex is told by k
+subtractions, and the only check is the face count per degree.  They are
+the reference the pd-bounded table, with its Euler check, must equal.
 """
 
 from itertools import accumulate
 from math import comb
 
 from hibilab.betti import (
+    _bits,
     _block_faces,
     _boundary_rank,
     _cap_block,
     _Packing,
     _rank_mod_p,
     _semigroup_levels,
+    reduced_homology as mask_homology,
 )
+from hibilab.errors import VerificationFailed
 
 
 def vec_sub(a, b):
@@ -220,3 +229,82 @@ def eliminated_homology(faces_by_size, p):
         s: len(faces) - ranks.get(s, 0) - ranks.get(s + 1, 0)
         for s, faces in faces_by_size.items()
     }
+
+
+def mask_block_faces(packing, b, mask, j, levels, max_size):
+    """Face counts by size of the block complex at b, and its faces, or None for a simplex or a cone.
+
+    The mask walk of hibilab.betti._block_faces with no memo: the simplex
+    test subtracts the image of each vertex in turn, and no cap is applied.
+    """
+    images = packing.images
+    k = mask.bit_count()
+    rem, rest = b, mask
+    while rest:
+        low = rest & -rest
+        rem -= images[low.bit_length() - 1]
+        rest ^= low
+    if 0 < k <= j and rem in levels[j - k]:
+        return [comb(k, s) for s in range(min(k, max_size) + 1)], None
+    layers = [[(0, b, mask)]]
+    apex = mask
+    for s in range(1, max_size):
+        level = levels[j - s]
+        nxt = []
+        for face, rem, down in layers[-1]:
+            top = face.bit_length()
+            ext = down >> top << top
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                r = rem - images[low.bit_length() - 1]
+                below = level[r]
+                child = face | low
+                apex &= below | child
+                nxt.append((child, r, below))
+        if not nxt:
+            break
+        layers.append(nxt)
+    counts = [len(layer) for layer in layers]
+    last = []
+    if len(layers) == max_size:
+        last = [(face, down >> (top := face.bit_length()) << top) for face, _, down in layers[-1]]
+        size = sum(ext.bit_count() for _, ext in last)
+        if size:
+            counts.append(size)
+    if apex:
+        return counts, None
+    faces = {s: [face for face, _, _ in layer] for s, layer in enumerate(layers)}
+    if len(counts) > len(layers):
+        faces[max_size] = [face | 1 << v for face, ext in last for v in _bits(ext)]
+    return counts, faces
+
+
+def betti_table(ring, gens, field):
+    """The full Betti table of the window ideal, {(i, j): beta_{i,j}(I)}, by the unbounded walk.
+
+    Every degree 2 <= j <= nvars, every block walked up to faces of j
+    variables with mask_block_faces, and VerificationFailed when the face
+    counts of a degree miss C(nvars, s) * |L_{j-s}|.
+    """
+    nvars = ring.nvars
+    if not gens:
+        return {}
+    packing = _Packing(ring, nvars)
+    levels = _semigroup_levels(packing, nvars)
+    entries = {}
+    for j in range(2, nvars + 1):
+        face_counts = [0] * (j + 1)
+        for b, mask in levels[j].items():
+            counts, faces = mask_block_faces(packing, b, mask, j, levels, j)
+            for s, count in enumerate(counts):
+                face_counts[s] += count
+            if faces is None:
+                continue
+            hom = mask_homology(faces, field)
+            for i in range(j - 1):
+                if hom.get(i + 1):
+                    entries[i, j] = entries.get((i, j), 0) + hom[i + 1]
+        if face_counts != [comb(nvars, s) * len(levels[j - s]) for s in range(j + 1)]:
+            raise VerificationFailed("reference face counts miss the Hilbert function", degree=j)
+    return entries

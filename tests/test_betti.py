@@ -481,6 +481,8 @@ class TestOracles:
 
 
 def test_face_count_mismatch_is_a_verification_failure(monkeypatch):
+    # every walked degree is checked: the full table, a degree bound and
+    # targeted entries alike, and from the packed ideal or its Binomials
     import hibilab.betti as betti_mod
 
     exact = betti_mod._block_faces
@@ -491,9 +493,75 @@ def test_face_count_mismatch_is_a_verification_failure(monkeypatch):
 
     monkeypatch.setattr(betti_mod, "_block_faces", one_face_short)
     ideal = window_ideal(full_grid(1, 1), (0, 2))
-    with pytest.raises(VerificationFailed) as err:
-        betti_numbers(ideal.ring, ideal.generators)
-    assert err.value.details["degree"] == 2
+    for gens in (ideal, ideal.generators):
+        for bounds in ({}, {"j_max": 2}, {"_targets": [(0, 2)]}):
+            with pytest.raises(VerificationFailed) as err:
+                betti_numbers(ideal.ring, gens, **bounds)
+            assert err.value.details["degree"] == 2, bounds
+            assert "faces" in err.value.details, bounds
+
+
+def _seed7_ideals(corpus, max_vars=7):
+    ideals = [window_ideal(lat, w) for _, lat in corpus for w in all_windows(lat)]
+    return [ideal for ideal in ideals if ideal.ring.nvars <= max_vars and not ideal.is_zero]
+
+
+def test_edge_ring_dimension_matches_dimension_formula(corpus):
+    # rows + columns - components of the points, against the paper's
+    # dimension formula and the Krull dimension of the initial ideal
+    from hibilab.betti import _edge_ring_dimension
+
+    checked = 0
+    for _, lat in corpus:
+        for w in all_windows(lat):
+            ideal = window_ideal(lat, w)
+            d = _edge_ring_dimension(ideal.ring)
+            assert d == dimension(lat, w), w
+            if ideal.ring.nvars <= 12:
+                assert d == krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars), w
+            checked += 1
+    assert checked == 764
+
+
+def test_euler_check_catches_a_dimension_one_too_large(corpus, monkeypatch):
+    # with d + 1 the walk stops one face size short of the projective
+    # dimension, so a top Betti number is cut off; the face counts of the
+    # sizes walked still add up, and only the Euler check sees it
+    import hibilab.betti as betti_mod
+
+    exact = betti_mod._edge_ring_dimension
+    monkeypatch.setattr(betti_mod, "_edge_ring_dimension", lambda ring: exact(ring) + 1)
+    ideals = _seed7_ideals(corpus)
+    for ideal in ideals:
+        with pytest.raises(VerificationFailed) as err:
+            betti_numbers(ideal.ring, ideal, var_cap=7)
+        assert "euler" in err.value.details, ideal.ring.window
+    assert len(ideals) == 116
+
+
+def test_euler_check_catches_a_homology_rank_off_by_one(corpus, monkeypatch):
+    # one ranked block per table reports one more H~_0, as a wrong rank of
+    # its vertex or edge boundary would; the face counts do not move
+    import hibilab.betti as betti_mod
+
+    exact = betti_mod.reduced_homology
+    calls = []
+
+    def one_too_many(faces, field):
+        hom = exact(faces, field)
+        if not calls:
+            hom[1] += 1
+        calls.append(1)
+        return hom
+
+    monkeypatch.setattr(betti_mod, "reduced_homology", one_too_many)
+    ideals = _seed7_ideals(corpus)
+    for ideal in ideals:
+        calls.clear()
+        with pytest.raises(VerificationFailed) as err:
+            betti_numbers(ideal.ring, ideal, var_cap=7)
+        assert "euler" in err.value.details, ideal.ring.window
+    assert len(ideals) == 116
 
 
 def test_betti_numbers_on_fields_without_a_spare_bit_fail_in_the_level_build(monkeypatch):

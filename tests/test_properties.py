@@ -483,10 +483,11 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
 
     On every seed-7 window with at most 7 variables and on the grid-2x2 full
     window (9 variables): every block betti_numbers visits has the
-    reference's face counts, every block it skips as a simplex or a cone has
-    zero reference homology below its top size, and the tables equal the
-    reference's, at 32003 and 65537.  Reference homology is cached by face
-    set, since blocks repeat.
+    reference's face counts up to the size it walks the block to, every
+    block it skips as a simplex or a cone has zero reference homology below
+    its top size (past the walked size by the projective dimension bound),
+    and the tables equal the reference's, at 32003 and 65537.  Reference
+    homology is cached by face set, since blocks repeat.
     """
     import koszul_reference as ref
 
@@ -496,9 +497,10 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
     exact = betti_mod._block_faces
     visited = {}
 
-    def record(packing, b, *args):
-        visited[b] = exact(packing, b, *args)
-        return visited[b]
+    def record(packing, b, mask, j, levels, max_size):
+        counts, faces = exact(packing, b, mask, j, levels, max_size)
+        visited[b] = counts, faces, max_size
+        return counts, faces
 
     monkeypatch.setattr(betti_mod, "_block_faces", record)
     fields = (32003, 65537)
@@ -521,8 +523,9 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
         for j in range(2, ring.nvars + 1):
             for b in levels[j]:
                 faces = ref.block_faces(ring, b, j, levels, j)
-                counts, kept_faces = visited[pack(b)]
-                assert counts == [len(faces[s]) for s in sorted(faces)], (ring.window, b)
+                counts, kept_faces, max_size = visited[pack(b)]
+                assert counts == [len(faces[s]) for s in sorted(faces) if s <= max_size], (
+                    ring.window, b)
                 key = tuple(map(tuple, faces.values()))
                 for field in fields:
                     if (key, field) not in homology:
@@ -539,6 +542,40 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
             assert tables[field].entries == expected[field], (ring.window, field)
     assert skipped > 0 and kept > 0
     CASES["packed-kernel-vs-tuple"] = len(ideals)
+
+
+def test_pd_bounded_tables_match_unbounded_walk(corpus):
+    """Gate for the walk bounded by the projective dimension, with its Euler check.
+
+    koszul_reference.betti_table walks every block up to faces of j
+    variables, as the table did before the bound.  On every seed-7 and
+    seed-11 window with at most 7 variables and on every demo staircase
+    window with at most 9, betti_numbers gives its table at 32003 and
+    65537, from the packed WindowIdeal and from its Binomials alike.
+    """
+    import koszul_reference as ref
+
+    from hibilab.betti import betti_numbers
+    from hibilab.reports import CorpusSpec, demo_staircase, generate_corpus
+
+    seed11 = generate_corpus(CorpusSpec(seed=11, count=40, max_m=5, max_n=4))
+    cases = [(lat, 7) for _, lat in corpus + seed11] + [(demo_staircase(), 9)]
+    checked = 0
+    for lat, max_vars in cases:
+        for w in all_windows(lat):
+            ideal = window_ideal(lat, w)
+            ring = ideal.ring
+            if ring.nvars > max_vars:
+                continue
+            for field in (32003, 65537):
+                want = ref.betti_table(ring, ideal.generators, field)
+                got = betti_numbers(ring, ideal, field=field, var_cap=None).entries
+                assert got == want, (ring.points, w, field)
+                if field == 32003:
+                    assert betti_numbers(ring, ideal.generators, var_cap=None).entries == want
+            checked += 1
+    assert checked == 447 + 501 + 19, checked
+    CASES["pd-bounded-vs-unbounded-walk"] = checked
 
 
 def test_mask_walk_matches_candidate_scan(corpus):

@@ -281,6 +281,16 @@ class TestCli:
         golden = pathlib.Path(__file__).parent / "golden" / f"staircase_fiber_all_d{degree}.json"
         assert code == 0 and out == golden.read_text()
 
+    def test_betti_all_windows_matches_golden(self, capsys, monkeypatch):
+        """`hibilab betti --all-windows --cap-vars 9` on the demo staircase
+        prints, byte for byte, what it printed before faces were bounded by
+        the projective dimension."""
+        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
+        argv = ["betti", "--all-windows", "--cap-vars", "9"]
+        code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
+        golden = pathlib.Path(__file__).parent / "golden" / "staircase_betti_all_cap9.txt"
+        assert code == 0 and out == golden.read_text()
+
     def test_betti_degree_bound_past_nvars_finishes(self, capsys, monkeypatch):
         staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
         argv = ["betti", "--all-windows", "--cap-vars", "7"]
