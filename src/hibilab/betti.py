@@ -24,14 +24,15 @@ Multidegrees are packed into one int each (_Packing), with a guard bit per
 coordinate, so b - img(v) is one subtraction plus a borrow test, and faces
 are bitmasks over the variables.  Each semigroup level maps its
 multidegrees b to predecessor masks, the variables v with b - img(v) in the
-level below, recorded as the images are added.  A block is walked face by
-face with one dict lookup each: the faces over T are T | v for the v in the
-mask of b - sigma(T) above T's largest vertex.  Almost every block is a
+level below, recorded as the images are added.  Almost every block is a
 whole simplex or a cone (a vertex v with T | v a face for every face T);
 its reduced homology is zero, so it takes no rank.  A simplex takes one
-lookup, of b - sigma(mask), with sigma memoised per call.  The cone test is
-folded into the walk: v is a cone vertex when it lies in mask | T for every
-face T.
+lookup, of b - sigma(mask), with sigma memoised per call, and is counted
+by its vertex count: its C(k, s) faces are added once per size.  Any other
+block is walked face by face with one dict lookup each: the faces over T
+are T | v for the v in the mask of b - sigma(T) above T's largest vertex.
+The cone test is folded into the walk: v is a cone vertex when it lies in
+mask | T for every face T.
 
 The walk stops at the projective dimension.  The window ring is the edge
 ring of the bipartite graph whose vertices are the rows and columns of the
@@ -44,7 +45,7 @@ nvars - d - 1, and a block of degree j is walked up to faces of min(j,
 nvars - d + 1) variables, one size past the largest that carries a Betti
 number.
 
-Three checks guard this.  The level build raises VerificationFailed when an
+Four checks guard this.  The level build raises VerificationFailed when an
 addition clears a guard bit: a field that overflows aliases multidegrees,
 and because the masks come from the same additions, the face counts would
 still add up.  Every walked degree checks the faces: summed over the blocks
@@ -54,6 +55,11 @@ drops or repeats a face breaks.  A degree whose every Betti number is read
 checks them against the Euler characteristic of its Koszul strand,
 -sum_i (-1)^i beta_{i,j}(I) = sum_s (-1)^s C(nvars, s) |L_{j-s}|, which a
 d too large (a Betti number cut off) or a wrong homology dimension breaks.
+A boundary rank that is wrong inside the walked sizes moves two adjacent
+entries whose changes cancel in that sum, so, given the ideal's quadratic
+squarefree basis, each entry is held to beta_{i,j}(I) <= beta_{i,j}(in I),
+the Hochster table of the initial ideal (upper semicontinuity of the flat
+Groebner degeneration).
 
 Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
@@ -114,6 +120,7 @@ from .binomials import (
     GroebnerReport,
     MonomialOrder,
     Reducer,
+    WindowIdeal,
     WindowRing,
     _Layout,
     _degree_monomials,
@@ -384,11 +391,6 @@ class _Packing:
         self.shifts = tuple(range(0, width * (ring.m + ring.n + 2), width))
         self.guard = sum(1 << (shift + width - 1) for shift in self.shifts)
         self.images = tuple(self.pack(img) - self.guard for img in ring.monomial_map.images)
-        # memos of _block_faces for one call of betti_numbers: a vertex mask's
-        # sum of images, and a simplex's face counts and their sum by (k, max_size),
-        # a list its callers only read
-        self.sigmas = {}
-        self.simplices = {}
 
     def pack(self, vec) -> int:
         return self.guard + sum(x << shift for x, shift in zip(vec, self.shifts))
@@ -465,10 +467,10 @@ def _block_faces(packing: _Packing, b, mask, j, levels, max_size):
     The faces are the variable sets T, as bitmasks over the variables, with
     b - sigma(T) in degree j - |T| of the semigroup, up to max_size
     variables; mask is the vertex set, the predecessor mask of b in degree
-    j.  When the block is a whole simplex (one lookup of b - sigma(mask),
-    with sigma and the simplex's face counts memoised on the packing) or a
-    cone, its homology in every size below max_size, the only sizes a
-    caller reads, is zero, and the faces are not returned.
+    j.  When the block is a cone, its homology in every size below
+    max_size, the only sizes a caller reads, is zero, and the faces are not
+    returned.  (betti_numbers counts the blocks that are whole simplices
+    without a walk.)
 
     The walk lists each face once, from its largest vertex: the faces over
     T are T | v for v in down(T) above that vertex, where down(T) is the
@@ -478,21 +480,6 @@ def _block_faces(packing: _Packing, b, mask, j, levels, max_size):
     in down(T) | T for each of them; the walk folds that into apex.
     """
     images = packing.images
-    k = mask.bit_count()
-    if 0 < k <= j:
-        sigma = packing.sigmas.get(mask)
-        if sigma is None:
-            sigma = packing.sigmas[mask] = sum(images[v] for v in _bits(mask))
-        if b - sigma in levels[j - k]:
-            row = packing.simplices.get((k, max_size))
-            if row is None:
-                counts = [comb(k, s) for s in range(min(k, max_size) + 1)]
-                row = packing.simplices[k, max_size] = counts, sum(counts)
-            counts, total = row
-            if total > _BLOCK_CAP:
-                for total in accumulate(counts):
-                    _cap_block(total, j)
-            return counts, None
     # each face below max_size carries its remainder and that remainder's mask
     layers = [[(0, b, mask)]]
     apex = mask
@@ -586,11 +573,12 @@ def betti_numbers(
 
     gens is the WindowIdeal, whose packed terms are read as held, or a list
     of its Binomials.  Works blockwise per multidegree (see module
-    docstring): the semigroup levels carry predecessor masks, each block is
-    walked with one lookup per face and the cone test folded in, and a block
-    that is a simplex or a cone has no homology and takes no rank.  Degrees
-    run up to min(j_max, nvars): past nvars the squarefree initial ideal,
-    and so the window ideal, has no Betti numbers.
+    docstring): the semigroup levels carry predecessor masks, a block that
+    is a whole simplex is counted by its vertex count with one lookup,
+    every other block is walked with one lookup per face and the cone test
+    folded in, and a simplex or a cone has no homology and takes no rank.
+    Degrees run up to min(j_max, nvars): past nvars the squarefree initial
+    ideal, and so the window ideal, has no Betti numbers.
 
     Faces are walked up to min(j, nvars - d + 1) variables, where d = rows +
     columns - components of the window's points (_edge_ring_dimension).  The
@@ -599,7 +587,7 @@ def betti_numbers(
     d: beta_{i,j}(I) = 0 for i > nvars - d - 1, and H~ of a block in face
     size nvars - d needs faces one size larger only.
 
-    Three checks raise VerificationFailed.  The level build catches a packed
+    Four checks raise VerificationFailed.  The level build catches a packed
     field that overflows.  In every walked degree j the faces of size s <=
     the walked size, summed over the blocks, must equal dim K_s (x)
     (S/I)_{j-s} = C(nvars, s) * |L_{j-s}|, where L_d is degree d of the
@@ -608,7 +596,12 @@ def betti_numbers(
     characteristic of the Koszul strand in degree j must match its
     homology: -sum_i (-1)^i beta_{i,j}(I) = sum_s (-1)^s C(nvars, s) *
     |L_{j-s}|, which a d too large (a Betti number cut off) or a wrong
-    homology dimension breaks.
+    homology dimension breaks.  When gens is a WindowIdeal with a quadratic
+    squarefree basis, every entry must be at most the same entry of the
+    initial ideal's Hochster table at the same field (monomial_betti_table;
+    upper semicontinuity), which catches a boundary rank that is wrong in a
+    way whose changes to two adjacent entries cancel in the Euler sum.  The
+    Hochster table raises BudgetExceeded as monomial_betti_table does.
     """
     require_field(field)
     ngens = _require_toric(ring, gens)
@@ -623,6 +616,8 @@ def betti_numbers(
         return BettiTable({}, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
     packing = _Packing(ring, max(degrees))
     levels = _semigroup_levels(packing, max(degrees))
+    images = packing.images
+    sigmas = {}  # a vertex mask's sum of images
     # faces of up to pd(S/I) = nvars - d variables carry Betti numbers, and
     # ranking the largest of them needs faces one size larger
     top = nvars - _edge_ring_dimension(ring) + 1
@@ -636,7 +631,20 @@ def betti_numbers(
         # beta_{i,j} with i + 2 > max_size is zero: past the pd bound or below j - 1
         wanted_i = [i for i in wanted_i if i + 2 <= max_size]
         face_counts = [0] * (max_size + 1)
+        simplices = {}  # the blocks that are whole simplices, by vertex count
         for b, mask in levels[j].items():
+            k = mask.bit_count()
+            if 0 < k <= j:
+                sigma = sigmas.get(mask)
+                if sigma is None:
+                    sigma = sigmas[mask] = sum(images[v] for v in _bits(mask))
+                if b - sigma in levels[j - k]:
+                    if k not in simplices:
+                        simplices[k] = 0
+                        for total in accumulate(comb(k, s) for s in range(min(k, max_size) + 1)):
+                            _cap_block(total, j)
+                    simplices[k] += 1
+                    continue
             counts, faces = _block_faces(packing, b, mask, j, levels, max_size)
             for s, count in enumerate(counts):
                 face_counts[s] += count
@@ -647,6 +655,9 @@ def betti_numbers(
                 h = hom.get(i + 1, 0)
                 if h:
                     entries[(i, j)] = entries.get((i, j), 0) + h
+        for k, blocks in simplices.items():
+            for s in range(min(k, max_size) + 1):
+                face_counts[s] += blocks * comb(k, s)
         pieces = [comb(nvars, s) * len(levels[j - s]) for s in range(j + 1)]
         if face_counts != pieces[: max_size + 1]:
             raise VerificationFailed(
@@ -661,6 +672,15 @@ def betti_numbers(
                     "Koszul Euler characteristic misses the Betti numbers", degree=j,
                     euler=euler, betti=betti,
                 )
+    gb = getattr(gens, "gb", None)
+    if gb is not None and gb.quadratic and gb.squarefree:
+        hochster = monomial_betti_table(gb, nvars, field=field, j_max=degrees[-1])
+        for (i, j), value in sorted(entries.items()):
+            if value > hochster.get((i, j), 0):
+                raise VerificationFailed(
+                    "a Betti number exceeds the initial ideal's", i=i, j=j,
+                    toric=value, hochster=hochster.get((i, j), 0),
+                )
     return BettiTable(entries, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
 
 
@@ -671,6 +691,9 @@ def betti_numbers(
 def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: int | None = None):
     """Betti table of a squarefree monomial ideal via induced subcomplex homology.
 
+    leads are its dense generators, or a GroebnerReport, whose packed leads
+    are read (lead_supports).
+
     beta_{i,j}(I) = sum over j-subsets W of dim H~_{j-i-2} of the restricted
     Stanley-Reisner complex.  A W with a vertex outside every contained
     support restricts to a cone, so only W covered by their supports are
@@ -678,7 +701,7 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     most j_max elements (all of them when j_max is None), and raises
     BudgetExceeded up front when their number exceeds default_budget().
     """
-    supports = _lead_supports(tuple(leads))
+    supports = leads.lead_supports if isinstance(leads, GroebnerReport) else _lead_supports(tuple(leads))
     if supports is None:
         raise PreconditionFailed("monomial Betti table requires squarefree leads")
     masks = _minimal_masks(supports)
@@ -894,10 +917,17 @@ def _hochster_h2(adj, supports):
 # boolean oracles
 
 
+def _generators(gens):
+    """gens as given when it is a WindowIdeal, which stays packed, else as a
+    list of Binomials."""
+    return gens if isinstance(gens, WindowIdeal) else list(gens)
+
+
 def _initial_basis(ring, gens, gb, var_cap):
     """gb when it is quadratic and squarefree, else the order search's basis.
 
-    Windows over var_cap variables raise CapExceeded first, and
+    gens is a WindowIdeal, whose basis serves when gb is None, or a list of
+    Binomials.  Windows over var_cap variables raise CapExceeded first, and
     PreconditionFailed names the orders tried when no candidate order gives
     a quadratic squarefree basis.
     """
@@ -905,8 +935,11 @@ def _initial_basis(ring, gens, gb, var_cap):
         raise CapExceeded(
             f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=ring.nvars
         )
+    if isinstance(gens, WindowIdeal):
+        gb = gens.gb if gb is None else gb
     if gb is None or not (gb.quadratic and gb.squarefree):
-        ideal = order_search(ring, [(_sparse_term(g.lead), _sparse_term(g.trail)) for g in gens])
+        binomials = gens.generators if isinstance(gens, WindowIdeal) else gens
+        ideal = order_search(ring, [(_sparse_term(g.lead), _sparse_term(g.trail)) for g in binomials])
         gb = ideal.gb
         if not (gb.quadratic and gb.squarefree):
             raise PreconditionFailed(
@@ -927,10 +960,11 @@ def has_linear_resolution_oracle(
     The lead-graph test of the module docstring, on _initial_basis: reg I =
     reg in(I) (Conca-Varbaro), and the edge ideal in(I) is 2-linear iff the
     complement of the lead graph is chordal (Froeberg).  The answer is the
-    same over every field.
+    same over every field.  gens is the WindowIdeal, read packed, or a list
+    of its Binomials.
     """
-    gens = list(gens)
-    if not gens:
+    gens = _generators(gens)
+    if not getattr(gens, "elements", gens):
         return True
     gb = _initial_basis(ring, gens, gb, var_cap)
     return _complement_chordal(_lead_graph(gb.lead_supports, ring.nvars))
@@ -961,11 +995,12 @@ def is_linearly_related_oracle(
     only beta_1 and beta_2 can be nonzero, and the two ideals share the
     multigraded Hilbert function, so beta_{1,b}(I) = beta_{2,b}(I) + h1 - h2.
     A block with h1 > h2 answers False; the others are ranked once every
-    block has been counted.
+    block has been counted.  gens is the WindowIdeal, read packed, or a
+    list of its Binomials.
     """
     require_field(field)
-    gens = list(gens)
-    if not gens:
+    gens = _generators(gens)
+    if not getattr(gens, "elements", gens):
         return True
     gb = _initial_basis(ring, gens, gb, var_cap)
     adj = _lead_graph(gb.lead_supports, ring.nvars)

@@ -25,7 +25,7 @@ from math import comb, isqrt
 from operator import itemgetter, mul, neg, or_
 
 from .errors import DegreeInfeasible, InvalidParameter, VerificationFailed
-from .lattice import PlanarLattice, lazy
+from .lattice import PlanarLattice, lazy, row_masks
 from .windows import RankWindow, as_context
 
 Monomial = tuple
@@ -78,6 +78,12 @@ class WindowRing:
     @lazy
     def index(self):
         return {p: k for k, p in enumerate(self.points)}
+
+    @lazy
+    def rows(self) -> tuple:
+        """The columns of the points in each row i = 0..m as a bitmask; for a
+        window's ring, the band's rows (WindowContext.rows)."""
+        return row_masks(self.points, self.m)
 
     def monomial(self, *points) -> Monomial:
         exps = [0] * self.nvars
@@ -255,27 +261,26 @@ def _straightening_pairs(ring: WindowRing):
     """The terms (y_ij y_kl, y_il y_kj) of each defining binomial, unoriented,
     each a sparse term (_sparse_term).
 
-    The points are sorted by (rank, i), so the pair's own indices come in
-    order, and the meet, of lower rank than the join, comes first.
+    A binomial is a rectangle of band points, one per pair of rows i1 < i2
+    and pair of columns j1 < j2 of ring.rows[i1] & ring.rows[i2].  Its
+    incomparable corners (i1, j2) and (i2, j1) give the first term, and its
+    meet (i1, j1) and join (i2, j2) the second, whose meet, of lower rank,
+    comes first.  The list is sorted by the first terms, the order of a scan
+    of the point pairs in (rank, i) order.
     """
-    p, q = ring.window.p, ring.window.q
-    index = ring.index
+    index, rows = ring.index, ring.rows
     out = []
-    pts = ring.points
-    for a_idx in range(len(pts)):
-        i, j = pts[a_idx]
-        for b_idx in range(a_idx + 1, len(pts)):
-            k, l = pts[b_idx]
-            if (i - k) * (j - l) >= 0:
-                continue
-            if i > k:
-                (i2, j2), (k2, l2) = (k, l), (i, j)
-            else:
-                (i2, j2), (k2, l2) = (i, j), (k, l)
-            # now i2 < k2 and j2 > l2; meet (i2, l2), join (k2, j2)
-            if not (p <= i2 + l2 and k2 + j2 <= q):
-                continue
-            out.append(((a_idx, b_idx), (index[i2, l2], index[k2, j2])))
+    for i1, r1 in enumerate(rows):
+        for i2 in range(i1 + 1, len(rows)):
+            common = r1 & rows[i2]
+            if common & common - 1:  # two columns or more
+                # each column j with the variables of (i1, j) and (i2, j)
+                columns = [(index[i1, j], index[i2, j])
+                           for j in range(common.bit_length()) if common >> j & 1]
+                for k, (meet, b) in enumerate(columns):  # meet: (i1, j1), b: (i2, j1)
+                    for a, join in columns[k + 1:]:  # a: (i1, j2), join: (i2, j2)
+                        out.append(((a, b) if a < b else (b, a), (meet, join)))
+    out.sort()
     return out
 
 

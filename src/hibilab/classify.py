@@ -268,17 +268,12 @@ def classify_window(
     def linear():
         if _oracle is not None:
             return _oracle.linear_resolution
-        return has_linear_resolution_oracle(
-            ideal.ring, ideal.generators, gb=ideal.gb, var_cap=var_cap
-        )
+        return has_linear_resolution_oracle(ideal.ring, ideal, var_cap=var_cap)
 
     def linrel():
         if _oracle is not None:
             return _oracle.linearly_related
-        return is_linearly_related_oracle(
-            ideal.ring, ideal.generators, field=field, gb=ideal.gb,
-            var_cap=max(var_cap, 16),
-        )
+        return is_linearly_related_oracle(ideal.ring, ideal, field=field, var_cap=max(var_cap, 16))
 
     if mode == "oracle-only":
         return WindowVerdict(w, linear(), linrel(), "oracle", "oracle")

@@ -307,7 +307,7 @@ def _dispatch(args) -> int:
                     ideal.ring, ideal, field=args.field,
                     j_max=args.jmax, var_cap=args.cap_vars,
                 )
-            except CapExceeded as exc:
+            except (CapExceeded, BudgetExceeded) as exc:
                 out.append({"window": [ctx.window.p, ctx.window.q],
                             "skipped": {"betti": exc.payload()}})
                 continue

@@ -39,6 +39,14 @@ class lazy:
         return obj.__dict__.setdefault(self.name, self.func(obj))
 
 
+def row_masks(points, m: int) -> tuple:
+    """For each row i = 0..m, the columns j of the points (i, j) as a bitmask."""
+    rows = [0] * (m + 1)
+    for i, j in points:
+        rows[i] |= 1 << j
+    return tuple(rows)
+
+
 def _label_key(x):
     return (str(type(x).__name__), str(x))
 
@@ -198,11 +206,32 @@ class PlanarLattice:
         return tuple(sorted(self.points, key=lambda p: (p[0] + p[1], p[0])))
 
     @lazy
-    def points_by_rank(self):
-        by_rank = {}
-        for p in self.sorted_points:
-            by_rank.setdefault(p[0] + p[1], []).append(p)
-        return {r: tuple(v) for r, v in by_rank.items()}
+    def rank_starts(self) -> tuple:
+        """rank_starts[r] is the position in sorted_points of the first point
+        of rank r or more, for r = 0..rank + 1."""
+        starts = [0] * (self.rank + 2)
+        for i, j in self.points:
+            starts[i + j + 1] += 1
+        for r in range(1, self.rank + 2):
+            starts[r] += starts[r - 1]
+        return tuple(starts)
+
+    @lazy
+    def row_masks(self) -> tuple:
+        """R[i], the columns j of the points (i, j) as a bitmask, for each row i = 0..m."""
+        return row_masks(self.points, self.m)
+
+    @lazy
+    def summary(self) -> tuple:
+        """(points sorted, simple, violating ranks, join-irreducible count),
+        the values of a suite report's lattice section, all immutable.
+
+        The join-irreducibles are the points with exactly one lower cover
+        (the origin has none)."""
+        simp = is_simple(self)
+        pts = self.points
+        irreducible = sum(((i - 1, j) in pts) + ((i, j - 1) in pts) == 1 for i, j in pts)
+        return tuple(sorted(self.points)), simp.simple, simp.violating_ranks, irreducible
 
     def lower_covers(self, point):
         i, j = point
@@ -275,11 +304,8 @@ class SimplicityReport:
 
 def is_simple(lattice: PlanarLattice) -> SimplicityReport:
     """A lattice is simple when every rank strictly between 0 and rank L has >= 2 points."""
-    bad = tuple(
-        r
-        for r in range(1, lattice.rank)
-        if len(lattice.points_by_rank.get(r, ())) < 2
-    )
+    starts = lattice.rank_starts
+    bad = tuple(r for r in range(1, lattice.rank) if starts[r + 1] - starts[r] < 2)
     return SimplicityReport(simple=not bad, violating_ranks=bad)
 
 

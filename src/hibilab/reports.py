@@ -20,7 +20,6 @@ from .errors import (
 from .lattice import (
     PlanarLattice,
     Poset,
-    is_simple,
     poset_ideals_to_planar,
     validate_planar_lattice,
 )
@@ -224,18 +223,19 @@ class RunReport:
 
 
 def lattice_record(lattice: PlanarLattice) -> dict:
-    """The lattice section of a suite report, also printed by `hibilab validate`."""
-    simp = is_simple(lattice)
-    # the join-irreducibles: the points with exactly one lower cover (the origin has none)
-    pts = lattice.points
-    irreducible = sum(((i - 1, j) in pts) + ((i, j - 1) in pts) == 1 for i, j in pts)
+    """The lattice section of a suite report, also printed by `hibilab validate`.
+
+    Its values are computed once per lattice (PlanarLattice.summary); each
+    call builds fresh lists, so that no two reports share a mutable object.
+    """
+    points, simple, violating_ranks, irreducible = lattice.summary
     return {
-        "points": sorted(map(list, lattice.points)),
+        "points": list(map(list, points)),
         "m": lattice.m,
         "n": lattice.n,
         "rank": lattice.rank,
-        "simple": simp.simple,
-        "violating_ranks": list(simp.violating_ranks),
+        "simple": simple,
+        "violating_ranks": list(violating_ranks),
         "join_irreducibles": irreducible,
     }
 
@@ -341,7 +341,7 @@ def run_suite(
                 try:
                     table = betti_numbers(ideal.ring, ideal, field=field, var_cap=var_cap)
                     rec["betti"] = table.to_json()
-                except CapExceeded as exc:
+                except (CapExceeded, BudgetExceeded) as exc:
                     rec["skipped"].append({"betti": exc.payload()})
             if with_classify:
                 try:

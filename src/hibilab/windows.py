@@ -6,11 +6,18 @@ the edges s_i t_j of a bipartite graph and, through the unit cells fully
 contained in the band, a row- and column-convex polyomino.  A WindowContext
 validates a window once and builds each of these objects, and the window's
 ring and ideal, at most once.
+
+Each object is read off tables that the lattice builds once: the generators
+are a slice of its points in (rank, i) order, and the cells come from the
+band's rows rows[i] = R[i] & columns(p - i .. q - i), with R[i] the columns
+of row i as a bitmask.  Convexity and the chordality test work on bitmasks
+as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import BudgetExceeded, InvalidWindow, VerificationFailed
 from .lattice import PlanarLattice, lazy
@@ -76,12 +83,11 @@ class GeneratorSet:
 
 
 def generators(lattice: PlanarLattice, window) -> GeneratorSet:
-    """Lattice points in the rank band, sorted by (rank, i)."""
+    """Lattice points in the rank band, sorted by (rank, i): a slice of the
+    lattice's points in that order."""
     w = as_window(window).validate(lattice.rank)
-    pts = tuple(
-        p for p in lattice.sorted_points if w.p <= p[0] + p[1] <= w.q
-    )
-    return GeneratorSet(window=w, points=pts)
+    starts = lattice.rank_starts
+    return GeneratorSet(window=w, points=lattice.sorted_points[starts[w.p]:starts[w.q + 1]])
 
 
 @dataclass(frozen=True)
@@ -120,19 +126,6 @@ class ChordalityCertificate:
 
     def __bool__(self):
         return self.chordal
-
-
-def _bisimplicial(edges, left_adj, right_adj, edge):
-    i, j = edge
-    for u in right_adj[j]:
-        if u == i:
-            continue
-        for v in left_adj[i]:
-            if v == j:
-                continue
-            if (u, v) not in edges:
-                return False
-    return True
 
 
 def _chordless_cycle_bruteforce(edges):
@@ -199,30 +192,38 @@ def is_chordal_bipartite(graph: BipartiteGraph) -> ChordalityCertificate:
     True comes with the edge elimination order; False comes with a chordless
     cycle of length >= 6 found in the input graph.  Each step eliminates the
     least bisimplicial edge; the edges are sorted once, and an eliminated
-    edge is deleted from the sorted list.
+    edge is deleted from the sorted list.  Edge (i, j) is bisimplicial when
+    rows[i] & ~rows[u] == 0 for each other neighbour s_u of t_j, rows[i]
+    being the neighbours of s_i left as a bitmask.
     """
-    edges = set(graph.edges)
-    remaining = sorted(edges)
-    left_adj = {i: set(v) for i, v in graph.left_adj.items()}
-    right_adj = {j: set(v) for j, v in graph.right_adj.items()}
+    rows, columns = [0] * (graph.m + 1), [0] * (graph.n + 1)  # the neighbours as bitmasks
+    for i, j in graph.edges:
+        rows[i] |= 1 << j
+        columns[j] |= 1 << i
+    remaining = sorted(set(graph.edges))
     order = []
     while remaining:
-        for k, pick in enumerate(remaining):
-            if _bisimplicial(edges, left_adj, right_adj, pick):
-                del remaining[k]
+        for k, (i, j) in enumerate(remaining):
+            need, others = rows[i], columns[j] ^ 1 << i
+            while others:
+                u = others & -others
+                if need & ~rows[u.bit_length() - 1]:
+                    break
+                others ^= u
+            else:
                 break
         else:
             cycle = _chordless_cycle_bruteforce(graph.edges)
             if cycle is None:
                 raise VerificationFailed(
                     "elimination stuck but no chordless cycle found",
-                    edges=sorted(edges),
+                    edges=remaining,
                 )
             return ChordalityCertificate(False, chordless_cycle=cycle)
-        edges.discard(pick)
-        left_adj[pick[0]].discard(pick[1])
-        right_adj[pick[1]].discard(pick[0])
-        order.append(pick)
+        del remaining[k]
+        rows[i] ^= 1 << j
+        columns[j] ^= 1 << i
+        order.append((i, j))
     return ChordalityCertificate(True, elimination_order=tuple(order))
 
 
@@ -240,10 +241,6 @@ class Polyomino:
         return len(self.cells)
 
     @lazy
-    def sorted_cells(self):
-        return tuple(sorted(self.cells, key=lambda c: (c[0] + c[1], c[0])))
-
-    @lazy
     def vertices(self):
         vs = set()
         for i, j in self.cells:
@@ -251,25 +248,11 @@ class Polyomino:
         return frozenset(vs)
 
     @lazy
-    def rows(self):
-        out = {}
-        for i, j in self.cells:
-            out.setdefault(j, []).append(i)
-        return {j: tuple(sorted(v)) for j, v in out.items()}
-
-    @lazy
-    def columns(self):
-        out = {}
-        for i, j in self.cells:
-            out.setdefault(i, []).append(j)
-        return {i: tuple(sorted(v)) for i, v in out.items()}
-
-    @lazy
     def connected(self) -> bool:
         """Edge adjacency of cells; corner contact does not connect."""
         if not self.cells:
             return True
-        todo = [next(iter(self.sorted_cells))]
+        todo = [next(iter(self.cells))]
         seen = {todo[0]}
         while todo:
             i, j = todo.pop()
@@ -281,27 +264,28 @@ class Polyomino:
 
 
 def polyomino(lattice: PlanarLattice, window) -> Polyomino:
-    """Cells [a, a+(1,1)] whose four corners lie in L with ranks inside the band."""
-    w = as_window(window).validate(lattice.rank)
-    cells = set()
-    for i, j in lattice.sorted_points:
-        if not (w.p <= i + j and i + j + 2 <= w.q):
-            continue
-        if (
-            (i + 1, j) in lattice.points
-            and (i, j + 1) in lattice.points
-            and (i + 1, j + 1) in lattice.points
-        ):
-            cells.add((i, j))
+    """Cells [a, a+(1,1)] whose four corners lie in L with ranks inside the band:
+    the cells (i, j) with j and j + 1 in both band rows i and i + 1."""
+    rows = as_context(lattice, window).rows
+    cells = []
+    for i in range(len(rows) - 1):
+        both = rows[i] & rows[i + 1]
+        corners = both & both >> 1
+        while corners:
+            low = corners & -corners
+            cells.append((i, low.bit_length() - 1))
+            corners ^= low
     return Polyomino(cells=frozenset(cells))
 
 
 def check_convexity(poly: Polyomino) -> bool:
-    """Row and column runs of cells must be contiguous."""
-    for run in list(poly.rows.values()) + list(poly.columns.values()):
-        if run[-1] - run[0] + 1 != len(run):
-            return False
-    return True
+    """Row and column runs of cells must be contiguous: adding the lowest
+    bit of a run's mask clears all of it."""
+    columns, rows = {}, {}
+    for i, j in poly.cells:
+        columns[i] = columns.get(i, 0) | 1 << j
+        rows[j] = rows.get(j, 0) | 1 << i
+    return not any(run + (run & -run) & run for run in chain(columns.values(), rows.values()))
 
 
 def dimension(lattice: PlanarLattice, window) -> int:
@@ -325,8 +309,16 @@ class WindowContext:
         return generators(self.lattice, self.window)
 
     @lazy
+    def rows(self) -> tuple:
+        """The band's columns in each row i = 0..m as a bitmask: R[i] &
+        columns(p - i .. q - i), the ranks p..q shifted down by i."""
+        w = as_window(self.window)
+        band = (1 << w.q + 1) - (1 << w.p)  # the ranks p..q
+        return tuple([columns & band >> i for i, columns in enumerate(self.lattice.row_masks)])
+
+    @lazy
     def polyomino(self) -> Polyomino:
-        return polyomino(self.lattice, self.window)
+        return polyomino(self.lattice, self)
 
     @lazy
     def dimension(self) -> int:
@@ -350,7 +342,7 @@ class WindowContext:
 def as_context(lattice: PlanarLattice, window) -> WindowContext:
     """The window as a WindowContext of lattice; a context is passed through."""
     if isinstance(window, WindowContext):
-        if window.lattice != lattice:
+        if window.lattice is not lattice and window.lattice != lattice:
             raise InvalidWindow("window context belongs to another lattice")
         return window
     return WindowContext(lattice, as_window(window).validate(lattice.rank))

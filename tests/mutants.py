@@ -1,0 +1,140 @@
+"""Mutation gate: each recorded mutant of the package must fail its gate.
+
+    python tests/mutants.py           # every mutant
+    python tests/mutants.py NAME ...  # the named ones
+
+A mutant is one exact text replacement in a file of src/hibilab, with the
+tests named as its gate.  The runner copies src/ and tests/ into a
+temporary directory, runs every gate there once unmutated (they must pass,
+so that a mutant is not killed by an unrelated failure), then, for each
+mutant in its own copy, applies the replacement and runs only its gate.
+The run fails when a mutant's old text does not occur exactly once in its
+file (a rewrite must re-aim its mutants), when a gate does not pass
+unmutated, or when a mutant's gate still passes (the mutant survives).
+The checkout itself is only read.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # under src/hibilab
+    old: str
+    new: str
+    gate: tuple  # pytest node ids, relative to the checkout's root
+
+
+MUTANTS = (
+    # the independent triples of the lead graph, counted without its triangles
+    Mutant(
+        "lead-graph-triangles", "binomials.py",
+        "triples = comb(nvars, 3) - len(edges) * (nvars - 2) + overlaps - triangles",
+        "triples = comb(nvars, 3) - len(edges) * (nvars - 2) + overlaps",
+        ("tests/test_order_search.py",),
+    ),
+    # a semigroup level whose additions overflow a field, let through
+    Mutant(
+        "level-guard", "betti.py",
+        "if reduce(and_, level, guard) != guard:",
+        "if False:",
+        ("tests/test_betti.py::test_level_build_catches_fields_without_a_spare_bit",
+         "tests/test_betti.py::test_betti_numbers_on_fields_without_a_spare_bit_fail_in_the_level_build"),
+    ),
+    # the bisimplicial test of the chordality elimination, subset flipped
+    Mutant(
+        "chordality-subset", "windows.py",
+        "if need & ~rows[u.bit_length() - 1]:",
+        "if rows[u.bit_length() - 1] & ~need:",
+        ("tests/test_windows.py::test_mask_routes_match_the_reference_on_every_seed7_and_seed11_window",),
+    ),
+    # the straightening rectangles, the last column pair of each row pair dropped
+    Mutant(
+        "rectangle-last-pair", "binomials.py",
+        "for k, (meet, b) in enumerate(columns):",
+        "for k, (meet, b) in enumerate(columns[:-2]):",
+        ("tests/test_windows.py::test_mask_routes_match_the_reference_on_every_seed7_and_seed11_window",),
+    ),
+    # the entrywise Hochster bound of betti_numbers, turned off
+    Mutant(
+        "hochster-bound", "betti.py",
+        "if gb is not None and gb.quadratic and gb.squarefree:",
+        "if False:",
+        ("tests/test_betti.py::test_hochster_bound_catches_rank_errors_that_cancel_in_euler",),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(where: Path, gate):
+    """pytest's exit code on the gate, and its first FAILED line."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider", *gate],
+        cwd=where, env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("FAILED")]
+    return proc.returncode, failed[0] if failed else ""
+
+
+def run(mutants) -> list:
+    """The problems found, one line each; empty when every mutant is killed."""
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="hibilab-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        gates = sorted({node for mutant in mutants for node in mutant.gate})
+        code, failed = _pytest(base, gates)
+        if code != 0:
+            return [f"the gates do not pass unmutated (pytest exit {code}): {failed}"]
+        for mutant in mutants:
+            start = time.perf_counter()
+            copy = Path(tmp) / mutant.name
+            _copy(copy)
+            target = copy / "src" / "hibilab" / mutant.path
+            text = target.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                problems.append(f"{mutant.name}: its old text occurs {text.count(mutant.old)} "
+                                f"times in src/hibilab/{mutant.path}, not once")
+                continue
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            code, failed = _pytest(copy, mutant.gate)
+            verdict = "killed" if code == 1 else "survived" if code == 0 else f"pytest exit {code}"
+            print(f"{mutant.name:<22} {verdict:<10} {time.perf_counter() - start:5.1f} s  {failed}")
+            if code != 1:
+                problems.append(f"{mutant.name}: {verdict} under {' '.join(mutant.gate)}")
+    return problems
+
+
+def main(argv) -> int:
+    names = set(argv)
+    unknown = names - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    problems = run([m for m in MUTANTS if not names or m.name in names])
+    for line in problems:
+        print(f"FAILED {line}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -373,6 +373,25 @@ class TestMonomialBetti:
 
 
 class TestOracles:
+    def test_oracles_read_the_window_ideal_packed(self, corpus):
+        # given the WindowIdeal, both oracles answer as from its Binomials,
+        # take its basis when none is passed, and unpack no generator
+        checked = 0
+        for _, lat in corpus[:12]:
+            for w in all_windows(lat):
+                ideal = window_ideal(lat, w)
+                if ideal.ring.nvars > 12 or len(ideal.elements) < 2:
+                    continue
+                linear = has_linear_resolution_oracle(ideal.ring, ideal)
+                linrel = is_linearly_related_oracle(ideal.ring, ideal)
+                assert "generators" not in vars(ideal), w
+                assert linear == has_linear_resolution_oracle(
+                    ideal.ring, ideal.generators, gb=ideal.gb), w
+                assert linrel == is_linearly_related_oracle(
+                    ideal.ring, ideal.generators, gb=ideal.gb), w
+                checked += 1
+        assert checked > 50
+
     def test_settling_rule(self):
         # a cancellation pairs (i, j) with (i - 1, j) or (i + 1, j)
         table = {(0, 2): 3, (1, 3): 2, (1, 4): 1, (2, 4): 1, (2, 5): 4, (3, 5): 2, (0, 4): 5}
@@ -562,6 +581,56 @@ def test_euler_check_catches_a_homology_rank_off_by_one(corpus, monkeypatch):
             betti_numbers(ideal.ring, ideal, var_cap=7)
         assert "euler" in err.value.details, ideal.ring.window
     assert len(ideals) == 116
+
+
+def test_hochster_bound_catches_rank_errors_that_cancel_in_euler(corpus, monkeypatch):
+    # one more H~ at face sizes 2 and 3 of every ranked block with faces of
+    # 4 variables, as a triangle boundary ranked one short would give: the
+    # two changes cancel in the Euler sum and the face counts do not move,
+    # so from Binomials, with no basis to bound them, the tables come out
+    # wrong and nothing raises; from the WindowIdeal, whose basis is
+    # quadratic and squarefree, the entrywise bound beta_{i,j}(I) <=
+    # beta_{i,j}(in I) raises on every one of them
+    import sys
+
+    import hibilab.betti as betti_mod
+
+    ideals = _seed7_ideals(corpus, max_vars=8)
+    exact = [betti_numbers(ideal.ring, ideal, var_cap=None).entries for ideal in ideals]
+    homology = betti_mod.reduced_homology
+
+    def one_short(faces, field):
+        hom = homology(faces, field)
+        if faces.get(4) and sys._getframe(1).f_code.co_name == "betti_numbers":
+            hom[2] = hom.get(2, 0) + 1
+            hom[3] = hom.get(3, 0) + 1
+        return hom
+
+    monkeypatch.setattr(betti_mod, "reduced_homology", one_short)
+    wrong = 0
+    for ideal, want in zip(ideals, exact):
+        if betti_numbers(ideal.ring, ideal.generators, var_cap=None).entries == want:
+            assert betti_numbers(ideal.ring, ideal, var_cap=None).entries == want
+            continue
+        wrong += 1
+        with pytest.raises(VerificationFailed) as err:
+            betti_numbers(ideal.ring, ideal, var_cap=None)
+        details = err.value.details
+        assert details.keys() == {"i", "j", "toric", "hochster"}, ideal.ring.window
+        assert details["toric"] > details["hochster"], ideal.ring.window
+    assert wrong == 9
+
+
+def test_hochster_bound_reads_the_packed_basis_at_the_same_field():
+    # the bound's Hochster table, read off the GroebnerReport, is the table
+    # of the dense leads, and bounds the grid-2x2 full window at two primes
+    ideal = window_ideal(full_grid(2, 2), (0, 4))
+    nvars = ideal.ring.nvars
+    for field in (32003, 65537):
+        hochster = monomial_betti_table(ideal.gb, nvars, field=field)
+        assert hochster == monomial_betti_table(ideal.gb.leads, nvars, field=field)
+        table = betti_numbers(ideal.ring, ideal, field=field, var_cap=None)
+        assert table.entries and all(v <= hochster[k] for k, v in table.entries.items())
 
 
 def test_betti_numbers_on_fields_without_a_spare_bit_fail_in_the_level_build(monkeypatch):

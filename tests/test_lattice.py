@@ -125,6 +125,31 @@ class TestJoinIrreducibles:
             assert lattice_record(lat)["join_irreducibles"] == len(join_irreducibles(lat)), name
 
 
+class TestLatticeTables:
+    def test_built_on_first_read_and_not_in_validation(self):
+        lat = validate_planar_lattice(demo_staircase().points)
+        tables = ("sorted_points", "rank_starts", "row_masks", "summary")
+        assert not set(tables) & set(vars(lat))
+        assert lat.row_masks == (0b111, 0b1111, 0b11111, 0b11111, 0b11100, 0b11100)
+        starts = lat.rank_starts
+        assert starts[0] == 0 and starts[-1] == len(lat)
+        for r in range(lat.rank + 1):
+            assert {i + j for i, j in lat.sorted_points[starts[r]:starts[r + 1]]} == {r}
+        assert lat.summary is lat.summary
+        assert set(tables) <= set(vars(lat))
+
+    def test_reports_share_no_mutable_lattice_section(self):
+        from hibilab.reports import lattice_record, run_suite
+
+        lat = demo_staircase()
+        first, second = (run_suite(lat, windows=[(3, 7)]).stable["lattice"] for _ in range(2))
+        assert first == second == lattice_record(lat)
+        first["points"][0].append(99)
+        first["violating_ranks"].append(99)
+        assert second == lattice_record(lat) and second["points"][0] == [0, 0]
+        assert second["violating_ranks"] == []
+
+
 class TestBirkhoff:
     def test_chain_plus_point(self):
         p = Poset(["a", "b", "c", "x"], [("a", "b"), ("b", "c")])

@@ -7,6 +7,7 @@ are exported so the acceptance suite can assert the total.
 """
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -482,12 +483,13 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
     """Gate for the packed Koszul block kernel against the tuple kernel it replaced.
 
     On every seed-7 window with at most 7 variables and on the grid-2x2 full
-    window (9 variables): every block betti_numbers visits has the
+    window (9 variables): every block betti_numbers walks has the
     reference's face counts up to the size it walks the block to, every
-    block it skips as a simplex or a cone has zero reference homology below
-    its top size (past the walked size by the projective dimension bound),
-    and the tables equal the reference's, at 32003 and 65537.  Reference
-    homology is cached by face set, since blocks repeat.
+    block it counts without a walk is a whole simplex in the reference,
+    every block it skips as a simplex or a cone has zero reference homology
+    below its top size (past the walked size by the projective dimension
+    bound), and the tables equal the reference's, at 32003 and 65537.
+    Reference homology is cached by face set, since blocks repeat.
     """
     import koszul_reference as ref
 
@@ -508,7 +510,7 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
     ideals = [ideal for ideal in ideals if ideal.ring.nvars <= 7 and ideal.generators]
     ideals.append(window_ideal(full_grid(2, 2), (0, 4)))
     homology = {}
-    skipped = kept = 0
+    skipped = kept = simplices = 0
     for ideal in ideals:
         ring = ideal.ring
         visited.clear()
@@ -518,14 +520,19 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
         }
         pack = betti_mod._Packing(ring, ring.nvars).pack
         levels = ref.semigroup_levels(ring, ring.nvars)
-        assert len(visited) == sum(map(len, levels[2:])), ring.window
         expected = {field: {} for field in fields}
         for j in range(2, ring.nvars + 1):
             for b in levels[j]:
                 faces = ref.block_faces(ring, b, j, levels, j)
-                counts, kept_faces, max_size = visited[pack(b)]
-                assert counts == [len(faces[s]) for s in sorted(faces) if s <= max_size], (
-                    ring.window, b)
+                if pack(b) in visited:
+                    counts, kept_faces, max_size = visited.pop(pack(b))
+                    assert counts == [len(faces[s]) for s in sorted(faces) if s <= max_size], (
+                        ring.window, b)
+                else:  # counted as a whole simplex, with no walk
+                    k, kept_faces = len(faces[1]), None
+                    assert [len(faces[s]) for s in sorted(faces)] == [
+                        comb(k, s) for s in range(k + 1)], (ring.window, b)
+                    simplices += 1
                 key = tuple(map(tuple, faces.values()))
                 for field in fields:
                     if (key, field) not in homology:
@@ -538,9 +545,10 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
                             expected[field][i, j] = expected[field].get((i, j), 0) + hom[i + 1]
                 skipped += kept_faces is None
                 kept += kept_faces is not None
+        assert not visited, ring.window  # every walked block is a block of the reference
         for field in fields:
             assert tables[field].entries == expected[field], (ring.window, field)
-    assert skipped > 0 and kept > 0
+    assert skipped > simplices > 0 and kept > 0
     CASES["packed-kernel-vs-tuple"] = len(ideals)
 
 

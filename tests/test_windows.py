@@ -1,12 +1,15 @@
 import pytest
+import windows_reference as ref
 
+from hibilab.binomials import _straightening_pairs
 from hibilab.errors import BudgetExceeded, InvalidWindow, VerificationFailed
 from hibilab.lattice import validate_planar_lattice
-from hibilab.reports import demo_staircase, ell_lattice, full_grid
+from hibilab.reports import CorpusSpec, demo_staircase, ell_lattice, full_grid, generate_corpus
 from hibilab.windows import (
     BipartiteGraph,
     Polyomino,
     RankWindow,
+    WindowContext,
     all_windows,
     as_context,
     bipartite_graph,
@@ -136,33 +139,12 @@ def test_elimination_agrees_with_bruteforce_on_windows():
             )
 
 
-def _resorting_elimination(graph):
-    """The elimination as it stood before the edges were sorted once: the
-    remaining edges sorted again at every step, the least bisimplicial one
-    eliminated; None when it sticks."""
-    from hibilab.windows import _bisimplicial
-
-    edges = set(graph.edges)
-    left_adj = {i: set(v) for i, v in graph.left_adj.items()}
-    right_adj = {j: set(v) for j, v in graph.right_adj.items()}
-    order = []
-    while edges:
-        pick = next((e for e in sorted(edges) if _bisimplicial(edges, left_adj, right_adj, e)), None)
-        if pick is None:
-            return None
-        edges.discard(pick)
-        left_adj[pick[0]].discard(pick[1])
-        right_adj[pick[1]].discard(pick[0])
-        order.append(pick)
-    return tuple(order)
-
-
 def test_elimination_order_matches_resorting_on_every_seed7_window(corpus):
     checked = 0
     for _, lat in corpus:
         for w in all_windows(lat):
             graph = bipartite_graph(lat, w)
-            assert is_chordal_bipartite(graph).elimination_order == _resorting_elimination(graph)
+            assert is_chordal_bipartite(graph).elimination_order == ref.resorting_elimination(graph)
             checked += 1
     assert checked == 764
 
@@ -242,6 +224,12 @@ class TestWindowContext:
         with pytest.raises(InvalidWindow):
             as_context(full_grid(2, 3), ctx)
 
+    def test_context_of_a_window_pair_reads_the_band(self):
+        lat = demo_staircase()
+        ctx = WindowContext(lat, (3, 7))
+        assert ctx.polyomino == polyomino(lat, RankWindow(3, 7))
+        assert ctx.dimension == 9
+
     def test_window_validated_once_up_front(self):
         with pytest.raises(InvalidWindow):
             as_context(full_grid(1, 1), (2, 1))
@@ -258,3 +246,52 @@ def test_stuck_elimination_without_cycle_is_a_verification_failure(monkeypatch):
     monkeypatch.setattr(windows_mod, "_chordless_cycle_bruteforce", lambda edges: None)
     with pytest.raises(VerificationFailed):
         is_chordal_bipartite(six_cycle)
+
+
+def test_mask_routes_match_the_reference_on_every_seed7_and_seed11_window(corpus):
+    """Gate for the window layer on row bitmasks against the routes it replaced.
+
+    On every window of the seed-7 and seed-11 corpora and of their
+    transposes: the generators in order, the polyomino cells, convexity, the
+    chordality certificate (elimination order or witness), the dimension
+    and the straightening pairs in order equal tests/windows_reference.py's.
+    """
+    seed11 = generate_corpus(CorpusSpec(seed=11, count=40, max_m=5, max_n=4))
+    lattices = [lat for _, lat in corpus + seed11]
+    checked = 0
+    for lat in lattices + [lat.transpose() for lat in lattices]:
+        for w in all_windows(lat):
+            ctx = as_context(lat, w)
+            assert ctx.generators == ref.generators(lat, w), (lat, w)
+            poly = ctx.polyomino
+            assert poly == ref.polyomino(lat, w), (lat, w)
+            assert check_convexity(poly) == ref.check_convexity(poly), (lat, w)
+            graph = bipartite_graph(lat, ctx)
+            assert is_chordal_bipartite(graph) == ref.is_chordal_bipartite(graph), (lat, w)
+            assert ctx.dimension == ref.dimension(lat, w), (lat, w)
+            assert ctx.ring.rows == ctx.rows, (lat, w)
+            assert _straightening_pairs(ctx.ring) == ref.straightening_pairs(ctx.ring), (lat, w)
+            checked += 1
+    assert checked == 2 * (764 + 825), checked
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)),  # a chordless 6-cycle
+    tuple((i, i) for i in range(4)) + tuple(((i + 1) % 4, i) for i in range(4)),  # an 8-cycle
+    ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2), (3, 0), (3, 3)),  # a 6-cycle with a tail
+])
+def test_mask_chordality_matches_the_reference_witness(edges):
+    graph = BipartiteGraph(m=3, n=3, edges=edges)
+    cert = is_chordal_bipartite(graph)
+    assert not cert.chordal and cert == ref.is_chordal_bipartite(graph)
+
+
+@pytest.mark.parametrize("cells, convex", [
+    ({(0, 0), (2, 0)}, False),  # a gap in a row
+    ({(0, 0), (0, 2), (1, 1)}, False),  # a gap in a column
+    ({(0, 0), (1, 0), (1, 1), (2, 1)}, True),
+    ({(0, 0), (1, 1)}, True),  # corner contact: convex, not connected
+])
+def test_mask_convexity_matches_the_reference(cells, convex):
+    poly = Polyomino.from_cells(cells)
+    assert check_convexity(poly) == ref.check_convexity(poly) == convex
