@@ -114,7 +114,7 @@ class WindowRing:
 
     @lazy
     def semigroup(self) -> "Semigroup":
-        return Semigroup(self.points)
+        return Semigroup(self.points, self.rows)
 
 
 @dataclass(frozen=True)
@@ -138,17 +138,25 @@ class Semigroup:
     Entries of L_e and of a degree-e image are at most e; wide(e) repacks,
     dropping the levels built, when e exceeds capacity, 7 at first, so that
     the order search (L_3) and the oracle share one packing.  size(e) is
-    |L_e|, grown from the top level built.  A level is split by the largest
-    row r of its points: taking a cell (r, j) off a point of L_e leaves one
-    of L_(e-1) with rows <= r, so the parts {q + img(r, j) : q in L_(e-1)
-    with largest row <= r} are disjoint, and q is added only to the cells of
-    rows at or above its own.  L_e overflows iff e times the union of the
-    images reaches a guard, and raises VerificationFailed naming e.  The
-    object holds the ring's points but not the ring, which holds it.
+    |L_e| (|L_0| = 1), and sizes lists |L_1|, |L_2|, ... as far as built.
+
+    The levels are built over a core.  A point alone in its row (column) is
+    a leaf edge of the row-column graph: its exponent in a monomial is the
+    image's entry at that row (column), so it lies on no binomial of the
+    toric ideal.  Peeling leaves off again and again (_peel) leaves a core
+    and b peeled points; by induction I = I_core S, S/I = K[peeled] (x)
+    S_core/I_core and |L_e| = sum_i C(b + i - 1, i) |L_(e-i)(core)| (_lift).
+    A core level is split by the largest row r of its points: taking a cell
+    (r, j) off a point of L_e leaves one of L_(e-1) with rows <= r, so the
+    parts {q + img(r, j) : q in L_(e-1) with largest row <= r} are disjoint,
+    and q is added only to the cells of rows at or above its own.  L_e
+    overflows iff e times the union of the images reaches a guard, and
+    raises VerificationFailed naming e.  The object holds the ring's points
+    and row masks but not the ring, which holds it.
     """
 
-    def __init__(self, points: tuple):
-        self.points, self.capacity = points, 0
+    def __init__(self, points: tuple, rows: tuple):
+        self.points, self.rows, self.capacity = points, rows, 0
         self.wide(7)
 
     def wide(self, degree: int) -> list:
@@ -162,15 +170,36 @@ class Semigroup:
                            + (j > j0 and 1 << width * (j - j0 - 1)) for i, j in self.points]
             self._used = reduce(or_, self.images, 0)  # a 1 in each field that an image uses
             self.guard = self._used << bits
-            cells = {}
-            for (i, _), img in zip(self.points, self.images):
-                cells.setdefault(i, set()).add(img)
-            self._cells = self._parts = [cells[i] for i in sorted(cells)]  # L_1 by largest row
-            self.sizes = [sum(map(len, self._cells))]  # |L_1|, |L_2|, ...
+            self.sizes = [len(set(self.images))]  # |L_1|, |L_2|, ...
+            self._parts = None  # the core's top level by largest row, from the first level built
         return self.images
 
+    def _peel(self):
+        """The core's L_1 by largest row.  The points alone in their row or
+        column are peeled off again and again, a pass's leaves together (no
+        two share a leaf end), unless a point repeats: a double edge."""
+        rows, core = None, list(self.rows)
+        if (total := sum(map(int.bit_count, core))) == len(self.points):
+            while core != rows:
+                rows, seen, twice = core, 0, 0
+                for r in rows:
+                    twice |= seen & r
+                    seen |= r
+                core = [r & ~(seen & ~twice) if r & r - 1 else 0 for r in rows]
+        cells = {}
+        for (i, j), img in zip(self.points, self.images):
+            if core[i] >> j & 1:
+                cells.setdefault(i, set()).add(img)
+        self._cells = self._parts = [cells[i] for i in sorted(cells)]
+        self._core = [1, sum(map(len, self._cells))]  # |L_0(core)|, |L_1(core)|, ...
+        self._free = total - sum(map(int.bit_count, core))
+
     def size(self, e: int) -> int:
+        if e < 0:
+            raise InvalidParameter(f"semigroup degree must be at least 0, got {e}", degree=e)
         self.wide(e)
+        if self._parts is None and len(self.sizes) < e:
+            self._peel()
         while len(self.sizes) < e:
             if (len(self.sizes) + 1) * self._used & self.guard:
                 raise VerificationFailed("a semigroup entry overflows", degree=len(self.sizes) + 1)
@@ -179,8 +208,20 @@ class Semigroup:
                 below.extend(part)
                 grown.append({q + img for q in below for img in images})
             self._parts = grown
-            self.sizes.append(sum(map(len, grown)))
-        return self.sizes[e - 1]
+            self._core.append(sum(map(len, grown)))
+            self.sizes.append(_lift(self._core, self._free))
+        return self.sizes[e - 1] if e else 1
+
+
+def _lift(core: list, free: int) -> int:
+    """The degree-e count, e = len(core) - 1, of a core with counts core[0..e]
+    (core[0] = 1) and free more variables: a degree-e monomial is one of
+    degree i in those times one of the core's, so sum_i C(free + i - 1, i)
+    core[e - i]."""
+    e = len(core) - 1
+    if not free:
+        return core[e]
+    return sum(comb(free + i - 1, i) * core[e - i] for i in range(e + 1))
 
 
 def mono_squarefree(a: Monomial) -> bool:
@@ -967,17 +1008,21 @@ def _face_counts(supports, nvars: int):
 
     Such a monomial is standard iff its support is a face of the lead
     complex, and C(e - 1, k - 1) degree-e monomials have a given support of
-    size k, so the count is sum_k f_k C(e - 1, k - 1), f_k the k-faces.  For
-    degree e the faces of size e - 1 are listed (_grow_faces), and f_e, the
-    popcount of their free masks less the grown faces that hold another
-    support, is counted without listing a face of size e.
+    size k, so the count is sum_k f_k C(e - 1, k - 1), f_k the k-faces.  A
+    variable in no support (a cone point, such as a peeled point no lead
+    holds) joins every face: the faces are walked over the others and the
+    cone points lifted back (_lift).  For degree e the faces of size e - 1
+    are listed (_grow_faces), and f_e, the popcount of their free masks less
+    the grown faces that hold another support, is counted without listing a
+    face of size e.
     """
+    ground = reduce(or_, supports, 0)  # the variables of some support
     graph = _lead_graph([s for s in supports if s.bit_count() == 2], nvars)
     near = {1 << v: mates for v, mates in enumerate(graph)}  # v's 2-support mates, by bit
     holding = {}  # the supports of other sizes, by their highest variable
     for s in filter(lambda s: s.bit_count() != 2, supports):
         holding.setdefault(1 << s.bit_length() - 1, []).append(s)
-    faces, fvector = [(0, (1 << nvars) - 1)], [1]
+    faces, fvector, core = [(0, ground)], [1], [1]
     for e in count(1):
         if e > 1:
             faces = _grow_faces(faces, near, holding)
@@ -985,7 +1030,8 @@ def _face_counts(supports, nvars: int):
         for v, held in holding.items():
             size -= sum(free & v and any(s | face | v == face | v for s in held) for face, free in faces)
         fvector.append(size)
-        yield sum(f * comb(e - 1, k - 1) for k, f in enumerate(fvector) if k)
+        core.append(sum(f * comb(e - 1, k - 1) for k, f in enumerate(fvector) if k))
+        yield _lift(core, nvars - ground.bit_count())
 
 
 def _fiber_terms(source, ring: WindowRing, units) -> list:
@@ -1052,9 +1098,18 @@ def toric_fiber_oracle(
     to enumerating the standard monomials (_divided_counts).  Each generator
     and basis element is walked once (_fiber_terms; a basis that is the
     generators, once in all) for its terms on the oracle's fields, with
-    degree.bit_length() + 1 bits per variable, and its balance.  The moves
-    read the monomials up to degree - (least move degree).  Each degree is
-    held to default_budget(), checked before any work on it.
+    degree.bit_length() + 1 bits per variable, and its balance.
+
+    Each count is taken on a core and lifted (_lift): |L_e| from the
+    semigroup's, whose peeled leaves lie on no binomial (Semigroup), the
+    standard monomials from the lead complex less its cone points
+    (_face_counts), and the span from the variables some move holds.  The b
+    others take in every peeled point that no generator holds; both ends of
+    a move have one part in them, so for each part of degree i the move
+    graph is the core's in degree e - i, and span_rank = sum_i C(b + i - 1,
+    i) span_core(e - i).  The union-find reads the core's monomials up to
+    degree - (least move degree).  Each degree is held to default_budget()
+    on all its monomials, checked before any work on it.
     """
     if degree < 2:
         raise DegreeInfeasible("degree bound must be at least 2", degree=degree)
@@ -1077,27 +1132,33 @@ def toric_fiber_oracle(
             leads = [lead for d, lead, _, _ in basis if d <= degree]
             standard = _divided_counts(leads, units, hi, (1 << width) - 1)
         next(standard)  # degree 1
+    held = reduce(or_, (lead | trail for _, lead, trail in moves), 0)
+    core = [unit for unit in units if held & unit * ((1 << width) - 1)]  # the variables of some move
     least = min((d for d, _, _ in moves), default=degree + 1)
-    levels = [[(0, 0)]]  # all monomials of degree 0, 1, ..., e - least, (packed, last variable)
+    levels = [[(0, 0)]]  # the core's monomials of degree 0, 1, ..., (packed, last variable)
+    spans = []  # the core's span rank in degree 0, 1, ...
     records = []
     for e in range(2, degree + 1):
         if (count := comb(nvars + e - 1, e)) > budget:
             raise DegreeInfeasible(f"degree {e} needs {count} monomials", budget=budget, monomials=count)
-        while len(levels) <= e - least:  # a move of degree d reads the monomials of degree e - d
-            levels.append(_extend(levels[-1], units, hi, [()] * nvars))
+        for k in range(len(spans), e + 1):
+            while len(levels) <= k - least:  # a move of degree d reads the monomials of degree k - d
+                levels.append(_extend(levels[-1], core, hi, [()] * len(core)))
+            parent = {}  # non-root monomial -> its parent
+            span = 0
+            for d, lead, trail in moves:
+                for u, _ in levels[k - d] if d <= k else ():
+                    a, b = u + lead, u + trail
+                    while a in parent:
+                        a = parent[a]
+                    while b in parent:
+                        b = parent[b]
+                    if a != b:
+                        parent[a] = b
+                        span += 1
+            spans.append(span)
+        span = _lift(spans, nvars - len(core))
         fibers = ring.semigroup.size(e)
-        parent = {}  # non-root monomial -> its parent
-        span = 0
-        for d, lead, trail in moves:
-            for u, _ in levels[e - d] if d <= e else ():
-                a, b = u + lead, u + trail
-                while a in parent:
-                    a = parent[a]
-                while b in parent:
-                    b = parent[b]
-                if a != b:
-                    parent[a] = b
-                    span += 1
         target = count - fibers
         records.append(FiberDegreeRecord(
             degree=e, monomials=count, fibers=fibers, target_dim=target, span_rank=span,

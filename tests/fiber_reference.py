@@ -5,22 +5,25 @@ monomial gets its image under the monomial map, the fibers are the groups of
 equal images, the generation rank is one exact sparse elimination over the
 rows u*lead - u*trail, and the Groebner property is checked by reducing every
 monomial and asking for one normal form per fiber and distinct normal forms
-across fibers.  It handles quadratic generators only, as it always did.  It
-is kept here, not in the package, as the reference the counting oracle must
-match record for record.
+across fibers.  A generator of degree d gives the rows of the monomials u
+of degree e - d, so generators of any degree are handled.  It is kept here,
+not in the package, as the reference the counting oracle must match record
+for record.
 
 image_of_monomial and balanced are the tuple route to a monomial's image
 under the monomial map, as MonomialMap held it before balance was checked
 on packed images; tests use them as the reference for images.
 semigroup_points is the plain build of the semigroup levels, every point of
 L_(e-1) plus every image, as the package built them before it split each
-level by largest row (binomials.Semigroup).  face_counts is the face walk
-the oracle used before it walked faces on blocked-neighbour masks
-(binomials._face_counts): it lists every face of every size, each grown
-variable by variable and tested against every support holding that variable.
+level by largest row and peeled the leaves off (binomials.Semigroup), and
+plain_sizes counts its levels over the whole images.  face_counts is the
+face walk the oracle used before it walked faces on blocked-neighbour masks
+and lifted the cone points (binomials._face_counts): it lists every face of
+every size, each grown variable by variable and tested against every
+support holding that variable.
 """
 
-from itertools import count
+from itertools import count, islice
 from math import comb
 
 from buchberger_reference import Reducer, mono_mul
@@ -57,6 +60,13 @@ def semigroup_points(images):
     while True:
         yield level
         level = {q + img for q in level for img in images}
+
+
+def plain_sizes(ring, top):
+    """|L_1|, ..., |L_top| from the plain build over the whole images, every
+    entry of s_i t_j in 4 bits (entries up to 7, no row or column left out)."""
+    images = [sum(x << 4 * c for c, x in enumerate(img)) for img in ring.monomial_map.images]
+    return [len(level) for level in islice(semigroup_points(images), top)]
 
 
 def _grow_faces(faces, holding):
@@ -108,7 +118,9 @@ def toric_fiber_oracle(ring, gens, gb=None, degree=4):
         target = len(monos) - len(fibers)
         rows = []
         for g in gens:
-            for u in _degree_monomials(nvars, e - 2, budget):
+            if sum(g.lead) > e:
+                continue
+            for u in _degree_monomials(nvars, e - sum(g.lead), budget):
                 row = {}
                 row[index[mono_mul(u, g.lead)]] = 1
                 col = index[mono_mul(u, g.trail)]

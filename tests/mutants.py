@@ -67,6 +67,20 @@ MUTANTS = (
         "for k, (meet, b) in enumerate(columns[:-2]):",
         ("tests/test_windows.py::test_mask_routes_match_the_reference_on_every_seed7_and_seed11_window",),
     ),
+    # the leaf peel of the semigroup, taking a row of two points for a leaf
+    Mutant(
+        "peel-degree-two", "binomials.py",
+        "if r & r - 1 else 0",
+        "if r.bit_count() > 2 else 0",
+        ("tests/test_peeled_core.py::test_core_route_matches_the_references",),
+    ),
+    # the lift from the core, its b free variables dropped
+    Mutant(
+        "lift-without-free", "binomials.py",
+        "return sum(comb(free + i - 1, i) * core[e - i] for i in range(e + 1))",
+        "return core[e]",
+        ("tests/test_peeled_core.py::test_core_route_matches_the_references",),
+    ),
     # the entrywise Hochster bound of betti_numbers, turned off
     Mutant(
         "hochster-bound", "betti.py",

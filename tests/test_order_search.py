@@ -12,12 +12,12 @@ the generators' terms as sparse tuples of variable indices.
 """
 
 import random
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 import buchberger_reference as ref
-from fiber_reference import image_of_monomial, semigroup_points
+from fiber_reference import image_of_monomial, plain_sizes, semigroup_points
 import hibilab.binomials as binomials_mod
 from hibilab.binomials import (
     ORDER_KINDS,
@@ -288,13 +288,6 @@ def test_semigroup_levels_match_tuple_images(small_corpus):
     assert checked == 220
 
 
-def _plain_sizes(ring, top):
-    """|L_1|, ..., |L_top| from the plain build over the whole images, every
-    entry of s_i t_j in 4 bits (entries up to 7, no row or column left out)."""
-    images = [sum(x << 4 * c for c, x in enumerate(img)) for img in ring.monomial_map.images]
-    return [len(level) for level in islice(semigroup_points(images), top)]
-
-
 @pytest.mark.parametrize("seed, windows", [(7, 764), (11, 825)])
 def test_level_split_by_largest_row_matches_plain_build(seed, windows):
     """The level sizes split by largest row equal the plain build's, every
@@ -303,7 +296,7 @@ def test_level_split_by_largest_row_matches_plain_build(seed, windows):
     corpus = generate_corpus(CorpusSpec(seed=seed, count=40, max_m=5, max_n=4))
     checked = 0
     for ring, _ in _windows(lat for _, lat in corpus):
-        assert [ring.semigroup.size(e) for e in range(1, 5)] == _plain_sizes(ring, 4), ring.points
+        assert [ring.semigroup.size(e) for e in range(1, 5)] == plain_sizes(ring, 4), ring.points
         checked += 1
     assert checked == windows
 
@@ -312,7 +305,7 @@ def _narrow(ring):
     """The ring's Semigroup repacked for entries up to 3, as if the first
     caller had asked for no more: its capacity, 7 at first, is dropped so
     that wide(3) repacks."""
-    store = Semigroup(ring.points)
+    store = Semigroup(ring.points, ring.rows)
     store.capacity = 0
     store.wide(3)
     assert store.capacity == 3
@@ -328,7 +321,7 @@ def test_store_sizes_in_either_order_match_plain_build(seed, windows):
     corpus = generate_corpus(CorpusSpec(seed=seed, count=40, max_m=5, max_n=4))
     checked = 0
     for ring, _ in _windows((lat for _, lat in corpus), max_vars=12):
-        plain = _plain_sizes(ring, 5)
+        plain = plain_sizes(ring, 5)
         narrow = _narrow(ring)
         suite_order = [narrow.size(e) for e in (1, 2, 3)]
         suite_order += [narrow.size(e) for e in (4, 5)]
@@ -345,7 +338,7 @@ def test_too_narrow_packing_is_a_verification_failure():
     ring = WindowRing.for_window(full_grid(2, 2), (1, 3))
     store = _narrow(ring)
     store.capacity = 7
-    assert store.size(3) == _plain_sizes(ring, 3)[-1]
+    assert store.size(3) == plain_sizes(ring, 3)[-1]
     with pytest.raises(VerificationFailed) as err:
         store.size(4)
     assert err.value.details == {"degree": 4}
