@@ -20,19 +20,26 @@ that forest only: its rows are cycles, and a cycle is fixed by those
 entries.  Larger faces are ranked by elimination over all faces one size
 smaller.
 
-Multidegrees are packed into one int each (_Packing), with a guard bit per
-coordinate, so b - img(v) is one subtraction plus a borrow test, and faces
-are bitmasks over the variables.  Each semigroup level maps its
+Multidegrees are packed into one int each by the ring's semigroup
+(binomials.Semigroup, widened to the largest degree walked), a field per
+row and column with a guard bit on top, so b - img(v) is one subtraction,
+and faces are bitmasks over the variables.  Each semigroup level maps its
 multidegrees b to predecessor masks, the variables v with b - img(v) in the
 level below, recorded as the images are added.  Almost every block is a
 whole simplex or a cone (a vertex v with T | v a face for every face T);
 its reduced homology is zero, so it takes no rank.  A simplex takes one
 lookup, of b - sigma(mask), with sigma memoised per call, and is counted
-by its vertex count: its C(k, s) faces are added once per size.  Any other
-block is walked face by face with one dict lookup each: the faces over T
-are T | v for the v in the mask of b - sigma(T) above T's largest vertex.
-The cone test is folded into the walk: v is a cone vertex when it lies in
-mask | T for every face T.
+by its vertex count: its C(k, s) faces are added once per size.  The
+lookup needs no borrow test: a difference that borrows sets the guard bit
+of the lowest field that goes negative (its entries are at most the
+degree, below the guard), or goes negative as a whole, and no level key
+does either.  The least row and column have no field, but their entries
+follow from the degree, so a key that matches is the true difference.  Any
+other block is walked face by face with one dict lookup each: the faces
+over T are T | v for the v in the mask of b - sigma(T) above T's largest
+vertex, whose differences lie in the level below by the mask.  The cone
+test is folded into the walk: v is a cone vertex when it lies in mask | T
+for every face T.
 
 The walk stops at the projective dimension.  The window ring is the edge
 ring of the bipartite graph whose vertices are the rows and columns of the
@@ -45,8 +52,8 @@ nvars - d - 1, and a block of degree j is walked up to faces of min(j,
 nvars - d + 1) variables, one size past the largest that carries a Betti
 number.
 
-Four checks guard this.  The level build raises VerificationFailed when an
-addition clears a guard bit: a field that overflows aliases multidegrees,
+Four checks guard this.  The level build raises VerificationFailed when a
+level key has a guard bit set: a field that overflows aliases multidegrees,
 and because the masks come from the same additions, the face counts would
 still add up.  Every walked degree checks the faces: summed over the blocks
 of degree j, the faces of size s number C(nvars, s) * dim (S/I)_{j-s}, the
@@ -104,9 +111,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, groupby, permutations
+from itertools import accumulate, chain, combinations, groupby, islice, permutations
 from math import comb
-from operator import and_, or_
+from operator import mul, or_
 
 from .errors import (
     BudgetExceeded,
@@ -118,17 +125,14 @@ from .errors import (
 from .binomials import (
     DEFAULT_FIELD,
     GroebnerReport,
-    MonomialOrder,
-    Reducer,
+    Semigroup,
     WindowIdeal,
     WindowRing,
-    _Layout,
-    _degree_monomials,
     _fiber_terms,
     _lead_graph,
     _lead_supports,
     _sparse_term,
-    _width,
+    _standard_levels,
     default_budget,
     order_search,
     require_field,
@@ -256,33 +260,27 @@ class StandardMonomialBasis:
         return tuple(len(level) for level in self.degrees)
 
 
-def _leads_of(gb) -> tuple:
-    if isinstance(gb, GroebnerReport):
-        return gb.leads
-    return tuple(gb)
-
-
 def standard_monomial_basis(gb, nvars: int, d_max: int) -> StandardMonomialBasis:
-    leads = _leads_of(gb)
-    # divisibility does not depend on the order, so any field layout serves
-    layout = _Layout(MonomialOrder("lex", "lex", tuple(range(nvars))),
-                     _width(max([d_max, *map(sum, leads)])))
-    reducer = Reducer(layout)
-    for lead in leads:
-        reducer.append(layout.pack(lead))
+    """The monomials of degrees 0..d_max that no lead of gb (a GroebnerReport,
+    or dense leads) divides, each degree in the order of
+    combinations_with_replacement, by the fiber oracle's enumerator
+    (binomials._standard_levels) on fields of d_max.bit_length() + 1 bits; a
+    lead above d_max divides none of them and is dropped.  Each degree is
+    held to default_budget() on all its monomials before any is enumerated."""
     budget = default_budget()
-    levels = []
     for d in range(d_max + 1):
-        count = comb(nvars + d - 1, d)
-        if count > budget:
+        if (count := comb(nvars + d - 1, d)) > budget:
             raise BudgetExceeded(
                 f"degree {d} enumeration exceeds budget", budget=budget, monomials=count
             )
-        levels.append(tuple(
-            mono for mono in _degree_monomials(nvars, d, budget)
-            if reducer.divisor(layout.pack(mono)) is None
-        ))
-    return StandardMonomialBasis(degrees=tuple(levels))
+    width = d_max.bit_length() + 1
+    ones, units = (1 << width) - 1, [1 << width * k for k in range(nvars)]
+    leads = gb.leads if isinstance(gb, GroebnerReport) else gb
+    packed = [sum(map(mul, lead, units)) for lead in leads if sum(lead) <= d_max]
+    levels = islice(_standard_levels(packed, units, sum(units) << width - 1, ones), d_max + 1)
+    return StandardMonomialBasis(degrees=tuple(
+        tuple([tuple([m >> width * k & ones for k in range(nvars)]) for m, _ in level]) for level in levels
+    ))
 
 
 def hilbert_function(gb, d_max: int, nvars: int):
@@ -370,44 +368,20 @@ def krull_dimension_via_initial(gb, nvars: int) -> int:
 # Betti numbers of the toric quotient via multidegree blocks
 
 
-class _Packing:
-    """Multidegrees with entries at most top, packed into one int each.
-
-    Each of the m + n + 2 coordinates takes w = top.bit_length() + 1 bits,
-    the highest of them a guard bit that is set in every packed multidegree.
-    Entries stay below the guard, so adding images never carries into the
-    next field (_semigroup_levels checks this), and subtracting an image
-    clears a field's guard exactly when that coordinate goes negative, with
-    no borrow from the next field.  So
-    b - img(v) is one int subtraction and rem & guard == guard its borrow
-    test.  A remainder that fails it lies in no level; the test rejects it
-    before any lookup.
-    Images are packed without the guard, so adding or subtracting one keeps
-    it.
-    """
-
-    def __init__(self, ring: WindowRing, top: int):
-        width = top.bit_length() + 1
-        self.shifts = tuple(range(0, width * (ring.m + ring.n + 2), width))
-        self.guard = sum(1 << (shift + width - 1) for shift in self.shifts)
-        self.images = tuple(self.pack(img) - self.guard for img in ring.monomial_map.images)
-
-    def pack(self, vec) -> int:
-        return self.guard + sum(x << shift for x, shift in zip(vec, self.shifts))
-
-
-def _semigroup_levels(packing: _Packing, j_max: int):
+def _semigroup_levels(semigroup: Semigroup, j_max: int):
     """Degrees 0..j_max of the window semigroup with their predecessor masks.
 
-    levels[d] maps each packed multidegree b of degree d to the bitmask of
-    the variables v with b - img(v) in degree d - 1, recorded as the images
-    are added.  An addition that clears a guard bit has overflowed its field
-    and raises VerificationFailed naming the degree: such a sum never equals
-    a packed multidegree, so one test over the level's keys sees it.
+    The multidegrees are packed as semigroup packs its images, widened to
+    hold entries up to j_max (Semigroup.wide).  levels[d] maps each packed
+    multidegree b of degree d to the bitmask of the variables v with b -
+    img(v) in degree d - 1, recorded as the images are added.  An addition
+    that carries out of a field sets that field's guard bit, and a level key
+    with a guard bit set raises VerificationFailed naming the degree: one
+    test over the level's keys sees it.
     """
-    guard = packing.guard
-    steps = [(1 << v, img) for v, img in enumerate(packing.images)]
-    levels = [{guard: 0}]
+    images, guard = semigroup.wide(j_max), semigroup.guard
+    steps = [(1 << v, img) for v, img in enumerate(images)]
+    levels = [{0: 0}]
     for d in range(1, j_max + 1):
         level = {}
         get = level.get
@@ -415,7 +389,7 @@ def _semigroup_levels(packing: _Packing, j_max: int):
             for bit, img in steps:
                 b = q + img
                 level[b] = get(b, 0) | bit
-        if reduce(and_, level, guard) != guard:
+        if reduce(or_, level, 0) & guard:
             raise VerificationFailed(
                 "a multidegree entry overflows its packed field", degree=d
             )
@@ -461,7 +435,7 @@ def _cap_block(total, j):
         )
 
 
-def _block_faces(packing: _Packing, b, mask, j, levels, max_size):
+def _block_faces(images, b, mask, j, levels, max_size):
     """Face counts by size of the block complex at b, and its faces, or None for a cone.
 
     The faces are the variable sets T, as bitmasks over the variables, with
@@ -477,9 +451,9 @@ def _block_faces(packing: _Packing, b, mask, j, levels, max_size):
     predecessor mask of b - sigma(T), one dict lookup per face.  v is a cone
     vertex when T | v is a face for every face T below max_size (coning with
     v is then a contracting homotopy in those sizes), that is, when v lies
-    in down(T) | T for each of them; the walk folds that into apex.
+    in down(T) | T for each of them; the walk folds that into apex.  images
+    are the packed images of the variables, as the levels were built.
     """
-    images = packing.images
     # each face below max_size carries its remainder and that remainder's mask
     layers = [[(0, b, mask)]]
     apex = mask
@@ -614,9 +588,8 @@ def betti_numbers(
     degrees = sorted({j for _, j in _targets} if _targets else range(2, min(j_max, nvars) + 1))
     if not (ngens and degrees):
         return BettiTable({}, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
-    packing = _Packing(ring, max(degrees))
-    levels = _semigroup_levels(packing, max(degrees))
-    images = packing.images
+    levels = _semigroup_levels(ring.semigroup, max(degrees))
+    images = ring.semigroup.images
     sigmas = {}  # a vertex mask's sum of images
     # faces of up to pd(S/I) = nvars - d variables carry Betti numbers, and
     # ranking the largest of them needs faces one size larger
@@ -645,7 +618,7 @@ def betti_numbers(
                             _cap_block(total, j)
                     simplices[k] += 1
                     continue
-            counts, faces = _block_faces(packing, b, mask, j, levels, max_size)
+            counts, faces = _block_faces(images, b, mask, j, levels, max_size)
             for s, count in enumerate(counts):
                 face_counts[s] += count
             if faces is None:
@@ -917,28 +890,26 @@ def _hochster_h2(adj, supports):
 # boolean oracles
 
 
-def _generators(gens):
-    """gens as given when it is a WindowIdeal, which stays packed, else as a
-    list of Binomials."""
-    return gens if isinstance(gens, WindowIdeal) else list(gens)
-
-
 def _initial_basis(ring, gens, gb, var_cap):
-    """gb when it is quadratic and squarefree, else the order search's basis.
+    """gb when it is quadratic and squarefree, else the order search's basis;
+    None for the zero ideal.
 
-    gens is a WindowIdeal, whose basis serves when gb is None, or a list of
-    Binomials.  Windows over var_cap variables raise CapExceeded first, and
-    PreconditionFailed names the orders tried when no candidate order gives
-    a quadratic squarefree basis.
+    gens is a WindowIdeal, read packed, whose basis serves when gb is None,
+    or Binomials.  Windows over var_cap variables raise CapExceeded first,
+    and PreconditionFailed names the orders tried when no candidate order
+    gives a quadratic squarefree basis.
     """
+    binomials = None if isinstance(gens, WindowIdeal) else list(gens)
+    if not (gens.elements if binomials is None else binomials):
+        return None
     if ring.nvars > var_cap:
         raise CapExceeded(
             f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=ring.nvars
         )
-    if isinstance(gens, WindowIdeal):
+    if binomials is None:
         gb = gens.gb if gb is None else gb
     if gb is None or not (gb.quadratic and gb.squarefree):
-        binomials = gens.generators if isinstance(gens, WindowIdeal) else gens
+        binomials = gens.generators if binomials is None else binomials
         ideal = order_search(ring, [(_sparse_term(g.lead), _sparse_term(g.trail)) for g in binomials])
         gb = ideal.gb
         if not (gb.quadratic and gb.squarefree):
@@ -963,11 +934,8 @@ def has_linear_resolution_oracle(
     same over every field.  gens is the WindowIdeal, read packed, or a list
     of its Binomials.
     """
-    gens = _generators(gens)
-    if not getattr(gens, "elements", gens):
-        return True
     gb = _initial_basis(ring, gens, gb, var_cap)
-    return _complement_chordal(_lead_graph(gb.lead_supports, ring.nvars))
+    return gb is None or _complement_chordal(_lead_graph(gb.lead_supports, ring.nvars))
 
 
 def is_linearly_related_oracle(
@@ -999,10 +967,8 @@ def is_linearly_related_oracle(
     list of its Binomials.
     """
     require_field(field)
-    gens = _generators(gens)
-    if not getattr(gens, "elements", gens):
+    if (gb := _initial_basis(ring, gens, gb, var_cap)) is None:
         return True
-    gb = _initial_basis(ring, gens, gb, var_cap)
     adj = _lead_graph(gb.lead_supports, ring.nvars)
     index = ring.index
     blocks = []

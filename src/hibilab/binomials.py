@@ -20,7 +20,7 @@ import heapq
 import os
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import chain, combinations_with_replacement, compress, count
+from itertools import chain, compress, count, islice
 from math import comb, isqrt
 from operator import itemgetter, mul, neg, or_
 
@@ -44,6 +44,12 @@ def require_field(p: int) -> int:
     if not 2 <= p < 2**31 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise InvalidParameter(f"field must be a prime below 2**31, got {p}", field=p)
     return p
+
+
+def require_degree(degree: int) -> None:
+    """The fiber oracle's degree bound must be at least 2."""
+    if degree < 2:
+        raise InvalidParameter(f"degree bound must be at least 2, got {degree}", degree=degree)
 
 
 def default_budget() -> int:
@@ -103,32 +109,14 @@ class WindowRing:
         return "*".join(parts) if parts else "1"
 
     @lazy
-    def monomial_map(self) -> "MonomialMap":
-        images = []
-        for i, j in self.points:
-            vec = [0] * (self.m + 1 + self.n + 1)
-            vec[i] += 1
-            vec[self.m + 1 + j] += 1
-            images.append(tuple(vec))
-        return MonomialMap(m=self.m, n=self.n, images=tuple(images))
-
-    @lazy
     def semigroup(self) -> "Semigroup":
         return Semigroup(self.points, self.rows)
 
 
-@dataclass(frozen=True)
-class MonomialMap:
-    """Images e(s_i) + e(t_j) of the window variables in Z^(m+1)+(n+1)."""
-
-    m: int
-    n: int
-    images: tuple
-
-
 class Semigroup:
     """The semigroup of a window's monomial map, held once per WindowRing
-    and read by the order search, the fiber oracle and the balance checks.
+    and read by the order search, the fiber oracle, the balance checks and
+    the Koszul levels of betti_numbers (betti._semigroup_levels).
 
     images[k] packs the image s_i t_j of variable k into an int, a field per
     entry with a guard bit on top: t_j, then s_i, counted from the window's
@@ -350,12 +338,9 @@ def _led_pairs(pairs, layout: "_Layout"):
 
 
 def _binomials(elements, layout: "_Layout | None") -> tuple:
-    """The Binomials of elements: as given when layout is None, else
-    unpacked from their (lead, trail) ints."""
-    if layout is None:
-        return tuple(elements)
-    unpack = layout.unpack
-    return tuple([Binomial(unpack(lead), unpack(trail)) for lead, trail in elements])
+    """The Binomials of the packed (lead, trail) ints of elements (the zero
+    ideal's none need no layout)."""
+    return tuple([Binomial(layout.unpack(lead), layout.unpack(trail)) for lead, trail in elements])
 
 
 def _width(degree: int) -> int:
@@ -558,9 +543,9 @@ def _lead_supports(leads):
 class GroebnerReport:
     """A reduced basis under order, with flags describing it.
 
-    elements holds the basis elements: Binomials when layout is None, else
-    their (lead, trail) packed into ints of layout, which basis and leads
-    unpack on first read.  len(elements) is the basis size.
+    elements holds the basis elements, their (lead, trail) packed into ints
+    of layout, which basis and leads unpack on first read; the zero ideal's
+    empty basis has no layout.  len(elements) is the basis size.
     """
 
     elements: tuple
@@ -583,8 +568,6 @@ class GroebnerReport:
         """Each lead's support as a bitmask over the variable indices, read
         off the packed leads, or None when a lead is not squarefree."""
         p = self.layout
-        if p is None:
-            return _lead_supports(self.leads)
         if any((lead + p.twice) & p.hi for lead, _ in self.elements):
             return None
         return tuple([p.variables(lead) for lead, _ in self.elements])
@@ -622,14 +605,10 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
     Returns the interreduced basis, which is unique for the given order; the
     quadratic and squarefree flags describe that reduced basis.  Past
     _SPAIR_BUDGET S-pairs, DegreeInfeasible names the budget and the count.
-    A single generator is its own reduced basis, led under order, with no
-    S-pair, and is returned with no layout or reducer built.
+    No generator gives the empty report, with no layout or reducer built.
     """
     gens = tuple(gens)  # a rerun reads them again
-    if len(gens) == 1 and (g := make_binomial(gens[0].lead, gens[0].trail, order)):
-        squarefree = mono_squarefree(g.lead) and mono_squarefree(g.trail)
-        return GroebnerReport((g,), sum(g.lead) == 2, squarefree, 0, order)
-    if len(gens) <= 1:  # none, or one whose terms cancel
+    if not gens:
         return GroebnerReport((), True, True, 0, order)
     width = _width(max(max(sum(g.lead), sum(g.trail)) for g in gens))
     while not isinstance(report := _buchberger(gens, order, width), GroebnerReport):
@@ -725,9 +704,9 @@ def _reduced(led, layout: _Layout):
 class WindowIdeal:
     """Generators plus the first candidate order giving a quadratic squarefree basis.
 
-    elements holds the generators led under order: Binomials when layout is
-    None, else their (lead, trail) packed into ints of layout, which
-    generators unpacks on first read.  len(elements) is the generator count.
+    elements holds the generators led under order, their (lead, trail)
+    packed into ints of layout, which generators unpacks on first read; the
+    zero ideal has none and no layout.  len(elements) is the generator count.
     """
 
     ring: WindowRing
@@ -896,19 +875,6 @@ def window_ideal(lattice: PlanarLattice, window, kinds="auto") -> WindowIdeal:
     return order_search(ring, _straightening_pairs(ring), kinds)
 
 
-def _degree_monomials(nvars: int, degree: int, budget: int):
-    count = comb(nvars + degree - 1, degree)
-    if count > budget:
-        raise DegreeInfeasible(
-            f"degree {degree} needs {count} monomials", budget=budget, monomials=count
-        )
-    for combo in combinations_with_replacement(range(nvars), degree):
-        exps = [0] * nvars
-        for k in combo:
-            exps[k] += 1
-        yield tuple(exps)
-
-
 @dataclass(frozen=True)
 class FiberDegreeRecord:
     degree: int
@@ -961,15 +927,17 @@ def _extend(level, units, hi, divisors):
     return out
 
 
-def _divided_counts(leads, units, hi, ones: int):
-    """The number of packed monomials of degree 1, 2, ... that no packed lead
-    divides, lazily, each degree enumerated by _extend when asked for; ones
-    fills one field."""
+def _standard_levels(leads, units, hi, ones: int):
+    """The packed monomials of degree 0, 1, 2, ... that no packed lead
+    divides, lazily, as _extend's (monomial, last variable) pairs, each
+    degree enumerated when asked for; ones fills one field.  A degree lists
+    its monomials in the order of combinations_with_replacement over the
+    variables: x + y_v follows x in x's order, then v's."""
     divisors = [[lead for lead in leads if lead & unit * ones] for unit in units]
-    level = [(0, 0)]
+    level = [] if 0 in leads else [(0, 0)]  # a constant lead divides everything
     while True:
+        yield level
         level = _extend(level, units, hi, divisors)
-        yield len(level)
 
 
 def _grow_faces(faces, near, holding):
@@ -1041,9 +1009,9 @@ def _fiber_terms(source, ring: WindowRing, units) -> list:
     balanced is whether the two images agree.  A WindowIdeal's or
     GroebnerReport's packed elements are read as held, and Binomials packed
     once; an inhomogeneous binomial raises InvalidParameter."""
-    layout = getattr(source, "layout", None)
-    elements = source.elements if layout else tuple(getattr(source, "elements", source))
-    if elements and layout is None:
+    if isinstance(source, (WindowIdeal, GroebnerReport)):
+        elements, layout = source.elements, source.layout
+    elif elements := tuple(source):
         degree = max(sum(t) for g in elements for t in (g.lead, g.trail))
         layout = _Layout(monomial_order("lex", ring), _width(degree))
         elements = [(layout.pack(g.lead), layout.pack(g.trail)) for g in elements]
@@ -1095,7 +1063,7 @@ def toric_fiber_oracle(
     Groebner Bases and Convex Polytopes, ch. 4).  With squarefree leads that
     number comes from the faces of the lead complex (_face_counts), a route
     apart from the order search's lead-graph counts; other leads fall back
-    to enumerating the standard monomials (_divided_counts).  Each generator
+    to enumerating the standard monomials (_standard_levels).  Each generator
     and basis element is walked once (_fiber_terms; a basis that is the
     generators, once in all) for its terms on the oracle's fields, with
     degree.bit_length() + 1 bits per variable, and its balance.
@@ -1109,10 +1077,10 @@ def toric_fiber_oracle(
     graph is the core's in degree e - i, and span_rank = sum_i C(b + i - 1,
     i) span_core(e - i).  The union-find reads the core's monomials up to
     degree - (least move degree).  Each degree is held to default_budget()
-    on all its monomials, checked before any work on it.
+    on all its monomials, checked before any work on it.  A degree bound
+    below 2 raises InvalidParameter (require_degree).
     """
-    if degree < 2:
-        raise DegreeInfeasible("degree bound must be at least 2", degree=degree)
+    require_degree(degree)
     nvars = ring.nvars
     width = degree.bit_length() + 1
     units = [1 << width * k for k in range(nvars)]
@@ -1122,7 +1090,7 @@ def toric_fiber_oracle(
     moves = [(d, lead, trail) for d, lead, trail, _ in terms if d <= degree]
     unbalanced, standard = degree + 1, None  # standard: counts of degree 1, 2, ..., with a basis
     if gb is not None:
-        same = (gb.elements, gb.layout) == (getattr(gens, "elements", None), getattr(gens, "layout", None))
+        same = isinstance(gens, WindowIdeal) and (gb.elements, gb.layout) == (gens.elements, gens.layout)
         basis = terms if same else _fiber_terms(gb, ring, units)
         # from the degree of the first unbalanced basis element on, no degree is consistent
         unbalanced = min((d for d, _, _, ok in basis if not ok), default=degree + 1)
@@ -1130,7 +1098,7 @@ def toric_fiber_oracle(
             standard = _face_counts(supports, nvars)
         else:
             leads = [lead for d, lead, _, _ in basis if d <= degree]
-            standard = _divided_counts(leads, units, hi, (1 << width) - 1)
+            standard = islice(map(len, _standard_levels(leads, units, hi, (1 << width) - 1)), 1, None)
         next(standard)  # degree 1
     held = reduce(or_, (lead | trail for _, lead, trail in moves), 0)
     core = [unit for unit in units if held & unit * ((1 << width) - 1)]  # the variables of some move

@@ -314,9 +314,10 @@ def _dispatch(args) -> int:
             entry = {"window": [ctx.window.p, ctx.window.q], "betti": table.to_json(),
                      "krull": krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)}
             if args.hilbert is not None:
-                entry["hilbert"] = hilbert_function(
-                    ideal.gb, args.hilbert, nvars=ideal.ring.nvars
-                )
+                try:
+                    entry["hilbert"] = hilbert_function(ideal.gb, args.hilbert, nvars=ideal.ring.nvars)
+                except BudgetExceeded as exc:
+                    entry["skipped"] = {"hilbert": exc.payload()}
             out.append(entry)
             print(table.format_text(), file=sys.stderr)
         _emit(out)

@@ -30,7 +30,7 @@ from .windows import (
     is_chordal_bipartite,
     select_windows,
 )
-from .binomials import DEFAULT_FIELD, require_field, toric_fiber_oracle
+from .binomials import DEFAULT_FIELD, require_degree, require_field, toric_fiber_oracle
 from .betti import betti_numbers, krull_dimension_via_initial
 from .classify import classify_window, verify_window
 
@@ -262,12 +262,16 @@ def run_suite(
     against the initial-ideal Krull dimension, quadratic squarefree basis
     under some candidate order, optional fiber certificates, and classifier
     verdicts (verified against the oracle when verify=True).  Inconsistencies
-    are collected as findings; the caller decides the exit status.
+    are collected as findings; the caller decides the exit status.  A field
+    that is not a prime below 2**31, or with with_fiber a fiber_degree below
+    2, raises InvalidParameter before any window is run.
     """
     t0 = time.perf_counter()
     timings = {}
     findings = []
     require_field(field)
+    if with_fiber:
+        require_degree(fiber_degree)
     lattice_doc = lattice_record(lattice)
     if lattice_doc["join_irreducibles"] != lattice.rank:
         findings.append(

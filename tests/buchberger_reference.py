@@ -8,7 +8,9 @@ tuples, and the interreduction by one reducer grown along the sorted list.
 It is kept here, not in the package, as the reference the packed route must
 match answer for answer; tests/fiber_reference.py reduces with its Reducer.
 The code is as it stood, except that the squarefree flag calls
-mono_squarefree directly, since Binomial.is_squarefree left the package.
+mono_squarefree directly, since Binomial.is_squarefree left the package,
+and that the report packs its basis (packed), as every GroebnerReport holds
+it now.
 
 order_search below is the order search as it stood before orders were
 decided by counting: generators led and sorted by tuple keys, then the
@@ -30,12 +32,21 @@ from hibilab.binomials import (
     GroebnerReport,
     Monomial,
     MonomialOrder,
+    _Layout,
+    _width,
     buchberger as packed_buchberger,
     make_binomial,
     mono_squarefree,
     monomial_order,
 )
 from hibilab.errors import DegreeInfeasible
+
+
+def packed(binomials, order: MonomialOrder):
+    """The (lead, trail) ints of the Binomials, and the layout of order,
+    wide enough for them, that packs them."""
+    layout = _Layout(order, _width(max((sum(t) for g in binomials for t in (g.lead, g.trail)), default=0)))
+    return tuple([(layout.pack(g.lead), layout.pack(g.trail)) for g in binomials]), layout
 
 
 def _sorted_binomials(binomials, order: MonomialOrder):
@@ -198,12 +209,14 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
         reducer.append(r.lead, r.trail)
         push_pairs(len(basis) - 1)
     reduced = _interreduce(basis, order)
+    elements, layout = packed(reduced, order)
     return GroebnerReport(
-        elements=reduced,
+        elements=elements,
         quadratic=all(sum(g.lead) == 2 for g in reduced),
         squarefree=all(mono_squarefree(g.lead) and mono_squarefree(g.trail) for g in reduced),
         spairs_processed=processed,
         order=order,
+        layout=layout,
     )
 
 

@@ -10,9 +10,15 @@ of degree e - d, so generators of any degree are handled.  It is kept here,
 not in the package, as the reference the counting oracle must match record
 for record.
 
-image_of_monomial and balanced are the tuple route to a monomial's image
-under the monomial map, as MonomialMap held it before balance was checked
-on packed images; tests use them as the reference for images.
+monomial_images, image_of_monomial and balanced are the tuple route to a
+monomial's image under the monomial map, as the package's MonomialMap held
+it before balance was checked on packed images; tests use them as the
+reference for images.  degree_monomials is the package's dense monomial
+enumerator as it stood before standard monomials were enumerated on packed
+ints, and standard_monomials the filter over it that standard_monomial_basis
+was: every monomial of each degree, kept when no lead divides it.
+with_basis gives a GroebnerReport another basis, packed as every report's
+basis is.
 semigroup_points is the plain build of the semigroup levels, every point of
 L_(e-1) plus every image, as the package built them before it split each
 level by largest row and peeled the leaves off (binomials.Semigroup), and
@@ -23,28 +29,70 @@ every size, each grown variable by variable and tested against every
 support holding that variable.
 """
 
-from itertools import count, islice
+from dataclasses import replace
+from itertools import combinations_with_replacement, count, islice
 from math import comb
 
-from buchberger_reference import Reducer, mono_mul
+from buchberger_reference import Reducer, mono_mul, packed
 from hibilab.betti import _rank_mod_p
 from hibilab.binomials import (
     DEFAULT_FIELD,
     FiberCertificate,
     FiberDegreeRecord,
-    _degree_monomials,
     default_budget,
 )
 from hibilab.errors import DegreeInfeasible
 
 
+def monomial_images(ring):
+    """The images e(s_i) + e(t_j) of the window variables in Z^(m+1)+(n+1), as tuples."""
+    images = []
+    for i, j in ring.points:
+        vec = [0] * (ring.m + 1 + ring.n + 1)
+        vec[i] += 1
+        vec[ring.m + 1 + j] += 1
+        images.append(tuple(vec))
+    return tuple(images)
+
+
+def degree_monomials(nvars, degree, budget):
+    """The dense monomials of one degree, in the order of combinations_with_replacement."""
+    count = comb(nvars + degree - 1, degree)
+    if count > budget:
+        raise DegreeInfeasible(
+            f"degree {degree} needs {count} monomials", budget=budget, monomials=count
+        )
+    for combo in combinations_with_replacement(range(nvars), degree):
+        exps = [0] * nvars
+        for k in combo:
+            exps[k] += 1
+        yield tuple(exps)
+
+
+def standard_monomials(leads, nvars, d_max):
+    """The dense monomials of degrees 0..d_max that no dense lead divides, per degree."""
+    def divides(lead, mono):
+        return all(a <= b for a, b in zip(lead, mono))
+    return tuple(
+        tuple(m for m in degree_monomials(nvars, d, 10**7) if not any(divides(g, m) for g in leads))
+        for d in range(d_max + 1)
+    )
+
+
+def with_basis(gb, basis):
+    """gb with its basis replaced by the Binomials of basis, packed in a
+    layout of gb's order wide enough for them."""
+    elements, layout = packed(basis, gb.order)
+    return replace(gb, elements=elements, layout=layout)
+
+
 def image_of_monomial(ring, mono):
-    """The image of a dense monomial under the window's monomial map, as a tuple."""
+    """The image of a dense monomial under the window's monomial map, as a
+    tuple: the sum of e times the image of each variable with exponent e."""
     total = [0] * (ring.m + 1 + ring.n + 1)
-    for img, e in zip(ring.monomial_map.images, mono):
-        if e:
-            for c, x in enumerate(img):
-                total[c] += e * x
+    for (i, j), e in zip(ring.points, mono):
+        total[i] += e
+        total[ring.m + 1 + j] += e
     return tuple(total)
 
 
@@ -65,7 +113,7 @@ def semigroup_points(images):
 def plain_sizes(ring, top):
     """|L_1|, ..., |L_top| from the plain build over the whole images, every
     entry of s_i t_j in 4 bits (entries up to 7, no row or column left out)."""
-    images = [sum(x << 4 * c for c, x in enumerate(img)) for img in ring.monomial_map.images]
+    images = [sum(x << 4 * c for c, x in enumerate(img)) for img in monomial_images(ring)]
     return [len(level) for level in islice(semigroup_points(images), top)]
 
 
@@ -110,7 +158,7 @@ def toric_fiber_oracle(ring, gens, gb=None, degree=4):
     gens = list(gens)
     reducer = Reducer(gb.basis) if gb is not None else None
     for e in range(2, degree + 1):
-        monos = list(_degree_monomials(nvars, e, budget))
+        monos = list(degree_monomials(nvars, e, budget))
         index = {m: k for k, m in enumerate(monos)}
         fibers = {}
         for m in monos:
@@ -120,7 +168,7 @@ def toric_fiber_oracle(ring, gens, gb=None, degree=4):
         for g in gens:
             if sum(g.lead) > e:
                 continue
-            for u in _degree_monomials(nvars, e - sum(g.lead), budget):
+            for u in degree_monomials(nvars, e - sum(g.lead), budget):
                 row = {}
                 row[index[mono_mul(u, g.lead)]] = 1
                 col = index[mono_mul(u, g.trail)]

@@ -12,7 +12,7 @@ packed_block_faces and has_apex are the packed kernel as it stood before
 levels carried predecessor masks: each face tries every later vertex that
 extended its parent, with one subtraction and one level lookup per
 candidate, and the cone test counts the listed faces again.  They take
-levels as _semigroup_levels gives them (only membership is read) and are
+levels as packed_levels gives them (only membership is read) and are
 the reference the mask walk must match block for block.
 
 level_2k2_blocks is the linear-relatedness oracle's block route as it stood
@@ -28,22 +28,106 @@ before faces were bounded by the projective dimension: every block of
 degree j is walked up to faces of j variables, a simplex is told by k
 subtractions, and the only check is the face count per degree.  They are
 the reference the pd-bounded table, with its Euler check, must equal.
+
+Packing and packed_levels are the Koszul levels' own packing as it stood
+before they were built on the ring's semigroup (binomials.Semigroup): a
+field for every row and column, each with a guard bit set in every packed
+multidegree and cleared by a borrow.  The references above run on them.
+semigroup_pack and semigroup_vector translate tuple multidegrees to and
+from the semigroup's packing, which leaves out the least row and column.
 """
 
+from functools import reduce
 from itertools import accumulate
 from math import comb
+from operator import and_
 
+from fiber_reference import monomial_images
 from hibilab.betti import (
     _bits,
     _block_faces,
     _boundary_rank,
     _cap_block,
-    _Packing,
     _rank_mod_p,
-    _semigroup_levels,
     reduced_homology as mask_homology,
 )
 from hibilab.errors import VerificationFailed
+
+
+class Packing:
+    """Multidegrees with entries at most top, packed into one int each.
+
+    Each of the m + n + 2 coordinates takes w = top.bit_length() + 1 bits,
+    the highest of them a guard bit that is set in every packed multidegree.
+    Entries stay below the guard, so adding images never carries into the
+    next field (packed_levels checks this), and subtracting an image clears
+    a field's guard exactly when that coordinate goes negative, with no
+    borrow from the next field.  So b - img(v) is one int subtraction and
+    rem & guard == guard its borrow test.  Images are packed without the
+    guard, so adding or subtracting one keeps it.
+    """
+
+    def __init__(self, ring, top):
+        width = top.bit_length() + 1
+        self.shifts = tuple(range(0, width * (ring.m + ring.n + 2), width))
+        self.guard = sum(1 << (shift + width - 1) for shift in self.shifts)
+        self.images = tuple(self.pack(img) - self.guard for img in monomial_images(ring))
+
+    def pack(self, vec):
+        return self.guard + sum(x << shift for x, shift in zip(vec, self.shifts))
+
+
+def packed_levels(packing, j_max):
+    """Degrees 0..j_max of the window semigroup on packing, with their
+    predecessor masks; an addition that clears a guard bit raises
+    VerificationFailed naming the degree."""
+    guard = packing.guard
+    steps = [(1 << v, img) for v, img in enumerate(packing.images)]
+    levels = [{guard: 0}]
+    for d in range(1, j_max + 1):
+        level = {}
+        for q in levels[-1]:
+            for bit, img in steps:
+                b = q + img
+                level[b] = level.get(b, 0) | bit
+        if reduce(and_, level, guard) != guard:
+            raise VerificationFailed("a multidegree entry overflows its packed field", degree=d)
+        levels.append(level)
+    return levels
+
+
+def _semigroup_fields(ring):
+    """The field width of ring.semigroup's packing, the coordinates of the
+    least row and column of a tuple multidegree, which have no field, and
+    (coordinate, shift) for each coordinate that has one: every column but
+    the least, then every row but the least (binomials.Semigroup)."""
+    width = ring.semigroup.capacity.bit_length() + 1
+    rows, cols = zip(*ring.points)
+    i0, j0, span = min(rows), min(cols), max(cols) - min(cols)
+    fields = [(ring.m + 1 + j, width * (j - j0 - 1)) for j in range(j0 + 1, max(cols) + 1)]
+    fields += [(i, width * (span + i - i0 - 1)) for i in range(i0 + 1, max(rows) + 1)]
+    return width, (i0, ring.m + 1 + j0), fields
+
+
+def semigroup_pack(ring, vec):
+    """The tuple multidegree vec in ring.semigroup's current packing, or
+    None when it has an entry outside the window's rows and columns."""
+    _, least, fields = _semigroup_fields(ring)
+    held = {c for c, _ in fields}.union(least)
+    if any(x for c, x in enumerate(vec) if c not in held):
+        return None
+    return sum(vec[c] << shift for c, shift in fields)
+
+
+def semigroup_vector(ring, b, degree):
+    """The tuple multidegree of degree degree that ring.semigroup packs as b."""
+    width, (i0, j0), fields = _semigroup_fields(ring)
+    vec = [0] * (ring.m + ring.n + 2)
+    for c, shift in fields:
+        vec[c] = b >> shift & (1 << width) - 1
+    vec[i0] = degree - sum(vec[: ring.m + 1])
+    vec[j0] = degree - sum(vec[ring.m + 1:])
+    return tuple(vec)
 
 
 def vec_sub(a, b):
@@ -57,7 +141,7 @@ def vec_sub(a, b):
 
 
 def semigroup_levels(ring, j_max):
-    imgs = ring.monomial_map.images
+    imgs = monomial_images(ring)
     levels = [set() for _ in range(j_max + 1)]
     levels[0].add(tuple([0] * (ring.m + 1 + ring.n + 1)))
     for e in range(1, j_max + 1):
@@ -69,7 +153,7 @@ def semigroup_levels(ring, j_max):
 
 def block_faces(ring, b, j, levels, max_size):
     """Faces by size of the block at the tuple multidegree b, as sorted tuples."""
-    imgs = ring.monomial_map.images
+    imgs = monomial_images(ring)
     verts = []
     for v in range(ring.nvars):
         rem = vec_sub(b, imgs[v])
@@ -198,9 +282,9 @@ def level_2k2_blocks(ring, multidegrees, max_size=3):
     borrow test per variable against level 3.  Returns {(rows, columns):
     faces by size, or None for a simplex or a cone}.
     """
-    packing = _Packing(ring, 4)
+    packing = Packing(ring, 4)
     imgs, guard = packing.images, packing.guard
-    levels = _semigroup_levels(packing, 3)
+    levels = packed_levels(packing, 3)
     out = {}
     for rows, cols in multidegrees:
         vec = [0] * (ring.m + ring.n + 2)
@@ -211,7 +295,7 @@ def level_2k2_blocks(ring, multidegrees, max_size=3):
         b = packing.pack(vec)
         mask = sum(1 << v for v, img in enumerate(imgs)
                    if (r := b - img) & guard == guard and r in levels[3])
-        out[rows, cols] = _block_faces(packing, b, mask, 4, levels, max_size)[1]
+        out[rows, cols] = _block_faces(imgs, b, mask, 4, levels, max_size)[1]
     return out
 
 
@@ -290,8 +374,8 @@ def betti_table(ring, gens, field):
     nvars = ring.nvars
     if not gens:
         return {}
-    packing = _Packing(ring, nvars)
-    levels = _semigroup_levels(packing, nvars)
+    packing = Packing(ring, nvars)
+    levels = packed_levels(packing, nvars)
     entries = {}
     for j in range(2, nvars + 1):
         face_counts = [0] * (j + 1)

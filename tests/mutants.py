@@ -48,7 +48,7 @@ MUTANTS = (
     # a semigroup level whose additions overflow a field, let through
     Mutant(
         "level-guard", "betti.py",
-        "if reduce(and_, level, guard) != guard:",
+        "if reduce(or_, level, 0) & guard:",
         "if False:",
         ("tests/test_betti.py::test_level_build_catches_fields_without_a_spare_bit",
          "tests/test_betti.py::test_betti_numbers_on_fields_without_a_spare_bit_fail_in_the_level_build"),
@@ -80,6 +80,28 @@ MUTANTS = (
         "return sum(comb(free + i - 1, i) * core[e - i] for i in range(e + 1))",
         "return core[e]",
         ("tests/test_peeled_core.py::test_core_route_matches_the_references",),
+    ),
+    # the Koszul levels built on the semigroup's images as packed, not widened
+    Mutant(
+        "levels-not-widened", "betti.py",
+        "images, guard = semigroup.wide(j_max), semigroup.guard",
+        "images, guard = semigroup.images, semigroup.guard",
+        ("tests/test_betti.py::TestBettiInternals::test_packed_levels_match_tuple_levels",
+         "tests/test_betti.py::TestBettiInternals::test_two_primes_agree"),
+    ),
+    # the standard monomials, leads above d_max kept and packed past their fields
+    Mutant(
+        "standard-high-leads", "betti.py",
+        "for lead in leads if sum(lead) <= d_max]",
+        "for lead in leads]",
+        ("tests/test_properties.py::test_standard_monomials_match_the_degree_filter",),
+    ),
+    # the standard monomials, each variable's divisor list that of the next
+    Mutant(
+        "standard-divisor-shift", "binomials.py",
+        "divisors = [[lead for lead in leads if lead & unit * ones] for unit in units]",
+        "divisors = [[lead for lead in leads if lead & unit * ones] for unit in units[1:] + units[:1]]",
+        ("tests/test_properties.py::test_standard_monomials_match_the_degree_filter",),
     ),
     # the entrywise Hochster bound of betti_numbers, turned off
     Mutant(

@@ -1,10 +1,12 @@
 import time
+from functools import reduce
 from math import comb
+from operator import or_
 
 import pytest
 
 import koszul_reference as ref
-from fiber_reference import image_of_monomial
+from fiber_reference import image_of_monomial, monomial_images
 from hibilab.betti import (
     betti_numbers,
     has_linear_resolution_oracle,
@@ -18,7 +20,6 @@ from hibilab.betti import (
     _complement_chordal,
     _induced_2k2,
     _lead_graph,
-    _Packing,
     _semigroup_levels,
     _settled,
 )
@@ -156,9 +157,7 @@ class TestBettiInternals:
         # the L-shaped window misses box points, so some candidates fall outside
         ring = window_ideal(ell_lattice(), (0, 4)).ring
         levels = ref.semigroup_levels(ring, 4)
-        packing = _Packing(ring, 4)
-        pack = packing.pack
-        member = _semigroup_levels(packing, 4)
+        member = _semigroup_levels(ring.semigroup, 4)
         units = [
             tuple(int(c in (i, ring.m + 1 + j)) for c in range(ring.m + ring.n + 2))
             for i in range(ring.m + 1) for j in range(ring.n + 1)
@@ -168,7 +167,7 @@ class TestBettiInternals:
             for q in levels[k - 1]:
                 for unit in units:
                     vec = tuple(x + y for x, y in zip(q, unit))
-                    assert (pack(vec) in member[k]) == (vec in levels[k]), (k, vec)
+                    assert (ref.semigroup_pack(ring, vec) in member[k]) == (vec in levels[k]), (k, vec)
                     outside += vec not in levels[k]
         assert outside > 0
 
@@ -177,32 +176,34 @@ class TestBettiInternals:
         ideal = window_ideal(full_grid(2, 2), (1, 3))
         ring = ideal.ring
         j = 4
-        packing = _Packing(ring, j)
-        levels = _semigroup_levels(packing, j)
+        levels = _semigroup_levels(ring.semigroup, j)
         hf = hilbert_function(ideal.gb, j, nvars=ring.nvars)
         totals = {}
         for b, mask in levels[j].items():
-            counts, _ = _block_faces(packing, b, mask, j, levels, j)
+            counts, _ = _block_faces(ring.semigroup.images, b, mask, j, levels, j)
             for s, count in enumerate(counts):
                 totals[s] = totals.get(s, 0) + count
         for s, total in totals.items():
             assert total == comb(ring.nvars, s) * hf[j - s]
 
     def test_packed_levels_match_tuple_levels(self):
+        # up to degree 8, past the semigroup's first packing (entries up to 7)
         for lat, w in ((ell_lattice(), (0, 4)), (full_grid(2, 2), (0, 4))):
             ring = window_ideal(lat, w).ring
-            packing = _Packing(ring, 6)
-            packed = _semigroup_levels(packing, 6)
-            ref_levels = ref.semigroup_levels(ring, 6)
+            packed = _semigroup_levels(ring.semigroup, 8)
+            assert ring.semigroup.capacity >= 8
+            ref_levels = ref.semigroup_levels(ring, 8)
             for k, level in enumerate(ref_levels):
-                assert {packing.pack(vec) for vec in level} == packed[k].keys(), (w, k)
+                pack = {vec: ref.semigroup_pack(ring, vec) for vec in level}
+                assert set(pack.values()) == packed[k].keys(), (w, k)
                 # each mask names the variables whose image leads down a level
                 for vec in level:
                     down = {
-                        v for v, img in enumerate(ring.monomial_map.images)
+                        v for v, img in enumerate(monomial_images(ring))
                         if k and ref.vec_sub(vec, img) in ref_levels[k - 1]
                     }
-                    assert packed[k][packing.pack(vec)] == sum(1 << v for v in down), (w, k, vec)
+                    assert packed[k][pack[vec]] == sum(1 << v for v in down), (w, k, vec)
+                    assert ref.semigroup_vector(ring, pack[vec], k) == vec
 
     @pytest.mark.parametrize("faces, max_size, apex", [
         # a path a-b-c: a cone from b
@@ -228,11 +229,11 @@ class TestBettiInternals:
         # of the product of their leads and has homology 1
         ideal = window_ideal(full_grid(2, 2), (1, 3))
         ring, leads = ideal.ring, ideal.gb.leads
-        packing = _Packing(ring, 4)
-        levels = _semigroup_levels(packing, 4)
+        levels = _semigroup_levels(ring.semigroup, 4)
+        images = ring.semigroup.images
         product = tuple(x + y for x, y in zip(*leads))
-        b = packing.pack(image_of_monomial(ring, product))
-        counts, faces = _block_faces(packing, b, levels[4][b], 4, levels, 3)
+        b = ref.semigroup_pack(ring, image_of_monomial(ring, product))
+        counts, faces = _block_faces(images, b, levels[4][b], 4, levels, 3)
         assert faces is not None and counts == [1, 7, 17, 13]
         assert reduced_homology(faces, 32003)[2] == 1
         # a block that is no simplex but a cone from one vertex
@@ -240,8 +241,8 @@ class TestBettiInternals:
         ref_levels = ref.semigroup_levels(ring, 4)
         for vec in ref_levels[4]:
             ref_faces = ref.block_faces(ring, vec, 4, ref_levels, 4)
-            b = packing.pack(vec)
-            counts, faces = _block_faces(packing, b, levels[4][b], 4, levels, 4)
+            b = ref.semigroup_pack(ring, vec)
+            counts, faces = _block_faces(images, b, levels[4][b], 4, levels, 4)
             if faces is None and sum(counts) != 2 ** len(ref_faces[1]):
                 assert not any(ref.reduced_homology(ref_faces, 32003).values())
                 cones += 1
@@ -633,40 +634,41 @@ def test_hochster_bound_reads_the_packed_basis_at_the_same_field():
         assert table.entries and all(v <= hochster[k] for k, v in table.entries.items())
 
 
-def test_betti_numbers_on_fields_without_a_spare_bit_fail_in_the_level_build(monkeypatch):
-    # with w = top.bit_length() bits an entry equal to top reaches the guard
-    # bit and carries into the next field; betti_numbers stops at the level
-    # build's guard test, at the first degree with an entry of 4, before any
-    # block is walked (the face counts add up over the aliased ints, so the
-    # face-count check would not see it)
-    import hibilab.betti as betti_mod
+def _narrow(semigroup):
+    """Repack semigroup's images one bit narrower per field, in place, with
+    the top value bit of each field taken for its guard: with capacity 7,
+    3 bits a field, and an entry of 4 reaches the guard bit."""
+    wide = semigroup.capacity.bit_length() + 1
+    width = wide - 1
 
-    def narrow(self, ring, top):
-        width = top.bit_length()
-        self.shifts = tuple(range(0, width * (ring.m + ring.n + 2), width))
-        self.guard = sum(1 << (shift + width - 1) for shift in self.shifts)
-        self.images = tuple(self.pack(img) - self.guard for img in ring.monomial_map.images)
+    def narrow(x):
+        return sum((x >> wide * f & (1 << wide) - 1) << width * f for f in range(x.bit_length() // wide + 1))
 
+    semigroup.images = [narrow(img) for img in semigroup.images]
+    semigroup.guard = reduce(or_, semigroup.images, 0) << width - 1
+
+
+def test_betti_numbers_on_fields_without_a_spare_bit_fail_in_the_level_build():
+    # with fields one bit narrower an entry of 4 reaches the guard bit;
+    # betti_numbers stops at the level build's guard test, at the first
+    # degree with an entry of 4, before any block is walked (the face counts
+    # add up over the aliased ints, so the face-count check would not see it)
     ideal = window_ideal(full_grid(2, 2), (1, 3))
     assert betti_numbers(ideal.ring, ideal.generators).entries == {(0, 2): 2, (1, 4): 1}
-    monkeypatch.setattr(betti_mod._Packing, "__init__", narrow)
+    _narrow(ideal.ring.semigroup)
     with pytest.raises(VerificationFailed) as err:
         betti_numbers(ideal.ring, ideal.generators)
     assert err.value.details == {"degree": 4}
 
 
 def test_level_build_catches_fields_without_a_spare_bit():
-    # with w = top.bit_length() bits per field an entry of 4 reaches the
-    # guard bit; the masks come from the same additions, so only the level
-    # build's guard test can see it
+    # with fields one bit narrower an entry of 4 reaches the guard bit; the
+    # masks come from the same additions, so only the level build's guard
+    # test can see it
     ring = window_ideal(full_grid(2, 2), (1, 3)).ring
-    packing = _Packing(ring, 7)
-    width = (7).bit_length()
-    packing.shifts = tuple(range(0, width * (ring.m + ring.n + 2), width))
-    packing.guard = sum(1 << (shift + width - 1) for shift in packing.shifts)
-    packing.images = tuple(packing.pack(img) - packing.guard for img in ring.monomial_map.images)
+    _narrow(ring.semigroup)
     # entries up to 3 still fit
-    assert len(_semigroup_levels(packing, 3)) == 4
+    assert len(_semigroup_levels(ring.semigroup, 3)) == 4
     with pytest.raises(VerificationFailed) as err:
-        _semigroup_levels(packing, 4)
+        _semigroup_levels(ring.semigroup, 4)
     assert err.value.details == {"degree": 4}

@@ -17,14 +17,13 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 import buchberger_reference as ref
-from fiber_reference import image_of_monomial, plain_sizes, semigroup_points
+from fiber_reference import degree_monomials, image_of_monomial, plain_sizes, semigroup_points
 import hibilab.binomials as binomials_mod
 from hibilab.binomials import (
     ORDER_KINDS,
     Binomial,
     Semigroup,
     WindowRing,
-    _degree_monomials,
     _Layout,
     _lead_graph_counts,
     _oriented,
@@ -282,7 +281,7 @@ def test_semigroup_levels_match_tuple_images(small_corpus):
     for ring, _ in _windows((lat for _, lat in small_corpus), max_vars=10):
         levels = semigroup_points(ring.semigroup.images)
         for degree in (1, 2, 3, 4):
-            images = {image_of_monomial(ring, m) for m in _degree_monomials(ring.nvars, degree, 10**6)}
+            images = {image_of_monomial(ring, m) for m in degree_monomials(ring.nvars, degree, 10**6)}
             assert len(next(levels)) == ring.semigroup.size(degree) == len(images)
         checked += 1
     assert checked == 220
@@ -344,18 +343,28 @@ def test_too_narrow_packing_is_a_verification_failure():
     assert err.value.details == {"degree": 4}
 
 
-def test_single_generator_builds_no_layout(monkeypatch):
+def test_zero_ideal_builds_no_layout(monkeypatch):
+    """A single generator, either way round or cancelling, gives the
+    reference's packed report with no S-pair; the zero ideal's search and
+    report build no layout, no reducer and no Buchberger run."""
     ideal = window_ideal(full_grid(2, 2), (2, 4))
     (g,) = ideal.generators
-
-    def no_layout(*args):
-        raise AssertionError("a layout was built")
-
-    monkeypatch.setattr(binomials_mod, "_Layout", no_layout)
     for kind in ORDER_KINDS:
         order = monomial_order(kind, ideal.ring)
         for gens in ([g], [Binomial(g.trail, g.lead)], [Binomial(g.lead, g.lead)]):
             report = buchberger(gens, order)
             want = ref.buchberger(gens, order)
-            assert (report.basis, report.quadratic, report.squarefree, report.spairs_processed) == (
-                want.basis, want.quadratic, want.squarefree, 0)
+            assert (report.elements, report.quadratic, report.squarefree, report.spairs_processed) == (
+                want.elements, want.quadratic, want.squarefree, 0)
+            assert report.basis == want.basis
+
+    def built(*args):
+        raise AssertionError("built for the zero ideal")
+
+    for name in ("_Layout", "Reducer", "_buchberger"):
+        monkeypatch.setattr(binomials_mod, name, built)
+    zero = window_ideal(full_grid(2, 2), (3, 4))
+    assert zero.is_zero and zero.generators == zero.gb.basis == () and zero.gb.lead_supports == ()
+    for kind in ORDER_KINDS:
+        report = buchberger([], monomial_order(kind, zero.ring))
+        assert (report.elements, report.layout, report.spairs_processed) == ((), None, 0)

@@ -440,7 +440,6 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
         _block_faces,
         _induced_2k2,
         _lead_graph,
-        _Packing,
         _semigroup_levels,
         betti_numbers,
         is_linearly_related_oracle,
@@ -456,13 +455,13 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
             ring, gens, gb = ideal.ring, ideal.generators, ideal.gb
             if not gens:
                 continue
-            packing = _Packing(ring, 4)
+            levels = _semigroup_levels(ring.semigroup, 4)
+            images = ring.semigroup.images
             degrees = {
-                packing.pack(image_of_monomial(ring, tuple(int(v in quad) for v in range(ring.nvars))))
+                sum(images[v] for v in quad)
                 for quad in _induced_2k2(_lead_graph(gb.lead_supports, ring.nvars))
             }
-            levels = _semigroup_levels(packing, 4)
-            block_faces = [_block_faces(packing, b, levels[4][b], 4, levels, 3)[1] for b in degrees]
+            block_faces = [_block_faces(images, b, levels[4][b], 4, levels, 3)[1] for b in degrees]
             for field in (32003, 65537):
                 blocks = sum(
                     reduced_homology(faces, field).get(2, 0)
@@ -499,9 +498,9 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
     exact = betti_mod._block_faces
     visited = {}
 
-    def record(packing, b, mask, j, levels, max_size):
-        counts, faces = exact(packing, b, mask, j, levels, max_size)
-        visited[b] = counts, faces, max_size
+    def record(images, b, mask, j, levels, max_size):
+        counts, faces = exact(images, b, mask, j, levels, max_size)
+        visited[j, b] = counts, faces, max_size  # the packing leaves the degree out
         return counts, faces
 
     monkeypatch.setattr(betti_mod, "_block_faces", record)
@@ -518,14 +517,17 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
             field: betti_mod.betti_numbers(ring, ideal.generators, field=field, var_cap=None)
             for field in fields
         }
-        pack = betti_mod._Packing(ring, ring.nvars).pack
         levels = ref.semigroup_levels(ring, ring.nvars)
+
+        def pack(vec):
+            return ref.semigroup_pack(ring, vec)
+
         expected = {field: {} for field in fields}
         for j in range(2, ring.nvars + 1):
             for b in levels[j]:
                 faces = ref.block_faces(ring, b, j, levels, j)
-                if pack(b) in visited:
-                    counts, kept_faces, max_size = visited.pop(pack(b))
+                if (j, pack(b)) in visited:
+                    counts, kept_faces, max_size = visited.pop((j, pack(b)))
                     assert counts == [len(faces[s]) for s in sorted(faces) if s <= max_size], (
                         ring.window, b)
                 else:  # counted as a whole simplex, with no walk
@@ -595,10 +597,11 @@ def test_mask_walk_matches_candidate_scan(corpus):
     at every degree 2 <= j <= nvars, with faces up to j and up to 3
     variables, and at every b in L_j, both kernels give the same face
     counts, the same verdict (simplex or cone, else the faces) and the same
-    faces per size.
+    faces per size.  The mask walk runs on the semigroup's packing, and the
+    reference on its own (koszul_reference.Packing).
     """
     import koszul_reference as ref
-    from hibilab.betti import _block_faces, _Packing, _semigroup_levels
+    from hibilab.betti import _block_faces, _semigroup_levels
 
     windows = blocks = ranked = 0
     for name, lat in corpus:
@@ -607,13 +610,16 @@ def test_mask_walk_matches_candidate_scan(corpus):
             ring = ideal.ring
             if ring.nvars > 8 or not ideal.generators:
                 continue
-            packing = _Packing(ring, ring.nvars)
-            levels = _semigroup_levels(packing, ring.nvars)
+            levels = _semigroup_levels(ring.semigroup, ring.nvars)
+            images = ring.semigroup.images
+            packing = ref.Packing(ring, ring.nvars)
+            ref_levels = ref.packed_levels(packing, ring.nvars)
             for j in range(2, ring.nvars + 1):
                 for max_size in {j, 3}:
                     for b, mask in levels[j].items():
-                        got = _block_faces(packing, b, mask, j, levels, max_size)
-                        expected = ref.packed_block_faces(packing, b, j, levels, max_size)
+                        got = _block_faces(images, b, mask, j, levels, max_size)
+                        old = packing.pack(ref.semigroup_vector(ring, b, j))
+                        expected = ref.packed_block_faces(packing, old, j, ref_levels, max_size)
                         assert got == expected, (name, w, j, max_size, b)
                         ranked += got[1] is not None
                     blocks += len(levels[j])
@@ -725,7 +731,7 @@ def ranked_blocks(corpus, linrel_blocks):
     faces of every block of linrel_blocks, with the whole block's homology
     by elimination per field.
     """
-    from hibilab.betti import _block_faces, _pairing_faces, _Packing, _semigroup_levels
+    from hibilab.betti import _block_faces, _pairing_faces, _semigroup_levels
 
     blocks = {"full": [], "2k2": []}
     for _, lat in corpus:
@@ -734,11 +740,10 @@ def ranked_blocks(corpus, linrel_blocks):
             ring = ideal.ring
             if ring.nvars > 7 or not ideal.generators:
                 continue
-            packing = _Packing(ring, ring.nvars)
-            levels = _semigroup_levels(packing, ring.nvars)
+            levels = _semigroup_levels(ring.semigroup, ring.nvars)
             for j in range(2, ring.nvars + 1):
                 for b, mask in levels[j].items():
-                    faces = _block_faces(packing, b, mask, j, levels, j)[1]
+                    faces = _block_faces(ring.semigroup.images, b, mask, j, levels, j)[1]
                     if faces is not None:
                         blocks["full"].append((faces, None))
     for *_, window_blocks in linrel_blocks:
@@ -821,6 +826,48 @@ def test_linear_relatedness_oracle_matches_level_reference(linrel_blocks):
             unrelated += not want
     assert related > 0 and unrelated > 0
     CASES["linrel-oracle-vs-level-reference"] = len(linrel_blocks)
+
+
+def test_standard_monomials_match_the_degree_filter(corpus):
+    """Gate for standard_monomial_basis on the fiber oracle's packed enumerator.
+
+    fiber_reference.standard_monomials is the route it replaced: every dense
+    monomial of each degree, in the order of combinations_with_replacement,
+    kept when no lead divides it.  The two give the same monomials in the
+    same order, and hilbert_function their counts, on every seed-7 window
+    with at most 9 variables at d_max 0, 1, 3 and 4, from the
+    GroebnerReport and from its dense leads, and on random lead sets with
+    squares, higher powers, leads above d_max and the constant lead.
+    """
+    from fiber_reference import standard_monomials
+    from hibilab.betti import hilbert_function, standard_monomial_basis
+
+    windows = 0
+    for _, lat in corpus:
+        for w in all_windows(lat):
+            ideal = window_ideal(lat, w)
+            nvars, leads = ideal.ring.nvars, ideal.gb.leads
+            if nvars > 9:
+                continue
+            for d_max in (0, 1, 3, 4):
+                want = standard_monomials(leads, nvars, d_max)
+                assert standard_monomial_basis(ideal.gb, nvars, d_max).degrees == want, (w, d_max)
+                assert standard_monomial_basis(leads, nvars, d_max).degrees == want, (w, d_max)
+                assert hilbert_function(ideal.gb, d_max, nvars) == list(map(len, want)), (w, d_max)
+            windows += 1
+    rng = random.Random(2207)
+    squares = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 5)
+        leads = [tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(nvars))
+                 for _ in range(rng.randint(0, 4))]
+        d_max = rng.randint(0, 5)
+        want = standard_monomials(leads, nvars, d_max)
+        assert standard_monomial_basis(leads, nvars, d_max).degrees == want, (leads, d_max)
+        assert hilbert_function(leads, d_max, nvars) == list(map(len, want)), (leads, d_max)
+        squares += any(e > 1 for lead in leads for e in lead)
+    assert windows == 543 and squares > 200, (windows, squares)
+    CASES["standard-monomials-vs-degree-filter"] = windows + 300
 
 
 def test_case_total_meets_budget():

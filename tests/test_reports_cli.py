@@ -1,5 +1,6 @@
 import json
 import pathlib
+from math import comb
 
 import pytest
 
@@ -291,6 +292,45 @@ class TestCli:
         golden = pathlib.Path(__file__).parent / "golden" / "staircase_betti_all_cap9.txt"
         assert code == 0 and out == golden.read_text()
 
+    def test_betti_hilbert_matches_golden(self, capsys, monkeypatch):
+        """`hibilab betti --all-windows --cap-vars 9 --hilbert 4` on the demo
+        staircase prints, byte for byte, what it printed before the standard
+        monomials were enumerated on packed ints."""
+        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
+        argv = ["betti", "--all-windows", "--cap-vars", "9", "--hilbert", "4"]
+        code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
+        golden = pathlib.Path(__file__).parent / "golden" / "staircase_betti_hilbert4_cap9.json"
+        assert code == 0 and out == golden.read_text()
+
+    def test_betti_hilbert_budget_skips_the_window_not_the_run(self, capsys, monkeypatch):
+        """A window whose Hilbert function trips the budget records the skip
+        and keeps its table and krull; the other windows answer, and the run
+        exits 0."""
+        monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
+        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
+        argv = ["betti", "--all-windows", "--cap-vars", "9", "--hilbert", "6"]
+        code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
+        assert code == 0
+        golden = pathlib.Path(__file__).parent / "golden" / "staircase_betti_hilbert4_cap9.json"
+        answered = skipped = 0
+        for got, want in zip(json.loads(out), json.loads(golden.read_text()), strict=True):
+            if "betti" not in want:  # over the cap: no table, no Hilbert function
+                assert got == want
+                continue
+            assert (got["window"], got["betti"], got["krull"]) == (want["window"], want["betti"], want["krull"])
+            nvars = got["betti"]["nvars"]
+            tripped = [(d, comb(nvars + d - 1, d)) for d in range(7) if comb(nvars + d - 1, d) > 1000]
+            if tripped:
+                degree, count = tripped[0]
+                assert "hilbert" not in got and got["skipped"] == {"hilbert": {
+                    "code": "budget-exceeded", "message": f"degree {degree} enumeration exceeds budget",
+                    "details": {"budget": 1000, "monomials": count}}}, got["window"]
+                skipped += 1
+            else:
+                assert "skipped" not in got and got["hilbert"][:5] == want["hilbert"], got["window"]
+                answered += 1
+        assert answered > 0 and skipped > 0, (answered, skipped)
+
     def test_betti_degree_bound_past_nvars_finishes(self, capsys, monkeypatch):
         staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
         argv = ["betti", "--all-windows", "--cap-vars", "7"]
@@ -477,6 +517,27 @@ class TestInputErrors:
     def test_suite_rejects_field_up_front(self):
         with pytest.raises(InvalidParameter):
             run_suite(full_grid(1, 1), with_fiber=True, field=4)
+
+    @pytest.mark.parametrize("degree", [1, 0, -3])
+    def test_fiber_degree_below_two_is_an_input_error(self, monkeypatch, degree):
+        """The oracle rejects the degree bound as a parameter, and run_suite
+        up front, before any window, not as a skip on every window."""
+        import hibilab.reports as reports_mod
+        from hibilab.binomials import toric_fiber_oracle, window_ideal
+
+        ideal = window_ideal(demo_staircase(), (3, 7))
+        with pytest.raises(InvalidParameter) as err:
+            toric_fiber_oracle(ideal.ring, ideal, gb=ideal.gb, degree=degree)
+        assert err.value.details == {"degree": degree}
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("a window was run")
+
+        monkeypatch.setattr(reports_mod, "toric_fiber_oracle", unreached)
+        monkeypatch.setattr(reports_mod, "WindowContext", unreached)
+        with pytest.raises(InvalidParameter) as err:
+            run_suite(demo_staircase(), windows=[(3, 7)], with_fiber=True, fiber_degree=degree)
+        assert err.value.details == {"degree": degree}
 
 
 def test_proper_only_same_rule_for_every_subcommand(capsys, monkeypatch):
