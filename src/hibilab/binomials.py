@@ -240,9 +240,6 @@ class MonomialOrder:
             return (sum(mono), self._exponents(mono))
         return (sum(mono), tuple(map(neg, self._exponents(mono))))
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
 
 def monomial_order(kind: str, ring: WindowRing) -> MonomialOrder:
     if kind not in ORDER_KINDS:
@@ -262,13 +259,6 @@ class Binomial:
 
     lead: Monomial
     trail: Monomial
-
-
-def make_binomial(a: Monomial, b: Monomial, order: MonomialOrder):
-    """Normalized binomial a - b, or None when the terms cancel."""
-    if a == b:
-        return None
-    return Binomial(a, b) if order.greater(a, b) else Binomial(b, a)
 
 
 def defining_ideal_generators(ring: WindowRing, order: MonomialOrder):
@@ -1077,8 +1067,11 @@ def toric_fiber_oracle(
     graph is the core's in degree e - i, and span_rank = sum_i C(b + i - 1,
     i) span_core(e - i).  The union-find reads the core's monomials up to
     degree - (least move degree).  Each degree is held to default_budget()
-    on all its monomials, checked before any work on it.  A degree bound
-    below 2 raises InvalidParameter (require_degree).
+    on the monomials it enumerates, checked before any work on it: those of
+    the core, which bound its levels and its faces, or of every variable
+    when non-squarefree leads send the standard monomials to
+    _standard_levels.  A degree bound below 2 raises InvalidParameter
+    (require_degree).
     """
     require_degree(degree)
     nvars = ring.nvars
@@ -1102,13 +1095,17 @@ def toric_fiber_oracle(
         next(standard)  # degree 1
     held = reduce(or_, (lead | trail for _, lead, trail in moves), 0)
     core = [unit for unit in units if held & unit * ((1 << width) - 1)]  # the variables of some move
+    # the variables a degree enumerates monomials on: all of them where the
+    # standard monomials are enumerated, else the core
+    walked = nvars if gb is not None and gb.lead_supports is None else len(core)
     least = min((d for d, _, _ in moves), default=degree + 1)
     levels = [[(0, 0)]]  # the core's monomials of degree 0, 1, ..., (packed, last variable)
     spans = []  # the core's span rank in degree 0, 1, ...
     records = []
     for e in range(2, degree + 1):
-        if (count := comb(nvars + e - 1, e)) > budget:
-            raise DegreeInfeasible(f"degree {e} needs {count} monomials", budget=budget, monomials=count)
+        if (work := comb(walked + e - 1, e)) > budget:
+            raise DegreeInfeasible(f"degree {e} needs {work} monomials", budget=budget, monomials=work)
+        count = comb(nvars + e - 1, e)
         for k in range(len(spans), e + 1):
             while len(levels) <= k - least:  # a move of degree d reads the monomials of degree k - d
                 levels.append(_extend(levels[-1], core, hi, [()] * len(core)))

@@ -35,11 +35,22 @@ from hibilab.binomials import (
     _Layout,
     _width,
     buchberger as packed_buchberger,
-    make_binomial,
     mono_squarefree,
     monomial_order,
 )
 from hibilab.errors import DegreeInfeasible
+
+
+def greater(order: MonomialOrder, a: Monomial, b: Monomial) -> bool:
+    """Whether a comes after b in order (MonomialOrder.greater, as it stood)."""
+    return order.key(a) > order.key(b)
+
+
+def make_binomial(a: Monomial, b: Monomial, order: MonomialOrder):
+    """Normalized binomial a - b, or None when the terms cancel."""
+    if a == b:
+        return None
+    return Binomial(a, b) if greater(order, a, b) else Binomial(b, a)
 
 
 def packed(binomials, order: MonomialOrder):

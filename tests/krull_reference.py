@@ -3,9 +3,11 @@
 minimal_supports is the filter as it stood before supports were bitmasks
 read off the packed basis: each dense lead's support as a frozenset of
 variable indices, the inclusion-minimal ones kept.  krull_dimension is the
-branch and bound of krull_dimension_via_initial on those supports, as it
-stood.  Both are kept here, not in the package, as the reference the mask
-route must match.
+hitting-set branch and bound that krull_dimension_via_initial ran on those
+supports before it searched for a largest face of the lead complex: nvars
+minus a minimum hitting set, bounded by a greedy packing of disjoint
+supports.  Both are kept here, not in the package, as the reference the
+mask route and the face search must match.
 """
 
 from hibilab.binomials import mono_squarefree

@@ -103,6 +103,22 @@ MUTANTS = (
         "divisors = [[lead for lead in leads if lead & unit * ones] for unit in units[1:] + units[:1]]",
         ("tests/test_properties.py::test_standard_monomials_match_the_degree_filter",),
     ),
+    # the Krull face search, cutting a branch that could still beat the best by one
+    Mutant(
+        "krull-bound-early", "betti.py",
+        "if size + bound <= best:",
+        "if size + bound <= best + 1:",
+        ("tests/test_betti.py::TestKrull::test_staircase_window",
+         "tests/test_betti.py::TestKrull::test_search_budget"),
+    ),
+    # the Krull face search, a larger support let complete inside the face
+    Mutant(
+        "krull-completion-dropped", "betti.py",
+        "nxt &= ~left",
+        "pass",
+        ("tests/test_betti.py::TestKrull::test_disjoint_triples_are_bounded_by_their_supports",
+         "tests/test_properties.py::test_krull_search_matches_exhaustive_on_random_hypergraphs"),
+    ),
     # the entrywise Hochster bound of betti_numbers, turned off
     Mutant(
         "hochster-bound", "betti.py",

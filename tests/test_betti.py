@@ -79,23 +79,42 @@ class TestKrull:
         krull = krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)
         assert krull == dimension(full_grid(5, 5), (0, 10)) == 11
 
-    def test_search_budget(self, monkeypatch):
-        # disjoint triangles of edges: the packing bound (one edge each) stays
-        # below the optimum (two vertices each), so the search has to branch
-        triangles = 8
-        nvars = 3 * triangles
+    @staticmethod
+    def _cycles(count, length):
+        """Dense quadric leads of count disjoint cycles of the given length."""
+        nvars = count * length
         leads = []
-        for k in range(triangles):
-            for a, b in ((0, 1), (1, 2), (0, 2)):
+        for k in range(count):
+            for a in range(length):
                 lead = [0] * nvars
-                lead[3 * k + a] = lead[3 * k + b] = 1
+                lead[length * k + a] = lead[length * k + (a + 1) % length] = 1
                 leads.append(tuple(lead))
+        return leads, nvars
+
+    def test_search_budget(self, monkeypatch):
+        # disjoint triangles: each is one clique of the bound, which is tight
+        # at the root, so the first descent ends the search
+        leads, nvars = self._cycles(8, 3)
+        monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
+        assert krull_dimension_via_initial(leads, nvars=nvars) == 8
+        # disjoint 5-cycles: the greedy cliques are edges, three to a cycle
+        # against its two, so the search has to branch
+        leads, nvars = self._cycles(6, 5)
         monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
-        assert krull_dimension_via_initial(leads, nvars=nvars) == triangles
+        assert krull_dimension_via_initial(leads, nvars=nvars) == 12
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         with pytest.raises(BudgetExceeded) as err:
             krull_dimension_via_initial(leads, nvars=nvars)
         assert err.value.details == {"budget": 1000, "nodes": 1001}
+
+    def test_disjoint_triples_are_bounded_by_their_supports(self, monkeypatch):
+        # a 3-support inside the candidates bounds the face by 2 of its
+        # variables; as three singleton cliques the bound would be 3 each
+        # and the search would branch through the whole product
+        triples, nvars = 10, 30
+        leads = [tuple(int(3 * k <= v < 3 * k + 3) for v in range(nvars)) for k in range(triples)]
+        monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
+        assert krull_dimension_via_initial(leads, nvars=nvars) == 2 * triples
 
     def test_matches_dimension_formula_everywhere(self, corpus):
         for name, lat in corpus[:20]:
@@ -294,17 +313,19 @@ class TestBettiInternals:
         with pytest.raises(CapExceeded) as err:
             betti_numbers(small.ring, small.generators)
         assert err.value.details["cap"] == 1 and err.value.details["faces"] > 1
-        # degree 4 of 14 variables has C(17, 4) = 2380 monomials
+        # the fiber oracle enumerates on the move core, 12 of the 14
+        # variables: degree 4 has C(15, 4) = 1365 monomials there; the
+        # standard monomials are enumerated on all 14, C(17, 4) = 2380
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         with pytest.raises(DegreeInfeasible) as err:
             toric_fiber_oracle(ring, gens, degree=4)
-        assert err.value.details == {"budget": 1000, "monomials": comb(14 + 4 - 1, 4)}
+        assert err.value.details == {"budget": 1000, "monomials": comb(12 + 4 - 1, 4)}
         with pytest.raises(BudgetExceeded) as err:
             standard_monomial_basis(ideal.gb, ring.nvars, 4)
         assert err.value.details == {"budget": 1000, "monomials": 2380}
 
     def test_non_toric_input_rejected(self):
-        from hibilab.binomials import make_binomial
+        from buchberger_reference import make_binomial
 
         ring = WindowRing.for_window(full_grid(1, 1), (0, 2))
         order = monomial_order("rank-lex", ring)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fiber_reference
 import hibilab.binomials as binomials_mod
-from buchberger_reference import mono_mul
+from buchberger_reference import greater, make_binomial, mono_mul
 from fiber_reference import balanced, image_of_monomial, with_basis
 from hibilab.betti import _rank_mod_p, krull_dimension_via_initial
 from hibilab.binomials import (
@@ -21,7 +21,6 @@ from hibilab.binomials import (
     buchberger,
     default_budget,
     defining_ideal_generators,
-    make_binomial,
     monomial_order,
     normal_form,
     require_field,
@@ -29,7 +28,7 @@ from hibilab.binomials import (
     window_ideal,
 )
 from hibilab.errors import DegreeInfeasible, InvalidParameter
-from hibilab.reports import demo_staircase, ell_lattice, full_grid
+from hibilab.reports import demo_staircase, ell_lattice, full_grid, lattice_from_columns
 from hibilab.windows import RankWindow, WindowContext, all_windows, generators
 
 
@@ -102,14 +101,14 @@ class TestOrders:
         a = ring.monomial((1, 0), (0, 1))
         b = ring.monomial((0, 0), (1, 1))
         u = ring.monomial((1, 1))
-        assert order.greater(a, b) == order.greater(mono_mul(a, u), mono_mul(b, u))
+        assert greater(order, a, b) == greater(order, mono_mul(a, u), mono_mul(b, u))
 
     def test_rank_lex_vs_rank_revlex_disagree_on_straightening(self):
         ring, _ = ring_and_order(full_grid(1, 1), (0, 2))
         pair = ring.monomial((1, 0), (0, 1))
         diag = ring.monomial((0, 0), (1, 1))
-        assert monomial_order("rank-lex", ring).greater(diag, pair)
-        assert monomial_order("rank-revlex", ring).greater(pair, diag)
+        assert greater(monomial_order("rank-lex", ring), diag, pair)
+        assert greater(monomial_order("rank-revlex", ring), pair, diag)
 
 
 class TestNormalForm:
@@ -222,6 +221,17 @@ class TestFiberOracle:
         ideal = window_ideal(demo_staircase(), (0, 9))
         with pytest.raises(DegreeInfeasible):
             toric_fiber_oracle(ideal.ring, ideal.generators, degree=4)
+
+    def test_budget_counts_the_core_not_the_peeled_points(self, monkeypatch):
+        """A chain of 20 points has no binomial, so its move core is empty
+        and no degree enumerates a monomial: degree 7, whose 657,800
+        monomials exceed the default budget, certifies with the counts."""
+        monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
+        ideal = window_ideal(lattice_from_columns({0: (0, 19)}), (0, 19))
+        cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=7)
+        top = cert.per_degree[-1]
+        assert top.monomials == top.fibers == comb(20 + 6, 7) > default_budget()
+        assert cert.generated and cert.gb_certified
 
     @pytest.mark.parametrize("budget, degree, tripped", [("1000", 4, 3), ("20000", 5, 5)])
     def test_budget_trips_before_the_faces_of_its_degree(self, monkeypatch, budget, degree, tripped):

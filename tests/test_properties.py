@@ -13,14 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import krull_reference
-from buchberger_reference import mono_mul
+from buchberger_reference import make_binomial, mono_mul
 from fiber_reference import image_of_monomial
 from hibilab.binomials import (
     WindowRing,
     _lead_supports,
     buchberger,
     defining_ideal_generators,
-    make_binomial,
     monomial_order,
     normal_form,
     window_ideal,
@@ -32,7 +31,7 @@ from hibilab.lattice import (
     poset_ideals_to_planar,
     posets_isomorphic,
 )
-from hibilab.reports import _random_staircase
+from hibilab.reports import CorpusSpec, _random_staircase, generate_corpus
 from hibilab.windows import all_windows, check_convexity, generators, polyomino
 
 CASES = {}
@@ -206,6 +205,9 @@ def test_krull_dimension_matches_exhaustive_search():
 
 
 def test_krull_search_matches_exhaustive_on_random_hypergraphs():
+    """The face search on supports of 1 to 5 variables: 1-supports are
+    never candidates, 2-supports are the lead graph, and larger ones are
+    completed and bounded apart from it."""
     from itertools import combinations
 
     from hibilab.betti import krull_dimension_via_initial
@@ -214,10 +216,11 @@ def test_krull_search_matches_exhaustive_on_random_hypergraphs():
 
     rng = random.Random(909)
     checked = nested = 0
+    sizes = set()
     while checked < 300:
         n = rng.randint(3, 12)
         supports = {
-            frozenset(rng.sample(range(n), rng.choice((2, 3))))
+            frozenset(rng.sample(range(n), min(n, rng.choice((1, 2, 2, 3, 3, 4, 5)))))
             for _ in range(rng.randint(1, 2 * n))
         }
         leads = [tuple(int(v in s) for v in range(n)) for s in supports]
@@ -234,19 +237,21 @@ def test_krull_search_matches_exhaustive_on_random_hypergraphs():
         want = sorted(krull_reference.masks(krull_reference.minimal_supports(leads)))
         assert sorted(_minimal_masks(_lead_supports(leads))) == want
         nested += len(want) < len(supports)
+        sizes.update(map(len, supports))
         checked += 1
-    assert nested > 100
+    assert nested > 100 and sizes == {1, 2, 3, 4, 5}
     CASES["krull-hypergraph-exhaustive"] = checked
 
 
 def test_krull_on_masks_matches_minimal_supports_reference(corpus):
     """The lead supports read off the packed basis, their minimal filter and
-    the Krull search on them, against the frozenset route on dense leads, on
-    every seed-7 window."""
+    the Krull face search on them, against the frozenset route and the
+    hitting-set search on dense leads, on every seed-7 and seed-11 window."""
     from hibilab.betti import _minimal_masks, krull_dimension_via_initial
 
+    seed11 = generate_corpus(CorpusSpec(seed=11, count=40, max_m=5, max_n=4))
     checked = 0
-    for name, lat in corpus:
+    for name, lat in corpus + seed11:
         for w in all_windows(lat):
             ideal = window_ideal(lat, w)
             gb, nvars = ideal.gb, ideal.ring.nvars
@@ -259,7 +264,7 @@ def test_krull_on_masks_matches_minimal_supports_reference(corpus):
             assert krull == krull_reference.krull_dimension(leads, nvars), (name, w)
             assert krull == krull_dimension_via_initial(leads, nvars=nvars), (name, w)
             checked += 1
-    assert checked == 764
+    assert checked == 764 + 825
 
 
 def test_linear_resolution_oracle_matches_full_table():

@@ -27,7 +27,6 @@ from hibilab.binomials import (
     _straightening_pairs,
     _width,
     buchberger,
-    make_binomial,
     monomial_order,
     normal_form,
 )
@@ -84,7 +83,7 @@ def _scan_interreduce(basis, order):
                 continue
             if trail != g.trail:
                 changed = True
-                g = make_binomial(g.lead, trail, order)
+                g = ref.make_binomial(g.lead, trail, order)
             out.append(g)
         kept = ref._sorted_binomials(set(out), order)
     return tuple(kept)
@@ -94,7 +93,7 @@ def _scan_buchberger(gens, order):
     """(reduced basis, S-pairs processed)."""
     basis = []
     for g in gens:
-        h = make_binomial(g.lead, g.trail, order)
+        h = ref.make_binomial(g.lead, g.trail, order)
         if h is not None and h not in basis:
             basis.append(h)
     reducer = _ScanReducer(basis)
@@ -116,12 +115,12 @@ def _scan_buchberger(gens, order):
         processed += 1
         f, g = basis[i], basis[j]
         lcm = tuple(max(x, y) for x, y in zip(f.lead, g.lead))
-        s = make_binomial(
+        s = ref.make_binomial(
             _mul(_div(lcm, f.lead), f.trail), _mul(_div(lcm, g.lead), g.trail), order
         )
         if s is None:
             continue
-        r = make_binomial(reducer.reduce(s.lead), reducer.reduce(s.trail), order)
+        r = ref.make_binomial(reducer.reduce(s.lead), reducer.reduce(s.trail), order)
         if r is None:
             continue
         basis.append(r)
@@ -146,12 +145,12 @@ def _random_binomials(rng, order, nvars):
         a, b = _random_monomial(rng, nvars, degree), _random_monomial(rng, nvars, degree)
         if rng.random() < 0.2:
             a = tuple(2 * x for x in _random_monomial(rng, nvars, 1))  # a square
-        g = make_binomial(a, b, order)
+        g = ref.make_binomial(a, b, order)
         if g is not None:
             out.append(g)
     if out and rng.random() < 0.3:
         g = out[rng.randrange(len(out))]
-        other = make_binomial(g.lead, _random_monomial(rng, nvars, sum(g.lead)), order)
+        other = ref.make_binomial(g.lead, _random_monomial(rng, nvars, sum(g.lead)), order)
         if other is not None:
             out.append(other)  # a repeated lead with another trail
     rng.shuffle(out)

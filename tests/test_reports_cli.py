@@ -134,6 +134,14 @@ class TestRunSuite:
         assert a.to_json(include_timings=False) == b.to_json(include_timings=False)
         assert a.stable["schema"] == 1
 
+    def test_full_12x12_grid_answers(self):
+        # the Krull search met its budget here before its bound took the
+        # greedy cliques of the lead graph, the rank levels of the grid
+        rep = run_suite(full_grid(12, 12), windows=[(0, 24)])
+        rec = rep.stable["windows"][0]
+        assert rep.findings == [] and rec["skipped"] == []
+        assert rec["krull"] == rec["dimension"] == 25
+
     def test_shape_route_covers_oversize_connected_window(self):
         rep = run_suite(demo_staircase(), windows=[(0, 9)])
         rec = rep.stable["windows"][0]
