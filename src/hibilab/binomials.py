@@ -131,9 +131,9 @@ class Semigroup:
     The levels are built over a core.  A point alone in its row (column) is
     a leaf edge of the row-column graph: its exponent in a monomial is the
     image's entry at that row (column), so it lies on no binomial of the
-    toric ideal.  Peeling leaves off again and again (_peel) leaves a core
-    and b peeled points; by induction I = I_core S, S/I = K[peeled] (x)
-    S_core/I_core and |L_e| = sum_i C(b + i - 1, i) |L_(e-i)(core)| (_lift).
+    toric ideal.  Peeling leaves off again and again (_core_rows) leaves a
+    core and b = free peeled points; by induction I = I_core S, S/I =
+    K[peeled] (x) S_core/I_core and |L_e| = sum_i C(b + i - 1, i) |L_(e-i)(core)| (_lift).
     A core level is split by the largest row r of its points: taking a cell
     (r, j) off a point of L_e leaves one of L_(e-1) with rows <= r, so the
     parts {q + img(r, j) : q in L_(e-1) with largest row <= r} are disjoint,
@@ -162,25 +162,34 @@ class Semigroup:
             self._parts = None  # the core's top level by largest row, from the first level built
         return self.images
 
-    def _peel(self):
-        """The core's L_1 by largest row.  The points alone in their row or
+    @lazy
+    def _core_rows(self) -> list:
+        """The row masks of the core.  The points alone in their row or
         column are peeled off again and again, a pass's leaves together (no
         two share a leaf end), unless a point repeats: a double edge."""
         rows, core = None, list(self.rows)
-        if (total := sum(map(int.bit_count, core))) == len(self.points):
+        if sum(map(int.bit_count, core)) == len(self.points):
             while core != rows:
                 rows, seen, twice = core, 0, 0
                 for r in rows:
                     twice |= seen & r
                     seen |= r
                 core = [r & ~(seen & ~twice) if r & r - 1 else 0 for r in rows]
-        cells = {}
+        return core
+
+    @lazy
+    def free(self) -> int:
+        """b, the number of peeled points."""
+        return sum(map(int.bit_count, self.rows)) - sum(map(int.bit_count, self._core_rows))
+
+    def _peel(self):
+        """The core's L_1 by largest row."""
+        cells, core = {}, self._core_rows
         for (i, j), img in zip(self.points, self.images):
             if core[i] >> j & 1:
                 cells.setdefault(i, set()).add(img)
         self._cells = self._parts = [cells[i] for i in sorted(cells)]
         self._core = [1, sum(map(len, self._cells))]  # |L_0(core)|, |L_1(core)|, ...
-        self._free = total - sum(map(int.bit_count, core))
 
     def size(self, e: int) -> int:
         if e < 0:
@@ -197,7 +206,7 @@ class Semigroup:
                 grown.append({q + img for q in below for img in images})
             self._parts = grown
             self._core.append(sum(map(len, grown)))
-            self.sizes.append(_lift(self._core, self._free))
+            self.sizes.append(_lift(self._core, self.free))
         return self.sizes[e - 1] if e else 1
 
 
@@ -1068,10 +1077,12 @@ def toric_fiber_oracle(
     i) span_core(e - i).  The union-find reads the core's monomials up to
     degree - (least move degree).  Each degree is held to default_budget()
     on the monomials it enumerates, checked before any work on it: those of
-    the core, which bound its levels and its faces, or of every variable
-    when non-squarefree leads send the standard monomials to
-    _standard_levels.  A degree bound below 2 raises InvalidParameter
-    (require_degree).
+    the larger of the move core, which bounds the union-find and the faces,
+    and the semigroup core (Semigroup.free), which bounds the levels L_e;
+    a point on a path between two cycles lies on no binomial but stays in
+    the semigroup core.  Non-squarefree leads send the standard monomials
+    to _standard_levels, which walks every variable.  A degree bound below
+    2 raises InvalidParameter (require_degree).
     """
     require_degree(degree)
     nvars = ring.nvars
@@ -1081,6 +1092,11 @@ def toric_fiber_oracle(
     terms = _fiber_terms(gens, ring, units)
     budget = default_budget()
     moves = [(d, lead, trail) for d, lead, trail, _ in terms if d <= degree]
+    held = reduce(or_, (lead | trail for _, lead, trail in moves), 0)
+    core = [unit for unit in units if held & unit * ((1 << width) - 1)]  # the variables of some move
+    # the variables a degree enumerates monomials on: the move core's and the
+    # semigroup core's, or all of them where the standard monomials are enumerated
+    walked = max(len(core), nvars - ring.semigroup.free)
     unbalanced, standard = degree + 1, None  # standard: counts of degree 1, 2, ..., with a basis
     if gb is not None:
         same = isinstance(gens, WindowIdeal) and (gb.elements, gb.layout) == (gens.elements, gens.layout)
@@ -1091,13 +1107,9 @@ def toric_fiber_oracle(
             standard = _face_counts(supports, nvars)
         else:
             leads = [lead for d, lead, _, _ in basis if d <= degree]
+            walked = nvars
             standard = islice(map(len, _standard_levels(leads, units, hi, (1 << width) - 1)), 1, None)
         next(standard)  # degree 1
-    held = reduce(or_, (lead | trail for _, lead, trail in moves), 0)
-    core = [unit for unit in units if held & unit * ((1 << width) - 1)]  # the variables of some move
-    # the variables a degree enumerates monomials on: all of them where the
-    # standard monomials are enumerated, else the core
-    walked = nvars if gb is not None and gb.lead_supports is None else len(core)
     least = min((d for d, _, _ in moves), default=degree + 1)
     levels = [[(0, 0)]]  # the core's monomials of degree 0, 1, ..., (packed, last variable)
     spans = []  # the core's span rank in degree 0, 1, ...

@@ -313,8 +313,9 @@ class TestBettiInternals:
         with pytest.raises(CapExceeded) as err:
             betti_numbers(small.ring, small.generators)
         assert err.value.details["cap"] == 1 and err.value.details["faces"] > 1
-        # the fiber oracle enumerates on the move core, 12 of the 14
-        # variables: degree 4 has C(15, 4) = 1365 monomials there; the
+        # the fiber oracle enumerates on the move core and the semigroup
+        # core, both 12 of the 14 variables (2 leaves peeled): degree 4 has
+        # C(15, 4) = 1365 monomials there; the
         # standard monomials are enumerated on all 14, C(17, 4) = 2380
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         with pytest.raises(DegreeInfeasible) as err:

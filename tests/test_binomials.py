@@ -233,6 +233,20 @@ class TestFiberOracle:
         assert top.monomials == top.fibers == comb(20 + 6, 7) > default_budget()
         assert cert.generated and cert.gb_certified
 
+    def test_budget_counts_the_semigroup_core(self, monkeypatch):
+        """Two squares joined by a path: the move core is the squares' 8
+        points, but no point is a leaf, so the levels L_e are built on all
+        13 and the budget counts those; degree 15 is refused at degree 9."""
+        monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
+        lat = lattice_from_columns({0: (0, 1), 1: (0, 2), 2: (2, 3), 3: (3, 4), 4: (4, 5), 5: (4, 5)})
+        ideal = window_ideal(lat, (0, 10))
+        assert ideal.ring.nvars == 13 and ideal.ring.semigroup.free == 0
+        cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=8)
+        assert cert.generated and cert.gb_certified
+        with pytest.raises(DegreeInfeasible) as err:
+            toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=15)
+        assert err.value.payload()["details"] == {"budget": default_budget(), "monomials": comb(13 + 8, 9)}
+
     @pytest.mark.parametrize("budget, degree, tripped", [("1000", 4, 3), ("20000", 5, 5)])
     def test_budget_trips_before_the_faces_of_its_degree(self, monkeypatch, budget, degree, tripped):
         """The budget check of degree e raises, with the payload it always had,

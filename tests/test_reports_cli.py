@@ -136,7 +136,7 @@ class TestRunSuite:
 
     def test_full_12x12_grid_answers(self):
         # the Krull search met its budget here before its bound took the
-        # greedy cliques of the lead graph, the rank levels of the grid
+        # greedy cliques of the lead graph, which run up the grid's diagonals
         rep = run_suite(full_grid(12, 12), windows=[(0, 24)])
         rec = rep.stable["windows"][0]
         assert rep.findings == [] and rec["skipped"] == []
