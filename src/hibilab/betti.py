@@ -97,7 +97,11 @@ ideal of the lead graph G: one edge a-b per lead y_a y_b.
   only beta_1 and beta_2 of these quadric-generated ideals can be nonzero,
   beta_{1,b}(I) - beta_{2,b}(I) = beta_{1,b}(in I) - beta_{2,b}(in I), both
   read off G by Hochster; a positive right side settles the block with no
-  rank.
+  rank.  The block's complex is the union of the full simplices on the
+  supports of those pairings, and most blocks glue: added one support at a
+  time, each meets the union so far in a non-empty connected complex, so by
+  Mayer-Vietoris the block has H~_1 = 0 over every field and takes no rank
+  (_glues).  Only a block that neither glues nor settles by Euler is ranked.
 
 monomial_betti_table reads the full Betti table of a squarefree in(I) off
 Hochster's formula (induced subcomplexes of its Stanley-Reisner complex).
@@ -906,6 +910,45 @@ def _pairing_faces(supports):
     return {0: [0], 1: [1 << v for v in _bits(verts)], 2: list(edges), 3: list(triangles)}
 
 
+def _glues(supports):
+    """Whether the full simplices on supports glue one at a time into a complex with H~_1 = 0.
+
+    A support s joins the union of those already glued when its simplex
+    meets the union in a non-empty connected complex.  That intersection is
+    the union of the simplices on s & d over the glued supports d, and it is
+    connected exactly when the vertex reach of one of its vertices, grown by
+    every part it touches until nothing changes, is all of s & union.  By
+    Mayer-Vietoris a join onto a connected union with H~_1 = 0 keeps both
+    (over a non-empty connected intersection the sequence maps H~_0 and
+    H~_1 of the two pieces onto those of the new union), so when every
+    support joins, the union has H~_0 = H~_1 = 0 over every field.  A
+    support that cannot join yet is retried after the others; False when a
+    round joins none, which proves nothing about the homology.
+    """
+    first, *pending = supports
+    glued, union = [first], first
+    while pending:
+        waiting = []
+        for s in pending:
+            meet = s & union
+            reach = meet & -meet
+            grown = 0
+            while grown != reach:
+                grown = reach
+                for d in glued:
+                    if s & d & reach:
+                        reach |= s & d
+            if meet and reach == meet:
+                glued.append(s)
+                union |= s
+            else:
+                waiting.append(s)
+        if len(waiting) == len(pending):
+            return False
+        pending = waiting
+    return True
+
+
 def _complement_components(adj, vertices):
     """The number of components of the complement of the graph on the vertex mask."""
     comps = 0
@@ -1010,6 +1053,13 @@ def is_linearly_related_oracle(
     A block with h1 > h2 answers False; the others are ranked once every
     block has been counted.  gens is the WindowIdeal, read packed, or a
     list of its Binomials.
+
+    Before either, a block whose supports glue (_glues) has H~_1 = 0 and is
+    settled with no count and no rank.  On the seed-7 windows with at most
+    30 variables, 10,070 of the 12,998 blocks glue, every other block but
+    153 settles by Euler, and those 153 have H~_1 > 0 when ranked: there,
+    as on the seed-11, 4x4-box and grid-8x6 windows, every block with
+    H~_1 = 0 glues.
     """
     require_field(field)
     if (gb := _initial_basis(ring, gens, gb, var_cap)) is None:
@@ -1019,6 +1069,8 @@ def is_linearly_related_oracle(
     blocks = []
     for (rows, cols), h1 in _2k2_multidegrees(ring.points, _induced_2k2(adj)).items():
         supports = _pairing_supports(index, rows, cols)
+        if _glues(supports):
+            continue
         if h1 > _hochster_h2(adj, supports):
             return False
         blocks.append(supports)

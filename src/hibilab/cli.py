@@ -103,14 +103,14 @@ def build_parser():
     _add_common(bt)
     bt.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
     bt.add_argument("--jmax", type=_at_least(2, "degree bound"), default=None)
-    bt.add_argument("--cap-vars", type=int, default=12)
+    bt.add_argument("--cap-vars", type=_at_least(1, "variable cap"), default=12)
     bt.add_argument("--hilbert", type=_at_least(0, "degree"), default=None, metavar="DMAX")
 
     cl = sp.add_parser("classify", help="linear resolution / linearly related verdicts")
     _add_common(cl)
     cl.add_argument("--mode", choices=CLASSIFY_MODES, default="shape-first")
     cl.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
-    cl.add_argument("--cap-vars", type=int, default=12)
+    cl.add_argument("--cap-vars", type=_at_least(1, "variable cap"), default=12)
     cl.add_argument("--expect-theorem", action="store_true",
                     help="verify shape verdicts against the oracle; exit 1 on disagreement")
 
@@ -134,7 +134,7 @@ def build_parser():
     _add_common(st)
     st.add_argument("--order", choices=ORDER_KINDS + ("auto",), default="auto")
     st.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
-    st.add_argument("--cap-vars", type=int, default=12)
+    st.add_argument("--cap-vars", type=_at_least(1, "variable cap"), default=12)
     st.add_argument("--fiber", action="store_true")
     st.add_argument("--betti", action="store_true")
     st.add_argument("--expect-theorem", action="store_true")

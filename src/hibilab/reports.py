@@ -263,13 +263,15 @@ def run_suite(
     under some candidate order, optional fiber certificates, and classifier
     verdicts (verified against the oracle when verify=True).  Inconsistencies
     are collected as findings; the caller decides the exit status.  A field
-    that is not a prime below 2**31, or with with_fiber a fiber_degree below
-    2, raises InvalidParameter before any window is run.
+    that is not a prime below 2**31, a var_cap below 1, or with with_fiber a
+    fiber_degree below 2, raises InvalidParameter before any window is run.
     """
     t0 = time.perf_counter()
     timings = {}
     findings = []
     require_field(field)
+    if var_cap < 1:
+        raise InvalidParameter(f"var_cap must be at least 1, got {var_cap}", var_cap=var_cap)
     if with_fiber:
         require_degree(fiber_degree)
     lattice_doc = lattice_record(lattice)

@@ -29,6 +29,11 @@ degree j is walked up to faces of j variables, a simplex is told by k
 subtractions, and the only check is the face count per degree.  They are
 the reference the pd-bounded table, with its Euler check, must equal.
 
+ranked_linearly_related is is_linearly_related_oracle as it stood before
+blocks were settled by gluing: the Euler settle, then every other
+induced-2K2 block ranked mod p over its pairing faces.  It is the reference
+the gluing test must agree with.
+
 Packing and packed_levels are the Koszul levels' own packing as it stood
 before they were built on the ring's semigroup (binomials.Semigroup): a
 field for every row and column, each with a guard bit set in every packed
@@ -44,13 +49,20 @@ from operator import and_
 
 from fiber_reference import monomial_images
 from hibilab.betti import (
+    _2k2_multidegrees,
     _bits,
     _block_faces,
     _boundary_rank,
     _cap_block,
+    _hochster_h2,
+    _induced_2k2,
+    _initial_basis,
+    _pairing_faces,
+    _pairing_supports,
     _rank_mod_p,
     reduced_homology as mask_homology,
 )
+from hibilab.binomials import _lead_graph, require_field
 from hibilab.errors import VerificationFailed
 
 
@@ -392,3 +404,21 @@ def betti_table(ring, gens, field):
         if face_counts != [comb(nvars, s) * len(levels[j - s]) for s in range(j + 1)]:
             raise VerificationFailed("reference face counts miss the Hilbert function", degree=j)
     return entries
+
+
+def ranked_linearly_related(ring, gens, field, gb=None, var_cap=16):
+    """True iff beta_{1,4}(I) = 0, every block not settled by Euler ranked.
+
+    The arguments and answers are those of is_linearly_related_oracle.
+    """
+    require_field(field)
+    if (gb := _initial_basis(ring, gens, gb, var_cap)) is None:
+        return True
+    adj = _lead_graph(gb.lead_supports, ring.nvars)
+    blocks = []
+    for (rows, cols), h1 in _2k2_multidegrees(ring.points, _induced_2k2(adj)).items():
+        supports = _pairing_supports(ring.index, rows, cols)
+        if h1 > _hochster_h2(adj, supports):
+            return False
+        blocks.append(supports)
+    return not any(mask_homology(_pairing_faces(s), field).get(2) for s in blocks)

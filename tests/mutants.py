@@ -119,6 +119,22 @@ MUTANTS = (
         ("tests/test_betti.py::TestKrull::test_disjoint_triples_are_bounded_by_their_supports",
          "tests/test_properties.py::test_krull_search_matches_exhaustive_on_random_hypergraphs"),
     ),
+    # the gluing test of the linear-relatedness oracle, joining a support
+    # whose intersection with the union is disconnected
+    Mutant(
+        "glue-disconnected", "betti.py",
+        "if meet and reach == meet:",
+        "if meet:",
+        ("tests/test_properties.py::test_gluing_is_sound_on_random_families_of_simplices",
+         "tests/test_betti.py::TestOracles::test_a_cycle_of_simplices_does_not_glue"),
+    ),
+    # the gluing test, joining a support that misses the union
+    Mutant(
+        "glue-empty", "betti.py",
+        "if meet and reach == meet:",
+        "if reach == meet:",
+        ("tests/test_properties.py::test_gluing_is_sound_on_random_families_of_simplices",),
+    ),
     # the entrywise Hochster bound of betti_numbers, turned off
     Mutant(
         "hochster-bound", "betti.py",

@@ -18,8 +18,10 @@ from hibilab.betti import (
     standard_monomial_basis,
     _block_faces,
     _complement_chordal,
+    _glues,
     _induced_2k2,
     _lead_graph,
+    _pairing_faces,
     _semigroup_levels,
     _settled,
 )
@@ -511,6 +513,39 @@ class TestOracles:
                 assert err.value.details == {"orders_tried": list(ORDER_KINDS)}
             # a quadratic squarefree basis is used as given, with no search
             assert oracle(ideal.ring, ideal.generators, gb=ideal.gb) is False
+
+    @pytest.mark.parametrize("supports", [
+        # the hollow triangle: the last edge meets the path in its two ends
+        [0b011, 0b110, 0b101],
+        # a ring of tetrahedra, each meeting the next in an edge: the last
+        # meets the other two in the disjoint edges 01 and 45
+        [0b001111, 0b111100, 0b110011],
+    ])
+    def test_a_cycle_of_simplices_does_not_glue(self, supports):
+        assert not _glues(supports)
+        for field in (32003, 65537):
+            assert reduced_homology(_pairing_faces(supports), field)[2] == 1
+
+    def test_a_block_that_does_not_glue_is_ranked(self, monkeypatch):
+        """The grid-2x2 window (0, 3) is linearly related with one induced-2K2
+        block, which glues, so the oracle takes no rank; with the gluing test
+        refusing every block, that block reaches the rank and is found to
+        have no H~_1."""
+        import hibilab.betti as betti_mod
+
+        ideal = window_ideal(full_grid(2, 2), (0, 3))
+        ranked = []
+
+        def rank(faces, field):
+            ranked.append(faces)
+            return reduced_homology(faces, field)
+
+        monkeypatch.setattr(betti_mod, "reduced_homology", rank)
+        assert is_linearly_related_oracle(ideal.ring, ideal)
+        assert ranked == []
+        monkeypatch.setattr(betti_mod, "_glues", lambda supports: False)
+        assert is_linearly_related_oracle(ideal.ring, ideal)
+        assert len(ranked) == 1
 
     def test_linear_implies_linearly_related(self, small_corpus):
         for name, lat in small_corpus[:8]:

@@ -833,6 +833,74 @@ def test_linear_relatedness_oracle_matches_level_reference(linrel_blocks):
     CASES["linrel-oracle-vs-level-reference"] = len(linrel_blocks)
 
 
+def test_gluing_is_sound_on_random_families_of_simplices():
+    """Gate for the gluing test of is_linearly_related_oracle.
+
+    On seeded random families of supports of 1 to 4 variables drawn from at
+    most 10 vertices, _glues accepts only families whose complex, the union
+    of the full simplices on the supports, has H~_0 = H~_1 = 0 by
+    reduced_homology at 32003 and at 65537.  Both kinds of refusal occur:
+    families with a cycle (H~_1 > 0) and disconnected ones (H~_0 > 0).
+    """
+    from hibilab.betti import _glues, _pairing_faces, reduced_homology
+
+    rng = random.Random(4317)
+    accepted = cyclic = disconnected = 0
+    for _ in range(3000):
+        nverts = rng.randint(2, 10)
+        supports = {
+            sum(1 << v for v in rng.sample(range(nverts), rng.randint(1, min(4, nverts))))
+            for _ in range(rng.randint(1, 8))
+        }
+        homology = {
+            field: reduced_homology(_pairing_faces(supports), field) for field in (32003, 65537)
+        }
+        h0, h1 = (max(hom.get(s, 0) for hom in homology.values()) for s in (1, 2))
+        if _glues(supports):
+            assert h0 == h1 == 0, supports
+            accepted += 1
+        cyclic += h1 > 0
+        disconnected += h0 > 0
+    assert accepted and cyclic and disconnected, (accepted, cyclic, disconnected)
+    CASES["gluing-soundness"] = 3000
+
+
+def test_linear_relatedness_oracle_matches_the_ranked_reference(corpus):
+    """Gate for the gluing test against the route that ranks every block.
+
+    is_linearly_related_oracle equals koszul_reference.ranked_linearly_related
+    (the Euler settle, then a rank mod p for every other block) at var_cap=30,
+    at 32003 and 65537, on every window of the seed-7 and seed-11 corpora
+    and of the 3x3 box (box_lattices): the same answer, or the same error
+    for a window over the cap or with no quadratic squarefree basis.
+    """
+    import koszul_reference as ref
+    from box_lattices import box_lattices
+    from hibilab.betti import is_linearly_related_oracle
+    from hibilab.errors import HibiLabError
+
+    def answer(oracle, ideal, field):
+        try:
+            return oracle(ideal.ring, ideal, field=field, var_cap=30)
+        except HibiLabError as err:
+            return type(err)
+
+    seed11 = generate_corpus(CorpusSpec(seed=11, count=40, max_m=5, max_n=4))
+    lattices = [lat for _, lat in corpus + seed11] + box_lattices(3, 3)
+    windows = related = unrelated = 0
+    for lat in lattices:
+        for w in all_windows(lat):
+            ideal = window_ideal(lat, w)
+            for field in (32003, 65537):
+                want = answer(ref.ranked_linearly_related, ideal, field)
+                assert answer(is_linearly_related_oracle, ideal, field) == want, (lat.points, w)
+                related += want is True
+                unrelated += want is False
+            windows += 1
+    assert related and unrelated, (related, unrelated)
+    CASES["linrel-oracle-vs-ranked-reference"] = windows
+
+
 def test_standard_monomials_match_the_degree_filter(corpus):
     """Gate for standard_monomial_basis on the fiber oracle's packed enumerator.
 

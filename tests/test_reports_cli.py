@@ -484,6 +484,9 @@ class TestInputErrors:
             ["fiber", "--window", "0,2", "--degree", "1"],
             ["betti", "--window", "0,2", "--jmax", "1"],
             ["betti", "--window", "0,2", "--hilbert", "-2"],
+            ["betti", "--window", "0,2", "--cap-vars", "-3"],
+            ["classify", "--cap-vars", "0"],
+            ["suite", "--cap-vars", "0"],
         ],
     )
     def test_bad_parameter_exits_2(self, capsys, monkeypatch, argv):
@@ -525,6 +528,18 @@ class TestInputErrors:
     def test_suite_rejects_field_up_front(self):
         with pytest.raises(InvalidParameter):
             run_suite(full_grid(1, 1), with_fiber=True, field=4)
+
+    @pytest.mark.parametrize("var_cap", [0, -3])
+    def test_suite_rejects_var_cap_up_front(self, monkeypatch, var_cap):
+        import hibilab.reports as reports_mod
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("a window was run")
+
+        monkeypatch.setattr(reports_mod, "WindowContext", unreached)
+        with pytest.raises(InvalidParameter) as err:
+            run_suite(demo_staircase(), windows=[(3, 7)], var_cap=var_cap)
+        assert err.value.details == {"var_cap": var_cap}
 
     @pytest.mark.parametrize("degree", [1, 0, -3])
     def test_fiber_degree_below_two_is_an_input_error(self, monkeypatch, degree):
