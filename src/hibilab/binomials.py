@@ -128,19 +128,33 @@ class Semigroup:
     the order search (L_3) and the oracle share one packing.  size(e) is
     |L_e| (|L_0| = 1), and sizes lists |L_1|, |L_2|, ... as far as built.
 
-    The levels are built over a core.  A point alone in its row (column) is
-    a leaf edge of the row-column graph: its exponent in a monomial is the
-    image's entry at that row (column), so it lies on no binomial of the
+    The levels are counted over a core.  A point alone in its row (column)
+    is a leaf edge of the row-column graph: its exponent in a monomial is
+    the image's entry at that row (column), so it lies on no binomial of the
     toric ideal.  Peeling leaves off again and again (_core_rows) leaves a
     core and b = free peeled points; by induction I = I_core S, S/I =
     K[peeled] (x) S_core/I_core and |L_e| = sum_i C(b + i - 1, i) |L_(e-i)(core)| (_lift).
-    A core level is split by the largest row r of its points: taking a cell
-    (r, j) off a point of L_e leaves one of L_(e-1) with rows <= r, so the
-    parts {q + img(r, j) : q in L_(e-1) with largest row <= r} are disjoint,
-    and q is added only to the cells of rows at or above its own.  L_e
-    overflows iff e times the union of the images reaches a guard, and
-    raises VerificationFailed naming e.  The object holds the ring's points
-    and row masks but not the ring, which holds it.
+
+    The core's rows fall into classes by column mask: class c has mu_c rows
+    and column images T_c.  A point of L_e(core) is a row multiset and a
+    column part that sums one column of each chosen row, so the column
+    parts reachable with a_c rows of each class c depend only on a, and
+    |L_e(core)| = sum_(|a| = e) prod_c C(mu_c + a_c - 1, a_c) |T_1^(+a_1) + ... + T_k^(+a_k)|,
+    T^(+a) the a-fold sumset.  A class of one row keeps the row's s field
+    in its cells; the cells of a larger class are its column images alone.
+    So a level holds, under each key (the counts a_c of the larger classes,
+    one field each), the set of the ints that pack a column part with the
+    counts of the one-row classes, and the set counts _weight(key) times.
+    A level is split by the largest class c of its points: taking a cell of
+    class c off a point of L_e leaves one of L_(e-1) with classes <= c, so
+    the parts {q + cell : q in L_(e-1) with largest class <= c, cell of
+    class c} are disjoint, and q is added only to the cells of classes at
+    or above its own.  With every mu_c = 1 every key is 0 and weighs 1, and
+    this is the split by largest row with a point per int; a full grid
+    window has one class, so its L_e is one column sumset.  L_e overflows
+    iff e times the union of the images reaches a guard, and raises
+    VerificationFailed naming e.  The object holds the ring's points and
+    row masks but not the ring, which holds it.
     """
 
     def __init__(self, points: tuple, rows: tuple):
@@ -158,8 +172,9 @@ class Semigroup:
                            + (j > j0 and 1 << width * (j - j0 - 1)) for i, j in self.points]
             self._used = reduce(or_, self.images, 0)  # a 1 in each field that an image uses
             self.guard = self._used << bits
+            self._columns = (1 << width * span) - 1  # the t fields
             self.sizes = [len(set(self.images))]  # |L_1|, |L_2|, ...
-            self._parts = None  # the core's top level by largest row, from the first level built
+            self._parts = None  # the core's top level by largest class, from the first level built
         return self.images
 
     @lazy
@@ -183,13 +198,37 @@ class Semigroup:
         return sum(map(int.bit_count, self.rows)) - sum(map(int.bit_count, self._core_rows))
 
     def _peel(self):
-        """The core's L_1 by largest row."""
-        cells, core = {}, self._core_rows
-        for (i, j), img in zip(self.points, self.images):
-            if core[i] >> j & 1:
-                cells.setdefault(i, set()).add(img)
-        self._cells = self._parts = [cells[i] for i in sorted(cells)]
-        self._core = [1, sum(map(len, self._cells))]  # |L_0(core)|, |L_1(core)|, ...
+        """The core's classes and their cells, which are its L_1 by largest class."""
+        core = self._core_rows
+        mu = {}  # column mask -> the core rows with it, classes in the order of their first row
+        for r in filter(None, core):
+            mu[r] = mu.get(r, 0) + 1
+        cells = {r: set() for r in mu}
+        if mu:  # a forest peels to no core
+            # a row of its own class keeps its s field, the rows of a larger class drop theirs
+            keep = [-1 if mu.get(r) == 1 else self._columns for r in core]
+            for (i, j), img in zip(self.points, self.images):
+                if core[i] >> j & 1:
+                    cells[core[i]].add(img & keep[i])
+        self._cells = list(cells.values())
+        self._core = [1, sum(map(mul, mu.values(), map(len, self._cells)))]  # |L_0(core)|, |L_1(core)|, ...
+        # a class's unit of key: a field of its own for a class of several rows, 0 for one row
+        width, self._mu, self._steps = self.capacity.bit_length() + 1, [], []
+        for n in mu.values():
+            self._steps.append(n > 1 and 1 << width * len(self._mu))
+            if n > 1:
+                self._mu.append(n)  # the classes of several rows, in key field order
+        self._parts = [{step: part} for step, part in zip(self._steps, self._cells)]
+
+    def _weight(self, key: int) -> int:
+        """prod_c C(mu_c + a_c - 1, a_c), the row multisets with the counts
+        a_c of the classes of more than one row that key packs."""
+        width, weight = self.capacity.bit_length() + 1, 1
+        for mu in self._mu:
+            a = key & self.capacity
+            weight *= comb(mu + a - 1, a)
+            key >>= width
+        return weight
 
     def size(self, e: int) -> int:
         if e < 0:
@@ -198,14 +237,25 @@ class Semigroup:
         if self._parts is None and len(self.sizes) < e:
             self._peel()
         while len(self.sizes) < e:
-            if (len(self.sizes) + 1) * self._used & self.guard:
-                raise VerificationFailed("a semigroup entry overflows", degree=len(self.sizes) + 1)
-            below, grown = [], []  # below: the points of the top level with largest row <= r
-            for part, images in zip(self._parts, self._cells):
-                below.extend(part)
-                grown.append({q + img for q in below for img in images})
+            degree = len(self.sizes) + 1
+            if degree * self._used & self.guard:
+                raise VerificationFailed("a semigroup entry overflows", degree=degree)
+            # by largest class, then by key: the counts of the classes of several rows
+            below, grown = {}, []  # below: the top level's points with largest class <= c, by key
+            by_key = {}  # key -> the number of ints under it
+            for part, cells, step in zip(self._parts, self._cells, self._steps):
+                for key, points in part.items():
+                    if key in below:
+                        below[key].extend(points)
+                    else:
+                        below[key] = [*points]
+                part = {}
+                for key, points in below.items():
+                    part[key + step] = top = {q + cell for q in points for cell in cells}
+                    by_key[key + step] = by_key.get(key + step, 0) + len(top)
+                grown.append(part)
             self._parts = grown
-            self._core.append(sum(map(len, grown)))
+            self._core.append(sum(map(mul, map(self._weight, by_key), by_key.values())))
             self.sizes.append(_lift(self._core, self.free))
         return self.sizes[e - 1] if e else 1
 
@@ -741,7 +791,11 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
 
     Let G be the generators led under an order, I the toric ideal of the
     window (the kernel of its monomial map) and L_d the semigroup level of
-    degree d, so dim (S/I)_d = |L_d|.  When every generator is a balanced
+    degree d, so dim (S/I)_d = |L_d|.  ring.semigroup counts |L_2| and |L_3|
+    by row classes (Semigroup): with mu_c core rows of column mask c,
+    |L_d(core)| = sum_(|a| = d) prod_c C(mu_c + a_c - 1, a_c) |T_1^(+a_1) +
+    ... + T_k^(+a_k)|, so the full window of a grid, one class, needs one
+    column sumset per level.  When every generator is a balanced
     quadric (so G lies in I), its lead is a squarefree quadric, and the
     distinct leads are the edges of a lead graph on the n variables.  The
     degree-d monomials that no lead divides number std_2 = n + #non-edges
@@ -755,7 +809,9 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
         only standard terms of in(I), hence is 0; coprime leads reduce to 0 by
         Buchberger's first criterion.  The report is then G interreduced,
         with the lead pairs sharing a variable as the S-pairs processed,
-        which is what buchberger processes when it adds nothing.
+        which is what buchberger processes when it adds nothing.  They are
+        counted, not processed, so _SPAIR_BUDGET, which bounds buchberger's
+        pairs, does not hold for them.
     (b) An order passing (a) proves (G)_d = I_d for d = 2, 3, which holds for
         every order.  Under an order with std_2 = |L_2| but std_3 != |L_3|,
         in(G)_3 is then smaller than in((G))_3 while in(G)_2 is all of
@@ -817,10 +873,6 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
             continue  # (b)
         if spairs is None:
             report = buchberger(_binomials(led, layout), order)
-        elif spairs > _SPAIR_BUDGET:
-            raise DegreeInfeasible(
-                "S-pair budget exhausted", budget=_SPAIR_BUDGET, spairs=_SPAIR_BUDGET + 1
-            )
         else:
             report = _report(_reduced(led, layout), layout, spairs, order)
         if report.quadratic and report.squarefree:

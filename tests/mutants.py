@@ -81,6 +81,13 @@ MUTANTS = (
         "return core[e]",
         ("tests/test_peeled_core.py::test_core_route_matches_the_references",),
     ),
+    # the semigroup level counted by row classes, each pair weighed as one row multiset
+    Mutant(
+        "class-weight-dropped", "binomials.py",
+        "weight *= comb(mu + a - 1, a)",
+        "weight *= 1",
+        ("tests/test_semigroup.py::test_class_counts_match_the_row_split_build",),
+    ),
     # the Koszul levels built on the semigroup's images as packed, not widened
     Mutant(
         "levels-not-widened", "betti.py",

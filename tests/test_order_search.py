@@ -35,7 +35,7 @@ from hibilab.binomials import (
     order_search,
     window_ideal,
 )
-from hibilab.errors import VerificationFailed
+from hibilab.errors import DegreeInfeasible, VerificationFailed
 from hibilab.reports import CorpusSpec, demo_staircase, full_grid, generate_corpus
 from hibilab.windows import all_windows
 
@@ -225,6 +225,18 @@ def test_coprime_leads_build_no_semigroup_level(corpus, buchberger_calls):
         else:
             assert len(ring.semigroup.sizes) == 3
     assert (windows, coprime) == (186, 45)
+
+
+def test_counted_orders_are_not_held_to_the_spair_budget(monkeypatch, buchberger_calls):
+    """The S-pair budget holds for the pairs Buchberger processes: an order
+    decided by counting reports its lead pairs sharing a variable and
+    answers past the budget, where Buchberger on the same generators stops."""
+    monkeypatch.setattr(binomials_mod, "_SPAIR_BUDGET", 5)
+    found = window_ideal(full_grid(3, 3), (0, 6))
+    assert buchberger_calls == [] and _passes(found.gb) and found.gb.spairs_processed > 5
+    with pytest.raises(DegreeInfeasible) as err:
+        buchberger(found.generators, found.order)
+    assert err.value.details == {"budget": 5, "spairs": 6}
 
 
 @pytest.mark.parametrize("lattice, kind, failing", [

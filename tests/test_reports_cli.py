@@ -142,6 +142,21 @@ class TestRunSuite:
         assert rep.findings == [] and rec["skipped"] == []
         assert rec["krull"] == rec["dimension"] == 25
 
+    def test_full_20x20_grid_is_certified_by_counting(self):
+        # rank-lex is decided by counting |L_2| and |L_3|, one column sumset
+        # each on the grid's one class of rows; its lead pairs sharing a
+        # variable, reported as S-pairs, are far past the S-pair budget,
+        # which holds only for pairs that Buchberger processes
+        from hibilab.binomials import _SPAIR_BUDGET
+
+        rep = run_suite(full_grid(20, 20), windows=[(0, 40)])
+        rec = rep.stable["windows"][0]
+        assert rep.findings == [] and rec["skipped"] == []
+        assert rec["krull"] == rec["dimension"] == 41
+        gb = rec["gb"]
+        assert (gb["order"], gb["quadratic"], gb["squarefree"]) == ("rank-lex", True, True)
+        assert gb["spairs"] == 9_961_700 > _SPAIR_BUDGET
+
     def test_shape_route_covers_oversize_connected_window(self):
         rep = run_suite(demo_staircase(), windows=[(0, 9)])
         rec = rep.stable["windows"][0]
