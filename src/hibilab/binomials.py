@@ -3,12 +3,13 @@
 Monomials at the API edge are dense exponent tuples over the window's
 variables (one variable per band point, canonically sorted by (rank, i)).
 Inside, the straightening law gives each term as a sparse tuple of variable
-indices, and the order search, Buchberger, its reducer and the
-interreduction pack terms into ints (_Layout); a WindowIdeal and a
-GroebnerReport keep them packed and unpack only when their generators or
-basis are read.  Every polynomial handled here is a pure difference of two
-monomials, so S-polynomials and reductions stay binomial and all
-coefficients stay +1/-1; Buchberger below is specialized accordingly.  The
+indices.  The order search leads and counts them on those indices (_Led);
+Buchberger, its reducer and the interreduction pack terms into ints
+(_Layout).  A WindowIdeal and a GroebnerReport pack their generators and
+basis on first read, and unpack them only when their Binomials are read.
+Every polynomial handled here is a pure difference of two monomials, so
+S-polynomials and reductions stay binomial and all coefficients stay
++1/-1; Buchberger below is specialized accordingly.  The
 toric side is the monomial map sending the variable at (i, j) to s_i t_j;
 fibers of that map give an independent membership, generation and Groebner
 certificate.
@@ -20,9 +21,9 @@ import heapq
 import os
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, repeat, starmap
 from math import comb, isqrt
-from operator import itemgetter, mul, neg, or_
+from operator import eq, floordiv, itemgetter, mod, mul, neg, or_
 
 from .errors import DegreeInfeasible, InvalidParameter, VerificationFailed
 from .lattice import PlanarLattice, lazy, row_masks
@@ -364,26 +365,150 @@ def _straightening_pairs(ring: WindowRing):
 
 def _oriented(pairs, order: MonomialOrder):
     """The binomials a - b of the sparse term pairs (a, b), led under order and sorted by it."""
-    pairs = list(pairs)
-    layout = _Layout(order, _width(max(map(len, chain.from_iterable(pairs)), default=0)))
-    return list(_binomials(_led_pairs(pairs, layout), layout))
+    led = _Led(order, list(pairs))
+    return list(_binomials(led.elements, led.layout))
 
 
-def _led_pairs(pairs, layout: "_Layout"):
-    """The binomials a - b of the sparse term pairs (a, b) as packed (lead,
-    trail) ints, one shift per variable, sorted by the order's int keys
-    lead ^ flip, then trail ^ flip; terms that cancel drop out and a repeated
-    binomial comes once.  The layout's fields must hold every term."""
-    unit, top, flip = layout.units.__getitem__, layout.top, layout.flip
-    keys = set()
-    for a, b in pairs:
-        ka = (sum(map(unit, a)) + (len(a) << top)) ^ flip
-        kb = (sum(map(unit, b)) + (len(b) << top)) ^ flip
-        if ka > kb:
-            keys.add((ka, kb))
-        elif ka != kb:
-            keys.add((kb, ka))
-    return tuple([(lead ^ flip, trail ^ flip) for lead, trail in sorted(keys)])
+class _Led:
+    """Binomials led under an order and sorted by it, held by variable index
+    and packed on first read.
+
+    The rank of a variable is its field in the lex layout of the order
+    (_Layout): n - 1 less its place in order.sig.  A term of degree d has
+    the code (d n^d + sum_i r_i n^(d - i)) n^(D - d), its ranks r_1 .. r_d
+    taken in descending order under lex and ascending order under revlex,
+    and D the largest degree.  Codes compare as the order compares the
+    terms: degree first; then lex leads the term with the smaller ascending
+    tuple of places in sig, which is the larger descending tuple of ranks,
+    and revlex the term with the smaller descending tuple of places, the
+    larger ascending tuple of ranks.  A binomial's code is lead * base +
+    trail, base = (D + 1) n^D, and codes lists them ascending, which is the
+    order of the packed keys (lead ^ flip, trail ^ flip); terms that cancel
+    drop out and a repeated binomial comes once.  When every term is a
+    quadric (quadric), a code is 2 n^2 + r_1 n + r_2, read without a loop.
+
+    elements packs the binomials into (lead, trail) ints of layout, whose
+    fields hold every term, on first read; lead_supports reads the quadric
+    leads by index and other leads off the packing.  packed() holds
+    Buchberger's packed basis instead, with no codes.  size is the count.
+    With no pair (the zero ideal) every read is set up front, with no
+    layout.
+    """
+
+    codes, size, degree, quadric, base = (), 0, 0, True, 1  # with no pair
+
+    def __init__(self, order: MonomialOrder, pairs=()):
+        self.order = order
+        if not pairs:
+            self.__dict__.update(elements=(), layout=None, lead_supports=(), lead_pairs=[])
+            return
+        lengths = set(map(len, chain.from_iterable(pairs)))
+        self.degree, self.quadric = max(lengths), lengths == {2}
+        self.base = (self.degree + 1) * len(order.sig) ** self.degree
+        self.codes = self._lead(pairs)
+        self.size = len(self.codes)
+
+    def _lead(self, pairs) -> list:
+        """The binomials' codes, ascending; quadrics are coded inline, with
+        no call per term."""
+        n, base = len(self.order.sig), self.base
+        rank = [0] * n
+        for r, k in enumerate(reversed(self.order.sig)):
+            rank[k] = r
+        lex, keys = self.order.style == "lex", set()
+        if self.quadric:
+            two = 2 * n * n
+            for (a0, a1), (b0, b1) in pairs:
+                x, y = rank[a0], rank[a1]
+                ka = two + (x * n + y if (x > y) == lex else y * n + x)
+                x, y = rank[b0], rank[b1]
+                kb = two + (x * n + y if (x > y) == lex else y * n + x)
+                if ka > kb:
+                    keys.add(ka * base + kb)
+                elif ka != kb:
+                    keys.add(kb * base + ka)
+        else:
+            def code(term):
+                c = 0
+                for r in sorted(map(rank.__getitem__, term), reverse=lex):
+                    c = c * n + r
+                return (len(term) * n ** len(term) + c) * n ** (self.degree - len(term))
+
+            for a, b in pairs:
+                ka, kb = code(a), code(b)
+                if ka != kb:
+                    keys.add(ka * base + kb if ka > kb else kb * base + ka)
+        return sorted(keys)
+
+    @classmethod
+    def packed(cls, order: MonomialOrder, elements, layout: "_Layout") -> "_Led":
+        led = cls.__new__(cls)
+        led.order, led.codes, led.size, led.quadric = order, None, len(elements), False
+        led.__dict__.update(elements=tuple(elements), layout=layout)
+        return led
+
+    @lazy
+    def layout(self):
+        """The order's layout for terms up to the largest degree; None with no binomial."""
+        return _Layout(self.order, _width(self.degree)) if self.codes else None
+
+    def _ranks(self, code: int) -> list:
+        """The ranks of the variables of the term with code, one per unit of exponent."""
+        n, top = len(self.order.sig), len(self.order.sig) ** self.degree
+        d, digits = divmod(code, top)
+        digits //= n ** (self.degree - d)
+        ranks = []
+        for _ in range(d):
+            digits, r = divmod(digits, n)
+            ranks.append(r)
+        return ranks
+
+    @lazy
+    def elements(self) -> tuple:
+        if not self.codes:
+            return ()
+        p, base, n = self.layout, self.base, len(self.order.sig)
+        unit = [1 << p.width * f for f in range(n)]  # by rank: the rank is the lex field
+        if self.order.style == "revlex":
+            unit.reverse()  # the revlex field of rank r is n - 1 - r
+        if not self.quadric:
+            def pack(code):
+                ranks = self._ranks(code)
+                return sum(map(unit.__getitem__, ranks)) + (len(ranks) << p.top)
+
+            return tuple([(pack(e // base), pack(e % base)) for e in self.codes])
+        two, degree, out = 2 * n * n, 2 << p.top, []
+        for e in self.codes:
+            lead, trail = divmod(e, base)
+            u, v = divmod(lead - two, n)
+            x, y = divmod(trail - two, n)
+            out.append((unit[u] + unit[v] + degree, unit[x] + unit[y] + degree))
+        return tuple(out)
+
+    @lazy
+    def lead_supports(self):
+        """Each lead's support as a bitmask over the variable indices, or None
+        when a lead is not squarefree."""
+        if self.quadric:
+            if any(starmap(eq, self.lead_pairs)):
+                return None
+            return tuple([1 << a | 1 << b for a, b in self.lead_pairs])
+        p = self.layout
+        if any((lead + p.twice) & p.hi for lead, _ in self.elements):
+            return None
+        return tuple([p.variables(lead) for lead, _ in self.elements])
+
+    @lazy
+    def lead_pairs(self) -> list:
+        """The variables (a, b) of each quadric lead y_a y_b, in order; a == b
+        for a square."""
+        n, base = len(self.order.sig), self.base
+        two, by_rank = 2 * n * n, self.order.sig[::-1]
+        pairs = []
+        for e in self.codes:
+            u, v = divmod(e // base - two, n)
+            pairs.append((by_rank[u], by_rank[v]))
+        return pairs
 
 
 def _binomials(elements, layout: "_Layout | None") -> tuple:
@@ -588,21 +713,30 @@ def _lead_supports(leads):
     return tuple([sum(1 << k for k in compress(count(), lead)) for lead in leads])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroebnerReport:
-    """A reduced basis under order, with flags describing it.
+    """A reduced basis under led's order, with flags describing it.
 
-    elements holds the basis elements, their (lead, trail) packed into ints
-    of layout, which basis and leads unpack on first read; the zero ideal's
-    empty basis has no layout.  len(elements) is the basis size.
+    led holds the basis elements (_Led): Buchberger's packed, and those of
+    an order decided by counting by variable index, as the WindowIdeal's
+    generators when no trail is a lead, in one _Led that both read.
+    elements, their (lead, trail) packed into ints of layout, are built on
+    first read, and basis and leads unpack them; the zero ideal's empty
+    basis has no layout.  size is the basis size, and lead_supports the
+    leads' supports as bitmasks over the variable indices, or None when a
+    lead is not squarefree; neither packs a counted basis.
     """
 
-    elements: tuple
+    led: _Led = field(repr=False)
     quadratic: bool
     squarefree: bool
     spairs_processed: int
-    order: MonomialOrder
-    layout: _Layout | None = field(default=None, compare=False, repr=False)
+
+    order = property(lambda self: self.led.order)
+    elements = property(lambda self: self.led.elements)
+    layout = property(lambda self: self.led.layout)
+    size = property(lambda self: self.led.size)
+    lead_supports = property(lambda self: self.led.lead_supports)
 
     @lazy
     def basis(self) -> tuple:
@@ -611,15 +745,6 @@ class GroebnerReport:
     @property
     def leads(self):
         return tuple(g.lead for g in self.basis)
-
-    @lazy
-    def lead_supports(self):
-        """Each lead's support as a bitmask over the variable indices, read
-        off the packed leads, or None when a lead is not squarefree."""
-        p = self.layout
-        if any((lead + p.twice) & p.hi for lead, _ in self.elements):
-            return None
-        return tuple([p.variables(lead) for lead, _ in self.elements])
 
 
 def _interreduce(items, layout: _Layout):
@@ -658,7 +783,7 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
     """
     gens = tuple(gens)  # a rerun reads them again
     if not gens:
-        return GroebnerReport((), True, True, 0, order)
+        return GroebnerReport(_Led(order), True, True, 0)
     width = _width(max(max(sum(g.lead), sum(g.trail)) for g in gens))
     while not isinstance(report := _buchberger(gens, order, width), GroebnerReport):
         width = _width(report)
@@ -717,53 +842,69 @@ def _buchberger(gens, order: MonomialOrder, width: int):
         leads.append(lead)
         supports.append((lead + low) & hi)
         push_pairs(len(leads) - 1)
-    return _report(_interreduce(items, p), p, processed, order)
+    return _report(_Led.packed(order, _interreduce(items, p), p), processed)
 
 
-def _report(reduced, layout: _Layout, spairs: int, order: MonomialOrder) -> GroebnerReport:
-    """The report on the packed reduced basis, its flags read off the ints;
-    the basis stays packed."""
-    hi, twice = layout.hi, layout.twice
+def _report(led: _Led, spairs: int) -> GroebnerReport:
+    """The report on the reduced basis led, its flags read off the packed
+    ints; the basis stays packed."""
+    p = led.layout
     return GroebnerReport(
-        elements=tuple(reduced),
-        quadratic=all(lead >> layout.top == 2 for lead, _ in reduced),
-        squarefree=not any((lead + twice) & hi or (trail + twice) & hi for lead, trail in reduced),
+        led,
+        quadratic=all(lead >> p.top == 2 for lead, _ in led.elements),
+        squarefree=not any((lead + p.twice) & p.hi or (trail + p.twice) & p.hi
+                           for lead, trail in led.elements),
         spairs_processed=spairs,
-        order=order,
-        layout=layout,
     )
 
 
-def _reduced(led, layout: _Layout):
-    """The reduced basis of a Groebner basis led whose leads are distinct,
-    all of one degree d, with no trail above d: led itself, sorted by key,
-    unless a trail equals a lead, and _interreduce's basis then.
+def _counted(led: _Led, spairs: int) -> GroebnerReport:
+    """The report on the generators led, a Groebner basis by counting or by
+    coprime leads (order_search's (a) and (c)): their leads are distinct,
+    all of one degree d, with no trail above d.  The reduced basis is led
+    itself unless a trail equals a lead, and _interreduce's basis then.
 
     No lead divides another (distinct, of one degree), and a lead divides a
     trail of degree at most d only when the two are equal, so with no trail
-    among the leads every element is already reduced.
+    among the leads every element is already reduced.  That test runs on
+    the term codes (_Led), and so do the flags of quadric terms: the square
+    y_r^2 of the variable of rank r has the code 2 n^2 + r (n + 1).  Other
+    terms' flags are read off the packing (_report).
     """
-    leads = {lead for lead, _ in led}
-    if any(trail in leads for _, trail in led):
-        return _interreduce(led, layout)
-    return led
+    base, codes = led.base, led.codes
+    trails = set(map(mod, codes, repeat(base)))
+    if not trails.isdisjoint(map(floordiv, codes, repeat(base))):
+        reduced = _interreduce(led.elements, led.layout)
+        return _report(_Led.packed(led.order, reduced, led.layout), spairs)
+    if not led.quadric:
+        return _report(led, spairs)
+    n = len(led.order.sig)
+    squares = range(2 * n * n, 3 * n * n, n + 1)
+    squarefree = led.lead_supports is not None and trails.isdisjoint(squares)
+    return GroebnerReport(led, True, squarefree, spairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowIdeal:
     """Generators plus the first candidate order giving a quadratic squarefree basis.
 
-    elements holds the generators led under order, their (lead, trail)
-    packed into ints of layout, which generators unpacks on first read; the
-    zero ideal has none and no layout.  len(elements) is the generator count.
+    led holds the generators led under order (_Led), by variable index,
+    and shares them with gb when the order was decided by counting and no
+    trail is a lead.  elements, their (lead, trail) packed into ints of
+    layout, are built on first read, and generators unpacks them; the zero
+    ideal has none and no layout.  size is the generator count, which
+    is_zero and is_principal read without packing.
     """
 
     ring: WindowRing
     order: MonomialOrder
     gb: GroebnerReport
     orders_tried: tuple
-    elements: tuple = ()
-    layout: _Layout | None = field(default=None, compare=False, repr=False)
+    led: _Led = field(repr=False)
+
+    elements = property(lambda self: self.led.elements)
+    layout = property(lambda self: self.led.layout)
+    size = property(lambda self: self.led.size)
 
     @lazy
     def generators(self) -> tuple:
@@ -771,11 +912,11 @@ class WindowIdeal:
 
     @property
     def is_zero(self) -> bool:
-        return not self.elements
+        return not self.led.size
 
     @property
     def is_principal(self) -> bool:
-        return len(self.elements) == 1
+        return self.led.size == 1
 
 
 def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
@@ -785,9 +926,17 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
     (_straightening_pairs, _sparse_term).  kinds is "auto" (try rank-lex,
     rank-revlex, lex, revlex in that order) or a single kind; monomial_order
     rejects any other value.  Returns the WindowIdeal of the winning order
-    or, if none qualifies, of the last one, with the report's flags down;
-    generators and basis stay packed.  The answer is buchberger's under each
-    order tried in turn; most orders are decided by counting instead.
+    or, if none qualifies, of the last one, with the report's flags down.
+    The answer is buchberger's under each order tried in turn; most orders
+    are decided by counting instead.
+
+    Each candidate leads the generators on variable indices (_Led): a term
+    leads when its tuple of places in the order's significance list sig is
+    the smaller, ascending under lex and descending under revlex, and equal
+    terms drop out.  Nothing is packed unless buchberger runs ((d)), a trail
+    equals a lead, an order is counted ((c)) with a generator that is not a
+    quadric (its flags are read off the packing), or elements, generators
+    or basis are read, and then in the packed route's sorted order.
 
     Let G be the generators led under an order, I the toric ideal of the
     window (the kernel of its monomial map) and L_d the semigroup level of
@@ -831,14 +980,15 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
         with no later candidate passing (a), such as a single kind.
 
     In (a) and (c) the leads are distinct and no trail outranks them, so G
-    interreduced is G itself unless a trail equals a lead (_reduced).
+    interreduced is G itself, and the report shares the ideal's _Led,
+    unless a trail equals a lead (_counted).
     """
     kinds = ORDER_KINDS if kinds == "auto" else (kinds,)
     pairs = list(pairs)
     if not pairs:  # the zero ideal passes under the first order
         order = monomial_order(kinds[0], ring)
-        return WindowIdeal(ring, order, buchberger([], order), kinds[:1])
-    width = _width(max(map(len, chain.from_iterable(pairs))))
+        report = buchberger([], order)
+        return WindowIdeal(ring, order, report, kinds[:1], report.led)
     img = ring.semigroup.wide(2) if len(pairs) > 1 else ()
     quadrics = len(pairs) > 1 and all(  # two generators or more, quadrics of one image each
         len(a) == 2 == len(b) and img[a[0]] + img[a[1]] == img[b[0]] + img[b[1]] for a, b in pairs)
@@ -846,13 +996,11 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
     candidates = {}
 
     def candidate(k):
-        """(order, layout, led pairs, lead-graph counts when every generator
-        is a balanced quadric)"""
+        """(led generators, lead-graph counts when every generator is a
+        balanced quadric)"""
         if k not in candidates:
-            order = monomial_order(kinds[k], ring)
-            layout = _Layout(order, width)
-            led = _led_pairs(pairs, layout)
-            candidates[k] = order, layout, led, quadrics and _lead_graph_counts(led, layout)
+            led = _Led(monomial_order(kinds[k], ring), pairs)
+            candidates[k] = led, quadrics and _lead_graph_counts(led.lead_pairs, ring.nvars)
         return candidates[k]
 
     def passes_a(counts):
@@ -860,58 +1008,48 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
 
     tried = []
     for k, kind in enumerate(kinds):
-        order, layout, led, counts = candidate(k)
+        led, counts = candidate(k)
         tried.append(kind)
         spairs = None  # the S-pairs processed, when the order is decided without buchberger
-        if len(led) <= 1 or counts and not counts[2]:
+        if led.size <= 1 or counts and not counts[2]:
             spairs = 0  # (c)
         elif passes_a(counts):
             spairs = counts[2]  # (a)
         elif counts and counts[0] == ring.semigroup.size(2) and any(
-            passes_a(candidate(later)[3]) for later in range(k + 1, len(kinds))
+            passes_a(candidate(later)[1]) for later in range(k + 1, len(kinds))
         ):
             continue  # (b)
         if spairs is None:
-            report = buchberger(_binomials(led, layout), order)
+            report = buchberger(_binomials(led.elements, led.layout), led.order)
         else:
-            report = _report(_reduced(led, layout), layout, spairs, order)
+            report = _counted(led, spairs)
         if report.quadratic and report.squarefree:
             break
-    return WindowIdeal(ring, order, report, tuple(tried), led, layout)
+    return WindowIdeal(ring, led.order, report, tuple(tried), led)
 
 
-def _lead_graph_counts(led, layout: _Layout):
-    """(std_2, std_3, lead pairs sharing a variable) for the packed (lead,
-    trail) keys of led, or None unless the leads are distinct squarefree
-    quadrics.
+def _lead_graph_counts(leads, nvars: int):
+    """(std_2, std_3, lead pairs sharing a variable) for the quadric leads
+    y_a y_b given as their variables (a, b), or None unless the leads are
+    distinct and squarefree.
 
-    Variables are the guard bits of their fields, and near[v] is the mask
-    of v's neighbours in the lead graph.  Of the triples of variables, t_k
-    span k edges: the edges meet n - 2 triples each, so t_1 + 2 t_2 + 3 t_3
-    = #edges (n - 2), and the lead pairs sharing a variable number t_2 +
-    3 t_3.  So the independent triples number t_0 = C(n, 3) - #edges (n - 2)
-    + #pairs sharing a variable - #triangles, and an edge uv closes one
-    triangle per bit of near[u] & near[v].
+    near[a] is the mask of a's neighbours in the lead graph.  Of the triples
+    of variables, t_k span k edges: the edges meet n - 2 triples each, so
+    t_1 + 2 t_2 + 3 t_3 = #edges (n - 2), and the lead pairs sharing a
+    variable number t_2 + 3 t_3.  So the independent triples number t_0 =
+    C(n, 3) - #edges (n - 2) + #pairs sharing a variable - #triangles, and
+    an edge ab closes one triangle per bit of near[a] & near[b].
     """
-    hi, low, twice, top = layout.hi, layout.low, layout.twice, layout.top
-    near = {}
-    edges = []
-    for lead, _ in led:
-        if lead >> top != 2 or (lead + twice) & hi:
-            return None
-        support = (lead + low) & hi
-        u = support & -support
-        v = support ^ u
-        if near.get(u, 0) & v:
-            return None  # a repeated lead
-        near[u] = near.get(u, 0) | v
-        near[v] = near.get(v, 0) | u
-        edges.append((u, v))
-    nvars = top // layout.width
-    overlaps = sum(comb(mask.bit_count(), 2) for mask in near.values())
-    triangles = sum((near[u] & near[v]).bit_count() for u, v in edges) // 3
-    non_edges = comb(nvars, 2) - len(edges)
-    triples = comb(nvars, 3) - len(edges) * (nvars - 2) + overlaps - triangles
+    near = [0] * nvars
+    for a, b in leads:
+        if a == b or near[a] >> b & 1:
+            return None  # a square or a repeated lead
+        near[a] |= 1 << b
+        near[b] |= 1 << a
+    overlaps = sum(comb(mask.bit_count(), 2) for mask in near)
+    triangles = sum((near[a] & near[b]).bit_count() for a, b in leads) // 3
+    non_edges = comb(nvars, 2) - len(leads)
+    triples = comb(nvars, 3) - len(leads) * (nvars - 2) + overlaps - triangles
     return nvars + non_edges, nvars + 2 * non_edges + triples, overlaps
 
 

@@ -309,8 +309,8 @@ def run_suite(
             ideal = ctx.ideal
             rec["gb"] = {
                 "order": ideal.order.name,
-                "generators": len(ideal.elements),
-                "size": len(ideal.gb.elements),
+                "generators": ideal.size,
+                "size": ideal.gb.size,
                 "quadratic": ideal.gb.quadratic,
                 "squarefree": ideal.gb.squarefree,
                 "spairs": ideal.gb.spairs_processed,

@@ -33,6 +33,7 @@ from hibilab.binomials import (
     Monomial,
     MonomialOrder,
     _Layout,
+    _Led,
     _width,
     buchberger as packed_buchberger,
     mono_squarefree,
@@ -222,12 +223,10 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
     reduced = _interreduce(basis, order)
     elements, layout = packed(reduced, order)
     return GroebnerReport(
-        elements=elements,
+        _Led.packed(order, elements, layout),
         quadratic=all(sum(g.lead) == 2 for g in reduced),
         squarefree=all(mono_squarefree(g.lead) and mono_squarefree(g.trail) for g in reduced),
         spairs_processed=processed,
-        order=order,
-        layout=layout,
     )
 
 

@@ -39,6 +39,7 @@ from hibilab.binomials import (
     DEFAULT_FIELD,
     FiberCertificate,
     FiberDegreeRecord,
+    _Led,
     default_budget,
 )
 from hibilab.errors import DegreeInfeasible
@@ -83,7 +84,7 @@ def with_basis(gb, basis):
     """gb with its basis replaced by the Binomials of basis, packed in a
     layout of gb's order wide enough for them."""
     elements, layout = packed(basis, gb.order)
-    return replace(gb, elements=elements, layout=layout)
+    return replace(gb, led=_Led.packed(gb.order, elements, layout))
 
 
 def image_of_monomial(ring, mono):

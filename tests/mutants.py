@@ -41,9 +41,16 @@ MUTANTS = (
     # the independent triples of the lead graph, counted without its triangles
     Mutant(
         "lead-graph-triangles", "binomials.py",
-        "triples = comb(nvars, 3) - len(edges) * (nvars - 2) + overlaps - triangles",
-        "triples = comb(nvars, 3) - len(edges) * (nvars - 2) + overlaps",
-        ("tests/test_order_search.py",),
+        "triples = comb(nvars, 3) - len(leads) * (nvars - 2) + overlaps - triangles",
+        "triples = comb(nvars, 3) - len(leads) * (nvars - 2) + overlaps",
+        ("tests/test_order_search.py::test_lead_graph_counts_match_enumeration",),
+    ),
+    # the index route's orientation, revlex leading as lex does
+    Mutant(
+        "revlex-leads-as-lex", "binomials.py",
+        'lex, keys = self.order.style == "lex", set()',
+        "lex, keys = True, set()",
+        ("tests/test_order_search.py::test_index_route_matches_the_packed_route_on_random_quadrics",),
     ),
     # a semigroup level whose additions overflow a field, let through
     Mutant(

@@ -22,6 +22,7 @@ from hibilab.betti import (
     _induced_2k2,
     _lead_graph,
     _pairing_faces,
+    _pairing_supports,
     _semigroup_levels,
     _settled,
 )
@@ -525,6 +526,18 @@ class TestOracles:
         assert not _glues(supports)
         for field in (32003, 65537):
             assert reduced_homology(_pairing_faces(supports), field)[2] == 1
+
+    def test_a_block_that_glued_only_in_sorted_order_glues(self):
+        """The block of rows (1, 3, 6, 7) and columns (2, 3, 4, 7) of the 8x8
+        full window has 24 supports, which did not glue in the iteration
+        order of their set, though its H~_1 is 0 by rank.  Glued in
+        ascending order they do, whatever order they are given in."""
+        ring = WindowRing.for_window(full_grid(8, 8), (0, 16))
+        supports = _pairing_supports(ring.index, (1, 3, 6, 7), (2, 3, 4, 7))
+        assert len(supports) == 24
+        assert _glues(supports) and _glues(sorted(supports, reverse=True))
+        for field in (32003, 65537):
+            assert not reduced_homology(_pairing_faces(supports), field).get(2)
 
     def test_a_block_that_does_not_glue_is_ranked(self, monkeypatch):
         """The grid-2x2 window (0, 3) is linearly related with one induced-2K2

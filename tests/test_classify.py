@@ -19,7 +19,7 @@ from hibilab.errors import (
     VerificationFailed,
 )
 from hibilab.lattice import validate_planar_lattice
-from hibilab.reports import demo_staircase, ell_lattice, full_grid
+from hibilab.reports import demo_staircase, ell_lattice, full_grid, lattice_from_columns
 from hibilab.windows import Polyomino, all_windows, generators, polyomino
 
 
@@ -326,3 +326,16 @@ class TestTransposition:
         a = {(w.p, w.q) for w in enumerate_linrel_windows(lat)}
         b = {(w.p, w.q) for w in enumerate_linrel_windows(lat.transpose())}
         assert a == b
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the corner rule calls this 15-variable window with both left corners "
+    "cut linearly related, and the oracle, the Betti table and the 2K2 oracle "
+    "say it is not (beta_{1,4} = 1); the shape route is not yet mended",
+)
+def test_corner_rule_agrees_with_the_oracle_on_a_two_corner_cut():
+    lat = lattice_from_columns({0: (0, 3), 1: (0, 3), 2: (0, 4), 3: (0, 4)})
+    shape = classify_window(lat, (2, 7), var_cap=30)
+    oracle = classify_window(lat, (2, 7), mode="oracle-only", var_cap=30)
+    assert shape.linearly_related == oracle.linearly_related

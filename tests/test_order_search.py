@@ -9,6 +9,11 @@ built cases where counting cannot decide, on built rings where a trail is a
 lead and the led generators must be interreduced, and on the windows whose
 leads share no variable, which need no semigroup level.  Both searches take
 the generators' terms as sparse tuples of variable indices.
+
+`order_search_reference.order_search` is the packed route the search took
+before it led and counted on variable indices; the package's WindowIdeal
+must equal it in every field on every seed-7, seed-11 and 3x3-box window
+and on seeded random generator lists under every order kind.
 """
 
 import random
@@ -17,6 +22,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 import buchberger_reference as ref
+import order_search_reference as search_ref
 from fiber_reference import degree_monomials, image_of_monomial, plain_sizes, semigroup_points
 import hibilab.binomials as binomials_mod
 from hibilab.binomials import (
@@ -262,6 +268,9 @@ def _ring(nvars):
 
 
 def test_lead_graph_counts_match_enumeration():
+    """The counts on the leads' variables, and the reference's on packed
+    leads, equal the standard monomials enumerated, and both refuse a
+    repeated lead and a square."""
     rng = random.Random(2718)
     for _ in range(400):
         nvars = rng.randint(1, 12)
@@ -269,8 +278,7 @@ def test_lead_graph_counts_match_enumeration():
         layout = _Layout(order, _width(2))
         density = rng.random()
         edges = [e for e in combinations(range(nvars), 2) if rng.random() < density]
-        leads = [tuple(int(k in e) for k in range(nvars)) for e in edges]
-        led = [(layout.pack(lead), 0) for lead in leads]
+        led = [(layout.pack(tuple(int(k in e) for k in range(nvars))), 0) for e in edges]
 
         def standard(degree):
             return sum(
@@ -279,13 +287,14 @@ def test_lead_graph_counts_match_enumeration():
             )
 
         overlaps = sum(bool(set(e) & set(f)) for e, f in combinations(edges, 2))
-        assert _lead_graph_counts(led, layout) == (standard(2), standard(3), overlaps)
-        if leads:
-            assert _lead_graph_counts(led + led[:1], layout) is None  # a repeated lead
+        want = (standard(2), standard(3), overlaps)
+        assert _lead_graph_counts(edges, nvars) == search_ref._lead_graph_counts(led, layout) == want
+        if edges:
+            assert _lead_graph_counts(edges + edges[:1], nvars) is None  # a repeated lead
+            assert search_ref._lead_graph_counts(led + led[:1], layout) is None
+        assert _lead_graph_counts(edges + [(0, 0)], nvars) is None  # a square
         square = layout.pack(tuple(2 * (k == 0) for k in range(nvars)))
-        assert _lead_graph_counts(led + [(square, 0)], layout) is None
-        cube = layout.pack(tuple(3 * (k == 0) for k in range(nvars)))
-        assert _lead_graph_counts(led + [(cube, 0)], layout) is None
+        assert search_ref._lead_graph_counts(led + [(square, 0)], layout) is None
 
 
 def test_semigroup_levels_match_tuple_images(small_corpus):
@@ -380,3 +389,91 @@ def test_zero_ideal_builds_no_layout(monkeypatch):
     for kind in ORDER_KINDS:
         report = buchberger([], monomial_order(kind, zero.ring))
         assert (report.elements, report.layout, report.spairs_processed) == ((), None, 0)
+
+
+def _fields(found):
+    """Every field of a search's answer, packed generators and basis in order."""
+    gb = found.gb
+    return (found.order.name, found.order.sig, tuple(found.orders_tried), found.elements,
+            gb.elements, gb.quadratic, gb.squarefree, gb.spairs_processed, gb.lead_supports)
+
+
+def _matches_the_packed_route(ring, pairs, kinds):
+    """The index route's WindowIdeal equals the packed reference's in every
+    field, and a counted basis shared with the generators is read (flags,
+    sizes, lead supports) without being packed.  Whether it was shared."""
+    found = order_search(ring, pairs, kinds)
+    want = search_ref.order_search(ring, pairs, kinds)
+    shared = found.gb.led is found.led
+    supports = found.gb.lead_supports
+    assert (found.size, found.gb.size) == (len(want.elements), len(want.gb.elements))
+    assert found.is_zero == (not want.elements) and found.is_principal == (len(want.elements) == 1)
+    if shared and found.led.quadric and found.size:
+        assert "elements" not in vars(found.led)  # nothing read so far packs
+    assert _fields(found) == _fields(want), (ring.points, pairs, kinds)
+    assert supports == want.gb.lead_supports
+    if want.elements:  # generators that all cancel get no layout
+        assert found.layout.width == want.layout.width
+    return shared
+
+
+@pytest.mark.parametrize("name", ["seed-7", "seed-11", "box-3x3"])
+def test_index_route_matches_the_packed_route_on_every_window(name):
+    """Under auto, every window of the seed-7 and seed-11 corpora and of the
+    3x3 box: the same order, orders tried, packed generators and basis,
+    flags, S-pairs and lead supports as the packed route.  Every window is
+    decided without Buchberger, its basis the generators' own _Led."""
+    from box_lattices import box_lattices
+
+    if name == "box-3x3":
+        lattices = box_lattices(3, 3)
+    else:
+        seed = int(name.split("-")[1])
+        lattices = [lat for _, lat in generate_corpus(CorpusSpec(seed=seed, count=40, max_m=5, max_n=4))]
+    windows = shared = 0
+    for ring, pairs in _windows(lattices):
+        shared += _matches_the_packed_route(ring, pairs, "auto")
+        windows += 1
+    assert (name, windows) in {("seed-7", 764), ("seed-11", 825), ("box-3x3", 5676)}
+    assert shared == windows
+
+
+def _random_quadric_pairs(rng):
+    """A ring of up to 8 points, repeats allowed, and up to 12 pairs of
+    quadric terms: balanced pairs from one fiber of the monomial map,
+    mostly, and some unbalanced ones, squares and cancelling pairs among
+    them; now and then one pair of other degrees."""
+    grid = [(i, j) for i in range(3) for j in range(3)]
+    points = tuple(sorted(rng.choice(grid) for _ in range(rng.randint(2, 8))))
+    ring = WindowRing(m=2, n=2, window=None, points=points)
+    images = ring.semigroup.images
+    fibers = {}
+    for term in combinations_with_replacement(range(ring.nvars), 2):
+        fibers.setdefault(images[term[0]] + images[term[1]], []).append(term)
+    balanced = [fiber for fiber in fibers.values() if len(fiber) > 1]
+    terms = list(combinations_with_replacement(range(ring.nvars), 2))
+    pairs = []
+    for _ in range(rng.randint(1, 12)):
+        if balanced and rng.random() < 0.8:
+            fiber = rng.choice(balanced)
+            pairs.append((rng.choice(fiber), rng.choice(fiber)))
+        else:
+            pairs.append((rng.choice(terms), rng.choice(terms)))
+    if rng.random() < 0.1:
+        pairs.append(tuple(tuple(sorted(rng.choices(range(ring.nvars), k=rng.randint(1, 3))))
+                           for _ in range(2)))
+    return ring, pairs
+
+
+def test_index_route_matches_the_packed_route_on_random_quadrics():
+    """Seeded random generator lists, under each of the four order kinds
+    and auto: the index route answers as the packed route in every field.
+    533 of the 3,000 searches share the generators' _Led with the basis;
+    the others run Buchberger or interreduce."""
+    rng = random.Random(1729)
+    shared = 0
+    for _ in range(600):
+        ring, pairs = _random_quadric_pairs(rng)
+        for kinds in SEARCHES:
+            shared += _matches_the_packed_route(ring, pairs, kinds)
+    assert shared == 533
