@@ -120,12 +120,15 @@ from itertools import accumulate, chain, combinations, groupby, islice, permutat
 from math import comb
 from operator import mul, or_
 
+from . import errors
 from .errors import (
     BudgetExceeded,
     CapExceeded,
     InvalidParameter,
     PreconditionFailed,
     VerificationFailed,
+    check_var_cap,
+    search_budget,
 )
 from .binomials import (
     DEFAULT_FIELD,
@@ -138,7 +141,6 @@ from .binomials import (
     _lead_supports,
     _sparse_term,
     _standard_levels,
-    default_budget,
     order_search,
     require_field,
 )
@@ -271,8 +273,8 @@ def standard_monomial_basis(gb, nvars: int, d_max: int) -> StandardMonomialBasis
     combinations_with_replacement, by the fiber oracle's enumerator
     (binomials._standard_levels) on fields of d_max.bit_length() + 1 bits; a
     lead above d_max divides none of them and is dropped.  Each degree is
-    held to default_budget() on all its monomials before any is enumerated."""
-    budget = default_budget()
+    held to search_budget() on all its monomials before any is enumerated."""
+    budget = search_budget()
     for d in range(d_max + 1):
         if (count := comb(nvars + d - 1, d)) > budget:
             raise BudgetExceeded(
@@ -343,7 +345,7 @@ def krull_dimension_via_initial(gb, nvars: int) -> int:
     descent meets it: on 410 of the 420 seed-7 windows with a lead, the
     search takes no other node.
 
-    Nodes are counted against default_budget(); past it BudgetExceeded
+    Nodes are counted against search_budget(); past it BudgetExceeded
     carries the budget and the node count.
     """
     supports = gb.lead_supports if isinstance(gb, GroebnerReport) else _lead_supports(tuple(gb))
@@ -362,7 +364,7 @@ def krull_dimension_via_initial(gb, nvars: int) -> int:
     for s in larger:
         for v in _bits(s):
             holding.setdefault(1 << v, []).append(s)
-    budget = default_budget()
+    budget = search_budget()
     best = nodes = 0
 
     def grow(face, size, cand):
@@ -473,15 +475,9 @@ def _edge_ring_dimension(ring: WindowRing) -> int:
     return len(_spanning_forest(1 << i | 1 << shift + j for i, j in ring.points))
 
 
-_BLOCK_CAP = 20000  # faces per multidegree block
-
-
-def _cap_block(total, j):
-    if total > _BLOCK_CAP:
-        raise CapExceeded(
-            f"multidegree block exceeds {_BLOCK_CAP} faces",
-            degree=j, faces=total, cap=_BLOCK_CAP,
-        )
+def _cap_block(total, j, cap):
+    if total > cap:
+        raise CapExceeded(f"multidegree block exceeds {cap} faces", degree=j, faces=total, cap=cap)
 
 
 def _block_faces(images, b, mask, j, levels, max_size):
@@ -503,6 +499,7 @@ def _block_faces(images, b, mask, j, levels, max_size):
     in down(T) | T for each of them; the walk folds that into apex.  images
     are the packed images of the variables, as the levels were built.
     """
+    cap = errors.BLOCK_FACE_CAP
     # each face below max_size carries its remainder and that remainder's mask
     layers = [[(0, b, mask)]]
     apex = mask
@@ -525,7 +522,7 @@ def _block_faces(images, b, mask, j, levels, max_size):
             break
         layers.append(nxt)
         total += len(nxt)
-        _cap_block(total, j)
+        _cap_block(total, j, cap)
     counts = [len(layer) for layer in layers]
     if len(layers) == max_size:
         # the faces of size max_size need no lookup: their parents' masks list them
@@ -533,7 +530,7 @@ def _block_faces(images, b, mask, j, levels, max_size):
         size = sum(map(int.bit_count, exts))
         if size:
             counts.append(size)
-            _cap_block(total + size, j)
+            _cap_block(total + size, j, cap)
     if apex:
         return counts, None
     faces = {s: [face for face, _, _ in layer] for s, layer in enumerate(layers)}
@@ -629,8 +626,7 @@ def betti_numbers(
     require_field(field)
     ngens = _require_toric(ring, gens)
     nvars = ring.nvars
-    if var_cap is not None and nvars > var_cap:
-        raise CapExceeded(f"{nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=nvars)
+    check_var_cap(nvars, var_cap)
     if j_max is None:
         j_max = nvars
     entries = {}
@@ -664,7 +660,7 @@ def betti_numbers(
                     if k not in simplices:
                         simplices[k] = 0
                         for total in accumulate(comb(k, s) for s in range(min(k, max_size) + 1)):
-                            _cap_block(total, j)
+                            _cap_block(total, j, errors.BLOCK_FACE_CAP)
                     simplices[k] += 1
                     continue
             counts, faces = _block_faces(images, b, mask, j, levels, max_size)
@@ -721,7 +717,7 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     support restricts to a cone, so only W covered by their supports are
     enumerated; the loop runs over the subsets of the support union with at
     most j_max elements (all of them when j_max is None), and raises
-    BudgetExceeded up front when their number exceeds default_budget().
+    BudgetExceeded up front when their number exceeds search_budget().
     """
     supports = leads.lead_supports if isinstance(leads, GroebnerReport) else _lead_supports(tuple(leads))
     if supports is None:
@@ -729,7 +725,7 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     masks = _minimal_masks(supports)
     union = list(_bits(reduce(or_, masks, 0)))
     top = len(union) if j_max is None else min(j_max, len(union))
-    budget = default_budget()
+    budget = search_budget()
     subsets = sum(comb(len(union), k) for k in range(top + 1))
     if subsets > budget:
         raise BudgetExceeded(
@@ -992,10 +988,7 @@ def _initial_basis(ring, gens, gb, var_cap):
     binomials = None if isinstance(gens, WindowIdeal) else list(gens)
     if (gens.is_zero if binomials is None else not binomials):
         return None
-    if ring.nvars > var_cap:
-        raise CapExceeded(
-            f"{ring.nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=ring.nvars
-        )
+    check_var_cap(ring.nvars, var_cap)
     if binomials is None:
         gb = gens.gb if gb is None else gb
     if gb is None or not (gb.quadratic and gb.squarefree):

@@ -18,14 +18,14 @@ certificate.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, compress, count, islice, repeat, starmap
 from math import comb, isqrt
 from operator import eq, floordiv, itemgetter, mod, mul, neg, or_
 
-from .errors import DegreeInfeasible, InvalidParameter, VerificationFailed
+from . import errors
+from .errors import DegreeInfeasible, InvalidParameter, VerificationFailed, search_budget
 from .lattice import PlanarLattice, lazy, row_masks
 from .windows import RankWindow, as_context
 
@@ -34,8 +34,6 @@ Monomial = tuple
 ORDER_KINDS = ("rank-lex", "rank-revlex", "lex", "revlex")
 
 DEFAULT_FIELD = 32003
-
-_SPAIR_BUDGET = 500_000  # S-pairs per Buchberger run
 
 
 @cache  # the trial division costs a tenth of a small window's certification
@@ -51,18 +49,6 @@ def require_degree(degree: int) -> None:
     """The fiber oracle's degree bound must be at least 2."""
     if degree < 2:
         raise InvalidParameter(f"degree bound must be at least 2, got {degree}", degree=degree)
-
-
-def default_budget() -> int:
-    """Per-degree monomial enumeration budget: 200000, or HIBI_LAB_BUDGET when
-    set, which must be an integer of at least 1000."""
-    raw = os.environ.get("HIBI_LAB_BUDGET")
-    if not raw:
-        return 200_000
-    if not raw.isdecimal() or int(raw) < 1000:
-        raise InvalidParameter(f"HIBI_LAB_BUDGET must be an integer of at least 1000, got {raw!r}",
-                               HIBI_LAB_BUDGET=raw)
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -99,14 +85,13 @@ class WindowRing:
         return tuple(exps)
 
     def exponents_dict(self, mono: Monomial):
-        return {self.points[k]: e for k, e in enumerate(mono) if e}
+        return {self.points[k]: mono[k] for k in compress(count(), mono)}
 
     def format_monomial(self, mono: Monomial) -> str:
         parts = []
-        for k, e in enumerate(mono):
-            if e:
-                i, j = self.points[k]
-                parts.append(f"y_{{{i}{j}}}" + (f"^{e}" if e > 1 else ""))
+        for k in compress(count(), mono):
+            (i, j), e = self.points[k], mono[k]
+            parts.append(f"y_{{{i}{j}}}" + (f"^{e}" if e > 1 else ""))
         return "*".join(parts) if parts else "1"
 
     @lazy
@@ -551,7 +536,6 @@ class _Layout:
         self.low = self.hi - rep  # every value bit of the variable fields
         self.twice = self.low - rep  # m + twice reaches a guard where a value is >= 2
         self.flip = self.low if order.style == "revlex" else 0
-        self.known = {}  # packed -> tuple, for unpack to return without work
 
     def lcm(self, a: int, b: int) -> int:
         """The lcm of packed a and b: one borrow test marks the fields where b
@@ -568,18 +552,15 @@ class _Layout:
 
     def unpack(self, packed: int) -> Monomial:
         """The dense tuple of packed, read off the fields of its support."""
-        mono = self.known.get(packed)
-        if mono is None:
-            width, ones, variable_at = self.width, self.ones, self.variable_at
-            exps = [0] * len(variable_at)
-            support = (packed + self.low) & self.hi
-            while support:
-                guard = support & -support
-                support ^= guard
-                field = guard.bit_length() // width - 1
-                exps[variable_at[field]] = packed >> width * field & ones
-            mono = self.known[packed] = tuple(exps)
-        return mono
+        width, ones, variable_at = self.width, self.ones, self.variable_at
+        exps = [0] * len(variable_at)
+        support = (packed + self.low) & self.hi
+        while support:
+            guard = support & -support
+            support ^= guard
+            field = guard.bit_length() // width - 1
+            exps[variable_at[field]] = packed >> width * field & ones
+        return tuple(exps)
 
     def variables(self, packed: int) -> int:
         """The support of packed as a bitmask over the variable indices."""
@@ -778,7 +759,7 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
     a new element past that reruns the whole (deterministic) run wider.
     Returns the interreduced basis, which is unique for the given order; the
     quadratic and squarefree flags describe that reduced basis.  Past
-    _SPAIR_BUDGET S-pairs, DegreeInfeasible names the budget and the count.
+    errors.SPAIR_LIMIT S-pairs, DegreeInfeasible names the budget and the count.
     No generator gives the empty report, with no layout or reducer built.
     """
     gens = tuple(gens)  # a rerun reads them again
@@ -798,9 +779,7 @@ def _buchberger(gens, order: MonomialOrder, width: int):
     limit = 1 << width - 1  # twice every basis degree stays below the guard
     basis = []
     for g in gens:
-        lead, trail = p.pack(g.lead), p.pack(g.trail)
-        p.known[lead], p.known[trail] = g.lead, g.trail  # most of the basis unpacks to these
-        basis.append(_led(lead, trail, flip))
+        basis.append(_led(p.pack(g.lead), p.pack(g.trail), flip))
     basis = [h for h in dict.fromkeys(basis) if h is not None]
     if basis and 2 * (degree := max(basis)[0] >> top) >= limit:
         return degree
@@ -822,7 +801,7 @@ def _buchberger(gens, order: MonomialOrder, width: int):
     for j in range(len(leads)):
         push_pairs(j)
     processed = 0
-    budget = _SPAIR_BUDGET
+    budget = errors.SPAIR_LIMIT
     while heap:
         key, i, j = heapq.heappop(heap)
         processed += 1
@@ -959,7 +938,7 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
         Buchberger's first criterion.  The report is then G interreduced,
         with the lead pairs sharing a variable as the S-pairs processed,
         which is what buchberger processes when it adds nothing.  They are
-        counted, not processed, so _SPAIR_BUDGET, which bounds buchberger's
+        counted, not processed, so errors.SPAIR_LIMIT, which bounds buchberger's
         pairs, does not hold for them.
     (b) An order passing (a) proves (G)_d = I_d for d = 2, 3, which holds for
         every order.  Under an order with std_2 = |L_2| but std_3 != |L_3|,
@@ -1265,7 +1244,7 @@ def toric_fiber_oracle(
     a move have one part in them, so for each part of degree i the move
     graph is the core's in degree e - i, and span_rank = sum_i C(b + i - 1,
     i) span_core(e - i).  The union-find reads the core's monomials up to
-    degree - (least move degree).  Each degree is held to default_budget()
+    degree - (least move degree).  Each degree is held to search_budget()
     on the monomials it enumerates, checked before any work on it: those of
     the larger of the move core, which bounds the union-find and the faces,
     and the semigroup core (Semigroup.free), which bounds the levels L_e;
@@ -1280,7 +1259,7 @@ def toric_fiber_oracle(
     units = [1 << width * k for k in range(nvars)]
     hi = sum(units) << width - 1
     terms = _fiber_terms(gens, ring, units)
-    budget = default_budget()
+    budget = search_budget()
     moves = [(d, lead, trail) for d, lead, trail, _ in terms if d <= degree]
     held = reduce(or_, (lead | trail for _, lead, trail in moves), 0)
     core = [unit for unit in units if held & unit * ((1 << width) - 1)]  # the variables of some move

@@ -262,7 +262,9 @@ def classify_window(
     window may be a WindowContext, whose ideal and polyomino are then used.
     _oracle, an oracle-only verdict of the same window, answers the oracle
     fallbacks of shape-first in place of new oracle calls.  field and mode
-    are checked first, whatever route the window then takes.
+    are checked first, whatever route the window then takes.  var_cap caps
+    the linear-resolution oracle; the linear-relatedness oracle is capped
+    at max(var_cap, 16), so a var_cap below 16 does not cap it.
     """
     require_field(field)
     if mode not in CLASSIFY_MODES:

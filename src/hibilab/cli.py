@@ -9,6 +9,7 @@ import sys
 from .errors import (
     BudgetExceeded,
     CapExceeded,
+    DegreeInfeasible,
     HibiLabError,
     ParseError,
     PreconditionFailed,
@@ -283,9 +284,13 @@ def _dispatch(args) -> int:
         out = []
         for ctx in ctxs:
             ideal = ctx.ideal
-            cert = toric_fiber_oracle(
-                ideal.ring, ideal, gb=ideal.gb, degree=args.degree
-            )
+            gb = ideal.gb  # outside the try: only the oracle's budget skips a window
+            try:
+                cert = toric_fiber_oracle(ideal.ring, ideal, gb=gb, degree=args.degree)
+            except DegreeInfeasible as exc:
+                out.append({"window": [ctx.window.p, ctx.window.q],
+                            "skipped": {"fiber": exc.payload()}})
+                continue
             out.append(
                 {"window": [ctx.window.p, ctx.window.q], "membership": cert.membership_ok,
                  "generated": cert.generated, "gb_certified": cert.gb_certified,

@@ -1,4 +1,6 @@
-"""Exception hierarchy; every error carries a stable machine-readable code."""
+"""Exception hierarchy with stable machine-readable codes, and the limits of the searches."""
+
+import os
 
 
 class HibiLabError(Exception):
@@ -91,3 +93,25 @@ class ParseError(HibiLabError):
 
 class LatticeNormalization(UserWarning):
     """Input lattice was translated so its bounding box anchors at the origin."""
+
+
+# The searches read these through the module when they start, so a test may lower them.
+SPAIR_LIMIT = 500_000  # S-pairs per Buchberger run
+BLOCK_FACE_CAP = 20_000  # faces per multidegree Koszul block
+
+
+def search_budget() -> int:
+    """The search budget: 200000, or HIBI_LAB_BUDGET, an integer of at least 1000, when set."""
+    raw = os.environ.get("HIBI_LAB_BUDGET")
+    if not raw:
+        return 200_000
+    if not raw.isdecimal() or int(raw) < 1000:
+        raise InvalidParameter(f"HIBI_LAB_BUDGET must be an integer of at least 1000, got {raw!r}",
+                               HIBI_LAB_BUDGET=raw)
+    return int(raw)
+
+
+def check_var_cap(nvars: int, var_cap: int | None) -> None:
+    """CapExceeded when nvars exceeds var_cap; None means no cap."""
+    if var_cap is not None and nvars > var_cap:
+        raise CapExceeded(f"{nvars} variables exceed cap {var_cap}", cap=var_cap, nvars=nvars)

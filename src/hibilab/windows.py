@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import BudgetExceeded, InvalidWindow, VerificationFailed
+from .errors import BudgetExceeded, InvalidWindow, VerificationFailed, search_budget
 from .lattice import PlanarLattice, lazy
 
 
@@ -133,18 +133,15 @@ def _chordless_cycle_bruteforce(edges):
 
     Vertices are ('s', i) / ('t', j); the graph is bipartite so induced
     cycles alternate sides.  Only called on small stuck instances.  extend
-    calls are counted against default_budget(); past it BudgetExceeded
+    calls are counted against search_budget(); past it BudgetExceeded
     carries the budget and the node count.
     """
-    # imported here: binomials builds on this module
-    from .binomials import default_budget
-
     adj = {}
     for i, j in edges:
         adj.setdefault(("s", i), set()).add(("t", j))
         adj.setdefault(("t", j), set()).add(("s", i))
     verts = sorted(adj)
-    budget = default_budget()
+    budget = search_budget()
     nodes = 0
 
     def extend(path, members):

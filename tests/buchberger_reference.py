@@ -25,8 +25,8 @@ from collections import namedtuple
 from itertools import compress, count
 from operator import add, ge, sub
 
+from hibilab import errors
 from hibilab.binomials import (
-    _SPAIR_BUDGET,
     ORDER_KINDS,
     Binomial,
     GroebnerReport,
@@ -183,7 +183,7 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
     Pairs are popped smallest-lcm-first from a heap (key computed once per
     pair).  Returns the interreduced basis, which is unique for the given
     order; the quadratic and squarefree flags describe that reduced basis.
-    Past _SPAIR_BUDGET S-pairs, DegreeInfeasible names the budget and the
+    Past errors.SPAIR_LIMIT S-pairs, DegreeInfeasible names the budget and the
     count.
     """
     basis = [make_binomial(g.lead, g.trail, order) for g in gens]
@@ -203,7 +203,7 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerReport:
     for j in range(len(basis)):
         push_pairs(j)
     processed = 0
-    budget = _SPAIR_BUDGET
+    budget = errors.SPAIR_LIMIT
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
         processed += 1

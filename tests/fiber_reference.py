@@ -40,9 +40,8 @@ from hibilab.binomials import (
     FiberCertificate,
     FiberDegreeRecord,
     _Led,
-    default_budget,
 )
-from hibilab.errors import DegreeInfeasible
+from hibilab.errors import DegreeInfeasible, search_budget
 
 
 def monomial_images(ring):
@@ -152,7 +151,7 @@ def face_counts(supports, nvars):
 def toric_fiber_oracle(ring, gens, gb=None, degree=4):
     if degree < 2:
         raise DegreeInfeasible("degree bound must be at least 2", degree=degree)
-    budget = default_budget()
+    budget = search_budget()
     nvars = ring.nvars
     membership_ok = all(balanced(ring, g) for g in gens)
     records = []

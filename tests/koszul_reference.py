@@ -48,6 +48,7 @@ from math import comb
 from operator import and_
 
 from fiber_reference import monomial_images
+from hibilab import errors
 from hibilab.betti import (
     _2k2_multidegrees,
     _bits,
@@ -223,7 +224,7 @@ def packed_block_faces(packing, b, j, levels, max_size):
     in every size below max_size, the only sizes a caller reads, is zero, and
     the faces are not returned.
     """
-    guard = packing.guard
+    guard, cap = packing.guard, errors.BLOCK_FACE_CAP
     lower = levels[j - 1]
     verts = []
     for v, img in enumerate(packing.images):
@@ -235,13 +236,13 @@ def packed_block_faces(packing, b, j, levels, max_size):
     if 0 < k <= j and rem in levels[j - k]:
         counts = [comb(k, s) for s in range(min(k, max_size) + 1)]
         for total in accumulate(counts):
-            _cap_block(total, j)
+            _cap_block(total, j, cap)
         return counts, None
     # each face carries its remainder and the later vertices that may extend
     # it: the siblings that extended its parent (faces are closed under subsets)
     layers = [[(0, b, verts, 0)], [(bit, r, verts, n) for n, (bit, _, r) in enumerate(verts, 1)]]
     total = 1 + k
-    _cap_block(total, j)
+    _cap_block(total, j, cap)
     for s in range(2, max_size + 1):
         level = levels[j - s]
         nxt = []
@@ -256,7 +257,7 @@ def packed_block_faces(packing, b, j, levels, max_size):
             break
         layers.append(nxt)
         total += len(nxt)
-        _cap_block(total, j)
+        _cap_block(total, j, cap)
     faces = [[face[0] for face in layer] for layer in layers]
     counts = [len(layer) for layer in faces]
     if has_apex(faces, max_size):

@@ -7,7 +7,8 @@ A mutant is one exact text replacement in a file of src/hibilab, with the
 tests named as its gate.  The runner copies src/ and tests/ into a
 temporary directory, runs every gate there once unmutated (they must pass,
 so that a mutant is not killed by an unrelated failure), then, for each
-mutant in its own copy, applies the replacement and runs only its gate.
+mutant in its own copy, two mutants at a time, applies the replacement and
+runs only its gate.
 The run fails when a mutant's old text does not occur exactly once in its
 file (a rewrite must re-aim its mutants), when a gate does not pass
 unmutated, or when a mutant's gate still passes (the mutant survives).
@@ -22,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,6 +158,14 @@ MUTANTS = (
         "if False:",
         ("tests/test_betti.py::test_hochster_bound_catches_rank_errors_that_cancel_in_euler",),
     ),
+    # the search budget, HIBI_LAB_BUDGET ignored
+    Mutant(
+        "budget-env-ignored", "errors.py",
+        'raw = os.environ.get("HIBI_LAB_BUDGET")',
+        "raw = None",
+        ("tests/test_betti.py::TestKrull::test_search_budget",
+         "tests/test_windows.py::TestChordality::test_cycle_search_budget"),
+    ),
 )
 
 
@@ -187,23 +197,30 @@ def run(mutants) -> list:
         code, failed = _pytest(base, gates)
         if code != 0:
             return [f"the gates do not pass unmutated (pytest exit {code}): {failed}"]
-        for mutant in mutants:
-            start = time.perf_counter()
-            copy = Path(tmp) / mutant.name
-            _copy(copy)
-            target = copy / "src" / "hibilab" / mutant.path
-            text = target.read_text(encoding="utf-8")
-            if text.count(mutant.old) != 1:
-                problems.append(f"{mutant.name}: its old text occurs {text.count(mutant.old)} "
-                                f"times in src/hibilab/{mutant.path}, not once")
-                continue
-            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-            code, failed = _pytest(copy, mutant.gate)
-            verdict = "killed" if code == 1 else "survived" if code == 0 else f"pytest exit {code}"
-            print(f"{mutant.name:<22} {verdict:<10} {time.perf_counter() - start:5.1f} s  {failed}")
-            if code != 1:
-                problems.append(f"{mutant.name}: {verdict} under {' '.join(mutant.gate)}")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for line, problem in pool.map(lambda mutant: _kill(mutant, Path(tmp)), mutants):
+                if line:
+                    print(line)
+                if problem:
+                    problems.append(problem)
     return problems
+
+
+def _kill(mutant, tmp: Path):
+    """The mutant's report line and its problem, or None for either."""
+    start = time.perf_counter()
+    copy = tmp / mutant.name
+    _copy(copy)
+    target = copy / "src" / "hibilab" / mutant.path
+    text = target.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return None, (f"{mutant.name}: its old text occurs {text.count(mutant.old)} "
+                      f"times in src/hibilab/{mutant.path}, not once")
+    target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    code, failed = _pytest(copy, mutant.gate)
+    verdict = "killed" if code == 1 else "survived" if code == 0 else f"pytest exit {code}"
+    line = f"{mutant.name:<22} {verdict:<10} {time.perf_counter() - start:5.1f} s  {failed}"
+    return line, None if code == 1 else f"{mutant.name}: {verdict} under {' '.join(mutant.gate)}"
 
 
 def main(argv) -> int:

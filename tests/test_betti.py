@@ -298,7 +298,7 @@ class TestBettiInternals:
             betti_numbers(ideal.ring, ideal.generators, var_cap=12)
 
     def test_caps_and_budgets_name_the_value_that_tripped(self, monkeypatch):
-        import hibilab.betti as betti_mod
+        import hibilab.errors as errors_mod
         from hibilab.binomials import toric_fiber_oracle
 
         ideal = window_ideal(demo_staircase(), (3, 7))
@@ -312,7 +312,7 @@ class TestBettiInternals:
                 call()
             assert err.value.details == {"cap": 12, "nvars": 14}
         small = window_ideal(full_grid(1, 1), (0, 2))
-        monkeypatch.setattr(betti_mod, "_BLOCK_CAP", 1)
+        monkeypatch.setattr(errors_mod, "BLOCK_FACE_CAP", 1)
         with pytest.raises(CapExceeded) as err:
             betti_numbers(small.ring, small.generators)
         assert err.value.details["cap"] == 1 and err.value.details["faces"] > 1

@@ -19,7 +19,6 @@ from hibilab.binomials import (
     _face_counts,
     _standard_levels,
     buchberger,
-    default_budget,
     defining_ideal_generators,
     monomial_order,
     normal_form,
@@ -27,7 +26,7 @@ from hibilab.binomials import (
     toric_fiber_oracle,
     window_ideal,
 )
-from hibilab.errors import DegreeInfeasible, InvalidParameter
+from hibilab.errors import DegreeInfeasible, InvalidParameter, search_budget
 from hibilab.reports import demo_staircase, ell_lattice, full_grid, lattice_from_columns
 from hibilab.windows import RankWindow, WindowContext, all_windows, generators
 
@@ -230,7 +229,7 @@ class TestFiberOracle:
         ideal = window_ideal(lattice_from_columns({0: (0, 19)}), (0, 19))
         cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=7)
         top = cert.per_degree[-1]
-        assert top.monomials == top.fibers == comb(20 + 6, 7) > default_budget()
+        assert top.monomials == top.fibers == comb(20 + 6, 7) > search_budget()
         assert cert.generated and cert.gb_certified
 
     def test_budget_counts_the_semigroup_core(self, monkeypatch):
@@ -245,7 +244,7 @@ class TestFiberOracle:
         assert cert.generated and cert.gb_certified
         with pytest.raises(DegreeInfeasible) as err:
             toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=15)
-        assert err.value.payload()["details"] == {"budget": default_budget(), "monomials": comb(13 + 8, 9)}
+        assert err.value.payload()["details"] == {"budget": search_budget(), "monomials": comb(13 + 8, 9)}
 
     @pytest.mark.parametrize("budget, degree, tripped", [("1000", 4, 3), ("20000", 5, 5)])
     def test_budget_trips_before_the_faces_of_its_degree(self, monkeypatch, budget, degree, tripped):
@@ -549,14 +548,14 @@ class TestParameters:
     def test_budget_rejected_naming_the_value(self, monkeypatch, raw):
         monkeypatch.setenv("HIBI_LAB_BUDGET", raw)
         with pytest.raises(InvalidParameter, match=repr(raw)) as err:
-            default_budget()
+            search_budget()
         assert err.value.details == {"HIBI_LAB_BUDGET": raw}
 
     def test_budget_default_and_override(self, monkeypatch):
         monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
-        assert default_budget() == 200_000
+        assert search_budget() == 200_000
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
-        assert default_budget() == 1000
+        assert search_budget() == 1000
 
     def test_empty_order_kinds_is_a_typed_error(self):
         with pytest.raises(InvalidParameter):

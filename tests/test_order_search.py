@@ -25,6 +25,7 @@ import buchberger_reference as ref
 import order_search_reference as search_ref
 from fiber_reference import degree_monomials, image_of_monomial, plain_sizes, semigroup_points
 import hibilab.binomials as binomials_mod
+import hibilab.errors as errors_mod
 from hibilab.binomials import (
     ORDER_KINDS,
     Binomial,
@@ -237,7 +238,7 @@ def test_counted_orders_are_not_held_to_the_spair_budget(monkeypatch, buchberger
     """The S-pair budget holds for the pairs Buchberger processes: an order
     decided by counting reports its lead pairs sharing a variable and
     answers past the budget, where Buchberger on the same generators stops."""
-    monkeypatch.setattr(binomials_mod, "_SPAIR_BUDGET", 5)
+    monkeypatch.setattr(errors_mod, "SPAIR_LIMIT", 5)
     found = window_ideal(full_grid(3, 3), (0, 6))
     assert buchberger_calls == [] and _passes(found.gb) and found.gb.spairs_processed > 5
     with pytest.raises(DegreeInfeasible) as err:

@@ -241,9 +241,9 @@ def test_standard_monomials_match_lead_scan():
 
 
 def test_spair_budget_error_names_the_count(monkeypatch):
-    import hibilab.binomials as binomials_mod
+    import hibilab.errors as errors_mod
 
-    monkeypatch.setattr(binomials_mod, "_SPAIR_BUDGET", 5)
+    monkeypatch.setattr(errors_mod, "SPAIR_LIMIT", 5)
     ring = WindowRing.for_window(demo_staircase(), (3, 7))
     order = monomial_order("rank-lex", ring)
     gens = _oriented(_straightening_pairs(ring), order)

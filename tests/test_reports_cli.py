@@ -147,7 +147,7 @@ class TestRunSuite:
         # each on the grid's one class of rows; its lead pairs sharing a
         # variable, reported as S-pairs, are far past the S-pair budget,
         # which holds only for pairs that Buchberger processes
-        from hibilab.binomials import _SPAIR_BUDGET
+        from hibilab.errors import SPAIR_LIMIT
 
         rep = run_suite(full_grid(20, 20), windows=[(0, 40)])
         rec = rep.stable["windows"][0]
@@ -155,7 +155,7 @@ class TestRunSuite:
         assert rec["krull"] == rec["dimension"] == 41
         gb = rec["gb"]
         assert (gb["order"], gb["quadratic"], gb["squarefree"]) == ("rank-lex", True, True)
-        assert gb["spairs"] == 9_961_700 > _SPAIR_BUDGET
+        assert gb["spairs"] == 9_961_700 > SPAIR_LIMIT
 
     def test_shape_route_covers_oversize_connected_window(self):
         rep = run_suite(demo_staircase(), windows=[(0, 9)])
@@ -304,6 +304,29 @@ class TestCli:
         code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
         golden = pathlib.Path(__file__).parent / "golden" / f"staircase_fiber_all_d{degree}.json"
         assert code == 0 and out == golden.read_text()
+
+    def test_fiber_budget_skips_the_window_not_the_run(self, capsys, monkeypatch):
+        """A window whose fiber oracle trips the budget records the skip, as
+        the suite does; the other windows answer as in the golden file, and
+        the run exits 0."""
+        monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
+        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
+        code, out, _ = run_cli(capsys, ["fiber", "--all-windows"], staircase, monkeypatch)
+        assert code == 0
+        golden = pathlib.Path(__file__).parent / "golden" / "staircase_fiber_all_d4.json"
+        suite = run_suite(demo_staircase(), all_windows_flag=True, with_fiber=True, with_classify=False)
+        skipped = 0
+        for got, want, rec in zip(json.loads(out), json.loads(golden.read_text()),
+                                  suite.stable["windows"], strict=True):
+            assert got["window"] == want["window"] == rec["window"]
+            if "skipped" in got:
+                assert got["skipped"] == rec["skipped"][0]
+                assert got["skipped"]["fiber"]["code"] == "degree-infeasible"
+                assert got["skipped"]["fiber"]["details"]["budget"] == 1000
+                skipped += 1
+            else:
+                assert got == want and rec["skipped"] == []
+        assert skipped == 21
 
     def test_betti_all_windows_matches_golden(self, capsys, monkeypatch):
         """`hibilab betti --all-windows --cap-vars 9` on the demo staircase
