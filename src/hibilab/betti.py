@@ -72,10 +72,11 @@ Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
 
 The two boolean oracles work on the initial ideal in(I) of a quadratic
-squarefree Groebner basis: the given one when it is both, else the order
-search's, and PreconditionFailed naming the orders tried when no candidate
-order gives one (criterion 2 says some order does).  So in(I) is the edge
-ideal of the lead graph G: one edge a-b per lead y_a y_b.
+squarefree Groebner basis: the WindowIdeal's own when it is both, else the
+order search's on its generators, and PreconditionFailed naming the orders
+tried when no candidate order gives one (criterion 2 says some order does).
+So in(I) is the edge ideal of the lead graph G: one edge a-b per lead
+y_a y_b.
 
 - Linear resolution.  By Conca-Varbaro ("Square-free Groebner
   degenerations", Invent. Math. 221, 2020) a squarefree in(I) has the same
@@ -128,17 +129,16 @@ from .errors import (
     PreconditionFailed,
     VerificationFailed,
     check_var_cap,
+    require_var_cap,
     search_budget,
 )
 from .binomials import (
     DEFAULT_FIELD,
-    GroebnerReport,
     Semigroup,
     WindowIdeal,
     WindowRing,
     _fiber_terms,
     _lead_graph,
-    _lead_supports,
     _sparse_term,
     _standard_levels,
     order_search,
@@ -267,9 +267,9 @@ class StandardMonomialBasis:
         return tuple(len(level) for level in self.degrees)
 
 
-def standard_monomial_basis(gb, nvars: int, d_max: int) -> StandardMonomialBasis:
-    """The monomials of degrees 0..d_max that no lead of gb (a GroebnerReport,
-    or dense leads) divides, each degree in the order of
+def standard_monomial_basis(leads, nvars: int, d_max: int) -> StandardMonomialBasis:
+    """The monomials of degrees 0..d_max that none of the dense leads (such
+    as GroebnerReport.leads) divides, each degree in the order of
     combinations_with_replacement, by the fiber oracle's enumerator
     (binomials._standard_levels) on fields of d_max.bit_length() + 1 bits; a
     lead above d_max divides none of them and is dropped.  Each degree is
@@ -282,7 +282,6 @@ def standard_monomial_basis(gb, nvars: int, d_max: int) -> StandardMonomialBasis
             )
     width = d_max.bit_length() + 1
     ones, units = (1 << width) - 1, [1 << width * k for k in range(nvars)]
-    leads = gb.leads if isinstance(gb, GroebnerReport) else gb
     packed = [sum(map(mul, lead, units)) for lead in leads if sum(lead) <= d_max]
     levels = islice(_standard_levels(packed, units, sum(units) << width - 1, ones), d_max + 1)
     return StandardMonomialBasis(degrees=tuple(
@@ -290,9 +289,9 @@ def standard_monomial_basis(gb, nvars: int, d_max: int) -> StandardMonomialBasis
     ))
 
 
-def hilbert_function(gb, d_max: int, nvars: int):
-    """Quotient dimensions in degrees 0..d_max via standard monomials."""
-    return list(standard_monomial_basis(gb, nvars, d_max).hilbert())
+def hilbert_function(leads, d_max: int, nvars: int):
+    """Quotient dimensions in degrees 0..d_max via standard monomials of the dense leads."""
+    return list(standard_monomial_basis(leads, nvars, d_max).hilbert())
 
 
 def _minimal_masks(masks):
@@ -310,15 +309,15 @@ def _minimal_masks(masks):
     return kept
 
 
-def krull_dimension_via_initial(gb, nvars: int) -> int:
+def krull_dimension_via_initial(supports, nvars: int) -> int:
     """Largest variable subset containing no initial-ideal support.
 
     Equals the Krull dimension of the quotient when the initial ideal is
     squarefree (Stanley-Reisner): the size of a largest face of the lead
-    complex.  The supports are bitmasks over the variable indices, read off
-    the packed leads of a GroebnerReport (lead_supports), or off dense
-    leads; a support that holds another adds nothing the search does not
-    already exclude, so none is filtered out.  A variable in no support
+    complex.  The supports are the leads' supports as bitmasks over the
+    variable indices (GroebnerReport.lead_supports), None when a lead is not
+    squarefree; a support that holds another adds nothing the search does
+    not already exclude, so none is filtered out.  A variable in no support
     joins every face, so the answer is nvars - |ground| + the largest face
     within ground, the union of the supports.
 
@@ -348,7 +347,6 @@ def krull_dimension_via_initial(gb, nvars: int) -> int:
     Nodes are counted against search_budget(); past it BudgetExceeded
     carries the budget and the node count.
     """
-    supports = gb.lead_supports if isinstance(gb, GroebnerReport) else _lead_supports(tuple(gb))
     if supports is None:
         raise PreconditionFailed("initial ideal is not squarefree")
     if not supports:
@@ -448,12 +446,10 @@ def _semigroup_levels(semigroup: Semigroup, j_max: int):
     return levels
 
 
-def _require_toric(ring: WindowRing, gens) -> int:
-    """The number of generators, after checking that each lies in the toric ideal.
-
-    gens is a WindowIdeal, whose packed terms are read as held, or Binomials.
-    """
-    terms = _fiber_terms(gens, ring, [0] * ring.nvars)
+def _require_toric(ideal: WindowIdeal) -> int:
+    """The number of generators, after checking that each lies in the toric
+    ideal; their packed terms are read as held."""
+    terms = _fiber_terms(ideal, ideal.ring, [0] * ideal.ring.nvars)
     if not all(ok for *_, ok in terms):
         raise InvalidParameter(
             "generator is not in the toric ideal of the window map; "
@@ -582,8 +578,7 @@ class BettiTable:
 
 
 def betti_numbers(
-    ring: WindowRing,
-    gens,
+    ideal: WindowIdeal,
     field: int = DEFAULT_FIELD,
     j_max: int | None = None,
     var_cap: int | None = 12,
@@ -591,12 +586,12 @@ def betti_numbers(
 ) -> BettiTable:
     """Exact graded Betti numbers of the window ideal over GF(field).
 
-    gens is the WindowIdeal, whose packed terms are read as held, or a list
-    of its Binomials.  Works blockwise per multidegree (see module
-    docstring): the semigroup levels carry predecessor masks, a block that
-    is a whole simplex is counted by its vertex count with one lookup,
-    every other block is walked with one lookup per face and the cone test
-    folded in, and a simplex or a cone has no homology and takes no rank.
+    The ideal's packed terms are read as held.  Works blockwise per
+    multidegree (see module docstring): the semigroup levels carry
+    predecessor masks, a block that is a whole simplex is counted by its
+    vertex count with one lookup, every other block is walked with one
+    lookup per face and the cone test folded in, and a simplex or a cone
+    has no homology and takes no rank.
     Degrees run up to min(j_max, nvars): past nvars the squarefree initial
     ideal, and so the window ideal, has no Betti numbers.
 
@@ -616,16 +611,17 @@ def betti_numbers(
     characteristic of the Koszul strand in degree j must match its
     homology: -sum_i (-1)^i beta_{i,j}(I) = sum_s (-1)^s C(nvars, s) *
     |L_{j-s}|, which a d too large (a Betti number cut off) or a wrong
-    homology dimension breaks.  When gens is a WindowIdeal with a quadratic
-    squarefree basis, every entry must be at most the same entry of the
+    homology dimension breaks.  When the ideal's basis is quadratic and
+    squarefree, every entry must be at most the same entry of the
     initial ideal's Hochster table at the same field (monomial_betti_table;
     upper semicontinuity), which catches a boundary rank that is wrong in a
     way whose changes to two adjacent entries cancel in the Euler sum.  The
     Hochster table raises BudgetExceeded as monomial_betti_table does.
     """
     require_field(field)
-    ngens = _require_toric(ring, gens)
-    nvars = ring.nvars
+    require_var_cap(var_cap)
+    ngens = _require_toric(ideal)
+    ring, nvars = ideal.ring, ideal.ring.nvars
     check_var_cap(nvars, var_cap)
     if j_max is None:
         j_max = nvars
@@ -690,9 +686,9 @@ def betti_numbers(
                     "Koszul Euler characteristic misses the Betti numbers", degree=j,
                     euler=euler, betti=betti,
                 )
-    gb = getattr(gens, "gb", None)
-    if gb is not None and gb.quadratic and gb.squarefree:
-        hochster = monomial_betti_table(gb, nvars, field=field, j_max=degrees[-1])
+    gb = ideal.gb
+    if gb.quadratic and gb.squarefree:
+        hochster = monomial_betti_table(gb.lead_supports, nvars, field=field, j_max=degrees[-1])
         for (i, j), value in sorted(entries.items()):
             if value > hochster.get((i, j), 0):
                 raise VerificationFailed(
@@ -706,11 +702,11 @@ def betti_numbers(
 # Hochster's formula for the (squarefree) initial ideal
 
 
-def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: int | None = None):
+def monomial_betti_table(supports, nvars: int, field: int = DEFAULT_FIELD, j_max: int | None = None):
     """Betti table of a squarefree monomial ideal via induced subcomplex homology.
 
-    leads are its dense generators, or a GroebnerReport, whose packed leads
-    are read (lead_supports).
+    supports are its generators' supports as bitmasks over the variable
+    indices (GroebnerReport.lead_supports), None when one is not squarefree.
 
     beta_{i,j}(I) = sum over j-subsets W of dim H~_{j-i-2} of the restricted
     Stanley-Reisner complex.  A W with a vertex outside every contained
@@ -719,7 +715,6 @@ def monomial_betti_table(leads, nvars: int, field: int = DEFAULT_FIELD, j_max: i
     most j_max elements (all of them when j_max is None), and raises
     BudgetExceeded up front when their number exceeds search_budget().
     """
-    supports = leads.lead_supports if isinstance(leads, GroebnerReport) else _lead_supports(tuple(leads))
     if supports is None:
         raise PreconditionFailed("monomial Betti table requires squarefree leads")
     masks = _minimal_masks(supports)
@@ -976,24 +971,23 @@ def _hochster_h2(adj, supports):
 # boolean oracles
 
 
-def _initial_basis(ring, gens, gb, var_cap):
-    """gb when it is quadratic and squarefree, else the order search's basis;
-    None for the zero ideal.
+def _initial_basis(ideal: WindowIdeal, var_cap):
+    """The ideal's basis when it is quadratic and squarefree, else the order
+    search's on its generators; None for the zero ideal.
 
-    gens is a WindowIdeal, read packed, whose basis serves when gb is None,
-    or Binomials.  Windows over var_cap variables raise CapExceeded first,
-    and PreconditionFailed names the orders tried when no candidate order
-    gives a quadratic squarefree basis.
+    A var_cap below 1 raises InvalidParameter before anything else, windows
+    over var_cap variables raise CapExceeded next, and PreconditionFailed
+    names the orders tried when no candidate order gives a quadratic
+    squarefree basis.
     """
-    binomials = None if isinstance(gens, WindowIdeal) else list(gens)
-    if (gens.is_zero if binomials is None else not binomials):
+    require_var_cap(var_cap)
+    if ideal.is_zero:
         return None
-    check_var_cap(ring.nvars, var_cap)
-    if binomials is None:
-        gb = gens.gb if gb is None else gb
-    if gb is None or not (gb.quadratic and gb.squarefree):
-        binomials = gens.generators if binomials is None else binomials
-        ideal = order_search(ring, [(_sparse_term(g.lead), _sparse_term(g.trail)) for g in binomials])
+    check_var_cap(ideal.ring.nvars, var_cap)
+    gb = ideal.gb
+    if not (gb.quadratic and gb.squarefree):
+        pairs = [(_sparse_term(g.lead), _sparse_term(g.trail)) for g in ideal.generators]
+        ideal = order_search(ideal.ring, pairs)
         gb = ideal.gb
         if not (gb.quadratic and gb.squarefree):
             raise PreconditionFailed(
@@ -1003,29 +997,21 @@ def _initial_basis(ring, gens, gb, var_cap):
     return gb
 
 
-def has_linear_resolution_oracle(
-    ring: WindowRing,
-    gens,
-    gb: GroebnerReport | None = None,
-    var_cap: int = 12,
-) -> bool:
+def has_linear_resolution_oracle(ideal: WindowIdeal, var_cap: int = 12) -> bool:
     """True iff beta_{i,j}(I) = 0 for all j != i+2.
 
     The lead-graph test of the module docstring, on _initial_basis: reg I =
     reg in(I) (Conca-Varbaro), and the edge ideal in(I) is 2-linear iff the
     complement of the lead graph is chordal (Froeberg).  The answer is the
-    same over every field.  gens is the WindowIdeal, read packed, or a list
-    of its Binomials.
+    same over every field.
     """
-    gb = _initial_basis(ring, gens, gb, var_cap)
-    return gb is None or _complement_chordal(_lead_graph(gb.lead_supports, ring.nvars))
+    gb = _initial_basis(ideal, var_cap)
+    return gb is None or _complement_chordal(_lead_graph(gb.lead_supports, ideal.ring.nvars))
 
 
 def is_linearly_related_oracle(
-    ring: WindowRing,
-    gens,
+    ideal: WindowIdeal,
     field: int = DEFAULT_FIELD,
-    gb: GroebnerReport | None = None,
     var_cap: int = 16,
 ) -> bool:
     """True iff beta_{1,4}(I) = 0; a zero or principal ideal has no syzygies at all.
@@ -1046,8 +1032,7 @@ def is_linearly_related_oracle(
     only beta_1 and beta_2 can be nonzero, and the two ideals share the
     multigraded Hilbert function, so beta_{1,b}(I) = beta_{2,b}(I) + h1 - h2.
     A block with h1 > h2 answers False; the others are ranked once every
-    block has been counted.  gens is the WindowIdeal, read packed, or a
-    list of its Binomials.
+    block has been counted.
 
     Before either, a block whose supports glue (_glues) has H~_1 = 0 and is
     settled with no count and no rank.  A block that does not glue may
@@ -1062,8 +1047,9 @@ def is_linearly_related_oracle(
     rank such blocks.
     """
     require_field(field)
-    if (gb := _initial_basis(ring, gens, gb, var_cap)) is None:
+    if (gb := _initial_basis(ideal, var_cap)) is None:
         return True
+    ring = ideal.ring
     adj = _lead_graph(gb.lead_supports, ring.nvars)
     index = ring.index
     blocks = []

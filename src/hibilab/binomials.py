@@ -257,10 +257,6 @@ def _lift(core: list, free: int) -> int:
     return sum(comb(free + i - 1, i) * core[e - i] for i in range(e + 1))
 
 
-def mono_squarefree(a: Monomial) -> bool:
-    return all(e <= 1 for e in a)
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """Graded order: degree first, then (rev)lex over a variable significance list.
@@ -684,14 +680,6 @@ def normal_form(x, basis, order: MonomialOrder):
         return layout.unpack(forms[0])
     led = _led(*forms, layout.flip)
     return led and Binomial(*map(layout.unpack, led))
-
-
-def _lead_supports(leads):
-    """Each dense lead's support as a bitmask over the variable indices, or
-    None when a lead is not squarefree."""
-    if not all(mono_squarefree(lead) for lead in leads):
-        return None
-    return tuple([sum(1 << k for k in compress(count(), lead)) for lead in leads])
 
 
 @dataclass(frozen=True, eq=False)

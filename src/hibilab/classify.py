@@ -22,6 +22,7 @@ from .errors import (
     PreconditionFailed,
     RankTooSmall,
     VerificationFailed,
+    require_var_cap,
 )
 from .lattice import PlanarLattice, Poset, is_simple, join_irreducibles, posets_isomorphic
 from .windows import (
@@ -261,14 +262,16 @@ def classify_window(
 
     window may be a WindowContext, whose ideal and polyomino are then used.
     _oracle, an oracle-only verdict of the same window, answers the oracle
-    fallbacks of shape-first in place of new oracle calls.  field and mode
-    are checked first, whatever route the window then takes.  var_cap caps
-    the linear-resolution oracle; the linear-relatedness oracle is capped
-    at max(var_cap, 16), so a var_cap below 16 does not cap it.
+    fallbacks of shape-first in place of new oracle calls.  field, mode and
+    var_cap (at least 1) are checked first, whatever route the window then
+    takes.  var_cap caps the linear-resolution oracle; the
+    linear-relatedness oracle is capped at max(var_cap, 16), so a var_cap
+    below 16 does not cap it.
     """
     require_field(field)
     if mode not in CLASSIFY_MODES:
         raise InvalidParameter(f"unknown classify mode {mode!r}", mode=mode)
+    require_var_cap(var_cap)
     ctx = as_context(lattice, window)
     w = ctx.window
     ideal = ctx.ideal
@@ -278,12 +281,12 @@ def classify_window(
     def linear():
         if _oracle is not None:
             return _oracle.linear_resolution
-        return has_linear_resolution_oracle(ideal.ring, ideal, var_cap=var_cap)
+        return has_linear_resolution_oracle(ideal, var_cap=var_cap)
 
     def linrel():
         if _oracle is not None:
             return _oracle.linearly_related
-        return is_linearly_related_oracle(ideal.ring, ideal, field=field, var_cap=max(var_cap, 16))
+        return is_linearly_related_oracle(ideal, field=field, var_cap=max(var_cap, 16))
 
     if mode == "oracle-only":
         return WindowVerdict(w, linear(), linrel(), "oracle", "oracle")

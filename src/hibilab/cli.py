@@ -308,19 +308,16 @@ def _dispatch(args) -> int:
         for ctx in ctxs:
             ideal = ctx.ideal
             try:
-                table = betti_numbers(
-                    ideal.ring, ideal, field=args.field,
-                    j_max=args.jmax, var_cap=args.cap_vars,
-                )
+                table = betti_numbers(ideal, field=args.field, j_max=args.jmax, var_cap=args.cap_vars)
             except (CapExceeded, BudgetExceeded) as exc:
                 out.append({"window": [ctx.window.p, ctx.window.q],
                             "skipped": {"betti": exc.payload()}})
                 continue
             entry = {"window": [ctx.window.p, ctx.window.q], "betti": table.to_json(),
-                     "krull": krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)}
+                     "krull": krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars)}
             if args.hilbert is not None:
                 try:
-                    entry["hilbert"] = hilbert_function(ideal.gb, args.hilbert, nvars=ideal.ring.nvars)
+                    entry["hilbert"] = hilbert_function(ideal.gb.leads, args.hilbert, nvars=ideal.ring.nvars)
                 except BudgetExceeded as exc:
                     entry["skipped"] = {"hilbert": exc.payload()}
             out.append(entry)

@@ -111,6 +111,12 @@ def search_budget() -> int:
     return int(raw)
 
 
+def require_var_cap(var_cap: int | None) -> None:
+    """InvalidParameter when var_cap is below 1; None means no cap."""
+    if var_cap is not None and var_cap < 1:
+        raise InvalidParameter(f"var_cap must be at least 1, got {var_cap}", var_cap=var_cap)
+
+
 def check_var_cap(nvars: int, var_cap: int | None) -> None:
     """CapExceeded when nvars exceeds var_cap; None means no cap."""
     if var_cap is not None and nvars > var_cap:

@@ -16,6 +16,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     VerificationFailed,
+    require_var_cap,
 )
 from .lattice import (
     PlanarLattice,
@@ -270,8 +271,7 @@ def run_suite(
     timings = {}
     findings = []
     require_field(field)
-    if var_cap < 1:
-        raise InvalidParameter(f"var_cap must be at least 1, got {var_cap}", var_cap=var_cap)
+    require_var_cap(var_cap)
     if with_fiber:
         require_degree(fiber_degree)
     lattice_doc = lattice_record(lattice)
@@ -320,7 +320,7 @@ def run_suite(
                     {"check": "quadratic-squarefree-gb", "window": [w.p, w.q],
                      "orders_tried": list(ideal.orders_tried)}
                 )
-            krull = krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)
+            krull = krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars)
             rec["krull"] = krull
             if krull != dim:
                 findings.append(
@@ -345,7 +345,7 @@ def run_suite(
                     rec["skipped"].append({"fiber": exc.payload()})
             if with_betti:
                 try:
-                    table = betti_numbers(ideal.ring, ideal, field=field, var_cap=var_cap)
+                    table = betti_numbers(ideal, field=field, var_cap=var_cap)
                     rec["betti"] = table.to_json()
                 except (CapExceeded, BudgetExceeded) as exc:
                     rec["skipped"].append({"betti": exc.payload()})

@@ -8,8 +8,8 @@ tuples, and the interreduction by one reducer grown along the sorted list.
 It is kept here, not in the package, as the reference the packed route must
 match answer for answer; tests/fiber_reference.py reduces with its Reducer.
 The code is as it stood, except that the squarefree flag calls
-mono_squarefree directly, since Binomial.is_squarefree left the package,
-and that the report packs its basis (packed), as every GroebnerReport holds
+mono_squarefree, defined here since Binomial.is_squarefree and then
+mono_squarefree left the package, and that the report packs its basis (packed), as every GroebnerReport holds
 it now.
 
 order_search below is the order search as it stood before orders were
@@ -36,10 +36,13 @@ from hibilab.binomials import (
     _Led,
     _width,
     buchberger as packed_buchberger,
-    mono_squarefree,
     monomial_order,
 )
 from hibilab.errors import DegreeInfeasible
+
+
+def mono_squarefree(a: Monomial) -> bool:
+    return all(e <= 1 for e in a)
 
 
 def greater(order: MonomialOrder, a: Monomial, b: Monomial) -> bool:

@@ -407,14 +407,15 @@ def betti_table(ring, gens, field):
     return entries
 
 
-def ranked_linearly_related(ring, gens, field, gb=None, var_cap=16):
+def ranked_linearly_related(ideal, field, var_cap=16):
     """True iff beta_{1,4}(I) = 0, every block not settled by Euler ranked.
 
     The arguments and answers are those of is_linearly_related_oracle.
     """
     require_field(field)
-    if (gb := _initial_basis(ring, gens, gb, var_cap)) is None:
+    if (gb := _initial_basis(ideal, var_cap)) is None:
         return True
+    ring = ideal.ring
     adj = _lead_graph(gb.lead_supports, ring.nvars)
     blocks = []
     for (rows, cols), h1 in _2k2_multidegrees(ring.points, _induced_2k2(adj)).items():

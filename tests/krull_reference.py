@@ -7,10 +7,18 @@ hitting-set branch and bound that krull_dimension_via_initial ran on those
 supports before it searched for a largest face of the lead complex: nvars
 minus a minimum hitting set, bounded by a greedy packing of disjoint
 supports.  Both are kept here, not in the package, as the reference the
-mask route and the face search must match.
+mask route and the face search must match.  lead_supports turns dense
+leads into the bitmask supports that the package's monomial-ideal
+routines take, as GroebnerReport.lead_supports reads them off a basis.
 """
 
-from hibilab.binomials import mono_squarefree
+
+def lead_supports(leads):
+    """Each dense lead's support as a bitmask over the variable indices, or
+    None when a lead is not squarefree."""
+    if any(e > 1 for lead in leads for e in lead):
+        return None
+    return tuple([sum(1 << k for k, e in enumerate(lead) if e) for lead in leads])
 
 
 def minimal_supports(leads):
@@ -30,7 +38,7 @@ def masks(supports):
 def krull_dimension(leads, nvars):
     """nvars minus a minimum hitting set of the minimal supports of the
     squarefree dense leads, by exact branch and bound."""
-    assert all(mono_squarefree(lead) for lead in leads)
+    assert lead_supports(leads) is not None
     supports = minimal_supports(leads)
     best = len(set().union(*supports))
 

@@ -154,9 +154,16 @@ MUTANTS = (
     # the entrywise Hochster bound of betti_numbers, turned off
     Mutant(
         "hochster-bound", "betti.py",
-        "if gb is not None and gb.quadratic and gb.squarefree:",
+        "if gb.quadratic and gb.squarefree:",
         "if False:",
         ("tests/test_betti.py::test_hochster_bound_catches_rank_errors_that_cancel_in_euler",),
+    ),
+    # the variable-cap check, a cap of 0 let through
+    Mutant(
+        "var-cap-zero", "errors.py",
+        "if var_cap is not None and var_cap < 1:",
+        "if var_cap is not None and var_cap < 0:",
+        ("tests/test_betti.py::TestBettiInternals::test_var_cap_below_one_is_rejected_up_front",),
     ),
     # the search budget, HIBI_LAB_BUDGET ignored
     Mutant(

@@ -70,7 +70,7 @@ def test_criterion_1_running_example():
     assert len(poly.cells) == 5
     dim = dimension(lat, (3, 7))
     ideal = window_ideal(lat, (3, 7))
-    krull = krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)
+    krull = krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars)
     assert dim == krull == 14 - len(poly.cells) == 9
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -119,7 +119,7 @@ def test_criterion_3_dimension_formula(corpus):
         assert dimension(lat, (0, lat.rank)) == lat.rank + 1, name
         for w in all_windows(lat):
             ideal = window_ideal(lat, w)
-            krull = krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)
+            krull = krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars)
             assert krull == dimension(lat, w), (name, w)
             windows += 1
     announce(
@@ -137,9 +137,7 @@ def test_criterion_4_characterized_families():
         assert lat.rank <= 6
         for w in all_windows(lat, proper_only=True):
             ideal = window_ideal(lat, w)
-            assert has_linear_resolution_oracle(
-                ideal.ring, ideal.generators, gb=ideal.gb
-            ), (name, w)
+            assert has_linear_resolution_oracle(ideal), (name, w)
             family_windows += 1
         ok, witness = all_proper_windows_linear(lat)
         assert ok and witness is None, name
@@ -152,7 +150,7 @@ def test_criterion_4_characterized_families():
         v = classify_window(lat, witness)
         assert not v.linear_resolution
     anchor = window_ideal(full_grid(2, 2), (1, 3))
-    table = betti_numbers(anchor.ring, anchor.generators)
+    table = betti_numbers(anchor)
     assert table.get(1, 4) == 1
     announce(
         f"criterion-4: PASS - {family_windows} proper family windows linear per the "
@@ -171,7 +169,7 @@ def test_criterion_5_linearly_related_windows():
     # the enumerated list's hypotheses
     for w in all_windows(lat):
         ideal = window_ideal(lat, w)
-        verdict = is_linearly_related_oracle(ideal.ring, ideal.generators, var_cap=20)
+        verdict = is_linearly_related_oracle(ideal, var_cap=20)
         if ideal.is_zero or ideal.is_principal:
             assert verdict, w
             continue
@@ -185,16 +183,14 @@ def test_criterion_5_linearly_related_windows():
                 continue
             grid = full_grid(m, n)
             upper = window_ideal(grid, (0, m + n - 1))
-            assert is_linearly_related_oracle(upper.ring, upper.generators, var_cap=20)
+            assert is_linearly_related_oracle(upper, var_cap=20)
             for w in all_windows(grid):
                 if not (0 < w.p < w.q < m + n):
                     continue
                 ideal = window_ideal(grid, w)
                 if ideal.is_zero or ideal.is_principal:
                     continue
-                assert not is_linearly_related_oracle(
-                    ideal.ring, ideal.generators, var_cap=20
-                ), (m, n, w)
+                assert not is_linearly_related_oracle(ideal, var_cap=20), (m, n, w)
                 checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
@@ -207,9 +203,9 @@ def test_criterion_5_linearly_related_windows():
 
 def test_criterion_6_oracle_sanity_anchors():
     single = window_ideal(full_grid(1, 1), (0, 2))
-    assert betti_numbers(single.ring, single.generators).entries == {(0, 2): 1}
+    assert betti_numbers(single).entries == {(0, 2): 1}
     minors = window_ideal(full_grid(2, 1), (0, 3))
-    assert betti_numbers(minors.ring, minors.generators).entries == {
+    assert betti_numbers(minors).entries == {
         (0, 2): 3,
         (1, 3): 2,
     }

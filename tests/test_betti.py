@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from functools import reduce
 from math import comb
 from operator import or_
@@ -26,7 +27,7 @@ from hibilab.betti import (
     _semigroup_levels,
     _settled,
 )
-from hibilab.binomials import WindowRing, _lead_supports, monomial_order, window_ideal
+from hibilab.binomials import WindowRing, _sparse_term, order_search, window_ideal
 from hibilab.errors import (
     BudgetExceeded,
     CapExceeded,
@@ -42,72 +43,69 @@ from hibilab.windows import all_windows, dimension, generators
 class TestHilbert:
     def test_single_quadric(self):
         ideal = window_ideal(full_grid(1, 1), (0, 2))
-        assert hilbert_function(ideal.gb, 2, nvars=4) == [1, 4, 9]
+        assert hilbert_function(ideal.gb.leads, 2, nvars=4) == [1, 4, 9]
 
     def test_two_by_three_minors(self):
         ideal = window_ideal(full_grid(2, 1), (0, 3))
-        assert hilbert_function(ideal.gb, 2, nvars=6) == [1, 6, 18]
+        assert hilbert_function(ideal.gb.leads, 2, nvars=6) == [1, 6, 18]
 
     def test_staircase_window_golden(self):
         ideal = window_ideal(demo_staircase(), (3, 7))
-        assert hilbert_function(ideal.gb, 3, nvars=14) == [1, 14, 94, 426]
+        assert hilbert_function(ideal.gb.leads, 3, nvars=14) == [1, 14, 94, 426]
 
     def test_zero_ideal(self):
         assert hilbert_function([], 2, nvars=3) == [1, 3, 6]
 
     def test_standard_monomials_count(self):
         ideal = window_ideal(full_grid(1, 1), (0, 2))
-        basis = standard_monomial_basis(ideal.gb, 4, 2)
+        basis = standard_monomial_basis(ideal.gb.leads, 4, 2)
         assert basis.hilbert() == (1, 4, 9)
 
 
 class TestKrull:
     def test_single_quadric(self):
         ideal = window_ideal(full_grid(1, 1), (0, 2))
-        assert krull_dimension_via_initial(ideal.gb, nvars=4) == 3
+        assert krull_dimension_via_initial(ideal.gb.lead_supports, nvars=4) == 3
 
     def test_staircase_window(self):
         ideal = window_ideal(demo_staircase(), (3, 7))
-        assert krull_dimension_via_initial(ideal.gb, nvars=14) == 9
+        assert krull_dimension_via_initial(ideal.gb.lead_supports, nvars=14) == 9
 
     def test_full_grid(self):
         ideal = window_ideal(full_grid(5, 4), (0, 9))
-        assert krull_dimension_via_initial(ideal.gb, nvars=30) == 10
+        assert krull_dimension_via_initial(ideal.gb.lead_supports, nvars=30) == 10
 
     def test_zero_ideal(self):
         assert krull_dimension_via_initial([], nvars=7) == 7
 
     def test_grid_5x5_full_window(self):
         ideal = window_ideal(full_grid(5, 5), (0, 10))
-        krull = krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)
+        krull = krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars)
         assert krull == dimension(full_grid(5, 5), (0, 10)) == 11
 
     @staticmethod
     def _cycles(count, length):
-        """Dense quadric leads of count disjoint cycles of the given length."""
-        nvars = count * length
-        leads = []
-        for k in range(count):
-            for a in range(length):
-                lead = [0] * nvars
-                lead[length * k + a] = lead[length * k + (a + 1) % length] = 1
-                leads.append(tuple(lead))
-        return leads, nvars
+        """The edge supports, as bitmasks, of count disjoint cycles of the given length."""
+        supports = [
+            1 << length * k + a | 1 << length * k + (a + 1) % length
+            for k in range(count) for a in range(length)
+        ]
+        return supports, count * length
 
     def test_search_budget(self, monkeypatch):
         # disjoint triangles: each is one clique of the bound, which is tight
         # at the root, so the first descent ends the search
-        leads, nvars = self._cycles(8, 3)
+        supports, nvars = self._cycles(8, 3)
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
-        assert krull_dimension_via_initial(leads, nvars=nvars) == 8
+        assert krull_dimension_via_initial(supports, nvars=nvars) == 8
         # disjoint 5-cycles: the greedy cliques are edges, three to a cycle
         # against its two, so the search has to branch
-        leads, nvars = self._cycles(6, 5)
+        supports, nvars = self._cycles(6, 5)
         monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
-        assert krull_dimension_via_initial(leads, nvars=nvars) == 12
+        assert krull_dimension_via_initial(supports, nvars=nvars) == 12
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         with pytest.raises(BudgetExceeded) as err:
-            krull_dimension_via_initial(leads, nvars=nvars)
+            krull_dimension_via_initial(supports, nvars=nvars)
         assert err.value.details == {"budget": 1000, "nodes": 1001}
 
     def test_disjoint_triples_are_bounded_by_their_supports(self, monkeypatch):
@@ -115,49 +113,49 @@ class TestKrull:
         # variables; as three singleton cliques the bound would be 3 each
         # and the search would branch through the whole product
         triples, nvars = 10, 30
-        leads = [tuple(int(3 * k <= v < 3 * k + 3) for v in range(nvars)) for k in range(triples)]
+        supports = [0b111 << 3 * k for k in range(triples)]
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
-        assert krull_dimension_via_initial(leads, nvars=nvars) == 2 * triples
+        assert krull_dimension_via_initial(supports, nvars=nvars) == 2 * triples
 
     def test_matches_dimension_formula_everywhere(self, corpus):
         for name, lat in corpus[:20]:
             for w in all_windows(lat):
                 ideal = window_ideal(lat, w)
-                k = krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars)
+                k = krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars)
                 assert k == dimension(lat, w), (name, w)
 
 
 class TestBettiAnchors:
     def test_single_quadric(self):
         ideal = window_ideal(full_grid(1, 1), (0, 2))
-        table = betti_numbers(ideal.ring, ideal.generators)
+        table = betti_numbers(ideal)
         assert table.entries == {(0, 2): 1}
 
     def test_two_by_three_minors(self):
         ideal = window_ideal(full_grid(2, 1), (0, 3))
-        table = betti_numbers(ideal.ring, ideal.generators)
+        table = betti_numbers(ideal)
         assert table.entries == {(0, 2): 3, (1, 3): 2}
 
     def test_regular_sequence_of_two_quadrics(self):
         ideal = window_ideal(full_grid(2, 2), (1, 3))
-        table = betti_numbers(ideal.ring, ideal.generators)
+        table = betti_numbers(ideal)
         assert table.entries == {(0, 2): 2, (1, 4): 1}
 
     @pytest.mark.parametrize("field", [32003, 65537])
     def test_grid_2x2_full_window(self, field):
         ideal = window_ideal(full_grid(2, 2), (0, 4))
-        table = betti_numbers(ideal.ring, ideal.generators, field=field)
+        table = betti_numbers(ideal, field=field)
         assert table.entries == {(0, 2): 9, (1, 3): 16, (2, 4): 9, (3, 6): 1}
 
     def test_zero_ideal_empty_table(self):
         ideal = window_ideal(full_grid(2, 2), (1, 2))
-        table = betti_numbers(ideal.ring, ideal.generators)
+        table = betti_numbers(ideal)
         assert table.entries == {}
 
     def test_truncated_table_claims_no_zero_ideal(self):
         # grid-1x1's ideal is one quadric; below degree 2 its table is empty
         ideal = window_ideal(full_grid(1, 1), (0, 2))
-        table = betti_numbers(ideal.ring, ideal.generators, j_max=1)
+        table = betti_numbers(ideal, j_max=1)
         assert table.entries == {}
         assert table.format_text() == "empty Betti table"
 
@@ -167,8 +165,7 @@ class TestBettiAnchors:
                 ideal = window_ideal(lat, w)
                 if not ideal.generators or ideal.ring.nvars > 10:
                     continue
-                table = betti_numbers(
-                    ideal.ring, ideal.generators, _targets=[(0, 2), (0, 3), (0, 4)]
+                table = betti_numbers(ideal, _targets=[(0, 2), (0, 3), (0, 4)]
                 )
                 assert table.get(0, 2) == len(ideal.generators), (name, w)
                 assert table.get(0, 3) == 0 and table.get(0, 4) == 0, (name, w)
@@ -199,7 +196,7 @@ class TestBettiInternals:
         ring = ideal.ring
         j = 4
         levels = _semigroup_levels(ring.semigroup, j)
-        hf = hilbert_function(ideal.gb, j, nvars=ring.nvars)
+        hf = hilbert_function(ideal.gb.leads, j, nvars=ring.nvars)
         totals = {}
         for b, mask in levels[j].items():
             counts, _ = _block_faces(ring.semigroup.images, b, mask, j, levels, j)
@@ -270,32 +267,26 @@ class TestBettiInternals:
                 cones += 1
         assert cones > 0
 
-    def test_determinism_under_generator_permutation(self):
-        ideal = window_ideal(ell_lattice(), (0, 4))
-        t1 = betti_numbers(ideal.ring, ideal.generators)
-        t2 = betti_numbers(ideal.ring, tuple(reversed(ideal.generators)))
-        assert t1.entries == t2.entries
-
     def test_two_primes_agree(self):
         ideal = window_ideal(full_grid(2, 2), (0, 4))
-        t1 = betti_numbers(ideal.ring, ideal.generators, field=32003)
-        t2 = betti_numbers(ideal.ring, ideal.generators, field=65537)
+        t1 = betti_numbers(ideal, field=32003)
+        t2 = betti_numbers(ideal, field=65537)
         assert t1.entries == t2.entries
 
     def test_degrees_stop_at_nvars(self):
         # a squarefree initial ideal has no Betti numbers past nvars
         ideal = window_ideal(full_grid(2, 2), (1, 3))
         t0 = time.perf_counter()
-        table = betti_numbers(ideal.ring, ideal.generators, j_max=32)
+        table = betti_numbers(ideal, j_max=32)
         assert time.perf_counter() - t0 < 1.0
-        full = betti_numbers(ideal.ring, ideal.generators)
+        full = betti_numbers(ideal)
         assert table.entries == full.entries == {(0, 2): 2, (1, 4): 1}
         assert (table.i_max, table.j_max, table.nvars) == (7, 32, 7)
 
     def test_var_cap(self):
         ideal = window_ideal(demo_staircase(), (3, 7))
         with pytest.raises(CapExceeded):
-            betti_numbers(ideal.ring, ideal.generators, var_cap=12)
+            betti_numbers(ideal, var_cap=12)
 
     def test_caps_and_budgets_name_the_value_that_tripped(self, monkeypatch):
         import hibilab.errors as errors_mod
@@ -304,9 +295,9 @@ class TestBettiInternals:
         ideal = window_ideal(demo_staircase(), (3, 7))
         ring, gens = ideal.ring, ideal.generators
         for call in (
-            lambda: betti_numbers(ring, gens, var_cap=12),
-            lambda: has_linear_resolution_oracle(ring, gens, gb=ideal.gb, var_cap=12),
-            lambda: is_linearly_related_oracle(ring, gens, var_cap=12),
+            lambda: betti_numbers(ideal, var_cap=12),
+            lambda: has_linear_resolution_oracle(ideal, var_cap=12),
+            lambda: is_linearly_related_oracle(ideal, var_cap=12),
         ):
             with pytest.raises(CapExceeded) as err:
                 call()
@@ -314,7 +305,7 @@ class TestBettiInternals:
         small = window_ideal(full_grid(1, 1), (0, 2))
         monkeypatch.setattr(errors_mod, "BLOCK_FACE_CAP", 1)
         with pytest.raises(CapExceeded) as err:
-            betti_numbers(small.ring, small.generators)
+            betti_numbers(small)
         assert err.value.details["cap"] == 1 and err.value.details["faces"] > 1
         # the fiber oracle enumerates on the move core and the semigroup
         # core, both 12 of the 14 variables (2 leaves peeled): degree 4 has
@@ -325,31 +316,53 @@ class TestBettiInternals:
             toric_fiber_oracle(ring, gens, degree=4)
         assert err.value.details == {"budget": 1000, "monomials": comb(12 + 4 - 1, 4)}
         with pytest.raises(BudgetExceeded) as err:
-            standard_monomial_basis(ideal.gb, ring.nvars, 4)
+            standard_monomial_basis(ideal.gb.leads, ring.nvars, 4)
         assert err.value.details == {"budget": 1000, "monomials": 2380}
 
-    def test_non_toric_input_rejected(self):
-        from buchberger_reference import make_binomial
+    @pytest.mark.parametrize("var_cap", [0, -3])
+    def test_var_cap_below_one_is_rejected_up_front(self, var_cap):
+        # before any route is chosen: a degenerate window, a window that
+        # classify answers by shape, a zero ideal and the suite all raise
+        # InvalidParameter with the suite's payload, not CapExceeded
+        from hibilab.classify import classify_window
+        from hibilab.reports import run_suite
 
+        lat = demo_staircase()
+        ideal, zero = window_ideal(lat, (3, 7)), window_ideal(full_grid(2, 2), (1, 2))
+        assert zero.is_zero
+        for call in (
+            lambda: classify_window(lat, (0, 1), var_cap=var_cap),
+            lambda: classify_window(lat, (3, 7), var_cap=var_cap),
+            lambda: betti_numbers(ideal, var_cap=var_cap),
+            lambda: has_linear_resolution_oracle(zero, var_cap=var_cap),
+            lambda: is_linearly_related_oracle(zero, var_cap=var_cap),
+            lambda: run_suite(lat, windows=[(3, 7)], var_cap=var_cap),
+        ):
+            with pytest.raises(InvalidParameter) as err:
+                call()
+            assert err.value.details == {"var_cap": var_cap}
+        # a cap of 1 is a cap, and None is none
+        with pytest.raises(CapExceeded) as err:
+            betti_numbers(ideal, var_cap=1)
+        assert err.value.details == {"cap": 1, "nvars": 14}
+        assert betti_numbers(window_ideal(full_grid(1, 1), (0, 2)), var_cap=None).entries == {(0, 2): 1}
+
+    def test_non_toric_input_rejected(self):
+        # y_10^2 - y_00 y_11 is homogeneous, but its terms have different images
         ring = WindowRing.for_window(full_grid(1, 1), (0, 2))
-        order = monomial_order("rank-lex", ring)
-        bogus = make_binomial(
-            ring.monomial((1, 0), (1, 0)), ring.monomial((0, 0), (1, 1)), order
-        )
+        bogus = tuple(_sparse_term(ring.monomial(*t)) for t in (((1, 0), (1, 0)), ((0, 0), (1, 1))))
         with pytest.raises(InvalidParameter):
-            betti_numbers(ring, [bogus])
+            betti_numbers(order_search(ring, [bogus]))
 
 
 class TestMonomialBetti:
     def test_edge_ideal_of_path(self):
         # supports {0,1}, {1,2}, {2,3} in 4 variables
-        leads = [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]
-        table = monomial_betti_table(leads, 4)
+        table = monomial_betti_table([0b0011, 0b0110, 0b1100], 4)
         assert table == {(0, 2): 3, (1, 3): 2}
 
     def test_two_disjoint_edges(self):
-        leads = [(1, 1, 0, 0), (0, 0, 1, 1)]
-        table = monomial_betti_table(leads, 4)
+        table = monomial_betti_table([0b0011, 0b1100], 4)
         assert table == {(0, 2): 2, (1, 4): 1}
 
     def test_subset_loop_budget(self, monkeypatch):
@@ -357,7 +370,7 @@ class TestMonomialBetti:
         # 30 variables, 28 of them in some lead support: 2^28 subsets
         ideal = window_ideal(full_grid(5, 4), (0, 9))
         with pytest.raises(BudgetExceeded) as err:
-            monomial_betti_table(ideal.gb.leads, ideal.ring.nvars)
+            monomial_betti_table(ideal.gb.lead_supports, ideal.ring.nvars)
         assert err.value.details == {"budget": 200_000, "masks": 1 << 28}
 
     def test_degree_bound_restricts_full_table(self, corpus):
@@ -367,8 +380,8 @@ class TestMonomialBetti:
                 if len(generators(lat, w)) > 10:
                     continue
                 ideal = window_ideal(lat, w)
-                full = monomial_betti_table(ideal.gb.leads, ideal.ring.nvars)
-                low = monomial_betti_table(ideal.gb.leads, ideal.ring.nvars, j_max=4)
+                full = monomial_betti_table(ideal.gb.lead_supports, ideal.ring.nvars)
+                low = monomial_betti_table(ideal.gb.lead_supports, ideal.ring.nvars, j_max=4)
                 assert low == {k: v for k, v in full.items() if k[1] <= 4}, (name, w)
                 checked += low != full
         assert checked > 0
@@ -378,43 +391,44 @@ class TestMonomialBetti:
         # 20 variables, 18 of them in some lead support: 2^18 subsets of the
         # support union, 4048 of them with at most 4 elements
         ideal = window_ideal(full_grid(4, 3), (0, 7))
-        leads, nvars = ideal.gb.leads, ideal.ring.nvars
+        supports, nvars = ideal.gb.lead_supports, ideal.ring.nvars
         assert nvars == 20
         with pytest.raises(BudgetExceeded):
-            monomial_betti_table(leads, nvars)
-        table = monomial_betti_table(leads, nvars, j_max=4)
-        assert table[(0, 2)] == len(leads)
+            monomial_betti_table(supports, nvars)
+        table = monomial_betti_table(supports, nvars, j_max=4)
+        assert table[(0, 2)] == len(supports)
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         with pytest.raises(BudgetExceeded) as err:
-            monomial_betti_table(leads, nvars, j_max=4)
+            monomial_betti_table(supports, nvars, j_max=4)
         assert err.value.details == {"budget": 1000, "masks": sum(comb(18, k) for k in range(5))}
 
     def test_bounds_toric_table_entrywise(self):
         for lat, w in ((full_grid(2, 2), (0, 4)), (ell_lattice(), (0, 4))):
             ideal = window_ideal(lat, w)
-            mono = monomial_betti_table(ideal.gb.leads, ideal.ring.nvars)
-            toric = betti_numbers(ideal.ring, ideal.generators)
+            mono = monomial_betti_table(ideal.gb.lead_supports, ideal.ring.nvars)
+            toric = betti_numbers(ideal)
             for key, value in toric.entries.items():
                 assert mono.get(key, 0) >= value, (w, key)
 
 
 class TestOracles:
     def test_oracles_read_the_window_ideal_packed(self, corpus):
-        # given the WindowIdeal, both oracles answer as from its Binomials,
-        # take its basis when none is passed, and unpack no generator
+        # given the WindowIdeal of a quadratic squarefree basis, both oracles
+        # take that basis, unpack no generator, and answer as the routes
+        # that rank: Hochster's table of in(I) for linear resolution, and
+        # every block not settled by Euler ranked for linear relatedness
         checked = 0
         for _, lat in corpus[:12]:
             for w in all_windows(lat):
                 ideal = window_ideal(lat, w)
                 if ideal.ring.nvars > 12 or len(ideal.elements) < 2:
                     continue
-                linear = has_linear_resolution_oracle(ideal.ring, ideal)
-                linrel = is_linearly_related_oracle(ideal.ring, ideal)
+                linear = has_linear_resolution_oracle(ideal)
+                linrel = is_linearly_related_oracle(ideal)
                 assert "generators" not in vars(ideal), w
-                assert linear == has_linear_resolution_oracle(
-                    ideal.ring, ideal.generators, gb=ideal.gb), w
-                assert linrel == is_linearly_related_oracle(
-                    ideal.ring, ideal.generators, gb=ideal.gb), w
+                table = monomial_betti_table(ideal.gb.lead_supports, ideal.ring.nvars)
+                assert linear == (not any(j != i + 2 for i, j in table)), w
+                assert linrel == ref.ranked_linearly_related(ideal, 32003), w
                 checked += 1
         assert checked > 50
 
@@ -442,38 +456,37 @@ class TestOracles:
         (5, [(0, 1), (1, 2), (2, 3), (3, 4)], False, [(0, 1, 3, 4)]),
     ])
     def test_froberg_on_hand_made_lead_graphs(self, nvars, edges, linear, two_k2):
-        leads = [tuple(int(v in e) for v in range(nvars)) for e in edges]
-        supports = _lead_supports(leads)
+        supports = [1 << a | 1 << b for a, b in edges]
         assert _complement_chordal(_lead_graph(supports, nvars)) == linear
         assert _induced_2k2(_lead_graph(supports, nvars)) == two_k2
         # the reference: Hochster's formula on the edge ideal
-        table = monomial_betti_table(leads, nvars)
+        table = monomial_betti_table(supports, nvars)
         assert (not any(j != i + 2 for i, j in table)) == linear
         assert table.get((1, 4), 0) == len(two_k2)
 
     def test_minors_linear(self):
         ideal = window_ideal(full_grid(2, 1), (0, 3))
-        assert has_linear_resolution_oracle(ideal.ring, ideal.generators, gb=ideal.gb)
+        assert has_linear_resolution_oracle(ideal)
 
     def test_regular_sequence_not_linear(self):
         ideal = window_ideal(full_grid(2, 2), (1, 3))
-        assert not has_linear_resolution_oracle(ideal.ring, ideal.generators, gb=ideal.gb)
+        assert not has_linear_resolution_oracle(ideal)
 
     def test_zero_ideal_linear(self):
         ideal = window_ideal(full_grid(2, 2), (3, 4))
-        assert has_linear_resolution_oracle(ideal.ring, ideal.generators)
+        assert has_linear_resolution_oracle(ideal)
 
     def test_minors_linearly_related(self):
         ideal = window_ideal(full_grid(2, 1), (0, 3))
-        assert is_linearly_related_oracle(ideal.ring, ideal.generators)
+        assert is_linearly_related_oracle(ideal)
 
     def test_regular_sequence_not_linearly_related(self):
         ideal = window_ideal(full_grid(2, 2), (1, 3))
-        assert not is_linearly_related_oracle(ideal.ring, ideal.generators)
+        assert not is_linearly_related_oracle(ideal)
 
     def test_single_quadric_linearly_related(self):
         ideal = window_ideal(full_grid(1, 1), (0, 2))
-        assert is_linearly_related_oracle(ideal.ring, ideal.generators)
+        assert is_linearly_related_oracle(ideal)
 
     def test_deep_check_accepts_quadratic_windows(self, corpus):
         # a quadratic basis bounds the first syzygies to degrees 3 and 4
@@ -485,7 +498,7 @@ class TestOracles:
         for lat, w in cases:
             ideal = window_ideal(lat, w)
             assert ideal.ring.nvars >= 9 and len(ideal.generators) >= 5
-            table = betti_numbers(ideal.ring, ideal.generators, _targets=[(1, 5), (1, 6)])
+            table = betti_numbers(ideal, _targets=[(1, 5), (1, 6)])
             assert table.get(1, 5) == table.get(1, 6) == 0
 
     @pytest.mark.parametrize("field", [0, 1, 4])
@@ -494,7 +507,7 @@ class TestOracles:
 
         ideal = window_ideal(full_grid(2, 2), (1, 3))
         with pytest.raises(InvalidParameter):
-            is_linearly_related_oracle(ideal.ring, ideal.generators, field=field)
+            is_linearly_related_oracle(ideal, field=field)
         with pytest.raises(InvalidParameter):
             classify_window(full_grid(2, 2), (1, 3), mode="oracle-only", field=field)
 
@@ -502,18 +515,18 @@ class TestOracles:
         from hibilab.binomials import ORDER_KINDS
 
         ideal = window_ideal(full_grid(2, 2), (1, 3))
+        flagged = replace(ideal, gb=replace(ideal.gb, quadratic=False))
         cubic = window_ideal(demo_staircase(), (1, 3), "rank-revlex")
         assert not cubic.gb.quadratic
         for oracle in (has_linear_resolution_oracle, is_linearly_related_oracle):
-            for ring, gens, gb in (
-                (ideal.ring, ideal.generators, None),
-                (cubic.ring, cubic.generators, cubic.gb),
-            ):
+            # a basis that is not quadratic and squarefree sends the oracle to
+            # the order search, which here finds no order
+            for searched in (flagged, cubic):
                 with pytest.raises(PreconditionFailed) as err:
-                    oracle(ring, gens, gb=gb)
+                    oracle(searched)
                 assert err.value.details == {"orders_tried": list(ORDER_KINDS)}
             # a quadratic squarefree basis is used as given, with no search
-            assert oracle(ideal.ring, ideal.generators, gb=ideal.gb) is False
+            assert oracle(ideal) is False
 
     @pytest.mark.parametrize("supports", [
         # the hollow triangle: the last edge meets the path in its two ends
@@ -554,10 +567,10 @@ class TestOracles:
             return reduced_homology(faces, field)
 
         monkeypatch.setattr(betti_mod, "reduced_homology", rank)
-        assert is_linearly_related_oracle(ideal.ring, ideal)
+        assert is_linearly_related_oracle(ideal)
         assert ranked == []
         monkeypatch.setattr(betti_mod, "_glues", lambda supports: False)
-        assert is_linearly_related_oracle(ideal.ring, ideal)
+        assert is_linearly_related_oracle(ideal)
         assert len(ranked) == 1
 
     def test_linear_implies_linearly_related(self, small_corpus):
@@ -566,13 +579,13 @@ class TestOracles:
                 ideal = window_ideal(lat, w)
                 if ideal.ring.nvars > 11 or not ideal.generators:
                     continue
-                if has_linear_resolution_oracle(ideal.ring, ideal.generators, gb=ideal.gb):
-                    assert is_linearly_related_oracle(ideal.ring, ideal.generators), (name, w)
+                if has_linear_resolution_oracle(ideal):
+                    assert is_linearly_related_oracle(ideal), (name, w)
 
 
 def test_face_count_mismatch_is_a_verification_failure(monkeypatch):
     # every walked degree is checked: the full table, a degree bound and
-    # targeted entries alike, and from the packed ideal or its Binomials
+    # targeted entries alike
     import hibilab.betti as betti_mod
 
     exact = betti_mod._block_faces
@@ -583,12 +596,11 @@ def test_face_count_mismatch_is_a_verification_failure(monkeypatch):
 
     monkeypatch.setattr(betti_mod, "_block_faces", one_face_short)
     ideal = window_ideal(full_grid(1, 1), (0, 2))
-    for gens in (ideal, ideal.generators):
-        for bounds in ({}, {"j_max": 2}, {"_targets": [(0, 2)]}):
-            with pytest.raises(VerificationFailed) as err:
-                betti_numbers(ideal.ring, gens, **bounds)
-            assert err.value.details["degree"] == 2, bounds
-            assert "faces" in err.value.details, bounds
+    for bounds in ({}, {"j_max": 2}, {"_targets": [(0, 2)]}):
+        with pytest.raises(VerificationFailed) as err:
+            betti_numbers(ideal, **bounds)
+        assert err.value.details["degree"] == 2, bounds
+        assert "faces" in err.value.details, bounds
 
 
 def _seed7_ideals(corpus, max_vars=7):
@@ -608,7 +620,7 @@ def test_edge_ring_dimension_matches_dimension_formula(corpus):
             d = _edge_ring_dimension(ideal.ring)
             assert d == dimension(lat, w), w
             if ideal.ring.nvars <= 12:
-                assert d == krull_dimension_via_initial(ideal.gb, nvars=ideal.ring.nvars), w
+                assert d == krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars), w
             checked += 1
     assert checked == 764
 
@@ -624,7 +636,7 @@ def test_euler_check_catches_a_dimension_one_too_large(corpus, monkeypatch):
     ideals = _seed7_ideals(corpus)
     for ideal in ideals:
         with pytest.raises(VerificationFailed) as err:
-            betti_numbers(ideal.ring, ideal, var_cap=7)
+            betti_numbers(ideal, var_cap=7)
         assert "euler" in err.value.details, ideal.ring.window
     assert len(ideals) == 116
 
@@ -649,7 +661,7 @@ def test_euler_check_catches_a_homology_rank_off_by_one(corpus, monkeypatch):
     for ideal in ideals:
         calls.clear()
         with pytest.raises(VerificationFailed) as err:
-            betti_numbers(ideal.ring, ideal, var_cap=7)
+            betti_numbers(ideal, var_cap=7)
         assert "euler" in err.value.details, ideal.ring.window
     assert len(ideals) == 116
 
@@ -658,16 +670,16 @@ def test_hochster_bound_catches_rank_errors_that_cancel_in_euler(corpus, monkeyp
     # one more H~ at face sizes 2 and 3 of every ranked block with faces of
     # 4 variables, as a triangle boundary ranked one short would give: the
     # two changes cancel in the Euler sum and the face counts do not move,
-    # so from Binomials, with no basis to bound them, the tables come out
-    # wrong and nothing raises; from the WindowIdeal, whose basis is
-    # quadratic and squarefree, the entrywise bound beta_{i,j}(I) <=
-    # beta_{i,j}(in I) raises on every one of them
+    # so with the basis flagged not quadratic, which leaves no Hochster
+    # table to bound them, the tables come out wrong and nothing raises;
+    # with the window's quadratic squarefree basis, the entrywise bound
+    # beta_{i,j}(I) <= beta_{i,j}(in I) raises on every one of them
     import sys
 
     import hibilab.betti as betti_mod
 
     ideals = _seed7_ideals(corpus, max_vars=8)
-    exact = [betti_numbers(ideal.ring, ideal, var_cap=None).entries for ideal in ideals]
+    exact = [betti_numbers(ideal, var_cap=None).entries for ideal in ideals]
     homology = betti_mod.reduced_homology
 
     def one_short(faces, field):
@@ -680,12 +692,13 @@ def test_hochster_bound_catches_rank_errors_that_cancel_in_euler(corpus, monkeyp
     monkeypatch.setattr(betti_mod, "reduced_homology", one_short)
     wrong = 0
     for ideal, want in zip(ideals, exact):
-        if betti_numbers(ideal.ring, ideal.generators, var_cap=None).entries == want:
-            assert betti_numbers(ideal.ring, ideal, var_cap=None).entries == want
+        unbounded = replace(ideal, gb=replace(ideal.gb, quadratic=False))
+        if betti_numbers(unbounded, var_cap=None).entries == want:
+            assert betti_numbers(ideal, var_cap=None).entries == want
             continue
         wrong += 1
         with pytest.raises(VerificationFailed) as err:
-            betti_numbers(ideal.ring, ideal, var_cap=None)
+            betti_numbers(ideal, var_cap=None)
         details = err.value.details
         assert details.keys() == {"i", "j", "toric", "hochster"}, ideal.ring.window
         assert details["toric"] > details["hochster"], ideal.ring.window
@@ -693,14 +706,13 @@ def test_hochster_bound_catches_rank_errors_that_cancel_in_euler(corpus, monkeyp
 
 
 def test_hochster_bound_reads_the_packed_basis_at_the_same_field():
-    # the bound's Hochster table, read off the GroebnerReport, is the table
-    # of the dense leads, and bounds the grid-2x2 full window at two primes
+    # the bound's Hochster table, read off the GroebnerReport's lead
+    # supports, bounds the grid-2x2 full window at two primes
     ideal = window_ideal(full_grid(2, 2), (0, 4))
     nvars = ideal.ring.nvars
     for field in (32003, 65537):
-        hochster = monomial_betti_table(ideal.gb, nvars, field=field)
-        assert hochster == monomial_betti_table(ideal.gb.leads, nvars, field=field)
-        table = betti_numbers(ideal.ring, ideal, field=field, var_cap=None)
+        hochster = monomial_betti_table(ideal.gb.lead_supports, nvars, field=field)
+        table = betti_numbers(ideal, field=field, var_cap=None)
         assert table.entries and all(v <= hochster[k] for k, v in table.entries.items())
 
 
@@ -724,10 +736,10 @@ def test_betti_numbers_on_fields_without_a_spare_bit_fail_in_the_level_build():
     # degree with an entry of 4, before any block is walked (the face counts
     # add up over the aliased ints, so the face-count check would not see it)
     ideal = window_ideal(full_grid(2, 2), (1, 3))
-    assert betti_numbers(ideal.ring, ideal.generators).entries == {(0, 2): 2, (1, 4): 1}
+    assert betti_numbers(ideal).entries == {(0, 2): 2, (1, 4): 1}
     _narrow(ideal.ring.semigroup)
     with pytest.raises(VerificationFailed) as err:
-        betti_numbers(ideal.ring, ideal.generators)
+        betti_numbers(ideal)
     assert err.value.details == {"degree": 4}
 
 

@@ -212,7 +212,7 @@ class TestFiberOracle:
 
         ideal = window_ideal(demo_staircase(), (3, 7))
         cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=3)
-        hf = hilbert_function(ideal.gb, 3, nvars=ideal.ring.nvars)
+        hf = hilbert_function(ideal.gb.leads, 3, nvars=ideal.ring.nvars)
         assert [d.fibers for d in cert.per_degree] == hf[2:]
 
     def test_budget_guard(self, monkeypatch):
@@ -464,7 +464,7 @@ def test_window_state_dies_by_refcount():
     try:
         ctx = WindowContext(demo_staircase(), RankWindow(3, 7))
         ideal = ctx.ideal
-        assert krull_dimension_via_initial(ideal.gb, nvars=ctx.ring.nvars) == ctx.dimension
+        assert krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ctx.ring.nvars) == ctx.dimension
         cert = toric_fiber_oracle(ideal.ring, ideal, gb=ideal.gb, degree=4)
         assert cert.generated and cert.gb_certified and len(ctx.ring.semigroup.sizes) == 4
         ring, store = weakref.ref(ctx.ring), weakref.ref(ctx.ring.semigroup)

@@ -161,7 +161,7 @@ class TestEnumerate:
         wins = {(w.p, w.q) for w in enumerate_linrel_windows(lat)}
         assert (1, 3) not in wins
         ideal = window_ideal(lat, (1, 3))
-        assert not is_linearly_related_oracle(ideal.ring, ideal.generators)
+        assert not is_linearly_related_oracle(ideal)
 
     def test_missing_corner_gates(self):
         # ell 3x3 misses (2,0); transpose form misses (0,2)
@@ -221,9 +221,9 @@ class TestClassifyWindow:
         real = classify_mod.is_linearly_related_oracle
         fields = []
 
-        def record(ring, gens, field, **kw):
+        def record(ideal, field, **kw):
             fields.append(field)
-            return real(ring, gens, field, **kw)
+            return real(ideal, field, **kw)
 
         monkeypatch.setattr(classify_mod, "is_linearly_related_oracle", record)
         return fields
@@ -265,9 +265,9 @@ class TestClassifyWindow:
         real = classify_mod.is_linearly_related_oracle
         fields = []
 
-        def first_prime_artifact(ring, gens, field, **kw):
+        def first_prime_artifact(ideal, field, **kw):
             fields.append(field)
-            return real(ring, gens, field, **kw) == (field == SECOND_FIELD)
+            return real(ideal, field, **kw) == (field == SECOND_FIELD)
 
         monkeypatch.setattr(classify_mod, "is_linearly_related_oracle", first_prime_artifact)
         verdict = verify_window(full_grid(2, 2), (0, 4))

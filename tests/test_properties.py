@@ -17,7 +17,6 @@ from buchberger_reference import make_binomial, mono_mul
 from fiber_reference import image_of_monomial
 from hibilab.binomials import (
     WindowRing,
-    _lead_supports,
     buchberger,
     defining_ideal_generators,
     monomial_order,
@@ -199,7 +198,7 @@ def test_krull_dimension_matches_exhaustive_search():
             ):
                 best = size
                 break
-        assert krull_dimension_via_initial(ideal.gb, nvars=n) == best
+        assert krull_dimension_via_initial(ideal.gb.lead_supports, nvars=n) == best
         checked += 1
     CASES["krull-exhaustive"] = checked
 
@@ -224,6 +223,7 @@ def test_krull_search_matches_exhaustive_on_random_hypergraphs():
             for _ in range(rng.randint(1, 2 * n))
         }
         leads = [tuple(int(v in s) for v in range(n)) for s in supports]
+        masks = krull_reference.lead_supports(leads)
         best = next(
             size
             for size in range(n, -1, -1)
@@ -232,10 +232,10 @@ def test_krull_search_matches_exhaustive_on_random_hypergraphs():
                 for sub in combinations(range(n), size)
             )
         )
-        assert krull_dimension_via_initial(leads, nvars=n) == best, sorted(map(sorted, supports))
+        assert krull_dimension_via_initial(masks, nvars=n) == best, sorted(map(sorted, supports))
         # the mask filter against the frozenset reference, with nested supports
         want = sorted(krull_reference.masks(krull_reference.minimal_supports(leads)))
-        assert sorted(_minimal_masks(_lead_supports(leads))) == want
+        assert sorted(_minimal_masks(masks)) == want
         nested += len(want) < len(supports)
         sizes.update(map(len, supports))
         checked += 1
@@ -260,9 +260,8 @@ def test_krull_on_masks_matches_minimal_supports_reference(corpus):
             assert gb.lead_supports == tuple(supports), (name, w)
             want = krull_reference.masks(krull_reference.minimal_supports(leads))
             assert sorted(_minimal_masks(gb.lead_supports)) == sorted(want), (name, w)
-            krull = krull_dimension_via_initial(gb, nvars=nvars)
+            krull = krull_dimension_via_initial(gb.lead_supports, nvars=nvars)
             assert krull == krull_reference.krull_dimension(leads, nvars), (name, w)
-            assert krull == krull_dimension_via_initial(leads, nvars=nvars), (name, w)
             checked += 1
     assert checked == 764 + 825
 
@@ -279,8 +278,8 @@ def test_linear_resolution_oracle_matches_full_table():
         ideal = window_ideal(lat, w)
         if not ideal.generators or ideal.ring.nvars > 8:
             continue
-        fast = has_linear_resolution_oracle(ideal.ring, ideal.generators, gb=ideal.gb)
-        table = betti_numbers(ideal.ring, ideal.generators)
+        fast = has_linear_resolution_oracle(ideal)
+        table = betti_numbers(ideal)
         full = not any(j != i + 2 for i, j in table.entries)
         assert fast == full, w
         checked += 1
@@ -291,7 +290,10 @@ def test_settled_oracles_match_direct_koszul(corpus):
     """Gate for settling Betti entries from the Hochster table.
 
     The reference is the direct route: a targeted Koszul block on every
-    off-linear candidate of the initial ideal's table and on (1, 4).
+    off-linear candidate of the initial ideal's table and on (1, 4).  Both
+    oracles answer as it on the window's ideal and, where its rank-revlex
+    basis is not quadratic and squarefree, on that ideal too, whose basis
+    the oracles replace by the order search's.
     """
     from hibilab.betti import (
         _settled,
@@ -301,39 +303,40 @@ def test_settled_oracles_match_direct_koszul(corpus):
         monomial_betti_table,
     )
 
-    checked = settled = 0
+    checked = settled = searched = 0
     for name, lat in corpus:
         for w in all_windows(lat):
             if len(generators(lat, w)) > 9:
                 continue
             ideal = window_ideal(lat, w)
-            ring, gens, gb = ideal.ring, ideal.generators, ideal.gb
-            if not gens:
+            ring, gb = ideal.ring, ideal.gb
+            if ideal.is_zero:
                 continue
             assert gb.squarefree, (name, w)
+            cubic = window_ideal(lat, w, "rank-revlex")
+            ideals = [ideal]
+            if not (cubic.gb.quadratic and cubic.gb.squarefree):
+                ideals.append(cubic)
+                searched += 1
             for field in (32003, 65537):
-                mono = monomial_betti_table(gb.leads, ring.nvars, field=field)
+                mono = monomial_betti_table(gb.lead_supports, ring.nvars, field=field)
                 candidates = [(i, j) for (i, j), v in mono.items() if v and j != i + 2]
                 koszul = {
-                    t: betti_numbers(ring, gens, field=field, _targets=[t]).get(*t)
+                    t: betti_numbers(ideal, field=field, _targets=[t]).get(*t)
                     for t in candidates + [(1, 4)]
                 }
                 linear = not any(koszul[t] for t in candidates)
                 linrel = koszul[(1, 4)] == 0
-                for with_gb in (gb, None):
-                    assert has_linear_resolution_oracle(
-                        ring, gens, gb=with_gb
-                    ) == linear, (name, w, field)
-                    assert is_linearly_related_oracle(
-                        ring, gens, field=field, gb=with_gb
-                    ) == linrel, (name, w, field)
+                for given in ideals:
+                    assert has_linear_resolution_oracle(given) == linear, (name, w, field)
+                    assert is_linearly_related_oracle(given, field=field) == linrel, (name, w, field)
                 for t, value in koszul.items():
                     entry = _settled(mono, *t)
                     if entry is not None:
                         assert entry == value, (name, w, field, t)
                         settled += 1
                 checked += 1
-    assert settled > 0
+    assert settled > 0 and searched > 0, (settled, searched)
     CASES["settled-oracles-vs-koszul"] = checked
 
 
@@ -362,19 +365,18 @@ def test_oracles_on_non_quadratic_bases_match_koszul(corpus):
             if cubic.gb.quadratic:
                 continue
             auto = window_ideal(lat, w)
-            ring, gens = cubic.ring, cubic.generators
-            mono = monomial_betti_table(auto.gb.leads, ring.nvars)
+            mono = monomial_betti_table(auto.gb.lead_supports, cubic.ring.nvars)
             candidates = sorted((j, i) for (i, j), v in mono.items() if v and j != i + 2)
             linear = not any(
-                betti_numbers(ring, gens, _targets=[(i, j)]).get(i, j) for j, i in candidates
+                betti_numbers(cubic, _targets=[(i, j)]).get(i, j) for j, i in candidates
             )
-            linrel = betti_numbers(ring, gens, _targets=[(1, 4)]).get(1, 4) == 0
+            linrel = betti_numbers(cubic, _targets=[(1, 4)]).get(1, 4) == 0
             for oracle, want in (
                 (has_linear_resolution_oracle, linear),
                 (is_linearly_related_oracle, linrel),
             ):
-                assert oracle(ring, gens, gb=cubic.gb) == want, (name, w)
-                assert oracle(auto.ring, auto.generators, gb=auto.gb) == want, (name, w)
+                assert oracle(cubic) == want, (name, w)
+                assert oracle(auto) == want, (name, w)
             checked += 1
     assert checked == 59
 
@@ -392,8 +394,7 @@ def test_lead_graph_matches_hochster_on_random_graphs():
         for a, b in edges:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        leads = [tuple(int(v in e) for v in range(nvars)) for e in edges]
-        table = monomial_betti_table(leads, nvars)
+        table = monomial_betti_table([1 << a | 1 << b for a, b in edges], nvars)
         linear = not any(j != i + 2 for i, j in table)
         assert _complement_chordal(adj) == linear, edges
         assert len(_induced_2k2(adj)) == table.get((1, 4), 0), edges
@@ -421,13 +422,13 @@ def test_lead_graph_matches_hochster_table(corpus):
             ideal = window_ideal(lat, w)
             if not ideal.generators:
                 continue
-            leads, nvars = ideal.gb.leads, ideal.ring.nvars
+            supports, nvars = ideal.gb.lead_supports, ideal.ring.nvars
             assert ideal.gb.quadratic and ideal.gb.squarefree, (name, w)
-            adj = _lead_graph(ideal.gb.lead_supports, nvars)
-            full = monomial_betti_table(leads, nvars)
+            adj = _lead_graph(supports, nvars)
+            full = monomial_betti_table(supports, nvars)
             linear = not any(j != i + 2 for i, j in full)
             assert _complement_chordal(adj) == linear, (name, w)
-            low = monomial_betti_table(leads, nvars, j_max=4)
+            low = monomial_betti_table(supports, nvars, j_max=4)
             assert len(_induced_2k2(adj)) == low.get((1, 4), 0), (name, w)
             nonlinear += not linear
             with_2k2 += (1, 4) in low
@@ -457,8 +458,8 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
             if len(generators(lat, w)) > 10:
                 continue
             ideal = window_ideal(lat, w)
-            ring, gens, gb = ideal.ring, ideal.generators, ideal.gb
-            if not gens:
+            ring, gb = ideal.ring, ideal.gb
+            if ideal.is_zero:
                 continue
             levels = _semigroup_levels(ring.semigroup, 4)
             images = ring.semigroup.images
@@ -472,11 +473,9 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
                     reduced_homology(faces, field).get(2, 0)
                     for faces in block_faces if faces is not None
                 )
-                strand = betti_numbers(ring, gens, field=field, _targets=[(1, 4)]).get(1, 4)
+                strand = betti_numbers(ideal, field=field, _targets=[(1, 4)]).get(1, 4)
                 assert blocks == strand, (name, w, field)
-                assert is_linearly_related_oracle(
-                    ring, gens, field=field, gb=gb
-                ) == (strand == 0), (name, w, field)
+                assert is_linearly_related_oracle(ideal, field=field) == (strand == 0), (name, w, field)
                 nonzero += strand > 0
             checked += 1
     assert nonzero > 0
@@ -519,7 +518,7 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
         ring = ideal.ring
         visited.clear()
         tables = {
-            field: betti_mod.betti_numbers(ring, ideal.generators, field=field, var_cap=None)
+            field: betti_mod.betti_numbers(ideal, field=field, var_cap=None)
             for field in fields
         }
         levels = ref.semigroup_levels(ring, ring.nvars)
@@ -566,7 +565,7 @@ def test_pd_bounded_tables_match_unbounded_walk(corpus):
     variables, as the table did before the bound.  On every seed-7 and
     seed-11 window with at most 7 variables and on every demo staircase
     window with at most 9, betti_numbers gives its table at 32003 and
-    65537, from the packed WindowIdeal and from its Binomials alike.
+    65537.
     """
     import koszul_reference as ref
 
@@ -584,10 +583,8 @@ def test_pd_bounded_tables_match_unbounded_walk(corpus):
                 continue
             for field in (32003, 65537):
                 want = ref.betti_table(ring, ideal.generators, field)
-                got = betti_numbers(ring, ideal, field=field, var_cap=None).entries
+                got = betti_numbers(ideal, field=field, var_cap=None).entries
                 assert got == want, (ring.points, w, field)
-                if field == 32003:
-                    assert betti_numbers(ring, ideal.generators, var_cap=None).entries == want
             checked += 1
     assert checked == 447 + 501 + 19, checked
     CASES["pd-bounded-vs-unbounded-walk"] = checked
@@ -639,8 +636,8 @@ def linrel_blocks(corpus):
 
     Those are the windows with at most 30 variables, a generator and a
     quadratic squarefree basis from _initial_basis; a lead graph with no
-    induced 2K2 gives no block.  Each record holds the window, its ring, generators,
-    basis and lead graph, and per 2K2 multidegree (rows, columns): h1, the
+    induced 2K2 gives no block.  Each record holds the window, its ring, its
+    WindowIdeal, basis and lead graph, and per 2K2 multidegree (rows, columns): h1, the
     pairing supports, the level walk's faces of at most 3 and of at most 4
     variables (koszul_reference.level_2k2_blocks), and, per field, the
     whole block's reduced homology by elimination.
@@ -659,11 +656,11 @@ def linrel_blocks(corpus):
     for name, lat in corpus:
         for w in all_windows(lat):
             ideal = window_ideal(lat, w)
-            ring, gens = ideal.ring, ideal.generators
-            if ring.nvars > 30 or not gens:
+            ring = ideal.ring
+            if ring.nvars > 30 or ideal.is_zero:
                 continue
             try:
-                gb = _initial_basis(ring, gens, ideal.gb, 30)
+                gb = _initial_basis(ideal, 30)
             except PreconditionFailed:
                 continue
             adj = _lead_graph(gb.lead_supports, ring.nvars)
@@ -677,7 +674,7 @@ def linrel_blocks(corpus):
                     for field in (32003, 65537)
                 }
                 blocks[key] = (h1, _pairing_supports(ring.index, *key), walks[3][key], homology)
-            records.append(((name, w), ring, gens, gb, adj, blocks))
+            records.append(((name, w), ring, ideal, gb, adj, blocks))
     return records
 
 
@@ -811,25 +808,33 @@ def test_triangle_rank_off_forest_matches_elimination(ranked_blocks):
     CASES["forest-triangle-rank-vs-elimination"] = checked
 
 
-def test_linear_relatedness_oracle_matches_level_reference(linrel_blocks):
+def test_linear_relatedness_oracle_matches_level_reference(corpus, linrel_blocks):
     """Gate for is_linearly_related_oracle against the level route with full elimination.
 
-    On every window of linrel_blocks, at 32003 and 65537, with the
-    window's own basis and with none, the oracle answers True exactly when
-    every induced-2K2 block of the level walk has no H~_1 by elimination.
+    On every window of linrel_blocks, at 32003 and 65537, the oracle
+    answers True exactly when every induced-2K2 block of the level walk has
+    no H~_1 by elimination: on the window's ideal, and, where its
+    rank-revlex basis is not quadratic and squarefree, on that ideal too,
+    whose basis the oracle replaces by the order search's.
     """
     from hibilab.betti import is_linearly_related_oracle
 
-    related = unrelated = 0
-    for where, ring, gens, gb, _, window_blocks in linrel_blocks:
+    lattices = dict(corpus)
+    related = unrelated = searched = 0
+    for (name, w), _, ideal, _, _, window_blocks in linrel_blocks:
+        cubic = window_ideal(lattices[name], w, "rank-revlex")
+        ideals = [ideal]
+        if not (cubic.gb.quadratic and cubic.gb.squarefree):
+            ideals.append(cubic)
+            searched += 1
         for field in (32003, 65537):
             want = not any(homology[field].get(2) for *_, homology in window_blocks.values())
-            for with_gb in (gb, None):
-                got = is_linearly_related_oracle(ring, gens, field=field, gb=with_gb, var_cap=30)
-                assert got == want, (where, field)
+            for given in ideals:
+                got = is_linearly_related_oracle(given, field=field, var_cap=30)
+                assert got == want, (name, w, field)
             related += want
             unrelated += not want
-    assert related > 0 and unrelated > 0
+    assert related > 0 and unrelated > 0 and searched > 0
     CASES["linrel-oracle-vs-level-reference"] = len(linrel_blocks)
 
 
@@ -881,7 +886,7 @@ def test_linear_relatedness_oracle_matches_the_ranked_reference(corpus):
 
     def answer(oracle, ideal, field):
         try:
-            return oracle(ideal.ring, ideal, field=field, var_cap=30)
+            return oracle(ideal, field=field, var_cap=30)
         except HibiLabError as err:
             return type(err)
 
@@ -908,8 +913,8 @@ def test_standard_monomials_match_the_degree_filter(corpus):
     monomial of each degree, in the order of combinations_with_replacement,
     kept when no lead divides it.  The two give the same monomials in the
     same order, and hilbert_function their counts, on every seed-7 window
-    with at most 9 variables at d_max 0, 1, 3 and 4, from the
-    GroebnerReport and from its dense leads, and on random lead sets with
+    with at most 9 variables at d_max 0, 1, 3 and 4, from the basis's
+    dense leads, and on random lead sets with
     squares, higher powers, leads above d_max and the constant lead.
     """
     from fiber_reference import standard_monomials
@@ -924,9 +929,8 @@ def test_standard_monomials_match_the_degree_filter(corpus):
                 continue
             for d_max in (0, 1, 3, 4):
                 want = standard_monomials(leads, nvars, d_max)
-                assert standard_monomial_basis(ideal.gb, nvars, d_max).degrees == want, (w, d_max)
                 assert standard_monomial_basis(leads, nvars, d_max).degrees == want, (w, d_max)
-                assert hilbert_function(ideal.gb, d_max, nvars) == list(map(len, want)), (w, d_max)
+                assert hilbert_function(leads, d_max, nvars) == list(map(len, want)), (w, d_max)
             windows += 1
     rng = random.Random(2207)
     squares = 0
