@@ -72,9 +72,10 @@ Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
 
 The two boolean oracles work on the initial ideal in(I) of a quadratic
-squarefree Groebner basis: the WindowIdeal's own when it is both, else the
-order search's on its generators, and PreconditionFailed naming the orders
-tried when no candidate order gives one (criterion 2 says some order does).
+squarefree Groebner basis, WindowIdeal.quadratic_gb: the ideal's own when it
+is both, else the order search's on its generators, searched once per ideal,
+and PreconditionFailed naming the orders tried when no candidate order gives
+one (criterion 2 says some order does).
 So in(I) is the edge ideal of the lead graph G: one edge a-b per lead
 y_a y_b.
 
@@ -139,9 +140,7 @@ from .binomials import (
     WindowRing,
     _fiber_terms,
     _lead_graph,
-    _sparse_term,
     _standard_levels,
-    order_search,
     require_field,
 )
 
@@ -972,8 +971,8 @@ def _hochster_h2(adj, supports):
 
 
 def _initial_basis(ideal: WindowIdeal, var_cap):
-    """The ideal's basis when it is quadratic and squarefree, else the order
-    search's on its generators; None for the zero ideal.
+    """The ideal's quadratic squarefree basis (WindowIdeal.quadratic_gb,
+    searched once per ideal); None for the zero ideal.
 
     A var_cap below 1 raises InvalidParameter before anything else, windows
     over var_cap variables raise CapExceeded next, and PreconditionFailed
@@ -984,17 +983,7 @@ def _initial_basis(ideal: WindowIdeal, var_cap):
     if ideal.is_zero:
         return None
     check_var_cap(ideal.ring.nvars, var_cap)
-    gb = ideal.gb
-    if not (gb.quadratic and gb.squarefree):
-        pairs = [(_sparse_term(g.lead), _sparse_term(g.trail)) for g in ideal.generators]
-        ideal = order_search(ideal.ring, pairs)
-        gb = ideal.gb
-        if not (gb.quadratic and gb.squarefree):
-            raise PreconditionFailed(
-                "no candidate order gives a quadratic squarefree basis",
-                orders_tried=list(ideal.orders_tried),
-            )
-    return gb
+    return ideal.quadratic_gb
 
 
 def has_linear_resolution_oracle(ideal: WindowIdeal, var_cap: int = 12) -> bool:

@@ -25,7 +25,13 @@ from math import comb, isqrt
 from operator import eq, floordiv, itemgetter, mod, mul, neg, or_
 
 from . import errors
-from .errors import DegreeInfeasible, InvalidParameter, VerificationFailed, search_budget
+from .errors import (
+    DegreeInfeasible,
+    InvalidParameter,
+    PreconditionFailed,
+    VerificationFailed,
+    search_budget,
+)
 from .lattice import PlanarLattice, lazy, row_masks
 from .windows import RankWindow, as_context
 
@@ -860,7 +866,8 @@ class WindowIdeal:
     trail is a lead.  elements, their (lead, trail) packed into ints of
     layout, are built on first read, and generators unpacks them; the zero
     ideal has none and no layout.  size is the generator count, which
-    is_zero and is_principal read without packing.
+    is_zero and is_principal read without packing.  quadratic_gb is the
+    quadratic squarefree basis the Betti oracles read, searched once.
     """
 
     ring: WindowRing
@@ -884,6 +891,22 @@ class WindowIdeal:
     @property
     def is_principal(self) -> bool:
         return self.led.size == 1
+
+    @lazy
+    def quadratic_gb(self) -> GroebnerReport:
+        """gb when it is quadratic and squarefree, else the auto order
+        search's basis on the generators; PreconditionFailed names the
+        orders tried when no candidate order gives one."""
+        if self.gb.quadratic and self.gb.squarefree:
+            return self.gb
+        pairs = [(_sparse_term(g.lead), _sparse_term(g.trail)) for g in self.generators]
+        found = order_search(self.ring, pairs)
+        if not (found.gb.quadratic and found.gb.squarefree):
+            raise PreconditionFailed(
+                "no candidate order gives a quadratic squarefree basis",
+                orders_tried=list(found.orders_tried),
+            )
+        return found.gb
 
 
 def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
@@ -1159,18 +1182,13 @@ def _face_counts(supports, nvars: int):
 
 
 def _fiber_terms(source, ring: WindowRing, units) -> list:
-    """Each (lead, trail) of source as (degree, lead, trail, balanced): one
-    walk over each term's support repacks it on units (the oracle's fields;
-    zeros for balance alone) and sums its image from ring.semigroup, and
-    balanced is whether the two images agree.  A WindowIdeal's or
-    GroebnerReport's packed elements are read as held, and Binomials packed
-    once; an inhomogeneous binomial raises InvalidParameter."""
-    if isinstance(source, (WindowIdeal, GroebnerReport)):
-        elements, layout = source.elements, source.layout
-    elif elements := tuple(source):
-        degree = max(sum(t) for g in elements for t in (g.lead, g.trail))
-        layout = _Layout(monomial_order("lex", ring), _width(degree))
-        elements = [(layout.pack(g.lead), layout.pack(g.trail)) for g in elements]
+    """Each packed (lead, trail) of source, a WindowIdeal or a
+    GroebnerReport, as (degree, lead, trail, balanced): one walk over each
+    term's support repacks it on units (the oracle's fields; zeros for
+    balance alone) and sums its image from ring.semigroup, and balanced is
+    whether the two images agree.  An inhomogeneous binomial raises
+    InvalidParameter."""
+    elements, layout = source.elements, source.layout
     if not elements:
         return []
     width, ones, low, hi, top = layout.width, layout.ones, layout.low, layout.hi, layout.top
@@ -1195,19 +1213,14 @@ def _fiber_terms(source, ring: WindowRing, units) -> list:
     return out
 
 
-def toric_fiber_oracle(
-    ring: WindowRing,
-    gens,
-    gb: GroebnerReport | None = None,
-    degree: int = 4,
-) -> FiberCertificate:
+def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
     """Certify membership, generation and the Groebner property degree by degree.
 
-    gens is a WindowIdeal, read packed, or Binomials.  The oracle counts and
-    neither maps nor reduces a monomial.  The degree-e monomials fall into
-    |L_e| fibers, one per point of the semigroup level L_e (ring.semigroup,
-    which the order search has mostly grown to L_3), whose differences span
-    target_dim = #monomials - |L_e| dimensions.  The moves u*lead - u*trail,
+    The ideal's generators and its own basis ideal.gb are read packed; the
+    oracle counts and neither maps nor reduces a monomial.  The degree-e
+    monomials fall into |L_e| fibers, one per point of the semigroup level
+    L_e (ring.semigroup, which the order search has mostly grown to L_3),
+    whose differences span target_dim = #monomials - |L_e| dimensions.  The moves u*lead - u*trail,
     deg u = e - deg g, are the edges of a graph on the monomials whose
     incidence matrix has rank #monomials - #components in every
     characteristic; span_rank counts it by union-find, and generation holds
@@ -1220,8 +1233,8 @@ def toric_fiber_oracle(
     number comes from the faces of the lead complex (_face_counts), a route
     apart from the order search's lead-graph counts; other leads fall back
     to enumerating the standard monomials (_standard_levels).  Each generator
-    and basis element is walked once (_fiber_terms; a basis that is the
-    generators, once in all) for its terms on the oracle's fields, with
+    and basis element is walked once (_fiber_terms; a basis that shares the
+    generators' _Led, once in all) for its terms on the oracle's fields, with
     degree.bit_length() + 1 bits per variable, and its balance.
 
     Each count is taken on a core and lifted (_lift): |L_e| from the
@@ -1242,11 +1255,12 @@ def toric_fiber_oracle(
     2 raises InvalidParameter (require_degree).
     """
     require_degree(degree)
+    ring, gb = ideal.ring, ideal.gb
     nvars = ring.nvars
     width = degree.bit_length() + 1
     units = [1 << width * k for k in range(nvars)]
     hi = sum(units) << width - 1
-    terms = _fiber_terms(gens, ring, units)
+    terms = _fiber_terms(ideal, ring, units)
     budget = search_budget()
     moves = [(d, lead, trail) for d, lead, trail, _ in terms if d <= degree]
     held = reduce(or_, (lead | trail for _, lead, trail in moves), 0)
@@ -1254,19 +1268,16 @@ def toric_fiber_oracle(
     # the variables a degree enumerates monomials on: the move core's and the
     # semigroup core's, or all of them where the standard monomials are enumerated
     walked = max(len(core), nvars - ring.semigroup.free)
-    unbalanced, standard = degree + 1, None  # standard: counts of degree 1, 2, ..., with a basis
-    if gb is not None:
-        same = isinstance(gens, WindowIdeal) and (gb.elements, gb.layout) == (gens.elements, gens.layout)
-        basis = terms if same else _fiber_terms(gb, ring, units)
-        # from the degree of the first unbalanced basis element on, no degree is consistent
-        unbalanced = min((d for d, _, _, ok in basis if not ok), default=degree + 1)
-        if (supports := gb.lead_supports) is not None:
-            standard = _face_counts(supports, nvars)
-        else:
-            leads = [lead for d, lead, _, _ in basis if d <= degree]
-            walked = nvars
-            standard = islice(map(len, _standard_levels(leads, units, hi, (1 << width) - 1)), 1, None)
-        next(standard)  # degree 1
+    basis = terms if gb.led is ideal.led else _fiber_terms(gb, ring, units)
+    # from the degree of the first unbalanced basis element on, no degree is consistent
+    unbalanced = min((d for d, _, _, ok in basis if not ok), default=degree + 1)
+    if (supports := gb.lead_supports) is not None:
+        standard = _face_counts(supports, nvars)  # counts of degree 1, 2, ...
+    else:
+        leads = [lead for d, lead, _, _ in basis if d <= degree]
+        walked = nvars
+        standard = islice(map(len, _standard_levels(leads, units, hi, (1 << width) - 1)), 1, None)
+    next(standard)  # degree 1
     least = min((d for d, _, _ in moves), default=degree + 1)
     levels = [[(0, 0)]]  # the core's monomials of degree 0, 1, ..., (packed, last variable)
     spans = []  # the core's span rank in degree 0, 1, ...
@@ -1298,6 +1309,6 @@ def toric_fiber_oracle(
             degree=e, monomials=count, fibers=fibers, target_dim=target, span_rank=span,
             generated=span == target,
             # from unbalanced on no degree reads the counts, so they may stop there
-            gb_consistent=gb is None or (e < unbalanced and next(standard) == fibers),
+            gb_consistent=e < unbalanced and next(standard) == fibers,
         ))
     return FiberCertificate(degree, all(ok for *_, ok in terms), tuple(records))

@@ -263,10 +263,8 @@ def classify_window(
     window may be a WindowContext, whose ideal and polyomino are then used.
     _oracle, an oracle-only verdict of the same window, answers the oracle
     fallbacks of shape-first in place of new oracle calls.  field, mode and
-    var_cap (at least 1) are checked first, whatever route the window then
-    takes.  var_cap caps the linear-resolution oracle; the
-    linear-relatedness oracle is capped at max(var_cap, 16), so a var_cap
-    below 16 does not cap it.
+    var_cap (at least 1, or None for no cap) are checked first, whatever
+    route the window then takes.  var_cap caps both oracles.
     """
     require_field(field)
     if mode not in CLASSIFY_MODES:
@@ -286,7 +284,7 @@ def classify_window(
     def linrel():
         if _oracle is not None:
             return _oracle.linearly_related
-        return is_linearly_related_oracle(ideal, field=field, var_cap=max(var_cap, 16))
+        return is_linearly_related_oracle(ideal, field=field, var_cap=var_cap)
 
     if mode == "oracle-only":
         return WindowVerdict(w, linear(), linrel(), "oracle", "oracle")

@@ -6,15 +6,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    DegreeInfeasible,
-    HibiLabError,
-    ParseError,
-    PreconditionFailed,
-    VerificationFailed,
-)
+from .errors import HibiLabError, ParseError, VerificationFailed
 from .windows import (
     WindowContext,
     bipartite_graph,
@@ -26,7 +18,7 @@ from .binomials import DEFAULT_FIELD, ORDER_KINDS, require_field, toric_fiber_or
 from .betti import betti_numbers, hilbert_function, krull_dimension_via_initial
 from .classify import CLASSIFY_MODES, classify_window, enumerate_linrel_windows, verify_window
 from .render import render_figure
-from .reports import CorpusSpec, generate_corpus, lattice_record, parse_input, run_suite
+from .reports import SKIPS, CorpusSpec, generate_corpus, lattice_record, parse_input, run_suite
 
 _INPUT_ERRORS = ("parse-error", "lattice-invalid", "missing-origin", "not-meet-closed",
                  "not-join-closed", "chain-condition-fails", "width-exceeds-two",
@@ -283,11 +275,10 @@ def _dispatch(args) -> int:
     if cmd == "fiber":
         out = []
         for ctx in ctxs:
-            ideal = ctx.ideal
-            gb = ideal.gb  # outside the try: only the oracle's budget skips a window
+            ideal = ctx.ideal  # outside the try: only the oracle's budget skips a window
             try:
-                cert = toric_fiber_oracle(ideal.ring, ideal, gb=gb, degree=args.degree)
-            except DegreeInfeasible as exc:
+                cert = toric_fiber_oracle(ideal, degree=args.degree)
+            except SKIPS["fiber"] as exc:
                 out.append({"window": [ctx.window.p, ctx.window.q],
                             "skipped": {"fiber": exc.payload()}})
                 continue
@@ -309,7 +300,7 @@ def _dispatch(args) -> int:
             ideal = ctx.ideal
             try:
                 table = betti_numbers(ideal, field=args.field, j_max=args.jmax, var_cap=args.cap_vars)
-            except (CapExceeded, BudgetExceeded) as exc:
+            except SKIPS["betti"] as exc:
                 out.append({"window": [ctx.window.p, ctx.window.q],
                             "skipped": {"betti": exc.payload()}})
                 continue
@@ -318,7 +309,7 @@ def _dispatch(args) -> int:
             if args.hilbert is not None:
                 try:
                     entry["hilbert"] = hilbert_function(ideal.gb.leads, args.hilbert, nvars=ideal.ring.nvars)
-                except BudgetExceeded as exc:
+                except SKIPS["hilbert"] as exc:
                     entry["skipped"] = {"hilbert": exc.payload()}
             out.append(entry)
             print(table.format_text(), file=sys.stderr)
@@ -335,7 +326,7 @@ def _dispatch(args) -> int:
                     verdict = classify_window(
                         lattice, ctx, mode=args.mode, field=args.field, var_cap=args.cap_vars
                     )
-            except (CapExceeded, BudgetExceeded, PreconditionFailed) as exc:
+            except SKIPS["classify"] as exc:
                 out.append({"window": [ctx.window.p, ctx.window.q],
                             "skipped": {"classify": exc.payload()}})
                 continue

@@ -35,6 +35,15 @@ from .binomials import DEFAULT_FIELD, require_degree, require_field, toric_fiber
 from .betti import betti_numbers, krull_dimension_via_initial
 from .classify import classify_window, verify_window
 
+# The errors that skip one check of a window, by the check's skip key, where
+# any other error stops the run; run_suite and the CLI both read them here.
+SKIPS = {
+    "fiber": (DegreeInfeasible,),
+    "betti": (CapExceeded, BudgetExceeded),
+    "classify": (CapExceeded, BudgetExceeded, PreconditionFailed),
+    "hilbert": (BudgetExceeded,),
+}
+
 
 def lattice_from_columns(spans) -> PlanarLattice:
     """Build a lattice from per-column inclusive j-ranges {i: (lo, hi)}."""
@@ -329,9 +338,7 @@ def run_suite(
                 )
             if with_fiber:
                 try:
-                    cert = toric_fiber_oracle(
-                        ideal.ring, ideal, gb=ideal.gb, degree=fiber_degree,
-                    )
+                    cert = toric_fiber_oracle(ideal, degree=fiber_degree)
                     rec["fiber"] = {
                         "generated": cert.generated,
                         "gb_certified": cert.gb_certified,
@@ -341,13 +348,13 @@ def run_suite(
                         findings.append(
                             {"check": "fiber-certificate", "window": [w.p, w.q]}
                         )
-                except DegreeInfeasible as exc:
+                except SKIPS["fiber"] as exc:
                     rec["skipped"].append({"fiber": exc.payload()})
             if with_betti:
                 try:
                     table = betti_numbers(ideal, field=field, var_cap=var_cap)
                     rec["betti"] = table.to_json()
-                except (CapExceeded, BudgetExceeded) as exc:
+                except SKIPS["betti"] as exc:
                     rec["skipped"].append({"betti": exc.payload()})
             if with_classify:
                 try:
@@ -357,7 +364,7 @@ def run_suite(
                         else classify_window(lattice, ctx, field=field, var_cap=var_cap)
                     )
                     rec["verdict"] = verdict.to_json()
-                except (CapExceeded, BudgetExceeded, PreconditionFailed) as exc:
+                except SKIPS["classify"] as exc:
                     rec["skipped"].append({"classify": exc.payload()})
                 except VerificationFailed as exc:
                     findings.append(

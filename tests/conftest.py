@@ -19,13 +19,17 @@ def small_corpus():
 
 @pytest.fixture
 def no_qualifying_order(monkeypatch):
-    """The Betti oracles' order search, as if no candidate order gave a quadratic basis."""
-    import hibilab.betti as betti_mod
+    """The order search under auto, as if no candidate order gave a quadratic
+    basis: the Betti oracles' search (WindowIdeal.quadratic_gb), and a
+    window's own under auto.  A single kind searches as it does."""
+    import hibilab.binomials as binomials_mod
 
-    real = betti_mod.order_search
+    real = binomials_mod.order_search
 
     def search(ring, pairs, kinds="auto"):
         ideal = real(ring, pairs, kinds)
+        if kinds != "auto":
+            return ideal
         return replace(ideal, gb=replace(ideal.gb, quadratic=False), orders_tried=ORDER_KINDS)
 
-    monkeypatch.setattr(betti_mod, "order_search", search)
+    monkeypatch.setattr(binomials_mod, "order_search", search)

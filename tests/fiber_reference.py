@@ -17,8 +17,9 @@ reference for images.  degree_monomials is the package's dense monomial
 enumerator as it stood before standard monomials were enumerated on packed
 ints, and standard_monomials the filter over it that standard_monomial_basis
 was: every monomial of each degree, kept when no lead divides it.
-with_basis gives a GroebnerReport another basis, packed as every report's
-basis is.
+with_generators and with_basis give a WindowIdeal other generators or
+another basis, packed as the ideal's and its report's are; the oracle reads
+the ideal alone, so they build its broken inputs.
 semigroup_points is the plain build of the semigroup levels, every point of
 L_(e-1) plus every image, as the package built them before it split each
 level by largest row and peeled the leaves off (binomials.Semigroup), and
@@ -79,11 +80,20 @@ def standard_monomials(leads, nvars, d_max):
     )
 
 
-def with_basis(gb, basis):
-    """gb with its basis replaced by the Binomials of basis, packed in a
-    layout of gb's order wide enough for them."""
-    elements, layout = packed(basis, gb.order)
-    return replace(gb, led=_Led.packed(gb.order, elements, layout))
+def _packed_led(binomials, order):
+    """The Binomials held packed, in a layout of order wide enough for them."""
+    return _Led.packed(order, *packed(binomials, order))
+
+
+def with_generators(ideal, binomials):
+    """ideal with its generators replaced by the Binomials, its basis kept."""
+    return replace(ideal, led=_packed_led(binomials, ideal.order))
+
+
+def with_basis(ideal, basis):
+    """ideal with its basis ideal.gb replaced by the Binomials of basis, its
+    generators kept."""
+    return replace(ideal, gb=replace(ideal.gb, led=_packed_led(basis, ideal.order)))
 
 
 def image_of_monomial(ring, mono):

@@ -165,6 +165,20 @@ MUTANTS = (
         "if var_cap is not None and var_cap < 0:",
         ("tests/test_betti.py::TestBettiInternals::test_var_cap_below_one_is_rejected_up_front",),
     ),
+    # the fiber oracle walking the generators as the basis, whatever ideal.gb holds
+    Mutant(
+        "fiber-basis-is-generators", "binomials.py",
+        "basis = terms if gb.led is ideal.led else _fiber_terms(gb, ring, units)",
+        "basis = terms",
+        ("tests/test_binomials.py::TestFiberOracle::test_counting_equals_reference_on_negative_cases",),
+    ),
+    # the oracles' quadratic squarefree basis searched again on every read, not held
+    Mutant(
+        "quadratic-gb-not-held", "binomials.py",
+        "    @lazy\n    def quadratic_gb(",
+        "    @property\n    def quadratic_gb(",
+        ("tests/test_reports_cli.py::TestRunSuite::test_the_oracles_search_once_per_cubic_window",),
+    ),
     # the search budget, HIBI_LAB_BUDGET ignored
     Mutant(
         "budget-env-ignored", "errors.py",

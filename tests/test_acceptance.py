@@ -100,7 +100,7 @@ def test_criterion_2_quadratic_bases_at_scale(corpus_pairs):
         chordal += 1
         assert ideal.gb.quadratic and ideal.gb.squarefree, (name, w, ideal.orders_tried)
         gb_ok += 1
-        cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=4)
+        cert = toric_fiber_oracle(ideal, degree=4)
         assert cert.membership_ok and cert.generated and cert.gb_certified, (name, w)
         certified += 1
     elapsed = time.perf_counter() - t0

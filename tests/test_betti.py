@@ -293,7 +293,6 @@ class TestBettiInternals:
         from hibilab.binomials import toric_fiber_oracle
 
         ideal = window_ideal(demo_staircase(), (3, 7))
-        ring, gens = ideal.ring, ideal.generators
         for call in (
             lambda: betti_numbers(ideal, var_cap=12),
             lambda: has_linear_resolution_oracle(ideal, var_cap=12),
@@ -313,10 +312,10 @@ class TestBettiInternals:
         # standard monomials are enumerated on all 14, C(17, 4) = 2380
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         with pytest.raises(DegreeInfeasible) as err:
-            toric_fiber_oracle(ring, gens, degree=4)
+            toric_fiber_oracle(ideal, degree=4)
         assert err.value.details == {"budget": 1000, "monomials": comb(12 + 4 - 1, 4)}
         with pytest.raises(BudgetExceeded) as err:
-            standard_monomial_basis(ideal.gb.leads, ring.nvars, 4)
+            standard_monomial_basis(ideal.gb.leads, ideal.ring.nvars, 4)
         assert err.value.details == {"budget": 1000, "monomials": 2380}
 
     @pytest.mark.parametrize("var_cap", [0, -3])
@@ -514,7 +513,7 @@ class TestOracles:
     def test_no_qualifying_order_is_a_precondition_failure(self, no_qualifying_order):
         from hibilab.binomials import ORDER_KINDS
 
-        ideal = window_ideal(full_grid(2, 2), (1, 3))
+        ideal = window_ideal(full_grid(2, 2), (1, 3), "rank-lex")
         flagged = replace(ideal, gb=replace(ideal.gb, quadratic=False))
         cubic = window_ideal(demo_staircase(), (1, 3), "rank-revlex")
         assert not cubic.gb.quadratic

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fiber_reference
 import hibilab.binomials as binomials_mod
 from buchberger_reference import greater, make_binomial, mono_mul
-from fiber_reference import balanced, image_of_monomial, with_basis
+from fiber_reference import balanced, image_of_monomial, with_basis, with_generators
 from hibilab.betti import _rank_mod_p, krull_dimension_via_initial
 from hibilab.binomials import (
     Binomial,
@@ -194,24 +194,24 @@ class TestBuchberger:
 class TestFiberOracle:
     def test_square_hypersurface(self):
         ideal = window_ideal(full_grid(1, 1), (0, 2))
-        cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=3)
+        cert = toric_fiber_oracle(ideal, degree=3)
         assert cert.membership_ok and cert.generated and cert.gb_certified
 
     def test_grid_band_two_binomials(self):
         ideal = window_ideal(full_grid(2, 2), (1, 3))
-        cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=4)
+        cert = toric_fiber_oracle(ideal, degree=4)
         assert cert.generated and cert.gb_certified
 
     def test_staircase_window(self):
         ideal = window_ideal(demo_staircase(), (3, 7))
-        cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=4)
+        cert = toric_fiber_oracle(ideal, degree=4)
         assert cert.generated and cert.gb_certified
 
     def test_fiber_counts_match_hilbert(self):
         from hibilab.betti import hilbert_function
 
         ideal = window_ideal(demo_staircase(), (3, 7))
-        cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=3)
+        cert = toric_fiber_oracle(ideal, degree=3)
         hf = hilbert_function(ideal.gb.leads, 3, nvars=ideal.ring.nvars)
         assert [d.fibers for d in cert.per_degree] == hf[2:]
 
@@ -219,7 +219,7 @@ class TestFiberOracle:
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         ideal = window_ideal(demo_staircase(), (0, 9))
         with pytest.raises(DegreeInfeasible):
-            toric_fiber_oracle(ideal.ring, ideal.generators, degree=4)
+            toric_fiber_oracle(ideal, degree=4)
 
     def test_budget_counts_the_core_not_the_peeled_points(self, monkeypatch):
         """A chain of 20 points has no binomial, so its move core is empty
@@ -227,7 +227,7 @@ class TestFiberOracle:
         monomials exceed the default budget, certifies with the counts."""
         monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
         ideal = window_ideal(lattice_from_columns({0: (0, 19)}), (0, 19))
-        cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=7)
+        cert = toric_fiber_oracle(ideal, degree=7)
         top = cert.per_degree[-1]
         assert top.monomials == top.fibers == comb(20 + 6, 7) > search_budget()
         assert cert.generated and cert.gb_certified
@@ -240,10 +240,10 @@ class TestFiberOracle:
         lat = lattice_from_columns({0: (0, 1), 1: (0, 2), 2: (2, 3), 3: (3, 4), 4: (4, 5), 5: (4, 5)})
         ideal = window_ideal(lat, (0, 10))
         assert ideal.ring.nvars == 13 and ideal.ring.semigroup.free == 0
-        cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=8)
+        cert = toric_fiber_oracle(ideal, degree=8)
         assert cert.generated and cert.gb_certified
         with pytest.raises(DegreeInfeasible) as err:
-            toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=15)
+            toric_fiber_oracle(ideal, degree=15)
         assert err.value.payload()["details"] == {"budget": search_budget(), "monomials": comb(13 + 8, 9)}
 
     @pytest.mark.parametrize("budget, degree, tripped", [("1000", 4, 3), ("20000", 5, 5)])
@@ -262,7 +262,7 @@ class TestFiberOracle:
 
         monkeypatch.setattr(binomials_mod, "_grow_faces", spy)
         with pytest.raises(DegreeInfeasible) as err:
-            toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=degree)
+            toric_fiber_oracle(ideal, degree=degree)
         monomials = comb(23 + tripped - 1, tripped)
         assert err.value.payload() == {
             "code": "degree-infeasible",
@@ -285,28 +285,30 @@ class TestFiberOracle:
             "element squared": (ideal.gb.basis[:-1] + (square,), False),
         }
         for case, (basis, certified) in cases.items():
-            gb = with_basis(ideal.gb, basis)
-            assert gb.lead_supports is None, case
+            broken = with_basis(ideal, basis)
+            assert broken.gb.lead_supports is None, case
             for degree in (3, 4):
-                args = (ideal.ring, ideal.generators)
-                cert = toric_fiber_oracle(*args, gb=gb, degree=degree)
-                assert cert == fiber_reference.toric_fiber_oracle(*args, gb=gb, degree=degree), (
-                    case, degree)
+                cert = toric_fiber_oracle(broken, degree=degree)
+                assert cert == fiber_reference.toric_fiber_oracle(
+                    ideal.ring, ideal.generators, gb=broken.gb, degree=degree), (case, degree)
                 assert cert.generated and cert.gb_certified == certified, (case, degree)
 
+    @staticmethod
+    def bogus(ideal):
+        """y_10^2 - y_00 y_11 on the square: homogeneous, its terms of two images."""
+        ring = ideal.ring
+        return make_binomial(ring.monomial((1, 0), (1, 0)), ring.monomial((0, 0), (1, 1)), ideal.order)
+
     def test_membership_detects_unbalanced(self):
-        ring, order = ring_and_order(full_grid(1, 1), (0, 2))
-        bogus = make_binomial(
-            ring.monomial((1, 0), (1, 0)), ring.monomial((0, 0), (1, 1)), order
-        )
-        cert = toric_fiber_oracle(ring, [bogus], degree=2)
+        ideal = window_ideal(full_grid(1, 1), (0, 2))
+        cert = toric_fiber_oracle(with_generators(ideal, [self.bogus(ideal)]), degree=2)
         assert not cert.membership_ok
 
     def test_inhomogeneous_generator_is_a_typed_error(self):
-        ring, _ = ring_and_order(full_grid(1, 1), (0, 2))
-        bogus = Binomial(ring.monomial((1, 0), (0, 1)), ring.monomial((0, 0)))
+        ideal = window_ideal(full_grid(1, 1), (0, 2))
+        bogus = Binomial(ideal.ring.monomial((1, 0), (0, 1)), ideal.ring.monomial((0, 0)))
         with pytest.raises(InvalidParameter):
-            toric_fiber_oracle(ring, [bogus], degree=2)
+            toric_fiber_oracle(with_generators(ideal, [bogus]), degree=2)
 
     @staticmethod
     def move_graph_rank(nvars, gens, degree):
@@ -340,20 +342,18 @@ class TestFiberOracle:
                 if len(generators(lat, w)) > 8:
                     continue
                 ideal = window_ideal(lat, w)
-                cert = toric_fiber_oracle(ideal.ring, ideal.generators, degree=3)
+                cert = toric_fiber_oracle(ideal, degree=3)
                 for d in cert.per_degree:
                     assert d.span_rank == self.move_graph_rank(
                         ideal.ring.nvars, ideal.generators, d.degree
                     ), (name, w, d.degree)
                 checked += 1
         assert checked >= 400
-        ring, order = ring_and_order(full_grid(1, 1), (0, 2))
-        bogus = make_binomial(
-            ring.monomial((1, 0), (1, 0)), ring.monomial((0, 0), (1, 1)), order
-        )
-        cert = toric_fiber_oracle(ring, [bogus], degree=3)
+        ideal = window_ideal(full_grid(1, 1), (0, 2))
+        bogus = self.bogus(ideal)
+        cert = toric_fiber_oracle(with_generators(ideal, [bogus]), degree=3)
         for d in cert.per_degree:
-            assert d.span_rank == self.move_graph_rank(ring.nvars, [bogus], d.degree)
+            assert d.span_rank == self.move_graph_rank(ideal.ring.nvars, [bogus], d.degree)
 
     @staticmethod
     def unbalance(g):
@@ -375,10 +375,8 @@ class TestFiberOracle:
                     continue
                 ideal = window_ideal(lat, w)
                 for degree in (3, 4):
-                    args = (ideal.ring, ideal.generators)
-                    assert toric_fiber_oracle(*args, gb=ideal.gb, degree=degree) == (
-                        fiber_reference.toric_fiber_oracle(*args, gb=ideal.gb, degree=degree)
-                    ), (name, w, degree)
+                    assert toric_fiber_oracle(ideal, degree=degree) == fiber_reference.toric_fiber_oracle(
+                        ideal.ring, ideal.generators, gb=ideal.gb, degree=degree), (name, w, degree)
                 windows += 1
         assert windows >= 400
 
@@ -395,16 +393,16 @@ class TestFiberOracle:
                 if len(gens) < 2:
                     continue
                 cases = {
-                    "generator dropped": (gens[1:], gb),
-                    "basis element dropped": (gens, with_basis(gb, gb.basis[:-1])),
-                    "basis element unbalanced": (
-                        gens, with_basis(gb, gb.basis[:-1] + (self.unbalance(gb.basis[-1]),))
-                    ),
-                    "generator unbalanced": ((self.unbalance(gens[0]),) + gens[1:], gb),
+                    "generator dropped": with_generators(ideal, gens[1:]),
+                    "basis element dropped": with_basis(ideal, gb.basis[:-1]),
+                    "basis element unbalanced": with_basis(
+                        ideal, gb.basis[:-1] + (self.unbalance(gb.basis[-1]),)),
+                    "generator unbalanced": with_generators(ideal, (self.unbalance(gens[0]),) + gens[1:]),
                 }
-                for case, (g, b) in cases.items():
-                    cert = toric_fiber_oracle(ideal.ring, g, gb=b, degree=3)
-                    ref = fiber_reference.toric_fiber_oracle(ideal.ring, g, gb=b, degree=3)
+                for case, broken in cases.items():
+                    cert = toric_fiber_oracle(broken, degree=3)
+                    ref = fiber_reference.toric_fiber_oracle(
+                        ideal.ring, broken.generators, gb=broken.gb, degree=3)
                     assert cert == ref, (name, w, case)
                     if case == "generator unbalanced":
                         assert not cert.membership_ok and not cert.generated, (name, w)
@@ -465,7 +463,7 @@ def test_window_state_dies_by_refcount():
         ctx = WindowContext(demo_staircase(), RankWindow(3, 7))
         ideal = ctx.ideal
         assert krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ctx.ring.nvars) == ctx.dimension
-        cert = toric_fiber_oracle(ideal.ring, ideal, gb=ideal.gb, degree=4)
+        cert = toric_fiber_oracle(ideal, degree=4)
         assert cert.generated and cert.gb_certified and len(ctx.ring.semigroup.sizes) == 4
         ring, store = weakref.ref(ctx.ring), weakref.ref(ctx.ring.semigroup)
         del ctx, ideal
@@ -518,11 +516,11 @@ def test_lattice_window_call_forms():
     # the (lattice, window) entry point builds the explicit ring form
     lat = full_grid(2, 2)
     ring, order = ring_and_order(lat, (1, 3), "rank-lex")
-    direct = window_ideal(lat, (1, 3), kinds="rank-lex").generators
+    ideal = window_ideal(lat, (1, 3), kinds="rank-lex")
     explicit = defining_ideal_generators(ring, order)
-    assert direct == tuple(explicit)
-    cert = toric_fiber_oracle(ring, explicit, degree=3)
-    assert cert.membership_ok and cert.generated
+    assert ideal.generators == tuple(explicit)
+    cert = toric_fiber_oracle(with_generators(ideal, explicit), degree=3)
+    assert cert.membership_ok and cert.generated and cert.gb_certified
 
 
 class TestParameters:

@@ -28,7 +28,7 @@ def test_fiber_hilbert_matches_standard_monomials(small_corpus):
             ideal = window_ideal(lat, w)
             if ideal.ring.nvars > 11:
                 continue
-            cert = toric_fiber_oracle(ideal.ring, ideal.generators, gb=ideal.gb, degree=3)
+            cert = toric_fiber_oracle(ideal, degree=3)
             hf = hilbert_function(ideal.gb.leads, 3, nvars=ideal.ring.nvars)
             assert [d.fibers for d in cert.per_degree] == hf[2:], (name, w)
 

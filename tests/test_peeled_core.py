@@ -67,7 +67,7 @@ def test_core_route_matches_the_references(case):
     seen = Counter()
     for ctx in _contexts(lattices()):
         ideal, ring = ctx.ideal, ctx.ring
-        cert = toric_fiber_oracle(ring, ideal, gb=ideal.gb, degree=degree)
+        cert = toric_fiber_oracle(ideal, degree=degree)
         want = fiber_reference.toric_fiber_oracle(ring, ideal.generators, gb=ideal.gb, degree=degree)
         assert cert == want, (case, ctx.window)
         assert [ring.semigroup.size(e) for e in range(1, 7)] == plain_sizes(ring, 6), (case, ctx.window)
@@ -95,12 +95,13 @@ def test_a_balanced_binomial_holding_a_peeled_point_joins_the_core():
         held = Binomial(*(tuple(e + (k == x) for k, e in enumerate(t)) for t in (g.lead, g.trail)))
         assert balanced(ring, held) and held.lead[x] == held.trail[x] == 1
         cases = (
-            (ideal.generators + (held,), ideal.gb, True),
-            (ideal.generators, fiber_reference.with_basis(ideal.gb, (*rest, held)), False),
+            (fiber_reference.with_generators(ideal, ideal.generators + (held,)), True),
+            (fiber_reference.with_basis(ideal, (*rest, held)), False),
         )
-        for gens, basis, certified in cases:
-            cert = toric_fiber_oracle(ring, gens, gb=basis, degree=4)
-            assert cert == fiber_reference.toric_fiber_oracle(ring, gens, gb=basis, degree=4), ctx.window
+        for broken, certified in cases:
+            cert = toric_fiber_oracle(broken, degree=4)
+            assert cert == fiber_reference.toric_fiber_oracle(
+                ring, broken.generators, gb=broken.gb, degree=4), ctx.window
             assert cert.membership_ok and cert.generated and cert.gb_certified == certified, ctx.window
         checked += 1
     assert checked == 179

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from collections import Counter
 from math import comb
 
 import pytest
@@ -192,6 +193,46 @@ class TestRunSuite:
                 assert "verdict" not in rec
             else:
                 assert failed == []
+
+    def test_the_oracles_search_once_per_cubic_window(self, monkeypatch):
+        """Under rank-lex 8 of the 45 demo staircase windows have a cubic
+        basis.  verify runs both oracles on each (and shape-first reuses
+        their verdicts), and the quadratic squarefree basis they read,
+        WindowIdeal.quadratic_gb, is searched under auto once per window,
+        next to the 45 searches of the windows' own order."""
+        import hibilab.binomials as binomials_mod
+
+        real, searched = binomials_mod.order_search, Counter()
+
+        def spy(ring, pairs, kinds="auto"):
+            searched[kinds] += 1
+            return real(ring, pairs, kinds)
+
+        monkeypatch.setattr(binomials_mod, "order_search", spy)
+        rep = run_suite(
+            demo_staircase(), all_windows_flag=True, order_kinds="rank-lex", verify=True, var_cap=30
+        )
+        assert [f["check"] for f in rep.findings] == ["quadratic-squarefree-gb"] * 8
+        assert all("verdict" in rec and not rec["skipped"] for rec in rep.stable["windows"])
+        assert searched == {"rank-lex": 45, "auto": 8}
+
+    def test_var_cap_none_caps_no_oracle(self):
+        """None is no cap for either oracle: on every demo staircase window
+        (at most 23 variables) the verdicts are those of a cap of 30."""
+        from hibilab.classify import classify_window
+
+        grid = full_grid(2, 2)
+        assert classify_window(grid, (1, 3), mode="oracle-only", var_cap=None) == (
+            classify_window(grid, (1, 3), mode="oracle-only"))
+
+        def verdicts(var_cap):
+            rep = run_suite(demo_staircase(), all_windows_flag=True, verify=True, var_cap=var_cap)
+            return {tuple(rec["window"]): (rec.get("verdict"), rec["skipped"])
+                    for rec in rep.stable["windows"]}
+
+        uncapped = verdicts(None)
+        assert len(uncapped) == 45 and uncapped == verdicts(30)
+        assert all(verdict and not skipped for verdict, skipped in uncapped.values())
 
 
 def run_cli(capsys, argv, stdin_doc=None, monkeypatch=None):
@@ -395,12 +436,9 @@ class TestCli:
     def test_classify_skips_windows_with_no_qualifying_order(
         self, capsys, monkeypatch, no_qualifying_order
     ):
-        import hibilab.betti as betti_mod
-        import hibilab.binomials as binomials_mod
         from hibilab.binomials import ORDER_KINDS
 
-        # the window's own search fails too, so the oracles search again
-        monkeypatch.setattr(binomials_mod, "order_search", betti_mod.order_search)
+        # the window's own search, under auto, fails too, so the oracles search again
         grid = json.dumps({"points": sorted(map(list, full_grid(2, 2).points))})
         code, out, _ = run_cli(
             capsys, ["classify", "--window", "1,3", "--expect-theorem"], grid, monkeypatch
@@ -588,7 +626,7 @@ class TestInputErrors:
 
         ideal = window_ideal(demo_staircase(), (3, 7))
         with pytest.raises(InvalidParameter) as err:
-            toric_fiber_oracle(ideal.ring, ideal, gb=ideal.gb, degree=degree)
+            toric_fiber_oracle(ideal, degree=degree)
         assert err.value.details == {"degree": degree}
 
         def unreached(*args, **kwargs):
