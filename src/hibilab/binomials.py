@@ -357,98 +357,70 @@ def _oriented(pairs, order: MonomialOrder):
 
 
 class _Led:
-    """Binomials led under an order and sorted by it, held by variable index
-    and packed on first read.
+    """Quadric binomials led under an order and sorted by it, held by
+    variable index and packed on first read.
 
     The rank of a variable is its field in the lex layout of the order
-    (_Layout): n - 1 less its place in order.sig.  A term of degree d has
-    the code (d n^d + sum_i r_i n^(d - i)) n^(D - d), its ranks r_1 .. r_d
-    taken in descending order under lex and ascending order under revlex,
-    and D the largest degree.  Codes compare as the order compares the
-    terms: degree first; then lex leads the term with the smaller ascending
-    tuple of places in sig, which is the larger descending tuple of ranks,
-    and revlex the term with the smaller descending tuple of places, the
-    larger ascending tuple of ranks.  A binomial's code is lead * base +
-    trail, base = (D + 1) n^D, and codes lists them ascending, which is the
-    order of the packed keys (lead ^ flip, trail ^ flip); terms that cancel
-    drop out and a repeated binomial comes once.  When every term is a
-    quadric (quadric), a code is 2 n^2 + r_1 n + r_2, read without a loop.
+    (_Layout): n - 1 less its place in order.sig.  The quadric y_a y_b has
+    the code 2 n^2 + r_1 n + r_2, its ranks r_1, r_2 taken in descending
+    order under lex and ascending order under revlex.  Codes compare as the
+    order compares the terms: lex leads the term with the smaller ascending
+    pair of places in sig, which is the larger descending pair of ranks,
+    and revlex the term with the smaller descending pair of places, the
+    larger ascending pair of ranks.  A binomial's code is lead * base +
+    trail, base = 3 n^2, and codes lists them ascending, which is the order
+    of the packed keys (lead ^ flip, trail ^ flip); terms that cancel drop
+    out and a repeated binomial comes once.  Each code is read without a
+    loop.
 
-    elements packs the binomials into (lead, trail) ints of layout, whose
-    fields hold every term, on first read; lead_supports reads the quadric
-    leads by index and other leads off the packing.  packed() holds
-    Buchberger's packed basis instead, with no codes.  size is the count.
-    With no pair (the zero ideal) every read is set up front, with no
-    layout.
+    elements packs the binomials into (lead, trail) ints of layout on first
+    read, and lead_supports reads the leads by index.  packed() holds
+    Buchberger's packed basis instead, with no codes, and lead_supports
+    reads its leads off the packing.  size is the count.  With no pair (the
+    zero ideal) every read is set up front, with no layout.
     """
 
-    codes, size, degree, quadric, base = (), 0, 0, True, 1  # with no pair
+    codes, size, base = (), 0, 1  # with no pair
 
     def __init__(self, order: MonomialOrder, pairs=()):
         self.order = order
         if not pairs:
             self.__dict__.update(elements=(), layout=None, lead_supports=(), lead_pairs=[])
             return
-        lengths = set(map(len, chain.from_iterable(pairs)))
-        self.degree, self.quadric = max(lengths), lengths == {2}
-        self.base = (self.degree + 1) * len(order.sig) ** self.degree
+        self.base = 3 * len(order.sig) ** 2
         self.codes = self._lead(pairs)
         self.size = len(self.codes)
 
     def _lead(self, pairs) -> list:
-        """The binomials' codes, ascending; quadrics are coded inline, with
-        no call per term."""
+        """The binomials' codes, ascending, with no call per term."""
         n, base = len(self.order.sig), self.base
         rank = [0] * n
         for r, k in enumerate(reversed(self.order.sig)):
             rank[k] = r
         lex, keys = self.order.style == "lex", set()
-        if self.quadric:
-            two = 2 * n * n
-            for (a0, a1), (b0, b1) in pairs:
-                x, y = rank[a0], rank[a1]
-                ka = two + (x * n + y if (x > y) == lex else y * n + x)
-                x, y = rank[b0], rank[b1]
-                kb = two + (x * n + y if (x > y) == lex else y * n + x)
-                if ka > kb:
-                    keys.add(ka * base + kb)
-                elif ka != kb:
-                    keys.add(kb * base + ka)
-        else:
-            def code(term):
-                c = 0
-                for r in sorted(map(rank.__getitem__, term), reverse=lex):
-                    c = c * n + r
-                return (len(term) * n ** len(term) + c) * n ** (self.degree - len(term))
-
-            for a, b in pairs:
-                ka, kb = code(a), code(b)
-                if ka != kb:
-                    keys.add(ka * base + kb if ka > kb else kb * base + ka)
+        two = 2 * n * n
+        for (a0, a1), (b0, b1) in pairs:
+            x, y = rank[a0], rank[a1]
+            ka = two + (x * n + y if (x > y) == lex else y * n + x)
+            x, y = rank[b0], rank[b1]
+            kb = two + (x * n + y if (x > y) == lex else y * n + x)
+            if ka > kb:
+                keys.add(ka * base + kb)
+            elif ka != kb:
+                keys.add(kb * base + ka)
         return sorted(keys)
 
     @classmethod
     def packed(cls, order: MonomialOrder, elements, layout: "_Layout") -> "_Led":
         led = cls.__new__(cls)
-        led.order, led.codes, led.size, led.quadric = order, None, len(elements), False
+        led.order, led.codes, led.size = order, None, len(elements)
         led.__dict__.update(elements=tuple(elements), layout=layout)
         return led
 
     @lazy
     def layout(self):
-        """The order's layout for terms up to the largest degree; None with no binomial."""
-        return _Layout(self.order, _width(self.degree)) if self.codes else None
-
-    def _ranks(self, code: int) -> list:
-        """The ranks of the variables of the term with code, one per unit of exponent."""
-        n, top = len(self.order.sig), len(self.order.sig) ** self.degree
-        d, digits = divmod(code, top)
-        digits //= n ** (self.degree - d)
-        ranks = []
-        for _ in range(d):
-            digits, r = divmod(digits, n)
-            ranks.append(r)
-        return ranks
+        """The order's layout for quadrics; None with no binomial."""
+        return _Layout(self.order, _width(2)) if self.codes else None
 
     @lazy
     def elements(self) -> tuple:
@@ -458,12 +430,6 @@ class _Led:
         unit = [1 << p.width * f for f in range(n)]  # by rank: the rank is the lex field
         if self.order.style == "revlex":
             unit.reverse()  # the revlex field of rank r is n - 1 - r
-        if not self.quadric:
-            def pack(code):
-                ranks = self._ranks(code)
-                return sum(map(unit.__getitem__, ranks)) + (len(ranks) << p.top)
-
-            return tuple([(pack(e // base), pack(e % base)) for e in self.codes])
         two, degree, out = 2 * n * n, 2 << p.top, []
         for e in self.codes:
             lead, trail = divmod(e, base)
@@ -476,14 +442,14 @@ class _Led:
     def lead_supports(self):
         """Each lead's support as a bitmask over the variable indices, or None
         when a lead is not squarefree."""
-        if self.quadric:
-            if any(starmap(eq, self.lead_pairs)):
+        if self.codes is None:  # Buchberger's packed basis
+            p = self.layout
+            if any((lead + p.twice) & p.hi for lead, _ in self.elements):
                 return None
-            return tuple([1 << a | 1 << b for a, b in self.lead_pairs])
-        p = self.layout
-        if any((lead + p.twice) & p.hi for lead, _ in self.elements):
+            return tuple([p.variables(lead) for lead, _ in self.elements])
+        if any(starmap(eq, self.lead_pairs)):
             return None
-        return tuple([p.variables(lead) for lead, _ in self.elements])
+        return tuple([1 << a | 1 << b for a, b in self.lead_pairs])
 
     @lazy
     def lead_pairs(self) -> list:
@@ -833,24 +799,21 @@ def _report(led: _Led, spairs: int) -> GroebnerReport:
 
 def _counted(led: _Led, spairs: int) -> GroebnerReport:
     """The report on the generators led, a Groebner basis by counting or by
-    coprime leads (order_search's (a) and (c)): their leads are distinct,
-    all of one degree d, with no trail above d.  The reduced basis is led
-    itself unless a trail equals a lead, and _interreduce's basis then.
+    coprime leads (order_search's (a) and (c)): quadrics with distinct
+    leads.  The reduced basis is led itself unless a trail equals a lead,
+    and _interreduce's basis then.
 
-    No lead divides another (distinct, of one degree), and a lead divides a
-    trail of degree at most d only when the two are equal, so with no trail
-    among the leads every element is already reduced.  That test runs on
-    the term codes (_Led), and so do the flags of quadric terms: the square
-    y_r^2 of the variable of rank r has the code 2 n^2 + r (n + 1).  Other
-    terms' flags are read off the packing (_report).
+    No lead divides another (distinct quadrics), and a lead divides a
+    quadric trail only when the two are equal, so with no trail among the
+    leads every element is already reduced.  That test and the flags run on
+    the codes (_Led): the square y_r^2 of the variable of rank r has the
+    code 2 n^2 + r (n + 1).
     """
     base, codes = led.base, led.codes
     trails = set(map(mod, codes, repeat(base)))
     if not trails.isdisjoint(map(floordiv, codes, repeat(base))):
         reduced = _interreduce(led.elements, led.layout)
         return _report(_Led.packed(led.order, reduced, led.layout), spairs)
-    if not led.quadric:
-        return _report(led, spairs)
     n = len(led.order.sig)
     squares = range(2 * n * n, 3 * n * n, n + 1)
     squarefree = led.lead_supports is not None and trails.isdisjoint(squares)
@@ -912,21 +875,22 @@ class WindowIdeal:
 def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
     """The first candidate order whose reduced basis is quadratic and squarefree.
 
-    pairs holds the terms (a, b) of the generators a - b, each a sparse term
-    (_straightening_pairs, _sparse_term).  kinds is "auto" (try rank-lex,
+    pairs holds the terms (a, b) of the generators a - b, each a sparse
+    quadric term (_straightening_pairs, _sparse_term).  kinds is "auto" (try rank-lex,
     rank-revlex, lex, revlex in that order) or a single kind; monomial_order
     rejects any other value.  Returns the WindowIdeal of the winning order
     or, if none qualifies, of the last one, with the report's flags down.
     The answer is buchberger's under each order tried in turn; most orders
     are decided by counting instead.
 
-    Each candidate leads the generators on variable indices (_Led): a term
-    leads when its tuple of places in the order's significance list sig is
-    the smaller, ascending under lex and descending under revlex, and equal
-    terms drop out.  Nothing is packed unless buchberger runs ((d)), a trail
-    equals a lead, an order is counted ((c)) with a generator that is not a
-    quadric (its flags are read off the packing), or elements, generators
-    or basis are read, and then in the packed route's sorted order.
+    Every term must be a quadric; InvalidParameter names the degree of the
+    first that is not, before any order is tried.  Each candidate leads the
+    generators on variable indices (_Led): a term leads when its pair of
+    places in the order's significance list sig is the smaller, ascending
+    under lex and descending under revlex, and equal terms drop out.
+    Nothing is packed unless buchberger runs ((d)), a trail equals a lead,
+    or elements, generators or basis are read, and then in the packed
+    route's sorted order.
 
     Let G be the generators led under an order, I the toric ideal of the
     window (the kernel of its monomial map) and L_d the semigroup level of
@@ -934,8 +898,8 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
     by row classes (Semigroup): with mu_c core rows of column mask c,
     |L_d(core)| = sum_(|a| = d) prod_c C(mu_c + a_c - 1, a_c) |T_1^(+a_1) +
     ... + T_k^(+a_k)|, so the full window of a grid, one class, needs one
-    column sumset per level.  When every generator is a balanced
-    quadric (so G lies in I), its lead is a squarefree quadric, and the
+    column sumset per level.  When every generator is balanced (so G lies
+    in I) and its lead is squarefree, the
     distinct leads are the edges of a lead graph on the n variables.  The
     degree-d monomials that no lead divides number std_2 = n + #non-edges
     and std_3 = n + 2 #non-edges + #independent triples, and std_d >= |L_d|
@@ -965,9 +929,9 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
         the one counting would give, because (b) cannot fire for such an
         order: a later order passing (a) proves (G)_3 = I_3, and G is a
         basis of (G), so std_3 = dim (S/(G))_3 = |L_3| here.
-    (d) Everything else runs buchberger: a generator that is unbalanced or
-        not a quadric, repeated leads, std_2 != |L_2|, and an order of (b)
-        with no later candidate passing (a), such as a single kind.
+    (d) Everything else runs buchberger: a generator that is unbalanced,
+        repeated leads, std_2 != |L_2|, and an order of (b) with no later
+        candidate passing (a), such as a single kind.
 
     In (a) and (c) the leads are distinct and no trail outranks them, so G
     interreduced is G itself, and the report shares the ideal's _Led,
@@ -975,22 +939,26 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
     """
     kinds = ORDER_KINDS if kinds == "auto" else (kinds,)
     pairs = list(pairs)
+    degree = next(filter((2).__ne__, map(len, chain.from_iterable(pairs))), 2)
+    if degree != 2:  # the first term that is not a quadric
+        raise InvalidParameter(f"the order search takes quadrics, got a term of degree {degree}",
+                               degree=degree)
     if not pairs:  # the zero ideal passes under the first order
         order = monomial_order(kinds[0], ring)
         report = buchberger([], order)
         return WindowIdeal(ring, order, report, kinds[:1], report.led)
     img = ring.semigroup.wide(2) if len(pairs) > 1 else ()
-    quadrics = len(pairs) > 1 and all(  # two generators or more, quadrics of one image each
-        len(a) == 2 == len(b) and img[a[0]] + img[a[1]] == img[b[0]] + img[b[1]] for a, b in pairs)
+    balanced = len(pairs) > 1 and all(  # two generators or more, terms of one image each
+        img[a0] + img[a1] == img[b0] + img[b1] for (a0, a1), (b0, b1) in pairs)
 
     candidates = {}
 
     def candidate(k):
-        """(led generators, lead-graph counts when every generator is a
-        balanced quadric)"""
+        """(led generators, lead-graph counts when every generator is
+        balanced)"""
         if k not in candidates:
             led = _Led(monomial_order(kinds[k], ring), pairs)
-            candidates[k] = led, quadrics and _lead_graph_counts(led.lead_pairs, ring.nvars)
+            candidates[k] = led, balanced and _lead_graph_counts(led.lead_pairs, ring.nvars)
         return candidates[k]
 
     def passes_a(counts):

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .errors import HibiLabError, ParseError, VerificationFailed
+from .errors import HibiLabError, InvalidParameter, ParseError, VerificationFailed
 from .windows import (
     WindowContext,
     bipartite_graph,
@@ -179,8 +179,11 @@ def _dispatch(args) -> int:
     if cmd == "render":
         doc = render_figure(lattice, args.window, fmt=args.format)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(doc)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(doc)
+            except OSError as exc:
+                raise InvalidParameter(f"cannot write {args.out}: {exc}", out=args.out) from exc
         else:
             sys.stdout.write(doc)
         return 0

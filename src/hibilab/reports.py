@@ -88,8 +88,20 @@ def named_lattices():
     return out
 
 
+def _pairs_of(items, kinds) -> bool:
+    """Whether items is a list of two-item lists whose items have a type in kinds."""
+    return isinstance(items, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) in kinds for x in p) for p in items)
+
+
 def parse_input(source) -> PlanarLattice:
-    """Lattice from JSON: {"points": [[i,j],...]} or {"poset": {"elements", "relations"}}."""
+    """Lattice from JSON: {"points": [[i,j],...]} or {"poset": {"elements", "relations"}}.
+
+    A coordinate is an int, not a bool.  The poset's elements are a list of
+    labels, each a string or an int (not a bool), and its relations, which
+    may be left out, a list of [a, b] label pairs.  Anything else raises
+    ParseError.
+    """
     if isinstance(source, (dict, list)):
         data = source
     else:
@@ -104,19 +116,18 @@ def parse_input(source) -> PlanarLattice:
         raise ParseError("top level must be an object")
     if "points" in data:
         pts = data["points"]
-        if not isinstance(pts, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(c, int) for c in p)
-            for p in pts
-        ):
+        if not _pairs_of(pts, (int,)):
             raise ParseError('"points" must be a list of [i, j] integer pairs')
         return validate_planar_lattice(tuple(map(tuple, pts)))
     if "poset" in data:
         spec = data["poset"]
-        try:
-            elements = spec["elements"]
-            relations = [tuple(r) for r in spec.get("relations", [])]
-        except (TypeError, KeyError) as exc:
-            raise ParseError('"poset" needs "elements" and "relations"') from exc
+        if not isinstance(spec, dict) or "elements" not in spec:
+            raise ParseError('"poset" needs "elements" and "relations"')
+        elements, relations = spec["elements"], spec.get("relations", [])
+        if not isinstance(elements, list) or not all(type(e) in (str, int) for e in elements):
+            raise ParseError('"elements" must be a list of string or integer labels')
+        if not _pairs_of(relations, (str, int)):
+            raise ParseError('"relations" must be a list of [a, b] label pairs')
         try:
             poset = Poset(elements, relations)
         except ValueError as exc:

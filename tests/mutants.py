@@ -54,6 +54,13 @@ MUTANTS = (
         "lex, keys = True, set()",
         ("tests/test_order_search.py::test_index_route_matches_the_packed_route_on_random_quadrics",),
     ),
+    # the order search, a term that is not a quadric let through to the quadric codes
+    Mutant(
+        "order-search-any-degree", "binomials.py",
+        "if degree != 2:  # the first term that is not a quadric",
+        "if False:  # the first term that is not a quadric",
+        ("tests/test_order_search.py::test_index_route_matches_the_packed_route_on_random_quadrics",),
+    ),
     # a semigroup level whose additions overflow a field, let through
     Mutant(
         "level-guard", "betti.py",

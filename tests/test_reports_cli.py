@@ -39,9 +39,33 @@ class TestParseInput:
             parse_input("{not json")
         assert "position" in err.value.details
 
-    def test_bad_points_schema(self):
+    @pytest.mark.parametrize("doc", [
+        pytest.param('{"points": [[0, 0], [1]]}', id="short-point"),
+        pytest.param('{"points": [[0, 0], [true, 0], [0, 1], [1, 1]]}', id="bool-coordinate"),
+        pytest.param('{"points": [[0, 0], [1.0, 0]]}', id="float-coordinate"),
+        pytest.param('{"poset": ["a"]}', id="poset-not-an-object"),
+        pytest.param('{"poset": {"relations": []}}', id="no-elements"),
+        pytest.param('{"poset": {"elements": "ab"}}', id="string-elements"),
+        pytest.param('{"poset": {"elements": 5}}', id="int-elements"),
+        pytest.param('{"poset": {"elements": [true]}}', id="bool-element"),
+        pytest.param('{"poset": {"elements": [[1]], "relations": []}}', id="unhashable-element"),
+        pytest.param('{"poset": {"elements": ["a", "b"], "relations": [[["a"], "b"]]}}',
+                     id="unhashable-relation-label"),
+        pytest.param('{"poset": {"elements": ["a", "b"], "relations": ["ab"]}}', id="string-relation"),
+        pytest.param('{"poset": {"elements": ["a", "b"], "relations": [["a", "b", "a"]]}}',
+                     id="relation-of-three"),
+        pytest.param('{"poset": {"elements": ["a", "b"], "relations": {"a": "b"}}}',
+                     id="relations-not-a-list"),
+    ])
+    def test_bad_points_schema(self, doc):
+        """A document whose points or poset is not of the documented shape
+        raises ParseError, never a TypeError or a lattice of bools."""
         with pytest.raises(ParseError):
-            parse_input('{"points": [[0, 0], [1]]}')
+            parse_input(doc)
+
+    def test_poset_of_int_labels(self):
+        lat = parse_input('{"poset": {"elements": [0, 1, "x"], "relations": [[0, 1]]}}')
+        assert lat.points == full_grid(2, 1).points
 
     def test_validation_errors_pass_through(self):
         from hibilab.errors import NotJoinClosed
@@ -501,6 +525,13 @@ class TestCli:
         )
         assert code == 0
         assert target.read_text().startswith("<svg")
+
+    def test_render_into_a_missing_directory_exits_2(self, capsys, monkeypatch, tmp_path):
+        target = str(tmp_path / "missing" / "fig.txt")
+        code, out, err = run_cli(capsys, ["render", "--window", "0,2", "--out", target], SQUARE, monkeypatch)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-parameter" and error["details"] == {"out": target}
 
     def test_render_takes_no_window_selection_flags(self, capsys, monkeypatch):
         for flag in ("--all-windows", "--proper-only"):
