@@ -20,6 +20,14 @@ that forest only: its rows are cycles, and a cycle is fixed by those
 entries.  Larger faces are ranked by elimination over all faces one size
 smaller.
 
+The walk runs over the variables of the semigroup core (Semigroup.core)
+alone.  A point that peels off the row-column graph lies on no binomial of
+the toric ideal, so I = I_core S for S = S_core[peeled], a flat extension:
+a minimal free resolution of S_core/I_core, tensored with S, resolves S/I,
+and every graded Betti number of I is that of I_core.  None lies past degree
+n_core, the number of core variables, as the core's initial ideal is
+squarefree, so the walk stops there.
+
 Multidegrees are packed into one int each by the ring's semigroup
 (binomials.Semigroup, widened to the largest degree walked), a field per
 row and column with a guard bit on top, so b - img(v) is one subtraction,
@@ -47,26 +55,33 @@ window's points and whose edges are the points.  A bipartite edge ring is
 normal, so Cohen-Macaulay by Hochster, and Auslander-Buchsbaum gives
 pd(S/I) = nvars - d, where d = rows + columns - components is its
 dimension, read off the points (_edge_ring_dimension) independently of the
-dimension formula and of the Krull search.  So beta_{i,j}(I) = 0 for i >
-nvars - d - 1, and a block of degree j is walked up to faces of min(j,
-nvars - d + 1) variables, one size past the largest that carries a Betti
-number.
+dimension formula and of the Krull search.  The core has the same
+projective dimension, n_core - (d - b) for its b = nvars - n_core peeled
+points.  So beta_{i,j}(I) = 0 for i > nvars - d - 1, and a block of degree
+j is walked up to faces of min(j, nvars - d + 1) variables, one size past
+the largest that carries a Betti number.
 
 Four checks guard this.  The level build raises VerificationFailed when a
 level key has a guard bit set: a field that overflows aliases multidegrees,
 and because the masks come from the same additions, the face counts would
 still add up.  Every walked degree checks the faces: summed over the blocks
-of degree j, the faces of size s number C(nvars, s) * dim (S/I)_{j-s}, the
-dimension of that Koszul piece, for each size s walked, which a walk that
-drops or repeats a face breaks.  A degree whose every Betti number is read
-checks them against the Euler characteristic of its Koszul strand,
--sum_i (-1)^i beta_{i,j}(I) = sum_s (-1)^s C(nvars, s) |L_{j-s}|, which a
-d too large (a Betti number cut off) or a wrong homology dimension breaks.
-A boundary rank that is wrong inside the walked sizes moves two adjacent
-entries whose changes cancel in that sum, so, given the ideal's quadratic
-squarefree basis, each entry is held to beta_{i,j}(I) <= beta_{i,j}(in I),
-the Hochster table of the initial ideal (upper semicontinuity of the flat
-Groebner degeneration).
+of degree j, the faces of size s number C(n_core, s) * |L_{j-s}(core)|, the
+dimension of that piece of the core's Koszul complex, for each size s
+walked, which a walk that drops or repeats a face breaks.  A degree whose
+every Betti number is read checks them against the Euler characteristic of
+its Koszul strand, written in the whole ring's terms: -sum_i (-1)^i
+beta_{i,j}(I) = sum_s (-1)^s C(nvars, s) |L_{j-s}|, with |L_e| =
+Semigroup.size(e), the whole ring's Hilbert function counted by row
+classes, not by the walk.  It equals the core's sum, sum_s (-1)^s C(n_core,
+s) |L_{j-s}(core)|: the Hilbert series of S/I is the core's over (1 - t)^b,
+and (1 - t)^nvars = (1 - t)^n_core (1 - t)^b, so the free variables' factor
+cancels.  A d too large (a Betti number cut off) or a wrong homology
+dimension breaks it, and so does a walk over too few variables, whose face
+counts and core sum would still agree with each other.  A boundary rank that
+is wrong inside the walked sizes moves two adjacent entries whose changes
+cancel in that sum, so, given the ideal's quadratic squarefree basis, each
+entry is held to beta_{i,j}(I) <= beta_{i,j}(in I), the Hochster table of
+the initial ideal (upper semicontinuity of the flat Groebner degeneration).
 
 Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
@@ -416,19 +431,20 @@ def krull_dimension_via_initial(supports, nvars: int) -> int:
 # Betti numbers of the toric quotient via multidegree blocks
 
 
-def _semigroup_levels(semigroup: Semigroup, j_max: int):
-    """Degrees 0..j_max of the window semigroup with their predecessor masks.
+def _semigroup_levels(semigroup: Semigroup, variables, j_max: int):
+    """Degrees 0..j_max of the semigroup of the variables' images, with their predecessor masks.
 
-    The multidegrees are packed as semigroup packs its images, widened to
-    hold entries up to j_max (Semigroup.wide).  levels[d] maps each packed
-    multidegree b of degree d to the bitmask of the variables v with b -
-    img(v) in degree d - 1, recorded as the images are added.  An addition
-    that carries out of a field sets that field's guard bit, and a level key
-    with a guard bit set raises VerificationFailed naming the degree: one
-    test over the level's keys sees it.
+    variables lists variable indices; position k among them is bit k of a
+    mask.  The multidegrees are packed as semigroup packs its images,
+    widened to hold entries up to j_max (Semigroup.wide).  levels[d] maps
+    each packed multidegree b of degree d to the bitmask of the variables v
+    with b - img(v) in degree d - 1, recorded as the images are added.  An
+    addition that carries out of a field sets that field's guard bit, and a
+    level key with a guard bit set raises VerificationFailed naming the
+    degree: one test over the level's keys sees it.
     """
     images, guard = semigroup.wide(j_max), semigroup.guard
-    steps = [(1 << v, img) for v, img in enumerate(images)]
+    steps = [(1 << k, images[v]) for k, v in enumerate(variables)]
     levels = [{0: 0}]
     for d in range(1, j_max + 1):
         level = {}
@@ -586,13 +602,17 @@ def betti_numbers(
     """Exact graded Betti numbers of the window ideal over GF(field).
 
     The ideal's packed terms are read as held.  Works blockwise per
-    multidegree (see module docstring): the semigroup levels carry
-    predecessor masks, a block that is a whole simplex is counted by its
-    vertex count with one lookup, every other block is walked with one
-    lookup per face and the cone test folded in, and a simplex or a cone
-    has no homology and takes no rank.
-    Degrees run up to min(j_max, nvars): past nvars the squarefree initial
-    ideal, and so the window ideal, has no Betti numbers.
+    multidegree (see module docstring) over the n_core variables of the
+    semigroup core (Semigroup.core), whose Betti numbers are the ring's (a
+    flat extension); a window with no generator returns its empty table
+    before the core is read.  The semigroup levels carry predecessor masks,
+    a block that is a whole simplex is counted by its vertex count with one
+    lookup, every other block is walked with one lookup per face and the
+    cone test folded in, and a simplex or a cone has no homology and takes
+    no rank.  Degrees run up to min(j_max, n_core): past n_core the core's
+    squarefree initial ideal, and so the core's ideal and the window ideal,
+    has no Betti numbers.  The table reports nvars, i_max and j_max of the
+    whole ring.
 
     Faces are walked up to min(j, nvars - d + 1) variables, where d = rows +
     columns - components of the window's points (_edge_ring_dimension).  The
@@ -603,19 +623,23 @@ def betti_numbers(
 
     Four checks raise VerificationFailed.  The level build catches a packed
     field that overflows.  In every walked degree j the faces of size s <=
-    the walked size, summed over the blocks, must equal dim K_s (x)
-    (S/I)_{j-s} = C(nvars, s) * |L_{j-s}|, where L_d is degree d of the
-    semigroup (one standard monomial each); that catches a walk that drops
-    or repeats faces.  When every i is read (no _targets), the Euler
+    the walked size, summed over the blocks, must equal the dimension of
+    that piece of the core's Koszul complex, C(n_core, s) *
+    |L_{j-s}(core)|, where L_d(core) is degree d of the core's semigroup
+    (one standard monomial each); that catches a walk that drops or
+    repeats faces.  When every i is read (no _targets), the Euler
     characteristic of the Koszul strand in degree j must match its
-    homology: -sum_i (-1)^i beta_{i,j}(I) = sum_s (-1)^s C(nvars, s) *
-    |L_{j-s}|, which a d too large (a Betti number cut off) or a wrong
-    homology dimension breaks.  When the ideal's basis is quadratic and
-    squarefree, every entry must be at most the same entry of the
-    initial ideal's Hochster table at the same field (monomial_betti_table;
-    upper semicontinuity), which catches a boundary rank that is wrong in a
-    way whose changes to two adjacent entries cancel in the Euler sum.  The
-    Hochster table raises BudgetExceeded as monomial_betti_table does.
+    homology, in the whole ring's terms: -sum_i (-1)^i beta_{i,j}(I) =
+    sum_s (-1)^s C(nvars, s) * Semigroup.size(j - s).  That equals the
+    core's sum, since the free variables' factor cancels (module
+    docstring), so a d too large (a Betti number cut off), a wrong homology
+    dimension or a core variable missing from the walk breaks it.  When
+    the ideal's basis is quadratic and squarefree, every entry must be at
+    most the same entry of the initial ideal's Hochster table at the same
+    field (monomial_betti_table; upper semicontinuity), which catches a
+    boundary rank that is wrong in a way whose changes to two adjacent
+    entries cancel in the Euler sum.  The Hochster table raises
+    BudgetExceeded as monomial_betti_table does.
     """
     require_field(field)
     require_var_cap(var_cap)
@@ -625,11 +649,15 @@ def betti_numbers(
     if j_max is None:
         j_max = nvars
     entries = {}
-    degrees = sorted({j for _, j in _targets} if _targets else range(2, min(j_max, nvars) + 1))
-    if not (ngens and degrees):
+    if not ngens:
         return BettiTable({}, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
-    levels = _semigroup_levels(ring.semigroup, max(degrees))
-    images = ring.semigroup.images
+    semigroup = ring.semigroup
+    core = semigroup.core  # a peeled point changes no Betti number
+    degrees = sorted({j for _, j in _targets} if _targets else range(2, min(j_max, len(core)) + 1))
+    if not degrees:
+        return BettiTable({}, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
+    levels = _semigroup_levels(semigroup, core, max(degrees))
+    images = [semigroup.images[v] for v in core]
     sigmas = {}  # a vertex mask's sum of images
     # faces of up to pd(S/I) = nvars - d variables carry Betti numbers, and
     # ranking the largest of them needs faces one size larger
@@ -671,14 +699,15 @@ def betti_numbers(
         for k, blocks in simplices.items():
             for s in range(min(k, max_size) + 1):
                 face_counts[s] += blocks * comb(k, s)
-        pieces = [comb(nvars, s) * len(levels[j - s]) for s in range(j + 1)]
-        if face_counts != pieces[: max_size + 1]:
+        pieces = [comb(len(core), s) * len(levels[j - s]) for s in range(max_size + 1)]
+        if face_counts != pieces:
             raise VerificationFailed(
                 "Koszul face counts miss the Hilbert function", degree=j,
-                faces=face_counts, expected=pieces[: max_size + 1],
+                faces=face_counts, expected=pieces,
             )
         if not _targets:
-            euler = sum((-1) ** s * piece for s, piece in enumerate(pieces))
+            # in the whole ring's terms, by the class counts of Semigroup.size
+            euler = sum((-1) ** s * comb(nvars, s) * semigroup.size(j - s) for s in range(j + 1))
             betti = sum((-1) ** i * entries.get((i, j), 0) for i in wanted_i)
             if euler != -betti:
                 raise VerificationFailed(

@@ -66,10 +66,6 @@ class WindowRing:
     window: RankWindow
     points: tuple
 
-    @classmethod
-    def for_window(cls, lattice: PlanarLattice, window) -> "WindowRing":
-        return as_context(lattice, window).ring
-
     @property
     def nvars(self) -> int:
         return len(self.points)
@@ -108,7 +104,8 @@ class WindowRing:
 class Semigroup:
     """The semigroup of a window's monomial map, held once per WindowRing
     and read by the order search, the fiber oracle, the balance checks and
-    the Koszul levels of betti_numbers (betti._semigroup_levels).
+    betti_numbers, whose Koszul levels are built over the core's variables
+    (core, betti._semigroup_levels) and whose Euler check reads size.
 
     images[k] packs the image s_i t_j of variable k into an int, a field per
     entry with a guard bit on top: t_j, then s_i, counted from the window's
@@ -124,8 +121,9 @@ class Semigroup:
     is a leaf edge of the row-column graph: its exponent in a monomial is
     the image's entry at that row (column), so it lies on no binomial of the
     toric ideal.  Peeling leaves off again and again (_core_rows) leaves a
-    core and b = free peeled points; by induction I = I_core S, S/I =
-    K[peeled] (x) S_core/I_core and |L_e| = sum_i C(b + i - 1, i) |L_(e-i)(core)| (_lift).
+    core, whose variables core lists, and b = free peeled points; by
+    induction I = I_core S, S/I = K[peeled] (x) S_core/I_core and
+    |L_e| = sum_i C(b + i - 1, i) |L_(e-i)(core)| (_lift).
 
     The core's rows fall into classes by column mask: class c has mu_c rows
     and column images T_c.  A point of L_e(core) is a row multiset and a
@@ -189,6 +187,13 @@ class Semigroup:
         """b, the number of peeled points."""
         return sum(map(int.bit_count, self.rows)) - sum(map(int.bit_count, self._core_rows))
 
+    @lazy
+    def core(self) -> tuple:
+        """The indices of the core's variables, the points the peel leaves,
+        in variable order."""
+        core = self._core_rows
+        return tuple(k for k, (i, j) in enumerate(self.points) if core[i] >> j & 1)
+
     def _peel(self):
         """The core's classes and their cells, which are its L_1 by largest class."""
         core = self._core_rows
@@ -203,7 +208,7 @@ class Semigroup:
                 if core[i] >> j & 1:
                     cells[core[i]].add(img & keep[i])
         self._cells = list(cells.values())
-        self._core = [1, sum(map(mul, mu.values(), map(len, self._cells)))]  # |L_0(core)|, |L_1(core)|, ...
+        self._core_sizes = [1, sum(map(mul, mu.values(), map(len, self._cells)))]  # |L_0(core)|, |L_1(core)|, ...
         # a class's unit of key: a field of its own for a class of several rows, 0 for one row
         width, self._mu, self._steps = self.capacity.bit_length() + 1, [], []
         for n in mu.values():
@@ -247,8 +252,8 @@ class Semigroup:
                     by_key[key + step] = by_key.get(key + step, 0) + len(top)
                 grown.append(part)
             self._parts = grown
-            self._core.append(sum(map(mul, map(self._weight, by_key), by_key.values())))
-            self.sizes.append(_lift(self._core, self.free))
+            self._core_sizes.append(sum(map(mul, map(self._weight, by_key), by_key.values())))
+            self.sizes.append(_lift(self._core_sizes, self.free))
         return self.sizes[e - 1] if e else 1
 
 

@@ -98,20 +98,6 @@ class BipartiteGraph:
     n: int
     edges: tuple
 
-    @lazy
-    def left_adj(self):
-        adj = {i: set() for i in range(self.m + 1)}
-        for i, j in self.edges:
-            adj[i].add(j)
-        return adj
-
-    @lazy
-    def right_adj(self):
-        adj = {j: set() for j in range(self.n + 1)}
-        for i, j in self.edges:
-            adj[j].add(i)
-        return adj
-
 
 def bipartite_graph(lattice: PlanarLattice, window) -> BipartiteGraph:
     gens = as_context(lattice, window).generators
@@ -229,10 +215,6 @@ class Polyomino:
     """Unit cells named by lower-left corner; vertices are all cell corners."""
 
     cells: frozenset
-
-    @classmethod
-    def from_cells(cls, cells) -> "Polyomino":
-        return cls(cells=frozenset(tuple(c) for c in cells))
 
     def __len__(self):
         return len(self.cells)

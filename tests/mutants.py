@@ -112,6 +112,13 @@ MUTANTS = (
         ("tests/test_betti.py::TestBettiInternals::test_packed_levels_match_tuple_levels",
          "tests/test_betti.py::TestBettiInternals::test_two_primes_agree"),
     ),
+    # the Koszul walk over the semigroup core, one core variable dropped
+    Mutant(
+        "core-drops-a-variable", "betti.py",
+        "core = semigroup.core  # a peeled point changes no Betti number",
+        "core = semigroup.core[1:]",
+        ("tests/test_betti.py::test_euler_check_ties_the_core_walk_to_the_whole_ring",),
+    ),
     # the standard monomials, leads above d_max kept and packed past their fields
     Mutant(
         "standard-high-leads", "betti.py",

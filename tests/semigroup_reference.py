@@ -23,7 +23,7 @@ class RowSplitSemigroup(Semigroup):
             if core[i] >> j & 1:
                 cells.setdefault(i, set()).add(img)
         self._cells = self._parts = [cells[i] for i in sorted(cells)]
-        self._core = [1, sum(map(len, self._cells))]  # |L_0(core)|, |L_1(core)|, ...
+        self._core_sizes = [1, sum(map(len, self._cells))]  # |L_0(core)|, |L_1(core)|, ...
 
     def size(self, e: int) -> int:
         if e < 0:
@@ -39,8 +39,8 @@ class RowSplitSemigroup(Semigroup):
                 below.extend(part)
                 grown.append({q + img for q in below for img in images})
             self._parts = grown
-            self._core.append(sum(map(len, grown)))
-            self.sizes.append(_lift(self._core, self.free))
+            self._core_sizes.append(sum(map(len, grown)))
+            self.sizes.append(_lift(self._core_sizes, self.free))
         return self.sizes[e - 1] if e else 1
 
 

@@ -15,7 +15,6 @@ from hibilab.betti import _rank_mod_p, krull_dimension_via_initial
 from hibilab.binomials import (
     Binomial,
     ORDER_KINDS,
-    WindowRing,
     _face_counts,
     _standard_levels,
     buchberger,
@@ -29,10 +28,11 @@ from hibilab.binomials import (
 from hibilab.errors import DegreeInfeasible, InvalidParameter, search_budget
 from hibilab.reports import demo_staircase, ell_lattice, full_grid, lattice_from_columns
 from hibilab.windows import RankWindow, WindowContext, all_windows, generators
+from window_helpers import ring_for_window
 
 
 def ring_and_order(lattice, window, kind="rank-revlex"):
-    ring = WindowRing.for_window(lattice, window)
+    ring = ring_for_window(lattice, window)
     return ring, monomial_order(kind, ring)
 
 

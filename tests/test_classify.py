@@ -20,7 +20,8 @@ from hibilab.errors import (
 )
 from hibilab.lattice import validate_planar_lattice
 from hibilab.reports import demo_staircase, ell_lattice, full_grid, lattice_from_columns
-from hibilab.windows import Polyomino, all_windows, generators, polyomino
+from hibilab.windows import all_windows, generators, polyomino
+from window_helpers import polyomino_from_cells
 
 
 def rect_cells(m, n):
@@ -29,7 +30,7 @@ def rect_cells(m, n):
 
 class TestShapeProfile:
     def test_full_rectangle(self):
-        prof = shape_profile(Polyomino.from_cells(rect_cells(3, 2)))
+        prof = shape_profile(polyomino_from_cells(rect_cells(3, 2)))
         assert (prof.m, prof.n) == (3, 2)
         assert prof.staircase
         assert all(prof.corners_present)
@@ -42,7 +43,7 @@ class TestShapeProfile:
 
     def test_empty_polyomino_is_a_typed_error(self):
         with pytest.raises(InvalidParameter):
-            shape_profile(Polyomino.from_cells(()))
+            shape_profile(polyomino_from_cells(()))
 
     def test_translated_vertices_normalized(self):
         poly = polyomino(demo_staircase(), (3, 7))
@@ -61,16 +62,16 @@ class TestLinearResolutionShape:
         assert has_linear_resolution_shape(polyomino(full_grid(2, 2), (1, 3))) is None
 
     def test_row_and_column(self):
-        assert has_linear_resolution_shape(Polyomino.from_cells(rect_cells(4, 1))) is True
-        assert has_linear_resolution_shape(Polyomino.from_cells(rect_cells(1, 3))) is True
+        assert has_linear_resolution_shape(polyomino_from_cells(rect_cells(4, 1))) is True
+        assert has_linear_resolution_shape(polyomino_from_cells(rect_cells(1, 3))) is True
 
     def test_empty(self):
-        assert has_linear_resolution_shape(Polyomino.from_cells(set())) is True
+        assert has_linear_resolution_shape(polyomino_from_cells(set())) is True
 
 
 class TestLinrelPolyomino:
     def test_full_rectangle_true(self):
-        assert is_linearly_related_polyomino(Polyomino.from_cells(rect_cells(3, 2)))
+        assert is_linearly_related_polyomino(polyomino_from_cells(rect_cells(3, 2)))
 
     def test_opposite_corners_missing_false(self):
         poly = polyomino(full_grid(2, 2), (1, 3))
@@ -97,7 +98,7 @@ class TestLinrelPolyomino:
         # 3x3 box, present corner (0,0); bottom row ends at m-1 and the right
         # column top equals the left column top
         cells = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2)}
-        poly = Polyomino.from_cells(cells)
+        poly = polyomino_from_cells(cells)
         prof = shape_profile(poly)
         assert prof.corners_present == (True, False, False, False)
         assert is_linearly_related_polyomino(poly)
@@ -105,7 +106,7 @@ class TestLinrelPolyomino:
     def test_three_missing_notch_conditions_fail(self):
         # same but the left column stops lower, breaking both inequalities
         cells = {(0, 0), (1, 0), (1, 1), (2, 1), (1, 2)}
-        poly = Polyomino.from_cells(cells)
+        poly = polyomino_from_cells(cells)
         prof = shape_profile(poly)
         assert prof.corners_present == (True, False, False, False)
         assert not is_linearly_related_polyomino(poly)

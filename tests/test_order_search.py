@@ -45,6 +45,7 @@ from hibilab.binomials import (
 from hibilab.errors import DegreeInfeasible, InvalidParameter, VerificationFailed
 from hibilab.reports import CorpusSpec, demo_staircase, full_grid, generate_corpus
 from hibilab.windows import all_windows
+from window_helpers import ring_for_window
 
 SEARCHES = ("auto",) + ORDER_KINDS
 
@@ -78,7 +79,7 @@ def buchberger_calls(monkeypatch):
 def _windows(lattices, max_vars=None):
     for lat in lattices:
         for w in all_windows(lat):
-            ring = WindowRing.for_window(lat, w)
+            ring = ring_for_window(lat, w)
             if max_vars is None or ring.nvars <= max_vars:
                 yield ring, _straightening_pairs(ring)
 
@@ -356,7 +357,7 @@ def test_store_sizes_in_either_order_match_plain_build(seed, windows):
 def test_too_narrow_packing_is_a_verification_failure():
     """A packing whose fields hold entries up to 3 but claims 7: L_4 carries
     into a guard bit, and the level build raises naming degree 4."""
-    ring = WindowRing.for_window(full_grid(2, 2), (1, 3))
+    ring = ring_for_window(full_grid(2, 2), (1, 3))
     store = _narrow(ring)
     store.capacity = 7
     assert store.size(3) == plain_sizes(ring, 3)[-1]

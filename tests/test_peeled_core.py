@@ -16,10 +16,11 @@ import pytest
 
 import fiber_reference
 from fiber_reference import balanced, plain_sizes
-from hibilab.binomials import Binomial, WindowRing, toric_fiber_oracle
+from hibilab.binomials import Binomial, toric_fiber_oracle
 from hibilab.errors import InvalidParameter
 from hibilab.reports import CorpusSpec, full_grid, generate_corpus
 from hibilab.windows import WindowContext, all_windows
+from window_helpers import ring_for_window
 
 
 def _peeled(points) -> list:
@@ -60,7 +61,8 @@ CASES = {
 def test_core_route_matches_the_references(case):
     """On every window with at most 12 variables, in the suite's order (the
     order search, then the oracle): the certificate equals the elimination
-    oracle's record for record, and |L_1..L_6| equal the plain build's.
+    oracle's record for record, |L_1..L_6| equal the plain build's, and
+    Semigroup.core holds the points that a peel one leaf at a time leaves.
     The forests peel to an empty core, and some windows keep a cycle block
     with leaves hanging off it."""
     lattices, degree, windows, forests, hanging = CASES[case]
@@ -72,6 +74,8 @@ def test_core_route_matches_the_references(case):
         assert cert == want, (case, ctx.window)
         assert [ring.semigroup.size(e) for e in range(1, 7)] == plain_sizes(ring, 6), (case, ctx.window)
         peeled = len(_peeled(ring.points))
+        core = {ring.points[v] for v in ring.semigroup.core}
+        assert core == set(ring.points).difference(_peeled(ring.points)), (case, ctx.window)
         seen["windows"] += 1
         seen["forests"] += peeled == ring.nvars
         seen["hanging"] += 0 < peeled < ring.nvars
@@ -110,7 +114,7 @@ def test_a_balanced_binomial_holding_a_peeled_point_joins_the_core():
 def test_semigroup_size_at_degree_zero_and_below():
     """|L_0| = 1, the one empty sum, which the lift reads; a negative
     degree is a typed error."""
-    ring = WindowRing.for_window(full_grid(2, 2), (1, 3))
+    ring = ring_for_window(full_grid(2, 2), (1, 3))
     assert ring.semigroup.size(1) == 7
     assert ring.semigroup.size(0) == 1
     with pytest.raises(InvalidParameter) as err:

@@ -32,6 +32,7 @@ from hibilab.lattice import (
 )
 from hibilab.reports import CorpusSpec, _random_staircase, generate_corpus
 from hibilab.windows import all_windows, check_convexity, generators, polyomino
+from window_helpers import ring_for_window
 
 CASES = {}
 
@@ -65,7 +66,7 @@ def test_reduced_basis_determinism_random():
         lat = _random_staircase(rng, 4, 4)
         wins = all_windows(lat)
         w = wins[rng.randrange(len(wins))]
-        ring = WindowRing.for_window(lat, w)
+        ring = ring_for_window(lat, w)
         if ring.nvars > 14:
             continue
         kind = rng.choice(("rank-lex", "rank-revlex", "lex", "revlex"))
@@ -461,7 +462,7 @@ def test_induced_2k2_blocks_sum_to_koszul_strand(corpus):
             ring, gb = ideal.ring, ideal.gb
             if ideal.is_zero:
                 continue
-            levels = _semigroup_levels(ring.semigroup, 4)
+            levels = _semigroup_levels(ring.semigroup, range(ring.nvars), 4)
             images = ring.semigroup.images
             degrees = {
                 sum(images[v] for v in quad)
@@ -486,13 +487,16 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
     """Gate for the packed Koszul block kernel against the tuple kernel it replaced.
 
     On every seed-7 window with at most 7 variables and on the grid-2x2 full
-    window (9 variables): every block betti_numbers walks has the
-    reference's face counts up to the size it walks the block to, every
-    block it counts without a walk is a whole simplex in the reference,
-    every block it skips as a simplex or a cone has zero reference homology
-    below its top size (past the walked size by the projective dimension
-    bound), and the tables equal the reference's, at 32003 and 65537.
-    Reference homology is cached by face set, since blocks repeat.
+    window (9 variables).  betti_numbers walks the blocks of the semigroup
+    core alone, in the degrees up to its size, so the reference's blocks
+    are enumerated on the core's points: every block betti_numbers walks has the reference's face counts
+    up to the size it walks the block to, every block it counts without a
+    walk is a whole simplex in the reference, every block it skips as a
+    simplex or a cone has zero reference homology below its top size (past
+    the walked size by the projective dimension bound), and it walks no
+    other block.  The tables equal the reference's over every variable, at
+    32003 and 65537.  Reference homology is cached by face set, since blocks
+    repeat.
     """
     import koszul_reference as ref
 
@@ -513,7 +517,7 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
     ideals = [ideal for ideal in ideals if ideal.ring.nvars <= 7 and ideal.generators]
     ideals.append(window_ideal(full_grid(2, 2), (0, 4)))
     homology = {}
-    skipped = kept = simplices = 0
+    skipped = kept = simplices = peeled = 0
     for ideal in ideals:
         ring = ideal.ring
         visited.clear()
@@ -521,40 +525,49 @@ def test_packed_block_kernel_matches_tuple_reference(corpus, monkeypatch):
             field: betti_mod.betti_numbers(ideal, field=field, var_cap=None)
             for field in fields
         }
-        levels = ref.semigroup_levels(ring, ring.nvars)
+        core = WindowRing(ring.m, ring.n, ring.window, tuple(ring.points[v] for v in ring.semigroup.core))
+        peeled += core.nvars < ring.nvars
 
-        def pack(vec):
-            return ref.semigroup_pack(ring, vec)
+        def blocks(walked):
+            """(j, b, faces, homology by field) for each reference block on
+            walked's points, in the degrees 2..|walked's points|."""
+            levels = ref.semigroup_levels(walked, walked.nvars)
+            for j in range(2, walked.nvars + 1):
+                for b in levels[j]:
+                    faces = ref.block_faces(walked, b, j, levels, j)
+                    key = tuple(map(tuple, faces.values()))
+                    for field in fields:
+                        if (key, field) not in homology:
+                            homology[key, field] = ref.reduced_homology(faces, field)
+                    yield j, b, faces, {field: homology[key, field] for field in fields}
 
         expected = {field: {} for field in fields}
-        for j in range(2, ring.nvars + 1):
-            for b in levels[j]:
-                faces = ref.block_faces(ring, b, j, levels, j)
-                if (j, pack(b)) in visited:
-                    counts, kept_faces, max_size = visited.pop((j, pack(b)))
-                    assert counts == [len(faces[s]) for s in sorted(faces) if s <= max_size], (
-                        ring.window, b)
-                else:  # counted as a whole simplex, with no walk
-                    k, kept_faces = len(faces[1]), None
-                    assert [len(faces[s]) for s in sorted(faces)] == [
-                        comb(k, s) for s in range(k + 1)], (ring.window, b)
-                    simplices += 1
-                key = tuple(map(tuple, faces.values()))
+        for j, _, _, hom in blocks(ring):
+            for field in fields:
+                for i in range(j - 1):
+                    if hom[field].get(i + 1):
+                        expected[field][i, j] = expected[field].get((i, j), 0) + hom[field][i + 1]
+        for j, b, faces, hom in blocks(core):
+            key = (j, ref.semigroup_pack(ring, b))
+            if key in visited:
+                counts, kept_faces, max_size = visited.pop(key)
+                assert counts == [len(faces[s]) for s in sorted(faces) if s <= max_size], (
+                    ring.window, b)
+            else:  # counted as a whole simplex, with no walk
+                k, kept_faces = len(faces[1]), None
+                assert [len(faces[s]) for s in sorted(faces)] == [
+                    comb(k, s) for s in range(k + 1)], (ring.window, b)
+                simplices += 1
+            if kept_faces is None:
                 for field in fields:
-                    if (key, field) not in homology:
-                        homology[key, field] = ref.reduced_homology(faces, field)
-                    hom = homology[key, field]
-                    if kept_faces is None:
-                        assert not any(hom.get(s) for s in range(j)), (ring.window, b, field)
-                    for i in range(j - 1):
-                        if hom.get(i + 1):
-                            expected[field][i, j] = expected[field].get((i, j), 0) + hom[i + 1]
-                skipped += kept_faces is None
-                kept += kept_faces is not None
+                    assert not any(hom[field].get(s) for s in range(j)), (ring.window, b, field)
+            skipped += kept_faces is None
+            kept += kept_faces is not None
         assert not visited, ring.window  # every walked block is a block of the reference
         for field in fields:
             assert tables[field].entries == expected[field], (ring.window, field)
     assert skipped > simplices > 0 and kept > 0
+    assert peeled == 105, peeled
     CASES["packed-kernel-vs-tuple"] = len(ideals)
 
 
@@ -562,10 +575,12 @@ def test_pd_bounded_tables_match_unbounded_walk(corpus):
     """Gate for the walk bounded by the projective dimension, with its Euler check.
 
     koszul_reference.betti_table walks every block up to faces of j
-    variables, as the table did before the bound.  On every seed-7 and
-    seed-11 window with at most 7 variables and on every demo staircase
-    window with at most 9, betti_numbers gives its table at 32003 and
-    65537.
+    variables over every variable, as the table did before the bound and
+    the semigroup core.  On every seed-7 and seed-11 window with at most 7
+    variables and on every demo staircase window with at most 9,
+    betti_numbers gives its table at 32003 and 65537.  Most windows with a
+    generator have peeled points, which the walk leaves out; their number
+    is pinned, so that the gate keeps them.
     """
     import koszul_reference as ref
 
@@ -574,7 +589,7 @@ def test_pd_bounded_tables_match_unbounded_walk(corpus):
 
     seed11 = generate_corpus(CorpusSpec(seed=11, count=40, max_m=5, max_n=4))
     cases = [(lat, 7) for _, lat in corpus + seed11] + [(demo_staircase(), 9)]
-    checked = 0
+    checked = with_gens = peeled = 0
     for lat, max_vars in cases:
         for w in all_windows(lat):
             ideal = window_ideal(lat, w)
@@ -586,7 +601,10 @@ def test_pd_bounded_tables_match_unbounded_walk(corpus):
                 got = betti_numbers(ideal, field=field, var_cap=None).entries
                 assert got == want, (ring.points, w, field)
             checked += 1
+            with_gens += bool(ideal.generators)
+            peeled += bool(ideal.generators) and ring.semigroup.free > 0
     assert checked == 447 + 501 + 19, checked
+    assert (with_gens, peeled) == (271, 242), (with_gens, peeled)
     CASES["pd-bounded-vs-unbounded-walk"] = checked
 
 
@@ -612,7 +630,7 @@ def test_mask_walk_matches_candidate_scan(corpus):
             ring = ideal.ring
             if ring.nvars > 8 or not ideal.generators:
                 continue
-            levels = _semigroup_levels(ring.semigroup, ring.nvars)
+            levels = _semigroup_levels(ring.semigroup, range(ring.nvars), ring.nvars)
             images = ring.semigroup.images
             packing = ref.Packing(ring, ring.nvars)
             ref_levels = ref.packed_levels(packing, ring.nvars)
@@ -728,8 +746,8 @@ def test_euler_settle_matches_block_homology(linrel_blocks):
 def ranked_blocks(corpus, linrel_blocks):
     """The faces of every block reduced_homology ranks on the seed-7 windows.
 
-    "full": the blocks the full tables of the windows with at most 7
-    variables rank (the mask walk's non-cone blocks); "2k2": the pairing
+    "full": the non-cone blocks of the mask walk over every variable of
+    the windows with at most 7 variables and a generator; "2k2": the pairing
     faces of every block of linrel_blocks, with the whole block's homology
     by elimination per field.
     """
@@ -742,7 +760,7 @@ def ranked_blocks(corpus, linrel_blocks):
             ring = ideal.ring
             if ring.nvars > 7 or not ideal.generators:
                 continue
-            levels = _semigroup_levels(ring.semigroup, ring.nvars)
+            levels = _semigroup_levels(ring.semigroup, range(ring.nvars), ring.nvars)
             for j in range(2, ring.nvars + 1):
                 for b, mask in levels[j].items():
                     faces = _block_faces(ring.semigroup.images, b, mask, j, levels, j)[1]
@@ -760,8 +778,9 @@ def test_edge_rank_matches_elimination(ranked_blocks):
     """Gate for the union-find rank of the edge boundary in reduced_homology.
 
     The spanning forest's size (#vertices - #components) must equal the
-    rank by elimination mod p, at 32003 and 65537, on every ranked block of
-    the full tables of the seed-7 windows with at most 7 variables, and on
+    rank by elimination mod p, at 32003 and 65537, on every non-cone block
+    of the walk over every variable of the seed-7 windows with at most 7
+    variables, and on
     every induced-2K2 block that is_linearly_related_oracle would rank on
     the seed-7 windows with at most 30 variables.
     """
@@ -954,7 +973,7 @@ def test_case_total_meets_budget():
 # ---------------------------------------------------------------------------
 # value-level order laws, hypothesis-driven
 
-_RING = WindowRing.for_window(
+_RING = ring_for_window(
     poset_ideals_to_planar(Poset("abcd", [("a", "b"), ("c", "d")])), (0, 4)
 )
 _EXPS = st.tuples(*[st.integers(min_value=0, max_value=4)] * _RING.nvars)

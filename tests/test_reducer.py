@@ -33,6 +33,7 @@ from hibilab.binomials import (
 from hibilab.errors import DegreeInfeasible
 from hibilab.reports import demo_staircase
 from hibilab.windows import all_windows
+from window_helpers import ring_for_window
 
 
 def _div(a, b):
@@ -211,7 +212,7 @@ def test_buchberger_matches_linear_scan_on_seed7_windows(corpus):
     checked = 0
     for _, lat in corpus:
         for w in all_windows(lat):
-            ring = WindowRing.for_window(lat, w)
+            ring = ring_for_window(lat, w)
             if ring.nvars > 12:
                 continue
             pairs = _straightening_pairs(ring)
@@ -244,7 +245,7 @@ def test_spair_budget_error_names_the_count(monkeypatch):
     import hibilab.errors as errors_mod
 
     monkeypatch.setattr(errors_mod, "SPAIR_LIMIT", 5)
-    ring = WindowRing.for_window(demo_staircase(), (3, 7))
+    ring = ring_for_window(demo_staircase(), (3, 7))
     order = monomial_order("rank-lex", ring)
     gens = _oriented(_straightening_pairs(ring), order)
     with pytest.raises(DegreeInfeasible) as info:
@@ -264,7 +265,7 @@ def test_buchberger_matches_tuple_reference_on_every_seed7_window(corpus):
     checked = wide = 0
     for _, lat in corpus:
         for w in all_windows(lat):
-            ring = WindowRing.for_window(lat, w)
+            ring = ring_for_window(lat, w)
             wide += ring.nvars > 12
             pairs = _straightening_pairs(ring)
             for kind in ORDER_KINDS:
@@ -344,7 +345,7 @@ def test_buchberger_reruns_wider_when_a_basis_degree_outgrows_the_fields(monkeyp
         return 2 if len(degrees) == 1 else real(degree)
 
     monkeypatch.setattr(binomials_mod, "_width", narrowest_first)
-    ring = WindowRing.for_window(demo_staircase(), (3, 7))
+    ring = ring_for_window(demo_staircase(), (3, 7))
     for kind in ORDER_KINDS:
         order = monomial_order(kind, ring)
         gens = _oriented(_straightening_pairs(ring), order)

@@ -7,7 +7,6 @@ from hibilab.lattice import validate_planar_lattice
 from hibilab.reports import CorpusSpec, demo_staircase, ell_lattice, full_grid, generate_corpus
 from hibilab.windows import (
     BipartiteGraph,
-    Polyomino,
     RankWindow,
     WindowContext,
     all_windows,
@@ -19,6 +18,7 @@ from hibilab.windows import (
     is_chordal_bipartite,
     polyomino,
 )
+from window_helpers import left_adj, polyomino_from_cells, right_adj
 
 STAIRCASE_BAND_3_7 = {
     (3, 0), (2, 1), (1, 2),
@@ -68,9 +68,9 @@ class TestBipartiteGraph:
 
     def test_isolated_vertices_retained(self):
         g = bipartite_graph(demo_staircase(), (3, 7))
-        assert set(g.left_adj) == set(range(6))
-        assert set(g.right_adj) == set(range(5))
-        assert g.left_adj[0] == set()
+        assert set(left_adj(g)) == set(range(6))
+        assert set(right_adj(g)) == set(range(5))
+        assert left_adj(g)[0] == set()
 
 
 class TestChordality:
@@ -182,10 +182,10 @@ class TestConvexity:
                 assert check_convexity(polyomino(lat, w))
 
     def test_artificial_gap_rejected(self):
-        assert not check_convexity(Polyomino.from_cells({(0, 0), (2, 0)}))
+        assert not check_convexity(polyomino_from_cells({(0, 0), (2, 0)}))
 
     def test_empty_is_convex(self):
-        assert check_convexity(Polyomino.from_cells(set()))
+        assert check_convexity(polyomino_from_cells(set()))
 
 
 class TestDimension:
@@ -293,5 +293,5 @@ def test_mask_chordality_matches_the_reference_witness(edges):
     ({(0, 0), (1, 1)}, True),  # corner contact: convex, not connected
 ])
 def test_mask_convexity_matches_the_reference(cells, convex):
-    poly = Polyomino.from_cells(cells)
+    poly = polyomino_from_cells(cells)
     assert check_convexity(poly) == ref.check_convexity(poly) == convex

@@ -9,6 +9,7 @@ binomials from a scan over all pairs of band points.  They are kept here,
 not in the package, as the reference the mask routes must match.
 """
 
+import window_helpers as helpers
 from hibilab.windows import (
     ChordalityCertificate,
     GeneratorSet,
@@ -75,8 +76,7 @@ def is_chordal_bipartite(graph):
     """Bisimplicial edge elimination on adjacency sets, least edge first."""
     edges = set(graph.edges)
     remaining = sorted(edges)
-    left_adj = {i: set(v) for i, v in graph.left_adj.items()}
-    right_adj = {j: set(v) for j, v in graph.right_adj.items()}
+    left_adj, right_adj = helpers.left_adj(graph), helpers.right_adj(graph)
     order = []
     while remaining:
         for k, pick in enumerate(remaining):
@@ -99,8 +99,7 @@ def resorting_elimination(graph):
     remaining edges sorted again at every step, the least bisimplicial one
     eliminated; None when it sticks."""
     edges = set(graph.edges)
-    left_adj = {i: set(v) for i, v in graph.left_adj.items()}
-    right_adj = {j: set(v) for j, v in graph.right_adj.items()}
+    left_adj, right_adj = helpers.left_adj(graph), helpers.right_adj(graph)
     order = []
     while edges:
         pick = next((e for e in sorted(edges) if bisimplicial(edges, left_adj, right_adj, e)), None)
