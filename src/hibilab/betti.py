@@ -86,21 +86,24 @@ the initial ideal (upper semicontinuity of the flat Groebner degeneration).
 Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
 
-The two boolean oracles work on the initial ideal in(I) of a quadratic
-squarefree Groebner basis, WindowIdeal.quadratic_gb: the ideal's own when it
-is both, else the order search's on its generators, searched once per ideal,
-and PreconditionFailed naming the orders tried when no candidate order gives
-one (criterion 2 says some order does).
-So in(I) is the edge ideal of the lead graph G: one edge a-b per lead
-y_a y_b.
+The two boolean oracles:
 
-- Linear resolution.  By Conca-Varbaro ("Square-free Groebner
-  degenerations", Invent. Math. 221, 2020) a squarefree in(I) has the same
-  regularity as I, and by Froeberg (1990) an edge ideal has a linear
-  resolution iff the complement of G is chordal.  So I has a linear
-  resolution iff the complement of G is chordal, a bitmask graph test with
-  no Koszul block.
-- Linear relatedness.  The Groebner degeneration is flat in the toric
+- Linear resolution.  No Groebner basis is needed.  The window ring R =
+  S/I is a bipartite edge ring, so normal (Ohsugi-Hibi, "Normal polytopes
+  arising from finite graphs", J. Algebra 207, 1998) and Cohen-Macaulay
+  (Hochster 1972), and then reg R = deg h(t) for its h-vector, an
+  O-sequence (Macaulay), so h_2 = 0 forces h_i = 0 for every i >= 2.  So I
+  has a linear resolution iff h_2 = 0.  With n = nvars, d = dim R
+  (_edge_ring_dimension), h_0 = 1 and h_1 = n - d, the Hilbert function
+  gives |L_2| = C(d + 1, 2) + (n - d) d + h_2, one semigroup count
+  (Semigroup.size).
+- Linear relatedness.  This oracle works on the initial ideal in(I) of a
+  quadratic squarefree Groebner basis, WindowIdeal.quadratic_gb: the
+  ideal's own when it is both, else the order search's on its generators,
+  searched once per ideal, and PreconditionFailed naming the orders tried
+  when no candidate order gives one (criterion 2 says some order does).
+  So in(I) is the edge ideal of the lead graph G: one edge a-b per lead
+  y_a y_b.  The Groebner degeneration is flat in the toric
   multigrading, in which both I and in(I) are homogeneous, so by upper
   semicontinuity beta_{1,b}(I) <= beta_{1,b}(in I) for every multidegree b.
   By Hochster's formula on the flag complex of in(I), beta_{1,b}(in I)
@@ -819,33 +822,6 @@ def _bits(mask):
         mask ^= low
 
 
-def _complement_chordal(adj):
-    """Whether the complement of the graph with adjacency bitmasks adj is chordal.
-
-    A maximum-cardinality search numbers the vertices of the complement.  It
-    is chordal iff for every vertex v, the earlier-numbered neighbours of v
-    other than the last-numbered one, u, are all neighbours of u (Tarjan and
-    Yannakakis, SIAM J. Comput. 13, 1984).
-    """
-    n = len(adj)
-    comp = [((1 << n) - 1) & ~(adj[v] | 1 << v) for v in range(n)]
-    weight = [0] * n
-    step = [0] * n
-    numbered = 0
-    for k in range(n):
-        v = max((u for u in range(n) if not numbered >> u & 1), key=weight.__getitem__)
-        earlier = comp[v] & numbered
-        if earlier:
-            u = max(_bits(earlier), key=step.__getitem__)
-            if (earlier ^ 1 << u) & ~comp[u]:
-                return False
-        step[v] = k
-        numbered |= 1 << v
-        for u in _bits(comp[v] & ~numbered):
-            weight[u] += 1
-    return True
-
-
 def _induced_2k2(adj):
     """The 4-sets on which the graph is two disjoint edges, as sorted tuples.
 
@@ -999,32 +975,18 @@ def _hochster_h2(adj, supports):
 # boolean oracles
 
 
-def _initial_basis(ideal: WindowIdeal, var_cap):
-    """The ideal's quadratic squarefree basis (WindowIdeal.quadratic_gb,
-    searched once per ideal); None for the zero ideal.
+def has_linear_resolution_oracle(ideal: WindowIdeal) -> bool:
+    """True iff beta_{i,j}(I) = 0 for all j != i+2, by the h-vector count.
 
-    A var_cap below 1 raises InvalidParameter before anything else, windows
-    over var_cap variables raise CapExceeded next, and PreconditionFailed
-    names the orders tried when no candidate order gives a quadratic
-    squarefree basis.
+    The window ring is normal, hence Cohen-Macaulay, so reg R = deg h(t),
+    and h_2 = 0 forces h_i = 0 for i >= 2 (Macaulay): I is 2-linear iff
+    |L_2| = C(d + 1, 2) + (nvars - d) d (module docstring).  The count
+    reads the ring alone: no basis, no cap, and the same answer over every
+    field.
     """
-    require_var_cap(var_cap)
-    if ideal.is_zero:
-        return None
-    check_var_cap(ideal.ring.nvars, var_cap)
-    return ideal.quadratic_gb
-
-
-def has_linear_resolution_oracle(ideal: WindowIdeal, var_cap: int = 12) -> bool:
-    """True iff beta_{i,j}(I) = 0 for all j != i+2.
-
-    The lead-graph test of the module docstring, on _initial_basis: reg I =
-    reg in(I) (Conca-Varbaro), and the edge ideal in(I) is 2-linear iff the
-    complement of the lead graph is chordal (Froeberg).  The answer is the
-    same over every field.
-    """
-    gb = _initial_basis(ideal, var_cap)
-    return gb is None or _complement_chordal(_lead_graph(gb.lead_supports, ideal.ring.nvars))
+    ring = ideal.ring
+    d = _edge_ring_dimension(ring)
+    return ring.semigroup.size(2) == comb(d + 1, 2) + (ring.nvars - d) * d
 
 
 def is_linearly_related_oracle(
@@ -1034,13 +996,17 @@ def is_linearly_related_oracle(
 ) -> bool:
     """True iff beta_{1,4}(I) = 0; a zero or principal ideal has no syzygies at all.
 
-    On _initial_basis, beta_{1,4}(I) is the sum of the Koszul blocks at the
-    multidegrees b = sigma(W) of the induced 2K2s W of the lead graph G
-    (upper semicontinuity and Hochster, see the module docstring), and 0
-    with no block when there is none.  Each block is read off the
-    pairings of b's rows with its columns (_pairing_supports): its faces
-    of at most 3 variables, all that H~_1 needs, are the subsets of the
-    supports of the window monomials of multidegree b (_pairing_faces).
+    A var_cap below 1 raises InvalidParameter before anything else, a zero
+    ideal answers True, and windows over var_cap variables raise
+    CapExceeded next.  On the quadratic squarefree basis
+    (WindowIdeal.quadratic_gb), beta_{1,4}(I) is the sum of the Koszul
+    blocks at the multidegrees b = sigma(W) of the induced 2K2s W of the
+    lead graph G (upper semicontinuity and Hochster, see the module
+    docstring), and 0 with no block when there is none.  Each block is
+    read off the pairings of b's rows with its columns (_pairing_supports):
+    its faces of at most 3 variables, all that H~_1 needs, are the subsets
+    of the supports of the window monomials of multidegree b
+    (_pairing_faces).
 
     An Euler count can settle a block with no rank.  Let h1(b) be the
     number of induced 2K2s with sigma = b, and h2(b) the sum of
@@ -1065,10 +1031,12 @@ def is_linearly_related_oracle(
     rank such blocks.
     """
     require_field(field)
-    if (gb := _initial_basis(ideal, var_cap)) is None:
+    require_var_cap(var_cap)
+    if ideal.is_zero:
         return True
     ring = ideal.ring
-    adj = _lead_graph(gb.lead_supports, ring.nvars)
+    check_var_cap(ring.nvars, var_cap)
+    adj = _lead_graph(ideal.quadratic_gb.lead_supports, ring.nvars)
     index = ring.index
     blocks = []
     for (rows, cols), h1 in _2k2_multidegrees(ring.points, _induced_2k2(adj)).items():

@@ -835,7 +835,8 @@ class WindowIdeal:
     layout, are built on first read, and generators unpacks them; the zero
     ideal has none and no layout.  size is the generator count, which
     is_zero and is_principal read without packing.  quadratic_gb is the
-    quadratic squarefree basis the Betti oracles read, searched once.
+    quadratic squarefree basis the linear-relatedness oracle reads,
+    searched once.
     """
 
     ring: WindowRing

@@ -264,7 +264,8 @@ def classify_window(
     _oracle, an oracle-only verdict of the same window, answers the oracle
     fallbacks of shape-first in place of new oracle calls.  field, mode and
     var_cap (at least 1, or None for no cap) are checked first, whatever
-    route the window then takes.  var_cap caps both oracles.
+    route the window then takes.  var_cap caps the linear-relatedness
+    oracle; the linear-resolution oracle is a count with no cap.
     """
     require_field(field)
     if mode not in CLASSIFY_MODES:
@@ -279,7 +280,7 @@ def classify_window(
     def linear():
         if _oracle is not None:
             return _oracle.linear_resolution
-        return has_linear_resolution_oracle(ideal, var_cap=var_cap)
+        return has_linear_resolution_oracle(ideal)
 
     def linrel():
         if _oracle is not None:
@@ -311,10 +312,11 @@ def verify_window(
 
     The oracle-only verdict comes first and answers shape-first wherever no
     shape theorem applies, so each predicate costs one oracle call.  The
-    linear-resolution oracle is a chordality test, the same over every
-    field, so a disagreement there raises at once.  A linearly-related
-    disagreement is retried with the oracle at the fallback prime, so a
-    characteristic artifact never surfaces as a finding by itself.
+    linear-resolution oracle is a count of the Hilbert function, the same
+    over every field, so a disagreement there raises at once.  A
+    linearly-related disagreement is retried with the oracle at the
+    fallback prime, so a characteristic artifact never surfaces as a
+    finding by itself.
     """
     ctx = as_context(lattice, window)
     w = ctx.window
@@ -365,9 +367,10 @@ def all_proper_windows_linear(lattice: PlanarLattice):
 
     Structural route: the join-irreducible poset is a chain plus an isolated
     element, or the cross-linked pair of two-chains (either orientation).
-    Extensional route: sweep every proper window.  For simple lattices the
-    two routes must agree; the extensional answer and a failing window (if
-    any) are returned.
+    Extensional route: sweep every proper window with the linear-resolution
+    oracle, an h-vector count with no cap.  For simple lattices the two
+    routes must agree; the extensional answer and a failing window (if any)
+    are returned.
     """
     if lattice.rank < 2:
         raise RankTooSmall("need rank at least 2")
@@ -375,8 +378,7 @@ def all_proper_windows_linear(lattice: PlanarLattice):
     structural = _is_chain_plus_point(ji) or _is_cross_linked_pair(ji)
     witness = None
     for w in all_windows(lattice, proper_only=True):
-        verdict = classify_window(lattice, w)
-        if not verdict.linear_resolution:
+        if not has_linear_resolution_oracle(as_context(lattice, w).ideal):
             witness = w
             break
     extensional = witness is None

@@ -20,8 +20,8 @@ def small_corpus():
 @pytest.fixture
 def no_qualifying_order(monkeypatch):
     """The order search under auto, as if no candidate order gave a quadratic
-    basis: the Betti oracles' search (WindowIdeal.quadratic_gb), and a
-    window's own under auto.  A single kind searches as it does."""
+    basis: the linear-relatedness oracle's search (WindowIdeal.quadratic_gb),
+    and a window's own under auto.  A single kind searches as it does."""
     import hibilab.binomials as binomials_mod
 
     real = binomials_mod.order_search

@@ -34,6 +34,13 @@ blocks were settled by gluing: the Euler settle, then every other
 induced-2K2 block ranked mod p over its pairing faces.  It is the reference
 the gluing test must agree with.
 
+complement_chordal and lead_graph_linear are has_linear_resolution_oracle
+as it stood before it answered by the h-vector count: Froeberg's test (the
+edge ideal of a graph has a linear resolution iff the complement of the
+graph is chordal) on the lead graph of the quadratic squarefree basis,
+whose initial ideal has the ideal's regularity (Conca-Varbaro).  They are
+the reference the count must agree with.
+
 Packing and packed_levels are the Koszul levels' own packing as it stood
 before they were built on the ring's semigroup (binomials.Semigroup): a
 field for every row and column, each with a guard bit set in every packed
@@ -57,14 +64,15 @@ from hibilab.betti import (
     _cap_block,
     _hochster_h2,
     _induced_2k2,
-    _initial_basis,
     _pairing_faces,
     _pairing_supports,
     _rank_mod_p,
+    has_linear_resolution_oracle,
     reduced_homology as mask_homology,
 )
-from hibilab.binomials import _lead_graph, require_field
-from hibilab.errors import VerificationFailed
+from hibilab.binomials import _lead_graph, require_field, window_ideal
+from hibilab.errors import VerificationFailed, check_var_cap, require_var_cap
+from hibilab.windows import all_windows
 
 
 class Packing:
@@ -413,10 +421,12 @@ def ranked_linearly_related(ideal, field, var_cap=16):
     The arguments and answers are those of is_linearly_related_oracle.
     """
     require_field(field)
-    if (gb := _initial_basis(ideal, var_cap)) is None:
+    require_var_cap(var_cap)
+    if ideal.is_zero:
         return True
     ring = ideal.ring
-    adj = _lead_graph(gb.lead_supports, ring.nvars)
+    check_var_cap(ring.nvars, var_cap)
+    adj = _lead_graph(ideal.quadratic_gb.lead_supports, ring.nvars)
     blocks = []
     for (rows, cols), h1 in _2k2_multidegrees(ring.points, _induced_2k2(adj)).items():
         supports = _pairing_supports(ring.index, rows, cols)
@@ -424,3 +434,60 @@ def ranked_linearly_related(ideal, field, var_cap=16):
             return False
         blocks.append(supports)
     return not any(mask_homology(_pairing_faces(s), field).get(2) for s in blocks)
+
+
+def complement_chordal(adj):
+    """Whether the complement of the graph with adjacency bitmasks adj is chordal.
+
+    A maximum-cardinality search numbers the vertices of the complement.  It
+    is chordal iff for every vertex v, the earlier-numbered neighbours of v
+    other than the last-numbered one, u, are all neighbours of u (Tarjan and
+    Yannakakis, SIAM J. Comput. 13, 1984).
+    """
+    n = len(adj)
+    comp = [((1 << n) - 1) & ~(adj[v] | 1 << v) for v in range(n)]
+    weight = [0] * n
+    step = [0] * n
+    numbered = 0
+    for k in range(n):
+        v = max((u for u in range(n) if not numbered >> u & 1), key=weight.__getitem__)
+        earlier = comp[v] & numbered
+        if earlier:
+            u = max(_bits(earlier), key=step.__getitem__)
+            if (earlier ^ 1 << u) & ~comp[u]:
+                return False
+        step[v] = k
+        numbered |= 1 << v
+        for u in _bits(comp[v] & ~numbered):
+            weight[u] += 1
+    return True
+
+
+def lead_graph_linear(ideal):
+    """True iff the window ideal has a linear resolution, by Froeberg on its lead graph.
+
+    The zero ideal answers True; any other reads ideal.quadratic_gb, with
+    no cap, and raises PreconditionFailed as it does.
+    """
+    if ideal.is_zero:
+        return True
+    return complement_chordal(_lead_graph(ideal.quadratic_gb.lead_supports, ideal.ring.nvars))
+
+
+def linear_resolution_disagreements(lattices):
+    """has_linear_resolution_oracle against lead_graph_linear on every window of the lattices.
+
+    Returns the windows checked, how many of them lead_graph_linear calls
+    linear, and a (points, window, count's answer, reference's answer)
+    record for each window where the two differ.
+    """
+    windows, linear, disagreements = 0, 0, []
+    for lat in lattices:
+        for w in all_windows(lat):
+            ideal = window_ideal(lat, w)
+            count, froeberg = has_linear_resolution_oracle(ideal), lead_graph_linear(ideal)
+            if count != froeberg:
+                disagreements.append((sorted(lat.points), (w.p, w.q), count, froeberg))
+            windows += 1
+            linear += froeberg
+    return windows, linear, disagreements

@@ -149,6 +149,13 @@ MUTANTS = (
         ("tests/test_betti.py::TestKrull::test_disjoint_triples_are_bounded_by_their_supports",
          "tests/test_properties.py::test_krull_search_matches_exhaustive_on_random_hypergraphs"),
     ),
+    # the linear-resolution oracle's h-vector count, shifted by one
+    Mutant(
+        "linear-count-shifted", "betti.py",
+        "return ring.semigroup.size(2) == comb(d + 1, 2) + (ring.nvars - d) * d",
+        "return ring.semigroup.size(2) == comb(d + 1, 2) + (ring.nvars - d) * d + 1",
+        ("tests/test_properties.py::test_linear_resolution_count_matches_the_lead_graph_reference",),
+    ),
     # the gluing test of the linear-relatedness oracle, joining a support
     # whose intersection with the union is disconnected
     Mutant(

@@ -18,7 +18,6 @@ from hibilab.betti import (
     reduced_homology,
     standard_monomial_basis,
     _block_faces,
-    _complement_chordal,
     _glues,
     _induced_2k2,
     _lead_graph,
@@ -298,12 +297,13 @@ class TestBettiInternals:
         ideal = window_ideal(demo_staircase(), (3, 7))
         for call in (
             lambda: betti_numbers(ideal, var_cap=12),
-            lambda: has_linear_resolution_oracle(ideal, var_cap=12),
             lambda: is_linearly_related_oracle(ideal, var_cap=12),
         ):
             with pytest.raises(CapExceeded) as err:
                 call()
             assert err.value.details == {"cap": 12, "nvars": 14}
+        # the linear-resolution oracle is a count with no cap: it answers
+        assert has_linear_resolution_oracle(ideal) is False
         small = window_ideal(full_grid(1, 1), (0, 2))
         monkeypatch.setattr(errors_mod, "BLOCK_FACE_CAP", 1)
         with pytest.raises(CapExceeded) as err:
@@ -336,7 +336,6 @@ class TestBettiInternals:
             lambda: classify_window(lat, (0, 1), var_cap=var_cap),
             lambda: classify_window(lat, (3, 7), var_cap=var_cap),
             lambda: betti_numbers(ideal, var_cap=var_cap),
-            lambda: has_linear_resolution_oracle(zero, var_cap=var_cap),
             lambda: is_linearly_related_oracle(zero, var_cap=var_cap),
             lambda: run_suite(lat, windows=[(3, 7)], var_cap=var_cap),
         ):
@@ -459,7 +458,7 @@ class TestOracles:
     ])
     def test_froberg_on_hand_made_lead_graphs(self, nvars, edges, linear, two_k2):
         supports = [1 << a | 1 << b for a, b in edges]
-        assert _complement_chordal(_lead_graph(supports, nvars)) == linear
+        assert ref.complement_chordal(_lead_graph(supports, nvars)) == linear
         assert _induced_2k2(_lead_graph(supports, nvars)) == two_k2
         # the reference: Hochster's formula on the edge ideal
         table = monomial_betti_table(supports, nvars)
@@ -520,15 +519,17 @@ class TestOracles:
         flagged = replace(ideal, gb=replace(ideal.gb, quadratic=False))
         cubic = window_ideal(demo_staircase(), (1, 3), "rank-revlex")
         assert not cubic.gb.quadratic
-        for oracle in (has_linear_resolution_oracle, is_linearly_related_oracle):
-            # a basis that is not quadratic and squarefree sends the oracle to
-            # the order search, which here finds no order
-            for searched in (flagged, cubic):
-                with pytest.raises(PreconditionFailed) as err:
-                    oracle(searched)
-                assert err.value.details == {"orders_tried": list(ORDER_KINDS)}
-            # a quadratic squarefree basis is used as given, with no search
-            assert oracle(ideal) is False
+        # a basis that is not quadratic and squarefree sends the
+        # linear-relatedness oracle to the order search, which here finds no order
+        for searched in (flagged, cubic):
+            with pytest.raises(PreconditionFailed) as err:
+                is_linearly_related_oracle(searched)
+            assert err.value.details == {"orders_tried": list(ORDER_KINDS)}
+        # a quadratic squarefree basis is used as given, with no search
+        assert is_linearly_related_oracle(ideal) is False
+        # the linear-resolution oracle reads no basis: it answers on all three
+        for given in (ideal, flagged, cubic):
+            assert has_linear_resolution_oracle(given) is False
 
     @pytest.mark.parametrize("supports", [
         # the hollow triangle: the last edge meets the path in its two ends

@@ -20,7 +20,7 @@ from hibilab.errors import (
 )
 from hibilab.lattice import validate_planar_lattice
 from hibilab.reports import demo_staircase, ell_lattice, full_grid, lattice_from_columns
-from hibilab.windows import all_windows, generators, polyomino
+from hibilab.windows import RankWindow, all_windows, generators, polyomino
 from window_helpers import polyomino_from_cells
 
 
@@ -308,6 +308,15 @@ class TestAllProperWindows:
     def test_bigger_staircase_false(self):
         ok, witness = all_proper_windows_linear(demo_staircase())
         assert not ok
+
+    def test_the_sweep_has_no_variable_cap(self):
+        """The sweep asks the linear-resolution oracle alone, a count with no
+        cap: this lattice, not simple, has a 13-variable proper window that
+        the sweep's old route refused with CapExceeded (cap 12), and the
+        sweep answers with the first failing window."""
+        lat = lattice_from_columns({0: (0, 0), 1: (0, 3), 2: (0, 4), 3: (3, 4), 4: (3, 4)})
+        assert max(len(generators(lat, w)) for w in all_windows(lat, proper_only=True)) == 13
+        assert all_proper_windows_linear(lat) == (False, RankWindow(0, 7))
 
 
 class TestTransposition:

@@ -287,6 +287,32 @@ def test_linear_resolution_oracle_matches_full_table():
     CASES["linear-oracle-vs-full-table"] = checked
 
 
+def test_linear_resolution_count_matches_the_lead_graph_reference(corpus):
+    """Gate for the linear-resolution oracle's h-vector count.
+
+    has_linear_resolution_oracle equals koszul_reference.lead_graph_linear,
+    Froeberg's test on the lead graph of the quadratic squarefree basis with
+    no cap, on every window of the seed-7 and seed-11 corpora and of the 3x3
+    box (box_lattices), all of which have such a basis.  CI runs the same
+    check on the 4x4 box.
+    """
+    import koszul_reference as ref
+    from box_lattices import box_lattices
+
+    seed11 = generate_corpus(CorpusSpec(seed=11, count=40, max_m=5, max_n=4))
+    checked = 0
+    for lattices, total in (
+        ([lat for _, lat in corpus], 764),
+        ([lat for _, lat in seed11], 825),
+        (box_lattices(3, 3), 5676),
+    ):
+        windows, linear, disagreements = ref.linear_resolution_disagreements(lattices)
+        assert disagreements == []
+        assert windows == total and 0 < linear < windows, (windows, linear)
+        checked += windows
+    CASES["linear-count-vs-lead-graph"] = checked
+
+
 def test_settled_oracles_match_direct_koszul(corpus):
     """Gate for settling Betti entries from the Hochster table.
 
@@ -383,7 +409,8 @@ def test_oracles_on_non_quadratic_bases_match_koszul(corpus):
 
 
 def test_lead_graph_matches_hochster_on_random_graphs():
-    from hibilab.betti import _complement_chordal, _induced_2k2, monomial_betti_table
+    from hibilab.betti import _induced_2k2, monomial_betti_table
+    from koszul_reference import complement_chordal
 
     rng = random.Random(4711)
     checked = nonlinear = with_2k2 = 0
@@ -397,7 +424,7 @@ def test_lead_graph_matches_hochster_on_random_graphs():
             adj[b] |= 1 << a
         table = monomial_betti_table([1 << a | 1 << b for a, b in edges], nvars)
         linear = not any(j != i + 2 for i, j in table)
-        assert _complement_chordal(adj) == linear, edges
+        assert complement_chordal(adj) == linear, edges
         assert len(_induced_2k2(adj)) == table.get((1, 4), 0), edges
         nonlinear += not linear
         with_2k2 += (1, 4) in table
@@ -408,12 +435,8 @@ def test_lead_graph_matches_hochster_on_random_graphs():
 
 def test_lead_graph_matches_hochster_table(corpus):
     """Froeberg's test and the induced-2K2 count against Hochster's formula."""
-    from hibilab.betti import (
-        _complement_chordal,
-        _induced_2k2,
-        _lead_graph,
-        monomial_betti_table,
-    )
+    from hibilab.betti import _induced_2k2, _lead_graph, monomial_betti_table
+    from koszul_reference import complement_chordal
 
     checked = nonlinear = with_2k2 = 0
     for name, lat in corpus:
@@ -428,7 +451,7 @@ def test_lead_graph_matches_hochster_table(corpus):
             adj = _lead_graph(supports, nvars)
             full = monomial_betti_table(supports, nvars)
             linear = not any(j != i + 2 for i, j in full)
-            assert _complement_chordal(adj) == linear, (name, w)
+            assert complement_chordal(adj) == linear, (name, w)
             low = monomial_betti_table(supports, nvars, j_max=4)
             assert len(_induced_2k2(adj)) == low.get((1, 4), 0), (name, w)
             nonlinear += not linear
@@ -653,7 +676,7 @@ def linrel_blocks(corpus):
     """The induced-2K2 blocks of every seed-7 window the linear-relatedness oracle answers on.
 
     Those are the windows with at most 30 variables, a generator and a
-    quadratic squarefree basis from _initial_basis; a lead graph with no
+    quadratic squarefree basis (WindowIdeal.quadratic_gb); a lead graph with no
     induced 2K2 gives no block.  Each record holds the window, its ring, its
     WindowIdeal, basis and lead graph, and per 2K2 multidegree (rows, columns): h1, the
     pairing supports, the level walk's faces of at most 3 and of at most 4
@@ -664,7 +687,6 @@ def linrel_blocks(corpus):
     from hibilab.betti import (
         _2k2_multidegrees,
         _induced_2k2,
-        _initial_basis,
         _lead_graph,
         _pairing_supports,
     )
@@ -678,7 +700,7 @@ def linrel_blocks(corpus):
             if ring.nvars > 30 or ideal.is_zero:
                 continue
             try:
-                gb = _initial_basis(ideal, 30)
+                gb = ideal.quadratic_gb
             except PreconditionFailed:
                 continue
             adj = _lead_graph(gb.lead_supports, ring.nvars)

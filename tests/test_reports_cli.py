@@ -221,10 +221,13 @@ class TestRunSuite:
     def test_the_oracles_search_once_per_cubic_window(self, monkeypatch):
         """Under rank-lex 8 of the 45 demo staircase windows have a cubic
         basis.  verify runs both oracles on each (and shape-first reuses
-        their verdicts), and the quadratic squarefree basis they read,
-        WindowIdeal.quadratic_gb, is searched under auto once per window,
-        next to the 45 searches of the windows' own order."""
+        their verdicts); the linear-relatedness oracle reads the quadratic
+        squarefree basis, WindowIdeal.quadratic_gb, searched under auto once
+        per window, next to the 45 searches of the windows' own order.  Read
+        twice on one ideal, at both primes, the basis is searched once."""
         import hibilab.binomials as binomials_mod
+        from hibilab.betti import is_linearly_related_oracle
+        from hibilab.binomials import window_ideal
 
         real, searched = binomials_mod.order_search, Counter()
 
@@ -239,10 +242,16 @@ class TestRunSuite:
         assert [f["check"] for f in rep.findings] == ["quadratic-squarefree-gb"] * 8
         assert all("verdict" in rec and not rec["skipped"] for rec in rep.stable["windows"])
         assert searched == {"rank-lex": 45, "auto": 8}
+        cubic = window_ideal(demo_staircase(), tuple(rep.findings[0]["window"]), "rank-lex")
+        assert not cubic.gb.quadratic
+        answers = {is_linearly_related_oracle(cubic, field=p, var_cap=30) for p in (32003, 65537)}
+        assert len(answers) == 1 and searched["auto"] == 9
 
     def test_var_cap_none_caps_no_oracle(self):
-        """None is no cap for either oracle: on every demo staircase window
-        (at most 23 variables) the verdicts are those of a cap of 30."""
+        """None is no cap for the linear-relatedness oracle (the
+        linear-resolution oracle, a count, has none): on every demo
+        staircase window (at most 23 variables) the verdicts are those of a
+        cap of 30."""
         from hibilab.classify import classify_window
 
         grid = full_grid(2, 2)
