@@ -60,13 +60,11 @@ from .binomials import (
 )
 from .betti import (
     BettiTable,
-    StandardMonomialBasis,
     betti_numbers,
     has_linear_resolution_oracle,
     hilbert_function,
     is_linearly_related_oracle,
     krull_dimension_via_initial,
-    standard_monomial_basis,
 )
 from .classify import (
     ShapeProfile,

@@ -1,7 +1,8 @@
 """Independent homological ground truth for window ideals.
 
-Hilbert functions and Krull dimension come from the initial ideal; graded
-Betti numbers come from exact Koszul homology ranks over a prime field.
+The Hilbert function is the semigroup count, held to the standard monomials
+of the initial ideal, whose Krull dimension is the ring's; graded Betti
+numbers come from exact Koszul homology ranks over a prime field.
 
 The Koszul strand in internal degree j decomposes by the toric multigrading:
 every graded piece of the quotient is spanned by the single standard monomial
@@ -88,15 +89,15 @@ so beta_{0,2} counts minimal quadric generators.
 
 The two boolean oracles:
 
-- Linear resolution.  No Groebner basis is needed.  The window ring R =
-  S/I is a bipartite edge ring, so normal (Ohsugi-Hibi, "Normal polytopes
-  arising from finite graphs", J. Algebra 207, 1998) and Cohen-Macaulay
-  (Hochster 1972), and then reg R = deg h(t) for its h-vector, an
-  O-sequence (Macaulay), so h_2 = 0 forces h_i = 0 for every i >= 2.  So I
-  has a linear resolution iff h_2 = 0.  With n = nvars, d = dim R
-  (_edge_ring_dimension), h_0 = 1 and h_1 = n - d, the Hilbert function
-  gives |L_2| = C(d + 1, 2) + (n - d) d + h_2, one semigroup count
-  (Semigroup.size).
+- Linear resolution.  The oracle reads the WindowRing alone, no ideal and
+  no Groebner basis.  The window ring R = S/I is a bipartite edge ring, so
+  normal (Ohsugi-Hibi, "Normal polytopes arising from finite graphs", J.
+  Algebra 207, 1998) and Cohen-Macaulay (Hochster 1972), and then reg R =
+  deg h(t) for its h-vector, an O-sequence (Macaulay), so h_2 = 0 forces
+  h_i = 0 for every i >= 2.  So I has a linear resolution iff h_2 = 0.
+  With n = nvars, d = dim R (_edge_ring_dimension), h_0 = 1 and h_1 = n -
+  d, the Hilbert function gives |L_2| = C(d + 1, 2) + (n - d) d + h_2, one
+  semigroup count (Semigroup.size).
 - Linear relatedness.  This oracle works on the initial ideal in(I) of a
   quadratic squarefree Groebner basis, WindowIdeal.quadratic_gb: the
   ideal's own when it is both, else the order search's on its generators,
@@ -136,9 +137,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, groupby, islice, permutations
+from itertools import accumulate, chain, combinations, groupby, permutations
 from math import comb
-from operator import mul, or_
+from operator import or_
 
 from . import errors
 from .errors import (
@@ -158,7 +159,7 @@ from .binomials import (
     WindowRing,
     _fiber_terms,
     _lead_graph,
-    _standard_levels,
+    _standard_counts,
     require_field,
 )
 
@@ -271,44 +272,30 @@ def reduced_homology(faces_by_size, p):
 
 
 # ---------------------------------------------------------------------------
-# standard monomials, Hilbert function, Krull dimension
+# Hilbert function, Krull dimension
 
 
-@dataclass(frozen=True)
-class StandardMonomialBasis:
-    """Monomials not divisible by any initial-ideal generator, per degree."""
-
-    degrees: tuple  # tuple over d of tuples of monomials
-
-    def hilbert(self):
-        return tuple(len(level) for level in self.degrees)
-
-
-def standard_monomial_basis(leads, nvars: int, d_max: int) -> StandardMonomialBasis:
-    """The monomials of degrees 0..d_max that none of the dense leads (such
-    as GroebnerReport.leads) divides, each degree in the order of
-    combinations_with_replacement, by the fiber oracle's enumerator
-    (binomials._standard_levels) on fields of d_max.bit_length() + 1 bits; a
-    lead above d_max divides none of them and is dropped.  Each degree is
-    held to search_budget() on all its monomials before any is enumerated."""
-    budget = search_budget()
+def hilbert_function(ideal: WindowIdeal, d_max: int) -> list:
+    """|L_e| = Semigroup.size(e) for e = 0..d_max, the window ring's Hilbert
+    function, held to the degree-e monomials that no lead of ideal.gb
+    divides (binomials._standard_counts, the fiber oracle's count): for a
+    Groebner basis they are as many (Sturmfels, Groebner Bases and Convex
+    Polytopes, ch. 4), so a difference raises VerificationFailed.  Each
+    degree d is first held to search_budget() on its C(nvars + d - 1, d)
+    monomials, a bound on |L_d|."""
+    ring, gb, budget = ideal.ring, ideal.gb, search_budget()
     for d in range(d_max + 1):
-        if (count := comb(nvars + d - 1, d)) > budget:
-            raise BudgetExceeded(
-                f"degree {d} enumeration exceeds budget", budget=budget, monomials=count
-            )
+        if (count := comb(ring.nvars + d - 1, d)) > budget:
+            raise BudgetExceeded(f"degree {d} enumeration exceeds budget", budget=budget, monomials=count)
+    sizes = [ring.semigroup.size(e) for e in range(d_max + 1)]
     width = d_max.bit_length() + 1
-    ones, units = (1 << width) - 1, [1 << width * k for k in range(nvars)]
-    packed = [sum(map(mul, lead, units)) for lead in leads if sum(lead) <= d_max]
-    levels = islice(_standard_levels(packed, units, sum(units) << width - 1, ones), d_max + 1)
-    return StandardMonomialBasis(degrees=tuple(
-        tuple([tuple([m >> width * k & ones for k in range(nvars)]) for m, _ in level]) for level in levels
-    ))
-
-
-def hilbert_function(leads, d_max: int, nvars: int):
-    """Quotient dimensions in degrees 0..d_max via standard monomials of the dense leads."""
-    return list(standard_monomial_basis(leads, nvars, d_max).hilbert())
+    terms = _fiber_terms(gb, ring, [1 << width * k for k in range(ring.nvars)])
+    counts = chain((1,), _standard_counts(gb.lead_supports, terms, ring.nvars, d_max))
+    for e, (size, standard) in enumerate(zip(sizes, counts)):
+        if size != standard:
+            raise VerificationFailed("standard monomials miss the Hilbert function", degree=e,
+                                     hilbert=size, standard=standard)
+    return sizes
 
 
 def _minimal_masks(masks):
@@ -975,16 +962,15 @@ def _hochster_h2(adj, supports):
 # boolean oracles
 
 
-def has_linear_resolution_oracle(ideal: WindowIdeal) -> bool:
-    """True iff beta_{i,j}(I) = 0 for all j != i+2, by the h-vector count.
+def has_linear_resolution_oracle(ring: WindowRing) -> bool:
+    """True iff the toric ideal I of ring has beta_{i,j}(I) = 0 for j != i+2.
 
     The window ring is normal, hence Cohen-Macaulay, so reg R = deg h(t),
     and h_2 = 0 forces h_i = 0 for i >= 2 (Macaulay): I is 2-linear iff
     |L_2| = C(d + 1, 2) + (nvars - d) d (module docstring).  The count
-    reads the ring alone: no basis, no cap, and the same answer over every
-    field.
+    reads the ring alone: no ideal, no basis, no cap, and the same answer
+    over every field.
     """
-    ring = ideal.ring
     d = _edge_ring_dimension(ring)
     return ring.semigroup.size(2) == comb(d + 1, 2) + (ring.nvars - d) * d
 

@@ -667,10 +667,10 @@ class GroebnerReport:
     an order decided by counting by variable index, as the WindowIdeal's
     generators when no trail is a lead, in one _Led that both read.
     elements, their (lead, trail) packed into ints of layout, are built on
-    first read, and basis and leads unpack them; the zero ideal's empty
-    basis has no layout.  size is the basis size, and lead_supports the
-    leads' supports as bitmasks over the variable indices, or None when a
-    lead is not squarefree; neither packs a counted basis.
+    first read, and basis unpacks them; the zero ideal's empty basis has no
+    layout.  size is the basis size, and lead_supports the leads' supports
+    as bitmasks over the variable indices, or None when a lead is not
+    squarefree; neither packs a counted basis.
     """
 
     led: _Led = field(repr=False)
@@ -687,10 +687,6 @@ class GroebnerReport:
     @lazy
     def basis(self) -> tuple:
         return _binomials(self.elements, self.layout)
-
-    @property
-    def leads(self):
-        return tuple(g.lead for g in self.basis)
 
 
 def _interreduce(items, layout: _Layout):
@@ -1155,6 +1151,21 @@ def _face_counts(supports, nvars: int):
         yield _lift(core, nvars - ground.bit_count())
 
 
+def _standard_counts(supports, terms, nvars: int, degree: int):
+    """The degree-e monomials in nvars variables that no lead divides, counted
+    for e = 1, 2, ..., lazily: from the faces of the lead complex
+    (_face_counts) given the supports (GroebnerReport.lead_supports), else
+    from the standard monomials (_standard_levels) of the leads of terms,
+    _fiber_terms on fields of degree.bit_length() + 1 bits, less those above
+    degree, which divide no monomial counted and overflow their fields."""
+    if supports is not None:
+        return _face_counts(supports, nvars)
+    width = degree.bit_length() + 1
+    units = [1 << width * k for k in range(nvars)]
+    leads = [lead for d, lead, _, _ in terms if d <= degree]
+    return islice(map(len, _standard_levels(leads, units, sum(units) << width - 1, (1 << width) - 1)), 1, None)
+
+
 def _fiber_terms(source, ring: WindowRing, units) -> list:
     """Each packed (lead, trail) of source, a WindowIdeal or a
     GroebnerReport, as (degree, lead, trail, balanced): one walk over each
@@ -1203,10 +1214,10 @@ def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
     elements of degree <= e balanced, reduction stays in a fiber, so the
     basis is consistent in degree e (one normal form per fiber) iff the
     degree-e monomials that no lead divides number |L_e| (Sturmfels,
-    Groebner Bases and Convex Polytopes, ch. 4).  With squarefree leads that
-    number comes from the faces of the lead complex (_face_counts), a route
-    apart from the order search's lead-graph counts; other leads fall back
-    to enumerating the standard monomials (_standard_levels).  Each generator
+    Groebner Bases and Convex Polytopes, ch. 4), as hilbert_function also
+    checks (_standard_counts): for squarefree leads from the faces of the
+    lead complex, a route apart from the order search's lead-graph counts,
+    else from the standard monomials themselves.  Each generator
     and basis element is walked once (_fiber_terms; a basis that shares the
     generators' _Led, once in all) for its terms on the oracle's fields, with
     degree.bit_length() + 1 bits per variable, and its balance.
@@ -1241,16 +1252,12 @@ def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
     core = [unit for unit in units if held & unit * ((1 << width) - 1)]  # the variables of some move
     # the variables a degree enumerates monomials on: the move core's and the
     # semigroup core's, or all of them where the standard monomials are enumerated
-    walked = max(len(core), nvars - ring.semigroup.free)
+    supports = gb.lead_supports
+    walked = nvars if supports is None else max(len(core), nvars - ring.semigroup.free)
     basis = terms if gb.led is ideal.led else _fiber_terms(gb, ring, units)
     # from the degree of the first unbalanced basis element on, no degree is consistent
     unbalanced = min((d for d, _, _, ok in basis if not ok), default=degree + 1)
-    if (supports := gb.lead_supports) is not None:
-        standard = _face_counts(supports, nvars)  # counts of degree 1, 2, ...
-    else:
-        leads = [lead for d, lead, _, _ in basis if d <= degree]
-        walked = nvars
-        standard = islice(map(len, _standard_levels(leads, units, hi, (1 << width) - 1)), 1, None)
+    standard = _standard_counts(supports, basis, nvars, degree)  # counts of degree 1, 2, ...
     next(standard)  # degree 1
     least = min((d for d, _, _ in moves), default=degree + 1)
     levels = [[(0, 0)]]  # the core's monomials of degree 0, 1, ..., (packed, last variable)

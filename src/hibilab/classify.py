@@ -280,7 +280,7 @@ def classify_window(
     def linear():
         if _oracle is not None:
             return _oracle.linear_resolution
-        return has_linear_resolution_oracle(ideal)
+        return has_linear_resolution_oracle(ideal.ring)
 
     def linrel():
         if _oracle is not None:
@@ -368,9 +368,9 @@ def all_proper_windows_linear(lattice: PlanarLattice):
     Structural route: the join-irreducible poset is a chain plus an isolated
     element, or the cross-linked pair of two-chains (either orientation).
     Extensional route: sweep every proper window with the linear-resolution
-    oracle, an h-vector count with no cap.  For simple lattices the two
-    routes must agree; the extensional answer and a failing window (if any)
-    are returned.
+    oracle, an h-vector count on the window's ring with no cap and no ideal
+    built.  For simple lattices the two routes must agree; the extensional
+    answer and a failing window (if any) are returned.
     """
     if lattice.rank < 2:
         raise RankTooSmall("need rank at least 2")
@@ -378,7 +378,7 @@ def all_proper_windows_linear(lattice: PlanarLattice):
     structural = _is_chain_plus_point(ji) or _is_cross_linked_pair(ji)
     witness = None
     for w in all_windows(lattice, proper_only=True):
-        if not has_linear_resolution_oracle(as_context(lattice, w).ideal):
+        if not has_linear_resolution_oracle(as_context(lattice, w).ring):
             witness = w
             break
     extensional = witness is None

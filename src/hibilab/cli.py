@@ -311,7 +311,7 @@ def _dispatch(args) -> int:
                      "krull": krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars)}
             if args.hilbert is not None:
                 try:
-                    entry["hilbert"] = hilbert_function(ideal.gb.leads, args.hilbert, nvars=ideal.ring.nvars)
+                    entry["hilbert"] = hilbert_function(ideal, args.hilbert)
                 except SKIPS["hilbert"] as exc:
                     entry["skipped"] = {"hilbert": exc.payload()}
             out.append(entry)

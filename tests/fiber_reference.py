@@ -15,11 +15,14 @@ monomial's image under the monomial map, as the package's MonomialMap held
 it before balance was checked on packed images; tests use them as the
 reference for images.  degree_monomials is the package's dense monomial
 enumerator as it stood before standard monomials were enumerated on packed
-ints, and standard_monomials the filter over it that standard_monomial_basis
-was: every monomial of each degree, kept when no lead divides it.
+ints, and standard_monomials the filter over it that the package's dense
+standard-monomial lists were, before they gave way to the lead-side count
+(binomials._standard_counts): every monomial of each degree, kept when no
+lead divides it; the count's enumeration route is gated against it.
 with_generators and with_basis give a WindowIdeal other generators or
-another basis, packed as the ideal's and its report's are; the oracle reads
-the ideal alone, so they build its broken inputs.
+another basis, packed as the ideal's and its report's are; the fiber oracle
+and hilbert_function read the ideal alone, so they build their broken
+inputs.
 semigroup_points is the plain build of the semigroup levels, every point of
 L_(e-1) plus every image, as the package built them before it split each
 level by largest row and peeled the leaves off (binomials.Semigroup), and

@@ -485,7 +485,7 @@ def linear_resolution_disagreements(lattices):
     for lat in lattices:
         for w in all_windows(lat):
             ideal = window_ideal(lat, w)
-            count, froeberg = has_linear_resolution_oracle(ideal), lead_graph_linear(ideal)
+            count, froeberg = has_linear_resolution_oracle(ideal.ring), lead_graph_linear(ideal)
             if count != froeberg:
                 disagreements.append((sorted(lat.points), (w.p, w.q), count, froeberg))
             windows += 1

@@ -119,11 +119,11 @@ MUTANTS = (
         "core = semigroup.core[1:]",
         ("tests/test_betti.py::test_euler_check_ties_the_core_walk_to_the_whole_ring",),
     ),
-    # the standard monomials, leads above d_max kept and packed past their fields
+    # the lead-side count, leads above the degree bound kept and packed past their fields
     Mutant(
-        "standard-high-leads", "betti.py",
-        "for lead in leads if sum(lead) <= d_max]",
-        "for lead in leads]",
+        "standard-high-leads", "binomials.py",
+        "leads = [lead for d, lead, _, _ in terms if d <= degree]",
+        "leads = [lead for d, lead, _, _ in terms]",
         ("tests/test_properties.py::test_standard_monomials_match_the_degree_filter",),
     ),
     # the standard monomials, each variable's divisor list that of the next
@@ -132,6 +132,13 @@ MUTANTS = (
         "divisors = [[lead for lead in leads if lead & unit * ones] for unit in units]",
         "divisors = [[lead for lead in leads if lead & unit * ones] for unit in units[1:] + units[:1]]",
         ("tests/test_properties.py::test_standard_monomials_match_the_degree_filter",),
+    ),
+    # the Hilbert function's check against the lead-side count, turned off
+    Mutant(
+        "hilbert-check-off", "betti.py",
+        "if size != standard:",
+        "if False:",
+        ("tests/test_betti.py::TestHilbert::test_a_basis_whose_leads_miss_it_raises",),
     ),
     # the Krull face search, cutting a branch that could still beat the best by one
     Mutant(

@@ -137,7 +137,7 @@ def test_criterion_4_characterized_families():
         assert lat.rank <= 6
         for w in all_windows(lat, proper_only=True):
             ideal = window_ideal(lat, w)
-            assert has_linear_resolution_oracle(ideal), (name, w)
+            assert has_linear_resolution_oracle(ideal.ring), (name, w)
             family_windows += 1
         ok, witness = all_proper_windows_linear(lat)
         assert ok and witness is None, name

@@ -1,13 +1,14 @@
 import time
 from dataclasses import replace
 from functools import reduce
+from itertools import islice
 from math import comb
 from operator import or_
 
 import pytest
 
 import koszul_reference as ref
-from fiber_reference import image_of_monomial, monomial_images
+from fiber_reference import image_of_monomial, monomial_images, with_basis
 from hibilab.betti import (
     betti_numbers,
     has_linear_resolution_oracle,
@@ -16,7 +17,6 @@ from hibilab.betti import (
     krull_dimension_via_initial,
     monomial_betti_table,
     reduced_homology,
-    standard_monomial_basis,
     _block_faces,
     _glues,
     _induced_2k2,
@@ -26,7 +26,14 @@ from hibilab.betti import (
     _semigroup_levels,
     _settled,
 )
-from hibilab.binomials import _sparse_term, order_search, window_ideal
+from hibilab.binomials import (
+    Binomial,
+    _fiber_terms,
+    _sparse_term,
+    _standard_counts,
+    order_search,
+    window_ideal,
+)
 from hibilab.errors import (
     BudgetExceeded,
     CapExceeded,
@@ -43,23 +50,43 @@ from window_helpers import ring_for_window
 class TestHilbert:
     def test_single_quadric(self):
         ideal = window_ideal(full_grid(1, 1), (0, 2))
-        assert hilbert_function(ideal.gb.leads, 2, nvars=4) == [1, 4, 9]
+        assert hilbert_function(ideal, 2) == [1, 4, 9]
 
     def test_two_by_three_minors(self):
         ideal = window_ideal(full_grid(2, 1), (0, 3))
-        assert hilbert_function(ideal.gb.leads, 2, nvars=6) == [1, 6, 18]
+        assert hilbert_function(ideal, 2) == [1, 6, 18]
 
     def test_staircase_window_golden(self):
         ideal = window_ideal(demo_staircase(), (3, 7))
-        assert hilbert_function(ideal.gb.leads, 3, nvars=14) == [1, 14, 94, 426]
+        assert hilbert_function(ideal, 3) == [1, 14, 94, 426]
 
     def test_zero_ideal(self):
-        assert hilbert_function([], 2, nvars=3) == [1, 3, 6]
+        # a window of three points and no binomial
+        ideal = window_ideal(full_grid(1, 1), (0, 1))
+        assert ideal.is_zero and ideal.ring.nvars == 3
+        assert hilbert_function(ideal, 2) == [1, 3, 6]
 
     def test_standard_monomials_count(self):
+        # the lead-side count both ways: the faces of the lead complex, and
+        # the standard monomials enumerated when no supports are given, on
+        # the fields of degree 2 (3 bits each)
         ideal = window_ideal(full_grid(1, 1), (0, 2))
-        basis = standard_monomial_basis(ideal.gb.leads, 4, 2)
-        assert basis.hilbert() == (1, 4, 9)
+        terms = _fiber_terms(ideal.gb, ideal.ring, [1 << 3 * k for k in range(4)])
+        for supports in (ideal.gb.lead_supports, None):
+            assert list(islice(_standard_counts(supports, terms, 4, 2), 2)) == [4, 9]
+
+    def test_a_basis_whose_leads_miss_it_raises(self):
+        # the answer is |L_e|, held to the standard monomials of ideal.gb's
+        # leads: a basis with an element dropped leaves one too many in
+        # degree 2, counted on the faces, and a square lead y_0^2 added, one
+        # too few, counted by enumeration; only that check sees either
+        ideal = window_ideal(demo_staircase(), (3, 7))
+        ring, (p, q) = ideal.ring, ideal.ring.points[:2]
+        square = Binomial(ring.monomial(p, p), ring.monomial(p, q))
+        for basis, standard in ((ideal.gb.basis[:-1], 95), ((*ideal.gb.basis, square), 93)):
+            with pytest.raises(VerificationFailed) as err:
+                hilbert_function(with_basis(ideal, basis), 4)
+            assert err.value.details == {"degree": 2, "hilbert": 94, "standard": standard}
 
 
 class TestKrull:
@@ -198,7 +225,7 @@ class TestBettiInternals:
         ring = ideal.ring
         j = 4
         levels = _semigroup_levels(ring.semigroup, range(ring.nvars), j)
-        hf = hilbert_function(ideal.gb.leads, j, nvars=ring.nvars)
+        hf = hilbert_function(ideal, j)
         totals = {}
         for b, mask in levels[j].items():
             counts, _ = _block_faces(ring.semigroup.images, b, mask, j, levels, j)
@@ -249,7 +276,7 @@ class TestBettiInternals:
         # regular sequence; the (1, 4) Koszul block sits at the multidegree
         # of the product of their leads and has homology 1
         ideal = window_ideal(full_grid(2, 2), (1, 3))
-        ring, leads = ideal.ring, ideal.gb.leads
+        ring, leads = ideal.ring, [g.lead for g in ideal.gb.basis]
         levels = _semigroup_levels(ring.semigroup, range(ring.nvars), 4)
         images = ring.semigroup.images
         product = tuple(x + y for x, y in zip(*leads))
@@ -303,7 +330,7 @@ class TestBettiInternals:
                 call()
             assert err.value.details == {"cap": 12, "nvars": 14}
         # the linear-resolution oracle is a count with no cap: it answers
-        assert has_linear_resolution_oracle(ideal) is False
+        assert has_linear_resolution_oracle(ideal.ring) is False
         small = window_ideal(full_grid(1, 1), (0, 2))
         monkeypatch.setattr(errors_mod, "BLOCK_FACE_CAP", 1)
         with pytest.raises(CapExceeded) as err:
@@ -311,14 +338,14 @@ class TestBettiInternals:
         assert err.value.details["cap"] == 1 and err.value.details["faces"] > 1
         # the fiber oracle enumerates on the move core and the semigroup
         # core, both 12 of the 14 variables (2 leaves peeled): degree 4 has
-        # C(15, 4) = 1365 monomials there; the
-        # standard monomials are enumerated on all 14, C(17, 4) = 2380
+        # C(15, 4) = 1365 monomials there; hilbert_function holds each
+        # degree to all 14, C(17, 4) = 2380
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         with pytest.raises(DegreeInfeasible) as err:
             toric_fiber_oracle(ideal, degree=4)
         assert err.value.details == {"budget": 1000, "monomials": comb(12 + 4 - 1, 4)}
         with pytest.raises(BudgetExceeded) as err:
-            standard_monomial_basis(ideal.gb.leads, ideal.ring.nvars, 4)
+            hilbert_function(ideal, 4)
         assert err.value.details == {"budget": 1000, "monomials": 2380}
 
     @pytest.mark.parametrize("var_cap", [0, -3])
@@ -424,7 +451,7 @@ class TestOracles:
                 ideal = window_ideal(lat, w)
                 if ideal.ring.nvars > 12 or len(ideal.elements) < 2:
                     continue
-                linear = has_linear_resolution_oracle(ideal)
+                linear = has_linear_resolution_oracle(ideal.ring)
                 linrel = is_linearly_related_oracle(ideal)
                 assert "generators" not in vars(ideal), w
                 table = monomial_betti_table(ideal.gb.lead_supports, ideal.ring.nvars)
@@ -467,15 +494,15 @@ class TestOracles:
 
     def test_minors_linear(self):
         ideal = window_ideal(full_grid(2, 1), (0, 3))
-        assert has_linear_resolution_oracle(ideal)
+        assert has_linear_resolution_oracle(ideal.ring)
 
     def test_regular_sequence_not_linear(self):
         ideal = window_ideal(full_grid(2, 2), (1, 3))
-        assert not has_linear_resolution_oracle(ideal)
+        assert not has_linear_resolution_oracle(ideal.ring)
 
     def test_zero_ideal_linear(self):
         ideal = window_ideal(full_grid(2, 2), (3, 4))
-        assert has_linear_resolution_oracle(ideal)
+        assert has_linear_resolution_oracle(ideal.ring)
 
     def test_minors_linearly_related(self):
         ideal = window_ideal(full_grid(2, 1), (0, 3))
@@ -527,9 +554,9 @@ class TestOracles:
             assert err.value.details == {"orders_tried": list(ORDER_KINDS)}
         # a quadratic squarefree basis is used as given, with no search
         assert is_linearly_related_oracle(ideal) is False
-        # the linear-resolution oracle reads no basis: it answers on all three
-        for given in (ideal, flagged, cubic):
-            assert has_linear_resolution_oracle(given) is False
+        # the linear-resolution oracle reads the ring alone: it answers on both windows
+        for ring in (ideal.ring, cubic.ring):
+            assert has_linear_resolution_oracle(ring) is False
 
     @pytest.mark.parametrize("supports", [
         # the hollow triangle: the last edge meets the path in its two ends
@@ -582,7 +609,7 @@ class TestOracles:
                 ideal = window_ideal(lat, w)
                 if ideal.ring.nvars > 11 or not ideal.generators:
                     continue
-                if has_linear_resolution_oracle(ideal):
+                if has_linear_resolution_oracle(ideal.ring):
                     assert is_linearly_related_oracle(ideal), (name, w)
 
 

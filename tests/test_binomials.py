@@ -212,7 +212,7 @@ class TestFiberOracle:
 
         ideal = window_ideal(demo_staircase(), (3, 7))
         cert = toric_fiber_oracle(ideal, degree=3)
-        hf = hilbert_function(ideal.gb.leads, 3, nvars=ideal.ring.nvars)
+        hf = hilbert_function(ideal, 3)
         assert [d.fibers for d in cert.per_degree] == hf[2:]
 
     def test_budget_guard(self, monkeypatch):

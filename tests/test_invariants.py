@@ -29,7 +29,7 @@ def test_fiber_hilbert_matches_standard_monomials(small_corpus):
             if ideal.ring.nvars > 11:
                 continue
             cert = toric_fiber_oracle(ideal, degree=3)
-            hf = hilbert_function(ideal.gb.leads, 3, nvars=ideal.ring.nvars)
+            hf = hilbert_function(ideal, 3)
             assert [d.fibers for d in cert.per_degree] == hf[2:], (name, w)
 
 
@@ -127,4 +127,4 @@ def test_hilbert_budget_guard(monkeypatch):
     monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
     ideal = window_ideal(demo_staircase(), (0, 9))
     with pytest.raises(BudgetExceeded):
-        hilbert_function(ideal.gb.leads, 4, nvars=ideal.ring.nvars)
+        hilbert_function(ideal, 4)

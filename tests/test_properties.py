@@ -7,7 +7,9 @@ are exported so the acceptance suite can assert the total.
 """
 
 import random
+from itertools import islice
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,7 +191,7 @@ def test_krull_dimension_matches_exhaustive_search():
         if n > 10:
             continue
         supports = [
-            {k for k, e in enumerate(lead) if e} for lead in ideal.gb.leads
+            {k for k, e in enumerate(g.lead) if e} for g in ideal.gb.basis
         ]
         best = 0
         for size in range(n, 0, -1):
@@ -256,7 +258,7 @@ def test_krull_on_masks_matches_minimal_supports_reference(corpus):
         for w in all_windows(lat):
             ideal = window_ideal(lat, w)
             gb, nvars = ideal.gb, ideal.ring.nvars
-            leads = gb.leads
+            leads = [g.lead for g in gb.basis]
             supports = krull_reference.masks({k for k, e in enumerate(lead) if e} for lead in leads)
             assert gb.lead_supports == tuple(supports), (name, w)
             want = krull_reference.masks(krull_reference.minimal_supports(leads))
@@ -279,7 +281,7 @@ def test_linear_resolution_oracle_matches_full_table():
         ideal = window_ideal(lat, w)
         if not ideal.generators or ideal.ring.nvars > 8:
             continue
-        fast = has_linear_resolution_oracle(ideal)
+        fast = has_linear_resolution_oracle(ideal.ring)
         table = betti_numbers(ideal)
         full = not any(j != i + 2 for i, j in table.entries)
         assert fast == full, w
@@ -354,8 +356,8 @@ def test_settled_oracles_match_direct_koszul(corpus):
                 }
                 linear = not any(koszul[t] for t in candidates)
                 linrel = koszul[(1, 4)] == 0
+                assert has_linear_resolution_oracle(ring) == linear, (name, w, field)
                 for given in ideals:
-                    assert has_linear_resolution_oracle(given) == linear, (name, w, field)
                     assert is_linearly_related_oracle(given, field=field) == linrel, (name, w, field)
                 for t, value in koszul.items():
                     entry = _settled(mono, *t)
@@ -398,12 +400,9 @@ def test_oracles_on_non_quadratic_bases_match_koszul(corpus):
                 betti_numbers(cubic, _targets=[(i, j)]).get(i, j) for j, i in candidates
             )
             linrel = betti_numbers(cubic, _targets=[(1, 4)]).get(1, 4) == 0
-            for oracle, want in (
-                (has_linear_resolution_oracle, linear),
-                (is_linearly_related_oracle, linrel),
-            ):
-                assert oracle(cubic) == want, (name, w)
-                assert oracle(auto) == want, (name, w)
+            assert has_linear_resolution_oracle(cubic.ring) == linear, (name, w)
+            for given in (cubic, auto):
+                assert is_linearly_related_oracle(given) == linrel, (name, w)
             checked += 1
     assert checked == 59
 
@@ -948,30 +947,40 @@ def test_linear_relatedness_oracle_matches_the_ranked_reference(corpus):
 
 
 def test_standard_monomials_match_the_degree_filter(corpus):
-    """Gate for standard_monomial_basis on the fiber oracle's packed enumerator.
+    """Gate for the lead-side count's enumeration route, _standard_counts
+    given no supports, which the fiber oracle and hilbert_function take for
+    leads that are not squarefree.
 
     fiber_reference.standard_monomials is the route it replaced: every dense
-    monomial of each degree, in the order of combinations_with_replacement,
-    kept when no lead divides it.  The two give the same monomials in the
-    same order, and hilbert_function their counts, on every seed-7 window
-    with at most 9 variables at d_max 0, 1, 3 and 4, from the basis's
-    dense leads, and on random lead sets with
-    squares, higher powers, leads above d_max and the constant lead.
+    monomial of each degree, kept when no lead divides it.  The counts agree
+    in degrees 1..d_max on every seed-7 window with at most 9 variables at
+    d_max 0, 1, 3 and 4, from the basis's leads as _fiber_terms packs them,
+    where hilbert_function answers the filter's counts too, and on random
+    lead sets with squares, higher powers, leads above d_max and the
+    constant lead.
     """
     from fiber_reference import standard_monomials
-    from hibilab.betti import hilbert_function, standard_monomial_basis
+    from hibilab.betti import hilbert_function
+    from hibilab.binomials import _fiber_terms, _standard_counts
+
+    def units(nvars, d_max):  # the fields of d_max
+        return [1 << (d_max.bit_length() + 1) * k for k in range(nvars)]
+
+    def counted(terms, nvars, d_max):  # degrees 1..d_max
+        return list(islice(_standard_counts(None, terms, nvars, d_max), d_max))
 
     windows = 0
     for _, lat in corpus:
         for w in all_windows(lat):
             ideal = window_ideal(lat, w)
-            nvars, leads = ideal.ring.nvars, ideal.gb.leads
+            nvars, leads = ideal.ring.nvars, [g.lead for g in ideal.gb.basis]
             if nvars > 9:
                 continue
             for d_max in (0, 1, 3, 4):
-                want = standard_monomials(leads, nvars, d_max)
-                assert standard_monomial_basis(leads, nvars, d_max).degrees == want, (w, d_max)
-                assert hilbert_function(leads, d_max, nvars) == list(map(len, want)), (w, d_max)
+                want = list(map(len, standard_monomials(leads, nvars, d_max)))
+                terms = _fiber_terms(ideal.gb, ideal.ring, units(nvars, d_max))
+                assert counted(terms, nvars, d_max) == want[1:], (w, d_max)
+                assert hilbert_function(ideal, d_max) == want, (w, d_max)
             windows += 1
     rng = random.Random(2207)
     squares = 0
@@ -980,9 +989,9 @@ def test_standard_monomials_match_the_degree_filter(corpus):
         leads = [tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(nvars))
                  for _ in range(rng.randint(0, 4))]
         d_max = rng.randint(0, 5)
-        want = standard_monomials(leads, nvars, d_max)
-        assert standard_monomial_basis(leads, nvars, d_max).degrees == want, (leads, d_max)
-        assert hilbert_function(leads, d_max, nvars) == list(map(len, want)), (leads, d_max)
+        want = list(map(len, standard_monomials(leads, nvars, d_max)))
+        terms = [(sum(lead), sum(map(mul, lead, units(nvars, d_max))), 0, True) for lead in leads]
+        assert counted(terms, nvars, d_max) == want[1:], (leads, d_max)
         squares += any(e > 1 for lead in leads for e in lead)
     assert windows == 543 and squares > 200, (windows, squares)
     CASES["standard-monomials-vs-degree-filter"] = windows + 300

@@ -11,19 +11,20 @@ answer for answer.
 
 import heapq
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from operator import ge
 
 import pytest
 
 import buchberger_reference as ref
-from hibilab.betti import standard_monomial_basis
+from fiber_reference import standard_monomials
 from hibilab.binomials import (
     ORDER_KINDS,
     Reducer,
     WindowRing,
     _Layout,
     _oriented,
+    _standard_counts,
     _straightening_pairs,
     _width,
     buchberger,
@@ -226,19 +227,17 @@ def test_buchberger_matches_linear_scan_on_seed7_windows(corpus):
 
 
 def test_standard_monomials_match_lead_scan():
+    """The lead-side count's enumeration route (_standard_counts given no
+    supports) against fiber_reference.standard_monomials, which scans every
+    lead for each monomial, in degrees 1..4 on random leads of degree 1 to 3
+    packed on the fields of degree 4."""
     rng = random.Random(31)
     for _ in range(60):
         nvars = rng.randint(1, 5)
         leads = [_random_monomial(rng, nvars, rng.randint(1, 3)) for _ in range(rng.randint(0, 5))]
-        levels = standard_monomial_basis(leads, nvars, 4).degrees
-        for d, level in enumerate(levels):
-            monos = (
-                tuple(combo.count(k) for k in range(nvars))
-                for combo in combinations_with_replacement(range(nvars), d)
-            )
-            assert level == tuple(
-                m for m in monos if all(_div(m, lead) is None for lead in leads)
-            )
+        terms = [(sum(lead), sum(e << 4 * k for k, e in enumerate(lead)), 0, True) for lead in leads]
+        want = list(map(len, standard_monomials(leads, nvars, 4)))
+        assert list(islice(_standard_counts(None, terms, nvars, 4), 4)) == want[1:], leads
 
 
 def test_spair_budget_error_names_the_count(monkeypatch):
