@@ -288,9 +288,11 @@ def hilbert_function(ideal: WindowIdeal, d_max: int) -> list:
         if (count := comb(ring.nvars + d - 1, d)) > budget:
             raise BudgetExceeded(f"degree {d} enumeration exceeds budget", budget=budget, monomials=count)
     sizes = [ring.semigroup.size(e) for e in range(d_max + 1)]
-    width = d_max.bit_length() + 1
-    terms = _fiber_terms(gb, ring, [1 << width * k for k in range(ring.nvars)])
-    counts = chain((1,), _standard_counts(gb.lead_supports, terms, ring.nvars, d_max))
+    supports, width = gb.lead_supports, d_max.bit_length() + 1
+    units = [1 << width * k for k in range(ring.nvars)]
+    # squarefree leads are counted on their supports, with no walk of the basis
+    terms = () if supports is not None else _fiber_terms(gb, ring, units)
+    counts = chain((1,), _standard_counts(supports, terms, ring.nvars, d_max))
     for e, (size, standard) in enumerate(zip(sizes, counts)):
         if size != standard:
             raise VerificationFailed("standard monomials miss the Hilbert function", degree=e,
@@ -586,7 +588,7 @@ def betti_numbers(
     ideal: WindowIdeal,
     field: int = DEFAULT_FIELD,
     j_max: int | None = None,
-    var_cap: int | None = 12,
+    var_cap: int | None = errors.VAR_CAP,
     _targets=None,
 ) -> BettiTable:
     """Exact graded Betti numbers of the window ideal over GF(field).
@@ -978,7 +980,7 @@ def has_linear_resolution_oracle(ring: WindowRing) -> bool:
 def is_linearly_related_oracle(
     ideal: WindowIdeal,
     field: int = DEFAULT_FIELD,
-    var_cap: int = 16,
+    var_cap: int = errors.VAR_CAP,
 ) -> bool:
     """True iff beta_{1,4}(I) = 0; a zero or principal ideal has no syzygies at all.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    VAR_CAP,
     Disconnected,
     InvalidParameter,
     NotConvex,
@@ -255,7 +256,7 @@ def classify_window(
     window,
     mode: str = "shape-first",
     field: int = DEFAULT_FIELD,
-    var_cap: int = 12,
+    var_cap: int = VAR_CAP,
     _oracle: WindowVerdict | None = None,
 ) -> WindowVerdict:
     """Decide both predicates, by shape theorems where they apply, else oracle.
@@ -306,7 +307,7 @@ def verify_window(
     lattice: PlanarLattice,
     window,
     field: int = DEFAULT_FIELD,
-    var_cap: int = 12,
+    var_cap: int = VAR_CAP,
 ) -> WindowVerdict:
     """Run shape and oracle routes side by side; raise if they disagree.
 

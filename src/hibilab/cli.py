@@ -1,19 +1,21 @@
-"""Command-line surface: one binary, scriptable subcommands, JSON on stdout."""
+"""Command-line surface: one binary, scriptable subcommands, JSON on stdout.
+
+The eight windowed subcommands share one loop: per window of select_windows,
+a WindowContext and the command's view of it (_VIEWS), its record less
+"window".  One skip rule: a SKIPS[command] error from the view's own check,
+the call it makes through check, records {"window": [p, q], "skipped":
+{command: payload}}; any other error stops the run.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from functools import partial
 
-from .errors import HibiLabError, InvalidParameter, ParseError, VerificationFailed
-from .windows import (
-    WindowContext,
-    bipartite_graph,
-    check_convexity,
-    is_chordal_bipartite,
-    select_windows,
-)
+from .errors import VAR_CAP, HibiLabError, InvalidParameter, ParseError, VerificationFailed
+from .windows import WindowContext, bipartite_graph, check_convexity, is_chordal_bipartite, select_windows
 from .binomials import DEFAULT_FIELD, ORDER_KINDS, require_field, toric_fiber_oracle
 from .betti import betti_numbers, hilbert_function, krull_dimension_via_initial
 from .classify import CLASSIFY_MODES, classify_window, enumerate_linrel_windows, verify_window
@@ -96,14 +98,14 @@ def build_parser():
     _add_common(bt)
     bt.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
     bt.add_argument("--jmax", type=_at_least(2, "degree bound"), default=None)
-    bt.add_argument("--cap-vars", type=_at_least(1, "variable cap"), default=12)
+    bt.add_argument("--cap-vars", type=_at_least(1, "variable cap"), default=VAR_CAP)
     bt.add_argument("--hilbert", type=_at_least(0, "degree"), default=None, metavar="DMAX")
 
     cl = sp.add_parser("classify", help="linear resolution / linearly related verdicts")
     _add_common(cl)
     cl.add_argument("--mode", choices=CLASSIFY_MODES, default="shape-first")
     cl.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
-    cl.add_argument("--cap-vars", type=_at_least(1, "variable cap"), default=12)
+    cl.add_argument("--cap-vars", type=_at_least(1, "variable cap"), default=VAR_CAP)
     cl.add_argument("--expect-theorem", action="store_true",
                     help="verify shape verdicts against the oracle; exit 1 on disagreement")
 
@@ -127,7 +129,7 @@ def build_parser():
     _add_common(st)
     st.add_argument("--order", choices=ORDER_KINDS + ("auto",), default="auto")
     st.add_argument("--field", type=_parse_field, default=DEFAULT_FIELD)
-    st.add_argument("--cap-vars", type=_at_least(1, "variable cap"), default=12)
+    st.add_argument("--cap-vars", type=_at_least(1, "variable cap"), default=VAR_CAP)
     st.add_argument("--fiber", action="store_true")
     st.add_argument("--betti", action="store_true")
     st.add_argument("--expect-theorem", action="store_true")
@@ -145,6 +147,10 @@ def main(argv=None) -> int:
     except HibiLabError as exc:
         print(json.dumps({"error": exc.payload()}), file=sys.stderr)
         return 2 if exc.code in _INPUT_ERRORS else 3
+
+
+class _Skipped(Exception):
+    """The payload of a SKIPS error that a command's own check raised."""
 
 
 def _dispatch(args) -> int:
@@ -205,139 +211,91 @@ def _dispatch(args) -> int:
         print(report.to_json())
         return 1 if report.findings else 0
 
-    ctxs = [
-        WindowContext(lattice, w, getattr(args, "order", "auto"))
-        for w in select_windows(lattice, [args.window] if args.window else None,
-                                args.all_windows, args.proper_only)
-    ]
+    # the windowed commands (module docstring): only a view's check may skip a window
+    def check(fn, *fn_args, **kwargs):
+        try:
+            return fn(*fn_args, **kwargs)
+        except SKIPS.get(cmd, ()) as exc:
+            raise _Skipped(exc.payload()) from exc
 
-    if cmd == "generators":
-        _emit(
-            [
-                {"window": [ctx.window.p, ctx.window.q], "count": len(ctx.generators),
-                 "points": [list(p) for p in ctx.generators.points]}
-                for ctx in ctxs
-            ]
-        )
-        return 0
+    out = []
+    for w in select_windows(lattice, [args.window] if args.window else None,
+                            args.all_windows, args.proper_only):
+        try:
+            rec = _VIEWS[cmd](args, WindowContext(lattice, w, getattr(args, "order", "auto")), check)
+        except _Skipped as skipped:
+            rec = {"skipped": {cmd: skipped.args[0]}}
+        out.append({**rec, "window": [w.p, w.q]})
+    _emit(out)
+    return 0
 
-    if cmd == "graph":
-        out = []
-        for ctx in ctxs:
-            graph = bipartite_graph(lattice, ctx)
-            cert = is_chordal_bipartite(graph)
-            out.append(
-                {"window": [ctx.window.p, ctx.window.q],
-                 "edges": [list(e) for e in graph.edges],
-                 "chordal": cert.chordal,
-                 "witness": [list(v) for v in cert.chordless_cycle]}
-            )
-        _emit(out)
-        return 0
 
-    if cmd == "polyomino":
-        out = []
-        for ctx in ctxs:
-            poly = ctx.polyomino
-            out.append(
-                {"window": [ctx.window.p, ctx.window.q],
-                 "cells": sorted(map(list, poly.cells)),
-                 "vertices": sorted(map(list, poly.vertices)),
-                 "connected": poly.connected,
-                 "convex": check_convexity(poly)}
-            )
-        _emit(out)
-        return 0
+def _generators(args, ctx, check):
+    return {"count": len(ctx.generators), "points": [list(p) for p in ctx.generators.points]}
 
-    if cmd == "dim":
-        _emit([{"window": [ctx.window.p, ctx.window.q], "dimension": ctx.dimension}
-               for ctx in ctxs])
-        return 0
 
-    if cmd == "gb":
-        out = []
-        for ctx in ctxs:
-            ideal = ctx.ideal
-            basis = []
-            for g in ideal.gb.basis:
-                basis.append(
-                    {
-                        "lead": sorted([list(pt), e] for pt, e in ideal.ring.exponents_dict(g.lead).items()),
-                        "trail": sorted([list(pt), e] for pt, e in ideal.ring.exponents_dict(g.trail).items()),
-                        "text": f"{ideal.ring.format_monomial(g.lead)} - {ideal.ring.format_monomial(g.trail)}",
-                    }
-                )
-            out.append(
-                {"window": [ctx.window.p, ctx.window.q], "order": ideal.order.name,
-                 "quadratic": ideal.gb.quadratic, "squarefree": ideal.gb.squarefree,
-                 "spairs": ideal.gb.spairs_processed, "basis": basis}
-            )
-        _emit(out)
-        return 0
+def _graph(args, ctx, check):
+    graph = bipartite_graph(ctx.lattice, ctx)
+    cert = is_chordal_bipartite(graph)
+    return {"edges": [list(e) for e in graph.edges], "chordal": cert.chordal,
+            "witness": [list(v) for v in cert.chordless_cycle]}
 
-    if cmd == "fiber":
-        out = []
-        for ctx in ctxs:
-            ideal = ctx.ideal  # outside the try: only the oracle's budget skips a window
-            try:
-                cert = toric_fiber_oracle(ideal, degree=args.degree)
-            except SKIPS["fiber"] as exc:
-                out.append({"window": [ctx.window.p, ctx.window.q],
-                            "skipped": {"fiber": exc.payload()}})
-                continue
-            out.append(
-                {"window": [ctx.window.p, ctx.window.q], "membership": cert.membership_ok,
-                 "generated": cert.generated, "gb_certified": cert.gb_certified,
-                 "per_degree": [
-                     {"degree": d.degree, "monomials": d.monomials, "fibers": d.fibers,
-                      "target": d.target_dim, "rank": d.span_rank}
-                     for d in cert.per_degree
-                 ]}
-            )
-        _emit(out)
-        return 0
 
-    if cmd == "betti":
-        out = []
-        for ctx in ctxs:
-            ideal = ctx.ideal
-            try:
-                table = betti_numbers(ideal, field=args.field, j_max=args.jmax, var_cap=args.cap_vars)
-            except SKIPS["betti"] as exc:
-                out.append({"window": [ctx.window.p, ctx.window.q],
-                            "skipped": {"betti": exc.payload()}})
-                continue
-            entry = {"window": [ctx.window.p, ctx.window.q], "betti": table.to_json(),
-                     "krull": krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars)}
-            if args.hilbert is not None:
-                try:
-                    entry["hilbert"] = hilbert_function(ideal, args.hilbert)
-                except SKIPS["hilbert"] as exc:
-                    entry["skipped"] = {"hilbert": exc.payload()}
-            out.append(entry)
-            print(table.format_text(), file=sys.stderr)
-        _emit(out)
-        return 0
+def _polyomino(args, ctx, check):
+    poly = ctx.polyomino
+    return {"cells": sorted(map(list, poly.cells)), "vertices": sorted(map(list, poly.vertices)),
+            "connected": poly.connected, "convex": check_convexity(poly)}
 
-    if cmd == "classify":
-        out = []
-        for ctx in ctxs:
-            try:
-                if args.expect_theorem:
-                    verdict = verify_window(lattice, ctx, field=args.field, var_cap=args.cap_vars)
-                else:
-                    verdict = classify_window(
-                        lattice, ctx, mode=args.mode, field=args.field, var_cap=args.cap_vars
-                    )
-            except SKIPS["classify"] as exc:
-                out.append({"window": [ctx.window.p, ctx.window.q],
-                            "skipped": {"classify": exc.payload()}})
-                continue
-            out.append(verdict.to_json())
-        _emit(out)
-        return 0
 
-    raise AssertionError(f"unhandled command {cmd}")
+def _dim(args, ctx, check):
+    return {"dimension": ctx.dimension}
+
+
+def _gb(args, ctx, check):
+    ideal = ctx.ideal
+    ring, gb = ideal.ring, ideal.gb
+
+    def exponents(mono):
+        return sorted([list(pt), e] for pt, e in ring.exponents_dict(mono).items())
+
+    return {"order": ideal.order.name, "quadratic": gb.quadratic, "squarefree": gb.squarefree,
+            "spairs": gb.spairs_processed,
+            "basis": [{"lead": exponents(g.lead), "trail": exponents(g.trail),
+                       "text": f"{ring.format_monomial(g.lead)} - {ring.format_monomial(g.trail)}"}
+                      for g in gb.basis]}
+
+
+def _fiber(args, ctx, check):
+    ideal = ctx.ideal  # before the check: the S-pair limit of its build stops the run
+    cert = check(toric_fiber_oracle, ideal, degree=args.degree)
+    return {"membership": cert.membership_ok, "generated": cert.generated,
+            "gb_certified": cert.gb_certified,
+            "per_degree": [{"degree": d.degree, "monomials": d.monomials, "fibers": d.fibers,
+                            "target": d.target_dim, "rank": d.span_rank} for d in cert.per_degree]}
+
+
+def _betti(args, ctx, check):
+    ideal = ctx.ideal
+    table = check(betti_numbers, ideal, field=args.field, j_max=args.jmax, var_cap=args.cap_vars)
+    # after the check: the Krull search's budget stops the run
+    rec = {"betti": table.to_json(),
+           "krull": krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars)}
+    if args.hilbert is not None:
+        try:
+            rec["hilbert"] = hilbert_function(ideal, args.hilbert)
+        except SKIPS["hilbert"] as exc:
+            rec["skipped"] = {"hilbert": exc.payload()}
+    print(table.format_text(), file=sys.stderr)
+    return rec
+
+
+def _classify(args, ctx, check):
+    route = verify_window if args.expect_theorem else partial(classify_window, mode=args.mode)
+    return check(route, ctx.lattice, ctx, field=args.field, var_cap=args.cap_vars).to_json()
+
+
+_VIEWS = {"generators": _generators, "graph": _graph, "polyomino": _polyomino, "dim": _dim,
+          "gb": _gb, "fiber": _fiber, "betti": _betti, "classify": _classify}
 
 
 if __name__ == "__main__":

@@ -95,6 +95,8 @@ class LatticeNormalization(UserWarning):
     """Input lattice was translated so its bounding box anchors at the origin."""
 
 
+VAR_CAP = 12  # the default cap on a window's variables: every var_cap default, and --cap-vars
+
 # The searches read these through the module when they start, so a test may lower them.
 SPAIR_LIMIT = 500_000  # S-pairs per Buchberger run
 BLOCK_FACE_CAP = 20_000  # faces per multidegree Koszul block

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from ._version import __version__
 from .errors import (
+    VAR_CAP,
     BudgetExceeded,
     CapExceeded,
     DegreeInfeasible,
@@ -273,7 +274,7 @@ def run_suite(
     verify: bool = False,
     order_kinds="auto",
     field: int = DEFAULT_FIELD,
-    var_cap: int = 12,
+    var_cap: int = VAR_CAP,
     fiber_degree: int = 4,
     name: str = "lattice",
 ) -> RunReport:

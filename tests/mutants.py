@@ -207,6 +207,21 @@ MUTANTS = (
         "    @property\n    def quadratic_gb(",
         ("tests/test_reports_cli.py::TestRunSuite::test_the_oracles_search_once_per_cubic_window",),
     ),
+    # the CLI's betti view, the Krull search run under the skip rule of its check
+    Mutant(
+        "krull-under-betti-skip", "cli.py",
+        '"krull": krull_dimension_via_initial(ideal.gb.lead_supports, nvars=ideal.ring.nvars)}',
+        '"krull": check(krull_dimension_via_initial, ideal.gb.lead_supports, nvars=ideal.ring.nvars)}',
+        ("tests/test_reports_cli.py::TestCli::test_krull_budget_stops_the_betti_run",),
+    ),
+    # the CLI's fiber view, the window's ideal built under the skip rule of its check
+    Mutant(
+        "ideal-under-fiber-skip", "cli.py",
+        "ideal = ctx.ideal  # before the check: the S-pair limit of its build stops the run\n"
+        "    cert = check(toric_fiber_oracle, ideal, degree=args.degree)",
+        "cert = check(lambda: toric_fiber_oracle(ctx.ideal, degree=args.degree))",
+        ("tests/test_reports_cli.py::TestCli::test_s_pair_limit_of_the_ideal_stops_the_fiber_run",),
+    ),
     # the search budget, HIBI_LAB_BUDGET ignored
     Mutant(
         "budget-env-ignored", "errors.py",

@@ -211,9 +211,10 @@ class TestFiberOracle:
         from hibilab.betti import hilbert_function
 
         ideal = window_ideal(demo_staircase(), (3, 7))
+        plain = fiber_reference.plain_sizes(ideal.ring, 3)  # |L_1|, |L_2|, |L_3|, not Semigroup.size
         cert = toric_fiber_oracle(ideal, degree=3)
-        hf = hilbert_function(ideal, 3)
-        assert [d.fibers for d in cert.per_degree] == hf[2:]
+        assert [d.fibers for d in cert.per_degree] == plain[1:]
+        assert hilbert_function(ideal, 3) == [1, *plain]
 
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")

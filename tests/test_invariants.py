@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from fiber_reference import balanced
+from fiber_reference import balanced, plain_sizes
 from hibilab.betti import betti_numbers, hilbert_function, monomial_betti_table
 from hibilab.binomials import toric_fiber_oracle, window_ideal
 from hibilab.classify import enumerate_linrel_windows, is_linearly_related_lattice
@@ -23,14 +23,17 @@ def test_every_generator_maps_to_zero(small_corpus):
 
 
 def test_fiber_hilbert_matches_standard_monomials(small_corpus):
+    """The fiber records' fibers and hilbert_function, which both read
+    Semigroup.size, against the plain semigroup build (plain_sizes)."""
     for name, lat in small_corpus[:8]:
         for w in all_windows(lat)[::3]:
             ideal = window_ideal(lat, w)
             if ideal.ring.nvars > 11:
                 continue
+            plain = plain_sizes(ideal.ring, 3)  # |L_1|, |L_2|, |L_3|
             cert = toric_fiber_oracle(ideal, degree=3)
-            hf = hilbert_function(ideal, 3)
-            assert [d.fibers for d in cert.per_degree] == hf[2:], (name, w)
+            assert [d.fibers for d in cert.per_degree] == plain[1:], (name, w)
+            assert hilbert_function(ideal, 3) == [1, *plain], (name, w)
 
 
 def test_first_syzygies_exist_for_non_principal_windows(small_corpus):

@@ -6,7 +6,14 @@ from math import comb
 import pytest
 
 import hibilab.cli as cli
-from hibilab.errors import BudgetExceeded, Disconnected, InvalidParameter, NotConvex, ParseError
+from hibilab.errors import (
+    BudgetExceeded,
+    DegreeInfeasible,
+    Disconnected,
+    InvalidParameter,
+    NotConvex,
+    ParseError,
+)
 from hibilab.lattice import validate_planar_lattice
 from hibilab.render import render_ascii, render_figure, render_svg
 from hibilab.reports import (
@@ -280,6 +287,8 @@ def run_cli(capsys, argv, stdin_doc=None, monkeypatch=None):
 
 
 SQUARE = '{"points": [[0,0],[1,0],[0,1],[1,1]]}'
+STAIRCASE = json.dumps({"points": sorted(map(list, demo_staircase().points))})
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestCli:
@@ -373,21 +382,65 @@ class TestCli:
     def test_fiber_all_windows_matches_golden(self, capsys, monkeypatch, degree):
         """`hibilab fiber --all-windows` on the demo staircase prints, byte
         for byte, what it printed before the oracle read packed terms."""
-        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
         argv = ["fiber", "--all-windows", "--degree", str(degree)]
-        code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
-        golden = pathlib.Path(__file__).parent / "golden" / f"staircase_fiber_all_d{degree}.json"
+        code, out, _ = run_cli(capsys, argv, STAIRCASE, monkeypatch)
+        golden = GOLDEN / f"staircase_fiber_all_d{degree}.json"
         assert code == 0 and out == golden.read_text()
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["generators", "--all-windows"], "staircase_generators_all.json"),
+        (["graph", "--all-windows"], "staircase_graph_all.json"),
+        (["polyomino", "--all-windows"], "staircase_polyomino_all.json"),
+        (["dim", "--all-windows"], "staircase_dim_all.json"),
+        (["classify", "--all-windows", "--expect-theorem"], "staircase_classify_all_expect.json"),
+        # a cubic basis by Buchberger, and a quadratic one by counting
+        (["gb", "--window", "1,7", "--order", "rank-lex"], "staircase_gb_w17_ranklex.json"),
+        (["gb", "--window", "3,7"], "staircase_gb_w37.json"),
+    ])
+    def test_windowed_command_matches_golden(self, capsys, monkeypatch, argv, golden):
+        """Each windowed subcommand on the demo staircase prints, byte for
+        byte, what it printed when each had its own window loop."""
+        code, out, _ = run_cli(capsys, argv, STAIRCASE, monkeypatch)
+        assert code == 0 and out == (GOLDEN / golden).read_text()
+
+    def test_s_pair_limit_of_the_ideal_stops_the_fiber_run(self, capsys, monkeypatch):
+        """Only the fiber oracle's budget skips a fiber window: the S-pair
+        limit of the window's ideal build stops the run with exit 3, and no
+        window is recorded."""
+        import hibilab.binomials as binomials_mod
+
+        def exhausted(*args, **kwargs):
+            raise DegreeInfeasible("S-pair budget exhausted", budget=500_000, spairs=500_001)
+
+        monkeypatch.setattr(binomials_mod, "window_ideal", exhausted)
+        code, out, err = run_cli(capsys, ["fiber", "--all-windows"], STAIRCASE, monkeypatch)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": {"code": "degree-infeasible",
+                                             "message": "S-pair budget exhausted",
+                                             "details": {"budget": 500_000, "spairs": 500_001}}}
+
+    def test_krull_budget_stops_the_betti_run(self, capsys, monkeypatch):
+        """Only betti_numbers' limits skip a betti window: the Krull search's
+        budget stops the run with exit 3, and no window is recorded."""
+        def tripped(supports, nvars):
+            raise BudgetExceeded("Krull dimension search exceeds budget", budget=1000, nodes=1001)
+
+        monkeypatch.setattr(cli, "krull_dimension_via_initial", tripped)
+        argv = ["betti", "--all-windows", "--cap-vars", "7"]
+        code, out, err = run_cli(capsys, argv, STAIRCASE, monkeypatch)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": {"code": "budget-exceeded",
+                                             "message": "Krull dimension search exceeds budget",
+                                             "details": {"budget": 1000, "nodes": 1001}}}
 
     def test_fiber_budget_skips_the_window_not_the_run(self, capsys, monkeypatch):
         """A window whose fiber oracle trips the budget records the skip, as
         the suite does; the other windows answer as in the golden file, and
         the run exits 0."""
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
-        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
-        code, out, _ = run_cli(capsys, ["fiber", "--all-windows"], staircase, monkeypatch)
+        code, out, _ = run_cli(capsys, ["fiber", "--all-windows"], STAIRCASE, monkeypatch)
         assert code == 0
-        golden = pathlib.Path(__file__).parent / "golden" / "staircase_fiber_all_d4.json"
+        golden = GOLDEN / "staircase_fiber_all_d4.json"
         suite = run_suite(demo_staircase(), all_windows_flag=True, with_fiber=True, with_classify=False)
         skipped = 0
         for got, want, rec in zip(json.loads(out), json.loads(golden.read_text()),
@@ -406,20 +459,18 @@ class TestCli:
         """`hibilab betti --all-windows --cap-vars 9` on the demo staircase
         prints, byte for byte, what it printed before faces were bounded by
         the projective dimension."""
-        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
         argv = ["betti", "--all-windows", "--cap-vars", "9"]
-        code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
-        golden = pathlib.Path(__file__).parent / "golden" / "staircase_betti_all_cap9.txt"
+        code, out, _ = run_cli(capsys, argv, STAIRCASE, monkeypatch)
+        golden = GOLDEN / "staircase_betti_all_cap9.txt"
         assert code == 0 and out == golden.read_text()
 
     def test_betti_hilbert_matches_golden(self, capsys, monkeypatch):
         """`hibilab betti --all-windows --cap-vars 9 --hilbert 4` on the demo
         staircase prints, byte for byte, what it printed before the standard
         monomials were enumerated on packed ints."""
-        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
         argv = ["betti", "--all-windows", "--cap-vars", "9", "--hilbert", "4"]
-        code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
-        golden = pathlib.Path(__file__).parent / "golden" / "staircase_betti_hilbert4_cap9.json"
+        code, out, _ = run_cli(capsys, argv, STAIRCASE, monkeypatch)
+        golden = GOLDEN / "staircase_betti_hilbert4_cap9.json"
         assert code == 0 and out == golden.read_text()
 
     def test_betti_hilbert_budget_skips_the_window_not_the_run(self, capsys, monkeypatch):
@@ -427,11 +478,10 @@ class TestCli:
         and keeps its table and krull; the other windows answer, and the run
         exits 0."""
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
-        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
         argv = ["betti", "--all-windows", "--cap-vars", "9", "--hilbert", "6"]
-        code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
+        code, out, _ = run_cli(capsys, argv, STAIRCASE, monkeypatch)
         assert code == 0
-        golden = pathlib.Path(__file__).parent / "golden" / "staircase_betti_hilbert4_cap9.json"
+        golden = GOLDEN / "staircase_betti_hilbert4_cap9.json"
         answered = skipped = 0
         for got, want in zip(json.loads(out), json.loads(golden.read_text()), strict=True):
             if "betti" not in want:  # over the cap: no table, no Hilbert function
@@ -452,12 +502,11 @@ class TestCli:
         assert answered > 0 and skipped > 0, (answered, skipped)
 
     def test_betti_degree_bound_past_nvars_finishes(self, capsys, monkeypatch):
-        staircase = json.dumps({"points": sorted(map(list, demo_staircase().points))})
         argv = ["betti", "--all-windows", "--cap-vars", "7"]
-        code, out, _ = run_cli(capsys, argv + ["--jmax", "40"], staircase, monkeypatch)
+        code, out, _ = run_cli(capsys, argv + ["--jmax", "40"], STAIRCASE, monkeypatch)
         assert code == 0
         bounded = json.loads(out)
-        code, out, _ = run_cli(capsys, argv, staircase, monkeypatch)
+        code, out, _ = run_cli(capsys, argv, STAIRCASE, monkeypatch)
         default = json.loads(out)
         assert [r["window"] for r in bounded] == [r["window"] for r in default]
         for got, want in zip(bounded, default):
