@@ -26,6 +26,7 @@ from operator import eq, floordiv, itemgetter, mod, mul, neg, or_
 
 from . import errors
 from .errors import (
+    BudgetExceeded,
     DegreeInfeasible,
     InvalidParameter,
     PreconditionFailed,
@@ -1231,13 +1232,13 @@ def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
     graph is the core's in degree e - i, and span_rank = sum_i C(b + i - 1,
     i) span_core(e - i).  The union-find reads the core's monomials up to
     degree - (least move degree).  Each degree is held to search_budget()
-    on the monomials it enumerates, checked before any work on it: those of
-    the larger of the move core, which bounds the union-find and the faces,
-    and the semigroup core (Semigroup.free), which bounds the levels L_e;
-    a point on a path between two cycles lies on no binomial but stays in
-    the semigroup core.  Non-squarefree leads send the standard monomials
-    to _standard_levels, which walks every variable.  A degree bound below
-    2 raises InvalidParameter (require_degree).
+    (BudgetExceeded) on the monomials it enumerates, checked before any work
+    on it: those of the larger of the move core, which bounds the union-find
+    and the faces, and the semigroup core (Semigroup.free), which bounds the
+    levels L_e; a point on a path between two cycles lies on no binomial but
+    stays in the semigroup core.  Non-squarefree leads send the standard
+    monomials to _standard_levels, which walks every variable.  A degree
+    bound below 2 raises InvalidParameter (require_degree).
     """
     require_degree(degree)
     ring, gb = ideal.ring, ideal.gb
@@ -1265,7 +1266,7 @@ def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
     records = []
     for e in range(2, degree + 1):
         if (work := comb(walked + e - 1, e)) > budget:
-            raise DegreeInfeasible(f"degree {e} needs {work} monomials", budget=budget, monomials=work)
+            raise BudgetExceeded(f"degree {e} needs {work} monomials", budget=budget, monomials=work)
         count = comb(nvars + e - 1, e)
         for k in range(len(spans), e + 1):
             while len(levels) <= k - least:  # a move of degree d reads the monomials of degree k - d

@@ -6,9 +6,11 @@ degree 3 only, equivalently beta_{1,4} = 0).  Connected convex polyominoes
 are decided by shape: a linear resolution happens exactly for a single row
 or column of cells, and linear relatedness is governed by which bounding-box
 corners the vertex set misses and, with three corners gone, by staircase
-notch inequalities.  Anything outside those hypotheses routes to the Betti
-oracle, and in verification mode both routes must agree (a linearly-related
-disagreement is retried at a second prime before being raised).
+notch inequalities.  Each predicate has one route per window: a shape
+theorem's answer, or its Betti oracle's where no theorem applies.
+Verification (verify_window) asks the oracles about the predicates the
+theorems decided and raises when they disagree (a linearly-related
+disagreement is retried at a second prime first).
 """
 
 from __future__ import annotations
@@ -70,10 +72,13 @@ def _normalized_vertices(vertices):
 
 
 def shape_profile(poly: Polyomino) -> ShapeProfile:
-    verts = poly.vertices
-    if not verts:
+    if not poly.vertices:
         raise InvalidParameter("shape profile needs a nonempty polyomino")
-    v = _normalized_vertices(verts)
+    return _profile(_normalized_vertices(poly.vertices))
+
+
+def _profile(v) -> ShapeProfile:
+    """The profile of a nonempty vertex set whose least x and least y are 0."""
     m = max(x for x, _ in v)
     n = max(y for _, y in v)
     bottom_xs = sorted(x for x, y in v if y == 0)
@@ -125,32 +130,12 @@ def has_linear_resolution_shape(poly: Polyomino):
     return len(rows) == 1 or len(cols) == 1
 
 
-def _flip_profile(prof: ShapeProfile, flip_x: bool, flip_y: bool) -> ShapeProfile:
-    m, n = prof.m, prof.n
-    bottom, top, left, right = prof.bottom, prof.top, prof.left, prof.right
-    c00, cm0, c0n, cmn = prof.corners_present
-    if flip_x:
-        bottom = (m - bottom[1], m - bottom[0])
-        top = (m - top[1], m - top[0])
-        left, right = right, left
-        c00, cm0, c0n, cmn = cm0, c00, cmn, c0n
-    if flip_y:
-        left = (n - left[1], n - left[0])
-        right = (n - right[1], n - right[0])
-        bottom, top = top, bottom
-        c00, cm0, c0n, cmn = c0n, cmn, c00, cm0
-    return ShapeProfile(
-        m=m, n=n, bottom=bottom, top=top, left=left, right=right,
-        corners_present=(c00, cm0, c0n, cmn), staircase=prof.staircase,
-    )
-
-
 def is_linearly_related_polyomino(poly: Polyomino) -> bool:
     """Corner criteria on the vertex-set staircase shape.
 
     True when the shape is a box with one L-shaped cut per absent corner and
     at most one corner is absent; or exactly two absent but not opposite; or
-    exactly three absent and, after flipping the present corner onto the
+    exactly three absent and, after reflecting the present corner onto the
     origin, either the bottom row ends at m-1 with the right column's top not
     above the left column's, or symmetrically with the roles of the two axes
     swapped.
@@ -161,7 +146,8 @@ def is_linearly_related_polyomino(poly: Polyomino) -> bool:
         raise NotConvex("corner criteria need a convex polyomino")
     if not poly.connected:
         raise Disconnected("corner criteria need a connected polyomino")
-    prof = shape_profile(poly)
+    v = _normalized_vertices(poly.vertices)
+    prof = _profile(v)
     if not prof.staircase:
         return False
     missing = 4 - sum(prof.corners_present)
@@ -173,9 +159,11 @@ def is_linearly_related_polyomino(poly: Polyomino) -> bool:
         return not opposite
     if missing == 4:
         return False
-    # three corners missing: flip the present one onto (0, 0)
-    present_idx = prof.corners_present.index(True)
-    prof = _flip_profile(prof, present_idx in (1, 3), present_idx in (2, 3))
+    # three corners missing: reflect the present one onto (0, 0)
+    present = prof.corners_present.index(True)
+    m, n = prof.m, prof.n
+    flip_x, flip_y = present in (1, 3), present in (2, 3)
+    prof = _profile({(m - x if flip_x else x, n - y if flip_y else y) for x, y in v})
     i2 = prof.bottom[1]
     j2 = prof.left[1]
     i4 = prof.top[1]
@@ -257,50 +245,38 @@ def classify_window(
     mode: str = "shape-first",
     field: int = DEFAULT_FIELD,
     var_cap: int = VAR_CAP,
-    _oracle: WindowVerdict | None = None,
 ) -> WindowVerdict:
     """Decide both predicates, by shape theorems where they apply, else oracle.
 
     window may be a WindowContext, whose ideal and polyomino are then used.
-    _oracle, an oracle-only verdict of the same window, answers the oracle
-    fallbacks of shape-first in place of new oracle calls.  field, mode and
-    var_cap (at least 1, or None for no cap) are checked first, whatever
-    route the window then takes.  var_cap caps the linear-relatedness
-    oracle; the linear-resolution oracle is a count with no cap.
+    Shape-first takes the linear resolution from the row-or-column theorem
+    and, on a connected convex polyomino, linear relatedness from the corner
+    criteria; a predicate no theorem decides (None), and both in oracle-only
+    mode, is asked of its oracle.  field, mode and var_cap (at least 1, or
+    None for no cap) are checked first, whatever route the window then
+    takes.  var_cap caps the linear-relatedness oracle; the
+    linear-resolution oracle is a count with no cap.
     """
     require_field(field)
     if mode not in CLASSIFY_MODES:
         raise InvalidParameter(f"unknown classify mode {mode!r}", mode=mode)
     require_var_cap(var_cap)
     ctx = as_context(lattice, window)
-    w = ctx.window
     ideal = ctx.ideal
     if ideal.is_zero or ideal.is_principal:
-        return WindowVerdict(w, True, True, "degenerate", "degenerate")
-
-    def linear():
-        if _oracle is not None:
-            return _oracle.linear_resolution
-        return has_linear_resolution_oracle(ideal.ring)
-
-    def linrel():
-        if _oracle is not None:
-            return _oracle.linearly_related
-        return is_linearly_related_oracle(ideal, field=field, var_cap=var_cap)
-
-    if mode == "oracle-only":
-        return WindowVerdict(w, linear(), linrel(), "oracle", "oracle")
-    poly = ctx.polyomino
-    lr = has_linear_resolution_shape(poly)
-    lr_basis = "shape:row-or-column"
+        return WindowVerdict(ctx.window, True, True, "degenerate", "degenerate")
+    lr = ll = None
+    if mode == "shape-first":
+        poly = ctx.polyomino
+        lr = has_linear_resolution_shape(poly)
+        if poly.connected and check_convexity(poly):
+            ll = is_linearly_related_polyomino(poly)
+    lr_basis, ll_basis = "shape:row-or-column", "shape:corners"
     if lr is None:
-        lr, lr_basis = linear(), "oracle"
-    if poly.connected and check_convexity(poly):
-        ll = is_linearly_related_polyomino(poly)
-        ll_basis = "shape:corners"
-    else:
-        ll, ll_basis = linrel(), "oracle"
-    return WindowVerdict(w, lr, ll, lr_basis, ll_basis)
+        lr, lr_basis = has_linear_resolution_oracle(ideal.ring), "oracle"
+    if ll is None:
+        ll, ll_basis = is_linearly_related_oracle(ideal, field=field, var_cap=var_cap), "oracle"
+    return WindowVerdict(ctx.window, lr, ll, lr_basis, ll_basis)
 
 
 def verify_window(
@@ -309,37 +285,38 @@ def verify_window(
     field: int = DEFAULT_FIELD,
     var_cap: int = VAR_CAP,
 ) -> WindowVerdict:
-    """Run shape and oracle routes side by side; raise if they disagree.
+    """The shape-first verdict, checked against the oracles; raise if they disagree.
 
-    The oracle-only verdict comes first and answers shape-first wherever no
-    shape theorem applies, so each predicate costs one oracle call.  The
-    linear-resolution oracle is a count of the Hilbert function, the same
-    over every field, so a disagreement there raises at once.  A
-    linearly-related disagreement is retried with the oracle at the
-    fallback prime, so a characteristic artifact never surfaces as a
+    Each oracle is asked only about a predicate a shape theorem decided: one
+    the oracle decided checks itself, so each predicate costs one oracle
+    call.  The linear-resolution oracle is a count of the Hilbert function,
+    the same over every field, so a disagreement there raises at once.  A
+    linearly-related disagreement is retried with the oracle-only verdict at
+    the fallback prime, so a characteristic artifact never surfaces as a
     finding by itself.
     """
     ctx = as_context(lattice, window)
-    w = ctx.window
-    oracle_verdict = classify_window(
-        lattice, ctx, mode="oracle-only", field=field, var_cap=var_cap
-    )
-    shape_verdict = classify_window(
-        lattice, ctx, mode="shape-first", field=field, var_cap=var_cap,
-        _oracle=oracle_verdict,
-    )
-    if shape_verdict.linear_resolution == oracle_verdict.linear_resolution:
-        if shape_verdict.linearly_related == oracle_verdict.linearly_related:
-            return shape_verdict
-        oracle_verdict = classify_window(
+    shape = classify_window(lattice, ctx, field=field, var_cap=var_cap)
+    if shape.linear_basis == "degenerate":
+        return shape
+    ideal = ctx.ideal
+    lr = (shape.linear_resolution if shape.linear_basis == "oracle"
+          else has_linear_resolution_oracle(ideal.ring))
+    ll = (shape.linearly_related if shape.linrel_basis == "oracle"
+          else is_linearly_related_oracle(ideal, field=field, var_cap=var_cap))
+    oracle = WindowVerdict(ctx.window, lr, ll, "oracle", "oracle")
+    if lr == shape.linear_resolution:
+        if ll == shape.linearly_related:
+            return shape
+        oracle = classify_window(
             lattice, ctx, mode="oracle-only", field=SECOND_FIELD, var_cap=var_cap
         )
-        if shape_verdict.linearly_related == oracle_verdict.linearly_related:
-            return shape_verdict
+        if oracle.linearly_related == shape.linearly_related:
+            return shape
     raise VerificationFailed(
-        f"shape and oracle verdicts disagree on window ({w.p}, {w.q})",
-        shape=shape_verdict.to_json(),
-        oracle=oracle_verdict.to_json(),
+        f"shape and oracle verdicts disagree on window ({ctx.window.p}, {ctx.window.q})",
+        shape=shape.to_json(),
+        oracle=oracle.to_json(),
     )
 
 

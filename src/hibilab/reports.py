@@ -12,7 +12,6 @@ from .errors import (
     VAR_CAP,
     BudgetExceeded,
     CapExceeded,
-    DegreeInfeasible,
     InvalidParameter,
     ParseError,
     PreconditionFailed,
@@ -39,7 +38,7 @@ from .classify import classify_window, verify_window
 # The errors that skip one check of a window, by the check's skip key, where
 # any other error stops the run; run_suite and the CLI both read them here.
 SKIPS = {
-    "fiber": (DegreeInfeasible,),
+    "fiber": (BudgetExceeded,),
     "betti": (CapExceeded, BudgetExceeded),
     "classify": (CapExceeded, BudgetExceeded, PreconditionFailed),
     "hilbert": (BudgetExceeded,),

@@ -45,7 +45,7 @@ from hibilab.binomials import (
     FiberDegreeRecord,
     _Led,
 )
-from hibilab.errors import DegreeInfeasible, search_budget
+from hibilab.errors import BudgetExceeded, InvalidParameter, search_budget
 
 
 def monomial_images(ring):
@@ -63,7 +63,7 @@ def degree_monomials(nvars, degree, budget):
     """The dense monomials of one degree, in the order of combinations_with_replacement."""
     count = comb(nvars + degree - 1, degree)
     if count > budget:
-        raise DegreeInfeasible(
+        raise BudgetExceeded(
             f"degree {degree} needs {count} monomials", budget=budget, monomials=count
         )
     for combo in combinations_with_replacement(range(nvars), degree):
@@ -163,7 +163,7 @@ def face_counts(supports, nvars):
 
 def toric_fiber_oracle(ring, gens, gb=None, degree=4):
     if degree < 2:
-        raise DegreeInfeasible("degree bound must be at least 2", degree=degree)
+        raise InvalidParameter("degree bound must be at least 2", degree=degree)
     budget = search_budget()
     nvars = ring.nvars
     membership_ok = all(balanced(ring, g) for g in gens)

@@ -214,13 +214,33 @@ MUTANTS = (
         '"krull": check(krull_dimension_via_initial, ideal.gb.lead_supports, nvars=ideal.ring.nvars)}',
         ("tests/test_reports_cli.py::TestCli::test_krull_budget_stops_the_betti_run",),
     ),
-    # the CLI's fiber view, the window's ideal built under the skip rule of its check
+    # the fiber skip, Buchberger's S-pair limit taken for the oracle's monomial budget
     Mutant(
-        "ideal-under-fiber-skip", "cli.py",
-        "ideal = ctx.ideal  # before the check: the S-pair limit of its build stops the run\n"
-        "    cert = check(toric_fiber_oracle, ideal, degree=args.degree)",
-        "cert = check(lambda: toric_fiber_oracle(ctx.ideal, degree=args.degree))",
-        ("tests/test_reports_cli.py::TestCli::test_s_pair_limit_of_the_ideal_stops_the_fiber_run",),
+        "fiber-skips-the-s-pair-limit", "reports.py",
+        '"fiber": (BudgetExceeded,),',
+        '"fiber": (BudgetExceeded, __import__("hibilab.errors").errors.DegreeInfeasible),',
+        ("tests/test_reports_cli.py::TestCli::test_s_pair_limit_in_the_fiber_oracle_stops_the_run",),
+    ),
+    # the suite's dimension formula against the Krull dimension, not compared
+    Mutant(
+        "dimension-formula-off", "reports.py",
+        "if krull != dim:",
+        "if False:",
+        ("tests/test_reports_cli.py::TestRunSuite::test_each_cross_check_fires[dimension-formula]",),
+    ),
+    # the three-corner rule, the present corner reflected across the wrong axes
+    Mutant(
+        "reflection-axes-swapped", "classify.py",
+        "flip_x, flip_y = present in (1, 3), present in (2, 3)",
+        "flip_x, flip_y = present in (2, 3), present in (1, 3)",
+        ("tests/test_classify.py::test_the_shape_rules_are_symmetric_under_the_square",),
+    ),
+    # verify_window, the corner criteria's answer trusted, not asked of the oracle
+    Mutant(
+        "verify-trusts-the-corners", "classify.py",
+        'shape.linrel_basis == "oracle"',
+        'shape.linrel_basis != "degenerate"',
+        ("tests/test_classify.py::TestClassifyWindow::test_verify_window_retries_a_linearly_related_disagreement",),
     ),
     # the search budget, HIBI_LAB_BUDGET ignored
     Mutant(

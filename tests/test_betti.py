@@ -37,7 +37,6 @@ from hibilab.binomials import (
 from hibilab.errors import (
     BudgetExceeded,
     CapExceeded,
-    DegreeInfeasible,
     InvalidParameter,
     PreconditionFailed,
     VerificationFailed,
@@ -341,7 +340,7 @@ class TestBettiInternals:
         # C(15, 4) = 1365 monomials there; hilbert_function holds each
         # degree to all 14, C(17, 4) = 2380
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
-        with pytest.raises(DegreeInfeasible) as err:
+        with pytest.raises(BudgetExceeded) as err:
             toric_fiber_oracle(ideal, degree=4)
         assert err.value.details == {"budget": 1000, "monomials": comb(12 + 4 - 1, 4)}
         with pytest.raises(BudgetExceeded) as err:

@@ -25,7 +25,7 @@ from hibilab.binomials import (
     toric_fiber_oracle,
     window_ideal,
 )
-from hibilab.errors import DegreeInfeasible, InvalidParameter, search_budget
+from hibilab.errors import BudgetExceeded, InvalidParameter, search_budget
 from hibilab.reports import demo_staircase, ell_lattice, full_grid, lattice_from_columns
 from hibilab.windows import RankWindow, WindowContext, all_windows, generators
 from window_helpers import ring_for_window
@@ -219,7 +219,7 @@ class TestFiberOracle:
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setenv("HIBI_LAB_BUDGET", "1000")
         ideal = window_ideal(demo_staircase(), (0, 9))
-        with pytest.raises(DegreeInfeasible):
+        with pytest.raises(BudgetExceeded):
             toric_fiber_oracle(ideal, degree=4)
 
     def test_budget_counts_the_core_not_the_peeled_points(self, monkeypatch):
@@ -243,7 +243,7 @@ class TestFiberOracle:
         assert ideal.ring.nvars == 13 and ideal.ring.semigroup.free == 0
         cert = toric_fiber_oracle(ideal, degree=8)
         assert cert.generated and cert.gb_certified
-        with pytest.raises(DegreeInfeasible) as err:
+        with pytest.raises(BudgetExceeded) as err:
             toric_fiber_oracle(ideal, degree=15)
         assert err.value.payload()["details"] == {"budget": search_budget(), "monomials": comb(13 + 8, 9)}
 
@@ -262,11 +262,11 @@ class TestFiberOracle:
             return real(faces, *masks)
 
         monkeypatch.setattr(binomials_mod, "_grow_faces", spy)
-        with pytest.raises(DegreeInfeasible) as err:
+        with pytest.raises(BudgetExceeded) as err:
             toric_fiber_oracle(ideal, degree=degree)
         monomials = comb(23 + tripped - 1, tripped)
         assert err.value.payload() == {
-            "code": "degree-infeasible",
+            "code": "budget-exceeded",
             "message": f"degree {tripped} needs {monomials} monomials",
             "details": {"budget": int(budget), "monomials": monomials},
         }

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from hibilab.classify import (
@@ -20,7 +22,7 @@ from hibilab.errors import (
 )
 from hibilab.lattice import validate_planar_lattice
 from hibilab.reports import demo_staircase, ell_lattice, full_grid, lattice_from_columns
-from hibilab.windows import RankWindow, all_windows, generators, polyomino
+from hibilab.windows import RankWindow, all_windows, check_convexity, generators, polyomino
 from window_helpers import polyomino_from_cells
 
 
@@ -118,6 +120,32 @@ class TestLinrelPolyomino:
     def test_accepts_precomputed_profile(self):
         poly = polyomino(full_grid(2, 2), (0, 3))
         assert is_linearly_related_polyomino(poly) is True
+
+
+def test_the_shape_rules_are_symmetric_under_the_square():
+    """The ideal of a polyomino does not change under the 8 symmetries of
+    the square, so neither may a shape rule's answer: checked on each of the
+    1,377 distinct convex, connected window polyominoes of the 4x4 box."""
+    from box_lattices import box_lattices
+
+    shapes = set()
+    for lat in box_lattices(4, 4):
+        for w in all_windows(lat):
+            poly = polyomino(lat, w)
+            if poly.cells and poly.connected and check_convexity(poly):
+                shapes.add(poly.cells)
+    assert len(shapes) == 1377
+
+    def image(cells, swap, flip_x, flip_y):  # the cells lie in the box's 4x4 cells
+        for i, j in cells:
+            a, b = (j, i) if swap else (i, j)
+            yield (3 - a if flip_x else a, 3 - b if flip_y else b)
+
+    for cells in shapes:
+        images = [polyomino_from_cells(image(cells, *sym))
+                  for sym in product((False, True), repeat=3)]
+        assert len({has_linear_resolution_shape(p) for p in images}) == 1, sorted(cells)
+        assert len({is_linearly_related_polyomino(p) for p in images}) == 1, sorted(cells)
 
 
 class TestLinrelLattice:
@@ -239,8 +267,8 @@ class TestClassifyWindow:
     def test_verify_window_raises_a_linear_resolution_disagreement_at_once(
         self, monkeypatch, oracle_fields
     ):
-        # the linear-resolution oracle is chordality, the same over every
-        # field, so no second prime is tried
+        # the linear-resolution oracle is an h-vector count, the same over
+        # every field, so no second prime is tried
         self.flip(monkeypatch, "has_linear_resolution_shape")
         with pytest.raises(VerificationFailed) as err:
             verify_window(full_grid(2, 2), (0, 4))
@@ -308,6 +336,20 @@ class TestAllProperWindows:
     def test_bigger_staircase_false(self):
         ok, witness = all_proper_windows_linear(demo_staircase())
         assert not ok
+
+    def test_a_structural_route_that_disagrees_raises(self, monkeypatch):
+        """On a simple lattice the structural and extensional routes must
+        agree: with the chain-plus-point test made to lie, the 2x2 grid
+        raises, naming both answers and the failing window."""
+        import hibilab.classify as classify_mod
+
+        _, witness = all_proper_windows_linear(full_grid(2, 2))
+        monkeypatch.setattr(classify_mod, "_is_chain_plus_point", lambda poset: True)
+        with pytest.raises(VerificationFailed) as err:
+            all_proper_windows_linear(full_grid(2, 2))
+        assert err.value.details == {
+            "structural": True, "extensional": False, "witness": (witness.p, witness.q),
+        }
 
     def test_the_sweep_has_no_variable_cap(self):
         """The sweep asks the linear-resolution oracle alone, a count with no

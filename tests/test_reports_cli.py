@@ -227,8 +227,8 @@ class TestRunSuite:
 
     def test_the_oracles_search_once_per_cubic_window(self, monkeypatch):
         """Under rank-lex 8 of the 45 demo staircase windows have a cubic
-        basis.  verify runs both oracles on each (and shape-first reuses
-        their verdicts); the linear-relatedness oracle reads the quadratic
+        basis.  verify asks both oracles on each, once per predicate; the
+        linear-relatedness oracle reads the quadratic
         squarefree basis, WindowIdeal.quadratic_gb, searched under auto once
         per window, next to the 45 searches of the windows' own order.  Read
         twice on one ideal, at both primes, the basis is searched once."""
@@ -253,6 +253,54 @@ class TestRunSuite:
         assert not cubic.gb.quadratic
         answers = {is_linearly_related_oracle(cubic, field=p, var_cap=30) for p in (32003, 65537)}
         assert len(answers) == 1 and searched["auto"] == 9
+
+    @pytest.mark.parametrize("check", [
+        "join-irreducible-count", "chordal-bipartite", "convexity",
+        "vertices-in-generators", "dimension-formula", "fiber-certificate",
+    ])
+    def test_each_cross_check_fires(self, capsys, monkeypatch, check):
+        """Each cross-check of run_suite, its source made to lie through the
+        reports binding, records its finding on the 2x2 grid's full window,
+        and `hibilab suite` reports the same and exits 1."""
+        import dataclasses
+
+        import hibilab.reports as reports_mod
+        from hibilab.windows import WindowContext
+        from window_helpers import polyomino_from_cells
+
+        class FarCells(WindowContext):
+            @property
+            def polyomino(self):  # the window's cells, moved off its points
+                return polyomino_from_cells((i + 100, j) for i, j in super().polyomino.cells)
+
+        real = {name: getattr(reports_mod, name) for name in (
+            "lattice_record", "is_chordal_bipartite", "toric_fiber_oracle")}
+        name, lie, keys = {
+            "join-irreducible-count": (
+                "lattice_record",
+                lambda lat: {**real["lattice_record"](lat), "join_irreducibles": lat.rank + 1},
+                {"got", "want"}),
+            "chordal-bipartite": (
+                "is_chordal_bipartite",
+                lambda graph: dataclasses.replace(real["is_chordal_bipartite"](graph), chordal=False),
+                {"window", "witness"}),
+            "convexity": ("check_convexity", lambda poly: False, {"window"}),
+            "vertices-in-generators": ("WindowContext", FarCells, {"window"}),
+            "dimension-formula": (
+                "krull_dimension_via_initial", lambda supports, nvars: -1,
+                {"window", "dimension", "krull"}),
+            "fiber-certificate": (
+                "toric_fiber_oracle",
+                lambda ideal, degree: dataclasses.replace(
+                    real["toric_fiber_oracle"](ideal, degree=degree), membership_ok=False),
+                {"window"}),
+        }[check]
+        monkeypatch.setattr(reports_mod, name, lie)
+        findings = run_suite(full_grid(2, 2), with_fiber=True).findings
+        assert [(f["check"], set(f) - {"check"}) for f in findings] == [(check, keys)]
+        grid = json.dumps({"points": sorted(map(list, full_grid(2, 2).points))})
+        code, out, _ = run_cli(capsys, ["suite", "--fiber"], grid, monkeypatch)
+        assert code == 1 and json.loads(out)["stable"]["findings"] == findings
 
     def test_var_cap_none_caps_no_oracle(self):
         """None is no cap for the linear-relatedness oracle (the
@@ -419,6 +467,23 @@ class TestCli:
                                              "message": "S-pair budget exhausted",
                                              "details": {"budget": 500_000, "spairs": 500_001}}}
 
+    def test_s_pair_limit_in_the_fiber_oracle_stops_the_run(self, capsys, monkeypatch):
+        """The fiber skip names the oracle's monomial budget alone: an S-pair
+        limit raised inside the fiber oracle stops `hibilab fiber` with exit
+        3 and no window recorded, and run_suite raises it."""
+        import hibilab.reports as reports_mod
+
+        def exhausted(ideal, degree):
+            raise DegreeInfeasible("S-pair budget exhausted", budget=500_000, spairs=500_001)
+
+        monkeypatch.setattr(cli, "toric_fiber_oracle", exhausted)
+        monkeypatch.setattr(reports_mod, "toric_fiber_oracle", exhausted)
+        code, out, err = run_cli(capsys, ["fiber", "--all-windows"], STAIRCASE, monkeypatch)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["code"] == "degree-infeasible"
+        with pytest.raises(DegreeInfeasible):
+            run_suite(demo_staircase(), all_windows_flag=True, with_fiber=True, with_classify=False)
+
     def test_krull_budget_stops_the_betti_run(self, capsys, monkeypatch):
         """Only betti_numbers' limits skip a betti window: the Krull search's
         budget stops the run with exit 3, and no window is recorded."""
@@ -448,7 +513,7 @@ class TestCli:
             assert got["window"] == want["window"] == rec["window"]
             if "skipped" in got:
                 assert got["skipped"] == rec["skipped"][0]
-                assert got["skipped"]["fiber"]["code"] == "degree-infeasible"
+                assert got["skipped"]["fiber"]["code"] == "budget-exceeded"
                 assert got["skipped"]["fiber"]["details"]["budget"] == 1000
                 skipped += 1
             else:
