@@ -84,6 +84,15 @@ cancel in that sum, so, given the ideal's quadratic squarefree basis, each
 entry is held to beta_{i,j}(I) <= beta_{i,j}(in I), the Hochster table of
 the initial ideal (upper semicontinuity of the flat Groebner degeneration).
 
+A complete intersection takes no walk.  By Krull's height theorem the r
+quadrics generating I number at least its height c = nvars - d, and r = c
+makes them a regular sequence, whose Koszul complex is the minimal free
+resolution of S/I in every characteristic (Eisenbud, Commutative Algebra,
+ch. 17): beta_{i,2i+2}(I) = C(r, i + 1) for 0 <= i < r, and no other entry.
+The walk's Euler check, in every degree the walk would take, and its
+Hochster bound guard the closed form too (_check_euler, _check_hochster):
+a wrong d makes it miss the Euler sum.  Calls with targets always walk.
+
 Betti tables are reported for the ideal I: beta_{i,j}(I) = beta_{i+1,j}(S/I),
 so beta_{0,2} counts minimal quadric generators.
 
@@ -632,6 +641,12 @@ def betti_numbers(
     boundary rank that is wrong in a way whose changes to two adjacent
     entries cancel in the Euler sum.  The Hochster table raises
     BudgetExceeded as monomial_betti_table does.
+
+    A complete intersection, r generators for an ideal of height r = nvars
+    - d, is not walked when every entry is asked for (no _targets): its
+    table is the Koszul complex's, beta_{i,2i+2}(I) = C(r, i + 1) up to
+    j_max (module docstring), held to the same Euler check in each degree
+    2..min(j_max, n_core) and to the same Hochster bound.
     """
     require_field(field)
     require_var_cap(var_cap)
@@ -648,12 +663,22 @@ def betti_numbers(
     degrees = sorted({j for _, j in _targets} if _targets else range(2, min(j_max, len(core)) + 1))
     if not degrees:
         return BettiTable({}, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
+    codim = nvars - _edge_ring_dimension(ring)  # pd(S/I), the height of I
+    if not _targets:
+        sizes = [semigroup.size(e) for e in range(degrees[-1] + 1)]
+        if ngens == codim:
+            # a complete intersection: the Koszul complex on the quadrics is minimal
+            entries = {(i, 2 * i + 2): comb(ngens, i + 1) for i in range(ngens) if 2 * i + 2 <= j_max}
+            for j in degrees:
+                _check_euler(entries, j, nvars, sizes)
+            _check_hochster(ideal, entries, field, degrees[-1])
+            return BettiTable(entries, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
     levels = _semigroup_levels(semigroup, core, max(degrees))
     images = [semigroup.images[v] for v in core]
     sigmas = {}  # a vertex mask's sum of images
-    # faces of up to pd(S/I) = nvars - d variables carry Betti numbers, and
-    # ranking the largest of them needs faces one size larger
-    top = nvars - _edge_ring_dimension(ring) + 1
+    # faces of up to pd(S/I) variables carry Betti numbers, and ranking the
+    # largest of them needs faces one size larger
+    top = codim + 1
     for j in degrees:
         if _targets:
             wanted_i = sorted(i for i, jj in _targets if jj == j)
@@ -698,24 +723,37 @@ def betti_numbers(
                 faces=face_counts, expected=pieces,
             )
         if not _targets:
-            # in the whole ring's terms, by the class counts of Semigroup.size
-            euler = sum((-1) ** s * comb(nvars, s) * semigroup.size(j - s) for s in range(j + 1))
-            betti = sum((-1) ** i * entries.get((i, j), 0) for i in wanted_i)
-            if euler != -betti:
-                raise VerificationFailed(
-                    "Koszul Euler characteristic misses the Betti numbers", degree=j,
-                    euler=euler, betti=betti,
-                )
+            _check_euler(entries, j, nvars, sizes)
+    _check_hochster(ideal, entries, field, degrees[-1])
+    return BettiTable(entries, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
+
+
+def _check_euler(entries, j, nvars, sizes):
+    """Raise VerificationFailed unless the Betti numbers of degree j match the
+    Euler characteristic of its Koszul strand in the whole ring's terms
+    (betti_numbers); sizes[e] = |L_e|, by Semigroup.size."""
+    euler = sum((-1) ** s * comb(nvars, s) * sizes[j - s] for s in range(j + 1))
+    betti = sum((-1) ** i * entries.get((i, j), 0) for i in range(j - 1))
+    if euler != -betti:
+        raise VerificationFailed(
+            "Koszul Euler characteristic misses the Betti numbers", degree=j,
+            euler=euler, betti=betti,
+        )
+
+
+def _check_hochster(ideal, entries, field, j_max):
+    """Raise VerificationFailed when an entry exceeds the initial ideal's
+    Hochster table at the same field, up to degree j_max, if the ideal's
+    basis is quadratic and squarefree (betti_numbers)."""
     gb = ideal.gb
     if gb.quadratic and gb.squarefree:
-        hochster = monomial_betti_table(gb.lead_supports, nvars, field=field, j_max=degrees[-1])
+        hochster = monomial_betti_table(gb.lead_supports, ideal.ring.nvars, field=field, j_max=j_max)
         for (i, j), value in sorted(entries.items()):
             if value > hochster.get((i, j), 0):
                 raise VerificationFailed(
                     "a Betti number exceeds the initial ideal's", i=i, j=j,
                     toric=value, hochster=hochster.get((i, j), 0),
                 )
-    return BettiTable(entries, i_max=nvars, j_max=j_max, field=field, nvars=nvars)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .windows import (
     RankWindow,
     all_windows,
     as_context,
-    check_convexity,
 )
 from .binomials import DEFAULT_FIELD, require_field
 from .betti import has_linear_resolution_oracle, is_linearly_related_oracle
@@ -142,7 +141,7 @@ def is_linearly_related_polyomino(poly: Polyomino) -> bool:
     """
     if not poly.cells:
         return True
-    if not check_convexity(poly):
+    if not poly.convex:
         raise NotConvex("corner criteria need a convex polyomino")
     if not poly.connected:
         raise Disconnected("corner criteria need a connected polyomino")
@@ -269,7 +268,7 @@ def classify_window(
     if mode == "shape-first":
         poly = ctx.polyomino
         lr = has_linear_resolution_shape(poly)
-        if poly.connected and check_convexity(poly):
+        if poly.connected and poly.convex:
             ll = is_linearly_related_polyomino(poly)
     lr_basis, ll_basis = "shape:row-or-column", "shape:corners"
     if lr is None:

@@ -241,6 +241,17 @@ class Polyomino:
                     todo.append(nb)
         return len(seen) == len(self.cells)
 
+    @lazy
+    def convex(self) -> bool:
+        """Row and column runs of cells are contiguous: adding the lowest
+        bit of a run's mask clears all of it.  Read once per polyomino by
+        classify_window and the corner criteria alike."""
+        columns, rows = {}, {}
+        for i, j in self.cells:
+            columns[i] = columns.get(i, 0) | 1 << j
+            rows[j] = rows.get(j, 0) | 1 << i
+        return not any(run + (run & -run) & run for run in chain(columns.values(), rows.values()))
+
 
 def polyomino(lattice: PlanarLattice, window) -> Polyomino:
     """Cells [a, a+(1,1)] whose four corners lie in L with ranks inside the band:
@@ -258,13 +269,8 @@ def polyomino(lattice: PlanarLattice, window) -> Polyomino:
 
 
 def check_convexity(poly: Polyomino) -> bool:
-    """Row and column runs of cells must be contiguous: adding the lowest
-    bit of a run's mask clears all of it."""
-    columns, rows = {}, {}
-    for i, j in poly.cells:
-        columns[i] = columns.get(i, 0) | 1 << j
-        rows[j] = rows.get(j, 0) | 1 << i
-    return not any(run + (run & -run) & run for run in chain(columns.values(), rows.values()))
+    """Row and column runs of cells must be contiguous (Polyomino.convex)."""
+    return poly.convex
 
 
 def dimension(lattice: PlanarLattice, window) -> int:

@@ -41,6 +41,10 @@ graph is chordal) on the lead graph of the quadratic squarefree basis,
 whose initial ideal has the ideal's regularity (Conca-Varbaro).  They are
 the reference the count must agree with.
 
+complete_intersection names the windows betti_numbers answers by the
+Koszul complex on the generators, with no walk, and
+complete_intersection_disagreements holds those tables to betti_table.
+
 Packing and packed_levels are the Koszul levels' own packing as it stood
 before they were built on the ring's semigroup (binomials.Semigroup): a
 field for every row and column, each with a guard bit set in every packed
@@ -66,7 +70,9 @@ from hibilab.betti import (
     _induced_2k2,
     _pairing_faces,
     _pairing_supports,
+    _edge_ring_dimension,
     _rank_mod_p,
+    betti_numbers,
     has_linear_resolution_oracle,
     reduced_homology as mask_homology,
 )
@@ -491,3 +497,31 @@ def linear_resolution_disagreements(lattices):
             windows += 1
             linear += froeberg
     return windows, linear, disagreements
+
+
+def complete_intersection(ideal):
+    """True iff the window ideal's generators number its height nvars - d:
+    betti_numbers then answers a call without targets by the Koszul complex
+    on the generators, with no walk."""
+    return len(ideal.generators) == ideal.ring.nvars - _edge_ring_dimension(ideal.ring)
+
+
+def complete_intersection_disagreements(lattices, max_vars, fields=(32003, 65537)):
+    """betti_numbers against betti_table on every complete-intersection window
+    with a generator and at most max_vars variables, at each field.
+
+    Returns the windows checked and a (points, window, field) record for
+    each table where the two differ.
+    """
+    windows, disagreements = 0, []
+    for lat in lattices:
+        for w in all_windows(lat):
+            ideal = window_ideal(lat, w)
+            if ideal.ring.nvars > max_vars or ideal.is_zero or not complete_intersection(ideal):
+                continue
+            windows += 1
+            for field in fields:
+                table = betti_numbers(ideal, field=field, var_cap=None).entries
+                if table != betti_table(ideal.ring, ideal.generators, field):
+                    disagreements.append((sorted(lat.points), (w.p, w.q), field))
+    return windows, disagreements

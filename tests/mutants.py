@@ -186,6 +186,20 @@ MUTANTS = (
         "if False:",
         ("tests/test_betti.py::test_hochster_bound_catches_rank_errors_that_cancel_in_euler",),
     ),
+    # the complete intersection's Koszul numbers, C(r, i) for C(r, i + 1)
+    Mutant(
+        "koszul-off-by-one", "betti.py",
+        "comb(ngens, i + 1) for i in range(ngens)",
+        "comb(ngens, i) for i in range(ngens)",
+        ("tests/test_betti.py::test_the_two_non_linear_betti_windows_are_complete_intersections",),
+    ),
+    # the complete-intersection route, its Euler check turned off
+    Mutant(
+        "koszul-without-euler", "betti.py",
+        "            for j in degrees:\n                _check_euler(entries, j, nvars, sizes)\n",
+        "",
+        ("tests/test_betti.py::test_euler_check_guards_the_complete_intersection_route",),
+    ),
     # the variable-cap check, a cap of 0 let through
     Mutant(
         "var-cap-zero", "errors.py",

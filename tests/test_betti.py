@@ -330,7 +330,9 @@ class TestBettiInternals:
             assert err.value.details == {"cap": 12, "nvars": 14}
         # the linear-resolution oracle is a count with no cap: it answers
         assert has_linear_resolution_oracle(ideal.ring) is False
-        small = window_ideal(full_grid(1, 1), (0, 2))
+        # the 2-minors of a 2x3 matrix: 3 generators of height 2, so walked
+        small = window_ideal(full_grid(2, 1), (0, 3))
+        assert not ref.complete_intersection(small)
         monkeypatch.setattr(errors_mod, "BLOCK_FACE_CAP", 1)
         with pytest.raises(CapExceeded) as err:
             betti_numbers(small)
@@ -624,7 +626,9 @@ def test_face_count_mismatch_is_a_verification_failure(monkeypatch):
         return counts[:-1] + [counts[-1] - 1], faces
 
     monkeypatch.setattr(betti_mod, "_block_faces", one_face_short)
-    ideal = window_ideal(full_grid(1, 1), (0, 2))
+    # 3 generators of height 2: no complete intersection, so every call walks
+    ideal = window_ideal(full_grid(2, 1), (0, 3))
+    assert not ref.complete_intersection(ideal)
     for bounds in ({}, {"j_max": 2}, {"_targets": [(0, 2)]}):
         with pytest.raises(VerificationFailed) as err:
             betti_numbers(ideal, **bounds)
@@ -635,6 +639,11 @@ def test_face_count_mismatch_is_a_verification_failure(monkeypatch):
 def _seed7_ideals(corpus, max_vars=7):
     ideals = [window_ideal(lat, w) for _, lat in corpus for w in all_windows(lat)]
     return [ideal for ideal in ideals if ideal.ring.nvars <= max_vars and not ideal.is_zero]
+
+
+def _walked(ideals):
+    """The ideals whose full table betti_numbers walks: no complete intersection."""
+    return [ideal for ideal in ideals if not ref.complete_intersection(ideal)]
 
 
 def test_edge_ring_dimension_matches_dimension_formula(corpus):
@@ -686,13 +695,14 @@ def test_euler_check_catches_a_homology_rank_off_by_one(corpus, monkeypatch):
         return hom
 
     monkeypatch.setattr(betti_mod, "reduced_homology", one_too_many)
-    ideals = _seed7_ideals(corpus)
+    # a complete intersection ranks no block: its table is the Koszul complex's
+    ideals = _walked(_seed7_ideals(corpus))
     for ideal in ideals:
         calls.clear()
         with pytest.raises(VerificationFailed) as err:
             betti_numbers(ideal, var_cap=7)
         assert "euler" in err.value.details, ideal.ring.window
-    assert len(ideals) == 116
+    assert len(ideals) == 23
 
 
 def test_euler_check_ties_the_core_walk_to_the_whole_ring(corpus, monkeypatch):
@@ -702,7 +712,7 @@ def test_euler_check_ties_the_core_walk_to_the_whole_ring(corpus, monkeypatch):
     # off the class counts of Semigroup.size, sees the variable dropped
     from hibilab.binomials import Semigroup
 
-    ideals = [ideal for ideal in _seed7_ideals(corpus) if ideal.ring.semigroup.free]
+    ideals = [ideal for ideal in _walked(_seed7_ideals(corpus)) if ideal.ring.semigroup.free]
     for ideal in ideals:
         betti_numbers(ideal, var_cap=7)
     exact = Semigroup.core
@@ -711,7 +721,7 @@ def test_euler_check_ties_the_core_walk_to_the_whole_ring(corpus, monkeypatch):
         with pytest.raises(VerificationFailed) as err:
             betti_numbers(ideal, var_cap=7)
         assert "euler" in err.value.details, ideal.ring.window
-    assert len(ideals) == 105
+    assert len(ideals) == 20
 
 
 def test_hochster_bound_catches_rank_errors_that_cancel_in_euler(corpus, monkeypatch):
@@ -764,6 +774,64 @@ def test_hochster_bound_reads_the_packed_basis_at_the_same_field():
         assert table.entries and all(v <= hochster[k] for k, v in table.entries.items())
 
 
+def test_complete_intersections_take_the_koszul_complex(corpus, monkeypatch):
+    # r generators of height r = nvars - d: the table is the Koszul
+    # complex's, beta_{i,2i+2}(I) = C(r, i + 1), with no semigroup level
+    # built, and it equals the unbounded walk of koszul_reference at both
+    # primes on every seed-7 complete intersection with at most 8 variables
+    # (111 windows, about 4 s on 2 vCPUs; CI checks every one with at most
+    # 10 variables of seed 7, seed 11 and the 3x3 box)
+    import hibilab.betti as betti_mod
+
+    def no_walk(*args):
+        raise AssertionError("a complete intersection built the Koszul levels")
+
+    monkeypatch.setattr(betti_mod, "_semigroup_levels", no_walk)
+    assert ref.complete_intersection_disagreements([lat for _, lat in corpus], max_vars=8) == (111, [])
+
+
+def test_the_two_non_linear_betti_windows_are_complete_intersections(corpus):
+    # the only seed-7 windows with a generator, at most 7 variables and no
+    # linear resolution: two quadrics of height 2, resolved by their Koszul
+    # complex in every characteristic; a degree bound cuts the table, and
+    # the walk, reached by a targeted call, agrees
+    lattices = dict(corpus)
+    nonlinear = sorted(
+        (name, (w.p, w.q)) for name, lat in corpus for w in all_windows(lat)
+        if len(generators(lat, w)) <= 7 and not window_ideal(lat, w).is_zero
+        and not has_linear_resolution_oracle(window_ideal(lat, w).ring)
+    )
+    assert nonlinear == [("grid-2x2", (1, 3)), ("staircase-028", (4, 6))]
+    for name, window in nonlinear:
+        ideal = window_ideal(lattices[name], window)
+        assert len(ideal.generators) == 2 and ref.complete_intersection(ideal)
+        for field in (32003, 65537):
+            assert betti_numbers(ideal, field=field).entries == {(0, 2): 2, (1, 4): 1}
+            assert betti_numbers(ideal, field=field, j_max=3).entries == {(0, 2): 2}
+            walked = betti_numbers(ideal, field=field, _targets=[(0, 2), (1, 3), (1, 4)])
+            assert walked.entries == {(0, 2): 2, (1, 4): 1}
+
+
+def test_euler_check_guards_the_complete_intersection_route(monkeypatch):
+    # the 2-minors of a 2x3 matrix: 3 generators of height 2 and a linear
+    # resolution.  With d one too small the height reads 3, the window
+    # passes for a complete intersection, and the closed form gives the
+    # Koszul numbers {(0, 2): 3, (1, 4): 3, (2, 6): 1}; the Euler check of
+    # degree 3 sees beta_{1,3} = 2 missing.  A targeted call still walks
+    import hibilab.betti as betti_mod
+
+    ideal = window_ideal(full_grid(2, 1), (0, 3))
+    assert betti_numbers(ideal).entries == {(0, 2): 3, (1, 3): 2}
+    exact = betti_mod._edge_ring_dimension
+    monkeypatch.setattr(betti_mod, "_edge_ring_dimension", lambda ring: exact(ring) - 1)
+    assert len(ideal.generators) == ideal.ring.nvars - betti_mod._edge_ring_dimension(ideal.ring)
+    with pytest.raises(VerificationFailed) as err:
+        betti_numbers(ideal)
+    assert err.value.details.keys() == {"degree", "euler", "betti"}
+    assert err.value.details["degree"] == 3
+    assert betti_numbers(ideal, _targets=[(0, 2), (1, 3)]).entries == {(0, 2): 3, (1, 3): 2}
+
+
 def _narrow(semigroup):
     """Repack semigroup's images one bit narrower per field, in place, with
     the top value bit of each field taken for its guard: with capacity 7,
@@ -782,9 +850,11 @@ def test_betti_numbers_on_fields_without_a_spare_bit_fail_in_the_level_build():
     # with fields one bit narrower an entry of 4 reaches the guard bit;
     # betti_numbers stops at the level build's guard test, at the first
     # degree with an entry of 4, before any block is walked (the face counts
-    # add up over the aliased ints, so the face-count check would not see it)
-    ideal = window_ideal(full_grid(2, 2), (1, 3))
-    assert betti_numbers(ideal).entries == {(0, 2): 2, (1, 4): 1}
+    # add up over the aliased ints, so the face-count check would not see it).
+    # The window is walked: 3 generators of height 2, no complete intersection
+    ideal = window_ideal(full_grid(2, 1), (0, 3))
+    assert not ref.complete_intersection(ideal)
+    assert betti_numbers(ideal).entries == {(0, 2): 3, (1, 3): 2}
     _narrow(ideal.ring.semigroup)
     with pytest.raises(VerificationFailed) as err:
         betti_numbers(ideal)

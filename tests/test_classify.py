@@ -16,6 +16,7 @@ from hibilab.classify import (
 from hibilab.errors import (
     Disconnected,
     InvalidParameter,
+    NotConvex,
     PreconditionFailed,
     RankTooSmall,
     VerificationFailed,
@@ -121,6 +122,13 @@ class TestLinrelPolyomino:
         poly = polyomino(full_grid(2, 2), (0, 3))
         assert is_linearly_related_polyomino(poly) is True
 
+    def test_a_direct_call_on_a_non_convex_polyomino_raises(self):
+        # a U: connected, but its top row of cells has a gap
+        poly = polyomino_from_cells({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)})
+        assert poly.connected and not poly.convex
+        with pytest.raises(NotConvex):
+            is_linearly_related_polyomino(poly)
+
 
 def test_the_shape_rules_are_symmetric_under_the_square():
     """The ideal of a polyomino does not change under the 8 symmetries of
@@ -146,6 +154,32 @@ def test_the_shape_rules_are_symmetric_under_the_square():
                   for sym in product((False, True), repeat=3)]
         assert len({has_linear_resolution_shape(p) for p in images}) == 1, sorted(cells)
         assert len({is_linearly_related_polyomino(p) for p in images}) == 1, sorted(cells)
+
+
+def test_a_corner_decided_window_is_checked_for_convexity_once(monkeypatch):
+    """classify_window and the corner criteria both read the lazy
+    Polyomino.convex, so each demo staircase window runs the convexity test
+    at most once, and each of the 28 that the corners decide exactly once."""
+    from hibilab.lattice import lazy
+    from hibilab.windows import Polyomino
+
+    exact = Polyomino.convex.func
+    calls = []
+
+    def convex(poly):
+        calls.append(poly.cells)
+        return exact(poly)
+
+    monkeypatch.setattr(Polyomino, "convex", lazy(convex))
+    lat, corners = demo_staircase(), 0
+    for w in all_windows(lat):
+        calls.clear()
+        verdict = classify_window(lat, w)
+        assert len(calls) <= 1, w
+        if verdict.linrel_basis == "shape:corners":
+            assert len(calls) == 1, w
+            corners += 1
+    assert corners == 28
 
 
 class TestLinrelLattice:
