@@ -124,7 +124,12 @@ class Semigroup:
     toric ideal.  Peeling leaves off again and again (_core_rows) leaves a
     core, whose variables core lists, and b = free peeled points; by
     induction I = I_core S, S/I = K[peeled] (x) S_core/I_core and
-    |L_e| = sum_i C(b + i - 1, i) |L_(e-i)(core)| (_lift).
+    |L_e| = sum_i C(b + i - 1, i) |L_(e-i)(core)| (_lift).  A forest peels
+    to no core, so b = n and |L_e| = C(n + e - 1, e): size returns that with
+    no repack, no class split and no level build.  It is still a count the
+    fiber oracle and hilbert_function compare: it comes from the peel of
+    the window's points, not from any generator, so a window with a cell
+    never reads it.
 
     The core's rows fall into classes by column mask: class c has mu_c rows
     and column images T_c.  A point of L_e(core) is a row multiset and a
@@ -147,6 +152,8 @@ class Semigroup:
     VerificationFailed naming e.  The object holds the ring's points and
     row masks but not the ring, which holds it.
     """
+
+    _mu = ()  # the classes of several core rows (_peel); a forest has none
 
     def __init__(self, points: tuple, rows: tuple):
         self.points, self.rows, self.capacity = points, rows, 0
@@ -196,18 +203,18 @@ class Semigroup:
         return tuple(k for k, (i, j) in enumerate(self.points) if core[i] >> j & 1)
 
     def _peel(self):
-        """The core's classes and their cells, which are its L_1 by largest class."""
+        """The core's classes and their cells, which are its L_1 by largest
+        class; a forest, which has no core, never gets here (size)."""
         core = self._core_rows
         mu = {}  # column mask -> the core rows with it, classes in the order of their first row
         for r in filter(None, core):
             mu[r] = mu.get(r, 0) + 1
         cells = {r: set() for r in mu}
-        if mu:  # a forest peels to no core
-            # a row of its own class keeps its s field, the rows of a larger class drop theirs
-            keep = [-1 if mu.get(r) == 1 else self._columns for r in core]
-            for (i, j), img in zip(self.points, self.images):
-                if core[i] >> j & 1:
-                    cells[core[i]].add(img & keep[i])
+        # a row of its own class keeps its s field, the rows of a larger class drop theirs
+        keep = [-1 if mu.get(r) == 1 else self._columns for r in core]
+        for (i, j), img in zip(self.points, self.images):
+            if core[i] >> j & 1:
+                cells[core[i]].add(img & keep[i])
         self._cells = list(cells.values())
         self._core_sizes = [1, sum(map(mul, mu.values(), map(len, self._cells)))]  # |L_0(core)|, |L_1(core)|, ...
         # a class's unit of key: a field of its own for a class of several rows, 0 for one row
@@ -231,6 +238,8 @@ class Semigroup:
     def size(self, e: int) -> int:
         if e < 0:
             raise InvalidParameter(f"semigroup degree must be at least 0, got {e}", degree=e)
+        if not any(self._core_rows):  # a forest: every point is free
+            return comb(len(self.points) + e - 1, e)
         self.wide(e)
         if self._parts is None and len(self.sizes) < e:
             self._peel()
@@ -1158,7 +1167,13 @@ def _standard_counts(supports, terms, nvars: int, degree: int):
     (_face_counts) given the supports (GroebnerReport.lead_supports), else
     from the standard monomials (_standard_levels) of the leads of terms,
     _fiber_terms on fields of degree.bit_length() + 1 bits, less those above
-    degree, which divide no monomial counted and overflow their fields."""
+    degree, which divide no monomial counted and overflow their fields.
+    With no lead (no support) every monomial is standard, C(nvars + e - 1,
+    e), and no face is walked; the caller still compares the count with
+    |L_e|, which it meets only on a forest, so a basis dropped on a window
+    with a cell is caught."""
+    if supports == ():  # no lead: every monomial is standard
+        return (comb(nvars + e - 1, e) for e in count(1))
     if supports is not None:
         return _face_counts(supports, nvars)
     width = degree.bit_length() + 1
@@ -1199,6 +1214,25 @@ def _fiber_terms(source, ring: WindowRing, units) -> list:
     return out
 
 
+def _move_span(moves, levels, k: int) -> int:
+    """The rank of the degree-k move graph on the packed monomials, the
+    edges u + lead, u + trail for u in levels[k - d], d a move's degree:
+    one union-find, each union raising the rank by one."""
+    parent = {}  # non-root monomial -> its parent
+    span = 0
+    for d, lead, trail in moves:
+        for u, _ in levels[k - d] if d <= k else ():
+            a, b = u + lead, u + trail
+            while (up := parent.get(a)) is not None:
+                a = up
+            while (up := parent.get(b)) is not None:
+                b = up
+            if a != b:
+                parent[a] = b
+                span += 1
+    return span
+
+
 def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
     """Certify membership, generation and the Groebner property degree by degree.
 
@@ -1231,14 +1265,26 @@ def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
     a move have one part in them, so for each part of degree i the move
     graph is the core's in degree e - i, and span_rank = sum_i C(b + i - 1,
     i) span_core(e - i).  The union-find reads the core's monomials up to
-    degree - (least move degree).  Each degree is held to search_budget()
-    (BudgetExceeded) on the monomials it enumerates, checked before any work
-    on it: those of the larger of the move core, which bounds the union-find
-    and the faces, and the semigroup core (Semigroup.free), which bounds the
-    levels L_e; a point on a path between two cycles lies on no binomial but
-    stays in the semigroup core.  Non-squarefree leads send the standard
-    monomials to _standard_levels, which walks every variable.  A degree
-    bound below 2 raises InvalidParameter (require_degree).
+    degree - (least move degree).
+
+    Each count has a closed form when its core is empty, and each is still
+    compared: |L_e| = C(n + e - 1, e) for a forest (Semigroup.size), the
+    standard count C(n + e - 1, e) for a basis with no lead
+    (_standard_counts), and the span 0 in a degree below the least move
+    degree, so with no move at all there is no union-find and no lift.  The
+    fibers come from the peel of the window's points, not from the
+    generators, so a window with a cell whose generators are all dropped
+    still reads generated=False.  A forest window certifies from the counts
+    alone, in time linear in the degree bound.
+
+    Each degree is held to search_budget() (BudgetExceeded) on the monomials
+    it enumerates, checked before any work on it: those of the larger of the
+    move core, which bounds the union-find and the faces, and the semigroup
+    core (Semigroup.free), which bounds the levels L_e; a point on a path
+    between two cycles lies on no binomial but stays in the semigroup core.
+    Non-squarefree leads send the standard monomials to _standard_levels,
+    which walks every variable.  A degree bound below 2 raises
+    InvalidParameter (require_degree).
     """
     require_degree(degree)
     ring, gb = ideal.ring, ideal.gb
@@ -1268,23 +1314,13 @@ def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
         if (work := comb(walked + e - 1, e)) > budget:
             raise BudgetExceeded(f"degree {e} needs {work} monomials", budget=budget, monomials=work)
         count = comb(nvars + e - 1, e)
-        for k in range(len(spans), e + 1):
-            while len(levels) <= k - least:  # a move of degree d reads the monomials of degree k - d
-                levels.append(_extend(levels[-1], core, hi, [()] * len(core)))
-            parent = {}  # non-root monomial -> its parent
-            span = 0
-            for d, lead, trail in moves:
-                for u, _ in levels[k - d] if d <= k else ():
-                    a, b = u + lead, u + trail
-                    while a in parent:
-                        a = parent[a]
-                    while b in parent:
-                        b = parent[b]
-                    if a != b:
-                        parent[a] = b
-                        span += 1
-            spans.append(span)
-        span = _lift(spans, nvars - len(core))
+        span = 0  # below the least move degree no move reaches, and with no move none does
+        if e >= least:
+            for k in range(len(spans), e + 1):
+                while len(levels) <= k - least:  # a move of degree d reads the monomials of degree k - d
+                    levels.append(_extend(levels[-1], core, hi, [()] * len(core)))
+                spans.append(_move_span(moves, levels, k))
+            span = _lift(spans, nvars - len(core))
         fibers = ring.semigroup.size(e)
         target = count - fibers
         records.append(FiberDegreeRecord(

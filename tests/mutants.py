@@ -97,6 +97,13 @@ MUTANTS = (
         "return core[e]",
         ("tests/test_peeled_core.py::test_core_route_matches_the_references",),
     ),
+    # the semigroup's free count taken while the peel leaves a core, in the two lowest rows
+    Mutant(
+        "free-count-with-a-core", "binomials.py",
+        "if not any(self._core_rows):  # a forest: every point is free",
+        "if not any(self._core_rows[2:]):  # a forest: every point is free",
+        ("tests/test_semigroup.py::test_class_counts_match_the_row_split_build",),
+    ),
     # the semigroup level counted by row classes, each pair weighed as one row multiset
     Mutant(
         "class-weight-dropped", "binomials.py",
@@ -212,6 +219,13 @@ MUTANTS = (
         "fiber-basis-is-generators", "binomials.py",
         "basis = terms if gb.led is ideal.led else _fiber_terms(gb, ring, units)",
         "basis = terms",
+        ("tests/test_binomials.py::TestFiberOracle::test_counting_equals_reference_on_negative_cases",),
+    ),
+    # the fiber oracle, with no move, taking every monomial for a fiber: the generators trusted, not the peel
+    Mutant(
+        "fibers-trust-no-move", "binomials.py",
+        "fibers = ring.semigroup.size(e)",
+        "fibers = ring.semigroup.size(e) if moves else count",
         ("tests/test_binomials.py::TestFiberOracle::test_counting_equals_reference_on_negative_cases",),
     ),
     # the oracles' quadratic squarefree basis searched again on every read, not held

@@ -233,6 +233,21 @@ class TestFiberOracle:
         assert top.monomials == top.fibers == comb(20 + 6, 7) > search_budget()
         assert cert.generated and cert.gb_certified
 
+    def test_a_forest_certifies_from_counts_at_any_degree(self, monkeypatch):
+        """The chain of 20 points peels to no core and has no move and no
+        lead, so each of the three counts takes its closed form: degree
+        10,000 certifies with every record read off C(20 + e - 1, e), the
+        work linear in the degree."""
+        monkeypatch.delenv("HIBI_LAB_BUDGET", raising=False)
+        ideal = window_ideal(lattice_from_columns({0: (0, 19)}), (0, 19))
+        cert = toric_fiber_oracle(ideal, degree=10_000)
+        assert [d.degree for d in cert.per_degree] == list(range(2, 10_001))
+        for d in cert.per_degree:
+            free = comb(20 + d.degree - 1, d.degree)
+            assert (d.monomials, d.fibers, d.target_dim, d.span_rank) == (free, free, 0, 0), d.degree
+            assert d.generated and d.gb_consistent, d.degree
+        assert cert.membership_ok and cert.generated and cert.gb_certified
+
     def test_budget_counts_the_semigroup_core(self, monkeypatch):
         """Two squares joined by a path: the move core is the squares' 8
         points, but no point is a leaf, so the levels L_e are built on all
@@ -382,24 +397,37 @@ class TestFiberOracle:
         assert windows >= 400
 
     def test_counting_equals_reference_on_negative_cases(self, corpus):
-        """Broken generator sets and bases: each must flip a flag, on both routes alike."""
+        """Broken generator sets and bases: each must flip a flag, on both routes alike.
+
+        With every generator dropped there is no move, and with the basis
+        dropped too no lead, so the oracle takes its closed forms for the
+        span and the standard count; the window has a cell, so the fibers,
+        counted from the peel and not from the generators, stay fewer than
+        the monomials and generation fails."""
         flipped = {"generator dropped": 0, "basis element dropped": 0,
-                   "basis element unbalanced": 0, "generator unbalanced": 0}
+                   "basis element unbalanced": 0, "generator unbalanced": 0,
+                   "every generator dropped": 0, "generators and basis dropped": 0}
         for name, lat in corpus:
             for w in all_windows(lat):
-                if not 4 <= len(generators(lat, w)) <= 8:
+                points = len(generators(lat, w))
+                if points > 8:
                     continue
                 ideal = window_ideal(lat, w)
                 gens, gb = ideal.generators, ideal.gb
-                if len(gens) < 2:
+                if not gens:
                     continue
                 cases = {
-                    "generator dropped": with_generators(ideal, gens[1:]),
-                    "basis element dropped": with_basis(ideal, gb.basis[:-1]),
-                    "basis element unbalanced": with_basis(
-                        ideal, gb.basis[:-1] + (self.unbalance(gb.basis[-1]),)),
-                    "generator unbalanced": with_generators(ideal, (self.unbalance(gens[0]),) + gens[1:]),
+                    "every generator dropped": with_generators(ideal, ()),
+                    "generators and basis dropped": with_basis(with_generators(ideal, ()), ()),
                 }
+                if points >= 4 and len(gens) >= 2:
+                    cases.update({
+                        "generator dropped": with_generators(ideal, gens[1:]),
+                        "basis element dropped": with_basis(ideal, gb.basis[:-1]),
+                        "basis element unbalanced": with_basis(
+                            ideal, gb.basis[:-1] + (self.unbalance(gb.basis[-1]),)),
+                        "generator unbalanced": with_generators(ideal, (self.unbalance(gens[0]),) + gens[1:]),
+                    })
                 for case, broken in cases.items():
                     cert = toric_fiber_oracle(broken, degree=3)
                     ref = fiber_reference.toric_fiber_oracle(
@@ -409,9 +437,14 @@ class TestFiberOracle:
                         assert not cert.membership_ok and not cert.generated, (name, w)
                     elif case == "generator dropped":
                         assert not cert.generated, (name, w)
+                    elif case == "every generator dropped":
+                        assert cert.membership_ok and not cert.generated and cert.gb_certified, (name, w)
+                    elif case == "generators and basis dropped":
+                        assert cert.membership_ok and not cert.generated and not cert.gb_certified, (name, w)
                     else:
                         assert cert.membership_ok and cert.generated and not cert.gb_certified
                     flipped[case] += 1
+        assert flipped["every generator dropped"] == flipped["generators and basis dropped"] == 152, flipped
         assert min(flipped.values()) >= 50, flipped
 
 
