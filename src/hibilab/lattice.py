@@ -244,56 +244,59 @@ class PlanarLattice:
 def validate_planar_lattice(points) -> PlanarLattice:
     """Check the defining axioms and return a normalized lattice.
 
-    Inputs whose bounding box is not anchored at the origin are translated
-    (with a warning); genuine axiom failures raise, with a witness pair where
-    one exists.  The pair scans keep validation at O(|points|^2).
+    Points must be pairs of ints, not bools.  A set not anchored at the
+    origin is translated, with a warning.  An axiom failure raises with the
+    first failing pair (a, b) of the sorted points as witness, meet first.
+
+    Ranking the distinct i and the distinct j keeps every meet and join, and
+    makes row i's j values a bitmask R[i] no wider than the distinct j.  As
+    (i, j) and (k, l) with i < k, j > l have meet (i, l) and join (k, j),
+    a = (i, j) heads a failing pair iff j lies above an l of a later row
+    that R[i] misses, or above the least l of a later row that misses j.
+    One pass up the rows, holding the union of the later rows and of their
+    gaps, finds the first such a; one pass over the later rows finds its b.
+    Given closure, a <= b are joined by unit steps iff the origin reaches b
+    (join a with a path from the origin to b), so the first point b with no
+    lower cover fails the chain condition, with witness ((0, 0), b).
     """
-    pts = {tuple(p) for p in points}
+    pts = [tuple(p) if isinstance(p, (tuple, list)) else (p,) for p in points]
+    if bad := [p for p in pts if len(p) != 2 or {type(x) for x in p} != {int}]:
+        raise LatticeInvalid("points must be pairs of ints", points=bad[:3])
+    pts = set(pts)
     if not pts:
         raise MissingOrigin("empty point set")
     if any(i < 0 or j < 0 for i, j in pts):
         raise LatticeInvalid("coordinates must be nonnegative", points=sorted(pts)[:3])
-    di = min(i for i, _ in pts)
-    dj = min(j for _, j in pts)
+    di, dj = min(i for i, _ in pts), min(j for _, j in pts)
     if di or dj:
-        warnings.warn(
-            f"lattice translated by ({-di}, {-dj}) to anchor at the origin",
-            LatticeNormalization,
-            stacklevel=2,
-        )
+        warnings.warn(f"lattice translated by ({-di}, {-dj}) to anchor at the origin",
+                      LatticeNormalization, stacklevel=2)
         pts = {(i - di, j - dj) for i, j in pts}
     if (0, 0) not in pts:
         raise MissingOrigin("lattice must contain the origin")
-    ordered = sorted(pts)
-    for k, a in enumerate(ordered):
-        for b in ordered[k + 1 :]:
-            meet = (min(a[0], b[0]), min(a[1], b[1]))
-            join = (max(a[0], b[0]), max(a[1], b[1]))
-            if meet != a and meet != b and meet not in pts:
-                raise NotMeetClosed(
-                    f"meet of {a} and {b} is missing", witness=(a, b)
-                )
-            if join != a and join != b and join not in pts:
-                raise NotJoinClosed(
-                    f"join of {a} and {b} is missing", witness=(a, b)
-                )
-    # Chain condition as reachability in the unit-step digraph.
-    reach = {}
-    for a in sorted(pts, key=lambda p: (-(p[0] + p[1]), p)):
-        r = {a}
-        for step in ((a[0] + 1, a[1]), (a[0], a[1] + 1)):
-            if step in pts:
-                r |= reach[step]
-        reach[a] = r
-    for k, a in enumerate(ordered):
-        for b in ordered[k + 1 :]:
-            if a[0] <= b[0] and a[1] <= b[1] and b not in reach[a]:
-                raise ChainConditionFails(
-                    f"no saturated chain from {a} to {b}", witness=(a, b)
-                )
-    m = max(i for i, _ in pts)
-    n = max(j for _, j in pts)
-    return PlanarLattice(frozenset(pts), m, n)
+    xs, ys = sorted({i for i, _ in pts}), sorted({j for _, j in pts})
+    x_rank, y_rank = {i: k for k, i in enumerate(xs)}, {j: k for k, j in enumerate(ys)}
+    rows = row_masks(((x_rank[i], y_rank[j]) for i, j in pts), len(xs) - 1)
+    full, later, gaps, i = (1 << len(ys)) - 1, 0, 0, None
+    for r in range(len(rows) - 1, -1, -1):
+        row, missing = rows[r], later & ~rows[r]
+        if heads := row & (-((missing & -missing) << 1) | gaps):
+            i, j = r, (heads & -heads).bit_length() - 1
+        later |= row
+        gaps |= (full ^ row) & -((row & -row) << 1)
+    if i is not None:
+        for k in range(i + 1, len(rows)):  # its l < j that R[i] misses, or all if j is missing
+            if below := rows[k] & ((1 << j) - 1) & (~rows[i] if rows[k] >> j & 1 else -1):
+                break
+        l = (below & -below).bit_length() - 1
+        a, b = (xs[i], ys[j]), (xs[k], ys[l])
+        if not rows[i] >> l & 1:
+            raise NotMeetClosed(f"meet of {a} and {b} is missing", witness=(a, b))
+        raise NotJoinClosed(f"join of {a} and {b} is missing", witness=(a, b))
+    if stuck := [(i, j) for i, j in pts if (i or j) and not {(i - 1, j), (i, j - 1)} & pts]:
+        b = min(stuck)
+        raise ChainConditionFails(f"no saturated chain from (0, 0) to {b}", witness=((0, 0), b))
+    return PlanarLattice(frozenset(pts), xs[-1], ys[-1])
 
 
 @dataclass(frozen=True)
@@ -393,18 +396,15 @@ def poset_ideals_to_planar(poset: Poset) -> PlanarLattice:
     """Map each poset ideal a to (|a & C1|, |a & C2|) for a fixed chain partition.
 
     This is the Birkhoff image of the ideal lattice; it raises WidthExceedsTwo
-    when the poset has a 3-element antichain (the image is not planar).
+    when the poset has a 3-element antichain (the image is not planar).  With
+    C1 = (x_0 < x_1 < ...), the ideals holding x_0..x_{a-1} of C1 take b = lo..hi
+    of C2: lo is one past the last element of C2 below x_{a-1} (0 if a = 0), and
+    hi the index of the first one above x_a (|C2| if none, or if a = |C1|).
     """
     c1, c2 = chain_partition(poset)
     pts = set()
     for a in range(len(c1) + 1):
-        for b in range(len(c2) + 1):
-            ideal = set(c1[:a]) | set(c2[:b])
-            closed = all(
-                not poset.leq(y, x) or y in ideal
-                for x in ideal
-                for y in poset.elements
-            )
-            if closed:
-                pts.add((a, b))
+        lo = sum(poset.less(y, c1[a - 1]) for y in c2) if a else 0
+        hi = next((b for b, y in enumerate(c2) if a < len(c1) and poset.less(c1[a], y)), len(c2))
+        pts.update((a, b) for b in range(lo, hi + 1))
     return validate_planar_lattice(pts)

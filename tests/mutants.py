@@ -40,6 +40,27 @@ class Mutant:
 
 
 MUTANTS = (
+    # lattice validation, the join half of the closure test dropped
+    Mutant(
+        "closure-without-join", "lattice.py",
+        "if heads := row & (-((missing & -missing) << 1) | gaps):",
+        "if heads := row & -((missing & -missing) << 1):",
+        ("tests/test_lattice.py::TestAgainstTheReference::test_random_point_sets_raise_as_the_pair_scan_does",),
+    ),
+    # lattice validation, the chain pass accepting every point
+    Mutant(
+        "chain-pass-accepts-all", "lattice.py",
+        "if stuck := [(i, j) for i, j in pts if (i or j) and not {(i - 1, j), (i, j - 1)} & pts]:",
+        "if stuck := []:",
+        ("tests/test_lattice.py::TestAgainstTheReference::test_random_point_sets_raise_as_the_pair_scan_does",),
+    ),
+    # the Birkhoff map, each span's least b one too high
+    Mutant(
+        "birkhoff-lo-off-by-one", "lattice.py",
+        "lo = sum(poset.less(y, c1[a - 1]) for y in c2) if a else 0",
+        "lo = sum(poset.less(y, c1[a - 1]) for y in c2) + 1 if a else 0",
+        ("tests/test_lattice.py::TestAgainstTheReference::test_span_map_equals_the_ideal_enumeration",),
+    ),
     # the independent triples of the lead graph, counted without its triangles
     Mutant(
         "lead-graph-triangles", "binomials.py",

@@ -1,6 +1,10 @@
+import random
 import warnings
+from collections import Counter
 
+import lattice_reference as ref
 import pytest
+from box_lattices import box_lattices
 
 from hibilab.errors import (
     ChainConditionFails,
@@ -20,7 +24,7 @@ from hibilab.lattice import (
     posets_isomorphic,
     validate_planar_lattice,
 )
-from hibilab.reports import demo_staircase, ell_lattice, full_grid
+from hibilab.reports import _random_width2_poset, demo_staircase, ell_lattice, full_grid
 
 
 def grid_points(m, n):
@@ -72,6 +76,69 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(MissingOrigin):
             validate_planar_lattice(set())
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0, 0)], [("a", 0)], [(False, False), (True, False)], [(0.0, 0.0), (1.0, 0.0)], [0],
+    ])
+    def test_points_that_are_not_pairs_of_ints_rejected(self, points):
+        with pytest.raises(LatticeInvalid) as err:
+            validate_planar_lattice(points)
+        assert type(err.value) is LatticeInvalid
+        assert str(err.value) == "points must be pairs of ints"
+
+    def test_sparse_coordinates_take_no_box_sized_work(self):
+        # a mask as wide as the span of j would be 10**9 bits
+        with pytest.raises(ChainConditionFails) as err:
+            validate_planar_lattice({(0, 0), (0, 10**9)})
+        assert err.value.details["witness"] == ((0, 0), (0, 10**9))
+        assert str(err.value) == "no saturated chain from (0, 0) to (0, 1000000000)"
+
+
+def _outcome(validate, pts):
+    """The lattice or the error's class, message and details, with the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = validate(pts)
+        except LatticeInvalid as exc:
+            result = type(exc), str(exc), exc.details
+    return result, [str(w.message) for w in caught]
+
+
+class TestAgainstTheReference:
+    """The row rule of validate_planar_lattice and the span rule of
+    poset_ideals_to_planar against the all-pairs references."""
+
+    def test_random_point_sets_raise_as_the_pair_scan_does(self):
+        rng = random.Random(16)
+        seen = Counter()
+        for _ in range(6000):
+            m, n, density = rng.randint(0, 6), rng.randint(0, 6), rng.random()
+            pts = {(i, j) for i in range(m + 1) for j in range(n + 1) if rng.random() < density}
+            if rng.random() < 0.5:
+                pts.add((0, 0))
+            if rng.random() < 0.25:
+                di, dj = rng.randint(0, 3), rng.randint(0, 3)
+                pts = {(i + di, j + dj) for i, j in pts}
+            got = _outcome(validate_planar_lattice, pts)
+            assert got == _outcome(ref.validate, pts), sorted(pts)
+            seen[got[0][0] if isinstance(got[0], tuple) else "accepted"] += 1
+        assert set(seen) == {
+            "accepted", MissingOrigin, NotMeetClosed, NotJoinClosed, ChainConditionFails}, seen
+        assert min(seen.values()) > 300, seen
+
+    def test_every_lattice_of_the_4x4_box_accepted_unchanged(self):
+        lattices = box_lattices(4, 4)
+        assert len(lattices) == 3323
+        for lat in lattices:
+            assert validate_planar_lattice(lat.points) == lat
+
+    def test_span_map_equals_the_ideal_enumeration(self):
+        rng = random.Random(16)
+        posets = [_random_width2_poset(rng, 6, 6) for _ in range(200)]
+        posets += [join_irreducibles(lat) for lat in box_lattices(3, 3)]
+        for poset in posets:
+            assert poset_ideals_to_planar(poset).points == ref.ideal_points(poset), poset.elements
 
 
 class TestSimplicity:
