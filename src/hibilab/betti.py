@@ -464,7 +464,7 @@ def _semigroup_levels(semigroup: Semigroup, variables, j_max: int):
 
 def _require_toric(ideal: WindowIdeal) -> int:
     """The number of generators, after checking that each lies in the toric
-    ideal; their packed terms are read as held."""
+    ideal; their terms are read as held (by index when counted)."""
     terms = _fiber_terms(ideal, ideal.ring, [0] * ideal.ring.nvars)
     if not all(ok for *_, ok in terms):
         raise InvalidParameter(
@@ -602,7 +602,7 @@ def betti_numbers(
 ) -> BettiTable:
     """Exact graded Betti numbers of the window ideal over GF(field).
 
-    The ideal's packed terms are read as held.  Works blockwise per
+    The ideal's terms are read as held (_require_toric).  Works blockwise per
     multidegree (see module docstring) over the n_core variables of the
     semigroup core (Semigroup.core), whose Betti numbers are the ring's (a
     flat extension); a window with no generator returns its empty table
@@ -1047,14 +1047,9 @@ def is_linearly_related_oracle(
     Before either, a block whose supports glue (_glues) has H~_1 = 0 and is
     settled with no count and no rank.  A block that does not glue may
     still have H~_1 = 0; it is then settled by Euler or ranked, so the
-    answer stays exact.  Measured with the supports glued in ascending
-    order, no ranked block had H~_1 = 0 on the windows with at most 30
-    variables of the seed-7 corpus (12,998 blocks: 10,070 glue, 2,775
-    settle by Euler, 153 ranked), the seed-11 corpus (13,217 blocks, 153
-    ranked) and the 4x4 box (157,671 blocks, 552 ranked), on the grid-8x6
-    windows with at most 63 variables (364,959 blocks, 7,095 ranked) and
-    on the 8x8 full window (44,100 blocks, all glue).  Other windows may
-    rank such blocks.
+    answer stays exact.  The hypothesis, measured on the seed corpora, the
+    4x4 box and grid windows but not proved, is that no ranked block has
+    H~_1 = 0.
     """
     require_field(field)
     require_var_cap(var_cap)

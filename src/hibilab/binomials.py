@@ -20,9 +20,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import chain, compress, count, islice, repeat, starmap
+from itertools import chain, compress, count, islice, repeat
 from math import comb, isqrt
-from operator import eq, floordiv, itemgetter, mod, mul, neg, or_
+from operator import floordiv, itemgetter, mod, mul, neg, or_
 
 from . import errors
 from .errors import (
@@ -113,10 +113,12 @@ class Semigroup:
     least column and row, which get no field, since the t entries and the s
     entries of a level's points (or of an equal-degree binomial's terms)
     each sum to the degree; smaller ints with varied low fields hash faster.
-    Entries of L_e and of a degree-e image are at most e; wide(e) repacks,
-    dropping the levels built, when e exceeds capacity, 7 at first, so that
-    the order search (L_3) and the oracle share one packing.  size(e) is
-    |L_e| (|L_0| = 1), and sizes lists |L_1|, |L_2|, ... as far as built.
+    They are packed on first use (images, wide) for entries up to least, 7,
+    so that the order search (L_3) and the oracle share one packing and a
+    forest, whose sizes are closed forms, never packs.  Entries of L_e and
+    of a degree-e image are at most e; wide(e) repacks, dropping the levels
+    built, when e exceeds capacity.  size(e) is |L_e| (|L_0| = 1), and
+    sizes lists |L_1|, |L_2|, ... as far as built.
 
     The levels are counted over a core.  A point alone in its row (column)
     is a leaf edge of the row-column graph: its exponent in a monomial is
@@ -126,7 +128,7 @@ class Semigroup:
     induction I = I_core S, S/I = K[peeled] (x) S_core/I_core and
     |L_e| = sum_i C(b + i - 1, i) |L_(e-i)(core)| (_lift).  A forest peels
     to no core, so b = n and |L_e| = C(n + e - 1, e): size returns that with
-    no repack, no class split and no level build.  It is still a count the
+    no packing, no class split and no level build.  It is still a count the
     fiber oracle and hilbert_function compare: it comes from the peel of
     the window's points, not from any generator, so a window with a cell
     never reads it.
@@ -154,15 +156,19 @@ class Semigroup:
     """
 
     _mu = ()  # the classes of several core rows (_peel); a forest has none
+    capacity, least = -1, 7  # nothing packed yet; the first packing holds entries up to least
 
     def __init__(self, points: tuple, rows: tuple):
-        self.points, self.rows, self.capacity = points, rows, 0
-        self.wide(7)
+        self.points, self.rows = points, rows
+
+    @lazy
+    def images(self) -> list:
+        return self.wide(0)
 
     def wide(self, degree: int) -> list:
         """The packed images, in fields that hold entries up to degree."""
         if degree > self.capacity:
-            bits = degree.bit_length()
+            bits = max(degree, self.least).bit_length()
             self.capacity, width = (1 << bits) - 1, bits + 1
             i0, j0 = map(min, zip(*self.points))
             span = max(j for _, j in self.points) - j0  # the t fields
@@ -271,11 +277,14 @@ def _lift(core: list, free: int) -> int:
     """The degree-e count, e = len(core) - 1, of a core with counts core[0..e]
     (core[0] = 1) and free more variables: a degree-e monomial is one of
     degree i in those times one of the core's, so sum_i C(free + i - 1, i)
-    core[e - i]."""
-    e = len(core) - 1
-    if not free:
-        return core[e]
-    return sum(comb(free + i - 1, i) * core[e - i] for i in range(e + 1))
+    core[e - i], the binomials read from one table (_multisets)."""
+    return sum(map(mul, _multisets(free, len(core) - 1), core)) if free else core[-1]
+
+
+@cache
+def _multisets(b: int, e: int) -> tuple:
+    """C(b + i - 1, i), the degree-i monomials in b variables, for i = e, ..., 0."""
+    return tuple([comb(b + i - 1, i) for i in range(e, -1, -1)])
 
 
 @dataclass(frozen=True)
@@ -385,45 +394,48 @@ class _Led:
     larger ascending pair of ranks.  A binomial's code is lead * base +
     trail, base = 3 n^2, and codes lists them ascending, which is the order
     of the packed keys (lead ^ flip, trail ^ flip); terms that cancel drop
-    out and a repeated binomial comes once.  Each code is read without a
-    loop.
+    out and a repeated binomial comes once.
 
-    elements packs the binomials into (lead, trail) ints of layout on first
-    read, and lead_supports reads the leads by index.  packed() holds
-    Buchberger's packed basis instead, with no codes, and lead_supports
-    reads its leads off the packing.  size is the count.  With no pair (the
-    zero ideal) every read is set up front, with no layout.
+    While coding them, _lead records in terms the variables ((a, b), (c,
+    d)) of each binomial y_a y_b - y_c y_d, lead first, in the codes'
+    order, for the lead graph, lead_supports and _fiber_terms to read with
+    no decode.  elements packs the binomials into (lead, trail) ints of layout
+    on first read.  packed() holds Buchberger's packed basis instead, with
+    no codes, and lead_supports reads its leads off the packing.  size is
+    the count.  With no pair (the zero ideal) every read is empty, with no
+    layout.
     """
 
-    codes, size, base = (), 0, 1  # with no pair
+    codes, size, base, terms = (), 0, 1, ()  # with no pair
 
     def __init__(self, order: MonomialOrder, pairs=()):
         self.order = order
-        if not pairs:
-            self.__dict__.update(elements=(), layout=None, lead_supports=(), lead_pairs=[])
-            return
-        self.base = 3 * len(order.sig) ** 2
-        self.codes = self._lead(pairs)
-        self.size = len(self.codes)
+        if pairs:
+            self.base = 3 * len(order.sig) ** 2
+            self.codes = self._lead(pairs)
+            self.size = len(self.codes)
 
     def _lead(self, pairs) -> list:
-        """The binomials' codes, ascending, with no call per term."""
+        """The binomials' codes, ascending, with no call per term; terms
+        records their variables while they are coded."""
         n, base = len(self.order.sig), self.base
         rank = [0] * n
         for r, k in enumerate(reversed(self.order.sig)):
             rank[k] = r
-        lex, keys = self.order.style == "lex", set()
+        lex, keys = self.order.style == "lex", {}
         two = 2 * n * n
-        for (a0, a1), (b0, b1) in pairs:
-            x, y = rank[a0], rank[a1]
+        for a, b in pairs:
+            x, y = rank[a[0]], rank[a[1]]
             ka = two + (x * n + y if (x > y) == lex else y * n + x)
-            x, y = rank[b0], rank[b1]
+            x, y = rank[b[0]], rank[b[1]]
             kb = two + (x * n + y if (x > y) == lex else y * n + x)
             if ka > kb:
-                keys.add(ka * base + kb)
+                keys[ka * base + kb] = a, b
             elif ka != kb:
-                keys.add(kb * base + ka)
-        return sorted(keys)
+                keys[kb * base + ka] = b, a
+        codes = sorted(keys)
+        self.terms = list(map(keys.__getitem__, codes))
+        return codes
 
     @classmethod
     def packed(cls, order: MonomialOrder, elements, layout: "_Layout") -> "_Led":
@@ -462,21 +474,9 @@ class _Led:
             if any((lead + p.twice) & p.hi for lead, _ in self.elements):
                 return None
             return tuple([p.variables(lead) for lead, _ in self.elements])
-        if any(starmap(eq, self.lead_pairs)):
+        if any(a == b for (a, b), _ in self.terms):
             return None
-        return tuple([1 << a | 1 << b for a, b in self.lead_pairs])
-
-    @lazy
-    def lead_pairs(self) -> list:
-        """The variables (a, b) of each quadric lead y_a y_b, in order; a == b
-        for a square."""
-        n, base = len(self.order.sig), self.base
-        two, by_rank = 2 * n * n, self.order.sig[::-1]
-        pairs = []
-        for e in self.codes:
-            u, v = divmod(e // base - two, n)
-            pairs.append((by_rank[u], by_rank[v]))
-        return pairs
+        return tuple([1 << a | 1 << b for (a, b), _ in self.terms])
 
 
 def _binomials(elements, layout: "_Layout | None") -> tuple:
@@ -951,8 +951,8 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
     """
     kinds = ORDER_KINDS if kinds == "auto" else (kinds,)
     pairs = list(pairs)
-    degree = next(filter((2).__ne__, map(len, chain.from_iterable(pairs))), 2)
-    if degree != 2:  # the first term that is not a quadric
+    if not {*map(len, chain.from_iterable(pairs))} <= {2}:  # a term that is not a quadric
+        degree = next(filter((2).__ne__, map(len, chain.from_iterable(pairs))))
         raise InvalidParameter(f"the order search takes quadrics, got a term of degree {degree}",
                                degree=degree)
     if not pairs:  # the zero ideal passes under the first order
@@ -970,7 +970,7 @@ def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
         balanced)"""
         if k not in candidates:
             led = _Led(monomial_order(kinds[k], ring), pairs)
-            candidates[k] = led, balanced and _lead_graph_counts(led.lead_pairs, ring.nvars)
+            candidates[k] = led, balanced and _lead_graph_counts([ab for ab, _ in led.terms], ring.nvars)
         return candidates[k]
 
     def passes_a(counts):
@@ -1183,13 +1183,19 @@ def _standard_counts(supports, terms, nvars: int, degree: int):
 
 
 def _fiber_terms(source, ring: WindowRing, units) -> list:
-    """Each packed (lead, trail) of source, a WindowIdeal or a
-    GroebnerReport, as (degree, lead, trail, balanced): one walk over each
-    term's support repacks it on units (the oracle's fields; zeros for
-    balance alone) and sums its image from ring.semigroup, and balanced is
-    whether the two images agree.  An inhomogeneous binomial raises
-    InvalidParameter."""
-    elements, layout = source.elements, source.layout
+    """Each binomial of source, a WindowIdeal or a GroebnerReport, as
+    (degree, lead, trail, balanced) in source's order: its terms on units
+    (the oracle's fields; zeros for balance alone), and whether their images
+    from ring.semigroup agree.  A counted basis (_Led with codes) is read by
+    variable index (_Led.terms), with nothing packed; Buchberger's and an
+    interreduced basis by one walk over each packed term's support.  An
+    inhomogeneous binomial raises InvalidParameter."""
+    led = source.led
+    if led.codes is not None:
+        img = ring.semigroup.wide(2) if led.codes else ()
+        return [(2, units[a] + units[b], units[c] + units[d], img[a] + img[b] == img[c] + img[d])
+                for (a, b), (c, d) in led.terms]
+    elements, layout = led.elements, led.layout
     if not elements:
         return []
     width, ones, low, hi, top = layout.width, layout.ones, layout.low, layout.hi, layout.top
@@ -1236,8 +1242,7 @@ def _move_span(moves, levels, k: int) -> int:
 def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
     """Certify membership, generation and the Groebner property degree by degree.
 
-    The ideal's generators and its own basis ideal.gb are read packed; the
-    oracle counts and neither maps nor reduces a monomial.  The degree-e
+    The oracle counts and neither maps nor reduces a monomial.  The degree-e
     monomials fall into |L_e| fibers, one per point of the semigroup level
     L_e (ring.semigroup, which the order search has mostly grown to L_3),
     whose differences span target_dim = #monomials - |L_e| dimensions.  The moves u*lead - u*trail,
@@ -1252,9 +1257,9 @@ def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
     Groebner Bases and Convex Polytopes, ch. 4), as hilbert_function also
     checks (_standard_counts): for squarefree leads from the faces of the
     lead complex, a route apart from the order search's lead-graph counts,
-    else from the standard monomials themselves.  Each generator
-    and basis element is walked once (_fiber_terms; a basis that shares the
-    generators' _Led, once in all) for its terms on the oracle's fields, with
+    else from the standard monomials themselves.  Each generator and basis
+    element is read once (_fiber_terms: by index when counted; a shared
+    _Led, once in all) for its terms on the oracle's fields, with
     degree.bit_length() + 1 bits per variable, and its balance.
 
     Each count is taken on a core and lifted (_lift): |L_e| from the
@@ -1287,8 +1292,7 @@ def toric_fiber_oracle(ideal: WindowIdeal, degree: int = 4) -> FiberCertificate:
     InvalidParameter (require_degree).
     """
     require_degree(degree)
-    ring, gb = ideal.ring, ideal.gb
-    nvars = ring.nvars
+    ring, gb, nvars = ideal.ring, ideal.gb, ideal.ring.nvars
     width = degree.bit_length() + 1
     units = [1 << width * k for k in range(nvars)]
     hi = sum(units) << width - 1

@@ -127,7 +127,9 @@ def _semigroup_fields(ring):
     """The field width of ring.semigroup's packing, the coordinates of the
     least row and column of a tuple multidegree, which have no field, and
     (coordinate, shift) for each coordinate that has one: every column but
-    the least, then every row but the least (binomials.Semigroup)."""
+    the least, then every row but the least (binomials.Semigroup).  A
+    Semigroup packs on first use, so wide(0) packs one not packed yet."""
+    ring.semigroup.wide(0)
     width = ring.semigroup.capacity.bit_length() + 1
     rows, cols = zip(*ring.points)
     i0, j0, span = min(rows), min(cols), max(cols) - min(cols)

@@ -4,11 +4,16 @@
     python tests/mutants.py NAME ...  # the named ones
 
 A mutant is one exact text replacement in a file of src/hibilab, with the
-tests named as its gate.  The runner copies src/ and tests/ into a
-temporary directory, runs every gate there once unmutated (they must pass,
-so that a mutant is not killed by an unrelated failure), then, for each
-mutant in its own copy, two mutants at a time, applies the replacement and
-runs only its gate.
+tests named as its gate.  The runner copies src/ and tests/ once for each
+of its two workers into a temporary directory.  First it runs every gate
+unmutated, the gates shared between the two copies: they must pass, so
+that a mutant is not killed by an unrelated failure.  Then each worker
+takes the mutants in turn: it applies a mutant's replacement in place in
+its copy, runs only that mutant's gate, one pytest process per mutant,
+and restores the file.  Bytecode is never written, so a restored file is
+read afresh.  The gates run without the hypothesis and benchmark pytest
+plugins, whose imports cost more than most gates; a gate module that
+uses hypothesis imports it itself.
 The run fails when a mutant's old text does not occur exactly once in its
 file (a rewrite must re-aim its mutants), when a gate does not pass
 unmutated, or when a mutant's gate still passes (the mutant survives).
@@ -18,6 +23,7 @@ The checkout itself is only read.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -71,15 +78,15 @@ MUTANTS = (
     # the index route's orientation, revlex leading as lex does
     Mutant(
         "revlex-leads-as-lex", "binomials.py",
-        'lex, keys = self.order.style == "lex", set()',
-        "lex, keys = True, set()",
+        'lex, keys = self.order.style == "lex", {}',
+        "lex, keys = True, {}",
         ("tests/test_order_search.py::test_index_route_matches_the_packed_route_on_random_quadrics",),
     ),
     # the order search, a term that is not a quadric let through to the quadric codes
     Mutant(
         "order-search-any-degree", "binomials.py",
-        "if degree != 2:  # the first term that is not a quadric",
-        "if False:  # the first term that is not a quadric",
+        "if not {*map(len, chain.from_iterable(pairs))} <= {2}:  # a term that is not a quadric",
+        "if False:  # a term that is not a quadric",
         ("tests/test_order_search.py::test_index_route_matches_the_packed_route_on_random_quadrics",),
     ),
     # a semigroup level whose additions overflow a field, let through
@@ -114,9 +121,31 @@ MUTANTS = (
     # the lift from the core, its b free variables dropped
     Mutant(
         "lift-without-free", "binomials.py",
-        "return sum(comb(free + i - 1, i) * core[e - i] for i in range(e + 1))",
-        "return core[e]",
+        "return sum(map(mul, _multisets(free, len(core) - 1), core)) if free else core[-1]",
+        "return core[-1]",
         ("tests/test_peeled_core.py::test_core_route_matches_the_references",),
+    ),
+    # the first packing only as wide as its first caller asks: the order
+    # search's wide(2) packs for entries up to 3 and the oracle repacks
+    Mutant(
+        "first-packing-narrow", "binomials.py",
+        "bits = max(degree, self.least).bit_length()",
+        "bits = degree.bit_length()",
+        ("tests/test_packing.py::test_the_order_search_and_the_oracle_share_one_packing",),
+    ),
+    # the fiber oracle's index route, a counted binomial's lead and trail swapped
+    Mutant(
+        "index-route-lead-trail-swapped", "binomials.py",
+        "units[a] + units[b], units[c] + units[d], img",
+        "units[c] + units[d], units[a] + units[b], img",
+        ("tests/test_packing.py::test_index_route_matches_the_packed_walk_on_every_counted_basis",),
+    ),
+    # the fiber oracle's index route, balance read from the lead alone
+    Mutant(
+        "index-route-balance-from-lead", "binomials.py",
+        "img[a] + img[b] == img[c] + img[d]",
+        "img[a] + img[b] == img[a] + img[b]",
+        ("tests/test_packing.py::test_index_route_matches_the_packed_walk_on_random_quadrics",),
     ),
     # the semigroup's free count taken while the peel leaves a core, in the two lowest rows
     Mutant(
@@ -312,8 +341,9 @@ def _copy(dest: Path) -> None:
 def _pytest(where: Path, gate):
     """pytest's exit code on the gate, and its first FAILED line."""
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    plugins = ("-p", "no:cacheprovider", "-p", "no:hypothesispytest", "-p", "no:benchmark")
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider", *gate],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-rf", *plugins, *gate],
         cwd=where, env=env, capture_output=True, text=True, timeout=300, check=False,
     )
     failed = [line for line in proc.stdout.splitlines() if line.startswith("FAILED")]
@@ -323,34 +353,48 @@ def _pytest(where: Path, gate):
 def run(mutants) -> list:
     """The problems found, one line each; empty when every mutant is killed."""
     problems = []
-    with tempfile.TemporaryDirectory(prefix="hibilab-mutants-") as tmp:
-        base = Path(tmp) / "base"
-        _copy(base)
+    with tempfile.TemporaryDirectory(prefix="hibilab-mutants-") as tmp, \
+            ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        workers = [Path(tmp) / f"worker-{k}" for k in range(WORKERS)]
+        copies = queue.SimpleQueue()  # the workers' copies not in use
+        for copy in workers:
+            _copy(copy)
+            copies.put(copy)
         gates = sorted({node for mutant in mutants for node in mutant.gate})
-        code, failed = _pytest(base, gates)
-        if code != 0:
-            return [f"the gates do not pass unmutated (pytest exit {code}): {failed}"]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            for line, problem in pool.map(lambda mutant: _kill(mutant, Path(tmp)), mutants):
-                if line:
-                    print(line)
-                if problem:
-                    problems.append(problem)
+        shares = [(copy, gates[k::WORKERS]) for k, copy in enumerate(workers) if gates[k::WORKERS]]
+        for code, failed in pool.map(lambda share: _pytest(*share), shares):
+            if code != 0:
+                return [f"the gates do not pass unmutated (pytest exit {code}): {failed}"]
+
+        def kill(mutant):
+            copy = copies.get()
+            try:
+                return _kill(mutant, copy)
+            finally:
+                copies.put(copy)
+
+        for line, problem in pool.map(kill, mutants):
+            if line:
+                print(line)
+            if problem:
+                problems.append(problem)
     return problems
 
 
-def _kill(mutant, tmp: Path):
-    """The mutant's report line and its problem, or None for either."""
+def _kill(mutant, copy: Path):
+    """The mutant's report line and its problem, or None for either; the
+    mutant is applied in place in copy and the file restored after."""
     start = time.perf_counter()
-    copy = tmp / mutant.name
-    _copy(copy)
     target = copy / "src" / "hibilab" / mutant.path
     text = target.read_text(encoding="utf-8")
     if text.count(mutant.old) != 1:
         return None, (f"{mutant.name}: its old text occurs {text.count(mutant.old)} "
                       f"times in src/hibilab/{mutant.path}, not once")
     target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-    code, failed = _pytest(copy, mutant.gate)
+    try:
+        code, failed = _pytest(copy, mutant.gate)
+    finally:
+        target.write_text(text, encoding="utf-8")
     verdict = "killed" if code == 1 else "survived" if code == 0 else f"pytest exit {code}"
     line = f"{mutant.name:<22} {verdict:<10} {time.perf_counter() - start:5.1f} s  {failed}"
     return line, None if code == 1 else f"{mutant.name}: {verdict} under {' '.join(mutant.gate)}"

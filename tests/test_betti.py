@@ -835,7 +835,9 @@ def test_euler_check_guards_the_complete_intersection_route(monkeypatch):
 def _narrow(semigroup):
     """Repack semigroup's images one bit narrower per field, in place, with
     the top value bit of each field taken for its guard: with capacity 7,
-    3 bits a field, and an entry of 4 reaches the guard bit."""
+    3 bits a field, and an entry of 4 reaches the guard bit.  A Semigroup
+    packs on first use, so wide(0) packs one not packed yet."""
+    semigroup.wide(0)
     wide = semigroup.capacity.bit_length() + 1
     width = wide - 1
 

@@ -324,11 +324,11 @@ def test_level_split_by_largest_row_matches_plain_build(seed, windows):
 
 
 def _narrow(ring):
-    """The ring's Semigroup repacked for entries up to 3, as if the first
-    caller had asked for no more: its capacity, 7 at first, is dropped so
-    that wide(3) repacks."""
+    """A fresh Semigroup of the ring packed for entries up to 3, as if the
+    first caller had asked for no more: its first packing holds entries up
+    to least, 7 unless lowered, so the helper lowers it to 3 and packs."""
     store = Semigroup(ring.points, ring.rows)
-    store.capacity = 0
+    store.least = 3
     store.wide(3)
     assert store.capacity == 3
     return store
