@@ -146,7 +146,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, groupby, permutations
+from itertools import accumulate, chain, combinations, permutations
 from math import comb
 from operator import or_
 
@@ -307,21 +307,6 @@ def hilbert_function(ideal: WindowIdeal, d_max: int) -> list:
             raise VerificationFailed("standard monomials miss the Hilbert function", degree=e,
                                      hilbert=size, standard=standard)
     return sizes
-
-
-def _minimal_masks(masks):
-    """The inclusion-minimal bitmasks among masks, once each, by size, then value.
-
-    Distinct masks of one size never contain each other, so a mask is
-    tested only against the kept masks of smaller sizes.
-    """
-    ordered = sorted(set(masks))
-    ordered.sort(key=int.bit_count)
-    kept = []
-    for _, group in groupby(ordered, int.bit_count):
-        below = tuple(kept)
-        kept.extend([m for m in group if not any(k & m == k for k in below)] if below else group)
-    return kept
 
 
 def krull_dimension_via_initial(supports, nvars: int) -> int:
@@ -769,14 +754,15 @@ def monomial_betti_table(supports, nvars: int, field: int = DEFAULT_FIELD, j_max
     beta_{i,j}(I) = sum over j-subsets W of dim H~_{j-i-2} of the restricted
     Stanley-Reisner complex.  A W with a vertex outside every contained
     support restricts to a cone, so only W covered by their supports are
-    enumerated; the loop runs over the subsets of the support union with at
-    most j_max elements (all of them when j_max is None), and raises
-    BudgetExceeded up front when their number exceeds search_budget().
+    enumerated.  A support that is not minimal changes no entry: a vertex
+    of W that only such supports cover is a cone point too.  The loop runs
+    over the subsets of the support union with at most j_max elements (all
+    of them when j_max is None), and raises BudgetExceeded up front when
+    their number exceeds search_budget().
     """
     if supports is None:
         raise PreconditionFailed("monomial Betti table requires squarefree leads")
-    masks = _minimal_masks(supports)
-    union = list(_bits(reduce(or_, masks, 0)))
+    union = list(_bits(reduce(or_, supports, 0)))
     top = len(union) if j_max is None else min(j_max, len(union))
     budget = search_budget()
     subsets = sum(comb(len(union), k) for k in range(top + 1))
@@ -786,7 +772,7 @@ def monomial_betti_table(supports, nvars: int, field: int = DEFAULT_FIELD, j_max
             budget=budget, masks=subsets,
         )
     back = {v: k for k, v in enumerate(union)}
-    masks = [sum(1 << back[v] for v in _bits(m)) for m in masks]
+    masks = [sum(1 << back[v] for v in _bits(m)) for m in supports]
     entries = {}
     sized = (combinations(range(len(union)), k) for k in range(1, top + 1))
     for subset in chain.from_iterable(sized):

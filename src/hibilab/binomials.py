@@ -6,7 +6,9 @@ Inside, the straightening law gives each term as a sparse tuple of variable
 indices.  The order search leads and counts them on those indices (_Led);
 Buchberger, its reducer and the interreduction pack terms into ints
 (_Layout).  A WindowIdeal and a GroebnerReport pack their generators and
-basis on first read, and unpack them only when their Binomials are read.
+basis on first read.  Every decode of a packed int reads its (variable,
+exponent) pairs (_Layout.exponents); dense tuples are built only when
+Binomials are read.
 Every polynomial handled here is a pure difference of two monomials, so
 S-polynomials and reductions stay binomial and all coefficients stay
 +1/-1; Buchberger below is specialized accordingly.  The
@@ -89,13 +91,6 @@ class WindowRing:
 
     def exponents_dict(self, mono: Monomial):
         return {self.points[k]: mono[k] for k in compress(count(), mono)}
-
-    def format_monomial(self, mono: Monomial) -> str:
-        parts = []
-        for k in compress(count(), mono):
-            (i, j), e = self.points[k], mono[k]
-            parts.append(f"y_{{{i}{j}}}" + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts) if parts else "1"
 
     @lazy
     def semigroup(self) -> "Semigroup":
@@ -341,15 +336,9 @@ def defining_ideal_generators(ring: WindowRing, order: MonomialOrder):
     return _oriented(_straightening_pairs(ring), order)
 
 
-def _sparse_term(mono: Monomial) -> tuple:
-    """The dense monomial as a sorted tuple of variable indices, one per unit
-    of exponent: y_0 y_2^2 is (0, 2, 2)."""
-    return tuple([k for k, e in enumerate(mono) for _ in range(e)])
-
-
 def _straightening_pairs(ring: WindowRing):
     """The terms (y_ij y_kl, y_il y_kj) of each defining binomial, unoriented,
-    each a sparse term (_sparse_term).
+    each a sorted tuple of variable indices, one per unit of exponent.
 
     A binomial is a rectangle of band points, one per pair of rows i1 < i2
     and pair of columns j1 < j2 of ring.rows[i1] & ring.rows[i2].  Its
@@ -533,28 +522,29 @@ class _Layout:
     def pack(self, mono: Monomial) -> int:
         return sum(map(mul, mono, self.units)) + (sum(mono) << self.top)
 
-    def unpack(self, packed: int) -> Monomial:
-        """The dense tuple of packed, read off the fields of its support."""
+    def exponents(self, packed: int) -> list:
+        """The (variable, exponent) pairs of packed's support, lowest field
+        first: the one walk of the packed fields, which every decode reads."""
         width, ones, variable_at = self.width, self.ones, self.variable_at
-        exps = [0] * len(variable_at)
+        pairs = []
         support = (packed + self.low) & self.hi
         while support:
             guard = support & -support
             support ^= guard
             field = guard.bit_length() // width - 1
-            exps[variable_at[field]] = packed >> width * field & ones
+            pairs.append((variable_at[field], packed >> width * field & ones))
+        return pairs
+
+    def unpack(self, packed: int) -> Monomial:
+        """The dense tuple of packed."""
+        exps = [0] * len(self.variable_at)
+        for k, e in self.exponents(packed):
+            exps[k] = e
         return tuple(exps)
 
     def variables(self, packed: int) -> int:
         """The support of packed as a bitmask over the variable indices."""
-        width, variable_at = self.width, self.variable_at
-        mask = 0
-        support = (packed + self.low) & self.hi
-        while support:
-            guard = support & -support
-            support ^= guard
-            mask |= 1 << variable_at[guard.bit_length() // width - 1]
-        return mask
+        return sum([1 << k for k, _ in self.exponents(packed)])
 
 
 class Reducer:
@@ -874,8 +864,7 @@ class WindowIdeal:
         orders tried when no candidate order gives one."""
         if self.gb.quadratic and self.gb.squarefree:
             return self.gb
-        pairs = [(_sparse_term(g.lead), _sparse_term(g.trail)) for g in self.generators]
-        found = order_search(self.ring, pairs)
+        found = order_search(self.ring, self.led.terms)
         if not (found.gb.quadratic and found.gb.squarefree):
             raise PreconditionFailed(
                 "no candidate order gives a quadratic squarefree basis",
@@ -887,11 +876,12 @@ class WindowIdeal:
 def order_search(ring: WindowRing, pairs, kinds="auto") -> WindowIdeal:
     """The first candidate order whose reduced basis is quadratic and squarefree.
 
-    pairs holds the terms (a, b) of the generators a - b, each a sparse
-    quadric term (_straightening_pairs, _sparse_term).  kinds is "auto" (try rank-lex,
-    rank-revlex, lex, revlex in that order) or a single kind; monomial_order
-    rejects any other value.  Returns the WindowIdeal of the winning order
-    or, if none qualifies, of the last one, with the report's flags down.
+    pairs holds the terms (a, b) of the generators a - b, each a quadric
+    as a pair of variable indices (_straightening_pairs, _Led.terms).  kinds
+    is "auto" (try rank-lex, rank-revlex, lex, revlex in that order) or a
+    single kind; monomial_order rejects any other value.  Returns the
+    WindowIdeal of the winning order or, if none qualifies, of the last
+    one, with the report's flags down.
     The answer is buchberger's under each order tried in turn; most orders
     are decided by counting instead.
 
@@ -1188,7 +1178,7 @@ def _fiber_terms(source, ring: WindowRing, units) -> list:
     (the oracle's fields; zeros for balance alone), and whether their images
     from ring.semigroup agree.  A counted basis (_Led with codes) is read by
     variable index (_Led.terms), with nothing packed; Buchberger's and an
-    interreduced basis by one walk over each packed term's support.  An
+    interreduced basis by its pairs (_Layout.exponents).  An
     inhomogeneous binomial raises InvalidParameter."""
     led = source.led
     if led.codes is not None:
@@ -1198,7 +1188,7 @@ def _fiber_terms(source, ring: WindowRing, units) -> list:
     elements, layout = led.elements, led.layout
     if not elements:
         return []
-    width, ones, low, hi, top = layout.width, layout.ones, layout.low, layout.hi, layout.top
+    top, exponents = layout.top, layout.exponents
     if any(lead >> top != trail >> top for lead, trail in elements):
         raise InvalidParameter("binomials must be homogeneous")
     images = ring.semigroup.wide(max(lead >> top for lead, _ in elements))
@@ -1207,12 +1197,7 @@ def _fiber_terms(source, ring: WindowRing, units) -> list:
         walked = []
         for term in pair:
             mono = image = 0
-            support = (term + low) & hi
-            while support:
-                guard = support & -support
-                support ^= guard
-                field = guard.bit_length() // width - 1
-                e, k = term >> width * field & ones, layout.variable_at[field]
+            for k, e in exponents(term):
                 mono += e * units[k]
                 image += e * images[k]
             walked += mono, image

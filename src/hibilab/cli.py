@@ -253,16 +253,19 @@ def _dim(args, ctx, check):
 
 def _gb(args, ctx, check):
     ideal = ctx.ideal
-    ring, gb = ideal.ring, ideal.gb
+    gb, points = ideal.gb, ideal.ring.points
 
-    def exponents(mono):
-        return sorted([list(pt), e] for pt, e in ring.exponents_dict(mono).items())
+    def term(packed):
+        pairs = [(points[k], e) for k, e in sorted(gb.layout.exponents(packed))]  # by variable
+        text = "*".join([f"y_{{{i}{j}}}" + (f"^{e}" if e > 1 else "") for (i, j), e in pairs])
+        return sorted([[list(pt), e] for pt, e in pairs]), text or "1"
 
+    basis = []
+    for lead, trail in gb.elements:  # the packed ints, read with no dense tuple
+        (lead, lead_text), (trail, trail_text) = term(lead), term(trail)
+        basis.append({"lead": lead, "trail": trail, "text": f"{lead_text} - {trail_text}"})
     return {"order": ideal.order.name, "quadratic": gb.quadratic, "squarefree": gb.squarefree,
-            "spairs": gb.spairs_processed,
-            "basis": [{"lead": exponents(g.lead), "trail": exponents(g.trail),
-                       "text": f"{ring.format_monomial(g.lead)} - {ring.format_monomial(g.trail)}"}
-                      for g in gb.basis]}
+            "spairs": gb.spairs_processed, "basis": basis}
 
 
 def _fiber(args, ctx, check):

@@ -82,6 +82,20 @@ MUTANTS = (
         "lex, keys = True, {}",
         ("tests/test_order_search.py::test_index_route_matches_the_packed_route_on_random_quadrics",),
     ),
+    # the one walk of the packed fields, each exponent read off the field above its own
+    Mutant(
+        "exponents-next-field", "binomials.py",
+        "pairs.append((variable_at[field], packed >> width * field & ones))",
+        "pairs.append((variable_at[field], packed >> width * (field + 1) & ones))",
+        ("tests/test_packing.py::test_unpack_and_variables_round_trip_through_pack",),
+    ),
+    # the one walk of the packed fields, every exponent capped at 1
+    Mutant(
+        "exponents-capped-at-1", "binomials.py",
+        "pairs.append((variable_at[field], packed >> width * field & ones))",
+        "pairs.append((variable_at[field], min(packed >> width * field & ones, 1)))",
+        ("tests/test_packing.py::test_unpack_and_variables_round_trip_through_pack",),
+    ),
     # the order search, a term that is not a quadric let through to the quadric codes
     Mutant(
         "order-search-any-degree", "binomials.py",

@@ -34,7 +34,6 @@ from hibilab.binomials import (
     _Layout,
     _lead_graph_counts,
     _oriented,
-    _sparse_term,
     _straightening_pairs,
     _width,
     buchberger,
@@ -45,7 +44,7 @@ from hibilab.binomials import (
 from hibilab.errors import DegreeInfeasible, InvalidParameter, VerificationFailed
 from hibilab.reports import CorpusSpec, demo_staircase, full_grid, generate_corpus
 from hibilab.windows import all_windows
-from window_helpers import ring_for_window
+from window_helpers import ring_for_window, sparse_term
 
 SEARCHES = ("auto",) + ORDER_KINDS
 
@@ -112,7 +111,7 @@ def _square_trail(ring, pairs, kind):
     the generator is no longer balanced."""
     order = monomial_order(kind, ring)
     first = _oriented(pairs, order)[0]
-    lead, trail = _sparse_term(first.lead), _sparse_term(first.trail)
+    lead, trail = sparse_term(first.lead), sparse_term(first.trail)
     least = order.sig[-1]
     return [(lead, (least, least))] + [p for p in pairs if set(p) != {lead, trail}]
 

@@ -9,6 +9,11 @@ records while it codes the binomials; the packed field walk, which
 Buchberger's and interreduced bases take, is the reference it must equal
 tuple for tuple, on the oracle's fields and on the zero units of the balance
 check.
+
+`_Layout.exponents` is the one walk of the packed fields: `unpack`,
+`variables`, the packed walk and the `hibilab gb` view all read it.  Its
+references are `pack`, a field read per variable, and the dense route of
+the `gb` view: `exponents_dict` and the text of the dense tuples.
 """
 
 import random
@@ -19,14 +24,18 @@ import pytest
 import fiber_reference as fiber_ref
 from hibilab.binomials import (
     ORDER_KINDS,
+    Binomial,
+    MonomialOrder,
     Semigroup,
     WindowRing,
     _fiber_terms,
+    _Layout,
     _Led,
     order_search,
     toric_fiber_oracle,
 )
-from hibilab.reports import CorpusSpec, full_grid, generate_corpus
+from hibilab.cli import _gb
+from hibilab.reports import CorpusSpec, demo_staircase, full_grid, generate_corpus
 from hibilab.windows import WindowContext, all_windows
 from test_order_search import _random_quadric_pairs
 
@@ -177,3 +186,68 @@ def test_a_single_point_ring_packs_on_first_read():
     store = ring.semigroup
     assert store.size(3) == 1 and store.capacity == -1  # a forest
     assert store.images == [0] and store.capacity == 7
+
+
+def _field_read(layout, packed):
+    """The dense tuple of packed, one field read per variable, with no walk."""
+    return tuple([packed // unit & layout.ones for unit in layout.units])
+
+
+def test_unpack_and_variables_round_trip_through_pack():
+    """Seeded random monomials, sparse and dense, under lex and revlex on a
+    random significance list, at widths whose layouts exceed 61 bits:
+    unpack, variables and the pairs of exponents give back what pack took,
+    with exponents up to the largest value below the guard."""
+    rng = random.Random(4040)
+    wide = 0
+    for _ in range(300):
+        n, width = rng.randint(16, 48), rng.randint(3, 6)
+        sig = tuple(rng.sample(range(n), n))
+        layout = _Layout(MonomialOrder("random", rng.choice(("lex", "revlex")), sig), width)
+        share = rng.choice((0.1, 0.5, 1.0))  # the share of nonzero exponents
+        mono = tuple([rng.randint(1, layout.ones >> 1) if rng.random() < share else 0 for _ in range(n)])
+        packed = layout.pack(mono)
+        assert layout.unpack(packed) == mono == _field_read(layout, packed)
+        assert layout.variables(packed) == sum(1 << k for k, e in enumerate(mono) if e)
+        assert sorted(layout.exponents(packed)) == [(k, e) for k, e in enumerate(mono) if e]
+        wide += layout.top > 61
+    assert wide > 250
+
+
+def _dense_record(ideal):
+    """The gb view's record by the dense route: each basis element unpacked
+    by field reads, its points by exponents_dict, its text over the tuple."""
+    ring, gb = ideal.ring, ideal.gb
+    basis = tuple([Binomial(*[_field_read(gb.layout, t) for t in pair]) for pair in gb.elements])
+    assert basis == gb.basis
+
+    def text(mono):
+        parts = [f"y_{{{i}{j}}}" + (f"^{e}" if e > 1 else "") for (i, j), e in zip(ring.points, mono) if e]
+        return "*".join(parts) if parts else "1"
+
+    def points(mono):
+        return sorted([list(pt), e] for pt, e in ring.exponents_dict(mono).items())
+
+    return {"order": ideal.order.name, "quadratic": gb.quadratic, "squarefree": gb.squarefree,
+            "spairs": gb.spairs_processed,
+            "basis": [{"lead": points(g.lead), "trail": points(g.trail),
+                       "text": f"{text(g.lead)} - {text(g.trail)}"} for g in basis]}
+
+
+def test_gb_view_reads_the_packed_basis_as_the_dense_route_does():
+    """On every demo staircase and seed-7 window with at most 16 variables,
+    under auto and each order kind, the gb view's record, read off the
+    packed ints by their pairs, equals the dense route's, on counted bases
+    and on those packed by Buchberger or by interreduction."""
+    lattices = [demo_staircase()] + [lat for _, lat in generate_corpus(CorpusSpec(seed=7, count=40, max_m=5, max_n=4))]
+    bases = packed = 0
+    for lat in lattices:
+        for w in all_windows(lat):
+            for kinds in ("auto",) + ORDER_KINDS:
+                ctx = WindowContext(lat, w, kinds)
+                if ctx.ring.nvars > 16:
+                    break
+                assert _gb(None, ctx, None) == _dense_record(ctx.ideal), (w, kinds)
+                bases += 1
+                packed += ctx.ideal.gb.led.codes is None
+    assert (bases, packed) == (3620, 210)

@@ -209,15 +209,18 @@ def test_krull_dimension_matches_exhaustive_search():
 def test_krull_search_matches_exhaustive_on_random_hypergraphs():
     """The face search on supports of 1 to 5 variables: 1-supports are
     never candidates, 2-supports are the lead graph, and larger ones are
-    completed and bounded apart from it."""
+    completed and bounded apart from it.  Hochster's formula on nested
+    supports gives the table of their minimal ones, with at most 9
+    variables: a vertex that only a non-minimal support covers is a cone
+    point of each restricted complex it lies in."""
+    from functools import reduce
     from itertools import combinations
+    from operator import or_
 
-    from hibilab.betti import krull_dimension_via_initial
-
-    from hibilab.betti import _minimal_masks
+    from hibilab.betti import krull_dimension_via_initial, monomial_betti_table
 
     rng = random.Random(909)
-    checked = nested = 0
+    checked = nested = tables = coned = 0
     sizes = set()
     while checked < 300:
         n = rng.randint(3, 12)
@@ -236,21 +239,25 @@ def test_krull_search_matches_exhaustive_on_random_hypergraphs():
             )
         )
         assert krull_dimension_via_initial(masks, nvars=n) == best, sorted(map(sorted, supports))
-        # the mask filter against the frozenset reference, with nested supports
-        want = sorted(krull_reference.masks(krull_reference.minimal_supports(leads)))
-        assert sorted(_minimal_masks(masks)) == want
-        nested += len(want) < len(supports)
+        # the Betti table on nested supports against the table on the minimal ones
+        minimal = krull_reference.masks(krull_reference.minimal_supports(leads))
+        if len(minimal) < len(supports) and n <= 9:
+            assert monomial_betti_table(masks, n) == monomial_betti_table(minimal, n), sorted(map(sorted, supports))
+            tables += 1
+            coned += reduce(or_, masks) != reduce(or_, minimal)  # a vertex only a non-minimal support covers
+        nested += len(minimal) < len(supports)
         sizes.update(map(len, supports))
         checked += 1
-    assert nested > 100 and sizes == {1, 2, 3, 4, 5}
+    assert nested > 100 and tables > 150 and coned > 100 and sizes == {1, 2, 3, 4, 5}, (tables, coned)
     CASES["krull-hypergraph-exhaustive"] = checked
 
 
 def test_krull_on_masks_matches_minimal_supports_reference(corpus):
-    """The lead supports read off the packed basis, their minimal filter and
-    the Krull face search on them, against the frozenset route and the
-    hitting-set search on dense leads, on every seed-7 and seed-11 window."""
-    from hibilab.betti import _minimal_masks, krull_dimension_via_initial
+    """The lead supports read off the packed basis, already minimal and
+    distinct, and the Krull face search on them, against the frozenset
+    route and the hitting-set search on dense leads, on every seed-7 and
+    seed-11 window."""
+    from hibilab.betti import krull_dimension_via_initial
 
     seed11 = generate_corpus(CorpusSpec(seed=11, count=40, max_m=5, max_n=4))
     checked = 0
@@ -262,7 +269,7 @@ def test_krull_on_masks_matches_minimal_supports_reference(corpus):
             supports = krull_reference.masks({k for k, e in enumerate(lead) if e} for lead in leads)
             assert gb.lead_supports == tuple(supports), (name, w)
             want = krull_reference.masks(krull_reference.minimal_supports(leads))
-            assert sorted(_minimal_masks(gb.lead_supports)) == sorted(want), (name, w)
+            assert sorted(gb.lead_supports) == sorted(want), (name, w)
             krull = krull_dimension_via_initial(gb.lead_supports, nvars=nvars)
             assert krull == krull_reference.krull_dimension(leads, nvars), (name, w)
             checked += 1

@@ -13,6 +13,12 @@ def ring_for_window(lattice, window):
     return as_context(lattice, window).ring
 
 
+def sparse_term(mono) -> tuple:
+    """The dense monomial as a sorted tuple of variable indices, one per unit
+    of exponent, the term form order_search takes: y_0 y_2^2 is (0, 2, 2)."""
+    return tuple([k for k, e in enumerate(mono) for _ in range(e)])
+
+
 def polyomino_from_cells(cells) -> Polyomino:
     """The polyomino of the cells, each named by its lower-left corner."""
     return Polyomino(cells=frozenset(tuple(c) for c in cells))
